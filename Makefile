@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint comalint staticcheck bench bench-json bench-compare smoke-serve smoke-inspect smoke-cluster attest model check
+.PHONY: all build test race vet lint comalint staticcheck bench bench-check bench-json bench-compare smoke-serve smoke-inspect smoke-cluster attest model check
 
 all: check
 
@@ -37,6 +37,13 @@ lint: vet comalint staticcheck
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# bench-check vets and short-tests the comaperf benchmark. bench/ is a
+# module of its own, so the root ./... patterns never build it; this
+# keeps an API change in the simulator from silently breaking it.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # bench-json runs the small Bench campaign and writes the
 # machine-readable perf record (per-table wall time, runs, simulated
@@ -95,4 +102,4 @@ model:
 
 # check is the full tier-1 gate: everything CI enforces that can run
 # offline.
-check: build vet test race comalint
+check: build vet test race comalint bench-check

@@ -84,11 +84,7 @@ func New(arch config.Arch, node proto.NodeID) *AM {
 		index: make(map[proto.PageID]*frame),
 	}
 	for i := range a.sets {
-		ways := make([]frame, arch.AMWays)
-		for w := range ways {
-			ways[w].slots = make([]Slot, arch.ItemsPerPage())
-		}
-		a.sets[i] = ways
+		a.sets[i] = make([]frame, arch.AMWays)
 	}
 	return a
 }
@@ -248,6 +244,12 @@ func (a *AM) AllocFrame(page proto.PageID, irreplaceable bool, now int64) {
 		f.irreplaceable = irreplaceable
 		f.lastUse = now
 		f.modified = 0
+		if f.slots == nil {
+			// A frame gets its slots on first use: most frames of an AM
+			// are never allocated in a run, and building a machine would
+			// otherwise touch memory for all of them.
+			f.slots = make([]Slot, a.arch.ItemsPerPage())
+		}
 		for i := range f.slots {
 			f.slots[i] = Slot{State: proto.Invalid, Partner: proto.None}
 		}

@@ -27,6 +27,24 @@ func TestUnallocatedIsInvalid(t *testing.T) {
 	}
 }
 
+// TestAllocFrameStartsClean: a frame's slots, allocated on its first use
+// or reused after a drop, all start Invalid with no partner.
+func TestAllocFrameStartsClean(t *testing.T) {
+	a, arch := newAM()
+	clean := Slot{State: proto.Invalid, Partner: proto.None}
+	first := arch.FirstItem(5)
+	for round := 0; round < 2; round++ {
+		a.AllocFrame(5, false, int64(round))
+		for i := 0; i < arch.ItemsPerPage(); i++ {
+			if got := a.Slot(first + proto.ItemID(i)); got != clean {
+				t.Fatalf("round %d: item %d slot = %+v, want %+v", round, i, got, clean)
+			}
+		}
+		a.Set(first, Slot{State: proto.Shared, Value: 9, Partner: proto.None})
+		a.DropFrame(5)
+	}
+}
+
 func TestAllocSetAndRead(t *testing.T) {
 	a, arch := newAM()
 	a.AllocFrame(0, false, 1)

@@ -84,6 +84,18 @@ type Engine struct {
 	locks map[proto.ItemID]*itemLock
 	acks  map[proto.ItemID]*ackState
 
+	// freeLocks holds released item locks for reuse, queue capacity
+	// kept, so a transaction on a free item allocates no lock.
+	freeLocks []*itemLock
+
+	// msgs parks each delivered request for the handler process it
+	// spawns: dispatch stores the message and its handler in a free slot
+	// and spawns the prebuilt handlerBody with the slot index, the
+	// scheme mesh.Network.pending uses for deliveries. msgFree lists
+	// reusable slots.
+	msgs    []parkedMsg
+	msgFree []int32
+
 	// pendingInstalls[n][page] counts in-flight misses on node n that
 	// will install into the page's frame when their data arrives; such a
 	// frame must not be replaced meanwhile.
@@ -196,25 +208,25 @@ func (e *Engine) mintTxn(n proto.NodeID) proto.TxnID {
 func (e *Engine) SetRoundTxn(t proto.TxnID) { e.roundTxn = t }
 
 // dispatch routes a delivered message to its handler. It runs in event
-// context; handlers needing simulated time spawn processes.
+// context; handlers needing simulated time run as processes.
 func (e *Engine) dispatch(n proto.NodeID, m mesh.Message) {
 	switch m.Kind {
 	case proto.MsgReadReq, proto.MsgWriteReq:
-		e.eng.Spawn("home", func(p *sim.Process) { e.homeRequest(p, n, m) })
+		e.spawnHandler("home", (*Engine).homeRequest, m)
 	case proto.MsgReadFwd:
-		e.eng.Spawn("owner-read", func(p *sim.Process) { e.ownerRead(p, n, m) })
+		e.spawnHandler("owner-read", (*Engine).ownerRead, m)
 	case proto.MsgWriteFwd:
-		e.eng.Spawn("owner-write", func(p *sim.Process) { e.ownerWrite(p, n, m) })
+		e.spawnHandler("owner-write", (*Engine).ownerWrite, m)
 	case proto.MsgInvalidate:
-		e.eng.Spawn("invalidate", func(p *sim.Process) { e.handleInvalidate(p, n, m) })
+		e.spawnHandler("invalidate", (*Engine).handleInvalidate, m)
 	case proto.MsgInvalidateAck:
 		e.ackArrived(m.Item, 1)
 	case proto.MsgInjectProbe:
-		e.eng.Spawn("inject-probe", func(p *sim.Process) { e.handleInjectProbe(p, n, m) })
+		e.spawnHandler("inject-probe", (*Engine).handleInjectProbe, m)
 	case proto.MsgInjectData:
-		e.eng.Spawn("inject-data", func(p *sim.Process) { e.handleInjectData(p, n, m) })
+		e.spawnHandler("inject-data", (*Engine).handleInjectData, m)
 	case proto.MsgPreCommitUpgrade:
-		e.eng.Spawn("precommit-upgrade", func(p *sim.Process) { e.handlePreCommitUpgrade(p, n, m) })
+		e.spawnHandler("precommit-upgrade", (*Engine).handlePreCommitUpgrade, m)
 	case proto.MsgHomeUpdate, proto.MsgPartnerUpdate, proto.MsgPageAlloc:
 		// Timing-only traffic: the simulator state was already updated
 		// under the initiating transaction's item lock (DESIGN.md §4.2).
@@ -231,10 +243,62 @@ func (e *Engine) dispatch(n proto.NodeID, m mesh.Message) {
 	}
 }
 
+// handlerFn is a message handler run as a process at node n, the
+// message's destination.
+type handlerFn func(e *Engine, p *sim.Process, n proto.NodeID, m mesh.Message)
+
+// parkedMsg is one slot of the handler slab: a delivered message and the
+// handler that will process it.
+type parkedMsg struct {
+	m  mesh.Message
+	fn handlerFn
+}
+
+// handlerBody is the sim.Body of every message handler process; its
+// argument is the slab slot of the message.
+type handlerBody struct{ e *Engine }
+
+func (h handlerBody) Run(p *sim.Process, slot int64) { h.e.runHandler(p, slot) }
+
+// spawnHandler parks m in the slab and spawns a handler process for it
+// without allocating a closure.
+func (e *Engine) spawnHandler(name string, fn handlerFn, m mesh.Message) {
+	var slot int32
+	if n := len(e.msgFree); n > 0 {
+		slot = e.msgFree[n-1]
+		e.msgFree = e.msgFree[:n-1]
+		e.msgs[slot] = parkedMsg{m: m, fn: fn}
+	} else {
+		slot = int32(len(e.msgs))
+		e.msgs = append(e.msgs, parkedMsg{m: m, fn: fn})
+	}
+	e.eng.SpawnBody(name, handlerBody{e}, int64(slot))
+}
+
+// runHandler is a handler process's body. It copies its message out and
+// frees the slot before the handler can block, so concurrent handlers
+// reuse slots.
+func (e *Engine) runHandler(p *sim.Process, slot int64) {
+	pm := e.msgs[slot]
+	e.msgs[slot] = parkedMsg{} // release future/txn refs for the GC
+	e.msgFree = append(e.msgFree, int32(slot))
+	pm.fn(e, p, pm.m.Dst, pm.m)
+}
+
 // itemLock is a FIFO mutex serialising transactions on one item.
 type itemLock struct {
 	held bool
 	q    []*sim.Process
+}
+
+// newLock takes an item lock from the free list, or allocates one.
+func (e *Engine) newLock() *itemLock {
+	if n := len(e.freeLocks); n > 0 {
+		l := e.freeLocks[n-1]
+		e.freeLocks = e.freeLocks[:n-1]
+		return l
+	}
+	return &itemLock{}
 }
 
 // lockItem acquires the transaction lock for an item, blocking in FIFO
@@ -242,7 +306,7 @@ type itemLock struct {
 func (e *Engine) lockItem(p *sim.Process, item proto.ItemID) {
 	l := e.locks[item]
 	if l == nil {
-		l = &itemLock{}
+		l = e.newLock()
 		e.locks[item] = l
 	}
 	if !l.held {
@@ -257,7 +321,9 @@ func (e *Engine) lockItem(p *sim.Process, item proto.ItemID) {
 func (e *Engine) tryLockItem(item proto.ItemID) bool {
 	l := e.locks[item]
 	if l == nil {
-		e.locks[item] = &itemLock{held: true}
+		l = e.newLock()
+		l.held = true
+		e.locks[item] = l
 		return true
 	}
 	if l.held {
@@ -281,6 +347,8 @@ func (e *Engine) unlockItem(item proto.ItemID) {
 		return
 	}
 	delete(e.locks, item)
+	l.held = false
+	e.freeLocks = append(e.freeLocks, l)
 }
 
 // LockedItems reports how many items currently have an active or queued

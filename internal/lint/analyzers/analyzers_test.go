@@ -27,6 +27,15 @@ func TestClosureSched(t *testing.T) {
 	analysistest.Run(t, analyzers.ClosureSched, "testdata/src/closuresched")
 }
 
+// TestClosureSchedSpawn proves the Spawn half of the rule: in a package
+// named like the protocol engine a per-message Engine.Spawn literal is
+// diagnosed and the SpawnBody slab form is not, while a start-up
+// package may keep its Spawn literals.
+func TestClosureSchedSpawn(t *testing.T) {
+	analysistest.Run(t, analyzers.ClosureSched, "testdata/src/spawnsched/coherence")
+	analysistest.Run(t, analyzers.ClosureSched, "testdata/src/spawnsched/machine")
+}
+
 func TestObsWallClock(t *testing.T) {
 	analysistest.Run(t, analyzers.ObsWallClock, "testdata/src/obsimpl")
 }

@@ -3,6 +3,7 @@ package analyzers
 import (
 	"go/ast"
 	"go/types"
+	"path"
 	"strings"
 
 	"coma/internal/lint/analysis"
@@ -16,11 +17,29 @@ import (
 // the same work allocation-free. Named function values stay legal — the
 // rule targets the per-event literal, the allocation that scales with
 // event count, not the one-time closure of a self-rescheduling ticker.
+//
+// The same holds for processes where spawns scale with message count:
+// in internal/coherence and internal/mesh a literal passed to
+// Engine.Spawn allocates a closure per message, and Engine.SpawnBody
+// with a typed argument spawns without one. Start-up spawns of
+// long-lived processes (machine, core, snoop) stay legal.
 var ClosureSched = &analysis.Analyzer{
 	Name: "closuresched",
 	Doc: "hot-path packages must not schedule per-event closures via " +
-		"Engine.At/After literals; use typed events (AtSink/AfterSink)",
+		"Engine.At/After literals (use AtSink/AfterSink) nor spawn " +
+		"per-message ones via Engine.Spawn in coherence/mesh (use SpawnBody)",
 	Run: runClosureSched,
+}
+
+// spawnScoped reports whether the Spawn rule applies to a package: the
+// ones that spawn a process per delivered message. Matched on the last
+// path element so analyzer fixtures can stand in for them.
+func spawnScoped(pkgPath string) bool {
+	switch path.Base(pkgPath) {
+	case "coherence", "mesh":
+		return true
+	}
+	return false
 }
 
 // ClosureSchedScope reports whether the analyzer applies to a package:
@@ -46,6 +65,7 @@ func ClosureSchedScope(pkgPath string) bool {
 }
 
 func runClosureSched(pass *analysis.Pass) (interface{}, error) {
+	spawns := spawnScoped(pass.Pkg.Path())
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -56,7 +76,18 @@ func runClosureSched(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			if sel.Sel.Name != "At" && sel.Sel.Name != "After" {
+			var msg string
+			switch sel.Sel.Name {
+			case "At", "After":
+				msg = "closure literal scheduled via Engine.%s allocates per event on a hot path: " +
+					"use a typed event (Engine.AtSink/AfterSink with an EventSink)"
+			case "Spawn":
+				if !spawns {
+					return true
+				}
+				msg = "closure literal spawned via Engine.%s allocates per message on a hot path: " +
+					"use Engine.SpawnBody with a typed argument"
+			default:
 				return true
 			}
 			if !isEngineMethod(pass, sel) {
@@ -64,10 +95,7 @@ func runClosureSched(pass *analysis.Pass) (interface{}, error) {
 			}
 			for _, arg := range call.Args {
 				if _, isLit := arg.(*ast.FuncLit); isLit {
-					pass.Reportf(arg.Pos(),
-						"closure literal scheduled via Engine.%s allocates per event on a hot path: "+
-							"use a typed event (Engine.AtSink/AfterSink with an EventSink)",
-						sel.Sel.Name)
+					pass.Reportf(arg.Pos(), msg, sel.Sel.Name)
 				}
 			}
 			return true

@@ -689,12 +689,32 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 		rcpt, hasReceipt, vErr = s.validateCompletion(req)
 	}
 
+	// The receipt to file is built and signed here, also outside the
+	// lock, and stored below before the job turns done: a ?wait=1 caller
+	// released by finishLocked may GET /receipt at once. Jobs are never
+	// dropped from s.jobs and their identity never changes, so this read
+	// is the job the locked section below completes.
+	s.mu.Lock()
+	j, ok := s.jobs[req.JobID]
+	s.mu.Unlock()
+	storeRcpt := ok && req.Error == "" && vErr == nil
+	if storeRcpt && !hasReceipt {
+		// Worker sent no receipt (older agent, or receipts disabled):
+		// synthesize an unchecked one from the validated payload so
+		// every completed job still serves /receipt.
+		var bErr error
+		rcpt, _, bErr = receipt.Build(j.identity, req.Result, nil, workerProducer(wk))
+		if bErr == nil && len(s.opts.ReceiptKey) > 0 {
+			rcpt = rcpt.Sign(s.opts.ReceiptKey)
+		}
+		storeRcpt = bErr == nil
+	}
+
 	now := time.Now()
 	s.mu.Lock()
 	if wk.state == workerActive {
 		s.touchLocked(wk, now)
 	}
-	j, ok := s.jobs[req.JobID]
 	if !ok {
 		s.mu.Unlock()
 		s.respondError(w, http.StatusNotFound, errors.New("unknown job"))
@@ -752,28 +772,18 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 	} else {
 		j.result = append([]byte(nil), req.Result...)
 		persistErr = s.store.Put(j.id, j.result)
+		if storeRcpt {
+			s.storeReceipt(j.id, rcpt, nil)
+		}
 		s.finishLocked(j, StateDone)
 	}
 	st := j.status(false)
 	started := j.startedAt
-	identity := j.identity
 	s.mu.Unlock()
 
 	if req.Error != "" {
 		s.logf("job %s: failed on worker %s: %s", shortID(req.JobID), wk.id, req.Error)
 	} else {
-		if !hasReceipt {
-			// Worker sent no receipt (older agent, or receipts disabled):
-			// synthesize an unchecked one from the validated payload so
-			// every completed job still serves /receipt.
-			rcpt, _, vErr = receipt.Build(identity, req.Result, nil, workerProducer(wk))
-		}
-		if vErr == nil {
-			if !hasReceipt && len(s.opts.ReceiptKey) > 0 {
-				rcpt = rcpt.Sign(s.opts.ReceiptKey)
-			}
-			s.storeReceipt(req.JobID, rcpt, nil)
-		}
 		if !started.IsZero() {
 			s.met.observeRunTime(now.Sub(started).Seconds())
 		}

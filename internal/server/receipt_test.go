@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -353,4 +356,126 @@ func TestStoreAuxRoundTrip(t *testing.T) {
 	if _, ok := fresh.GetAux("nope", AuxReceipt); ok {
 		t.Fatal("GetAux served an invalid key")
 	}
+}
+
+// TestClusterReceiptReadyWhenWaitReturns: a ?wait=1 submission returns
+// only once the job is done, and by then its receipt must be stored — a
+// GET /receipt straight after the wait answers 200 with no retry. Jobs
+// alternate between a worker-sent receipt and one the coordinator
+// synthesizes, the two ways a cluster completion files its receipt.
+func TestClusterReceiptReadyWhenWaitReturns(t *testing.T) {
+	const jobs = 300
+	_, ts := newTestServer(t, Options{Cluster: true, Revision: "test-rev"})
+	wid := registerWorker(t, ts, "w", 1)
+
+	post := func(path string, body, out any) error {
+		payload, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(payload))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("POST %s: status %d: %s", path, resp.StatusCode, raw)
+		}
+		if out != nil {
+			return json.Unmarshal(raw, out)
+		}
+		return nil
+	}
+	// The worker: long-poll for leases, complete each with the fake
+	// runner's payload.
+	ctx, cancel := context.WithCancel(context.Background())
+	workerErr := make(chan error, 1)
+	go func() {
+		for n := 0; ctx.Err() == nil; {
+			var lr LeaseResponse
+			if err := post("/v1/workers/"+wid+"/lease", LeaseRequest{Max: 1, WaitMS: 50}, &lr); err != nil {
+				workerErr <- err
+				return
+			}
+			for _, lj := range lr.Jobs {
+				payload, err := MarshalResult(fakeRun(lj.Identity))
+				if err != nil {
+					workerErr <- err
+					return
+				}
+				req := CompleteRequest{JobID: lj.JobID, Result: payload}
+				if n%2 == 0 {
+					rcpt, _, err := receipt.Build(lj.Identity, payload, nil, "w")
+					if err != nil {
+						workerErr <- err
+						return
+					}
+					req.Receipt = rcpt.CanonicalJSON()
+				}
+				n++
+				if err := post("/v1/workers/"+wid+"/complete", req, nil); err != nil {
+					workerErr <- err
+					return
+				}
+			}
+		}
+		workerErr <- nil
+	}()
+	defer func() {
+		cancel()
+		if err := <-workerErr; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}()
+
+	// Two clients in a closed loop, as comaperf's serve-cluster drives it.
+	const clients = 2
+	errs := make(chan error)
+	for c := 0; c < clients; c++ {
+		go func() {
+			for i := c; i < jobs; i += clients {
+				errs <- waitThenReceipt(ts.URL, specJSON(uint64(1000+i)))
+			}
+		}()
+	}
+	// Collect every outcome before failing: the worker must outlive the
+	// last waiting submission, or the server's shutdown would block on it.
+	var first error
+	for i := 0; i < jobs; i++ {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		t.Fatal(first)
+	}
+}
+
+// waitThenReceipt submits a spec with ?wait=1 and immediately fetches
+// the finished job's receipt, once.
+func waitThenReceipt(base, spec string) error {
+	resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", strings.NewReader(spec))
+	if err != nil {
+		return err
+	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK || st.State != StateDone {
+		return fmt.Errorf("job %.12s: status %d state %s", st.ID, resp.StatusCode, st.State)
+	}
+	resp, err = http.Get(base + "/v1/jobs/" + st.ID + "/receipt")
+	if err != nil {
+		return err
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("job %.12s: GET /receipt right after ?wait=1 = %d: %s", st.ID, resp.StatusCode, body)
+	}
+	return nil
 }

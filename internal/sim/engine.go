@@ -15,7 +15,9 @@
 // events (EventSink) are enum-dispatched without closures, and the
 // goroutine holding the baton dispatches subsequent events itself — a
 // process waking another process is one channel handoff, a process
-// waking itself is none.
+// waking itself is none. Finished processes park their goroutines on a
+// free list, so a steady-state Spawn (SpawnBody with a typed argument)
+// allocates nothing either.
 package sim
 
 import (
@@ -50,6 +52,11 @@ type Engine struct {
 	procs   map[*Process]struct{}
 	nextPID int
 
+	// idle is the free list of finished processes whose goroutines are
+	// parked for reuse by the next Spawn (see Process.top). They are
+	// not in procs; Shutdown drains them.
+	idle []*Process
+
 	running  bool
 	stopped  bool
 	shutdown bool
@@ -82,7 +89,7 @@ type eventKind uint8
 const (
 	evFn    eventKind = iota // fn: arbitrary callback
 	evWake                   // proc: resume a parked process
-	evStart                  // proc: first dispatch of a spawned process
+	evStart                  // proc: first dispatch of a brand-new process
 	evSink                   // sink, arg: typed allocation-free payload
 )
 
@@ -117,7 +124,7 @@ func (e *Engine) Now() int64 { return e.now }
 func (e *Engine) Events() int64 { return e.events }
 
 // Processes returns the number of live (spawned, not yet finished)
-// processes.
+// processes. Idle recycled goroutines are not counted.
 func (e *Engine) Processes() int { return len(e.procs) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
@@ -265,6 +272,7 @@ func (e *Engine) advance(self *Process) advResult {
 			ev.proc.wake <- struct{}{}
 			return advHandoff
 		case evStart:
+			ev.proc.started = true
 			go ev.proc.top()
 			return advHandoff
 		}
@@ -314,9 +322,10 @@ func (e *Engine) next() (event, bool) {
 
 // Shutdown terminates every live process (they observe a killed signal at
 // their next — or current — blocking point) and drains their goroutines,
-// in ascending process-id order for determinism. The engine must not be
-// running. After Shutdown the engine can still inspect state but should
-// not schedule further work.
+// in ascending process-id order for determinism, then ends the idle
+// goroutines on the free list, so no goroutine of the engine outlives
+// it. The engine must not be running. After Shutdown the engine can
+// still inspect state but should not schedule further work.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown while running")
@@ -335,10 +344,23 @@ func (e *Engine) Shutdown() {
 			if _, live := e.procs[p]; !live {
 				continue
 			}
+			if !p.started {
+				// Its start never fired (Stop came first): there is no
+				// goroutine to unwind.
+				delete(e.procs, p)
+				continue
+			}
 			p.killed = true
 			p.wake <- struct{}{}
 			<-e.yield
 		}
+	}
+	for len(e.idle) > 0 {
+		p := e.idle[len(e.idle)-1]
+		e.idle = e.idle[:len(e.idle)-1]
+		p.killed = true
+		p.wake <- struct{}{}
+		<-e.yield
 	}
 }
 

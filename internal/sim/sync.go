@@ -6,9 +6,13 @@ import "fmt"
 // Await it; any number may wait; Complete wakes them all at the current
 // simulated time. Completing twice is a programming error.
 type Future[T any] struct {
-	done    bool
-	val     T
-	waiters []*Process
+	done bool
+	val  T
+	// waiter is the first process blocked in Await and more the later
+	// ones, in arrival order. Holding the first inline keeps the common
+	// single-waiter Await allocation-free.
+	waiter *Process
+	more   []*Process
 }
 
 // NewFuture returns an incomplete future.
@@ -32,10 +36,14 @@ func (f *Future[T]) Complete(e *Engine, v T) {
 	}
 	f.done = true
 	f.val = v
-	for _, p := range f.waiters {
+	if f.waiter != nil {
+		e.wakeNow(f.waiter)
+		f.waiter = nil
+	}
+	for _, p := range f.more {
 		e.wakeNow(p)
 	}
-	f.waiters = nil
+	f.more = nil
 }
 
 // Await blocks p until the future completes and returns its value.
@@ -43,7 +51,11 @@ func (f *Future[T]) Await(p *Process) T {
 	if f.done {
 		return f.val
 	}
-	f.waiters = append(f.waiters, p)
+	if f.waiter == nil {
+		f.waiter = p
+	} else {
+		f.more = append(f.more, p)
+	}
 	p.park()
 	if !f.done {
 		panic("sim: process woken before future completion")
