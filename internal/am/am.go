@@ -83,8 +83,9 @@ func New(arch config.Arch, node proto.NodeID) *AM {
 		sets:  make([][]frame, arch.AMSets()),
 		index: make(map[proto.PageID]*frame),
 	}
+	frames := make([]frame, len(a.sets)*arch.AMWays)
 	for i := range a.sets {
-		a.sets[i] = make([]frame, arch.AMWays)
+		a.sets[i] = frames[i*arch.AMWays : (i+1)*arch.AMWays : (i+1)*arch.AMWays]
 	}
 	return a
 }

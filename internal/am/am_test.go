@@ -267,3 +267,13 @@ func TestAllocatedPagesDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestNewCarvesFramesFromOneBlock: every set's ways are carved from one
+// frame array, so building a machine allocates a few blocks per AM
+// rather than one per set.
+func TestNewCarvesFramesFromOneBlock(t *testing.T) {
+	arch := config.KSR1(16)
+	if allocs := testing.AllocsPerRun(10, func() { New(arch, 3) }); allocs > 4 {
+		t.Fatalf("New = %v allocs, want at most 4", allocs)
+	}
+}

@@ -88,12 +88,15 @@ func New(arch config.Arch) *Cache {
 		sectorSize: uint64(sectorSize),
 		sets:       make([][]sector, numSets),
 	}
+	// One backing array for all sectors and one for all their lines: a
+	// machine build allocates a few blocks per cache, not one per sector.
+	sectors := make([]sector, numSets*arch.CacheWays)
+	lines := make([]line, len(sectors)*arch.CacheSectors)
+	for i := range sectors {
+		sectors[i].lines = lines[i*arch.CacheSectors : (i+1)*arch.CacheSectors : (i+1)*arch.CacheSectors]
+	}
 	for i := range c.sets {
-		ways := make([]sector, arch.CacheWays)
-		for w := range ways {
-			ways[w].lines = make([]line, arch.CacheSectors)
-		}
-		c.sets[i] = ways
+		c.sets[i] = sectors[i*arch.CacheWays : (i+1)*arch.CacheWays : (i+1)*arch.CacheWays]
 	}
 	return c
 }

@@ -218,3 +218,39 @@ func TestFillThenHitProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewCarvesSectorsFromTwoBlocks: a cache's sectors and their lines
+// come from one backing array each, so building a machine allocates a
+// few blocks per cache rather than one per sector.
+func TestNewCarvesSectorsFromTwoBlocks(t *testing.T) {
+	arch := config.KSR1(16)
+	if allocs := testing.AllocsPerRun(10, func() { New(arch) }); allocs > 4 {
+		t.Fatalf("New = %v allocs, want at most 4", allocs)
+	}
+}
+
+// TestSectorsDoNotShareLines fills the first and last line of every
+// sector of a full cache with distinct values and reads them all back:
+// a sector whose lines overlapped a neighbour's in the shared array
+// would return the neighbour's value.
+func TestSectorsDoNotShareLines(t *testing.T) {
+	arch := config.KSR1(16)
+	c := New(arch)
+	sector := uint64(arch.CacheLineSize * arch.CacheSectors)
+	last := uint64(arch.CacheLineSize * (arch.CacheSectors - 1))
+	n := uint64(arch.CacheSize) / sector // every way of every set
+	for k := uint64(0); k < n; k++ {
+		c.Fill(k*sector, false, 2*k, int64(k))
+		c.Fill(k*sector+last, false, 2*k+1, int64(k))
+	}
+	for k := uint64(0); k < n; k++ {
+		for i, addr := range []uint64{k * sector, k*sector + last} {
+			if v, hit := c.Access(addr, false, 0, int64(n+k)); !hit || v != 2*k+uint64(i) {
+				t.Fatalf("sector %d line %d: hit=%v value=%d, want %d", k, i, hit, v, 2*k+uint64(i))
+			}
+		}
+	}
+	if st := c.Stats(); st.Evictions != 0 {
+		t.Fatalf("%d evictions filling exactly the cache's capacity", st.Evictions)
+	}
+}

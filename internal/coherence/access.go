@@ -229,17 +229,14 @@ func (e *Engine) WriteThrough(n proto.NodeID, item proto.ItemID, value uint64) {
 // final response (grant or data), which may come from the home (cold) or
 // be forwarded to and answered by the owner.
 func (e *Engine) fetch(p *sim.Process, n proto.NodeID, item proto.ItemID, kind proto.MsgKind, txn proto.TxnID) mesh.Message {
-	fut := sim.NewFuture[mesh.Message]()
-	e.net.Send(mesh.Message{
+	return e.request(p, mesh.Message{
 		Kind:      kind,
 		Src:       n,
 		Dst:       e.dir.Home(item),
 		Item:      item,
 		Requester: n,
-		Token:     fut,
 		Txn:       txn,
 	})
-	return fut.Await(p)
 }
 
 // invalidateSharers sends invalidations to every sharer of an item owned

@@ -52,16 +52,13 @@ func (e *Engine) CreatePhase(p *sim.Process, n proto.NodeID) {
 			if sharer != proto.None {
 				// Replication reuse: upgrade an existing Shared copy.
 				entry.Sharers.Remove(sharer)
-				fut := sim.NewFuture[mesh.Message]()
-				e.net.Send(mesh.Message{
-					Kind:  proto.MsgPreCommitUpgrade,
-					Src:   n,
-					Dst:   sharer,
-					Item:  item,
-					Token: fut,
-					Txn:   e.roundTxn,
+				e.request(p, mesh.Message{
+					Kind: proto.MsgPreCommitUpgrade,
+					Src:  n,
+					Dst:  sharer,
+					Item: item,
+					Txn:  e.roundTxn,
 				})
-				fut.Await(p)
 				e.ams[n].SetPartner(item, sharer)
 				c.CkptItemsReused++
 			} else {

@@ -29,7 +29,7 @@ func (f *fakeCache) InvalidateItem(n proto.NodeID, item proto.ItemID) { f.invali
 func (f *fakeCache) DowngradeItem(n proto.NodeID, item proto.ItemID)  { f.downgrades[n]++ }
 
 type rig struct {
-	t        *testing.T
+	t        testing.TB
 	eng      *sim.Engine
 	arch     config.Arch
 	net      *mesh.Network
@@ -40,7 +40,7 @@ type rig struct {
 	e        *Engine
 }
 
-func newRig(t *testing.T, nodes int, p Protocol, opts Options) *rig {
+func newRig(t testing.TB, nodes int, p Protocol, opts Options) *rig {
 	t.Helper()
 	eng := sim.New()
 	arch := config.KSR1(nodes)

@@ -87,6 +87,12 @@ type Engine struct {
 	// freeLocks holds released item locks for reuse, queue capacity
 	// kept, so a transaction on a free item allocates no lock.
 	freeLocks []*itemLock
+	// freeAcks holds finished ack collections for reuse, the same way.
+	freeAcks []*ackState
+
+	// replies pools the reply futures of request/reply transactions
+	// (see request and DESIGN.md §10.3 for the ownership rule).
+	replies sim.FuturePool[mesh.Message]
 
 	// msgs parks each delivered request for the handler process it
 	// spawns: dispatch stores the message and its handler in a free slot
@@ -360,7 +366,7 @@ func (e *Engine) LockedItems() int { return len(e.locks) }
 type ackState struct {
 	needed   int // -1 until the data grant announces the count
 	received int
-	fut      *sim.Future[int]
+	fut      sim.Future[int]
 }
 
 // registerAcks prepares ack collection for a write transaction on item.
@@ -368,9 +374,16 @@ func (e *Engine) registerAcks(item proto.ItemID) *sim.Future[int] {
 	if _, dup := e.acks[item]; dup {
 		panic(fmt.Sprintf("coherence: concurrent ack registration for item %d", item))
 	}
-	st := &ackState{needed: -1, fut: sim.NewFuture[int]()}
+	var st *ackState
+	if n := len(e.freeAcks); n > 0 {
+		st = e.freeAcks[n-1]
+		e.freeAcks = e.freeAcks[:n-1]
+	} else {
+		st = &ackState{}
+	}
+	st.needed, st.received = -1, 0
 	e.acks[item] = st
-	return st.fut
+	return &st.fut
 }
 
 // expectAcks announces how many acknowledgements the transaction must
@@ -398,9 +411,28 @@ func (e *Engine) ackArrived(item proto.ItemID, n int) {
 	}
 }
 
-// finishAcks tears down ack collection after the transaction completes.
+// finishAcks tears down ack collection after the transaction has
+// awaited its acks, recycling the state and its future.
 func (e *Engine) finishAcks(item proto.ItemID) {
+	st := e.acks[item]
 	delete(e.acks, item)
+	st.fut.Reset()
+	e.freeAcks = append(e.freeAcks, st)
+}
+
+// request sends m with a pooled reply future as its Token and blocks p
+// until the transaction's final reply is delivered, then returns the
+// future to the pool. The requester owns the future; the token moves
+// linearly through the forwards into the final reply's Reply field and
+// the mesh completes it exactly once on delivery (DESIGN.md §10.3).
+func (e *Engine) request(p *sim.Process, m mesh.Message) mesh.Message {
+	fut := e.replies.Get()
+	m.Token = fut
+	e.net.Send(m)
+	reply := fut.Await(p)
+	e.replies.Put(fut)
+	reply.Reply = nil // the future is back in the pool
+	return reply
 }
 
 // useController charges d cycles of one of the node's AM controllers.
@@ -434,6 +466,10 @@ func (e *Engine) readable(st proto.State) bool {
 // PendingAcks reports in-flight write-transaction ack collections (test
 // and deadlock diagnostics).
 func (e *Engine) PendingAcks() int { return len(e.acks) }
+
+// PendingReplies reports reply futures handed out and not yet returned
+// to the pool (test hook: must be zero at quiesce, like LockedItems).
+func (e *Engine) PendingReplies() int { return e.replies.Outstanding() }
 
 // LockQueueDump describes held item locks for deadlock diagnostics, in
 // item order so repeated dumps of the same state compare equal.

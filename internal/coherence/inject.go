@@ -76,8 +76,7 @@ func (e *Engine) inject(p *sim.Process, n proto.NodeID, item proto.ItemID,
 			e.obs.Emit(obs.Event{Time: p.Now(), Kind: obs.KInjectProbe, Node: n, Item: item,
 				Cause: cause, Txn: txn, A: int64(t), B: lap})
 		}
-		fut := sim.NewFuture[mesh.Message]()
-		e.net.Send(mesh.Message{
+		reply := e.request(p, mesh.Message{
 			Kind:      proto.MsgInjectProbe,
 			Src:       n,
 			Dst:       t,
@@ -87,10 +86,8 @@ func (e *Engine) inject(p *sim.Process, n proto.NodeID, item proto.ItemID,
 			Arg:       lap,
 			Fresh:     !replace,
 			Requester: n,
-			Token:     fut,
 			Txn:       txn,
 		})
-		reply := fut.Await(p)
 		if reply.Kind == proto.MsgInjectAccept {
 			target = t
 			break
@@ -112,8 +109,7 @@ func (e *Engine) inject(p *sim.Process, n proto.NodeID, item proto.ItemID,
 	// Step two: the data transfer and its acknowledgement. The probe
 	// handler already performed the state installation at the target
 	// (under our item lock); these messages carry the timing.
-	ackFut := sim.NewFuture[mesh.Message]()
-	e.net.Send(mesh.Message{
+	e.request(p, mesh.Message{
 		Kind:      proto.MsgInjectData,
 		Src:       n,
 		Dst:       target,
@@ -121,10 +117,8 @@ func (e *Engine) inject(p *sim.Process, n proto.NodeID, item proto.ItemID,
 		State:     injState,
 		Value:     src.Value,
 		Requester: n,
-		Token:     ackFut,
 		Txn:       txn,
 	})
-	ackFut.Await(p)
 
 	// Recovery-pair partner bookkeeping.
 	if injState.Recovery() {

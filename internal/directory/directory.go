@@ -37,7 +37,17 @@ type Directory struct {
 	alive   []bool
 	ring    []proto.NodeID // alive nodes in id order
 	entries map[proto.ItemID]*Entry
+
+	// slab is the unused tail of the current entry block: entries are
+	// carved from blocks of entryBlock, each block backed by one Entry
+	// array and one shared array of sharer words, so creating an entry
+	// allocates nothing per item. free holds dropped entries for reuse.
+	slab []Entry
+	free []*Entry
 }
+
+// entryBlock is the number of entries carved from one slab block.
+const entryBlock = 256
 
 // New builds a directory for n nodes, all alive.
 func New(n int) *Directory {
@@ -138,15 +148,47 @@ func (d *Directory) Lookup(item proto.ItemID) *Entry {
 func (d *Directory) Ensure(item proto.ItemID) *Entry {
 	e := d.entries[item]
 	if e == nil {
-		e = &Entry{Owner: proto.None, Sharers: NewBitset(d.nodes)}
+		e = d.newEntry()
 		d.entries[item] = e
 	}
 	return e
 }
 
+// newEntry returns an ownerless entry with an empty sharer set: a
+// dropped one if any, else the next one of the current slab block.
+func (d *Directory) newEntry() *Entry {
+	if n := len(d.free); n > 0 {
+		e := d.free[n-1]
+		d.free = d.free[:n-1]
+		e.Owner = proto.None
+		e.Sharers.Clear()
+		return e
+	}
+	if len(d.slab) == 0 {
+		w := (d.nodes + 63) / 64
+		words := make([]uint64, entryBlock*w)
+		d.slab = make([]Entry, entryBlock)
+		for i := range d.slab {
+			d.slab[i] = Entry{
+				Owner:   proto.None,
+				Sharers: Bitset{words: words[i*w : (i+1)*w : (i+1)*w], n: d.nodes},
+			}
+		}
+	}
+	e := &d.slab[0]
+	d.slab = d.slab[1:]
+	return e
+}
+
 // Drop removes an item's entry entirely (rollback of an item created
-// after the last recovery point).
-func (d *Directory) Drop(item proto.ItemID) { delete(d.entries, item) }
+// after the last recovery point). The entry is reused by a later
+// Ensure, so callers must not keep it past the Drop.
+func (d *Directory) Drop(item proto.ItemID) {
+	if e := d.entries[item]; e != nil {
+		delete(d.entries, item)
+		d.free = append(d.free, e)
+	}
+}
 
 // Items returns the number of entries (items ever touched and still
 // tracked).

@@ -240,3 +240,100 @@ func TestBitsetProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEntrySlabMatchesMapModel drives Ensure/Drop/Lookup/ForEach/Items
+// against a map-based model. Entries come from slab blocks and dropped
+// ones are reused, so a reused entry must start ownerless with an empty
+// sharer set, and no two live items may share an entry. The 70-node
+// case gives every entry a two-word sharer set carved from one shared
+// word array, so a write spilling into a neighbour's words shows up.
+func TestEntrySlabMatchesMapModel(t *testing.T) {
+	type model struct {
+		owner   proto.NodeID
+		sharers map[proto.NodeID]bool
+	}
+	for _, nodes := range []int{16, 70} {
+		f := func(ops []uint16) bool {
+			d := New(nodes)
+			ref := map[proto.ItemID]*model{}
+			for i, op := range ops {
+				item := proto.ItemID(op % 97) // small range: items recur
+				node := proto.NodeID(int(op>>7) % nodes)
+				switch i % 4 {
+				case 0, 1: // Ensure, then mutate owner and sharers
+					e := d.Ensure(item)
+					m := ref[item]
+					if m == nil {
+						if e.Owner != proto.None || e.Sharers.Len() != 0 {
+							t.Logf("fresh or reused entry for %d: owner %v, sharers %v",
+								item, e.Owner, e.Sharers.Members())
+							return false
+						}
+						m = &model{owner: proto.None, sharers: map[proto.NodeID]bool{}}
+						ref[item] = m
+					}
+					if op%3 == 0 {
+						e.Owner, m.owner = node, node
+					}
+					e.Sharers.Add(node)
+					m.sharers[node] = true
+				case 2:
+					d.Drop(item)
+					delete(ref, item)
+				case 3:
+					if e := d.Lookup(item); (e == nil) != (ref[item] == nil) {
+						t.Logf("Lookup(%d) = %v, model has %v", item, e, ref[item])
+						return false
+					}
+				}
+			}
+			if d.Items() != len(ref) {
+				t.Logf("Items = %d, model %d", d.Items(), len(ref))
+				return false
+			}
+			seen := map[*Entry]bool{}
+			ok := true
+			d.ForEach(func(item proto.ItemID, e *Entry) {
+				m := ref[item]
+				if m == nil || seen[e] || e != d.Lookup(item) || e.Owner != m.owner ||
+					e.Sharers.Len() != len(m.sharers) {
+					ok = false
+					return
+				}
+				seen[e] = true
+				e.Sharers.ForEach(func(n proto.NodeID) {
+					if !m.sharers[n] {
+						ok = false
+					}
+				})
+			})
+			return ok && len(seen) == len(ref)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("%d nodes: %v", nodes, err)
+		}
+	}
+}
+
+// TestDroppedEntryIsReusedClean pins the free-list contract directly:
+// the next Ensure after a Drop gets the dropped entry back, ownerless
+// and with no sharers, whichever item it is for.
+func TestDroppedEntryIsReusedClean(t *testing.T) {
+	d := New(70)
+	e := d.Ensure(1)
+	e.Owner = 4
+	e.Sharers.Add(2)
+	e.Sharers.Add(69)
+	d.Drop(1)
+	r := d.Ensure(2)
+	if r != e {
+		t.Fatal("Ensure after Drop did not reuse the dropped entry")
+	}
+	if r.Owner != proto.None || r.Sharers.Len() != 0 {
+		t.Fatalf("reused entry: owner %v, sharers %v", r.Owner, r.Sharers.Members())
+	}
+	d.Drop(3) // dropping an absent item is a no-op
+	if got := d.Ensure(3); got == e {
+		t.Fatal("a no-op Drop put an entry on the free list")
+	}
+}

@@ -23,17 +23,24 @@ import (
 // Engine.Spawn allocates a closure per message, and Engine.SpawnBody
 // with a typed argument spawns without one. Start-up spawns of
 // long-lived processes (machine, core, snoop) stay legal.
+//
+// In the same two packages every sim.NewFuture call is flagged: request
+// and reply futures there scale with message count, and a
+// sim.FuturePool hands them out allocation-free under the ownership
+// rule of DESIGN.md §10.3.
 var ClosureSched = &analysis.Analyzer{
 	Name: "closuresched",
 	Doc: "hot-path packages must not schedule per-event closures via " +
-		"Engine.At/After literals (use AtSink/AfterSink) nor spawn " +
-		"per-message ones via Engine.Spawn in coherence/mesh (use SpawnBody)",
+		"Engine.At/After literals (use AtSink/AfterSink), nor spawn " +
+		"per-message ones via Engine.Spawn (use SpawnBody) or allocate " +
+		"reply futures via sim.NewFuture (use sim.FuturePool) in coherence/mesh",
 	Run: runClosureSched,
 }
 
-// spawnScoped reports whether the Spawn rule applies to a package: the
-// ones that spawn a process per delivered message. Matched on the last
-// path element so analyzer fixtures can stand in for them.
+// spawnScoped reports whether the Spawn and NewFuture rules apply to a
+// package: the ones that spawn a process and send a request per
+// delivered message. Matched on the last path element so analyzer
+// fixtures can stand in for them.
 func spawnScoped(pkgPath string) bool {
 	switch path.Base(pkgPath) {
 	case "coherence", "mesh":
@@ -72,6 +79,11 @@ func runClosureSched(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
+			if spawns && isSimNewFuture(pass, call.Fun) {
+				pass.Reportf(call.Pos(), "sim.NewFuture allocates a future per request on a hot path: "+
+					"take it from a sim.FuturePool and Put it back after Await")
+				return true
+			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
@@ -102,6 +114,23 @@ func runClosureSched(pass *analysis.Pass) (interface{}, error) {
 		})
 	}
 	return nil, nil
+}
+
+// isSimNewFuture reports whether fun names the sim.NewFuture function.
+// NewFuture takes no arguments to infer its type from, so a call always
+// spells the type argument: sim.NewFuture[T]().
+func isSimNewFuture(pass *analysis.Pass, fun ast.Expr) bool {
+	ix, ok := fun.(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := ix.X.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Name() == "NewFuture" && fn.Pkg() != nil &&
+		strings.HasSuffix(fn.Pkg().Path(), "internal/sim")
 }
 
 // isEngineMethod reports whether the selected call resolves to a method

@@ -14,3 +14,7 @@ func start(eng *sim.Engine, nodes []*node) {
 		eng.Spawn("proc", func(p *sim.Process) { n.run(p, i) })
 	}
 }
+
+// Outside coherence/mesh a future per call stays legal: start-up and
+// coordinator futures do not scale with message count.
+func barrierFuture() *sim.Future[int] { return sim.NewFuture[int]() }

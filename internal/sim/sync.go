@@ -63,6 +63,56 @@ func (f *Future[T]) Await(p *Process) T {
 	return f.val
 }
 
+// Reset returns a completed future to the incomplete state so it can
+// carry another value. It panics if the future is still pending, with
+// or without waiters: a pending future may yet be completed by whoever
+// holds it (an in-flight message, say), and reusing it would hand that
+// value to the wrong waiter.
+func (f *Future[T]) Reset() {
+	if !f.done {
+		panic("sim: Reset of a pending future")
+	}
+	var zero T
+	f.done = false
+	f.val = zero
+}
+
+// FuturePool is a free list of futures for request/reply traffic whose
+// volume scales with simulated work. The zero value is ready to use.
+//
+// Ownership: the process that Gets a future owns it until it Puts it
+// back, and may Put it only once the future has completed and the
+// process has read its value; Put panics otherwise (see Reset). Every
+// other holder — a message carrying it as a reply token — must be done
+// with it by the time it completes.
+type FuturePool[T any] struct {
+	free []*Future[T]
+	out  int
+}
+
+// Get returns an incomplete future, reusing a returned one if any.
+func (fp *FuturePool[T]) Get() *Future[T] {
+	fp.out++
+	if n := len(fp.free); n > 0 {
+		f := fp.free[n-1]
+		fp.free[n-1] = nil
+		fp.free = fp.free[:n-1]
+		return f
+	}
+	return &Future[T]{}
+}
+
+// Put resets a completed future and returns it to the pool.
+func (fp *FuturePool[T]) Put(f *Future[T]) {
+	f.Reset()
+	fp.out--
+	fp.free = append(fp.free, f)
+}
+
+// Outstanding returns the number of futures handed out by Get and not
+// yet returned with Put.
+func (fp *FuturePool[T]) Outstanding() int { return fp.out }
+
 // Resource is a multi-server FIFO resource (for example the four
 // independent AM controllers of a node, or a network interface). Acquire
 // blocks when all servers are busy; Release hands the server to the

@@ -62,6 +62,99 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	f.Complete(e, 2)
 }
 
+func TestFutureResetPanicsUnlessCompleted(t *testing.T) {
+	mustPanic := func(name string, f *Future[int]) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Reset of a %s future did not panic", name)
+			}
+		}()
+		f.Reset()
+	}
+	mustPanic("pending", NewFuture[int]())
+
+	// A future with a blocked waiter: the process parks in Await and
+	// the run ends with it still waiting.
+	e := New()
+	waited := NewFuture[int]()
+	e.Spawn("waiter", func(p *Process) { waited.Await(p) })
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("waited", waited)
+	e.Shutdown()
+
+	done := NewFuture[int]()
+	done.Complete(e, 7)
+	done.Reset()
+	if done.Done() {
+		t.Fatal("Reset left the future done")
+	}
+}
+
+// TestReusedFutureKeepsFIFOWakeOrder completes a future, resets it and
+// awaits it again with several waiters: the second round must wake
+// them in arrival order, the inline first waiter included.
+func TestReusedFutureKeepsFIFOWakeOrder(t *testing.T) {
+	e := New()
+	var pool FuturePool[int]
+	f := pool.Get()
+	var order []int
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 4; i++ {
+			e.Spawn("w", func(p *Process) {
+				p.Wait(int64(i)) // arrive in index order
+				if v := f.Await(p); v != round {
+					t.Errorf("round %d: waiter %d got %d", round, i, v)
+				}
+				order = append(order, round*10+i)
+			})
+		}
+		e.After(10, func() { f.Complete(e, round) })
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(f)
+		if g := pool.Get(); g != f {
+			t.Fatal("pool did not hand back the returned future")
+		}
+	}
+	want := []int{0, 1, 2, 3, 10, 11, 12, 13}
+	if len(order) != len(want) {
+		t.Fatalf("wake order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("wake order = %v, want %v", order, want)
+		}
+	}
+}
+
+func TestFuturePoolRoundTripZeroAlloc(t *testing.T) {
+	e := New()
+	var pool FuturePool[int]
+	pool.Put(completed(e, pool.Get())) // warm the free list
+	allocs := testing.AllocsPerRun(100, func() {
+		pool.Put(completed(e, pool.Get()))
+	})
+	if allocs != 0 {
+		t.Fatalf("Get/Complete/Put = %v allocs/op, want 0", allocs)
+	}
+	if pool.Outstanding() != 0 {
+		t.Fatalf("outstanding = %d after balanced Get/Put", pool.Outstanding())
+	}
+	f := pool.Get()
+	if f.Done() || pool.Outstanding() != 1 {
+		t.Fatalf("Get returned done=%v, outstanding %d", f.Done(), pool.Outstanding())
+	}
+}
+
+func completed(e *Engine, f *Future[int]) *Future[int] {
+	f.Complete(e, 1)
+	return f
+}
+
 func TestResourceSerialisesFIFO(t *testing.T) {
 	e := New()
 	r := NewResource("unit", 1)

@@ -38,7 +38,21 @@ type eventQueue struct {
 	occupied [wheelSize / 64]uint64
 
 	overflow eventHeap // events at time >= base+wheelSize
+
+	// chunk is the unused tail of the block that gives each slot its
+	// first backing array (slotCap events, carved on first use), so a
+	// fresh engine does not grow a thousand slot slices from nil.
+	chunk []event
 }
+
+// slotCap is the capacity carved for a slot's first backing array, and
+// chunkSlots the number of slots served by one chunk allocation. Most
+// slots never hold more than two events at once; carving four per slot
+// raised sim-ecp's live heap by about 1%, past its run-to-run spread.
+const (
+	slotCap    = 2
+	chunkSlots = 64
+)
 
 func (q *eventQueue) len() int { return q.count + q.overflow.len() }
 
@@ -58,6 +72,13 @@ func (q *eventQueue) push(ev event) {
 
 func (q *eventQueue) pushSlot(ev event) {
 	s := int(ev.time & wheelMask)
+	if q.slots[s] == nil {
+		if len(q.chunk) == 0 {
+			q.chunk = make([]event, slotCap*chunkSlots)
+		}
+		q.slots[s] = q.chunk[:0:slotCap]
+		q.chunk = q.chunk[slotCap:]
+	}
 	q.slots[s] = append(q.slots[s], ev)
 	q.occupied[s>>6] |= 1 << uint(s&63)
 	q.count++
