@@ -26,7 +26,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"syscall"
@@ -80,7 +79,7 @@ func serve(args []string) int {
 	fs.Parse(args)
 
 	if *revision == "" {
-		*revision = buildRevision()
+		*revision = server.BuildRevision()
 	}
 	key, err := hex.DecodeString(*receiptKey)
 	if err != nil {
@@ -112,10 +111,10 @@ func serve(args []string) int {
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	if *clusterMode {
 		log.Printf("comad: coordinating on %s (cluster mode, queue %d, revision %s) — waiting for comanode workers",
-			*addr, *queue, short(*revision))
+			*addr, *queue, server.ShortID(*revision))
 	} else {
 		log.Printf("comad: serving on %s (%d workers, queue %d, revision %s)",
-			*addr, s.Workers(), *queue, short(*revision))
+			*addr, s.Workers(), *queue, server.ShortID(*revision))
 	}
 
 	select {
@@ -138,39 +137,6 @@ func serve(args []string) int {
 	hs.Shutdown(shutdownCtx)
 	log.Printf("comad: drained, bye")
 	return 0
-}
-
-// buildRevision pins cache keys to the code that computes the results:
-// the vcs revision stamped into the binary ("+dirty" when the worktree
-// was modified), or "dev" outside a stamped build.
-func buildRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "dev"
-	}
-	rev, dirty := "", false
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			dirty = s.Value == "true"
-		}
-	}
-	if rev == "" {
-		return "dev"
-	}
-	if dirty {
-		rev += "+dirty"
-	}
-	return rev
-}
-
-func short(rev string) string {
-	if len(rev) > 12 {
-		return rev[:12]
-	}
-	return rev
 }
 
 func loadtest(args []string) int {
@@ -287,7 +253,7 @@ func loadtest(args []string) int {
 	report("hot (cached)", hotLat)
 	report("cold (simulated)", coldLat)
 	if h, err := c.Health(ctx); err == nil {
-		fmt.Printf("  daemon: %d workers, revision %s\n", h.Workers, short(h.Revision))
+		fmt.Printf("  daemon: %d workers, revision %s\n", h.Workers, server.ShortID(h.Revision))
 	}
 	if failures > 0 {
 		return 1

@@ -7,9 +7,10 @@
 //
 // The process drains on SIGINT/SIGTERM: in-flight simulations finish
 // and complete, unstarted leases are returned to the coordinator, then
-// it exits 0. If the process dies abruptly instead, the coordinator
-// requeues its leases after one lease TTL — that is the cluster's
-// fault-tolerance path, not an error.
+// it exits 0. It does the same once its coordinator has drained (every
+// accepted job finished, none left to lease). If the process dies
+// abruptly instead, the coordinator requeues its leases after one lease
+// TTL — that is the cluster's fault-tolerance path, not an error.
 //
 // A worker must be built from the same code revision as its
 // coordinator: results are cached under the coordinator's revision, so
@@ -24,10 +25,10 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime/debug"
 	"syscall"
 
 	"coma/internal/cluster"
+	"coma/internal/server"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -60,7 +61,7 @@ func run(args []string) int {
 		*name = host
 	}
 	if *revision == "" {
-		*revision = buildRevision()
+		*revision = server.BuildRevision()
 	}
 	logf := log.Printf
 	if *quiet {
@@ -87,44 +88,11 @@ func run(args []string) int {
 		NoReceipts:     *noReceipts,
 	})
 	log.Printf("comanode: %s joining %s (%d slot(s), revision %s)",
-		*name, *coordinator, *slots, short(*revision))
+		*name, *coordinator, *slots, server.ShortID(*revision))
 	if err := a.Run(ctx); err != nil {
 		log.Printf("comanode: %v", err)
 		return 1
 	}
 	log.Printf("comanode: drained, bye")
 	return 0
-}
-
-// buildRevision mirrors comad's: the vcs revision stamped into the
-// binary ("+dirty" when modified), or "dev" outside a stamped build.
-// Coordinator and workers built from the same tree therefore agree.
-func buildRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "dev"
-	}
-	rev, dirty := "", false
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			dirty = s.Value == "true"
-		}
-	}
-	if rev == "" {
-		return "dev"
-	}
-	if dirty {
-		rev += "+dirty"
-	}
-	return rev
-}
-
-func short(rev string) string {
-	if len(rev) > 12 {
-		return rev[:12]
-	}
-	return rev
 }

@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/debug"
 	"strconv"
 	"strings"
 
@@ -304,7 +303,7 @@ func emitReceipt(spec server.JobSpec, res *coma.Result, rec *coma.ObsRecorder, k
 	if receiptOut == "" {
 		return nil
 	}
-	id, err := spec.Identity(buildRevision())
+	id, err := spec.Identity(server.BuildRevision())
 	if err != nil {
 		return err
 	}
@@ -333,33 +332,6 @@ func writeArtifact(path, what string, b []byte) error {
 	}
 	fmt.Printf("  %-19s %s (%d bytes)\n", what, path, len(b))
 	return nil
-}
-
-// buildRevision mirrors comad's: the vcs revision stamped into the
-// binary ("+dirty" when modified), or "dev" outside a stamped build,
-// so a local receipt's run hash matches a daemon built from the same
-// tree.
-func buildRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "dev"
-	}
-	rev, dirty := "", false
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			dirty = s.Value == "true"
-		}
-	}
-	if rev == "" {
-		return "dev"
-	}
-	if dirty {
-		rev += "+dirty"
-	}
-	return rev
 }
 
 // exportObservations writes the recorded event stream to every requested

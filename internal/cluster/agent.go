@@ -31,8 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"coma/internal/obs"
-	"coma/internal/obs/receipt"
 	"coma/internal/server"
 	"coma/internal/server/client"
 )
@@ -53,8 +51,6 @@ type Config struct {
 	// Revision is the worker's code revision, checked at registration —
 	// a coordinator refuses workers built from different code.
 	Revision string
-	// JitterSeed seeds retry backoff (0: derived from Name).
-	JitterSeed uint64
 	// HeartbeatEvery overrides the coordinator's advertised heartbeat
 	// period (0: use the coordinator's).
 	HeartbeatEvery time.Duration
@@ -73,8 +69,9 @@ type Config struct {
 
 // Agent is one worker node. Create with New, drive with Run.
 type Agent struct {
-	cfg Config
-	cli *client.Client
+	cfg  Config
+	cli  *client.Client
+	seed uint64 // retry-backoff jitter seed, derived from Name
 
 	mu       sync.Mutex
 	id       string                            // coordinator-assigned; reset on re-register
@@ -103,16 +100,17 @@ func New(cfg Config) *Agent {
 	if cfg.Runner == nil {
 		cfg.Runner = server.SimRunner
 	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		for _, b := range []byte(cfg.Name) {
-			seed = seed*131 + uint64(b) + 1
-		}
-		seed++ // never zero
+	// Each worker seeds its jitter from its own name, so a fleet's
+	// retries desynchronise while every run stays reproducible.
+	var seed uint64
+	for _, b := range []byte(cfg.Name) {
+		seed = seed*131 + uint64(b) + 1
 	}
+	seed++ // never zero
 	return &Agent{
 		cfg:      cfg,
 		cli:      client.NewSeeded(cfg.Coordinator, seed),
+		seed:     seed,
 		running:  make(map[string]bool),
 		progress: make(map[string][]server.ProgressEvent),
 		wake:     make(chan struct{}, 64),
@@ -131,8 +129,10 @@ func (a *Agent) Kill() {
 
 // Run registers with the coordinator and works until ctx is cancelled
 // (graceful drain: in-flight jobs finish and complete, the unstarted
-// backlog is returned by deregistration) or Kill is called (abrupt
-// death: everything is abandoned). It returns nil on a clean drain.
+// backlog is returned by deregistration), the coordinator reports it
+// has drained (every job it accepted is finished), or Kill is called
+// (abrupt death: everything is abandoned). It returns nil on a clean
+// drain.
 func (a *Agent) Run(ctx context.Context) error {
 	reg, err := a.register(ctx)
 	if err != nil {
@@ -198,7 +198,7 @@ func (a *Agent) Run(ctx context.Context) error {
 // revision mismatch (HTTP 409) aborts immediately: retrying cannot fix
 // a wrong binary.
 func (a *Agent) register(ctx context.Context) (server.RegisterResponse, error) {
-	backoff := client.NewBackoff(a.jitterSeed())
+	backoff := client.NewBackoff(a.seed)
 	for {
 		reg, err := a.cli.RegisterWorker(ctx, server.RegisterRequest{
 			Name: a.cfg.Name, Slots: a.cfg.Slots, Revision: a.cfg.Revision,
@@ -225,9 +225,11 @@ func (a *Agent) register(ctx context.Context) (server.RegisterResponse, error) {
 // leaseLoop long-polls the coordinator for work whenever local capacity
 // (slots + prefetch minus held leases) is positive, enqueues what it
 // gets, and applies revocations. Returns when ctx is cancelled, the
-// agent is killed, or the coordinator says it is draining.
+// agent is killed, or the coordinator reports it has drained — a
+// coordinator that is still draining keeps handing out its queued
+// jobs, so the agent keeps taking them.
 func (a *Agent) leaseLoop(ctx context.Context) error {
-	backoff := client.NewBackoff(a.jitterSeed() ^ 0xc1a5)
+	backoff := client.NewBackoff(a.seed ^ 0xc1a5)
 	for {
 		if ctx.Err() != nil || a.isKilled() {
 			return nil
@@ -276,7 +278,7 @@ func (a *Agent) leaseLoop(ctx context.Context) error {
 			}
 		}
 		if resp.Draining {
-			a.logf("coordinator draining, finishing held work")
+			a.logf("coordinator drained, no work left")
 			return nil
 		}
 	}
@@ -357,54 +359,43 @@ func (a *Agent) execute(j server.LeasedJob) {
 		a.mu.Unlock()
 	}()
 
-	var opts server.RunOptions
-	var rec *obs.Recorder
-	if !a.cfg.NoReceipts {
-		rec = obs.NewRecorder(receipt.TraceMask)
-		opts.Observer = rec
+	x := server.Execution{
+		Runner:     a.cfg.Runner,
+		Identity:   j.Identity,
+		Producer:   a.cfg.Name,
+		NoReceipts: a.cfg.NoReceipts,
+		ReceiptKey: a.cfg.ReceiptKey,
 	}
 	if j.Progress {
-		progress := server.NewProgressObserver(nil, func(msg string, simCycles int64) {
+		x.Publish = func(msg string, simCycles int64) {
 			a.mu.Lock()
 			a.progress[j.JobID] = append(a.progress[j.JobID], server.ProgressEvent{Message: msg, SimCycles: simCycles})
 			a.mu.Unlock()
-		})
-		if rec != nil {
-			opts.Observer = teeObserver{rec, progress}
-		} else {
-			opts.Observer = progress
 		}
 	}
-	run, err := a.cfg.Runner(j.Identity, opts)
+	out := server.Execute(x)
 	if a.isKilled() {
 		return // dead processes deliver nothing
 	}
-
-	req := server.CompleteRequest{JobID: j.JobID}
-	if err != nil {
-		req.Error = err.Error()
-	} else if req.Result, err = server.MarshalResult(run); err != nil {
-		req.Error = fmt.Sprintf("encoding result: %v", err)
-	} else if rec != nil {
-		// Attach the execution receipt: the coordinator recomputes the
-		// result digest against it before the payload may enter the
-		// store. The trace itself stays on the worker; its digest in the
-		// receipt lets any holder of the trace attest it later.
-		rcpt, _, rerr := receipt.Build(j.Identity, req.Result, rec.Events(), a.cfg.Name)
-		if rerr != nil {
-			a.logf("receipt %s: %v (completing without one)", short(j.JobID), rerr)
-		} else {
-			if len(a.cfg.ReceiptKey) > 0 {
-				rcpt = rcpt.Sign(a.cfg.ReceiptKey)
-			}
-			req.Receipt = rcpt.CanonicalJSON()
-		}
+	// The receipt rides along with the result: the coordinator
+	// recomputes the result digest against it before the payload may
+	// enter the store. The trace stays here; its digest in the receipt
+	// lets any holder of the trace attest it later.
+	req := server.CompleteRequest{JobID: j.JobID, Result: out.Payload}
+	if out.Err != nil {
+		req.Error = out.Err.Error()
+	}
+	if out.ReceiptErr != nil {
+		a.logf("receipt %s: %v (completing without one)", server.ShortID(j.JobID), out.ReceiptErr)
+	}
+	if out.Receipt != nil {
+		req.Receipt = out.Receipt.CanonicalJSON()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	a.flushProgress(ctx)
-	backoff := client.NewBackoff(a.jitterSeed() ^ 0x0b5)
+	backoff := client.NewBackoff(a.seed ^ 0x0b5)
 	for {
 		cerr := a.cli.CompleteJob(ctx, a.workerID(), req)
 		if cerr == nil {
@@ -416,25 +407,15 @@ func (a *Agent) execute(j server.LeasedJob) {
 			// mismatch — it has already requeued the job): retrying the
 			// same bytes cannot succeed.
 			if sc == http.StatusUnprocessableEntity {
-				a.logf("complete %s: rejected: %v", short(j.JobID), cerr)
+				a.logf("complete %s: rejected: %v", server.ShortID(j.JobID), cerr)
 			}
 			return
 		}
-		a.logf("complete %s: %v (retrying)", short(j.JobID), cerr)
+		a.logf("complete %s: %v (retrying)", server.ShortID(j.JobID), cerr)
 		if !sleepCtx(ctx, a.killed, backoff.Next(0)) {
 			return
 		}
 	}
-}
-
-// teeObserver fans events out to the receipt recorder and the progress
-// bridge; one call per event, no allocations.
-type teeObserver struct{ a, b obs.Observer }
-
-// Emit implements obs.Observer.
-func (t teeObserver) Emit(ev obs.Event) {
-	t.a.Emit(ev)
-	t.b.Emit(ev)
 }
 
 // applyRevocations drops revoked jobs that have not started; jobs
@@ -475,7 +456,7 @@ func (a *Agent) flushProgress(ctx context.Context) {
 		}
 		if err := a.cli.PostProgress(ctx, a.workerID(), server.ProgressRequest{JobID: jobID, Events: events}); err != nil {
 			if ctx.Err() == nil && !client.IsGone(err) {
-				a.logf("progress %s: %v", short(jobID), err)
+				a.logf("progress %s: %v", server.ShortID(jobID), err)
 			}
 		}
 	}
@@ -526,17 +507,6 @@ func (a *Agent) broadcastWake() {
 	}
 }
 
-func (a *Agent) jitterSeed() uint64 {
-	if a.cfg.JitterSeed != 0 {
-		return a.cfg.JitterSeed
-	}
-	var seed uint64
-	for _, b := range []byte(a.cfg.Name) {
-		seed = seed*131 + uint64(b) + 1
-	}
-	return seed + 1
-}
-
 func (a *Agent) logf(format string, args ...any) {
 	if a.cfg.Logf != nil {
 		a.cfg.Logf("worker %s: "+format, append([]any{a.cfg.Name}, args...)...)
@@ -555,11 +525,4 @@ func sleepCtx(ctx context.Context, kill <-chan struct{}, d time.Duration) bool {
 	case <-kill:
 		return false
 	}
-}
-
-func short(id string) string {
-	if len(id) > 12 {
-		return id[:12]
-	}
-	return id
 }

@@ -339,3 +339,90 @@ func TestAgentGracefulDrainCompletesInflight(t *testing.T) {
 		t.Fatalf("result = %s / %v, want the drained worker's run", st.Result, err)
 	}
 }
+
+// TestClusterDrainCompletesQueuedWork: a coordinator that drains keeps
+// leasing its queued jobs, so one single-slot agent finishes a backlog
+// that was queued behind it when the drain began — and then leaves on
+// its own once the coordinator reports it has drained.
+func TestClusterDrainCompletesQueuedWork(t *testing.T) {
+	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// The first job holds the agent's only slot until the drain has begun.
+	release := make(chan struct{})
+	a := New(Config{
+		Coordinator:    ts.URL,
+		Name:           "last-worker",
+		Slots:          1,
+		HeartbeatEvery: 100 * time.Millisecond,
+		Runner: func(id config.RunIdentity, _ server.RunOptions) (*stats.Run, error) {
+			<-release
+			return &stats.Run{Cycles: 7, Protocol: id.Protocol, Nodes: id.Arch.Nodes}, nil
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	agentDone := make(chan error, 1)
+	go func() { agentDone <- a.Run(ctx) }()
+
+	cli := client.New(ts.URL)
+	var ids []string
+	for seed := uint64(1); seed <= 4; seed++ {
+		st, err := cli.Submit(context.Background(), server.JobSpec{App: "mp3d", Nodes: 2, Protocol: "ecp", Seed: seed}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; {
+		if st, err := cli.Status(context.Background(), ids[0]); err == nil && st.State == server.StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first job never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	drained := make(chan error, 1)
+	go func() {
+		dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer dcancel()
+		drained <- srv.Drain(dctx)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if h, err := cli.Health(context.Background()); err == nil && h.Draining {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator never reported draining")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(release)
+
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	for _, id := range ids {
+		st, err := cli.Status(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != server.StateDone {
+			t.Errorf("job %.12s: %s after drain, want done", id, st.State)
+		}
+	}
+	select {
+	case err := <-agentDone:
+		if err != nil {
+			t.Fatalf("agent Run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("agent did not leave after the coordinator drained")
+	}
+}

@@ -18,9 +18,9 @@ var ConcurrencyAllowlist = map[string]string{
 	"coma/internal/experiments/runner": "campaign worker pool; determinism by per-run isolation",
 
 	// The comad daemon is host-side serve-layer concurrency: HTTP
-	// handlers, the job scheduler and graceful drain run real goroutines
-	// and channels around whole simulations (scheduled through the
-	// allowlisted runner pool), never inside one. Determinism is
+	// handlers, the job queue's executors and graceful drain run real
+	// goroutines and channels around whole simulations, never inside
+	// one. Determinism is
 	// preserved the same way as the campaign's — per-run isolation —
 	// and asserted by the 32-way coalescing test in dedupe_test.go,
 	// which requires byte-identical payloads from one shared run.

@@ -7,7 +7,7 @@ import (
 	"coma/internal/obs"
 )
 
-// teeObserver fans one event stream out to two observers (the metrics
+// teeObserver fans one event stream out to two observers (the progress
 // bridge and the receipt recorder); it adds one call per event and no
 // allocations, honouring the Observer cost contract.
 type teeObserver struct{ a, b obs.Observer }
@@ -63,17 +63,6 @@ func (b *progressBridge) Emit(e obs.Event) {
 		obs.KTxnBegin, obs.KTxnHop, obs.KTxnEnd:
 		// Hot-path kinds: dropped.
 	}
-}
-
-// NewProgressObserver builds the same lifecycle-filtering observer the
-// daemon attaches to local runs, for use by worker nodes
-// (internal/cluster): counts may be nil; publish receives one line per
-// low-frequency lifecycle event, stamped with simulated cycles. Workers
-// forward those lines over POST /v1/workers/{id}/progress so a
-// cluster-dispatched job streams the same SSE narrative a local one
-// would.
-func NewProgressObserver(counts *[obs.NumKinds]int64, publish func(msg string, simCycles int64)) obs.Observer {
-	return &progressBridge{counts: counts, publish: publish}
 }
 
 func roundMode(a int64) string {

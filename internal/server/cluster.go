@@ -12,9 +12,9 @@ import (
 )
 
 // This file is the cluster coordinator: the scheduler comad runs with
-// Options.Cluster set. Instead of executing jobs on the in-process
-// runner pool, the coordinator owns a dispatch queue that registered
-// worker nodes (cmd/comanode, internal/cluster) drain over HTTP/JSON:
+// Options.Cluster set. Instead of in-process executors, registered
+// worker nodes (cmd/comanode, internal/cluster) drain the daemon's one
+// dispatch queue over HTTP/JSON:
 //
 //	POST   /v1/workers                 register  -> worker id + lease terms
 //	GET    /v1/workers                 fleet listing
@@ -107,8 +107,10 @@ type LeasedJob struct {
 type LeaseResponse struct {
 	Jobs    []LeasedJob `json:"jobs,omitempty"`
 	Revoked []string    `json:"revoked,omitempty"`
-	// Draining tells the worker the coordinator is shutting down: finish
-	// what you hold, expect no further work.
+	// Draining tells the worker the coordinator has drained: it refuses
+	// new jobs and none is left queued or running, so no further work
+	// will come. A coordinator that is still draining keeps leasing its
+	// queued jobs.
 	Draining bool `json:"draining,omitempty"`
 }
 
@@ -206,8 +208,9 @@ func (w *worker) unstarted() int {
 	return n
 }
 
-// clusterTable is the coordinator's scheduler state, embedded in Server
-// and guarded by its mutex.
+// clusterTable is the coordinator's worker registry and lease counters,
+// embedded in Server and guarded by its mutex. The queue it leases from
+// is the Server's.
 type clusterTable struct {
 	leaseTTL       time.Duration
 	heartbeatEvery time.Duration
@@ -215,13 +218,6 @@ type clusterTable struct {
 
 	nextWorker int
 	workers    map[string]*worker
-	// pending is the dispatch queue: job ids awaiting a lease, FIFO,
-	// with requeued jobs pushed to the front so retried work finishes
-	// first. Entries whose job left the queued state are skipped lazily.
-	pending []string
-	// wake is closed and replaced whenever pending grows, releasing
-	// long-polling lease handlers.
-	wake chan struct{}
 
 	// Counters exported on /metrics.
 	leaseExpiries int64
@@ -238,26 +234,7 @@ func newClusterTable(opts Options) *clusterTable {
 		heartbeatEvery: opts.HeartbeatEvery,
 		maxRequeues:    opts.MaxRequeues,
 		workers:        make(map[string]*worker),
-		wake:           make(chan struct{}),
 	}
-}
-
-// wakeLocked releases every long-polling lease handler. Caller holds
-// the server mutex.
-func (c *clusterTable) wakeLocked() {
-	close(c.wake)
-	c.wake = make(chan struct{})
-}
-
-// enqueueLocked adds a job to the dispatch queue (front for requeues,
-// back for new admissions) and wakes lease pollers.
-func (s *Server) enqueueLocked(j *job, front bool) {
-	if front {
-		s.clu.pending = append([]string{j.id}, s.clu.pending...)
-	} else {
-		s.clu.pending = append(s.clu.pending, j.id)
-	}
-	s.clu.wakeLocked()
 }
 
 // sweepLocked evaluates liveness at now: workers silent for a full
@@ -297,25 +274,19 @@ func (s *Server) requeueLocked(j *job, why string, countAttempt bool) {
 		j.attempts++
 	}
 	j.workerID = ""
-	if j.state == StateRunning {
-		s.running--
-	}
 	if countAttempt && j.attempts > s.clu.maxRequeues {
 		j.errMsg = fmt.Sprintf("dead-lettered after %d lease expiries (max %d requeues): %s",
 			j.attempts, s.clu.maxRequeues, why)
 		s.finishLocked(j, StateDeadLetter)
-		s.logf("job %s: dead-lettered (%s)", shortID(j.id), why)
+		s.logf("job %s: dead-lettered (%s)", ShortID(j.id), why)
 		return
 	}
-	j.state = StateQueued
-	j.dequeued = false
 	j.startedAt = time.Time{}
-	s.queued++
-	s.appendEventLocked(j, JobEvent{Type: "state", State: StateQueued})
+	s.setStateLocked(j, StateQueued)
 	s.appendEventLocked(j, JobEvent{Type: "progress",
 		Message: fmt.Sprintf("requeued (attempt %d): %s", j.attempts, why)})
 	s.enqueueLocked(j, true)
-	s.logf("job %s: requeued (attempt %d): %s", shortID(j.id), j.attempts, why)
+	s.logf("job %s: requeued (attempt %d): %s", ShortID(j.id), j.attempts, why)
 }
 
 // assignLocked hands up to max queued jobs to w, stealing from the most
@@ -324,18 +295,9 @@ func (s *Server) requeueLocked(j *job, why string, countAttempt bool) {
 func (s *Server) assignLocked(w *worker, max int, now time.Time) []LeasedJob {
 	var out []LeasedJob
 	for len(out) < max {
-		j := s.popPendingLocked()
+		j := s.popPendingLocked(now)
 		if j == nil {
 			break
-		}
-		if !j.deadline.IsZero() && now.After(j.deadline) {
-			// Deadline burned while queued: fail it here rather than
-			// waste a worker slot on it.
-			s.queued--
-			j.dequeued = true
-			j.errMsg = "deadline exceeded while queued"
-			s.finishLocked(j, StateFailed)
-			continue
 		}
 		out = append(out, s.leaseToLocked(w, j, now, false))
 	}
@@ -369,22 +331,9 @@ func (s *Server) assignLocked(w *worker, max int, now time.Time) []LeasedJob {
 		s.appendEventLocked(stolen, JobEvent{Type: "progress",
 			Message: fmt.Sprintf("stolen from worker %s backlog by %s", victim.id, w.id)})
 		out = append(out, s.leaseToLocked(w, stolen, now, true))
-		s.logf("job %s: stolen from %s backlog by %s", shortID(stolen.id), victim.id, w.id)
+		s.logf("job %s: stolen from %s backlog by %s", ShortID(stolen.id), victim.id, w.id)
 	}
 	return out
-}
-
-// popPendingLocked returns the next dispatchable job, skipping stale
-// queue entries (cancelled, dead-lettered, completed-by-zombie).
-func (s *Server) popPendingLocked() *job {
-	for len(s.clu.pending) > 0 {
-		id := s.clu.pending[0]
-		s.clu.pending = s.clu.pending[1:]
-		if j, ok := s.jobs[id]; ok && j.state == StateQueued {
-			return j
-		}
-	}
-	return nil
 }
 
 // leaseToLocked records a lease and moves the job into the running
@@ -393,13 +342,7 @@ func (s *Server) leaseToLocked(w *worker, j *job, now time.Time, stolen bool) Le
 	w.leases[j.id] = now.Add(s.clu.leaseTTL)
 	j.workerID = w.id
 	if !stolen {
-		s.queued--
-		j.dequeued = true
-		j.state = StateRunning
-		j.startedAt = now
-		s.running++
-		s.met.observeQueueWait(now.Sub(j.queuedAt).Seconds())
-		s.appendEventLocked(j, JobEvent{Type: "state", State: StateRunning})
+		s.startLocked(j, now)
 	}
 	s.appendEventLocked(j, JobEvent{Type: "progress",
 		Message: fmt.Sprintf("leased to worker %s (%s)", w.id, w.name)})
@@ -452,9 +395,6 @@ type clusterStats struct {
 // scrape. Caller holds the server mutex.
 func (s *Server) clusterStatsLocked() clusterStats {
 	st := clusterStats{enabled: s.opts.Cluster}
-	if s.clu == nil {
-		return st
-	}
 	st.leaseExpiries = s.clu.leaseExpiries
 	st.requeues = s.clu.requeues
 	st.steals = s.clu.steals
@@ -474,7 +414,7 @@ func (s *Server) clusterStatsLocked() clusterStats {
 
 // clusterOnly guards worker-facing endpoints on non-cluster daemons.
 func (s *Server) clusterOnly(w http.ResponseWriter) bool {
-	if s.clu == nil {
+	if !s.opts.Cluster {
 		s.respondError(w, http.StatusNotFound,
 			errors.New("not a cluster coordinator (start comad serve -cluster)"))
 		return false
@@ -588,7 +528,7 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.sweepLocked(now)
-	resp := HeartbeatResponse{Revoked: takeRevokedLocked(wk), Draining: s.draining}
+	resp := HeartbeatResponse{Revoked: takeRevokedLocked(wk), Draining: s.drainedLocked()}
 	s.mu.Unlock()
 	s.respondJSON(w, http.StatusOK, resp)
 }
@@ -629,8 +569,8 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 		s.touchLocked(wk, now)
 		s.sweepLocked(now)
 		jobs := s.assignLocked(wk, req.Max, now)
-		resp := LeaseResponse{Jobs: jobs, Revoked: takeRevokedLocked(wk), Draining: s.draining}
-		wake := s.clu.wake
+		resp := LeaseResponse{Jobs: jobs, Revoked: takeRevokedLocked(wk), Draining: s.drainedLocked()}
+		wake := s.wake
 		s.mu.Unlock()
 
 		if len(resp.Jobs) > 0 || len(resp.Revoked) > 0 || resp.Draining || !now.Before(deadline) {
@@ -689,25 +629,32 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 		rcpt, hasReceipt, vErr = s.validateCompletion(req)
 	}
 
-	// The receipt to file is built and signed here, also outside the
-	// lock, and stored below before the job turns done: a ?wait=1 caller
-	// released by finishLocked may GET /receipt at once. Jobs are never
-	// dropped from s.jobs and their identity never changes, so this read
-	// is the job the locked section below completes.
+	// The outcome to file — the payload plus the worker's receipt, or
+	// one synthesized here — is built outside the lock; completeLocked
+	// stores it before the job turns done. Jobs are never dropped from
+	// s.jobs and their identity never changes, so this read is the job
+	// the locked section below completes.
 	s.mu.Lock()
 	j, ok := s.jobs[req.JobID]
 	s.mu.Unlock()
-	storeRcpt := ok && req.Error == "" && vErr == nil
-	if storeRcpt && !hasReceipt {
-		// Worker sent no receipt (older agent, or receipts disabled):
-		// synthesize an unchecked one from the validated payload so
-		// every completed job still serves /receipt.
-		var bErr error
-		rcpt, _, bErr = receipt.Build(j.identity, req.Result, nil, workerProducer(wk))
-		if bErr == nil && len(s.opts.ReceiptKey) > 0 {
-			rcpt = rcpt.Sign(s.opts.ReceiptKey)
+	out := Outcome{Payload: req.Result}
+	if req.Error != "" {
+		out = Outcome{Err: errors.New(req.Error)}
+	} else if ok && vErr == nil {
+		if !hasReceipt {
+			// Worker sent no receipt (older agent, or receipts disabled):
+			// synthesize an unchecked one from the validated payload so
+			// every completed job still serves /receipt.
+			var bErr error
+			rcpt, _, bErr = receipt.Build(j.identity, req.Result, nil, workerProducer(wk))
+			if bErr == nil && len(s.opts.ReceiptKey) > 0 {
+				rcpt = rcpt.Sign(s.opts.ReceiptKey)
+			}
+			hasReceipt = bErr == nil
 		}
-		storeRcpt = bErr == nil
+		if hasReceipt {
+			out.Receipt = &rcpt
+		}
 	}
 
 	now := time.Now()
@@ -747,51 +694,16 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 			s.requeueLocked(j, fmt.Sprintf("completion from worker %s rejected: %v", wk.id, vErr), true)
 		}
 		s.mu.Unlock()
-		s.logf("job %s: completion from worker %s rejected: %v", shortID(req.JobID), wk.id, vErr)
+		s.logf("job %s: completion from worker %s rejected: %v", ShortID(req.JobID), wk.id, vErr)
 		s.respondError(w, http.StatusUnprocessableEntity, vErr)
 		return
 	}
-	switch j.state {
-	case StateRunning:
-		s.running--
-	case StateQueued:
-		// A zombie finished a job that had already been requeued; accept
-		// the result and pull it back off the queue accounting.
-		if !j.dequeued {
-			s.queued--
-			j.dequeued = true
-		}
-	}
-	j.workerID = ""
-	j.finishedAt = now
+	// A zombie may finish a job that was already requeued: the result is
+	// accepted all the same, straight from the queued state.
 	wk.completed++
-	var persistErr error
-	if req.Error != "" {
-		j.errMsg = req.Error
-		s.finishLocked(j, StateFailed)
-	} else {
-		j.result = append([]byte(nil), req.Result...)
-		persistErr = s.store.Put(j.id, j.result)
-		if storeRcpt {
-			s.storeReceipt(j.id, rcpt, nil)
-		}
-		s.finishLocked(j, StateDone)
-	}
+	s.completeLocked(j, out, now, " on worker "+wk.id)
 	st := j.status(false)
-	started := j.startedAt
 	s.mu.Unlock()
-
-	if req.Error != "" {
-		s.logf("job %s: failed on worker %s: %s", shortID(req.JobID), wk.id, req.Error)
-	} else {
-		if !started.IsZero() {
-			s.met.observeRunTime(now.Sub(started).Seconds())
-		}
-		s.logf("job %s: done on worker %s in %.1f ms", shortID(req.JobID), wk.id, msBetween(started, now))
-	}
-	if persistErr != nil {
-		s.logf("job %s: persisting result: %v", shortID(req.JobID), persistErr)
-	}
 	s.respondJSON(w, http.StatusOK, st)
 }
 
@@ -831,11 +743,11 @@ func (s *Server) validateCompletion(req CompleteRequest) (rcpt receipt.Receipt, 
 	}
 	if rcpt.RunHash != req.JobID {
 		return rcpt, false, fmt.Errorf("receipt names run %s, not job %s",
-			shortID(rcpt.RunHash), shortID(req.JobID))
+			ShortID(rcpt.RunHash), ShortID(req.JobID))
 	}
 	if got := receipt.Digest(req.Result); got != rcpt.ResultDigest {
 		return rcpt, false, fmt.Errorf("result digest mismatch: receipt records %s, payload hashes to %s",
-			shortID(rcpt.ResultDigest), shortID(got))
+			ShortID(rcpt.ResultDigest), ShortID(got))
 	}
 	return rcpt, true, nil
 }

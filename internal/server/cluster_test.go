@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"coma/internal/config"
 )
 
 // ---- raw-HTTP worker helpers (the typed client lives in a package
@@ -397,4 +399,148 @@ func TestClusterDeregisterReturnsBacklog(t *testing.T) {
 	if resp := workerPost(t, ts, "/v1/workers/"+w+"/heartbeat", HeartbeatRequest{}, nil); resp.StatusCode != http.StatusGone {
 		t.Fatalf("heartbeat after deregister: status %d, want 410", resp.StatusCode)
 	}
+}
+
+// TestHealthzCountsMatchJobStates: the queued/running figures on
+// /healthz equal the number of jobs in those states through a scripted
+// mix of every transition that moves a job in or out of them — cancel,
+// abandonment, queue-deadline expiry, lease-expiry requeue, zombie
+// completion and deregistration.
+func TestHealthzCountsMatchJobStates(t *testing.T) {
+	_, ts := newTestServer(t, Options{Cluster: true, LeaseTTL: 250 * time.Millisecond})
+	health := func() Health {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz") // runs the liveness sweep
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h Health
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	check := func(step string, wantQueued, wantRunning int) {
+		t.Helper()
+		h := health()
+		resp, err := http.Get(ts.URL + "/v1/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var list struct {
+			Jobs []JobStatus `json:"jobs"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&list)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byState := make(map[State]int)
+		for _, j := range list.Jobs {
+			byState[j.State]++
+		}
+		if h.Queued != byState[StateQueued] || h.Running != byState[StateRunning] {
+			t.Fatalf("%s: healthz queued/running = %d/%d, but %d/%d jobs are in those states",
+				step, h.Queued, h.Running, byState[StateQueued], byState[StateRunning])
+		}
+		if h.Queued != wantQueued || h.Running != wantRunning {
+			t.Fatalf("%s: queued/running = %d/%d, want %d/%d", step, h.Queued, h.Running, wantQueued, wantRunning)
+		}
+	}
+	del := func(path string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("DELETE %s: status %d", path, resp.StatusCode)
+		}
+	}
+
+	ids := make(map[uint64]string)
+	for seed := uint64(1); seed <= 5; seed++ {
+		_, st := postJob(t, ts, specJSON(seed), false)
+		ids[seed] = st.ID
+	}
+	check("five submitted", 5, 0)
+
+	del("/v1/jobs/" + ids[1])
+	check("queued job cancelled", 4, 0)
+
+	// Abandonment: the only waiter on a queued job hangs up.
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs?wait=1", strings.NewReader(specJSON(6)))
+	waiterDone := make(chan struct{})
+	go func() {
+		defer close(waiterDone)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitQueued := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); health().Queued != n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("queued never reached %d", n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitQueued(5)
+	cancel()
+	<-waiterDone
+	waitQueued(4)
+	check("queued job abandoned", 4, 0)
+
+	_, stale := postJob(t, ts, `{"app":"mp3d","nodes":2,"protocol":"ecp","seed":7,"deadline_ms":1}`, false)
+	check("deadline job queued", 5, 0)
+	time.Sleep(20 * time.Millisecond) // the deadline lapses while queued
+
+	victim := registerWorker(t, ts, "victim", 2)
+	if lr := leaseJobs(t, ts, victim, 2); len(lr.Jobs) != 2 {
+		t.Fatalf("victim leased %d jobs, want 2", len(lr.Jobs))
+	}
+	check("two leased", 3, 2)
+
+	time.Sleep(600 * time.Millisecond) // the victim falls silent; its leases expire
+	check("leases expired and requeued", 5, 0)
+
+	// The zombie victim completes one of its requeued jobs after all.
+	payload, err := MarshalResult(fakeRun(config.RunIdentity{Protocol: "ecp"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := workerPost(t, ts, "/v1/workers/"+victim+"/complete", CompleteRequest{JobID: ids[2], Result: payload}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("zombie completion: status %d", resp.StatusCode)
+	}
+	check("zombie completed a queued job", 4, 0)
+
+	leaver := registerWorker(t, ts, "leaver", 8)
+	if lr := leaseJobs(t, ts, leaver, 8); len(lr.Jobs) != 3 {
+		t.Fatalf("leaver leased %d jobs, want 3 (the deadline job must fail instead)", len(lr.Jobs))
+	}
+	if st := jobStatus(t, ts, stale.ID); st.State != StateFailed {
+		t.Fatalf("deadline job is %s, want failed", st.State)
+	}
+	check("three leased, deadline job failed", 0, 3)
+
+	del("/v1/workers/" + leaver)
+	check("deregistered worker's leases returned", 3, 0)
+
+	finisher := registerWorker(t, ts, "finisher", 4)
+	lr := leaseJobs(t, ts, finisher, 4)
+	if len(lr.Jobs) != 3 {
+		t.Fatalf("finisher leased %d jobs, want 3", len(lr.Jobs))
+	}
+	check("all leased again", 0, 3)
+	for _, lj := range lr.Jobs {
+		if resp := workerPost(t, ts, "/v1/workers/"+finisher+"/complete", CompleteRequest{JobID: lj.JobID, Result: payload}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("complete %.12s: status %d", lj.JobID, resp.StatusCode)
+		}
+	}
+	check("all finished", 0, 0)
 }

@@ -175,7 +175,7 @@ func (s *Server) jobGaugesLocked(nowUnixMilli int64) []jobGauge {
 			continue
 		}
 		g := jobGauge{
-			id:        shortID(j.id),
+			id:        ShortID(j.id),
 			simCycles: smp.Summary.SimCycles,
 			events:    smp.Summary.Events,
 			reqDepth:  smp.Queues.Request.Inflight,

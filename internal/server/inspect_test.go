@@ -282,7 +282,7 @@ func TestMetricsJobGauges(t *testing.T) {
 	resp.Body.Close()
 	body := string(raw)
 
-	job := shortID(st.ID)
+	job := ShortID(st.ID)
 	for _, want := range []string{
 		fmt.Sprintf("coma_job_sim_cycles{job=%q} 100", job),
 		fmt.Sprintf("coma_job_events{job=%q} 1", job),

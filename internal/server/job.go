@@ -258,12 +258,10 @@ type job struct {
 	state    State
 	errMsg   string
 	result   []byte // canonical payload; shared with the store
-	dequeued bool   // queue-depth accounting done
 	pinned   bool   // an async submission exists: never cancel on disconnect
 	interest int    // waiting submissions with cancel-on-disconnect semantics
 
-	// Cluster-mode scheduling state (zero in single-process mode).
-	cluster  bool   // dispatched to worker nodes, not the local pool
+	// Lease state (zero for jobs run by in-process executors).
 	workerID string // current lease holder while running
 	attempts int    // lease expiries so far; > MaxRequeues dead-letters
 
@@ -286,6 +284,19 @@ type job struct {
 	// is legal here — this is the serving layer, not the simulator.
 	scrapeAt     int64 // unix milliseconds; 0 until first scrape
 	scrapeEvents int64
+}
+
+// newJob creates a job with no state yet; the caller moves it into its
+// first state with setStateLocked.
+func newJob(id string, spec JobSpec, identity config.RunIdentity, now time.Time) *job {
+	return &job{
+		id:       id,
+		spec:     spec,
+		identity: identity,
+		queuedAt: now,
+		wake:     make(chan struct{}),
+		done:     make(chan struct{}),
+	}
 }
 
 // status snapshots the job for a response; the caller holds the server

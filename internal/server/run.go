@@ -9,6 +9,7 @@ import (
 	"coma/internal/inspect"
 	"coma/internal/machine"
 	"coma/internal/obs"
+	"coma/internal/obs/receipt"
 	"coma/internal/proto"
 	"coma/internal/stats"
 	"coma/internal/workload"
@@ -110,13 +111,91 @@ func SimRunner(id config.RunIdentity, opts RunOptions) (*stats.Run, error) {
 	return m.Run()
 }
 
+// Execution is one run through Execute: the identity, the runner, and
+// what to record beside the result.
+type Execution struct {
+	Runner   Runner
+	Identity config.RunIdentity
+	// Producer names the executor in the receipt (receipt.ProducerLocal,
+	// or a worker's name). NoReceipts skips the receipt-grade recorder;
+	// a non-empty ReceiptKey signs the receipt.
+	Producer   string
+	NoReceipts bool
+	ReceiptKey []byte
+	// Counts tallies every event by kind and Publish receives one line
+	// per lifecycle event (see progressBridge); nil disables either.
+	Counts  *[obs.NumKinds]int64
+	Publish func(msg string, simCycles int64)
+	// Inspect is passed to the runner as RunOptions.Inspect.
+	Inspect func(*inspect.Controller)
+}
+
+// Outcome is a finished run as Execute returns it and the completion
+// step files it.
+type Outcome struct {
+	// Payload is the canonical result (MarshalResult); nil when Err is
+	// set. Runs are deterministic, so an error fails the job for good.
+	Payload []byte
+	Err     error
+	// Receipt is the (signed) execution receipt and Trace its canonical
+	// JSONL trace. Both are nil with NoReceipts or when building the
+	// receipt failed (ReceiptErr); a receipt failure never fails the
+	// job, whose result is already correct.
+	Receipt    *receipt.Receipt
+	Trace      []byte
+	ReceiptErr error
+}
+
+// Execute is comad's one run sequence, shared by the daemon's
+// in-process executors and cluster worker nodes (internal/cluster): it
+// tees the progress bridge and a receipt-grade recorder onto the run's
+// observability stream, runs the identity, marshals the canonical
+// payload and builds the receipt over it. A local result and a worker's
+// are therefore the same bytes by construction.
+func Execute(x Execution) Outcome {
+	var observer obs.Observer
+	if x.Counts != nil || x.Publish != nil {
+		observer = &progressBridge{counts: x.Counts, publish: x.Publish}
+	}
+	var rec *obs.Recorder
+	if !x.NoReceipts {
+		rec = obs.NewRecorder(receipt.TraceMask)
+		if observer == nil {
+			observer = rec
+		} else {
+			observer = teeObserver{observer, rec}
+		}
+	}
+	run, err := x.Runner(x.Identity, RunOptions{Observer: observer, Inspect: x.Inspect})
+	var out Outcome
+	if err == nil {
+		out.Payload, err = MarshalResult(run)
+	}
+	if err != nil {
+		return Outcome{Err: err}
+	}
+	if rec == nil {
+		return out
+	}
+	rcpt, trace, err := receipt.Build(x.Identity, out.Payload, rec.Events(), x.Producer)
+	if err != nil {
+		out.ReceiptErr = err
+		return out
+	}
+	if len(x.ReceiptKey) > 0 {
+		rcpt = rcpt.Sign(x.ReceiptKey)
+	}
+	out.Receipt, out.Trace = &rcpt, trace
+	return out
+}
+
 // MarshalResult produces the canonical result payload: the stats.Run
 // encoded as compact JSON. It is computed exactly once per run and
 // stored; every response serves the stored bytes, which is what makes
 // "byte-identical result payloads" a property of the API rather than of
-// the JSON encoder. Worker nodes (internal/cluster) use the same
-// function so a payload computed remotely is byte-for-byte the payload
-// a local run would have stored.
+// the JSON encoder. Execute calls it for local and worker runs alike,
+// so a payload computed remotely is byte-for-byte the payload a local
+// run would have stored.
 func MarshalResult(r *stats.Run) ([]byte, error) {
 	return json.Marshal(r)
 }

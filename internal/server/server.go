@@ -1,18 +1,23 @@
 // Package server implements comad, the simulation-as-a-service daemon:
 // an HTTP/JSON front end that accepts simulation jobs, coalesces
-// identical submissions onto one run, executes them on a bounded worker
-// pool, and answers repeats from a content-addressed result store.
+// identical submissions onto one run, executes them from one bounded
+// dispatch queue, and answers repeats from a content-addressed result
+// store.
 //
 // Serving model. A job is identified by the canonical hash of its run
 // identity (config.RunIdentity: architecture, protocol, workload, seed,
 // failure schedule, code revision), so identity — not submission — is
 // the unit of work: N clients posting the same configuration share one
-// simulation (singleflight, via the same runner.Pool the experiment
-// campaign uses), and a configuration that ever completed is served
-// from the store in O(1) with byte-identical payloads. Backpressure is
-// a bounded queue: submissions beyond it get 429 with Retry-After.
-// Progress streams over SSE from an observability bridge; liveness and
-// load are exposed on /healthz and /metrics (Prometheus text).
+// simulation (the job table is keyed by that hash), and a configuration
+// that ever completed is served from the store in O(1) with
+// byte-identical payloads. Accepted jobs wait in one FIFO queue with two
+// kinds of consumer: up to Options.Workers in-process executors, or —
+// in coordinator mode — worker nodes leasing over HTTP (cluster.go).
+// Both run a job through Execute and file it through the same
+// completion step. Backpressure is a bounded queue: submissions beyond
+// it get 429 with Retry-After. Progress streams over SSE from an
+// observability bridge; liveness and load are exposed on /healthz and
+// /metrics (Prometheus text).
 //
 // Concurrency model. This package is host-side serve-layer concurrency,
 // deliberately outside the simulator's no-goroutines rule (it holds a
@@ -30,19 +35,19 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	"coma/internal/config"
-	"coma/internal/experiments/runner"
 	"coma/internal/inspect"
-	"coma/internal/obs"
 	"coma/internal/obs/receipt"
 )
 
 // Options configures a Server.
 type Options struct {
-	// Workers bounds concurrently executing simulations (0: GOMAXPROCS).
+	// Workers bounds the in-process executors, and so concurrently
+	// executing simulations (0: GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds jobs accepted but not yet picked up by a worker
 	// (0: 64). Beyond it, submissions get 429 with Retry-After.
@@ -70,10 +75,11 @@ type Options struct {
 	// for fleets whose transport is not trusted.
 	ReceiptKey []byte
 
-	// Cluster switches the daemon into coordinator mode: jobs are not
-	// executed in-process but dispatched to registered worker nodes
-	// (cmd/comanode) over the lease protocol in cluster.go. The job API,
-	// cache and SSE surface are unchanged — only who simulates moves.
+	// Cluster switches the daemon into coordinator mode: it starts no
+	// in-process executors, and registered worker nodes (cmd/comanode)
+	// lease jobs from the same queue over the protocol in cluster.go.
+	// The job API, cache and SSE surface are unchanged — only who
+	// simulates moves.
 	Cluster bool
 	// LeaseTTL is the worker liveness window: a worker silent for this
 	// long is dead and its leases requeue (0: 15s). Cluster mode only.
@@ -92,19 +98,31 @@ type Server struct {
 	runner Runner
 	store  *Store
 	met    *metrics
-	pool   *runner.Pool[string, struct{}]
 	mux    *http.ServeMux
-	clu    *clusterTable // cluster-mode scheduler state; nil otherwise
+	clu    *clusterTable // worker registry; empty unless Options.Cluster
 
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string // submission order, for listing
-	queued   int      // jobs accepted, not yet picked up
-	running  int      // jobs executing
+	queued   int      // jobs in StateQueued (kept by setStateLocked)
+	running  int      // jobs in StateRunning (kept by setStateLocked)
 	draining bool
 
+	// pending is the dispatch queue: jobs awaiting an executor or a
+	// lease, FIFO, with requeued jobs pushed to the front so retried
+	// work finishes first. Entries whose job left the queued state are
+	// skipped lazily by popPendingLocked.
+	pending []*job
+	// executors counts running in-process executor goroutines (at most
+	// Options.Workers; always 0 in coordinator mode).
+	executors int
+	// wake is closed and replaced whenever pending grows (or a drain
+	// finishes), releasing long-polling lease handlers.
+	wake chan struct{}
+
 	// inflight counts accepted non-terminal jobs; Drain waits on it.
-	// Add happens under mu with !draining, so it cannot race Wait.
+	// Add happens under mu with !draining, so it cannot race Wait;
+	// finishLocked is the one release.
 	inflight sync.WaitGroup
 }
 
@@ -136,14 +154,12 @@ func New(opts Options) (*Server, error) {
 		runner: opts.Runner,
 		store:  store,
 		met:    newMetrics(),
-		pool:   runner.New[string, struct{}](opts.Workers),
+		clu:    newClusterTable(opts),
 		jobs:   make(map[string]*job),
+		wake:   make(chan struct{}),
 	}
 	if s.runner == nil {
 		s.runner = SimRunner
-	}
-	if opts.Cluster {
-		s.clu = newClusterTable(opts)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -184,6 +200,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	already := s.draining
 	s.draining = true
 	pending := s.queued + s.running
+	s.wakeLocked() // lease pollers may already have nothing left to wait for
 	s.mu.Unlock()
 	if !already {
 		s.logf("draining: %d job(s) pending, new submissions refused", pending)
@@ -226,19 +243,10 @@ func (s *Server) admit(spec JobSpec, identity config.RunIdentity, wait bool) (j 
 		return j, cache, 0, 0
 	}
 	if payload, ok := s.store.Get(key); ok {
-		j := &job{
-			id:       key,
-			spec:     spec,
-			identity: identity,
-			state:    StateDone,
-			result:   payload,
-			dequeued: true,
-			queuedAt: now,
-			wake:     make(chan struct{}),
-			done:     make(chan struct{}),
-		}
+		j := newJob(key, spec, identity, now)
+		j.result = payload
+		s.setStateLocked(j, StateDone)
 		close(j.done)
-		j.events = []JobEvent{{Seq: 0, Type: "state", State: StateDone}}
 		s.jobs[key] = j
 		s.order = append(s.order, key)
 		return j, "hit", 0, 0
@@ -250,36 +258,16 @@ func (s *Server) admit(spec JobSpec, identity config.RunIdentity, wait bool) (j 
 		return nil, "", http.StatusTooManyRequests, 1 + s.queued/s.opts.Workers
 	}
 
-	j = &job{
-		id:       key,
-		spec:     spec,
-		identity: identity,
-		state:    StateQueued,
-		queuedAt: now,
-		wake:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	j = newJob(key, spec, identity, now)
 	if spec.DeadlineMS > 0 {
 		j.deadline = now.Add(time.Duration(spec.DeadlineMS) * time.Millisecond)
 	}
 	s.registerInterestLocked(j, wait)
-	s.appendEventLocked(j, JobEvent{Type: "state", State: StateQueued})
+	s.setStateLocked(j, StateQueued)
 	s.jobs[key] = j
 	s.order = append(s.order, key)
-	s.queued++
 	s.inflight.Add(1)
-	if s.clu != nil {
-		// Cluster mode: onto the dispatch queue for worker nodes; the
-		// terminal transition (worker completion, dead-letter, cancel)
-		// releases inflight via finishLocked.
-		j.cluster = true
-		s.enqueueLocked(j, false)
-		return j, "miss", 0, 0
-	}
-	s.pool.Start(key, func() (struct{}, error) {
-		s.execute(j)
-		return struct{}{}, nil
-	})
+	s.enqueueLocked(j, false)
 	return j, "miss", 0, 0
 }
 
@@ -294,58 +282,93 @@ func (s *Server) registerInterestLocked(j *job, wait bool) {
 	}
 }
 
-// execute runs one job on a pool worker. Every accepted job passes
-// through here exactly once (even cancelled ones, which no-op), so the
-// inflight accounting has a single release point.
-func (s *Server) execute(j *job) {
-	defer s.inflight.Done()
+// ---- the dispatch queue ----
 
-	s.mu.Lock()
-	if !j.dequeued {
-		s.queued--
-		j.dequeued = true
+// enqueueLocked puts a queued job on the dispatch queue (front for
+// requeues, back for new admissions) and signals its consumers: lease
+// pollers in coordinator mode, otherwise a new in-process executor if
+// fewer than Options.Workers are running.
+func (s *Server) enqueueLocked(j *job, front bool) {
+	if front {
+		s.pending = append([]*job{j}, s.pending...)
+	} else {
+		s.pending = append(s.pending, j)
 	}
-	if j.state != StateQueued { // cancelled or abandoned while queued
-		s.mu.Unlock()
-		return
+	if s.opts.Cluster {
+		s.wakeLocked()
+	} else if s.executors < s.opts.Workers {
+		s.executors++
+		go s.executeLoop()
 	}
-	now := time.Now()
-	if !j.deadline.IsZero() && now.After(j.deadline) {
-		j.errMsg = "deadline exceeded while queued"
-		s.finishLocked(j, StateFailed)
-		s.mu.Unlock()
-		return
-	}
-	j.state = StateRunning
-	j.startedAt = now
-	s.running++
-	s.appendEventLocked(j, JobEvent{Type: "state", State: StateRunning})
-	s.mu.Unlock()
-	s.met.observeQueueWait(now.Sub(j.queuedAt).Seconds())
-	s.logf("job %s: running (%s/%s on %d nodes)", shortID(j.id), j.spec.App, j.identity.Protocol, j.identity.Arch.Nodes)
+}
 
-	// The bridge is always installed so /metrics counts every job's
-	// observability events; SSE forwarding is only wired up when the
-	// job asked for progress streaming.
-	observer := &progressBridge{counts: &s.met.obsEvents}
-	if j.spec.Progress {
-		observer.publish = func(msg string, simCycles int64) {
-			s.mu.Lock()
-			s.appendEventLocked(j, JobEvent{Type: "progress", Message: msg, SimCycles: simCycles})
-			s.mu.Unlock()
+// wakeLocked releases every long-polling lease handler.
+func (s *Server) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
+}
+
+// popPendingLocked returns the next dispatchable job, skipping stale
+// queue entries (cancelled, dead-lettered, completed by a zombie) and
+// failing jobs whose queue deadline has passed — a deadline bounds
+// queue wait, never execution.
+func (s *Server) popPendingLocked(now time.Time) *job {
+	for len(s.pending) > 0 {
+		j := s.pending[0]
+		s.pending = s.pending[1:]
+		if j.state != StateQueued {
+			continue
 		}
+		if !j.deadline.IsZero() && now.After(j.deadline) {
+			j.errMsg = "deadline exceeded while queued"
+			s.finishLocked(j, StateFailed)
+			continue
+		}
+		return j
 	}
-	// The always-on invariant gate: unless disabled, a receipt-grade
-	// recorder tees off the same stream so every completed job leaves a
-	// verifiable execution receipt (and its trace) in the store.
-	var rec *obs.Recorder
-	var runObs obs.Observer = observer
-	if !s.opts.NoReceipts {
-		rec = obs.NewRecorder(receipt.TraceMask)
-		runObs = teeObserver{observer, rec}
+	return nil
+}
+
+// startLocked moves a popped job to running, for an executor or a
+// lease.
+func (s *Server) startLocked(j *job, now time.Time) {
+	j.startedAt = now
+	s.setStateLocked(j, StateRunning)
+	s.met.observeQueueWait(now.Sub(j.queuedAt).Seconds())
+}
+
+// executeLoop is one in-process executor: it runs queued jobs in FIFO
+// order and exits when the queue is empty (enqueueLocked starts a new
+// one when work arrives).
+func (s *Server) executeLoop() {
+	s.mu.Lock()
+	for {
+		now := time.Now()
+		j := s.popPendingLocked(now)
+		if j == nil {
+			break
+		}
+		s.startLocked(j, now)
+		s.mu.Unlock()
+		s.runLocal(j)
+		s.mu.Lock()
 	}
-	opts := RunOptions{
-		Observer: runObs,
+	s.executors--
+	s.mu.Unlock()
+}
+
+// runLocal executes one started job in-process and completes it.
+func (s *Server) runLocal(j *job) {
+	s.logf("job %s: running (%s/%s on %d nodes)", ShortID(j.id), j.spec.App, j.identity.Protocol, j.identity.Arch.Nodes)
+	x := Execution{
+		Runner:     s.runner,
+		Identity:   j.identity,
+		Producer:   receipt.ProducerLocal,
+		NoReceipts: s.opts.NoReceipts,
+		ReceiptKey: s.opts.ReceiptKey,
+		// Every event is counted for /metrics; SSE forwarding is only
+		// wired up when the job asked for progress streaming.
+		Counts: &s.met.obsEvents,
 		// Every job gets a live-inspection controller: the /inspect
 		// endpoints and the per-job /metrics gauges read through it, and
 		// an idle controller costs one predictable branch per event.
@@ -355,94 +378,113 @@ func (s *Server) execute(j *job) {
 			s.mu.Unlock()
 		},
 	}
-	res, err := s.runner(j.identity, opts)
-	var payload []byte
-	if err == nil {
-		payload, err = MarshalResult(res)
-	}
-	var persistErr error
-	if err == nil {
-		persistErr = s.store.Put(j.id, payload)
-		s.emitReceipt(j, payload, rec)
-	}
-
-	s.mu.Lock()
-	s.running--
-	// Detach the controller: inspection targets running jobs (the
-	// machine is released with it; results are served from the store).
-	// Streams already attached drain through the controller's Done.
-	j.ctl = nil
-	j.finishedAt = time.Now()
-	if err != nil {
-		j.errMsg = err.Error()
-		s.finishLocked(j, StateFailed)
-	} else {
-		j.result = payload
-		s.finishLocked(j, StateDone)
-	}
-	s.mu.Unlock()
-
-	if err == nil {
-		s.met.observeRunTime(j.finishedAt.Sub(j.startedAt).Seconds())
-		s.logf("job %s: done in %.1f ms", shortID(j.id), msBetween(j.startedAt, j.finishedAt))
-	} else {
-		s.logf("job %s: failed: %v", shortID(j.id), err)
-	}
-	if persistErr != nil {
-		s.logf("job %s: persisting result: %v", shortID(j.id), persistErr)
-	}
-}
-
-// emitReceipt builds, signs and stores the execution receipt (plus its
-// trace) for one locally executed job. A receipt failure never fails
-// the job — the result is already stored and correct — it is logged
-// and the receipt is simply absent.
-func (s *Server) emitReceipt(j *job, payload []byte, rec *obs.Recorder) {
-	if rec == nil {
-		return
-	}
-	rcpt, trace, err := receipt.Build(j.identity, payload, rec.Events(), receipt.ProducerLocal)
-	if err != nil {
-		s.logf("job %s: building receipt: %v", shortID(j.id), err)
-		return
-	}
-	if len(s.opts.ReceiptKey) > 0 {
-		rcpt = rcpt.Sign(s.opts.ReceiptKey)
-	}
-	s.storeReceipt(j.id, rcpt, trace)
-}
-
-// storeReceipt files a receipt (and optional trace bytes) beside the
-// job's result and counts it by verdict.
-func (s *Server) storeReceipt(id string, rcpt receipt.Receipt, trace []byte) {
-	if err := s.store.PutAux(id, AuxReceipt, append(rcpt.CanonicalJSON(), '\n')); err != nil {
-		s.logf("job %s: persisting receipt: %v", shortID(id), err)
-	}
-	if trace != nil {
-		if err := s.store.PutAux(id, AuxTrace, trace); err != nil {
-			s.logf("job %s: persisting trace: %v", shortID(id), err)
+	if j.spec.Progress {
+		x.Publish = func(msg string, simCycles int64) {
+			s.mu.Lock()
+			s.appendEventLocked(j, JobEvent{Type: "progress", Message: msg, SimCycles: simCycles})
+			s.mu.Unlock()
 		}
 	}
-	s.met.countReceipt(rcpt.VerdictLabel())
-	s.logf("job %s: receipt %s (%s)", shortID(id), rcpt.VerdictLabel(), shortID(rcpt.ResultDigest))
+	out := Execute(x)
+	if out.ReceiptErr != nil {
+		s.logf("job %s: building receipt: %v", ShortID(j.id), out.ReceiptErr)
+	}
+	s.mu.Lock()
+	s.completeLocked(j, out, time.Now(), "")
+	s.mu.Unlock()
 }
 
-// finishLocked moves a job to a terminal state: final event, done
-// broadcast, terminal metrics. Caller holds s.mu; the job must not
-// already be terminal. Cluster jobs release their inflight count here —
-// their single release point, the way execute is for local jobs.
-func (s *Server) finishLocked(j *job, st State) {
+// ---- state transitions ----
+
+// setStateLocked moves a job to st, keeping the queued/running counts
+// equal to the number of jobs in those states, and logs the state
+// event. Every state change goes through here.
+func (s *Server) setStateLocked(j *job, st State) {
+	switch j.state {
+	case StateQueued:
+		s.queued--
+	case StateRunning:
+		s.running--
+	}
+	switch st {
+	case StateQueued:
+		s.queued++
+	case StateRunning:
+		s.running++
+	}
 	j.state = st
 	ev := JobEvent{Type: "state", State: st}
 	if st == StateFailed || st == StateDeadLetter {
 		ev.Error = j.errMsg
 	}
 	s.appendEventLocked(j, ev)
+}
+
+// completeLocked files a finished run — from an in-process executor or
+// a worker's completion — and ends its job. The result, receipt and
+// trace reach the store before the job turns done, so a ?wait=1 caller
+// released by finishLocked can fetch them at once. by names the worker
+// in log lines ("" for local runs). Caller holds s.mu; j must not be
+// terminal.
+func (s *Server) completeLocked(j *job, out Outcome, now time.Time, by string) {
+	// Detach the controller: inspection targets running jobs (the
+	// machine is released with it; results are served from the store).
+	// Streams already attached drain through the controller's Done.
+	j.ctl = nil
+	j.workerID = ""
+	j.finishedAt = now
+	if out.Err != nil {
+		j.errMsg = out.Err.Error()
+		s.finishLocked(j, StateFailed)
+		s.logf("job %s: failed%s: %v", ShortID(j.id), by, out.Err)
+		return
+	}
+	j.result = out.Payload
+	if err := s.store.Put(j.id, out.Payload); err != nil {
+		s.logf("job %s: persisting result: %v", ShortID(j.id), err)
+	}
+	if out.Receipt != nil {
+		s.storeReceipt(j.id, *out.Receipt, out.Trace)
+	}
+	s.finishLocked(j, StateDone)
+	if !j.startedAt.IsZero() {
+		s.met.observeRunTime(now.Sub(j.startedAt).Seconds())
+	}
+	s.logf("job %s: done%s in %.1f ms", ShortID(j.id), by, msBetween(j.startedAt, now))
+}
+
+// storeReceipt files a receipt (and optional trace bytes) beside the
+// job's result and counts it by verdict.
+func (s *Server) storeReceipt(id string, rcpt receipt.Receipt, trace []byte) {
+	if err := s.store.PutAux(id, AuxReceipt, append(rcpt.CanonicalJSON(), '\n')); err != nil {
+		s.logf("job %s: persisting receipt: %v", ShortID(id), err)
+	}
+	if trace != nil {
+		if err := s.store.PutAux(id, AuxTrace, trace); err != nil {
+			s.logf("job %s: persisting trace: %v", ShortID(id), err)
+		}
+	}
+	s.met.countReceipt(rcpt.VerdictLabel())
+	s.logf("job %s: receipt %s (%s)", ShortID(id), rcpt.VerdictLabel(), ShortID(rcpt.ResultDigest))
+}
+
+// finishLocked moves a job to a terminal state: final event, done
+// broadcast, terminal metrics, and the one inflight release. Caller
+// holds s.mu; the job must not already be terminal.
+func (s *Server) finishLocked(j *job, st State) {
+	s.setStateLocked(j, st)
 	close(j.done)
 	s.met.countTerminal(st)
-	if j.cluster {
-		s.inflight.Done()
+	s.inflight.Done()
+	if s.drainedLocked() {
+		s.wakeLocked() // lease pollers learn there is nothing left
 	}
+}
+
+// drainedLocked reports a draining daemon with no job left queued or
+// running: nothing more will ever be dispatched.
+func (s *Server) drainedLocked() bool {
+	return s.draining && s.queued+s.running == 0
 }
 
 // appendEventLocked appends to the job's event log and wakes every
@@ -463,13 +505,9 @@ func (s *Server) detachWaiter(j *job) {
 	defer s.mu.Unlock()
 	j.interest--
 	if j.interest <= 0 && !j.pinned && j.state == StateQueued {
-		if !j.dequeued {
-			s.queued--
-			j.dequeued = true
-		}
 		j.errMsg = "abandoned: every waiting client disconnected"
 		s.finishLocked(j, StateCancelled)
-		s.logf("job %s: abandoned while queued", shortID(j.id))
+		s.logf("job %s: abandoned while queued", ShortID(j.id))
 	}
 }
 
@@ -681,15 +719,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	switch {
 	case j.state == StateQueued:
-		if !j.dequeued {
-			s.queued--
-			j.dequeued = true
-		}
 		j.errMsg = "cancelled by request"
 		s.finishLocked(j, StateCancelled)
 		st := j.status(false)
 		s.mu.Unlock()
-		s.logf("job %s: cancelled while queued", shortID(j.id))
+		s.logf("job %s: cancelled while queued", ShortID(j.id))
 		s.respondJSON(w, http.StatusOK, st)
 	case j.state == StateCancelled:
 		st := j.status(false)
@@ -706,9 +740,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	s.mu.Lock()
-	if s.clu != nil {
-		s.sweepLocked(now)
-	}
+	s.sweepLocked(now)
 	draining, queued, running := s.draining, s.queued, s.running
 	clu := s.clusterStatsLocked()
 	s.mu.Unlock()
@@ -723,9 +755,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	s.mu.Lock()
-	if s.clu != nil {
-		s.sweepLocked(now)
-	}
+	s.sweepLocked(now)
 	queued, running := s.queued, s.running
 	gauges := s.jobGaugesLocked(now.UnixMilli())
 	clu := s.clusterStatsLocked()
@@ -747,9 +777,39 @@ func (s *Server) respondError(w http.ResponseWriter, code int, err error) {
 	s.respondJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func shortID(id string) string {
+// ShortID abbreviates a job id, receipt digest or code revision to
+// its first 12 characters for log lines.
+func ShortID(id string) string {
 	if len(id) > 12 {
 		return id[:12]
 	}
 	return id
+}
+
+// BuildRevision is the default code revision of every binary that keys,
+// serves or checks results: the vcs revision stamped into the binary
+// ("+dirty" when the worktree was modified), or "dev" outside a stamped
+// build. Coordinator, workers and offline receipts built from the same
+// tree therefore agree.
+func BuildRevision() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "dev"
+	}
+	rev, dirty := "", false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev == "" {
+		return "dev"
+	}
+	if dirty {
+		rev += "+dirty"
+	}
+	return rev
 }

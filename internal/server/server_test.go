@@ -1,12 +1,15 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,8 +115,9 @@ func TestQueueFullGets429WithRetryAfter(t *testing.T) {
 	})
 	defer close(gate)
 
-	// Job 1 occupies the worker, job 2 fills the queue. The pool dequeues
-	// job 1 asynchronously, so wait until it actually starts running.
+	// Job 1 occupies the worker, job 2 fills the queue. The executor
+	// dequeues job 1 asynchronously, so wait until it actually starts
+	// running.
 	resp1, st1 := postJob(t, ts, specJSON(1), false)
 	if resp1.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 1: status %d, want 202", resp1.StatusCode)
@@ -375,5 +379,69 @@ func TestMetricsAndHealthz(t *testing.T) {
 	}
 	if health.Status != "ok" || health.Draining {
 		t.Fatalf("healthz = %+v, want ok/not draining", health)
+	}
+}
+
+// TestLocalJobsStartInAdmissionOrder: in-process executors pop the one
+// FIFO dispatch queue, so with a single worker a burst of concurrent
+// submissions runs in exactly the order the scheduler admitted them.
+func TestLocalJobsStartInAdmissionOrder(t *testing.T) {
+	const jobs = 16
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	var started []string
+	s, ts := newTestServer(t, Options{
+		Workers: 1, QueueDepth: jobs,
+		Runner: func(id config.RunIdentity, _ RunOptions) (*stats.Run, error) {
+			mu.Lock()
+			started = append(started, id.Hash())
+			mu.Unlock()
+			<-gate
+			return fakeRun(id), nil
+		},
+	})
+
+	var wg sync.WaitGroup
+	errs := make(chan error, jobs)
+	for seed := uint64(1); seed <= jobs; seed++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(specJSON(seed)))
+			if err != nil {
+				errs <- err
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				errs <- fmt.Errorf("seed %d: status %d, want 202", seed, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	close(gate)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+
+	s.mu.Lock()
+	admitted := append([]string(nil), s.order...)
+	s.mu.Unlock()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(started) != jobs {
+		t.Fatalf("%d jobs started, want %d", len(started), jobs)
+	}
+	for i := range admitted {
+		if started[i] != admitted[i] {
+			t.Fatalf("start #%d is job %.12s, but admission #%d was %.12s (it started #%d)",
+				i, started[i], i, admitted[i], slices.Index(started, admitted[i]))
+		}
 	}
 }

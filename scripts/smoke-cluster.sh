@@ -9,7 +9,10 @@
 #      the job is requeued (all three visible in /metrics);
 #   3. replacement workers absorb the queue and the campaign completes;
 #   4. the campaign table is byte-identical to a single-process run;
-#   5. SIGTERM drains the replacements (exit 0) and the coordinator.
+#   5. SIGTERM drains one replacement (exit 0);
+#   6. SIGTERM on the coordinator, with a backlog queued behind the last
+#      single-slot worker, finishes every job (all done, exit 0), after
+#      which the last worker leaves on its own (exit 0).
 set -euo pipefail
 
 PORT="${SMOKE_PORT:-7743}"
@@ -30,8 +33,8 @@ go build -o "$WORK/comabench" ./cmd/comabench
 echo "== single-process baseline"
 "$WORK/comabench" -params bench -only fig3 -workers 1 >"$WORK/serial.txt"
 
-echo "== boot coordinator (cluster mode, 1s lease TTL)"
-"$WORK/comad" serve -addr "127.0.0.1:${PORT}" -cluster -lease-ttl 1s \
+echo "== boot coordinator (cluster mode, 1s lease TTL, 60s drain bound)"
+"$WORK/comad" serve -addr "127.0.0.1:${PORT}" -cluster -lease-ttl 1s -drain-timeout 60s \
     -revision smoke >"$WORK/comad.log" 2>&1 &
 COORD=$!
 PIDS+=("$COORD")
@@ -120,16 +123,50 @@ cmp "$WORK/serial.txt" "$WORK/cluster.txt"
 echo "ok: $(wc -c <"$WORK/serial.txt") bytes, identical"
 
 echo "== graceful worker drain"
-kill -TERM "$HEALTHY1" "$HEALTHY2"
-for pid in "$HEALTHY1" "$HEALTHY2"; do
-    if ! wait "$pid"; then echo "worker $pid did not drain cleanly"; exit 1; fi
-done
+kill -TERM "$HEALTHY1"
+if ! wait "$HEALTHY1"; then echo "worker $HEALTHY1 did not drain cleanly"; exit 1; fi
 grep -q 'drained, bye' "$WORK/healthy-1.log"
-grep -q 'drained, bye' "$WORK/healthy-2.log"
-echo "ok: both replacements drained and exited 0"
+echo "ok: healthy-1 drained and exited 0"
 
-echo "== coordinator shutdown"
+echo "== coordinator drain finishes the backlog behind the last worker"
+# healthy-2 (one slot) is the only worker left: it works through the
+# backlog one job at a time, so most of it is still queued when the
+# coordinator gets SIGTERM. The drain must keep leasing it out.
+IDS=()
+for seed in 101 102 103 104 105 106; do
+    curl -fsS -X POST "$BASE/v1/jobs" \
+        -d "{\"app\":\"mp3d\",\"nodes\":4,\"protocol\":\"ecp\",\"hz\":400,\"scale\":0.05,\"seed\":$seed}" \
+        >"$WORK/submit-$seed.json"
+    IDS+=("$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$WORK/submit-$seed.json")")
+done
+# One ?wait=1 status request per job: each returns the job's final
+# state, and the coordinator answers them all before it stops listening.
+WAITERS=()
+for id in "${IDS[@]}"; do
+    curl -fsS "$BASE/v1/jobs/$id?wait=1" >"$WORK/final-$id.json" &
+    WAITERS+=("$!")
+done
+curl -fsS "$BASE/healthz" >"$WORK/health-before-drain.json"
+python3 - "$WORK/health-before-drain.json" <<'EOF'
+import json, sys
+h = json.load(open(sys.argv[1]))
+assert h["queued"] >= 1, f"nothing queued when the drain starts: {h}"
+print(f'ok: {h["queued"]} queued, {h["running"]} running at SIGTERM')
+EOF
 kill -TERM "$COORD"
 if ! wait "$COORD"; then echo "coordinator exited non-zero"; cat "$WORK/comad.log"; exit 1; fi
+for pid in "${WAITERS[@]}"; do
+    if ! wait "$pid"; then echo "a ?wait=1 status request failed"; exit 1; fi
+done
+python3 - "$WORK" "${IDS[@]}" <<'EOF'
+import json, sys
+work, ids = sys.argv[1], sys.argv[2:]
+states = [json.load(open(f"{work}/final-{i}.json"))["state"] for i in ids]
+assert states == ["done"] * len(ids), f"final states {states}, want all done"
+print(f"ok: coordinator exited 0 with all {len(ids)} backlog jobs done")
+EOF
+if ! wait "$HEALTHY2"; then echo "healthy-2 did not exit 0 after the coordinator drained"; exit 1; fi
+grep -q 'drained, bye' "$WORK/healthy-2.log"
+echo "ok: the last worker left on its own"
 
 echo "smoke-cluster: all checks passed"
