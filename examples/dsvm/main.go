@@ -47,7 +47,6 @@ func main() {
 			CheckpointHz: hz,
 			Failures:     failures,
 			Oracle:       true,
-			MaxCycles:    1 << 40,
 		})
 		if err != nil {
 			log.Fatal(err)

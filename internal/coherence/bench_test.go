@@ -12,43 +12,57 @@ import (
 // home forwards to the owner, owner replies to the requester.
 const missItem proto.ItemID = 100
 
-// missLoop is a process body running one step of a remote coherence
-// transaction on a 16-node ECP rig, with the processors idle between
-// steps. A write step is an ownership ping-pong: node 1 and node 2 take
-// turns writing the item, so every write misses and fetches it from the
-// other node, which invalidates its copy. A read step is a read miss at
-// node 1 served by owner node 2, followed by node 2's write upgrade that
-// invalidates node 1's copy again, so the next read misses too.
+// missLoop runs steps of a remote coherence transaction on a 16-node
+// ECP rig, one step per wake of its process, with the processors idle
+// between steps. A write step is an ownership ping-pong: node 1 and
+// node 2 take turns writing the item, so every write misses and fetches
+// it from the other node, which invalidates its copy. A read step is a
+// read miss at node 1 served by owner node 2, followed by node 2's write
+// upgrade that invalidates node 1's copy again, so the next read misses
+// too.
 type missLoop struct {
 	r     *rig
 	write bool
 	steps int64
+	proc  *sim.Process
 }
 
-func (l *missLoop) Run(p *sim.Process, i int64) {
-	if l.write {
-		l.r.e.WriteItem(p, proto.NodeID(1+i%2), missItem, uint64(i))
-		return
+// run is the loop's process: it parks until step wakes it, then runs
+// step number l.steps.
+func (l *missLoop) run(p *sim.Process) {
+	for {
+		p.Park()
+		i := l.steps
+		if l.write {
+			l.r.e.WriteItem(p, proto.NodeID(1+i%2), missItem, uint64(i))
+			continue
+		}
+		l.r.e.ReadItem(p, 1, missItem)
+		l.r.e.WriteItem(p, 2, missItem, uint64(i))
 	}
-	l.r.e.ReadItem(p, 1, missItem)
-	l.r.e.WriteItem(p, 2, missItem, uint64(i))
 }
 
-// step spawns one loop step and runs the engine until it has finished.
+// step wakes the loop's process for one step and runs the engine until
+// the step has finished.
 func (l *missLoop) step() {
 	l.steps++
-	l.r.eng.SpawnBody("miss", l, l.steps)
+	l.r.eng.WakeNow(l.proc)
 	if _, err := l.r.eng.Run(); err != nil {
 		l.r.t.Fatal(err)
 	}
 }
 
-// newMissLoop builds the rig, lets node 2 create the item's master, and
-// warms the engine for warm steps so the free lists, slabs and timing
-// wheel slots have reached their steady size.
+// newMissLoop builds the rig, lets node 2 create the item's master,
+// starts the loop's process, and warms the engine for warm steps so the
+// free lists, slabs and timing wheel slots have reached their steady
+// size.
 func newMissLoop(tb testing.TB, write bool, warm int) *missLoop {
 	l := &missLoop{r: newRig(tb, 16, ECP, Options{}), write: write}
 	l.r.run(func(p *sim.Process) { l.r.e.WriteItem(p, 2, missItem, 1) })
+	l.proc = l.r.eng.Spawn("miss", l.run)
+	if _, err := l.r.eng.Run(); err != nil { // the process parks
+		tb.Fatal(err)
+	}
 	for i := 0; i < warm; i++ {
 		l.step()
 	}

@@ -94,12 +94,12 @@ type Engine struct {
 	// (see request and DESIGN.md §10.3 for the ownership rule).
 	replies sim.FuturePool[mesh.Message]
 
-	// msgs parks each delivered request for the handler process it
-	// spawns: dispatch stores the message and its handler in a free slot
-	// and spawns the prebuilt handlerBody with the slot index, the
-	// scheme mesh.Network.pending uses for deliveries. msgFree lists
-	// reusable slots.
-	msgs    []parkedMsg
+	// msgs keeps each delivered request until its handler has held an
+	// AM controller for the service time: handle stores the message in
+	// a free slot and every event of the handler carries the slot index
+	// (see OnEvent), the scheme mesh.Network.pending uses for
+	// deliveries. msgFree lists reusable slots.
+	msgs    []handled
 	msgFree []int32
 
 	// pendingInstalls[n][page] counts in-flight misses on node n that
@@ -214,25 +214,19 @@ func (e *Engine) mintTxn(n proto.NodeID) proto.TxnID {
 func (e *Engine) SetRoundTxn(t proto.TxnID) { e.roundTxn = t }
 
 // dispatch routes a delivered message to its handler. It runs in event
-// context; handlers needing simulated time run as processes.
+// context. A request is served by a handler at its destination node
+// that holds one of the node's AM controllers for the request's service
+// time, then runs its body (see handle).
 func (e *Engine) dispatch(n proto.NodeID, m mesh.Message) {
 	switch m.Kind {
-	case proto.MsgReadReq, proto.MsgWriteReq:
-		e.spawnHandler("home", (*Engine).homeRequest, m)
-	case proto.MsgReadFwd:
-		e.spawnHandler("owner-read", (*Engine).ownerRead, m)
-	case proto.MsgWriteFwd:
-		e.spawnHandler("owner-write", (*Engine).ownerWrite, m)
-	case proto.MsgInvalidate:
-		e.spawnHandler("invalidate", (*Engine).handleInvalidate, m)
+	case proto.MsgReadReq, proto.MsgWriteReq, proto.MsgInjectProbe:
+		e.handle(m, e.arch.DirLookup)
+	case proto.MsgReadFwd, proto.MsgWriteFwd, proto.MsgInjectData:
+		e.handle(m, e.arch.MemTransfer)
+	case proto.MsgInvalidate, proto.MsgPreCommitUpgrade:
+		e.handle(m, e.arch.AMAccess)
 	case proto.MsgInvalidateAck:
 		e.ackArrived(m.Item, 1)
-	case proto.MsgInjectProbe:
-		e.spawnHandler("inject-probe", (*Engine).handleInjectProbe, m)
-	case proto.MsgInjectData:
-		e.spawnHandler("inject-data", (*Engine).handleInjectData, m)
-	case proto.MsgPreCommitUpgrade:
-		e.spawnHandler("precommit-upgrade", (*Engine).handlePreCommitUpgrade, m)
 	case proto.MsgHomeUpdate, proto.MsgPartnerUpdate, proto.MsgPageAlloc:
 		// Timing-only traffic: the simulator state was already updated
 		// under the initiating transaction's item lock (DESIGN.md §4.2).
@@ -249,46 +243,94 @@ func (e *Engine) dispatch(n proto.NodeID, m mesh.Message) {
 	}
 }
 
-// handlerFn is a message handler run as a process at node n, the
-// message's destination.
-type handlerFn func(e *Engine, p *sim.Process, n proto.NodeID, m mesh.Message)
+// handlerStep is how far a handler has got; see OnEvent.
+type handlerStep uint8
 
-// parkedMsg is one slot of the handler slab: a delivered message and the
-// handler that will process it.
-type parkedMsg struct {
-	m  mesh.Message
-	fn handlerFn
+const (
+	stepStart   handlerStep = iota // dispatched
+	stepAckSent                    // inject data: the ack delay is over
+	stepGranted                    // Release handed a controller over
+	stepServed                     // the service time is over
+)
+
+// handled is one slot of the handler slab: a delivered request, the
+// controller time its handler holds, and how far the handler has got.
+type handled struct {
+	m       mesh.Message
+	service int64
+	step    handlerStep
 }
 
-// handlerBody is the sim.Body of every message handler process; its
-// argument is the slab slot of the message.
-type handlerBody struct{ e *Engine }
-
-func (h handlerBody) Run(p *sim.Process, slot int64) { h.e.runHandler(p, slot) }
-
-// spawnHandler parks m in the slab and spawns a handler process for it
-// without allocating a closure.
-func (e *Engine) spawnHandler(name string, fn handlerFn, m mesh.Message) {
-	var slot int32
+// handle parks m in a free slab slot and schedules its handler's first
+// event now; every event of the handler carries the slot index.
+func (e *Engine) handle(m mesh.Message, service int64) {
+	h := handled{m: m, service: service}
+	slot := int32(len(e.msgs))
 	if n := len(e.msgFree); n > 0 {
 		slot = e.msgFree[n-1]
 		e.msgFree = e.msgFree[:n-1]
-		e.msgs[slot] = parkedMsg{m: m, fn: fn}
+		e.msgs[slot] = h
 	} else {
-		slot = int32(len(e.msgs))
-		e.msgs = append(e.msgs, parkedMsg{m: m, fn: fn})
+		e.msgs = append(e.msgs, h)
 	}
-	e.eng.SpawnBody(name, handlerBody{e}, int64(slot))
+	e.eng.AfterSink(0, e, int64(slot))
 }
 
-// runHandler is a handler process's body. It copies its message out and
-// frees the slot before the handler can block, so concurrent handlers
-// reuse slots.
-func (e *Engine) runHandler(p *sim.Process, slot int64) {
-	pm := e.msgs[slot]
-	e.msgs[slot] = parkedMsg{} // release future/txn refs for the GC
-	e.msgFree = append(e.msgFree, int32(slot))
-	pm.fn(e, p, pm.m.Dst, pm.m)
+// OnEvent implements sim.EventSink: it moves the handler of the request
+// in slab slot arg one step on. A handler takes one of its node's AM
+// controllers (queueing in FIFO order with the processors' accesses),
+// holds it for the service time, releases it and runs a body that never
+// blocks, all in event context. Inject data first waits InjectAckDelay
+// and acknowledges; the hold that follows is its copy into memory.
+func (e *Engine) OnEvent(_ *sim.Engine, arg int64) {
+	h := &e.msgs[arg]
+	switch h.step {
+	case stepStart:
+		if h.m.Kind == proto.MsgInjectData {
+			h.step = stepAckSent
+			e.eng.AfterSink(e.arch.InjectAckDelay, e, arg)
+			return
+		}
+	case stepAckSent:
+		e.handleInjectData(h.m.Dst, h.m)
+	case stepServed:
+		m := h.m
+		e.msgs[arg] = handled{} // release future/txn refs for the GC
+		e.msgFree = append(e.msgFree, int32(arg))
+		e.ctl[m.Dst].Release(e.eng)
+		e.serve(m)
+		return
+	}
+	// Take a controller unless Release handed one over, then hold it.
+	if h.step != stepGranted && !e.ctl[h.m.Dst].AcquireSink(e.eng, e, arg) {
+		h.step = stepGranted
+		return
+	}
+	h.step = stepServed
+	e.eng.AfterSink(h.service, e, arg)
+}
+
+// serve runs the body of the handler of m at its destination node, once
+// the controller hold is over.
+func (e *Engine) serve(m mesh.Message) {
+	switch m.Kind {
+	case proto.MsgReadReq, proto.MsgWriteReq:
+		e.homeRequest(m.Dst, m)
+	case proto.MsgReadFwd:
+		e.ownerRead(m.Dst, m)
+	case proto.MsgWriteFwd:
+		e.ownerWrite(m.Dst, m)
+	case proto.MsgInvalidate:
+		e.handleInvalidate(m.Dst, m)
+	case proto.MsgInjectProbe:
+		e.handleInjectProbe(m.Dst, m)
+	case proto.MsgPreCommitUpgrade:
+		e.handlePreCommitUpgrade(m.Dst, m)
+	case proto.MsgInjectData:
+		// The hold was the copy into memory; nothing follows it.
+	default:
+		panic(fmt.Sprintf("coherence: no handler for %v", m))
+	}
 }
 
 // itemLock is a FIFO mutex serialising transactions on one item.
@@ -435,7 +477,9 @@ func (e *Engine) request(p *sim.Process, m mesh.Message) mesh.Message {
 	return reply
 }
 
-// useController charges d cycles of one of the node's AM controllers.
+// useController charges a processor access d cycles of one of the
+// node's AM controllers; message handlers take theirs in event context
+// (see OnEvent).
 func (e *Engine) useController(p *sim.Process, n proto.NodeID, d int64) {
 	e.ctl[n].Use(p, d)
 }

@@ -158,10 +158,9 @@ func (e *Engine) inject(p *sim.Process, n proto.NodeID, item proto.ItemID,
 // and, if so, installs it immediately (the initiator holds the item lock,
 // so the early installation is invisible to other transactions; the data
 // message that follows carries the transfer timing).
-func (e *Engine) handleInjectProbe(p *sim.Process, n proto.NodeID, m mesh.Message) {
-	e.useController(p, n, e.arch.DirLookup)
+func (e *Engine) handleInjectProbe(n proto.NodeID, m mesh.Message) {
 	kind := proto.MsgInjectRefuse
-	if e.tryAcceptInjection(p, n, m) {
+	if e.tryAcceptInjection(n, m) {
 		kind = proto.MsgInjectAccept
 	}
 	e.net.Send(mesh.Message{
@@ -178,7 +177,7 @@ func (e *Engine) handleInjectProbe(p *sim.Process, n proto.NodeID, m mesh.Messag
 // replace one of its Invalid or Shared slots for the item. A frame is
 // used if present; otherwise a free way is allocated; on the second ring
 // lap a fully replaceable victim frame may be dropped to make room.
-func (e *Engine) tryAcceptInjection(p *sim.Process, n proto.NodeID, m mesh.Message) bool {
+func (e *Engine) tryAcceptInjection(n proto.NodeID, m mesh.Message) bool {
 	item := m.Item
 	page := e.arch.PageOf(item)
 	amn := e.ams[n]
@@ -191,7 +190,7 @@ func (e *Engine) tryAcceptInjection(p *sim.Process, n proto.NodeID, m mesh.Messa
 			return false // the slot holds a master or recovery copy
 		}
 	case amn.FreeWay(page):
-		amn.AllocFrame(page, false, p.Now())
+		amn.AllocFrame(page, false, e.eng.Now())
 	case m.Arg >= 1: // second lap: drop a clean, idle frame if one exists
 		victim := proto.NoPage
 		for _, cand := range amn.VictimPages(page) {
@@ -204,7 +203,7 @@ func (e *Engine) tryAcceptInjection(p *sim.Process, n proto.NodeID, m mesh.Messa
 			return false
 		}
 		e.dropCleanFrame(n, victim)
-		amn.AllocFrame(page, false, p.Now())
+		amn.AllocFrame(page, false, e.eng.Now())
 	default:
 		return false
 	}
@@ -250,12 +249,12 @@ func (e *Engine) dropCleanFrame(n proto.NodeID, page proto.PageID) {
 	e.ams[n].DropFrame(page)
 }
 
-// handleInjectData models the receive-side timing of the injection data
-// transfer: the acknowledgement goes out InjectAckDelay cycles after the
-// item arrives, and the copy into memory happens after the ack (paper
-// §4.2.2). The state was installed at probe time.
-func (e *Engine) handleInjectData(p *sim.Process, n proto.NodeID, m mesh.Message) {
-	p.Wait(e.arch.InjectAckDelay)
+// handleInjectData acknowledges an injection data transfer at node n.
+// It models the receive-side timing: the acknowledgement goes out
+// InjectAckDelay cycles after the item arrives, and the copy into memory
+// (a controller hold, see OnEvent) happens after the ack (paper §4.2.2).
+// The state was installed at probe time.
+func (e *Engine) handleInjectData(n proto.NodeID, m mesh.Message) {
 	e.net.Send(mesh.Message{
 		Kind:  proto.MsgInjectAck,
 		Src:   n,
@@ -264,5 +263,4 @@ func (e *Engine) handleInjectData(p *sim.Process, n proto.NodeID, m mesh.Message
 		Reply: m.Token,
 		Txn:   m.Txn,
 	})
-	e.useController(p, n, e.arch.MemTransfer)
 }

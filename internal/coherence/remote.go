@@ -5,14 +5,12 @@ import (
 
 	"coma/internal/mesh"
 	"coma/internal/proto"
-	"coma/internal/sim"
 )
 
 // homeRequest handles a read or write request arriving at the item's home
 // node: it consults the localisation pointer and either grants a cold
 // first touch or forwards the request to the current owner.
-func (e *Engine) homeRequest(p *sim.Process, h proto.NodeID, m mesh.Message) {
-	e.useController(p, h, e.arch.DirLookup)
+func (e *Engine) homeRequest(h proto.NodeID, m mesh.Message) {
 	entry := e.dir.Lookup(m.Item)
 	if entry == nil || entry.Owner == proto.None {
 		// The item has never been written: it is initialised-background
@@ -73,8 +71,7 @@ func (e *Engine) homeRequest(p *sim.Process, h proto.NodeID, m mesh.Message) {
 // item, adds the requester to the sharing set and replies with data. An
 // Exclusive owner downgrades to MasterShared; a Shared-CK1 owner serves
 // the read unchanged (the ECP lets recovery copies serve misses).
-func (e *Engine) ownerRead(p *sim.Process, o proto.NodeID, m mesh.Message) {
-	e.useController(p, o, e.arch.MemTransfer)
+func (e *Engine) ownerRead(o proto.NodeID, m mesh.Message) {
 	slot := e.ams[o].Slot(m.Item)
 	switch slot.State {
 	case proto.Exclusive:
@@ -105,8 +102,7 @@ func (e *Engine) ownerRead(p *sim.Process, o proto.NodeID, m mesh.Message) {
 // hands data and ownership to the requester, and — under the ECP, when
 // the item was unmodified since the last recovery point — downgrades the
 // Shared-CK pair to Inv-CK instead of destroying it.
-func (e *Engine) ownerWrite(p *sim.Process, o proto.NodeID, m mesh.Message) {
-	e.useController(p, o, e.arch.MemTransfer)
+func (e *Engine) ownerWrite(o proto.NodeID, m mesh.Message) {
 	slot := e.ams[o].Slot(m.Item)
 	entry := e.dir.Lookup(m.Item)
 	acks := 0
@@ -181,8 +177,7 @@ func (e *Engine) ownerWrite(p *sim.Process, o proto.NodeID, m mesh.Message) {
 // handleInvalidate processes an invalidation at a node holding a Shared
 // copy (drop it) or the Shared-CK2 copy (downgrade to Inv-CK2), then
 // acknowledges to the requester.
-func (e *Engine) handleInvalidate(p *sim.Process, n proto.NodeID, m mesh.Message) {
-	e.useController(p, n, e.arch.AMAccess)
+func (e *Engine) handleInvalidate(n proto.NodeID, m mesh.Message) {
 	e.counters[n].InvalidationsIn++
 	switch st := e.ams[n].State(m.Item); st {
 	case proto.Shared:
@@ -208,8 +203,7 @@ func (e *Engine) handleInvalidate(p *sim.Process, n proto.NodeID, m mesh.Message
 // handlePreCommitUpgrade turns a local Shared copy into the PreCommit2
 // recovery copy of the establishment in progress — the paper's
 // replication-reuse optimisation: no data transfer happens.
-func (e *Engine) handlePreCommitUpgrade(p *sim.Process, n proto.NodeID, m mesh.Message) {
-	e.useController(p, n, e.arch.AMAccess)
+func (e *Engine) handlePreCommitUpgrade(n proto.NodeID, m mesh.Message) {
 	if st := e.ams[n].State(m.Item); st != proto.Shared {
 		panic(fmt.Sprintf("coherence: pre-commit upgrade of item %d on %v in %v", m.Item, n, st))
 	}

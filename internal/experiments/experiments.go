@@ -154,7 +154,7 @@ func (s *Suite) identity(key runKey, app workload.Spec) config.RunIdentity {
 		Seed:               s.P.Seed,
 		CheckpointHz:       key.hz(),
 		Oracle:             true,
-		MaxCycles:          1 << 40,
+		MaxCycles:          machine.DefaultMaxCycles,
 	}
 }
 

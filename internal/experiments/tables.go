@@ -38,7 +38,6 @@ func (s *Suite) Table1() (*report.Table, error) {
 		Seed:         s.P.Seed,
 		CheckpointHz: hz,
 		Oracle:       true,
-		MaxCycles:    1 << 40,
 	}
 	m, err := machine.New(cfg)
 	if err != nil {

@@ -127,8 +127,11 @@ type PhaseView struct {
 type SummaryView struct {
 	SimCycles int64 `json:"sim_cycles"`
 	// Events is the total dispatched so far (sim.Engine.Events).
-	Events    int64 `json:"events"`
-	Processes int   `json:"processes"`
+	Events int64 `json:"events"`
+	// Processes counts the live simulated processes (sim.Engine.Processes):
+	// the processors and the recovery coordinator only, since message
+	// handlers run as events.
+	Processes int `json:"processes"`
 	// Pending-event population by residence (sim.Engine.QueueStats).
 	WheelEvents    int `json:"wheel_events"`
 	OverflowEvents int `json:"overflow_events"`

@@ -28,9 +28,9 @@ func TestClosureSched(t *testing.T) {
 }
 
 // TestClosureSchedSpawn proves the Spawn half of the rule: in a package
-// named like the protocol engine a per-message Engine.Spawn literal is
-// diagnosed and the SpawnBody slab form is not, while a start-up
-// package may keep its Spawn literals.
+// named like the protocol engine every Engine.Spawn is diagnosed, a
+// closure literal or a body passed by name, and the typed-event handler
+// form is not, while a start-up package may keep its Spawn literals.
 func TestClosureSchedSpawn(t *testing.T) {
 	analysistest.Run(t, analyzers.ClosureSched, "testdata/src/spawnsched/coherence")
 	analysistest.Run(t, analyzers.ClosureSched, "testdata/src/spawnsched/machine")

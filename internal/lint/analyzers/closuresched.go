@@ -18,11 +18,13 @@ import (
 // rule targets the per-event literal, the allocation that scales with
 // event count, not the one-time closure of a self-rescheduling ticker.
 //
-// The same holds for processes where spawns scale with message count:
-// in internal/coherence and internal/mesh a literal passed to
-// Engine.Spawn allocates a closure per message, and Engine.SpawnBody
-// with a typed argument spawns without one. Start-up spawns of
-// long-lived processes (machine, core, snoop) stay legal.
+// In internal/coherence and internal/mesh, whose work scales with
+// message count, every Engine.Spawn call is flagged, closure or not: a
+// process costs a goroutine and a baton handoff per switch, and neither
+// package needs one. A message handler runs in event context on typed
+// events, taking its node's controller with Resource.AcquireSink.
+// Start-up spawns of long-lived processes (machine, core, snoop) stay
+// legal.
 //
 // In the same two packages every sim.NewFuture call is flagged: request
 // and reply futures there scale with message count, and a
@@ -32,15 +34,14 @@ var ClosureSched = &analysis.Analyzer{
 	Name: "closuresched",
 	Doc: "hot-path packages must not schedule per-event closures via " +
 		"Engine.At/After literals (use AtSink/AfterSink), nor spawn " +
-		"per-message ones via Engine.Spawn (use SpawnBody) or allocate " +
-		"reply futures via sim.NewFuture (use sim.FuturePool) in coherence/mesh",
+		"processes via Engine.Spawn or allocate reply futures via " +
+		"sim.NewFuture (use sim.FuturePool) in coherence/mesh",
 	Run: runClosureSched,
 }
 
 // spawnScoped reports whether the Spawn and NewFuture rules apply to a
-// package: the ones that spawn a process and send a request per
-// delivered message. Matched on the last path element so analyzer
-// fixtures can stand in for them.
+// package: the ones that handle and send messages. Matched on the last
+// path element so analyzer fixtures can stand in for them.
 func spawnScoped(pkgPath string) bool {
 	switch path.Base(pkgPath) {
 	case "coherence", "mesh":
@@ -88,26 +89,18 @@ func runClosureSched(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			var msg string
-			switch sel.Sel.Name {
-			case "At", "After":
-				msg = "closure literal scheduled via Engine.%s allocates per event on a hot path: " +
-					"use a typed event (Engine.AtSink/AfterSink with an EventSink)"
-			case "Spawn":
-				if !spawns {
-					return true
-				}
-				msg = "closure literal spawned via Engine.%s allocates per message on a hot path: " +
-					"use Engine.SpawnBody with a typed argument"
-			default:
-				return true
-			}
-			if !isEngineMethod(pass, sel) {
-				return true
-			}
-			for _, arg := range call.Args {
-				if _, isLit := arg.(*ast.FuncLit); isLit {
-					pass.Reportf(arg.Pos(), msg, sel.Sel.Name)
+			switch name := sel.Sel.Name; {
+			case name == "Spawn" && spawns && isEngineMethod(pass, sel):
+				pass.Reportf(call.Pos(), "Engine.Spawn starts a process in a package whose work scales "+
+					"with message count: run the work in event context (typed events, "+
+					"Resource.AcquireSink for a controller)")
+			case (name == "At" || name == "After") && isEngineMethod(pass, sel):
+				for _, arg := range call.Args {
+					if _, isLit := arg.(*ast.FuncLit); isLit {
+						pass.Reportf(arg.Pos(), "closure literal scheduled via Engine.%s allocates per event "+
+							"on a hot path: use a typed event (Engine.AtSink/AfterSink with an EventSink)",
+							name)
+					}
 				}
 			}
 			return true

@@ -10,9 +10,9 @@ import (
 	"coma/internal/coherence"
 )
 
-// TestRunLeavesNoGoroutines: handler processes recycle their goroutines
-// through the engine's free list, and Run's Shutdown must end them all —
-// live and idle — on every way out of Run: completion, the first fatal
+// TestRunLeavesNoGoroutines: the processor and coordinator processes
+// may still be parked when Run stops, and Run's Shutdown must end all of
+// their goroutines on every way out of Run: completion, the first fatal
 // error, and the MaxCycles limit.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	normal := baseCfg(16, coherence.ECP)
@@ -58,5 +58,40 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestProcessesAreProcessorsAndCoordinator: coherence handlers run in
+// event context, so at every safe point of a faulted ECP run, through
+// a rollback and a reconfiguration, the live processes are at most the
+// processors and the recovery coordinator.
+func TestProcessesAreProcessorsAndCoordinator(t *testing.T) {
+	cfg := baseCfg(16, coherence.ECP)
+	cfg.App = smallApp(100_000)
+	span := probeCycles(t, cfg)
+	cfg.CheckpointInterval = span / 8
+	cfg.Failures = []FailurePlan{
+		{At: span / 3, Node: 5},
+		{At: span * 2 / 3, Node: 3, Permanent: true},
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := cfg.Arch.Nodes + 1
+	peak := 0
+	m.eng.SetSafePointHook(func(int64) { peak = max(peak, m.eng.Processes()) })
+	r, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Ckpt.Recoveries != 2 {
+		t.Fatalf("rollbacks = %d, want 2", r.Ckpt.Recoveries)
+	}
+	if peak > limit {
+		t.Fatalf("peak live processes = %d, want at most %d (nodes + coordinator)", peak, limit)
+	}
+	if peak < cfg.Arch.Nodes {
+		t.Fatalf("peak live processes = %d, fewer than the %d processors", peak, cfg.Arch.Nodes)
 	}
 }

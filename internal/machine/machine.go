@@ -64,8 +64,8 @@ type Config struct {
 	// commit and rollback (slow; for tests).
 	Invariants bool
 
-	// MaxCycles aborts a run that exceeds this simulated time
-	// (safety net; 0 means no limit).
+	// MaxCycles aborts a run that exceeds this simulated time (safety
+	// net; 0 selects DefaultMaxCycles, a negative value means no limit).
 	MaxCycles int64
 
 	// Obs, when non-nil, receives observability events from every layer
@@ -139,6 +139,10 @@ var ErrDataLoss = errors.New("machine: committed recovery data lost (multiple ov
 // continue operating (the paper's four irreplaceable pages make the same
 // assumption).
 var ErrTooFewNodes = errors.New("machine: too few live nodes remain for the ECP")
+
+// DefaultMaxCycles is the cycle cap of a Config whose MaxCycles is 0:
+// far past any run the campaigns make, so it only stops a hung one.
+const DefaultMaxCycles = 1 << 40
 
 // New assembles a machine from the configuration.
 func New(cfg Config) (*Machine, error) {
@@ -272,7 +276,10 @@ func (m *Machine) Run() (*stats.Run, error) {
 	}
 
 	limit := int64(-1)
-	if m.cfg.MaxCycles > 0 {
+	switch {
+	case m.cfg.MaxCycles == 0:
+		limit = DefaultMaxCycles
+	case m.cfg.MaxCycles > 0:
 		limit = m.cfg.MaxCycles
 	}
 	end, err := m.eng.RunUntil(limit)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"coma/internal/config"
 	"coma/internal/fault"
 	"coma/internal/inspect"
+	"coma/internal/machine"
 	"coma/internal/proto"
 	"coma/internal/workload"
 )
@@ -169,10 +171,6 @@ func (sp JobSpec) Identity(revision string) (config.RunIdentity, error) {
 	default:
 		arch = config.KSR1(sp.Nodes)
 	}
-	maxCycles := sp.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 1 << 40
-	}
 	var failures []config.FailureEvent
 	if len(sp.Failures) > 0 {
 		failures = append(failures, sp.Failures...)
@@ -198,7 +196,9 @@ func (sp JobSpec) Identity(revision string) (config.RunIdentity, error) {
 		Oracle:             !sp.NoOracle,
 		Strict:             sp.Strict,
 		Invariants:         sp.Invariants,
-		MaxCycles:          maxCycles,
+		// The identity names the cap the machine applies, so a spec
+		// without one digests as one with machine.DefaultMaxCycles.
+		MaxCycles: cmp.Or(sp.MaxCycles, machine.DefaultMaxCycles),
 	}, nil
 }
 

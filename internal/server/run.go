@@ -66,10 +66,6 @@ func BuildMachine(id config.RunIdentity, observer obs.Observer) (*machine.Machin
 	for i, f := range id.Failures {
 		failures[i] = machine.FailurePlan{At: f.At, Node: proto.NodeID(f.Node), Permanent: f.Permanent}
 	}
-	maxCycles := id.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 1 << 40
-	}
 	return machine.New(machine.Config{
 		Arch:     id.Arch,
 		Protocol: protocol,
@@ -85,7 +81,7 @@ func BuildMachine(id config.RunIdentity, observer obs.Observer) (*machine.Machin
 		Oracle:             id.Oracle,
 		Strict:             id.Strict,
 		Invariants:         id.Invariants,
-		MaxCycles:          maxCycles,
+		MaxCycles:          id.MaxCycles,
 		Obs:                observer,
 	})
 }

@@ -48,8 +48,9 @@ func BenchmarkProcessWaitZero(b *testing.B) {
 }
 
 // BenchmarkSpawnWaitChurn measures process lifecycle cost: each iteration
-// spawns a short-lived process that blocks a few times and exits, the
-// pattern of per-transaction helper processes in the coherence engine.
+// spawns a short-lived process that blocks a few times and exits. It is
+// what a message handler would cost as a process; the coherence engine's
+// handlers run as events instead.
 func BenchmarkSpawnWaitChurn(b *testing.B) {
 	b.ReportAllocs()
 	e := New()

@@ -15,9 +15,9 @@
 // events (EventSink) are enum-dispatched without closures, and the
 // goroutine holding the baton dispatches subsequent events itself — a
 // process waking another process is one channel handoff, a process
-// waking itself is none. Finished processes park their goroutines on a
-// free list, so a steady-state Spawn (SpawnBody with a typed argument)
-// allocates nothing either.
+// waking itself is none. Work that never blocks for long (a controller
+// serving one message) needs no process at all: it queues on a Resource
+// with a typed callback (AcquireSink) and runs in event context.
 package sim
 
 import (
@@ -52,11 +52,6 @@ type Engine struct {
 	procs   map[*Process]struct{}
 	nextPID int
 
-	// idle is the free list of finished processes whose goroutines are
-	// parked for reuse by the next Spawn (see Process.top). They are
-	// not in procs; Shutdown drains them.
-	idle []*Process
-
 	running  bool
 	stopped  bool
 	shutdown bool
@@ -89,7 +84,7 @@ type eventKind uint8
 const (
 	evFn    eventKind = iota // fn: arbitrary callback
 	evWake                   // proc: resume a parked process
-	evStart                  // proc: first dispatch of a brand-new process
+	evStart                  // proc: first dispatch of a process
 	evSink                   // sink, arg: typed allocation-free payload
 )
 
@@ -124,7 +119,7 @@ func (e *Engine) Now() int64 { return e.now }
 func (e *Engine) Events() int64 { return e.events }
 
 // Processes returns the number of live (spawned, not yet finished)
-// processes. Idle recycled goroutines are not counted.
+// processes.
 func (e *Engine) Processes() int { return len(e.procs) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
@@ -322,10 +317,9 @@ func (e *Engine) next() (event, bool) {
 
 // Shutdown terminates every live process (they observe a killed signal at
 // their next — or current — blocking point) and drains their goroutines,
-// in ascending process-id order for determinism, then ends the idle
-// goroutines on the free list, so no goroutine of the engine outlives
-// it. The engine must not be running. After Shutdown the engine can
-// still inspect state but should not schedule further work.
+// in ascending process-id order for determinism, so no goroutine of the
+// engine outlives it. The engine must not be running. After Shutdown the
+// engine can still inspect state but should not schedule further work.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown while running")
@@ -355,24 +349,11 @@ func (e *Engine) Shutdown() {
 			<-e.yield
 		}
 	}
-	for len(e.idle) > 0 {
-		p := e.idle[len(e.idle)-1]
-		e.idle = e.idle[:len(e.idle)-1]
-		p.killed = true
-		p.wake <- struct{}{}
-		<-e.yield
-	}
-}
-
-// wakeNow schedules an immediate handshake that resumes p and waits for it
-// to park again or finish.
-func (e *Engine) wakeNow(p *Process) {
-	e.atWake(e.now, p)
 }
 
 // WakeNow resumes a process blocked in Park at the current simulated
-// time. The counterpart of Process.Park for externally built primitives.
-func (e *Engine) WakeNow(p *Process) { e.wakeNow(p) }
+// time. Every primitive that wakes a process goes through here.
+func (e *Engine) WakeNow(p *Process) { e.atWake(e.now, p) }
 
 // eventHeap is a binary min-heap ordered by (time, seq); it backs the
 // timing wheel's far-future overflow (wheel.go).

@@ -11,39 +11,19 @@ import (
 	"time"
 )
 
-// waitOnce is a static process body: converting it to a Body does not
-// allocate, so the zero-alloc gates measure the engine alone.
+// waitOnce is a process body that waits one cycle and finishes.
 func waitOnce(p *Process) { p.Wait(1) }
 
-// TestSpawnRecycledZeroAlloc gates the steady-state handler path: once a
-// finished process is on the free list, a spawn → Wait → exit cycle
-// reuses its Process and goroutine and allocates nothing.
-func TestSpawnRecycledZeroAlloc(t *testing.T) {
-	e := New()
-	defer e.Shutdown()
-	cycle := func() {
-		e.Spawn("w", waitOnce)
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm-up: the first cycle creates the goroutine; a full lap of the
-	// timing wheel gives every slot its backing array.
-	for i := 0; i < wheelSize; i++ {
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
-		t.Fatalf("recycled spawn cycle allocates %.1f per op, want 0", allocs)
-	}
-}
-
-// futureHost awaits its future in a process and completes it from a
-// typed event, so a cycle needs no closure.
+// futureHost awaits its future in a long-lived process and completes it
+// from a typed event, so a cycle needs no closure.
 type futureHost struct{ f Future[int] }
 
-func (h *futureHost) Run(p *Process, _ int64) {
-	if v := h.f.Await(p); v != 7 {
-		panic("wrong future value")
+func (h *futureHost) await(p *Process) {
+	for {
+		if v := h.f.Await(p); v != 7 {
+			panic("wrong future value")
+		}
+		h.f.Reset()
 	}
 }
 
@@ -55,9 +35,8 @@ func TestFutureSingleWaiterZeroAlloc(t *testing.T) {
 	e := New()
 	defer e.Shutdown()
 	h := &futureHost{}
+	e.Spawn("await", h.await)
 	cycle := func() {
-		h.f = Future[int]{}
-		e.SpawnBody("await", h, 0)
 		e.AfterSink(1, h, 0)
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -93,63 +72,7 @@ func TestFutureWakeOrderFIFO(t *testing.T) {
 	}
 }
 
-// TestRecycledProcessGetsFreshPID: a spawn after a process finished
-// reuses that Process, but under the next, larger process id.
-func TestRecycledProcessGetsFreshPID(t *testing.T) {
-	e := New()
-	defer e.Shutdown()
-	first := e.Spawn("a", waitOnce)
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	firstID := first.id
-	second := e.Spawn("b", waitOnce)
-	if second != first {
-		t.Fatal("spawn after a finished process did not reuse it")
-	}
-	if second.id <= firstID {
-		t.Fatalf("recycled pid = %d, want > %d", second.id, firstID)
-	}
-	if second.Name() != "b" {
-		t.Fatalf("recycled name = %q, want %q", second.Name(), "b")
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRecycledSelfStart covers the dying-holder hazard: a process that
-// finishes keeps dispatching, and the next event it dispatches spawns a
-// process that takes its own goroutine off the free list and starts at
-// once. The holder must run the new body itself instead of handing the
-// baton to its own channel.
-func TestRecycledSelfStart(t *testing.T) {
-	e := New()
-	defer e.Shutdown()
-	var trail []string
-	e.Spawn("first", func(p *Process) {
-		p.Wait(1)
-		e.At(1, func() {
-			e.Spawn("second", func(p *Process) {
-				trail = append(trail, "second")
-				p.Wait(1)
-			})
-		})
-		trail = append(trail, "first")
-	})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(trail, []string{"first", "second"}) {
-		t.Fatalf("trail = %v", trail)
-	}
-	if e.Now() != 2 || e.Processes() != 0 || len(e.idle) != 1 {
-		t.Fatalf("now=%d live=%d idle=%d, want 2, 0, 1", e.Now(), e.Processes(), len(e.idle))
-	}
-}
-
-// TestProcessesExcludesIdle: finished processes park on the free list
-// but are not live.
+// TestProcessesExcludesIdle: finished processes are not live.
 func TestProcessesExcludesIdle(t *testing.T) {
 	e := New()
 	defer e.Shutdown()
@@ -165,15 +88,12 @@ func TestProcessesExcludesIdle(t *testing.T) {
 	if e.Processes() != 0 {
 		t.Fatalf("live after run = %d, want 0", e.Processes())
 	}
-	if len(e.idle) != 3 {
-		t.Fatalf("idle = %d, want 3", len(e.idle))
-	}
 }
 
-// TestShutdownKillsInPIDOrderThenDrainsIdle: live processes, recycled or
-// not, die in ascending pid order; afterwards no goroutine of the engine
-// is left, idle ones included.
-func TestShutdownKillsInPIDOrderThenDrainsIdle(t *testing.T) {
+// TestShutdownKillsInPIDOrder: live processes die in ascending pid
+// order, whatever the order they parked in; afterwards no goroutine of
+// the engine is left.
+func TestShutdownKillsInPIDOrder(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := New()
 	g := NewGate()
@@ -182,9 +102,8 @@ func TestShutdownKillsInPIDOrderThenDrainsIdle(t *testing.T) {
 		defer func() { killed = append(killed, p.id) }()
 		g.Wait(p)
 	}
-	// One fresh stuck process and four finished ones leave four idle
-	// goroutines; three are then recycled into stuck processes and one
-	// stays idle.
+	// One stuck process and four finished ones, then three more stuck
+	// ones: the stuck pids are 1, 6, 7 and 8.
 	e.Spawn("stuck", stuck)
 	for i := 0; i < 4; i++ {
 		e.Spawn("done", waitOnce)
@@ -198,15 +117,15 @@ func TestShutdownKillsInPIDOrderThenDrainsIdle(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Processes() != 4 || len(e.idle) != 1 {
-		t.Fatalf("live=%d idle=%d, want 4 and 1", e.Processes(), len(e.idle))
+	if e.Processes() != 4 {
+		t.Fatalf("live = %d, want 4", e.Processes())
 	}
 	e.Shutdown()
 	if !slices.Equal(killed, []int{1, 6, 7, 8}) {
 		t.Fatalf("kill order = %v, want ascending pids [1 6 7 8]", killed)
 	}
-	if e.Processes() != 0 || len(e.idle) != 0 {
-		t.Fatalf("after shutdown live=%d idle=%d, want 0", e.Processes(), len(e.idle))
+	if e.Processes() != 0 {
+		t.Fatalf("after shutdown live = %d, want 0", e.Processes())
 	}
 	waitGoroutines(t, before)
 }
@@ -251,7 +170,7 @@ const crashHelperArg = "sim-crash-helper"
 
 // TestPanickingProcessReraised: a panic in a process body is re-raised
 // on its goroutine, crashing the program loudly with the process name,
-// rather than being swallowed into the free list. It runs in a child
+// rather than being swallowed. It runs in a child
 // copy of the test binary, since the crash ends the process.
 func TestPanickingProcessReraised(t *testing.T) {
 	if slices.Contains(flag.Args(), crashHelperArg) {
@@ -271,7 +190,7 @@ func TestPanickingProcessReraised(t *testing.T) {
 	}
 }
 
-// crashingRun recycles one process, then spawns one that panics.
+// crashingRun finishes one process, then spawns one that panics.
 func crashingRun() {
 	e := New()
 	e.Spawn("ok", waitOnce)

@@ -37,11 +37,11 @@ func (f *Future[T]) Complete(e *Engine, v T) {
 	f.done = true
 	f.val = v
 	if f.waiter != nil {
-		e.wakeNow(f.waiter)
+		e.WakeNow(f.waiter)
 		f.waiter = nil
 	}
 	for _, p := range f.more {
-		e.wakeNow(p)
+		e.WakeNow(p)
 	}
 	f.more = nil
 }
@@ -56,7 +56,7 @@ func (f *Future[T]) Await(p *Process) T {
 	} else {
 		f.more = append(f.more, p)
 	}
-	p.park()
+	p.Park()
 	if !f.done {
 		panic("sim: process woken before future completion")
 	}
@@ -115,17 +115,27 @@ func (fp *FuturePool[T]) Outstanding() int { return fp.out }
 
 // Resource is a multi-server FIFO resource (for example the four
 // independent AM controllers of a node, or a network interface). Acquire
-// blocks when all servers are busy; Release hands the server to the
-// longest-waiting process.
+// blocks a process when all servers are busy; AcquireSink queues a typed
+// callback instead, for work that runs in event context. Both kinds of
+// waiter share one FIFO, and Release hands the server to the longest
+// waiting one.
 type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*Process
+	waiters  []waiter
 
 	// Busy-time accounting for utilisation statistics.
 	busyCycles int64
 	lastChange int64
+}
+
+// waiter is one queued acquirer: a blocked process, or (proc nil) the
+// sink and arg of an AcquireSink.
+type waiter struct {
+	proc *Process
+	sink EventSink
+	arg  int64
 }
 
 // NewResource returns a resource with the given number of servers.
@@ -138,15 +148,26 @@ func NewResource(name string, capacity int) *Resource {
 
 // Acquire blocks p until a server is free, then claims it.
 func (r *Resource) Acquire(p *Process) {
-	e := p.eng
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.account(e)
-		r.inUse++
+	if r.TryAcquire(p.eng) {
 		return
 	}
-	r.waiters = append(r.waiters, p)
-	p.park()
+	r.waiters = append(r.waiters, waiter{proc: p})
+	p.Park()
 	// The releasing side transferred the server to us (inUse unchanged).
+}
+
+// AcquireSink is the event-context form of Acquire. It claims a free
+// server and returns true, as Acquire would without blocking. Otherwise
+// it queues (sink, arg) behind the current waiters and returns false;
+// the Release that hands the server over then schedules
+// sink.OnEvent(arg) at its own time, where it would schedule a blocked
+// process's wake, and the server is held from that event on.
+func (r *Resource) AcquireSink(e *Engine, sink EventSink, arg int64) bool {
+	if r.TryAcquire(e) {
+		return true
+	}
+	r.waiters = append(r.waiters, waiter{sink: sink, arg: arg})
+	return false
 }
 
 // TryAcquire claims a server if one is immediately free, without blocking.
@@ -166,10 +187,16 @@ func (r *Resource) Release(e *Engine) {
 		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
 	}
 	if len(r.waiters) > 0 {
+		// The server stays in use, transferred to the next waiter.
 		next := r.waiters[0]
 		copy(r.waiters, r.waiters[1:])
+		r.waiters[len(r.waiters)-1] = waiter{} // release the sink for the GC
 		r.waiters = r.waiters[:len(r.waiters)-1]
-		e.wakeNow(next) // server stays in use, transferred to next
+		if next.proc != nil {
+			e.WakeNow(next.proc)
+		} else {
+			e.AtSink(e.now, next.sink, next.arg)
+		}
 		return
 	}
 	r.account(e)
@@ -187,7 +214,7 @@ func (r *Resource) Use(p *Process, d int64) {
 // InUse returns the number of busy servers.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of blocked acquirers.
+// QueueLen returns the number of queued acquirers, processes and sinks.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // BusyCycles returns the integral of busy servers over time, in
@@ -245,7 +272,7 @@ func (b *Barrier) Arrive(p *Process) bool {
 		return true
 	}
 	b.waiters = append(b.waiters, p)
-	p.park()
+	p.Park()
 	return false
 }
 
@@ -257,7 +284,7 @@ func (b *Barrier) maybeOpen(e *Engine) {
 
 func (b *Barrier) open(e *Engine) {
 	for _, w := range b.waiters {
-		e.wakeNow(w)
+		e.WakeNow(w)
 	}
 	b.waiters = nil
 	b.arrived = 0
@@ -282,7 +309,7 @@ func (g *Gate) IsOpen() bool { return g.open }
 func (g *Gate) Open(e *Engine) {
 	g.open = true
 	for _, w := range g.waiters {
-		e.wakeNow(w)
+		e.WakeNow(w)
 	}
 	g.waiters = nil
 }
@@ -296,5 +323,5 @@ func (g *Gate) Wait(p *Process) {
 		return
 	}
 	g.waiters = append(g.waiters, p)
-	p.park()
+	p.Park()
 }

@@ -213,6 +213,128 @@ func TestResourceTryAcquire(t *testing.T) {
 	r.Release(e)
 }
 
+// holdSink is an event-context Resource user: each arg is one waiter,
+// which takes a server with AcquireSink, holds it for one cycle and
+// releases it. Its events alternate between a grant and the end of a
+// hold.
+type holdSink struct {
+	r       *Resource
+	held    []bool
+	onGrant func(arg int64) // nil: record nothing
+}
+
+func (h *holdSink) acquire(e *Engine, arg int64) {
+	if h.r.AcquireSink(e, h, arg) {
+		h.grant(e, arg)
+	}
+}
+
+func (h *holdSink) grant(e *Engine, arg int64) {
+	h.held[arg] = true
+	if h.onGrant != nil {
+		h.onGrant(arg)
+	}
+	e.AfterSink(1, h, arg)
+}
+
+func (h *holdSink) OnEvent(e *Engine, arg int64) {
+	if h.held[arg] {
+		h.held[arg] = false
+		h.r.Release(e)
+		return
+	}
+	h.grant(e, arg) // Release handed the server over
+}
+
+// TestResourceFIFOAcrossProcessesAndSinks: processes blocked in Acquire
+// and sinks queued by AcquireSink wait in one FIFO, so the server goes
+// to them in arrival order whatever their kind, each at the time the
+// previous holder releases it.
+func TestResourceFIFOAcrossProcessesAndSinks(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		// arrivals has one waiter per cycle from cycle 1 on: 'p' a
+		// process, 's' a sink. Holders keep every server until cycle 10.
+		arrivals string
+	}{
+		{"processes", 1, "ppp"},
+		{"sinks", 1, "sss"},
+		{"alternating", 1, "psps"},
+		{"sinks first", 1, "sspp"},
+		{"processes first", 1, "ppss"},
+		{"two servers", 2, "pspssp"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			r := NewResource("r", tc.capacity)
+			for i := 0; i < tc.capacity; i++ {
+				e.Spawn("holder", func(p *Process) { r.Use(p, 10) })
+			}
+			var order []int
+			var at []int64
+			granted := func(i int) {
+				order = append(order, i)
+				at = append(at, e.Now())
+			}
+			h := &holdSink{r: r, held: make([]bool, len(tc.arrivals))}
+			h.onGrant = func(arg int64) { granted(int(arg)) }
+			for i, kind := range tc.arrivals {
+				arrive := int64(i + 1)
+				if kind == 's' {
+					e.At(arrive, func() { h.acquire(e, int64(i)) })
+					continue
+				}
+				e.Spawn("waiter", func(p *Process) {
+					p.WaitUntil(arrive)
+					r.Acquire(p)
+					granted(i)
+					p.Wait(1)
+					r.Release(e)
+				})
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range tc.arrivals {
+				want := 10 + int64(i/tc.capacity)
+				if i >= len(order) || order[i] != i || at[i] != want {
+					t.Fatalf("grants %v at %v, want waiter %d at cycle %d", order, at, i, want)
+				}
+			}
+			if len(order) != len(tc.arrivals) || r.InUse() != 0 || r.QueueLen() != 0 {
+				t.Fatalf("%d grants, %d in use, %d queued after the run",
+					len(order), r.InUse(), r.QueueLen())
+			}
+		})
+	}
+}
+
+// TestResourceSinkCycleZeroAlloc gates the path of a coherence message
+// handler: once warm, a sink that takes a free server and one that
+// queues behind it, is granted the server by Release, holds it and
+// releases it allocate nothing.
+func TestResourceSinkCycleZeroAlloc(t *testing.T) {
+	e := New()
+	h := &holdSink{r: NewResource("r", 1), held: make([]bool, 2)}
+	cycle := func() {
+		h.acquire(e, 0)
+		h.acquire(e, 1)
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < wheelSize; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("sink acquire-hold-release cycle allocates %.1f per op, want 0", allocs)
+	}
+	if h.r.InUse() != 0 || h.r.QueueLen() != 0 {
+		t.Fatalf("in use %d, queued %d after the cycles", h.r.InUse(), h.r.QueueLen())
+	}
+}
+
 func TestResourceReleaseIdlePanics(t *testing.T) {
 	e := New()
 	r := NewResource("x", 1)
