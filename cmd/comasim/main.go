@@ -36,6 +36,7 @@ import (
 
 	"coma"
 	"coma/internal/config"
+	"coma/internal/obs"
 	"coma/internal/obs/receipt"
 	"coma/internal/proto"
 	"coma/internal/report"
@@ -96,6 +97,7 @@ func main() {
 		receiptOut = flag.String("receipt-out", "", "write the execution receipt (coma-receipt/v1 JSON) to this file (\"-\" for stdout); with -remote, fetched from the daemon")
 		resultOut  = flag.String("result-out", "", "write the canonical result payload the receipt attests to this file; with -remote, fetched from the daemon")
 		receiptKey = flag.String("receipt-key", "", "hex HMAC-SHA256 key signing the receipt (in-process runs; a remote daemon signs with its own key)")
+		rtraceOut  = flag.String("receipt-trace-out", "", "write the receipt's trace (JSONL under the receipt mask: the bytes trace_digest covers) to this file (in-process runs)")
 	)
 	var failures failureFlags
 	flag.Var(&failures, "fail", "inject a failure, cycle:node[:perm]; repeatable")
@@ -126,6 +128,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "comasim: -receipt-key needs an in-process run (a remote daemon signs with its own key)")
 			os.Exit(2)
 		}
+		if *rtraceOut != "" {
+			fmt.Fprintln(os.Stderr, "comasim: -receipt-trace-out needs an in-process run (fetch /v1/jobs/{id}/trace from the daemon)")
+			os.Exit(2)
+		}
 		os.Exit(runRemote(*remote, remoteSpec(*appName, *nodes, *protocol, *hz, *scale, *seed, *modern, *strict, *verify, failures), *receiptOut, *resultOut))
 	}
 	cfg := coma.Config{
@@ -142,20 +148,24 @@ func main() {
 	}
 
 	var rec *coma.ObsRecorder
-	if len(traceOuts) > 0 || *metricsOut != "" || *receiptOut != "" {
+	if len(traceOuts) > 0 || *metricsOut != "" {
 		mask, err := coma.ParseObsFilter(*obsFilter)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
 			os.Exit(2)
 		}
-		if *obsFilter == "" && *receiptOut != "" {
-			// No explicit filter: record what the daemon's always-on
-			// receipt gate records, so a local receipt's trace digest
-			// matches a comad-emitted one for the same run.
-			mask = receipt.TraceMask
-		}
 		rec = coma.NewObsRecorder(mask)
 		cfg.Observer = rec
+	}
+	var gate *receipt.Gate
+	if *receiptOut != "" || *rtraceOut != "" {
+		// The receipt gate records what the daemon's always-on gate
+		// records (receipt.TraceMask), whatever -obs-filter says, so a
+		// local receipt matches a comad-emitted one for the same run.
+		gate = receipt.NewGate()
+		cfg.Observer = obs.Tee(cfg.Observer, gate)
+	}
+	if cfg.Observer != nil {
 		cfg.ObsSampleEvery = *obsSample
 	}
 	switch *protocol {
@@ -171,7 +181,7 @@ func main() {
 
 	if *repl {
 		spec := remoteSpec(*appName, *nodes, *protocol, *hz, *scale, *seed, *modern, *strict, *verify, failures)
-		res, err := runREPL(spec, rec, os.Stdin, os.Stdout)
+		res, err := runREPL(spec, cfg.Observer, os.Stdin, os.Stdout)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
 			os.Exit(1)
@@ -183,7 +193,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if err := emitReceipt(spec, res, rec, key, *receiptOut, *resultOut); err != nil {
+		if err := emitReceipt(spec, res, gate, key, *receiptOut, *resultOut, *rtraceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
 			os.Exit(1)
 		}
@@ -204,7 +214,7 @@ func main() {
 		}
 	}
 	spec := remoteSpec(*appName, *nodes, *protocol, *hz, *scale, *seed, *modern, *strict, *verify, failures)
-	if err := emitReceipt(spec, res, rec, key, *receiptOut, *resultOut); err != nil {
+	if err := emitReceipt(spec, res, gate, key, *receiptOut, *resultOut, *rtraceOut); err != nil {
 		fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
 		os.Exit(1)
 	}
@@ -282,13 +292,15 @@ func runRemote(base string, spec server.JobSpec, receiptOut, resultOut string) i
 	return 0
 }
 
-// emitReceipt builds and writes the execution receipt for an in-process
-// run: the run's content address (the same identity a comad daemon
-// would cache it under), the canonical result digest, and — when the
-// run recorded a trace — the trace digest plus the recovery-invariant
-// verdict. With a key the receipt is HMAC-signed.
-func emitReceipt(spec server.JobSpec, res *coma.Result, rec *coma.ObsRecorder, key []byte, receiptOut, resultOut string) error {
-	if receiptOut == "" && resultOut == "" {
+// emitReceipt writes the in-process run's artifacts: the canonical
+// result payload, and the execution receipt finished by the receipt
+// gate the run streamed through (non-nil whenever receiptOut or
+// traceOut is set) — the run's content address (the same identity a
+// comad daemon would cache it under), the result digest, and the trace
+// digest plus the recovery-invariant verdict — with the trace bytes
+// that digest covers. With a key the receipt is HMAC-signed.
+func emitReceipt(spec server.JobSpec, res *coma.Result, gate *receipt.Gate, key []byte, receiptOut, resultOut, traceOut string) error {
+	if receiptOut == "" && resultOut == "" && traceOut == "" {
 		return nil
 	}
 	payload, err := server.MarshalResult(res)
@@ -300,20 +312,24 @@ func emitReceipt(spec server.JobSpec, res *coma.Result, rec *coma.ObsRecorder, k
 			return err
 		}
 	}
-	if receiptOut == "" {
+	if gate == nil {
 		return nil
 	}
 	id, err := spec.Identity(server.BuildRevision())
 	if err != nil {
 		return err
 	}
-	var events []coma.ObsEvent
-	if rec != nil {
-		events = rec.Events()
-	}
-	rcpt, _, err := receipt.Build(id, payload, events, receipt.ProducerLocal)
+	rcpt, trace, err := gate.Finish(id, payload, receipt.ProducerLocal)
 	if err != nil {
 		return err
+	}
+	if traceOut != "" {
+		if err := writeArtifact(traceOut, "receipt trace", trace); err != nil {
+			return err
+		}
+	}
+	if receiptOut == "" {
+		return nil
 	}
 	if len(key) > 0 {
 		rcpt = rcpt.Sign(key)

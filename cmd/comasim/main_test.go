@@ -1,0 +1,105 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+
+	"coma/internal/obs/receipt"
+)
+
+// TestMain lets a test run the real command: with COMASIM_RUN_MAIN set
+// the test binary is comasim itself, flags and all.
+func TestMain(m *testing.M) {
+	if os.Getenv("COMASIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// comasim runs the command with the given flags and fails the test on
+// a non-zero exit.
+func comasim(t *testing.T, args ...string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "COMASIM_RUN_MAIN=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("comasim %v: %v\n%s", args, err, out)
+	}
+}
+
+func readReceipt(t *testing.T, path string) receipt.Receipt {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := receipt.Parse(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestReceiptIgnoresObsFilter: a local receipt records the receipt
+// mask whatever -obs-filter selects for the user's trace, so it matches
+// the unfiltered receipt (and a daemon's), and the user's -trace-out
+// keeps every kind it asked for.
+func TestReceiptIgnoresObsFilter(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	run := []string{"-app", "mp3d", "-nodes", "4", "-protocol", "ecp", "-hz", "400", "-scale", "0.002"}
+	with := func(extra ...string) []string { return append(append([]string(nil), run...), extra...) }
+
+	comasim(t, with("-receipt-out", path("plain.json"), "-result-out", path("result.json"),
+		"-receipt-trace-out", path("receipt.jsonl"), "-trace-out", path("plain.jsonl"))...)
+	comasim(t, with("-obs-filter", "state", "-receipt-out", path("state.json"), "-trace-out", path("state.jsonl"))...)
+	comasim(t, with("-obs-filter", "all", "-receipt-out", path("all.json"), "-trace-out", path("all.jsonl"))...)
+
+	plain := readReceipt(t, path("plain.json"))
+	if plain.VerdictLabel() != "ok" || plain.TraceDigest == "" {
+		t.Fatalf("unfiltered receipt: verdict %s, trace digest %q", plain.VerdictLabel(), plain.TraceDigest)
+	}
+	result, err := os.ReadFile(path("result.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := os.ReadFile(path("receipt.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Attest(receipt.Artifacts{Result: result, Trace: trace}, nil); err != nil {
+		t.Fatalf("receipt does not attest against its -receipt-trace-out: %v", err)
+	}
+
+	// -obs-filter state once made the receipt replay a state-only trace
+	// and report violations for a correct run.
+	if state := readReceipt(t, path("state.json")); !bytes.Equal(state.CanonicalJSON(), plain.CanonicalJSON()) {
+		t.Fatalf("-obs-filter state receipt differs from the unfiltered one:\n%s\n%s",
+			state.CanonicalJSON(), plain.CanonicalJSON())
+	}
+	// -obs-filter all once digested the sampling kinds too.
+	if all := readReceipt(t, path("all.json")); !bytes.Equal(all.CanonicalJSON(), plain.CanonicalJSON()) {
+		t.Fatalf("-obs-filter all receipt differs from the unfiltered one:\n%s\n%s",
+			all.CanonicalJSON(), plain.CanonicalJSON())
+	}
+	// -receipt-out once narrowed an unfiltered -trace-out to the
+	// receipt mask, dropping every injection probe.
+	userTrace, err := os.ReadFile(path("plain.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(userTrace, []byte(`"k":"inject-probe"`)); n == 0 {
+		t.Fatal("-trace-out beside -receipt-out lost its inject-probe events")
+	}
+	stateTrace, err := os.ReadFile(path("state.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(stateTrace, []byte(`"k":"txn-begin"`)) {
+		t.Fatal("-obs-filter state trace holds txn events")
+	}
+}

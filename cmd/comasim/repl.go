@@ -21,14 +21,10 @@ import (
 // happens between event dispatches, so the run's result and trace are
 // identical to a non-interactive run of the same flags (the smoke test
 // compares the traces byte for byte).
-func runREPL(spec server.JobSpec, rec *coma.ObsRecorder, in io.Reader, out io.Writer) (*coma.Result, error) {
+func runREPL(spec server.JobSpec, observer coma.Observer, in io.Reader, out io.Writer) (*coma.Result, error) {
 	identity, err := spec.Identity("")
 	if err != nil {
 		return nil, err
-	}
-	var observer coma.Observer
-	if rec != nil {
-		observer = rec
 	}
 	m, err := server.BuildMachine(identity, observer)
 	if err != nil {

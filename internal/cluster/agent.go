@@ -58,7 +58,7 @@ type Config struct {
 	Logf func(format string, args ...any)
 
 	// NoReceipts disables execution receipts: by default every job is
-	// run under a receipt-grade recorder and its completion carries a
+	// run under the receipt gate and its completion carries a
 	// coma-receipt/v1 document the coordinator digest-checks before
 	// accepting the result.
 	NoReceipts bool

@@ -31,7 +31,7 @@ func FuzzJSONLRoundTrip(f *testing.F) {
 		if err != nil {
 			return // rejected input: nothing to round-trip
 		}
-		enc := ev.appendJSONL(nil)
+		enc := ev.AppendJSONL(nil)
 		got, err := parseJSONLLine(strings.TrimSpace(string(enc)))
 		if err != nil {
 			t.Fatalf("re-parse of own encoding failed: %v\nline %q\nencoded %q", err, line, enc)
@@ -39,7 +39,7 @@ func FuzzJSONLRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(got, ev) {
 			t.Fatalf("round trip mismatch:\nline    %q\nparsed  %+v\nreparse %+v", line, ev, got)
 		}
-		enc2 := got.appendJSONL(nil)
+		enc2 := got.AppendJSONL(nil)
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("encoding not byte-stable:\nfirst  %q\nsecond %q", enc, enc2)
 		}

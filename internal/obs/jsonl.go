@@ -29,11 +29,12 @@ type jsonlEvent struct {
 	B     int64  `json:"b"`
 }
 
-// WriteJSONL writes events as one JSON object per line. The encoding is
+// AppendJSONL appends the event's canonical JSONL line (newline
+// included) to buf and returns the extended slice. The encoding is
 // hand-assembled in field order with no map in sight, so the same event
 // stream always produces the same bytes (the byte-identical-trace golden
-// test depends on this).
-func (ev *Event) appendJSONL(buf []byte) []byte {
+// test depends on this), and it allocates only when buf must grow.
+func (ev *Event) AppendJSONL(buf []byte) []byte {
 	buf = append(buf, `{"t":`...)
 	buf = strconv.AppendInt(buf, ev.Time, 10)
 	buf = append(buf, `,"k":"`...)
@@ -79,7 +80,7 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	buf := make([]byte, 0, 256)
 	for i := range events {
-		buf = events[i].appendJSONL(buf[:0])
+		buf = events[i].AppendJSONL(buf[:0])
 		if _, err := bw.Write(buf); err != nil {
 			return err
 		}

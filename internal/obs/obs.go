@@ -227,6 +227,26 @@ type Observer interface {
 	Emit(Event)
 }
 
+// Tee returns an Observer that forwards every event to a, then to b.
+// A nil side is skipped, so Tee(nil, o) is o itself; fanning out adds
+// one call per event and no allocations.
+func Tee(a, b Observer) Observer {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	return tee{a, b}
+}
+
+type tee struct{ a, b Observer }
+
+func (t tee) Emit(ev Event) {
+	t.a.Emit(ev)
+	t.b.Emit(ev)
+}
+
 // Nop is an Observer that discards every event; useful where an
 // always-non-nil Observer simplifies call sites (tests, tools). The
 // simulator layers themselves use a nil Observer when disabled.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"coma/internal/obs"
+	"coma/internal/obs/txnview"
 )
 
 // Artifacts are the recomputable inputs to attestation: the canonical
@@ -96,7 +97,7 @@ func (r Receipt) attestTrace(trace []byte) error {
 		return &FieldError{Field: "trace_events",
 			Detail: fmt.Sprintf("recorded %d, trace holds %d", r.TraceEvents, len(events))}
 	}
-	want := invariantsOf(events)
+	want := invariantsOf(txnview.Summarize(events))
 	got := r.Invariants
 	switch {
 	case got == nil:

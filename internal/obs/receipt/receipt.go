@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 
 	"coma/internal/config"
 	"coma/internal/obs"
@@ -154,12 +155,71 @@ func ParseResult(b []byte) (*stats.Run, error) {
 	return &run, nil
 }
 
-// Build assembles the receipt for one completed run: the result payload
-// must be canonical (it is round-trip checked) and events is the run's
-// recorded trace (nil or empty: the receipt records no trace and the
-// verdict is unchecked). It returns the receipt unsigned plus the
-// canonical trace JSONL bytes its TraceDigest covers.
-func Build(id config.RunIdentity, result []byte, events []obs.Event, producer string) (Receipt, []byte, error) {
+// Gate is the always-on receipt gate as an obs.Observer. Tee it onto a
+// run's event stream: it keeps the kinds in TraceMask, appends each
+// one's canonical JSONL line to the trace, hashes the trace as it
+// grows and steps the txnview fold, so the verdict is ready when the
+// run ends and no event slice is ever held. Finish then assembles the
+// receipt. A Gate serves one run and is not safe for concurrent use.
+//
+// The trace bytes are the only thing it buffers. They are kept in
+// fixed-size chunks, each fed to SHA-256 once it is full, so a
+// megabyte trace grows without re-copying itself, and Finish copies
+// them once into the exactly sized slice the caller stores.
+type Gate struct {
+	chunks [][]byte // full chunks, already hashed
+	cur    []byte   // the chunk being filled
+	size   int      // bytes in chunks
+	digest hash.Hash
+	fold   *txnview.Fold
+	events int64
+}
+
+const (
+	// chunkSize is the trace chunk capacity.
+	chunkSize = 64 << 10
+	// lineRoom is the free space a chunk must have to take another
+	// line: more than the longest canonical line (≈190 bytes), so a
+	// line never makes a chunk reallocate.
+	lineRoom = 512
+)
+
+// NewGate returns a gate for one run.
+func NewGate() *Gate {
+	return &Gate{digest: sha256.New(), fold: txnview.NewFold()}
+}
+
+// Emit implements obs.Observer: kinds outside TraceMask are dropped.
+// An event allocates nothing, apart from a new chunk every few hundred
+// events.
+func (g *Gate) Emit(ev obs.Event) {
+	if TraceMask.Has(ev.Kind) {
+		g.add(ev)
+	}
+}
+
+// add records one event, whatever its kind.
+func (g *Gate) add(ev obs.Event) {
+	if cap(g.cur)-len(g.cur) < lineRoom {
+		if len(g.cur) > 0 {
+			g.digest.Write(g.cur)
+			g.chunks = append(g.chunks, g.cur)
+			g.size += len(g.cur)
+		}
+		g.cur = make([]byte, 0, chunkSize)
+	}
+	g.cur = ev.AppendJSONL(g.cur)
+	g.fold.Step(ev)
+	g.events++
+}
+
+// Finish assembles the receipt for the completed run: the result
+// payload must be canonical (it is round-trip checked). With no event
+// recorded the receipt records no trace and the verdict is unchecked.
+// It returns the receipt unsigned plus the canonical trace JSONL bytes
+// its TraceDigest covers, sized exactly (cap == len) because callers
+// store them; the gate keeps no reference to them. Call it once.
+func (g *Gate) Finish(id config.RunIdentity, result []byte, producer string) (Receipt, []byte, error) {
 	run, err := ParseResult(result)
 	if err != nil {
 		return Receipt{}, nil, err
@@ -173,19 +233,36 @@ func Build(id config.RunIdentity, result []byte, events []obs.Event, producer st
 		SimCycles:    run.Cycles,
 		SimEvents:    run.Events,
 	}
-	if len(events) == 0 {
+	if g.events == 0 {
 		return r, nil, nil
 	}
-	trace := TraceJSONL(events)
-	r.TraceDigest = Digest(trace)
-	r.TraceEvents = int64(len(events))
-	r.Invariants = invariantsOf(events)
+	g.digest.Write(g.cur)
+	trace := make([]byte, 0, g.size+len(g.cur))
+	for _, c := range g.chunks {
+		trace = append(trace, c...)
+	}
+	trace = append(trace, g.cur...)
+	g.chunks, g.cur = nil, nil
+	r.TraceDigest = hex.EncodeToString(g.digest.Sum(nil))
+	r.TraceEvents = g.events
+	r.Invariants = invariantsOf(g.fold.Summary())
 	return r, trace, nil
 }
 
+// Build assembles the receipt for one completed run from its recorded
+// trace, by driving a Gate over every event given (no mask is applied:
+// the caller chose what to record). nil or empty events: the receipt
+// records no trace and the verdict is unchecked.
+func Build(id config.RunIdentity, result []byte, events []obs.Event, producer string) (Receipt, []byte, error) {
+	g := NewGate()
+	for _, ev := range events {
+		g.add(ev)
+	}
+	return g.Finish(id, result, producer)
+}
+
 // invariantsOf condenses the txnview verdict for the receipt.
-func invariantsOf(events []obs.Event) *Invariants {
-	s := txnview.Summarize(events)
+func invariantsOf(s txnview.Summary) *Invariants {
 	inv := &Invariants{
 		Verdict:        VerdictOK,
 		Violations:     s.Violations,

@@ -53,33 +53,12 @@ func (r *CheckReport) Write(w io.Writer) error {
 // It also cross-checks every KState event against the replayed state
 // (the recorded From must match what the trace itself implies), which
 // catches corrupted, reordered or truncated traces with a precise
-// item/round diagnostic.
+// item/round diagnostic. Transactions are checked for well-formedness
+// under Assemble's rules; the first malformation leads the violations.
 func Check(events []obs.Event) *CheckReport {
-	rep := &CheckReport{Events: len(events)}
-
-	set, err := Assemble(events)
-	if err != nil {
-		rep.Violations = append(rep.Violations, err.Error())
-	} else {
-		rep.Txns = len(set.Txns)
-		rep.Incomplete = len(set.Incomplete())
+	f := NewFold()
+	for _, ev := range events {
+		f.Step(ev)
 	}
-
-	r := newReplay()
-	for i, ev := range events {
-		r.step(i, ev)
-		if ev.Kind == obs.KRoundEnd {
-			rep.Rounds++
-		}
-	}
-	r.checkOwnerUnique(len(events), lastTime(events), "trace end")
-	rep.Violations = append(rep.Violations, r.errs...)
-	return rep
-}
-
-func lastTime(events []obs.Event) int64 {
-	if len(events) == 0 {
-		return 0
-	}
-	return events[len(events)-1].Time
+	return f.checkReport()
 }

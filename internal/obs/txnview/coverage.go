@@ -38,58 +38,44 @@ type CoverageReport struct {
 // mean the simulator performed a transition the protocol does not
 // define.
 func Coverage(events []obs.Event) *CoverageReport {
-	r := newReplay()
-	for i, ev := range events {
-		r.step(i, ev)
+	f := NewFold()
+	for _, ev := range events {
+		f.Step(ev)
 	}
-
-	// The table can describe one (from,to) pair several ways (e.g. an
-	// Inv-CK copy vanishing at commit vs. moving by injection); merge
-	// the descriptions per pair.
-	via := make(map[transKey]string)
-	for _, tr := range proto.ECPTransitions() {
-		k := transKey{tr.From, tr.To}
-		if cur, ok := via[k]; ok {
-			if !strings.Contains(cur, tr.Via) {
-				via[k] = cur + "; " + tr.Via
-			}
-		} else {
-			via[k] = tr.Via
-		}
-	}
-
-	// Walk both maps in sorted key order so the report lists (and any
-	// diagnostics derived from them) are deterministic by construction.
-	rep := &CoverageReport{}
-	for _, k := range sortedKeys(via) {
-		e := Edge{From: k.from, To: k.to, Count: r.observed[k], Via: via[k]}
-		if e.Count > 0 {
-			rep.Exercised = append(rep.Exercised, e)
-		} else {
-			rep.Unexercised = append(rep.Unexercised, e)
-		}
-	}
-	for _, k := range sortedKeys(r.observed) {
-		if _, ok := via[k]; !ok {
-			rep.Unexpected = append(rep.Unexpected, Edge{From: k.from, To: k.to, Count: r.observed[k]})
-		}
-	}
-	return rep
+	return f.coverageReport()
 }
 
-// sortedKeys returns a transition-keyed map's keys ordered by (from, to).
-func sortedKeys[V any](m map[transKey]V) []transKey {
-	keys := make([]transKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
+// specEdges is proto.ECPTransitions with one entry per (from, to) pair,
+// ordered by (from, to), so coverage reports list edges
+// deterministically by construction; inSpec marks the same pairs. The
+// table can describe one pair several ways (e.g. an Inv-CK copy
+// vanishing at commit vs. moving by injection); the descriptions are
+// merged per pair.
+var specEdges, inSpec = specTable()
+
+func specTable() ([]Edge, [proto.NumStates][proto.NumStates]bool) {
+	var in [proto.NumStates][proto.NumStates]bool
+	var edges []Edge
+	for _, tr := range proto.ECPTransitions() {
+		if in[tr.From][tr.To] {
+			for i := range edges {
+				e := &edges[i]
+				if e.From == tr.From && e.To == tr.To && !strings.Contains(e.Via, tr.Via) {
+					e.Via += "; " + tr.Via
+				}
+			}
+			continue
 		}
-		return keys[i].to < keys[j].to
+		in[tr.From][tr.To] = true
+		edges = append(edges, Edge{From: tr.From, To: tr.To, Via: tr.Via})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].From != edges[j].From {
+			return edges[i].From < edges[j].From
+		}
+		return edges[i].To < edges[j].To
 	})
-	return keys
+	return edges, in
 }
 
 // Write renders the report. Recovery edges are tagged so the

@@ -19,14 +19,11 @@ type Summary struct {
 }
 
 // Summarize runs the offline invariant checker and the coverage diff
-// over one trace and condenses both reports.
+// over one trace, in one replay, and condenses both reports.
 func Summarize(events []obs.Event) Summary {
-	chk := Check(events)
-	cov := Coverage(events)
-	return Summary{
-		OK:             chk.OK(),
-		Violations:     len(chk.Violations),
-		EdgesExercised: len(cov.Exercised),
-		EdgesTotal:     len(cov.Exercised) + len(cov.Unexercised),
+	f := NewFold()
+	for _, ev := range events {
+		f.Step(ev)
 	}
+	return f.Summary()
 }

@@ -159,42 +159,51 @@ func TestCheckClean(t *testing.T) {
 	}
 }
 
+// violationCases are minimal traces that each break one invariant,
+// with a fragment of the diagnostic Check must report.
+var violationCases = []struct {
+	name   string
+	events []obs.Event
+	want   string
+}{
+	{"state mismatch", []obs.Event{
+		{Time: 1, Kind: obs.KState, Node: 0, Item: 1, From: proto.Invalid, To: proto.Shared},
+		{Time: 2, Kind: obs.KState, Node: 0, Item: 1, From: proto.Exclusive, To: proto.Invalid},
+	}, "but replay holds the copy in Shared"},
+	{"fill from invalid copy", []obs.Event{
+		{Time: 1, Kind: obs.KTxnBegin, Node: 1, Item: 9, Txn: tx(1, 1), A: obs.TxnRead},
+		{Time: 5, Kind: obs.KTxnEnd, Node: 1, Item: 9, Txn: tx(1, 1), A: obs.FillRemote, B: 4},
+	}, "fill from an invalid copy"},
+	{"cold fill bypassing the master", []obs.Event{
+		{Time: 1, Kind: obs.KState, Node: 0, Item: 9, From: proto.Invalid, To: proto.Exclusive},
+		{Time: 2, Kind: obs.KTxnBegin, Node: 1, Item: 9, Txn: tx(1, 1), A: obs.TxnRead},
+		{Time: 5, Kind: obs.KTxnEnd, Node: 1, Item: 9, Txn: tx(1, 1), A: obs.FillCold, B: 3},
+	}, "the master was bypassed"},
+	{"commit atomicity", []obs.Event{
+		{Time: 1, Kind: obs.KState, Node: 0, Item: 1, From: proto.Invalid, To: proto.Exclusive},
+		{Time: 2, Kind: obs.KState, Node: 0, Item: 1, From: proto.Exclusive, To: proto.PreCommit1},
+		// No commit scan (KPhaseEnd) before the commit instant.
+		{Time: 3, Kind: obs.KCommitted, Node: proto.None, Item: proto.NoItem, B: 1},
+	}, "commit atomicity"},
+	{"stale secondary recovery copy", []obs.Event{
+		{Time: 1, Kind: obs.KState, Node: 1, Item: 1, From: proto.Invalid, To: proto.SharedCK2},
+		{Time: 2, Kind: obs.KState, Node: 1, Item: 1, From: proto.SharedCK2, To: proto.InvCK2},
+		// No commit scan on node 1 before the commit instant.
+		{Time: 3, Kind: obs.KCommitted, Node: proto.None, Item: proto.NoItem, B: 1},
+	}, "kept the stale InvCK2 copy on node n1 past commit"},
+	{"single master", []obs.Event{
+		{Time: 1, Kind: obs.KState, Node: 0, Item: 1, From: proto.Invalid, To: proto.Exclusive},
+		{Time: 2, Kind: obs.KState, Node: 1, Item: 1, From: proto.Invalid, To: proto.Exclusive},
+		{Time: 3, Kind: obs.KRoundQuiesced, Node: proto.None, Item: proto.NoItem, B: 1},
+	}, "2 owner copies"},
+	{"rollback persistence", []obs.Event{
+		{Time: 1, Kind: obs.KState, Node: 0, Item: 1, From: proto.Invalid, To: proto.Shared},
+		{Time: 2, Kind: obs.KRoundEnd, Node: proto.None, Item: proto.NoItem, A: 1, B: 1},
+	}, "rollback left item 1 with 0 owner copies"},
+}
+
 func TestCheckViolations(t *testing.T) {
-	rd := tx(1, 1)
-	for _, tc := range []struct {
-		name   string
-		events []obs.Event
-		want   string
-	}{
-		{"state mismatch", []obs.Event{
-			{Time: 1, Kind: obs.KState, Node: 0, Item: 1, From: proto.Invalid, To: proto.Shared},
-			{Time: 2, Kind: obs.KState, Node: 0, Item: 1, From: proto.Exclusive, To: proto.Invalid},
-		}, "but replay holds the copy in Shared"},
-		{"fill from invalid copy", []obs.Event{
-			{Time: 1, Kind: obs.KTxnBegin, Node: 1, Item: 9, Txn: rd, A: obs.TxnRead},
-			{Time: 5, Kind: obs.KTxnEnd, Node: 1, Item: 9, Txn: rd, A: obs.FillRemote, B: 4},
-		}, "fill from an invalid copy"},
-		{"cold fill bypassing the master", []obs.Event{
-			{Time: 1, Kind: obs.KState, Node: 0, Item: 9, From: proto.Invalid, To: proto.Exclusive},
-			{Time: 2, Kind: obs.KTxnBegin, Node: 1, Item: 9, Txn: rd, A: obs.TxnRead},
-			{Time: 5, Kind: obs.KTxnEnd, Node: 1, Item: 9, Txn: rd, A: obs.FillCold, B: 3},
-		}, "the master was bypassed"},
-		{"commit atomicity", []obs.Event{
-			{Time: 1, Kind: obs.KState, Node: 0, Item: 1, From: proto.Invalid, To: proto.Exclusive},
-			{Time: 2, Kind: obs.KState, Node: 0, Item: 1, From: proto.Exclusive, To: proto.PreCommit1},
-			// No commit scan (KPhaseEnd) before the commit instant.
-			{Time: 3, Kind: obs.KCommitted, Node: proto.None, Item: proto.NoItem, B: 1},
-		}, "commit atomicity"},
-		{"single master", []obs.Event{
-			{Time: 1, Kind: obs.KState, Node: 0, Item: 1, From: proto.Invalid, To: proto.Exclusive},
-			{Time: 2, Kind: obs.KState, Node: 1, Item: 1, From: proto.Invalid, To: proto.Exclusive},
-			{Time: 3, Kind: obs.KRoundQuiesced, Node: proto.None, Item: proto.NoItem, B: 1},
-		}, "2 owner copies"},
-		{"rollback persistence", []obs.Event{
-			{Time: 1, Kind: obs.KState, Node: 0, Item: 1, From: proto.Invalid, To: proto.Shared},
-			{Time: 2, Kind: obs.KRoundEnd, Node: proto.None, Item: proto.NoItem, A: 1, B: 1},
-		}, "rollback left item 1 with 0 owner copies"},
-	} {
+	for _, tc := range violationCases {
 		r := Check(tc.events)
 		found := false
 		for _, v := range r.Violations {
@@ -212,20 +221,24 @@ func TestCheckViolations(t *testing.T) {
 // trace (the shape `comatrace check` must catch in CI) and expects a
 // precise diagnostic.
 func TestCheckCorruptedTrace(t *testing.T) {
-	var corrupted []obs.Event
-	for _, ev := range cleanRound() {
-		if ev.Kind == obs.KPhaseEnd {
-			continue
-		}
-		corrupted = append(corrupted, ev)
-	}
-	r := Check(corrupted)
+	r := Check(withoutKind(cleanRound(), obs.KPhaseEnd))
 	if r.OK() {
 		t.Fatal("corrupted trace passed the checker")
 	}
 	if !strings.Contains(strings.Join(r.Violations, "\n"), "commit atomicity") {
 		t.Fatalf("violations = %v", r.Violations)
 	}
+}
+
+// withoutKind returns the trace with every event of kind k dropped.
+func withoutKind(events []obs.Event, k obs.Kind) []obs.Event {
+	var out []obs.Event
+	for _, ev := range events {
+		if ev.Kind != k {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 func TestCoverage(t *testing.T) {

@@ -7,17 +7,6 @@ import (
 	"coma/internal/obs"
 )
 
-// teeObserver fans one event stream out to two observers (the progress
-// bridge and the receipt recorder); it adds one call per event and no
-// allocations, honouring the Observer cost contract.
-type teeObserver struct{ a, b obs.Observer }
-
-// Emit implements obs.Observer.
-func (t teeObserver) Emit(ev obs.Event) {
-	t.a.Emit(ev)
-	t.b.Emit(ev)
-}
-
 // progressBridge adapts the simulator's observability stream into the
 // daemon's telemetry. Every event increments a per-kind counter exported
 // on /metrics as coma_obs_events_total (one atomic add, no lock, so the

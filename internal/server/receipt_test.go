@@ -121,6 +121,25 @@ func TestRealRunReceiptAttestsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStoredTraceIsExactSize: the trace filed beside a receipt holds no
+// spare capacity. A served cold job's trace is megabytes, and the store
+// keeps one per job, so a grown append buffer would pin up to twice its
+// size for as long as the entry lives.
+func TestStoredTraceIsExactSize(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	resp, st := postJob(t, ts, `{"app":"mp3d","nodes":4,"protocol":"ecp","seed":3,"scale":0.002,"hz":400}`, true)
+	if resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Fatalf("submit: status %d state %s err %q", resp.StatusCode, st.State, st.Error)
+	}
+	trace, ok := s.store.GetAux(st.ID, AuxTrace)
+	if !ok || len(trace) == 0 {
+		t.Fatal("no trace stored beside the receipt")
+	}
+	if cap(trace) != len(trace) {
+		t.Fatalf("stored trace: len %d, cap %d; want cap == len", len(trace), cap(trace))
+	}
+}
+
 // TestCompleteRejectsGarbagePayload: a payload that fails the
 // MarshalResult round trip is refused with 422, the job requeues with
 // its attempt burned (lease-expiry semantics), and the mismatch metric

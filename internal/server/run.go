@@ -113,7 +113,7 @@ type Execution struct {
 	Runner   Runner
 	Identity config.RunIdentity
 	// Producer names the executor in the receipt (receipt.ProducerLocal,
-	// or a worker's name). NoReceipts skips the receipt-grade recorder;
+	// or a worker's name). NoReceipts skips the receipt gate;
 	// a non-empty ReceiptKey signs the receipt.
 	Producer   string
 	NoReceipts bool
@@ -144,23 +144,19 @@ type Outcome struct {
 
 // Execute is comad's one run sequence, shared by the daemon's
 // in-process executors and cluster worker nodes (internal/cluster): it
-// tees the progress bridge and a receipt-grade recorder onto the run's
+// tees the progress bridge and the receipt gate onto the run's
 // observability stream, runs the identity, marshals the canonical
-// payload and builds the receipt over it. A local result and a worker's
-// are therefore the same bytes by construction.
+// payload and finishes the receipt over it. A local result and a
+// worker's are therefore the same bytes by construction.
 func Execute(x Execution) Outcome {
 	var observer obs.Observer
 	if x.Counts != nil || x.Publish != nil {
 		observer = &progressBridge{counts: x.Counts, publish: x.Publish}
 	}
-	var rec *obs.Recorder
+	var gate *receipt.Gate
 	if !x.NoReceipts {
-		rec = obs.NewRecorder(receipt.TraceMask)
-		if observer == nil {
-			observer = rec
-		} else {
-			observer = teeObserver{observer, rec}
-		}
+		gate = receipt.NewGate()
+		observer = obs.Tee(observer, gate)
 	}
 	run, err := x.Runner(x.Identity, RunOptions{Observer: observer, Inspect: x.Inspect})
 	var out Outcome
@@ -170,10 +166,10 @@ func Execute(x Execution) Outcome {
 	if err != nil {
 		return Outcome{Err: err}
 	}
-	if rec == nil {
+	if gate == nil {
 		return out
 	}
-	rcpt, trace, err := receipt.Build(x.Identity, out.Payload, rec.Events(), x.Producer)
+	rcpt, trace, err := gate.Finish(x.Identity, out.Payload, x.Producer)
 	if err != nil {
 		out.ReceiptErr = err
 		return out

@@ -65,9 +65,10 @@ type Options struct {
 	Logf func(format string, args ...any)
 
 	// NoReceipts disables execution receipts. By default every job run
-	// in-process records a receipt-grade trace (receipt.TraceMask) and
-	// emits a coma-receipt/v1 document into the store beside the result;
-	// the trace is buffered in memory for the run's duration, so
+	// in-process streams a receipt-grade trace (receipt.TraceMask)
+	// through the receipt gate and emits a coma-receipt/v1 document into
+	// the store beside the result; the trace's JSONL bytes are held in
+	// memory for the run's duration and stored with the receipt, so
 	// operators running enormous single jobs can opt out.
 	NoReceipts bool
 	// ReceiptKey, when non-empty, HMAC-signs every emitted receipt and

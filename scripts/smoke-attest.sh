@@ -31,9 +31,9 @@ go build -o "$WORK/comad" ./cmd/comad
 
 echo "== same-seed receipts are byte-identical"
 "$WORK/comasim" "${RUNFLAGS[@]}" -receipt-out "$WORK/a.receipt.json" \
-    -result-out "$WORK/a.result.json" -trace-out "$WORK/a.jsonl" >/dev/null
+    -result-out "$WORK/a.result.json" -receipt-trace-out "$WORK/a.jsonl" >/dev/null
 "$WORK/comasim" "${RUNFLAGS[@]}" -receipt-out "$WORK/b.receipt.json" \
-    -result-out "$WORK/b.result.json" -trace-out "$WORK/b.jsonl" >/dev/null
+    -result-out "$WORK/b.result.json" -receipt-trace-out "$WORK/b.jsonl" >/dev/null
 cmp "$WORK/a.receipt.json" "$WORK/b.receipt.json"
 cmp "$WORK/a.result.json" "$WORK/b.result.json"
 cmp "$WORK/a.jsonl" "$WORK/b.jsonl"
