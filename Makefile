@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint comalint staticcheck bench bench-check bench-json bench-compare smoke-serve smoke-inspect smoke-cluster attest model check
+.PHONY: all build test race vet lint comalint staticcheck bench bench-check smoke-serve smoke-inspect smoke-cluster attest model check
 
 all: check
 
@@ -45,23 +45,6 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -short ./...
 
-# bench-json runs the small Bench campaign and writes the
-# machine-readable perf record (per-table wall time, runs, simulated
-# cycles, kernel events, events/sec). CI uploads it as an artifact; the
-# committed BENCH_*.json files track the record across changes.
-bench-json:
-	$(GO) run ./cmd/comabench -params bench -json BENCH_results.json >/dev/null
-	@cat BENCH_results.json
-
-# bench-compare reruns the quick campaign and diffs its perf record
-# against the committed baseline: per-table wall time and total
-# events/sec deltas, exiting non-zero on a >10% events/sec regression.
-# CI runs the same comparison report-only (threshold -1).
-BENCH_BASELINE ?= BENCH_2026-08-08.json
-bench-compare:
-	$(GO) run ./cmd/comabench -params quick -json /tmp/bench-compare.json >/dev/null
-	$(GO) run ./cmd/comabench -compare $(BENCH_BASELINE) /tmp/bench-compare.json
-
 # smoke-serve boots a comad daemon, submits the same tiny job twice,
 # and asserts the serving contract: cache hit, byte-identical result
 # payloads, metrics, graceful drain on SIGTERM (see README §Serving).
@@ -75,7 +58,7 @@ smoke-serve:
 smoke-inspect:
 	bash scripts/smoke-inspect.sh
 
-# smoke-cluster boots a comad coordinator plus comanode workers, kills
+# smoke-cluster boots a comad coordinator plus `comad node` workers, kills
 # one mid-campaign, and asserts the fault-tolerance contract: lease
 # expiry + requeue in /metrics, campaign tables byte-identical to a
 # single-process run, graceful drain (see README §Cluster).

@@ -12,9 +12,10 @@
 //	comabench -only fig3,fig6      # a subset
 //	comabench -csv out/            # also write out/<id>.csv
 //	comabench -workers 1           # strictly serial execution
-//	comabench -json bench.json     # machine-readable perf record
-//	comabench -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	comabench -compare old.json new.json   # perf-record diff (exit 1 on regression)
+//
+// Performance is measured by the comaperf benchmark (bench/), not here;
+// for a CPU profile of a campaign use
+// `go test -run '^$' -bench Fig3 -cpuprofile cpu.out .` at the module root.
 //
 // With -remote, every simulation executes on a comad daemon (README
 // §Serving) instead of in-process; the campaign's own scheduling,
@@ -26,17 +27,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"runtime"
-	"runtime/debug"
-	"runtime/pprof"
 	"strings"
-	"time"
 
 	"coma"
 	"coma/internal/config"
@@ -49,31 +44,16 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		params     = flag.String("params", "quick", "campaign scale: bench, quick or full")
-		only       = flag.String("only", "", "comma-separated subset: table1..table3, fig3..fig11, ablation")
-		csvDir     = flag.String("csv", "", "directory to write <id>.csv files into")
-		nodes      = flag.Int("nodes", 0, "override machine size for the frequency study")
-		seed       = flag.Uint64("seed", 0, "override campaign seed")
-		workers    = flag.Int("workers", 0, "max simulations in flight (0: GOMAXPROCS, 1: serial)")
-		remote     = flag.String("remote", "", "execute simulations on a comad daemon at this base URL")
-		jsonPath   = flag.String("json", "", "write a machine-readable perf record to this file")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		verbose    = flag.Bool("v", false, "print one line per simulation run")
-		compare    = flag.Bool("compare", false, "compare two bench records: comabench -compare old.json new.json")
-		campaign   = flag.String("campaign", "", "campaign name inside a coma-bench-record file (default: quick_serial_workers1, else first)")
-		threshold  = flag.Float64("threshold", 10, "events/sec regression percent that fails -compare (negative: report-only)")
+		params  = flag.String("params", "quick", "campaign scale: bench, quick or full")
+		only    = flag.String("only", "", "comma-separated subset: table1..table3, fig3..fig11, ablation")
+		csvDir  = flag.String("csv", "", "directory to write <id>.csv files into")
+		nodes   = flag.Int("nodes", 0, "override machine size for the frequency study")
+		seed    = flag.Uint64("seed", 0, "override campaign seed")
+		workers = flag.Int("workers", 0, "max simulations in flight (0: GOMAXPROCS, 1: serial)")
+		remote  = flag.String("remote", "", "execute simulations on a comad daemon at this base URL")
+		verbose = flag.Bool("v", false, "print one line per simulation run")
 	)
 	flag.Parse()
-
-	if *compare {
-		args := flag.Args()
-		if len(args) != 2 {
-			fmt.Fprintln(os.Stderr, "usage: comabench -compare [-campaign name] [-threshold pct] old.json new.json")
-			return 2
-		}
-		return runCompare(args[0], args[1], *campaign, *threshold)
-	}
 
 	var p coma.ExperimentParams
 	switch *params {
@@ -109,20 +89,6 @@ func run() int {
 		}
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comabench: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "comabench: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-
 	suite := coma.NewExperiments(p)
 	wanted := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
@@ -155,34 +121,17 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "comabench: nothing selected (check -only)")
 		return 2
 	}
-	campaignStart := time.Now()
 	suite.Plan(selected...)
 
-	perf := perfRecord{
-		Schema:      "coma-bench-campaign/v2",
-		Params:      *params,
-		Workers:     p.Workers,
-		GitRevision: gitRevision(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		GoVersion:   runtime.Version(),
-	}
 	for _, g := range gens {
 		if len(wanted) > 0 && !wanted[g.id] {
 			continue
 		}
-		tableStart := time.Now()
 		t, err := g.fn()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "comabench: %s: %v\n", g.id, err)
 			return 1
 		}
-		perf.Tables = append(perf.Tables, tablePerf{
-			ID:     g.id,
-			WallMS: ms(time.Since(tableStart)),
-		})
 		if err := t.Fprint(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "comabench: %v\n", err)
 			return 1
@@ -194,115 +143,7 @@ func run() int {
 			}
 		}
 	}
-
-	wall := time.Since(campaignStart)
-	runs, cycles, events := suite.Totals()
-	perf.Totals = totalsPerf{
-		Runs:         runs,
-		WallMS:       ms(wall),
-		SimCycles:    cycles,
-		Events:       events,
-		EventsPerSec: float64(events) / wall.Seconds(),
-	}
-
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, perf); err != nil {
-			fmt.Fprintf(os.Stderr, "comabench: %v\n", err)
-			return 1
-		}
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comabench: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "comabench: %v\n", err)
-			return 1
-		}
-	}
 	return 0
-}
-
-// perfRecord is the machine-readable perf artifact written by -json; the
-// BENCH_*.json files at the repository root record its trajectory across
-// PRs (see EXPERIMENTS.md §Runtime). Schema history: v2 added
-// git_revision, goos and goarch so a record pins the code and platform
-// it measured.
-type perfRecord struct {
-	Schema      string      `json:"schema"`
-	Params      string      `json:"params"`
-	Workers     int         `json:"workers"` // 0 means GOMAXPROCS
-	GitRevision string      `json:"git_revision"`
-	GOOS        string      `json:"goos"`
-	GOARCH      string      `json:"goarch"`
-	GOMAXPROCS  int         `json:"gomaxprocs"`
-	NumCPU      int         `json:"num_cpu"`
-	GoVersion   string      `json:"go_version"`
-	Tables      []tablePerf `json:"tables"`
-	Totals      totalsPerf  `json:"totals"`
-}
-
-// gitRevision pins the measured code: the vcs.revision stamped into the
-// binary when it was built inside a checkout (with "+dirty" appended if
-// the worktree was modified), falling back to asking git directly for
-// `go run` style builds, then to "unknown".
-func gitRevision() string {
-	if info, ok := debug.ReadBuildInfo(); ok {
-		rev, dirty := "", false
-		for _, s := range info.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				dirty = s.Value == "true"
-			}
-		}
-		if rev != "" {
-			if dirty {
-				rev += "+dirty"
-			}
-			return rev
-		}
-	}
-	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-		if rev := strings.TrimSpace(string(out)); rev != "" {
-			return rev
-		}
-	}
-	return "unknown"
-}
-
-// tablePerf times one rendered table. Under a parallel campaign a
-// table's wall time is the time spent waiting for its missing runs (the
-// pool computes tables' runs concurrently), so the per-table numbers sum
-// to the campaign total only at -workers=1.
-type tablePerf struct {
-	ID     string  `json:"id"`
-	WallMS float64 `json:"wall_ms"`
-}
-
-type totalsPerf struct {
-	Runs         int64   `json:"runs"` // distinct simulations executed
-	WallMS       float64 `json:"wall_ms"`
-	SimCycles    int64   `json:"sim_cycles"`
-	Events       int64   `json:"events_dispatched"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-func ms(d time.Duration) float64 {
-	return float64(d.Nanoseconds()) / 1e6
-}
-
-func writeJSON(path string, perf perfRecord) error {
-	data, err := json.MarshalIndent(perf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func writeCSV(dir string, t *coma.ReportTable) error {

@@ -1,5 +1,5 @@
 // Package cluster implements the comad worker-node agent: the process
-// (cmd/comanode) that registers with a cluster coordinator (comad serve
+// (comad node) that registers with a cluster coordinator (comad serve
 // -cluster), heartbeats, leases jobs, executes them on the in-process
 // simulator and streams results and progress back.
 //

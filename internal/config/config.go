@@ -156,17 +156,37 @@ func DSVM(nodes int) Arch {
 // Validate checks internal consistency and returns a descriptive error for
 // the first violated constraint.
 func (a Arch) Validate() error {
-	switch {
-	case a.Nodes < 1:
+	if a.Nodes < 1 {
 		return fmt.Errorf("config: Nodes = %d, need >= 1", a.Nodes)
-	case a.ItemSize <= 0 || a.PageSize%a.ItemSize != 0:
+	}
+	// Every size and way count below is a divisor: check positivity
+	// before any modulo can divide by zero.
+	for _, g := range []struct {
+		name string
+		v    int
+	}{
+		{"CacheSize", a.CacheSize}, {"CacheLineSize", a.CacheLineSize},
+		{"CacheSectors", a.CacheSectors}, {"CacheWays", a.CacheWays},
+		{"AMSize", a.AMSize}, {"PageSize", a.PageSize},
+		{"ItemSize", a.ItemSize}, {"AMWays", a.AMWays},
+	} {
+		if g.v < 1 {
+			return fmt.Errorf("config: %s = %d, need >= 1", g.name, g.v)
+		}
+	}
+	switch {
+	case a.PageSize%a.ItemSize != 0:
 		return fmt.Errorf("config: PageSize %d not a multiple of ItemSize %d", a.PageSize, a.ItemSize)
-	case a.CacheLineSize <= 0 || a.ItemSize%a.CacheLineSize != 0:
+	case a.ItemSize%a.CacheLineSize != 0:
 		return fmt.Errorf("config: ItemSize %d not a multiple of CacheLineSize %d", a.ItemSize, a.CacheLineSize)
 	case a.AMSize%a.PageSize != 0:
 		return fmt.Errorf("config: AMSize %d not a multiple of PageSize %d", a.AMSize, a.PageSize)
-	case a.CacheSize%(a.CacheLineSize*a.CacheWays) != 0:
-		return fmt.Errorf("config: cache geometry %d/%d/%d does not tile", a.CacheSize, a.CacheLineSize, a.CacheWays)
+	case a.CacheSize%a.CacheLineSize != 0 || a.CacheLines()%a.CacheSectors != 0 ||
+		(a.CacheLines()/a.CacheSectors)%a.CacheWays != 0:
+		// Stepwise rather than one modulo by the product of line size,
+		// sector and ways, which can overflow to zero.
+		return fmt.Errorf("config: cache geometry %d/%d/%d/%d does not tile",
+			a.CacheSize, a.CacheLineSize, a.CacheSectors, a.CacheWays)
 	case a.AMFrames()%a.AMWays != 0:
 		return fmt.Errorf("config: AM frames %d not divisible by ways %d", a.AMFrames(), a.AMWays)
 	case a.AnchorFrames < 1 || a.AnchorFrames > a.Nodes:

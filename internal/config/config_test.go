@@ -1,6 +1,8 @@
 package config
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -124,6 +126,53 @@ func TestValidateCatchesBadGeometry(t *testing.T) {
 	bad.ItemSize = 96 // not a multiple of cache line
 	if bad.Validate() == nil {
 		t.Error("Validate accepted ItemSize not multiple of CacheLineSize")
+	}
+}
+
+// TestValidateRejectsNonPositiveGeometry: every size and way count is a
+// divisor somewhere in Validate or the machine build, so a zero or
+// negative one must come back as an error naming the field, not as an
+// integer-divide panic.
+func TestValidateRejectsNonPositiveGeometry(t *testing.T) {
+	cases := []struct {
+		field string
+		set   func(*Arch, int)
+	}{
+		{"PageSize", func(a *Arch, v int) { a.PageSize = v }},
+		{"CacheWays", func(a *Arch, v int) { a.CacheWays = v }},
+		{"AMWays", func(a *Arch, v int) { a.AMWays = v }},
+		{"AMSize", func(a *Arch, v int) { a.AMSize = v }},
+		{"CacheSize", func(a *Arch, v int) { a.CacheSize = v }},
+		{"CacheSectors", func(a *Arch, v int) { a.CacheSectors = v }},
+		{"CacheLineSize", func(a *Arch, v int) { a.CacheLineSize = v }},
+		{"ItemSize", func(a *Arch, v int) { a.ItemSize = v }},
+	}
+	for _, c := range cases {
+		for _, v := range []int{0, -1} {
+			a := KSR1(16)
+			c.set(&a, v)
+			err := a.Validate()
+			want := fmt.Sprintf("config: %s = %d, need >= 1", c.field, v)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s = %d: Validate() = %v, want %q", c.field, v, err, want)
+			}
+		}
+	}
+}
+
+// TestValidateCacheGeometryOverflow: a line size and way count whose
+// product wraps to zero (on 64-bit ints) must be rejected, not reach a
+// modulo by that product.
+func TestValidateCacheGeometryOverflow(t *testing.T) {
+	big := 1
+	big <<= 32
+	a := KSR1(16)
+	a.CacheLineSize, a.ItemSize, a.PageSize = big, big, big
+	a.AMSize = 16 * big
+	a.CacheSize, a.CacheWays = big, big
+	err := a.Validate()
+	if err == nil || !strings.Contains(err.Error(), "cache geometry") {
+		t.Errorf("Validate() = %v, want a cache geometry error", err)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"coma/internal/coherence"
 	"coma/internal/config"
@@ -167,12 +166,6 @@ type Suite struct {
 	pool *runner.Pool[string, *stats.Run]
 
 	progressMu sync.Mutex
-
-	// Work actually executed (memoised hits excluded), for the perf
-	// artifact emitted by cmd/comabench -json.
-	runs   atomic.Int64
-	cycles atomic.Int64
-	events atomic.Int64
 }
 
 // remoteDefaultWorkers is the submission fan-out used when Params.Remote
@@ -198,13 +191,6 @@ func NewSuite(p Params) *Suite {
 	return &Suite{P: p, pool: runner.New[string, *stats.Run](workers)}
 }
 
-// Totals reports the simulations actually executed so far (shared,
-// memoised runs counted once) with their simulated cycles and kernel
-// events dispatched.
-func (s *Suite) Totals() (runs, cycles, events int64) {
-	return s.runs.Load(), s.cycles.Load(), s.events.Load()
-}
-
 // Run simulates (or returns the memoised result of) one configuration.
 func (s *Suite) Run(app workload.Spec, nodes int, hz float64,
 	protocol coherence.Protocol, opts coherence.Options) (*stats.Run, error) {
@@ -226,7 +212,7 @@ func (s *Suite) start(app workload.Spec, nodes int, hz float64,
 
 // execute performs one simulation. It runs on a pool worker; everything
 // it touches is either private to the run (machine, engine, RNG
-// streams) or synchronised (progress, counters). With Params.Remote set
+// streams) or synchronised (progress). With Params.Remote set
 // the run is delegated to the external service instead.
 func (s *Suite) execute(key runKey, app workload.Spec) (*stats.Run, error) {
 	id := s.identity(key, app)
@@ -237,9 +223,6 @@ func (s *Suite) execute(key runKey, app workload.Spec) (*stats.Run, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s/%d/%s: %w", app.Name, key.nodes, key.protocol, err)
 		}
-		s.runs.Add(1)
-		s.cycles.Add(r.Cycles)
-		s.events.Add(r.Events)
 		return r, nil
 	}
 	s.progress(fmt.Sprintf("running %s on %d nodes, %s, %g recovery points/s",
@@ -262,9 +245,6 @@ func (s *Suite) execute(key runKey, app workload.Spec) (*stats.Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%d/%s: %w", app.Name, key.nodes, key.protocol, err)
 	}
-	s.runs.Add(1)
-	s.cycles.Add(r.Cycles)
-	s.events.Add(r.Events)
 	return r, nil
 }
 

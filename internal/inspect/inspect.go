@@ -16,7 +16,7 @@
 //
 // The views are plain JSON-taggable values with deterministic encodings
 // (no map iteration), shared by the comad HTTP API, the comasim REPL
-// and comatop.
+// and comad top.
 package inspect
 
 import (

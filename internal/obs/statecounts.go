@@ -45,7 +45,7 @@ func (c StateCounts) MarshalJSON() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// UnmarshalJSON is the inverse of MarshalJSON, so clients (comatop, the
+// UnmarshalJSON is the inverse of MarshalJSON, so clients (comad top, the
 // daemon's tests) can decode inspection views. Unknown state names are
 // ignored rather than rejected: a newer simulator may know states an
 // older client does not.

@@ -21,7 +21,7 @@ type JobList struct {
 }
 
 // Jobs lists every job the daemon knows about, in submission order.
-// comatop uses it to discover a running job to attach to.
+// comad top uses it to discover a running job to attach to.
 func (c *Client) Jobs(ctx context.Context) (JobList, error) {
 	var list JobList
 	err := c.getJSON(ctx, "/v1/jobs", &list)

@@ -13,7 +13,7 @@ import (
 
 // This file is the cluster coordinator: the scheduler comad runs with
 // Options.Cluster set. Instead of in-process executors, registered
-// worker nodes (cmd/comanode, internal/cluster) drain the daemon's one
+// worker nodes (comad node, internal/cluster) drain the daemon's one
 // dispatch queue over HTTP/JSON:
 //
 //	POST   /v1/workers                 register  -> worker id + lease terms

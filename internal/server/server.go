@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -77,7 +78,7 @@ type Options struct {
 	ReceiptKey []byte
 
 	// Cluster switches the daemon into coordinator mode: it starts no
-	// in-process executors, and registered worker nodes (cmd/comanode)
+	// in-process executors, and registered worker nodes (comad node)
 	// lease jobs from the same queue over the protocol in cluster.go.
 	// The job API, cache and SSE surface are unchanged — only who
 	// simulates moves.
@@ -514,13 +515,22 @@ func (s *Server) detachWaiter(j *job) {
 
 // ---- HTTP handlers ----
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	wait := r.URL.Query().Get("wait") == "1" || r.URL.Query().Get("wait") == "true"
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+// decodeSpec reads one POST /v1/jobs body; unknown fields are an error.
+func decodeSpec(body io.Reader) (JobSpec, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var spec JobSpec
 	if err := dec.Decode(&spec); err != nil {
-		s.respondError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		return JobSpec{}, fmt.Errorf("decoding job spec: %w", err)
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	wait := r.URL.Query().Get("wait") == "1" || r.URL.Query().Get("wait") == "true"
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		s.respondError(w, http.StatusBadRequest, err)
 		return
 	}
 	identity, err := spec.Identity(s.opts.Revision)

@@ -67,6 +67,19 @@ func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, Runner: func(id config.RunIdentity, _ RunOptions) (*stats.Run, error) {
 		return fakeRun(id), nil
 	}})
+	// zeroArch is a spec with an explicit KSR1 arch whose field is 0.
+	// Each is a divisor in Arch.Validate: the POST must get a 400 naming
+	// it, not a dropped connection from an integer-divide panic.
+	zeroArch := func(field string) string {
+		arch := map[string]any{}
+		raw, _ := json.Marshal(config.KSR1(4))
+		if err := json.Unmarshal(raw, &arch); err != nil {
+			t.Fatal(err)
+		}
+		arch[field] = 0
+		body, _ := json.Marshal(map[string]any{"app": "mp3d", "protocol": "ecp", "arch": arch})
+		return string(body)
+	}
 	cases := []struct {
 		name, body, wantErr string
 	}{
@@ -81,6 +94,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative hz", `{"app":"mp3d","nodes":2,"protocol":"ecp","hz":-5}`, "negative checkpoint frequency"},
 		{"negative deadline", `{"app":"mp3d","nodes":2,"protocol":"ecp","deadline_ms":-1}`, "negative limit"},
 		{"failure node out of range", `{"app":"mp3d","nodes":2,"protocol":"ecp","failures":[{"at":10,"node":7}]}`, "names node n7"},
+		{"zero arch PageSize", zeroArch("PageSize"), "PageSize = 0"},
+		{"zero arch CacheWays", zeroArch("CacheWays"), "CacheWays = 0"},
+		{"zero arch AMWays", zeroArch("AMWays"), "AMWays = 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

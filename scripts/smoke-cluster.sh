@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Cluster smoke test (CI: smoke-cluster job; locally: make smoke-cluster).
 #
-# Boots a comad coordinator plus comanode workers and kills one mid-
+# Boots a comad coordinator plus `comad node` workers and kills one mid-
 # campaign, asserting the cluster's fault-tolerance contract end to end:
 #   1. a comabench campaign fans out to the cluster via -remote;
 #   2. SIGKILLing the only worker while it holds a lease trips the
@@ -27,7 +27,6 @@ trap cleanup EXIT
 
 echo "== build"
 go build -o "$WORK/comad" ./cmd/comad
-go build -o "$WORK/comanode" ./cmd/comanode
 go build -o "$WORK/comabench" ./cmd/comabench
 
 echo "== single-process baseline"
@@ -68,7 +67,7 @@ EOF
 }
 
 echo "== start the victim worker"
-"$WORK/comanode" -coordinator "$BASE" -name victim -slots 1 \
+"$WORK/comad" node -coordinator "$BASE" -name victim -slots 1 \
     -revision smoke >"$WORK/victim.log" 2>&1 &
 VICTIM=$!
 PIDS+=("$VICTIM")
@@ -106,7 +105,7 @@ EOF
 
 echo "== start two replacement workers"
 for name in healthy-1 healthy-2; do
-    "$WORK/comanode" -coordinator "$BASE" -name "$name" -slots 1 \
+    "$WORK/comad" node -coordinator "$BASE" -name "$name" -slots 1 \
         -revision smoke >"$WORK/$name.log" 2>&1 &
     PIDS+=("$!")
 done
