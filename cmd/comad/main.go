@@ -68,7 +68,6 @@ func serve(args []string) int {
 		heartbeat    = fs.Duration("heartbeat", 0, "cluster: heartbeat period advertised to workers (0: lease-ttl/3)")
 		maxRequeues  = fs.Int("max-requeues", 0, "cluster: lease expiries a job survives before dead-letter (0: 3)")
 		receiptKey   = fs.String("receipt-key", "", "hex HMAC-SHA256 key: sign emitted receipts, and require signed receipts on cluster completions")
-		noReceipts   = fs.Bool("no-receipts", false, "skip receipt emission and trace recording for local runs")
 	)
 	fs.Parse(args)
 
@@ -90,7 +89,7 @@ func serve(args []string) int {
 		Logf:    logf,
 		Cluster: *clusterMode, LeaseTTL: *leaseTTL,
 		HeartbeatEvery: *heartbeat, MaxRequeues: *maxRequeues,
-		ReceiptKey: key, NoReceipts: *noReceipts,
+		ReceiptKey: key,
 	})
 	if err != nil {
 		log.Printf("comad: %v", err)

@@ -41,7 +41,6 @@ func node(args []string) int {
 		heartbeat   = fs.Duration("heartbeat", 0, "heartbeat period (0: coordinator's suggestion)")
 		quiet       = fs.Bool("quiet", false, "suppress per-job log lines")
 		receiptKey  = fs.String("receipt-key", "", "hex HMAC-SHA256 key signing completion receipts (must match the coordinator's)")
-		noReceipts  = fs.Bool("no-receipts", false, "skip receipt emission and trace recording (refused by a coordinator that requires signed receipts)")
 	)
 	fs.Parse(args)
 
@@ -83,7 +82,6 @@ func node(args []string) int {
 		HeartbeatEvery: *heartbeat,
 		Logf:           logf,
 		ReceiptKey:     key,
-		NoReceipts:     *noReceipts,
 	})
 	log.Printf("comad node: %s joining %s (%d slot(s), revision %s)",
 		*name, *coordinator, *slots, server.ShortID(*revision))

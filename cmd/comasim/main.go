@@ -34,7 +34,6 @@ import (
 	"strconv"
 	"strings"
 
-	"coma"
 	"coma/internal/config"
 	"coma/internal/obs"
 	"coma/internal/obs/receipt"
@@ -42,20 +41,12 @@ import (
 	"coma/internal/report"
 	"coma/internal/server"
 	"coma/internal/server/client"
+	"coma/internal/stats"
 )
 
-type stringList []string
+type failureFlags []config.FailureEvent
 
-func (s *stringList) String() string { return strings.Join(*s, ",") }
-
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
-type failureFlags []coma.Failure
-
-func (f *failureFlags) String() string { return fmt.Sprintf("%v", []coma.Failure(*f)) }
+func (f *failureFlags) String() string { return fmt.Sprintf("%v", []config.FailureEvent(*f)) }
 
 func (f *failureFlags) Set(v string) error {
 	parts := strings.Split(v, ":")
@@ -71,7 +62,7 @@ func (f *failureFlags) Set(v string) error {
 		return fmt.Errorf("bad node in %q: %w", v, err)
 	}
 	perm := len(parts) == 3 && parts[2] == "perm"
-	*f = append(*f, coma.Failure{At: at, Node: node, Permanent: perm})
+	*f = append(*f, config.FailureEvent{At: at, Node: node, Permanent: perm})
 	return nil
 }
 
@@ -92,7 +83,6 @@ func main() {
 
 		metricsOut = flag.String("metrics-out", "", "write the histogram summary to this file (\"-\" for stdout)")
 		obsFilter  = flag.String("obs-filter", "", "comma-separated event classes to record: state, fill, inject, ckpt, fault, net, all (default all)")
-		obsSample  = flag.Int64("obs-sample", 0, "mesh queue-depth sampling period in cycles (0: default)")
 
 		receiptOut = flag.String("receipt-out", "", "write the execution receipt (coma-receipt/v1 JSON) to this file (\"-\" for stdout); with -remote, fetched from the daemon")
 		resultOut  = flag.String("result-out", "", "write the canonical result payload the receipt attests to this file; with -remote, fetched from the daemon")
@@ -101,13 +91,34 @@ func main() {
 	)
 	var failures failureFlags
 	flag.Var(&failures, "fail", "inject a failure, cycle:node[:perm]; repeatable")
-	var traceOuts stringList
-	flag.Var(&traceOuts, "trace-out", "write the event trace to this file (.jsonl: JSON lines; otherwise Chrome trace-event JSON); repeatable")
+	var traceOuts []string
+	flag.Func("trace-out", "write the event trace to this file (.jsonl: JSON lines; otherwise Chrome trace-event JSON); repeatable", func(v string) error {
+		traceOuts = append(traceOuts, v)
+		return nil
+	})
 	flag.Parse()
 
-	app, ok := coma.AppByName(*appName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "comasim: unknown app %q\n", *appName)
+	// The flags are a job spec, and an in-process run is the daemon's:
+	// the spec's identity goes through server.Execute, so a local result
+	// and receipt are the bytes comad would serve for the same run.
+	spec := server.JobSpec{
+		App:          *appName,
+		Nodes:        *nodes,
+		Protocol:     *protocol,
+		Scale:        *scale,
+		Seed:         *seed,
+		Modern:       *modern,
+		Strict:       *strict,
+		Invariants:   *verify,
+		CheckpointHz: *hz,
+		Failures:     failures,
+	}
+	if *protocol == "standard" {
+		spec.CheckpointHz = 0
+	}
+	id, err := spec.Identity(server.BuildRevision())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
 		os.Exit(2)
 	}
 	key, err := hex.DecodeString(*receiptKey)
@@ -132,117 +143,81 @@ func main() {
 			fmt.Fprintln(os.Stderr, "comasim: -receipt-trace-out needs an in-process run (fetch /v1/jobs/{id}/trace from the daemon)")
 			os.Exit(2)
 		}
-		os.Exit(runRemote(*remote, remoteSpec(*appName, *nodes, *protocol, *hz, *scale, *seed, *modern, *strict, *verify, failures), *receiptOut, *resultOut))
-	}
-	cfg := coma.Config{
-		Nodes:        *nodes,
-		App:          app,
-		Scale:        *scale,
-		Seed:         *seed,
-		Modern:       *modern,
-		Oracle:       true,
-		Strict:       *strict,
-		Invariants:   *verify,
-		Failures:     failures,
-		CheckpointHz: *hz,
+		os.Exit(runRemote(*remote, spec, *receiptOut, *resultOut))
 	}
 
-	var rec *coma.ObsRecorder
+	x := server.Execution{
+		Runner:     server.SimRunner,
+		Identity:   id,
+		Producer:   receipt.ProducerLocal,
+		NoReceipts: *receiptOut == "" && *rtraceOut == "",
+		ReceiptKey: key,
+	}
+	var rec *obs.Recorder
 	if len(traceOuts) > 0 || *metricsOut != "" {
-		mask, err := coma.ParseObsFilter(*obsFilter)
+		mask, err := obs.ParseFilter(*obsFilter)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
 			os.Exit(2)
 		}
-		rec = coma.NewObsRecorder(mask)
-		cfg.Observer = rec
+		// The user's recorder follows -obs-filter; the receipt gate
+		// Execute tees in records receipt.TraceMask whatever it says, so
+		// a local receipt matches a comad-emitted one for the same run.
+		rec = obs.NewRecorder(mask)
+		x.Runner = func(id config.RunIdentity, o server.RunOptions) (*stats.Run, error) {
+			o.Observer = obs.Tee(rec, o.Observer)
+			return server.SimRunner(id, o)
+		}
 	}
-	var gate *receipt.Gate
-	if *receiptOut != "" || *rtraceOut != "" {
-		// The receipt gate records what the daemon's always-on gate
-		// records (receipt.TraceMask), whatever -obs-filter says, so a
-		// local receipt matches a comad-emitted one for the same run.
-		gate = receipt.NewGate()
-		cfg.Observer = obs.Tee(cfg.Observer, gate)
-	}
-	if cfg.Observer != nil {
-		cfg.ObsSampleEvery = *obsSample
-	}
-	switch *protocol {
-	case "standard":
-		cfg.Protocol = coma.Standard
-		cfg.CheckpointHz = 0
-	case "ecp":
-		cfg.Protocol = coma.ECP
-	default:
-		fmt.Fprintf(os.Stderr, "comasim: unknown protocol %q\n", *protocol)
-		os.Exit(2)
-	}
-
+	var out server.Outcome
 	if *repl {
-		spec := remoteSpec(*appName, *nodes, *protocol, *hz, *scale, *seed, *modern, *strict, *verify, failures)
-		res, err := runREPL(spec, cfg.Observer, os.Stdin, os.Stdout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
-			os.Exit(1)
-		}
-		printResult(res)
-		if rec != nil {
-			if err := exportObservations(rec, res, traceOuts, *metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if err := emitReceipt(spec, res, gate, key, *receiptOut, *resultOut, *rtraceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		out = runREPL(x, os.Stdin, os.Stdout)
+	} else {
+		out = server.Execute(x)
 	}
-
-	res, err := coma.Run(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
-		os.Exit(1)
-	}
-	printResult(res)
-
-	if rec != nil {
-		if err := exportObservations(rec, res, traceOuts, *metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	spec := remoteSpec(*appName, *nodes, *protocol, *hz, *scale, *seed, *modern, *strict, *verify, failures)
-	if err := emitReceipt(spec, res, gate, key, *receiptOut, *resultOut, *rtraceOut); err != nil {
+	if err := finish(out, rec, traceOuts, *metricsOut, *resultOut, *rtraceOut, *receiptOut); err != nil {
 		fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// remoteSpec translates the CLI flags into the daemon's job spec; the
-// daemon applies the same canonicalisation as a local run (Scale
-// resolves against the preset budget, Modern/KSR1 against nodes), so
-// identical flags map to the same cache entry everywhere.
-func remoteSpec(app string, nodes int, protocol string, hz, scale float64, seed uint64, modern, strict, invariants bool, failures failureFlags) server.JobSpec {
-	spec := server.JobSpec{
-		App:          app,
-		Nodes:        nodes,
-		Protocol:     protocol,
-		Scale:        scale,
-		Seed:         seed,
-		Modern:       modern,
-		Strict:       strict,
-		Invariants:   invariants,
-		CheckpointHz: hz,
+// finish prints the in-process run's result and writes its artifacts:
+// the recorded event stream, the canonical result payload, the
+// receipt's trace (the bytes its trace_digest covers) and the execution
+// receipt.
+func finish(out server.Outcome, rec *obs.Recorder, traceOuts []string, metricsOut, resultOut, rtraceOut, receiptOut string) error {
+	if out.Err != nil {
+		return out.Err
 	}
-	if protocol == "standard" {
-		spec.CheckpointHz = 0
+	res, err := receipt.ParseResult(out.Payload)
+	if err != nil {
+		return err
 	}
-	for _, f := range failures {
-		spec.Failures = append(spec.Failures, config.FailureEvent{At: f.At, Node: f.Node, Permanent: f.Permanent})
+	printResult(res)
+	if rec != nil {
+		if err := exportObservations(rec, res, traceOuts, metricsOut); err != nil {
+			return err
+		}
 	}
-	return spec
+	if out.ReceiptErr != nil {
+		return out.ReceiptErr
+	}
+	var rcpt []byte
+	if out.Receipt != nil {
+		rcpt = append(out.Receipt.CanonicalJSON(), '\n')
+	}
+	for _, a := range []struct {
+		path, what string
+		b          []byte
+	}{{resultOut, "result", out.Payload}, {rtraceOut, "receipt trace", out.Trace}, {receiptOut, "receipt", rcpt}} {
+		if a.path == "" {
+			continue
+		}
+		if err := writeArtifact(a.path, a.what, a.b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runRemote submits the job to a comad daemon, streams its progress to
@@ -267,74 +242,24 @@ func runRemote(base string, spec server.JobSpec, receiptOut, resultOut string) i
 		fmt.Fprintf(os.Stderr, "remote: served from cache (job %s)\n", st.ID[:12])
 	}
 	printResult(res)
-	if receiptOut != "" {
-		b, err := c.Receipt(context.Background(), st.ID)
+	for _, a := range []struct {
+		path, what string
+		fetch      func(context.Context, string) ([]byte, error)
+	}{{receiptOut, "receipt", c.Receipt}, {resultOut, "result", c.Result}} {
+		if a.path == "" {
+			continue
+		}
+		b, err := a.fetch(context.Background(), st.ID)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "comasim: fetching receipt: %v\n", err)
+			fmt.Fprintf(os.Stderr, "comasim: fetching %s: %v\n", a.what, err)
 			return 1
 		}
-		if err := writeArtifact(receiptOut, "receipt", b); err != nil {
-			fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
-			return 1
-		}
-	}
-	if resultOut != "" {
-		b, err := c.Result(context.Background(), st.ID)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comasim: fetching result: %v\n", err)
-			return 1
-		}
-		if err := writeArtifact(resultOut, "result", b); err != nil {
+		if err := writeArtifact(a.path, a.what, b); err != nil {
 			fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
 			return 1
 		}
 	}
 	return 0
-}
-
-// emitReceipt writes the in-process run's artifacts: the canonical
-// result payload, and the execution receipt finished by the receipt
-// gate the run streamed through (non-nil whenever receiptOut or
-// traceOut is set) — the run's content address (the same identity a
-// comad daemon would cache it under), the result digest, and the trace
-// digest plus the recovery-invariant verdict — with the trace bytes
-// that digest covers. With a key the receipt is HMAC-signed.
-func emitReceipt(spec server.JobSpec, res *coma.Result, gate *receipt.Gate, key []byte, receiptOut, resultOut, traceOut string) error {
-	if receiptOut == "" && resultOut == "" && traceOut == "" {
-		return nil
-	}
-	payload, err := server.MarshalResult(res)
-	if err != nil {
-		return err
-	}
-	if resultOut != "" {
-		if err := writeArtifact(resultOut, "result", payload); err != nil {
-			return err
-		}
-	}
-	if gate == nil {
-		return nil
-	}
-	id, err := spec.Identity(server.BuildRevision())
-	if err != nil {
-		return err
-	}
-	rcpt, trace, err := gate.Finish(id, payload, receipt.ProducerLocal)
-	if err != nil {
-		return err
-	}
-	if traceOut != "" {
-		if err := writeArtifact(traceOut, "receipt trace", trace); err != nil {
-			return err
-		}
-	}
-	if receiptOut == "" {
-		return nil
-	}
-	if len(key) > 0 {
-		rcpt = rcpt.Sign(key)
-	}
-	return writeArtifact(receiptOut, "receipt", append(rcpt.CanonicalJSON(), '\n'))
 }
 
 // writeArtifact writes bytes to a file or, for "-", standard output.
@@ -352,7 +277,7 @@ func writeArtifact(path, what string, b []byte) error {
 
 // exportObservations writes the recorded event stream to every requested
 // sink once the run has completed.
-func exportObservations(rec *coma.ObsRecorder, res *coma.Result, traceOuts []string, metricsOut string) error {
+func exportObservations(rec *obs.Recorder, res *stats.Run, traceOuts []string, metricsOut string) error {
 	events := rec.Events()
 	for _, path := range traceOuts {
 		f, err := os.Create(path)
@@ -360,9 +285,9 @@ func exportObservations(rec *coma.ObsRecorder, res *coma.Result, traceOuts []str
 			return err
 		}
 		if strings.HasSuffix(path, ".jsonl") {
-			err = coma.WriteTraceJSONL(f, events)
+			err = obs.WriteJSONL(f, events)
 		} else {
-			err = coma.WriteChromeTrace(f, res.ClockHz, events)
+			err = obs.WriteChromeTrace(f, res.ClockHz, events)
 		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
@@ -377,13 +302,13 @@ func exportObservations(rec *coma.ObsRecorder, res *coma.Result, traceOuts []str
 	}
 	if metricsOut == "-" {
 		fmt.Println()
-		return coma.WriteObsSummary(os.Stdout, events)
+		return obs.WriteSummary(os.Stdout, events)
 	}
 	f, err := os.Create(metricsOut)
 	if err != nil {
 		return err
 	}
-	err = coma.WriteObsSummary(f, events)
+	err = obs.WriteSummary(f, events)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -394,7 +319,7 @@ func exportObservations(rec *coma.ObsRecorder, res *coma.Result, traceOuts []str
 	return nil
 }
 
-func printResult(r *coma.Result) {
+func printResult(r *stats.Run) {
 	total := r.Total()
 	fmt.Printf("%s on %d nodes, %s protocol\n", r.App, r.Nodes, r.Protocol)
 	fmt.Printf("  execution time      %d cycles (%.1f ms simulated)\n",

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"coma/internal/obs/receipt"
+	"coma/internal/server"
 )
 
 // TestMain lets a test run the real command: with COMASIM_RUN_MAIN set
@@ -29,6 +32,23 @@ func comasim(t *testing.T, args ...string) {
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("comasim %v: %v\n%s", args, err, out)
 	}
+}
+
+// comasimExit runs the command and returns its exit code and output.
+func comasimExit(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "COMASIM_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, string(out)
+	case errors.As(err, &exit):
+		return exit.ExitCode(), string(out)
+	}
+	t.Fatalf("comasim %v: %v", args, err)
+	return 0, ""
 }
 
 func readReceipt(t *testing.T, path string) receipt.Receipt {
@@ -101,5 +121,41 @@ func TestReceiptIgnoresObsFilter(t *testing.T) {
 	}
 	if bytes.Contains(stateTrace, []byte(`"k":"txn-begin"`)) {
 		t.Fatal("-obs-filter state trace holds txn events")
+	}
+}
+
+// TestResultIsTheDaemonRun: comasim's result payload is the bytes the
+// daemon's runner computes for the same identity. barnes at scale
+// 0.0055 once ran one instruction longer in comasim than under comad.
+func TestResultIsTheDaemonRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "result.json")
+	comasim(t, "-app", "barnes", "-nodes", "9", "-protocol", "standard", "-scale", "0.0055", "-result-out", path)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := server.JobSpec{App: "barnes", Nodes: 9, Protocol: "standard", Scale: 0.0055, Seed: 1}.Identity("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := server.SimRunner(id, server.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := server.MarshalResult(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("comasim result differs from the daemon run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestNegativeFailureTimeIsAUsageError: a failure before cycle 0 is a
+// bad flag (exit 2), not an engine panic.
+func TestNegativeFailureTimeIsAUsageError(t *testing.T) {
+	code, out := comasimExit(t, "-scale", "0.001", "-fail", "-5:1")
+	if code != 2 || strings.Contains(out, "panic") {
+		t.Fatalf("comasim -fail -5:1: exit %d, want 2 without a panic:\n%s", code, out)
 	}
 }

@@ -8,45 +8,35 @@ import (
 	"strconv"
 	"strings"
 
-	"coma"
 	"coma/internal/inspect"
 	"coma/internal/proto"
 	"coma/internal/server"
 )
 
-// runREPL executes the configured simulation with an interactive
+// runREPL executes the run through server.Execute with an interactive
 // inspection loop reading commands from in: pause the run at a safe
 // point, query AM lines, ECP state histograms and mesh queues, step a
 // bounded number of events, and resume. Inspection is read-only and
 // happens between event dispatches, so the run's result and trace are
 // identical to a non-interactive run of the same flags (the smoke test
 // compares the traces byte for byte).
-func runREPL(spec server.JobSpec, observer coma.Observer, in io.Reader, out io.Writer) (*coma.Result, error) {
-	identity, err := spec.Identity("")
-	if err != nil {
-		return nil, err
-	}
-	m, err := server.BuildMachine(identity, observer)
-	if err != nil {
-		return nil, err
-	}
-	ctl := m.NewInspector(server.DefaultSampleEvery)
-
-	type outcome struct {
-		res *coma.Result
-		err error
-	}
-	done := make(chan outcome, 1)
+func runREPL(x server.Execution, in io.Reader, out io.Writer) server.Outcome {
+	ctls := make(chan *inspect.Controller, 1)
+	x.Inspect = func(ctl *inspect.Controller) { ctls <- ctl }
+	done := make(chan server.Outcome, 1)
 	go func() {
-		res, err := m.Run()
-		ctl.Finish()
-		done <- outcome{res, err}
+		done <- server.Execute(x)
+		close(ctls)
 	}()
+	ctl, ok := <-ctls
+	if !ok {
+		return <-done // the machine was never built
+	}
 
-	itemSize := int64(identity.Arch.ItemSize)
+	itemSize := int64(x.Identity.Arch.ItemSize)
 	sc := bufio.NewScanner(in)
 	fmt.Fprintf(out, "coma repl: %s/%s on %d nodes (type help)\n",
-		spec.App, identity.Protocol, identity.Arch.Nodes)
+		x.Identity.App, x.Identity.Protocol, x.Identity.Arch.Nodes)
 loop:
 	for {
 		fmt.Fprint(out, "(coma) ")
@@ -79,6 +69,7 @@ loop:
 		case "step":
 			n := int64(1)
 			if len(fields) > 1 {
+				var err error
 				if n, err = strconv.ParseInt(fields[1], 0, 64); err != nil || n < 1 {
 					fmt.Fprintf(out, "step: bad count %q\n", fields[1])
 					continue
@@ -125,8 +116,7 @@ loop:
 	}
 	ctl.Resume()
 	fmt.Fprintln(out, "running to completion...")
-	o := <-done
-	return o.res, o.err
+	return <-done
 }
 
 // replNow reads the current simulated time through a safe-point query.

@@ -57,13 +57,9 @@ type Config struct {
 	// Logf receives operational log lines (nil: discarded).
 	Logf func(format string, args ...any)
 
-	// NoReceipts disables execution receipts: by default every job is
-	// run under the receipt gate and its completion carries a
-	// coma-receipt/v1 document the coordinator digest-checks before
-	// accepting the result.
-	NoReceipts bool
-	// ReceiptKey HMAC-signs emitted receipts; must match the
-	// coordinator's key when it enforces one.
+	// ReceiptKey HMAC-signs the receipt every completion carries (the
+	// coordinator digest-checks it before accepting the result); must
+	// match the coordinator's key when it enforces one.
 	ReceiptKey []byte
 }
 
@@ -77,7 +73,7 @@ type Agent struct {
 	id       string                            // coordinator-assigned; reset on re-register
 	queue    []server.LeasedJob                // leased, not yet started
 	running  map[string]bool                   // started, not yet completed
-	progress map[string][]server.ProgressEvent // pending batches per job
+	progress map[string][]server.ProgressEvent // unsent progress per job
 	draining bool
 
 	wake   chan struct{} // signals slot executors: queue grew or drain began
@@ -158,7 +154,7 @@ func (a *Agent) Run(ctx context.Context) error {
 		}()
 	}
 
-	// Heartbeat loop: liveness, revocations, progress flushing.
+	// Heartbeat loop: liveness, revocations, progress.
 	hbDone := make(chan struct{})
 	hbCtx, stopHB := context.WithCancel(context.Background())
 	go func() {
@@ -285,7 +281,7 @@ func (a *Agent) leaseLoop(ctx context.Context) error {
 }
 
 // heartbeatLoop renews leases and reports started jobs on a fixed
-// period, delivering any buffered progress batches alongside.
+// period, carrying the progress buffered since the last beat.
 func (a *Agent) heartbeatLoop(ctx context.Context, every time.Duration) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
@@ -297,8 +293,7 @@ func (a *Agent) heartbeatLoop(ctx context.Context, every time.Duration) {
 			return
 		case <-ticker.C:
 		}
-		a.flushProgress(ctx)
-		resp, err := a.cli.Heartbeat(ctx, a.workerID(), server.HeartbeatRequest{Running: a.runningIDs()})
+		resp, err := a.cli.Heartbeat(ctx, a.workerID(), a.beat())
 		if err != nil {
 			if ctx.Err() == nil && !client.IsGone(err) {
 				a.logf("heartbeat: %v", err)
@@ -348,9 +343,9 @@ func (a *Agent) take() (server.LeasedJob, bool) {
 }
 
 // execute runs one leased job and delivers its outcome. Progress events
-// are buffered under the job id and shipped by the heartbeat loop; a
-// final flush precedes completion so the SSE stream is complete before
-// the terminal state event.
+// are buffered under the job id and ride the next heartbeat; whatever
+// is left rides the completion, which the coordinator files before the
+// terminal state event.
 func (a *Agent) execute(j server.LeasedJob) {
 	defer func() {
 		a.mu.Lock()
@@ -363,13 +358,13 @@ func (a *Agent) execute(j server.LeasedJob) {
 		Runner:     a.cfg.Runner,
 		Identity:   j.Identity,
 		Producer:   a.cfg.Name,
-		NoReceipts: a.cfg.NoReceipts,
 		ReceiptKey: a.cfg.ReceiptKey,
 	}
 	if j.Progress {
 		x.Publish = func(msg string, simCycles int64) {
 			a.mu.Lock()
-			a.progress[j.JobID] = append(a.progress[j.JobID], server.ProgressEvent{Message: msg, SimCycles: simCycles})
+			a.progress[j.JobID] = append(a.progress[j.JobID],
+				server.ProgressEvent{JobID: j.JobID, Message: msg, SimCycles: simCycles})
 			a.mu.Unlock()
 		}
 	}
@@ -391,10 +386,13 @@ func (a *Agent) execute(j server.LeasedJob) {
 	if out.Receipt != nil {
 		req.Receipt = out.Receipt.CanonicalJSON()
 	}
+	a.mu.Lock()
+	req.Progress = a.progress[j.JobID]
+	delete(a.progress, j.JobID)
+	a.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	a.flushProgress(ctx)
 	backoff := client.NewBackoff(a.seed ^ 0x0b5)
 	for {
 		cerr := a.cli.CompleteJob(ctx, a.workerID(), req)
@@ -444,38 +442,26 @@ func (a *Agent) applyRevocations(revoked []string) {
 	}
 }
 
-// flushProgress delivers every buffered progress batch.
-func (a *Agent) flushProgress(ctx context.Context) {
-	a.mu.Lock()
-	pending := a.progress
-	a.progress = make(map[string][]server.ProgressEvent)
-	a.mu.Unlock()
-	for jobID, events := range pending {
-		if len(events) == 0 {
-			continue
-		}
-		if err := a.cli.PostProgress(ctx, a.workerID(), server.ProgressRequest{JobID: jobID, Events: events}); err != nil {
-			if ctx.Err() == nil && !client.IsGone(err) {
-				a.logf("progress %s: %v", server.ShortID(jobID), err)
-			}
-		}
-	}
-}
-
 func (a *Agent) capacity() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.cfg.Slots + a.cfg.Prefetch - len(a.queue) - len(a.running)
 }
 
-func (a *Agent) runningIDs() []string {
+// beat assembles a heartbeat: the started jobs and every progress event
+// buffered since the last beat.
+func (a *Agent) beat() server.HeartbeatRequest {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ids := make([]string, 0, len(a.running))
+	req := server.HeartbeatRequest{Running: make([]string, 0, len(a.running))}
 	for id := range a.running {
-		ids = append(ids, id)
+		req.Running = append(req.Running, id)
 	}
-	return ids
+	for id, events := range a.progress {
+		req.Progress = append(req.Progress, events...)
+		delete(a.progress, id)
+	}
+	return req
 }
 
 func (a *Agent) workerID() string {

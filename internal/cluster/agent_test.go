@@ -340,6 +340,51 @@ func TestAgentGracefulDrainCompletesInflight(t *testing.T) {
 	}
 }
 
+// TestAgentForwardsProgress: a real agent runs a progress job on the
+// simulator, and the job's lifecycle lines reach its SSE replay ahead of
+// the done state event. The heartbeat period outlasts the run, so every
+// line rides the completion.
+func TestAgentForwardsProgress(t *testing.T) {
+	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	a := New(Config{Coordinator: ts.URL, Name: "reporter", HeartbeatEvery: time.Minute})
+	ctx, cancel := context.WithCancel(context.Background())
+	agentDone := make(chan error, 1)
+	go func() { agentDone <- a.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-agentDone
+	}()
+
+	cli := client.New(ts.URL)
+	st, err := cli.Submit(context.Background(), server.JobSpec{
+		App: "mp3d", Nodes: 4, Protocol: "ecp", CheckpointHz: 400, Scale: 0.002, Progress: true,
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != server.StateDone {
+		t.Fatalf("job %s: %s (%s), want done", server.ShortID(st.ID), st.State, st.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	events := string(replay)
+	done := strings.Index(events, `"state":"done"`)
+	for _, line := range []string{"checkpoint round 1 begin", "recovery point 1 committed"} {
+		if at := strings.Index(events, line); at < 0 || at > done {
+			t.Fatalf("replay lacks %q before done:\n%s", line, events)
+		}
+	}
+}
+
 // TestClusterDrainCompletesQueuedWork: a coordinator that drains keeps
 // leasing its queued jobs, so one single-slot agent finishes a backlog
 // that was queued behind it when the drain began — and then leaves on

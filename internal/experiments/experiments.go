@@ -134,10 +134,8 @@ type runKey struct {
 func (k runKey) hz() float64 { return float64(k.hzMilli) / 1000 }
 
 // identity expands a run key into the repository-wide canonical run
-// identity (internal/config). Everything execute feeds into
-// machine.Config must be represented here — a field that influences the
-// result but not the identity would let two different runs collide in
-// the memoisation pool and in the daemon's cache.
+// identity (internal/config): the only input execute hands to a run,
+// local or remote.
 func (s *Suite) identity(key runKey, app workload.Spec) config.RunIdentity {
 	arch := config.KSR1(key.nodes)
 	if key.modern {
@@ -212,40 +210,29 @@ func (s *Suite) start(app workload.Spec, nodes int, hz float64,
 
 // execute performs one simulation. It runs on a pool worker; everything
 // it touches is either private to the run (machine, engine, RNG
-// streams) or synchronised (progress). With Params.Remote set
-// the run is delegated to the external service instead.
+// streams) or synchronised (progress). With Params.Remote set the run
+// is delegated to the external service instead.
 func (s *Suite) execute(key runKey, app workload.Spec) (*stats.Run, error) {
-	id := s.identity(key, app)
-	if s.P.Remote != nil {
-		s.progress(fmt.Sprintf("remote %s on %d nodes, %s, %g recovery points/s",
-			app.Name, key.nodes, key.protocol, key.hz()))
-		r, err := s.P.Remote(id)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%d/%s: %w", app.Name, key.nodes, key.protocol, err)
-		}
-		return r, nil
+	run, verb := s.P.Remote, "remote"
+	if run == nil {
+		run, verb = runLocal, "running"
 	}
-	s.progress(fmt.Sprintf("running %s on %d nodes, %s, %g recovery points/s",
-		app.Name, key.nodes, key.protocol, key.hz()))
-	cfg := machine.Config{
-		Arch:         id.Arch,
-		Protocol:     key.protocol,
-		Opts:         key.opts,
-		App:          s.P.scaled(app),
-		Seed:         s.P.Seed,
-		CheckpointHz: key.hz(),
-		Oracle:       true,
-		MaxCycles:    id.MaxCycles,
-	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%d/%s: %w", app.Name, key.nodes, key.protocol, err)
-	}
-	r, err := m.Run()
+	s.progress(fmt.Sprintf("%s %s on %d nodes, %s, %g recovery points/s",
+		verb, app.Name, key.nodes, key.protocol, key.hz()))
+	r, err := run(s.identity(key, app))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%d/%s: %w", app.Name, key.nodes, key.protocol, err)
 	}
 	return r, nil
+}
+
+// runLocal simulates one identity in-process.
+func runLocal(id config.RunIdentity) (*stats.Run, error) {
+	m, err := machine.FromIdentity(id, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run()
 }
 
 func (s *Suite) progress(msg string) {

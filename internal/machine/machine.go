@@ -72,11 +72,11 @@ type Config struct {
 	// (protocol, checkpoint/recovery, faults, mesh occupancy). nil — the
 	// default — keeps every emission site to a single branch.
 	Obs obs.Observer
-	// ObsSampleEvery is the mesh queue-depth sampling period in cycles
-	// (only meaningful with Obs set; <= 0 selects the 10_000-cycle
-	// default).
-	ObsSampleEvery int64
 }
+
+// obsSampleEvery is the mesh queue-depth sampling period in cycles of
+// a run with Obs set.
+const obsSampleEvery = 10_000
 
 // Machine is one assembled simulation.
 type Machine struct {
@@ -101,10 +101,9 @@ type Machine struct {
 
 	// obsTicks counts queue-depth ticker dispatches so collect() can
 	// report the same Events total whether or not observation is on.
-	// obsEvery is the ticker period; the Machine is its own sim.EventSink
-	// so the recurring timer never allocates a closure.
+	// The Machine is the ticker's sim.EventSink, so the recurring timer
+	// never allocates a closure.
 	obsTicks int64
-	obsEvery int64
 }
 
 // OnEvent implements sim.EventSink: the observability ticker samples mesh
@@ -114,7 +113,7 @@ func (m *Machine) OnEvent(e *sim.Engine, _ int64) {
 	m.cfg.Obs.Emit(obs.Event{Time: e.Now(), Kind: obs.KQueueDepth,
 		Node: proto.None, Item: proto.NoItem,
 		A: m.net.Inflight(mesh.RequestNet), B: m.net.Inflight(mesh.ReplyNet)})
-	e.AfterSink(m.obsEvery, m, 0)
+	e.AfterSink(obsSampleEvery, m, 0)
 }
 
 // cacheOps adapts the node set to the coherence engine's cache hook.
@@ -178,6 +177,9 @@ func New(cfg Config) (*Machine, error) {
 	for _, f := range cfg.Failures {
 		if int(f.Node) < 0 || int(f.Node) >= n {
 			return nil, fmt.Errorf("machine: failure plan names node %v of %d", f.Node, n)
+		}
+		if f.At < 0 {
+			return nil, fmt.Errorf("machine: failure plan at negative cycle %d", f.At)
 		}
 	}
 
@@ -246,6 +248,51 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
+// FromIdentity assembles the machine a canonical run identity names.
+// It is the one translation from a config.RunIdentity to a Config:
+// comad, its cluster workers, comasim and the experiment campaign all
+// build through it, so equal identities are equal runs in every binary.
+func FromIdentity(id config.RunIdentity, o obs.Observer) (*Machine, error) {
+	app, ok := workload.ByName(id.App)
+	if !ok {
+		return nil, fmt.Errorf("machine: unknown app %q", id.App)
+	}
+	if id.Instructions > 0 {
+		app.Instructions = id.Instructions
+	}
+	var protocol coherence.Protocol
+	switch id.Protocol {
+	case "standard":
+		protocol = coherence.Standard
+	case "ecp":
+		protocol = coherence.ECP
+	default:
+		return nil, fmt.Errorf("machine: unknown protocol %q", id.Protocol)
+	}
+	failures := make([]FailurePlan, len(id.Failures))
+	for i, f := range id.Failures {
+		failures[i] = FailurePlan{At: f.At, Node: proto.NodeID(f.Node), Permanent: f.Permanent}
+	}
+	return New(Config{
+		Arch:     id.Arch,
+		Protocol: protocol,
+		Opts: coherence.Options{
+			NoReplicationReuse: id.NoReplicationReuse,
+			NoSharedCKReads:    id.NoSharedCKReads,
+		},
+		App:                app,
+		Seed:               id.Seed,
+		CheckpointHz:       id.CheckpointHz,
+		CheckpointInterval: id.CheckpointInterval,
+		Failures:           failures,
+		Oracle:             id.Oracle,
+		Strict:             id.Strict,
+		Invariants:         id.Invariants,
+		MaxCycles:          id.MaxCycles,
+		Obs:                o,
+	})
+}
+
 // Coordinator exposes the recovery coordinator (tests, examples).
 func (m *Machine) Coordinator() *core.Coordinator { return m.co }
 
@@ -268,11 +315,7 @@ func (m *Machine) Run() (*stats.Run, error) {
 		// Sim-time ticker sampling mesh occupancy. It reschedules itself
 		// for as long as the engine runs; its dispatches are counted so
 		// the reported Events total is unchanged by observation.
-		m.obsEvery = m.cfg.ObsSampleEvery
-		if m.obsEvery <= 0 {
-			m.obsEvery = 10_000
-		}
-		m.eng.AfterSink(m.obsEvery, m, 0)
+		m.eng.AfterSink(obsSampleEvery, m, 0)
 	}
 
 	limit := int64(-1)

@@ -335,6 +335,42 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("invalid arch accepted")
 	}
+	// A failure before cycle 0 once panicked the event engine.
+	cfg = baseCfg(4, coherence.ECP)
+	cfg.Failures = []FailurePlan{{At: -5, Node: 1}}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("failure plan at a negative cycle accepted")
+	}
+}
+
+// TestFromIdentityRunsTheIdentityBudget: the machine an identity names
+// executes exactly the identity's instruction budget. Rescaling the
+// preset by the ratio of budgets once truncated barnes at scale 0.0055
+// to one instruction fewer, so comad computed a different run than the
+// one comasim had reported under the same identity.
+func TestFromIdentityRunsTheIdentityBudget(t *testing.T) {
+	id := config.RunIdentity{
+		Arch:         config.KSR1(9),
+		Protocol:     "standard",
+		App:          "barnes",
+		Instructions: workload.Barnes().Scale(0.0055).Instructions,
+		Oracle:       true,
+		MaxCycles:    DefaultMaxCycles,
+	}
+	if id.Instructions != 1_044_999 {
+		t.Fatalf("barnes at scale 0.0055 budgets %d instructions, want 1044999", id.Instructions)
+	}
+	m, err := FromIdentity(id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Total().Instructions; got != id.Instructions {
+		t.Fatalf("ran %d instructions, identity names %d", got, id.Instructions)
+	}
 }
 
 func TestScriptedWorkload(t *testing.T) {

@@ -46,12 +46,6 @@ func (c *Client) CompleteJob(ctx context.Context, workerID string, req server.Co
 	return c.postJSON(ctx, "/v1/workers/"+workerID+"/complete", req, nil)
 }
 
-// PostProgress forwards a batch of progress events for SSE re-broadcast
-// on the job's event stream.
-func (c *Client) PostProgress(ctx context.Context, workerID string, req server.ProgressRequest) error {
-	return c.postJSON(ctx, "/v1/workers/"+workerID+"/progress", req, nil)
-}
-
 // DeregisterWorker announces a graceful departure; the coordinator
 // requeues the worker's leases without counting an attempt.
 func (c *Client) DeregisterWorker(ctx context.Context, workerID string) error {

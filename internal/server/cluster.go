@@ -18,10 +18,9 @@ import (
 //
 //	POST   /v1/workers                 register  -> worker id + lease terms
 //	GET    /v1/workers                 fleet listing
-//	POST   /v1/workers/{id}/heartbeat  liveness + lease renewal + revocations
+//	POST   /v1/workers/{id}/heartbeat  liveness + lease renewal + revocations + progress
 //	POST   /v1/workers/{id}/lease      claim up to n jobs (long-poll)
-//	POST   /v1/workers/{id}/complete   deliver one job's result payload
-//	POST   /v1/workers/{id}/progress   forward progress events for SSE
+//	POST   /v1/workers/{id}/complete   deliver one job's result payload and last progress
 //	DELETE /v1/workers/{id}            graceful leave; leases requeue
 //
 // Fault tolerance eats the paper's dogfood: a lease is job id +
@@ -116,9 +115,11 @@ type LeaseResponse struct {
 
 // HeartbeatRequest reports liveness and which leased jobs have actually
 // started executing (the unstarted remainder is the worker's stealable
-// backlog).
+// backlog), and carries the progress events buffered since the last
+// beat for the jobs' SSE streams.
 type HeartbeatRequest struct {
-	Running []string `json:"running,omitempty"`
+	Running  []string        `json:"running,omitempty"`
+	Progress []ProgressEvent `json:"progress,omitempty"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat.
@@ -140,18 +141,27 @@ type CompleteRequest struct {
 	// digest against it before accepting the payload; when the
 	// coordinator holds a receipt key, the receipt must verify under it.
 	Receipt json.RawMessage `json:"receipt,omitempty"`
+	// Progress is the job's progress not yet sent on a heartbeat; it is
+	// filed before the terminal state event.
+	Progress []ProgressEvent `json:"progress,omitempty"`
 }
 
 // ProgressEvent is one forwarded progress line for SSE re-broadcast.
 type ProgressEvent struct {
+	JobID     string `json:"job_id"`
 	Message   string `json:"message"`
 	SimCycles int64  `json:"sim_cycles,omitempty"`
 }
 
-// ProgressRequest batches progress events for one job.
-type ProgressRequest struct {
-	JobID  string          `json:"job_id"`
-	Events []ProgressEvent `json:"events"`
+// fileProgressLocked appends forwarded progress lines to their jobs'
+// event logs; lines for unknown or finished jobs are dropped. Caller
+// holds the server mutex.
+func (s *Server) fileProgressLocked(events []ProgressEvent) {
+	for _, ev := range events {
+		if j, ok := s.jobs[ev.JobID]; ok && !j.state.Terminal() {
+			s.appendEventLocked(j, JobEvent{Type: "progress", Message: ev.Message, SimCycles: ev.SimCycles})
+		}
+	}
 }
 
 // WorkerStatus is one row of GET /v1/workers.
@@ -521,6 +531,7 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	s.mu.Lock()
 	s.touchLocked(wk, now)
+	s.fileProgressLocked(req.Progress)
 	wk.running = make(map[string]bool, len(req.Running))
 	for _, id := range req.Running {
 		if _, leased := wk.leases[id]; leased {
@@ -642,7 +653,7 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 		out = Outcome{Err: errors.New(req.Error)}
 	} else if ok && vErr == nil {
 		if !hasReceipt {
-			// Worker sent no receipt (older agent, or receipts disabled):
+			// Worker sent no receipt (older agent, or its receipt build failed):
 			// synthesize an unchecked one from the validated payload so
 			// every completed job still serves /receipt.
 			var bErr error
@@ -701,6 +712,7 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 	// A zombie may finish a job that was already requeued: the result is
 	// accepted all the same, straight from the queued state.
 	wk.completed++
+	s.fileProgressLocked(req.Progress)
 	s.completeLocked(j, out, now, " on worker "+wk.id)
 	st := j.status(false)
 	s.mu.Unlock()
@@ -750,31 +762,6 @@ func (s *Server) validateCompletion(req CompleteRequest) (rcpt receipt.Receipt, 
 			ShortID(rcpt.ResultDigest), ShortID(got))
 	}
 	return rcpt, true, nil
-}
-
-func (s *Server) handleWorkerProgress(w http.ResponseWriter, r *http.Request) {
-	if !s.clusterOnly(w) {
-		return
-	}
-	wk := s.lookupWorker(w, r)
-	if wk == nil {
-		return
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	var req ProgressRequest
-	if err := dec.Decode(&req); err != nil {
-		s.respondError(w, http.StatusBadRequest, fmt.Errorf("decoding progress batch: %w", err))
-		return
-	}
-	s.mu.Lock()
-	s.touchLocked(wk, time.Now())
-	if j, ok := s.jobs[req.JobID]; ok && !j.state.Terminal() {
-		for _, ev := range req.Events {
-			s.appendEventLocked(j, JobEvent{Type: "progress", Message: ev.Message, SimCycles: ev.SimCycles})
-		}
-	}
-	s.mu.Unlock()
-	s.respondJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) {

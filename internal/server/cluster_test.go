@@ -181,10 +181,17 @@ func TestClusterLeaseExpiryRequeuesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workerPost(t, ts, "/v1/workers/"+savior+"/progress",
-		ProgressRequest{JobID: st.ID, Events: []ProgressEvent{{Message: "checkpoint round 1 begin", SimCycles: 42}}}, nil)
-	cresp := workerPost(t, ts, "/v1/workers/"+savior+"/complete",
-		CompleteRequest{JobID: st.ID, Result: payload}, nil)
+	// Progress rides the heartbeat and, for the rest, the completion.
+	if resp := workerPost(t, ts, "/v1/workers/"+savior+"/heartbeat", HeartbeatRequest{
+		Running:  []string{st.ID},
+		Progress: []ProgressEvent{{JobID: st.ID, Message: "checkpoint round 1 begin", SimCycles: 42}},
+	}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("heartbeat: status %d", resp.StatusCode)
+	}
+	cresp := workerPost(t, ts, "/v1/workers/"+savior+"/complete", CompleteRequest{
+		JobID: st.ID, Result: payload,
+		Progress: []ProgressEvent{{JobID: st.ID, Message: "recovery point 1 committed", SimCycles: 77}},
+	}, nil)
 	if cresp.StatusCode != http.StatusOK {
 		t.Fatalf("complete: status %d", cresp.StatusCode)
 	}
@@ -214,15 +221,19 @@ func TestClusterLeaseExpiryRequeuesByteIdentical(t *testing.T) {
 		t.Fatalf("zombie completion flipped state to %s", got.State)
 	}
 
-	// The savior's forwarded progress line is in the job's event replay.
+	// The savior's forwarded progress lines are in the job's event
+	// replay, the completion's before the done state event.
 	ev, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	events, _ := io.ReadAll(ev.Body)
 	ev.Body.Close()
-	if !strings.Contains(string(events), "checkpoint round 1 begin") {
-		t.Fatalf("event replay missing forwarded progress line:\n%s", events)
+	beat := strings.Index(string(events), "checkpoint round 1 begin")
+	last := strings.Index(string(events), "recovery point 1 committed")
+	done := strings.Index(string(events), `"state":"done"`)
+	if beat < 0 || last < 0 || done < 0 || beat > last || last > done {
+		t.Fatalf("event replay wants heartbeat progress, completion progress, then done:\n%s", events)
 	}
 
 	// Healthz reports coordinator mode and one live worker.

@@ -2,17 +2,13 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 
-	"coma/internal/coherence"
 	"coma/internal/config"
 	"coma/internal/inspect"
 	"coma/internal/machine"
 	"coma/internal/obs"
 	"coma/internal/obs/receipt"
-	"coma/internal/proto"
 	"coma/internal/stats"
-	"coma/internal/workload"
 )
 
 // RunOptions carries the per-run attachments a Runner should honour.
@@ -27,77 +23,30 @@ type RunOptions struct {
 	// Finish is called on the controller when the run ends, releasing
 	// any blocked clients.
 	Inspect func(*inspect.Controller)
-	// SampleEvery is the inspection stream's sampling period in
-	// simulated cycles (0: a sensible default).
-	SampleEvery int64
 }
 
-// DefaultSampleEvery is the inspection sampling period used when
-// RunOptions.SampleEvery is zero.
-const DefaultSampleEvery = 25_000
+// inspectSampleEvery is the inspection stream's sampling period in
+// simulated cycles.
+const inspectSampleEvery = 25_000
 
 // Runner executes one run identity and returns its result. The daemon's
 // production runner is SimRunner; tests substitute counting, slow or
 // failing runners to drive the scheduler without simulating.
 type Runner func(id config.RunIdentity, opts RunOptions) (*stats.Run, error)
 
-// BuildMachine assembles the simulated machine for one run identity —
-// the exact inverse of JobSpec.Identity composed with the same
-// machine.Config assembly the coma package and the experiment suite
-// use. Shared by SimRunner and the comasim REPL.
+// BuildMachine is machine.FromIdentity, kept for existing callers.
 func BuildMachine(id config.RunIdentity, observer obs.Observer) (*machine.Machine, error) {
-	app, ok := workload.ByName(id.App)
-	if !ok {
-		return nil, fmt.Errorf("server: unknown app %q", id.App)
-	}
-	if id.Instructions > 0 && id.Instructions != app.Instructions {
-		app = app.Scale(float64(id.Instructions) / float64(app.Instructions))
-	}
-	var protocol coherence.Protocol
-	switch id.Protocol {
-	case "standard":
-		protocol = coherence.Standard
-	case "ecp":
-		protocol = coherence.ECP
-	default:
-		return nil, fmt.Errorf("server: unknown protocol %q", id.Protocol)
-	}
-	failures := make([]machine.FailurePlan, len(id.Failures))
-	for i, f := range id.Failures {
-		failures[i] = machine.FailurePlan{At: f.At, Node: proto.NodeID(f.Node), Permanent: f.Permanent}
-	}
-	return machine.New(machine.Config{
-		Arch:     id.Arch,
-		Protocol: protocol,
-		Opts: coherence.Options{
-			NoReplicationReuse: id.NoReplicationReuse,
-			NoSharedCKReads:    id.NoSharedCKReads,
-		},
-		App:                app,
-		Seed:               id.Seed,
-		CheckpointHz:       id.CheckpointHz,
-		CheckpointInterval: id.CheckpointInterval,
-		Failures:           failures,
-		Oracle:             id.Oracle,
-		Strict:             id.Strict,
-		Invariants:         id.Invariants,
-		MaxCycles:          id.MaxCycles,
-		Obs:                observer,
-	})
+	return machine.FromIdentity(id, observer)
 }
 
 // SimRunner executes the identity on an in-process simulated machine.
 func SimRunner(id config.RunIdentity, opts RunOptions) (*stats.Run, error) {
-	m, err := BuildMachine(id, opts.Observer)
+	m, err := machine.FromIdentity(id, opts.Observer)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Inspect != nil {
-		sampleEvery := opts.SampleEvery
-		if sampleEvery <= 0 {
-			sampleEvery = DefaultSampleEvery
-		}
-		ctl := m.NewInspector(sampleEvery)
+		ctl := m.NewInspector(inspectSampleEvery)
 		// Finish releases paused/stepping/querying clients even when the
 		// run errors out; without it a REPL or HTTP handler would block
 		// on a safe point that never comes.
@@ -113,8 +62,9 @@ type Execution struct {
 	Runner   Runner
 	Identity config.RunIdentity
 	// Producer names the executor in the receipt (receipt.ProducerLocal,
-	// or a worker's name). NoReceipts skips the receipt gate;
-	// a non-empty ReceiptKey signs the receipt.
+	// or a worker's name). NoReceipts skips the receipt gate (comasim
+	// runs that ask for no receipt; comad always records one); a
+	// non-empty ReceiptKey signs the receipt.
 	Producer   string
 	NoReceipts bool
 	ReceiptKey []byte
@@ -142,8 +92,8 @@ type Outcome struct {
 	ReceiptErr error
 }
 
-// Execute is comad's one run sequence, shared by the daemon's
-// in-process executors and cluster worker nodes (internal/cluster): it
+// Execute is the one run sequence, shared by the daemon's in-process
+// executors, cluster worker nodes (internal/cluster) and comasim: it
 // tees the progress bridge and the receipt gate onto the run's
 // observability stream, runs the identity, marshals the canonical
 // payload and finishes the receipt over it. A local result and a

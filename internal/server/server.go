@@ -65,14 +65,10 @@ type Options struct {
 	// Logf receives operational log lines (nil: discarded).
 	Logf func(format string, args ...any)
 
-	// NoReceipts disables execution receipts. By default every job run
-	// in-process streams a receipt-grade trace (receipt.TraceMask)
-	// through the receipt gate and emits a coma-receipt/v1 document into
-	// the store beside the result; the trace's JSONL bytes are held in
-	// memory for the run's duration and stored with the receipt, so
-	// operators running enormous single jobs can opt out.
-	NoReceipts bool
-	// ReceiptKey, when non-empty, HMAC-signs every emitted receipt and
+	// Every job gets an execution receipt: local runs stream through
+	// the receipt gate, and a worker completion carries one (or gets an
+	// unchecked one built from its payload). ReceiptKey, when
+	// non-empty, HMAC-signs every emitted receipt and
 	// requires worker-submitted receipts to verify under the same key —
 	// for fleets whose transport is not trusted.
 	ReceiptKey []byte
@@ -179,7 +175,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.handleWorkerHeartbeat)
 	s.mux.HandleFunc("POST /v1/workers/{id}/lease", s.handleWorkerLease)
 	s.mux.HandleFunc("POST /v1/workers/{id}/complete", s.handleWorkerComplete)
-	s.mux.HandleFunc("POST /v1/workers/{id}/progress", s.handleWorkerProgress)
 	s.mux.HandleFunc("DELETE /v1/workers/{id}", s.handleWorkerDeregister)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -366,7 +361,6 @@ func (s *Server) runLocal(j *job) {
 		Runner:     s.runner,
 		Identity:   j.identity,
 		Producer:   receipt.ProducerLocal,
-		NoReceipts: s.opts.NoReceipts,
 		ReceiptKey: s.opts.ReceiptKey,
 		// Every event is counted for /metrics; SSE forwarding is only
 		// wired up when the job asked for progress streaming.

@@ -3,8 +3,9 @@
 # smoke-inspect). Exercises the inspection layer end to end and proves
 # the core promise — observing a run does not change it:
 #   1. a plain comasim run and a comasim -repl run (pause, query a
-#      line's placement, step, resume) of the same 16-node faulted spec
-#      produce byte-identical traces and identical results;
+#      line's placement, step, resume) of the same 16-node faulted spec,
+#      and of a 9-node barnes spec, produce byte-identical traces and
+#      identical results;
 #   2. comatrace summarize exits non-zero on an empty trace;
 #   3. a comad daemon answers all four inspect views (summary, node,
 #      queues, line) with valid JSON while a 16-node faulted job is
@@ -39,6 +40,7 @@ trap cleanup EXIT
 # small scale so the trace-diff part stays fast; the daemon job uses a
 # larger one so it is still mid-run when we query it.
 CLI_FLAGS=(-app mp3d -nodes 16 -protocol ecp -hz 400 -scale 0.005 -seed 7 -fail 30000:2)
+BARNES_FLAGS=(-app barnes -nodes 9 -protocol standard -scale 0.0055)
 SPEC='{"app":"mp3d","nodes":16,"protocol":"ecp","hz":400,"scale":0.5,"seed":7,"failures":[{"at":30000,"node":2,"permanent":true}]}'
 
 echo "== build"
@@ -47,13 +49,18 @@ go build -o "$WORK/comad" ./cmd/comad
 go build -o "$WORK/comatrace" ./cmd/comatrace
 
 echo "== inspected CLI run is byte-identical to uninspected"
-"$WORK/comasim" "${CLI_FLAGS[@]}" -trace-out "$WORK/base.jsonl" >"$WORK/base.txt" 2>&1
-printf 'pause\nstep 20000\nline 100\nnode\nqueues\nsummary\nquit\n' |
-    "$WORK/comasim" -repl "${CLI_FLAGS[@]}" -trace-out "$WORK/repl.jsonl" >"$WORK/repl.txt" 2>&1
-cmp "$WORK/base.jsonl" "$WORK/repl.jsonl"
-grep -q 'owner' "$WORK/repl.txt" || { echo "REPL never reported a line's owner"; cat "$WORK/repl.txt"; exit 1; }
-diff <(grep 'cycles' "$WORK/base.txt") <(grep 'cycles' "$WORK/repl.txt")
-echo "ok: $(wc -c <"$WORK/base.jsonl") trace bytes identical, results match"
+# The barnes flags are a second input: their scaled budget once ran one
+# instruction longer in a plain run than under -repl.
+for FLAGS in "${CLI_FLAGS[*]}" "${BARNES_FLAGS[*]}"; do
+    read -r -a RUN <<<"$FLAGS"
+    "$WORK/comasim" "${RUN[@]}" -trace-out "$WORK/base.jsonl" >"$WORK/base.txt" 2>&1
+    printf 'pause\nstep 20000\nline 100\nnode\nqueues\nsummary\nquit\n' |
+        "$WORK/comasim" -repl "${RUN[@]}" -trace-out "$WORK/repl.jsonl" >"$WORK/repl.txt" 2>&1
+    cmp "$WORK/base.jsonl" "$WORK/repl.jsonl"
+    grep -q 'owner' "$WORK/repl.txt" || { echo "REPL never reported a line's owner"; cat "$WORK/repl.txt"; exit 1; }
+    diff <(grep -E 'cycles|instructions' "$WORK/base.txt") <(grep -E 'cycles|instructions' "$WORK/repl.txt")
+    echo "ok: ${RUN[*]}: $(wc -c <"$WORK/base.jsonl") trace bytes identical, results match"
+done
 
 echo "== comatrace summarize rejects an empty trace"
 : >"$WORK/empty.jsonl"
