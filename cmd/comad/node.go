@@ -15,18 +15,20 @@ import (
 )
 
 // node is `comad node`, a cluster worker: it registers with a
-// coordinator (comad serve -cluster), heartbeats, leases jobs, runs them
-// on the in-process simulator and streams results and progress back.
-// See README §Cluster for topology and failure semantics.
+// coordinator (comad serve -cluster), heartbeats at the period the
+// coordinator advertises, and on each of its slots leases one job, runs
+// it on the in-process simulator and streams its result and progress
+// back. See README §Cluster for topology and failure semantics.
 //
 //	comad node -coordinator http://coordinator:7700 -slots 2
 //
-// The process drains on SIGINT/SIGTERM: in-flight simulations finish
-// and complete, unstarted leases are returned to the coordinator, then
-// it exits 0. It does the same once its coordinator has drained (every
-// accepted job finished, none left to lease). If the process dies
-// abruptly instead, the coordinator requeues its leases after one lease
-// TTL — that is the cluster's fault-tolerance path, not an error.
+// The process drains on SIGINT/SIGTERM, and once its coordinator has
+// drained (every accepted job finished, none left to lease): in-flight
+// simulations finish and complete, the worker deregisters, then it
+// exits 0. It holds no backlog to return: every lease is a job one of
+// its slots is running. If the process dies abruptly instead, the
+// coordinator requeues its leases after one lease TTL — that is the
+// cluster's fault-tolerance path, not an error.
 //
 // A worker must be built from the same code revision as its
 // coordinator: results are cached under the coordinator's revision, so
@@ -38,7 +40,6 @@ func node(args []string) int {
 		name        = fs.String("name", "", "worker name in coordinator listings (default: hostname)")
 		slots       = fs.Int("slots", 1, "simulations to run concurrently")
 		revision    = fs.String("revision", "", "code revision reported at registration (default: build info)")
-		heartbeat   = fs.Duration("heartbeat", 0, "heartbeat period (0: coordinator's suggestion)")
 		quiet       = fs.Bool("quiet", false, "suppress per-job log lines")
 		receiptKey  = fs.String("receipt-key", "", "hex HMAC-SHA256 key signing completion receipts (must match the coordinator's)")
 	)
@@ -70,18 +71,17 @@ func node(args []string) int {
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
 		sig := <-sigc
-		log.Printf("comad node: %v: draining (in-flight jobs finish, backlog returns)", sig)
+		log.Printf("comad node: %v: draining (in-flight jobs finish)", sig)
 		cancel()
 	}()
 
 	a := cluster.New(cluster.Config{
-		Coordinator:    *coordinator,
-		Name:           *name,
-		Slots:          *slots,
-		Revision:       *revision,
-		HeartbeatEvery: *heartbeat,
-		Logf:           logf,
-		ReceiptKey:     key,
+		Coordinator: *coordinator,
+		Name:        *name,
+		Slots:       *slots,
+		Revision:    *revision,
+		Logf:        logf,
+		ReceiptKey:  key,
 	})
 	log.Printf("comad node: %s joining %s (%d slot(s), revision %s)",
 		*name, *coordinator, *slots, server.ShortID(*revision))

@@ -16,11 +16,12 @@
 //
 // Concurrency model. This package is host-side serve-layer concurrency,
 // outside the simulator's no-goroutines rule (it holds a
-// ConcurrencyAllowlist entry like internal/server): each leased job
-// runs on its own slot goroutine with a private machine and
-// seed-derived RNG streams, so OS scheduling cannot perturb simulated
-// outcomes — the same determinism argument the coordinator's cache
-// relies on.
+// ConcurrencyAllowlist entry like internal/server): each slot goroutine
+// leases one job, runs it on a private machine with seed-derived RNG
+// streams and completes it before it asks for the next. The worker
+// thus holds no work it has not started, and OS scheduling cannot
+// perturb simulated outcomes — the same determinism argument the
+// coordinator's cache relies on.
 package cluster
 
 import (
@@ -41,19 +42,15 @@ type Config struct {
 	Coordinator string
 	// Name labels the worker in coordinator listings and logs.
 	Name string
-	// Slots is how many simulations run concurrently (0: 1).
+	// Slots is how many simulations run concurrently (0: 1). Each slot
+	// leases one job at a time, so the worker never holds work it has
+	// not started.
 	Slots int
-	// Prefetch is how many leases beyond Slots to hold locally so a slot
-	// never idles waiting on a lease round-trip (0: 1; negative: 0).
-	Prefetch int
 	// Runner executes runs (nil: server.SimRunner, the real simulator).
 	Runner server.Runner
 	// Revision is the worker's code revision, checked at registration —
 	// a coordinator refuses workers built from different code.
 	Revision string
-	// HeartbeatEvery overrides the coordinator's advertised heartbeat
-	// period (0: use the coordinator's).
-	HeartbeatEvery time.Duration
 	// Logf receives operational log lines (nil: discarded).
 	Logf func(format string, args ...any)
 
@@ -69,29 +66,20 @@ type Agent struct {
 	cli  *client.Client
 	seed uint64 // retry-backoff jitter seed, derived from Name
 
+	regMu sync.Mutex // serialises re-registration across slots
+
 	mu       sync.Mutex
 	id       string                            // coordinator-assigned; reset on re-register
-	queue    []server.LeasedJob                // leased, not yet started
-	running  map[string]bool                   // started, not yet completed
 	progress map[string][]server.ProgressEvent // unsent progress per job
-	draining bool
 
-	wake   chan struct{} // signals slot executors: queue grew or drain began
-	killed chan struct{} // closed by Kill: simulate abrupt process death
-
+	killed   chan struct{} // closed by Kill: simulate abrupt process death
 	killOnce sync.Once
-	wg       sync.WaitGroup // slot executors
 }
 
 // New assembles an agent. Call Run to start it.
 func New(cfg Config) *Agent {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
-	}
-	if cfg.Prefetch == 0 {
-		cfg.Prefetch = 1
-	} else if cfg.Prefetch < 0 {
-		cfg.Prefetch = 0
 	}
 	if cfg.Runner == nil {
 		cfg.Runner = server.SimRunner
@@ -107,9 +95,7 @@ func New(cfg Config) *Agent {
 		cfg:      cfg,
 		cli:      client.NewSeeded(cfg.Coordinator, seed),
 		seed:     seed,
-		running:  make(map[string]bool),
 		progress: make(map[string][]server.ProgressEvent),
-		wake:     make(chan struct{}, 64),
 		killed:   make(chan struct{}),
 	}
 }
@@ -124,37 +110,25 @@ func (a *Agent) Kill() {
 }
 
 // Run registers with the coordinator and works until ctx is cancelled
-// (graceful drain: in-flight jobs finish and complete, the unstarted
-// backlog is returned by deregistration), the coordinator reports it
-// has drained (every job it accepted is finished), or Kill is called
-// (abrupt death: everything is abandoned). It returns nil on a clean
-// drain.
+// (graceful drain: in-flight jobs finish and complete, then the worker
+// deregisters), the coordinator reports it has drained (every job it
+// accepted is finished), or Kill is called (abrupt death: everything is
+// abandoned). It returns nil on a clean drain.
 func (a *Agent) Run(ctx context.Context) error {
 	reg, err := a.register(ctx)
 	if err != nil {
 		return err
 	}
-	heartbeatEvery := a.cfg.HeartbeatEvery
+	heartbeatEvery := time.Duration(reg.HeartbeatMS) * time.Millisecond
 	if heartbeatEvery <= 0 {
-		heartbeatEvery = time.Duration(reg.HeartbeatMS) * time.Millisecond
-	}
-	if heartbeatEvery <= 0 {
+		// The period comes off the network, and time.NewTicker panics
+		// on a non-positive one.
 		heartbeatEvery = server.DefaultHeartbeatEvery
 	}
 	a.logf("registered with %s as %s (%d slot(s), heartbeat %v)",
 		a.cfg.Coordinator, reg.WorkerID, a.cfg.Slots, heartbeatEvery)
 
-	// Slot executors: each runs one simulation at a time off the local
-	// lease queue.
-	for i := 0; i < a.cfg.Slots; i++ {
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			a.executeLoop()
-		}()
-	}
-
-	// Heartbeat loop: liveness, revocations, progress.
+	// Heartbeat loop: liveness, lease renewal, progress.
 	hbDone := make(chan struct{})
 	hbCtx, stopHB := context.WithCancel(context.Background())
 	go func() {
@@ -162,22 +136,25 @@ func (a *Agent) Run(ctx context.Context) error {
 		a.heartbeatLoop(hbCtx, heartbeatEvery)
 	}()
 
-	// Lease loop (this goroutine): long-poll for work while there is
-	// local capacity.
-	err = a.leaseLoop(ctx)
-
-	// Drain: stop accepting work, let executors finish what they
-	// started, then tell the coordinator we are leaving so the backlog
-	// requeues immediately instead of waiting out the lease TTL.
-	a.mu.Lock()
-	a.draining = true
-	returned := len(a.queue)
-	a.queue = nil
-	a.mu.Unlock()
-	a.broadcastWake()
-	a.wg.Wait()
+	// Slots: each leases, runs and completes one job at a time. A slot
+	// that learns the coordinator has drained, or cannot rejoin it,
+	// stops the others.
+	slotCtx, stopSlots := context.WithCancel(ctx)
+	defer stopSlots()
+	errs := make([]error, a.cfg.Slots)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = a.work(slotCtx, i)
+			stopSlots()
+		}()
+	}
+	wg.Wait()
 	stopHB()
 	<-hbDone
+	err = errors.Join(errs...)
 	if a.isKilled() {
 		return err
 	}
@@ -186,7 +163,7 @@ func (a *Agent) Run(ctx context.Context) error {
 	if derr := a.cli.DeregisterWorker(shutCtx, a.workerID()); derr != nil && !client.IsGone(derr) {
 		a.logf("deregister: %v", derr)
 	}
-	a.logf("drained (%d unstarted lease(s) returned)", returned)
+	a.logf("drained")
 	return err
 }
 
@@ -218,40 +195,45 @@ func (a *Agent) register(ctx context.Context) (server.RegisterResponse, error) {
 	}
 }
 
-// leaseLoop long-polls the coordinator for work whenever local capacity
-// (slots + prefetch minus held leases) is positive, enqueues what it
-// gets, and applies revocations. Returns when ctx is cancelled, the
-// agent is killed, or the coordinator reports it has drained — a
-// coordinator that is still draining keeps handing out its queued
-// jobs, so the agent keeps taking them.
-func (a *Agent) leaseLoop(ctx context.Context) error {
-	backoff := client.NewBackoff(a.seed ^ 0xc1a5)
+// reregister rejoins after the coordinator answered 410 to stale, the
+// worker id the caller used. Slots that see the same 410 at once
+// register one new worker between them: the first re-registers, the
+// rest find the id already replaced.
+func (a *Agent) reregister(ctx context.Context, stale string) error {
+	a.regMu.Lock()
+	defer a.regMu.Unlock()
+	if a.workerID() != stale {
+		return nil
+	}
+	a.logf("declared dead, re-registering")
+	_, err := a.register(ctx)
+	return err
+}
+
+// work is one slot: long-poll the coordinator for one job, run it,
+// complete it, repeat. It returns when ctx is cancelled, the agent is
+// killed, or a lease or completion reports that the coordinator has
+// drained — a coordinator that is still draining keeps handing out its
+// queued jobs, so the slot keeps taking them.
+func (a *Agent) work(ctx context.Context, slot int) error {
+	backoff := client.NewBackoff((a.seed ^ 0xc1a5) + uint64(slot))
 	for {
 		if ctx.Err() != nil || a.isKilled() {
 			return nil
 		}
-		capacity := a.capacity()
-		if capacity <= 0 {
-			// Fully loaded: wait for a slot to free up rather than
-			// holding a pointless long-poll open.
-			if !sleepCtx(ctx, a.killed, 50*time.Millisecond) {
-				return nil
-			}
-			continue
-		}
-		resp, err := a.cli.LeaseJobs(ctx, a.workerID(), server.LeaseRequest{
-			Max:    capacity,
-			WaitMS: 2000,
-		})
+		id := a.workerID()
+		resp, err := a.cli.LeaseJob(ctx, id, server.LeaseRequest{WaitMS: 2000})
 		if err != nil {
 			if ctx.Err() != nil || a.isKilled() {
 				return nil
 			}
 			if client.IsGone(err) {
-				// Coordinator declared us dead (our leases already
-				// requeued); rejoin as a fresh worker.
-				a.logf("lease: declared dead, re-registering")
-				if _, rerr := a.register(ctx); rerr != nil {
+				// The coordinator declared us dead and requeued our
+				// leases; rejoin as a fresh worker.
+				if rerr := a.reregister(ctx, id); rerr != nil {
+					if ctx.Err() != nil {
+						return nil
+					}
 					return rerr
 				}
 				backoff.Reset()
@@ -264,24 +246,15 @@ func (a *Agent) leaseLoop(ctx context.Context) error {
 			continue
 		}
 		backoff.Reset()
-		a.applyRevocations(resp.Revoked)
-		if len(resp.Jobs) > 0 {
-			a.mu.Lock()
-			a.queue = append(a.queue, resp.Jobs...)
-			a.mu.Unlock()
-			for range resp.Jobs {
-				a.signalWake()
-			}
-		}
-		if resp.Draining {
+		if resp.Job != nil && a.execute(*resp.Job) || resp.Draining {
 			a.logf("coordinator drained, no work left")
 			return nil
 		}
 	}
 }
 
-// heartbeatLoop renews leases and reports started jobs on a fixed
-// period, carrying the progress buffered since the last beat.
+// heartbeatLoop renews leases on a fixed period, carrying the progress
+// buffered since the last beat.
 func (a *Agent) heartbeatLoop(ctx context.Context, every time.Duration) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
@@ -293,51 +266,11 @@ func (a *Agent) heartbeatLoop(ctx context.Context, every time.Duration) {
 			return
 		case <-ticker.C:
 		}
-		resp, err := a.cli.Heartbeat(ctx, a.workerID(), a.beat())
-		if err != nil {
-			if ctx.Err() == nil && !client.IsGone(err) {
-				a.logf("heartbeat: %v", err)
-			}
-			// A 410 here means the coordinator gave up on us; the lease
-			// loop re-registers on its next request.
-			continue
-		}
-		a.applyRevocations(resp.Revoked)
-	}
-}
-
-// executeLoop is one slot: take a leased job, simulate, complete.
-func (a *Agent) executeLoop() {
-	for {
-		j, ok := a.take()
-		if !ok {
-			return
-		}
-		a.execute(j)
-	}
-}
-
-// take blocks until a leased job is available (moving it queued →
-// running) or the agent drains or dies.
-func (a *Agent) take() (server.LeasedJob, bool) {
-	for {
-		a.mu.Lock()
-		if len(a.queue) > 0 {
-			j := a.queue[0]
-			a.queue = a.queue[1:]
-			a.running[j.JobID] = true
-			a.mu.Unlock()
-			return j, true
-		}
-		drained := a.draining
-		a.mu.Unlock()
-		if drained {
-			return server.LeasedJob{}, false
-		}
-		select {
-		case <-a.wake:
-		case <-a.killed:
-			return server.LeasedJob{}, false
+		// A 410 means the coordinator gave up on us; the next lease
+		// request re-registers.
+		if _, err := a.cli.Heartbeat(ctx, a.workerID(), a.beat()); err != nil &&
+			ctx.Err() == nil && !client.IsGone(err) {
+			a.logf("heartbeat: %v", err)
 		}
 	}
 }
@@ -345,11 +278,11 @@ func (a *Agent) take() (server.LeasedJob, bool) {
 // execute runs one leased job and delivers its outcome. Progress events
 // are buffered under the job id and ride the next heartbeat; whatever
 // is left rides the completion, which the coordinator files before the
-// terminal state event.
-func (a *Agent) execute(j server.LeasedJob) {
+// terminal state event. It reports whether the completion's answer says
+// the coordinator has drained.
+func (a *Agent) execute(j server.LeasedJob) (drained bool) {
 	defer func() {
 		a.mu.Lock()
-		delete(a.running, j.JobID)
 		delete(a.progress, j.JobID)
 		a.mu.Unlock()
 	}()
@@ -358,6 +291,7 @@ func (a *Agent) execute(j server.LeasedJob) {
 		Runner:     a.cfg.Runner,
 		Identity:   j.Identity,
 		Producer:   a.cfg.Name,
+		DropTrace:  true,
 		ReceiptKey: a.cfg.ReceiptKey,
 	}
 	if j.Progress {
@@ -370,12 +304,13 @@ func (a *Agent) execute(j server.LeasedJob) {
 	}
 	out := server.Execute(x)
 	if a.isKilled() {
-		return // dead processes deliver nothing
+		return false // dead processes deliver nothing
 	}
 	// The receipt rides along with the result: the coordinator
 	// recomputes the result digest against it before the payload may
-	// enter the store. The trace stays here; its digest in the receipt
-	// lets any holder of the trace attest it later.
+	// enter the store. The worker keeps no trace: the gate hashed it as
+	// it streamed, so the receipt's digest lets any holder of the same
+	// trace attest it later.
 	req := server.CompleteRequest{JobID: j.JobID, Result: out.Payload}
 	if out.Err != nil {
 		req.Error = out.Err.Error()
@@ -395,9 +330,9 @@ func (a *Agent) execute(j server.LeasedJob) {
 	defer cancel()
 	backoff := client.NewBackoff(a.seed ^ 0x0b5)
 	for {
-		cerr := a.cli.CompleteJob(ctx, a.workerID(), req)
+		ack, cerr := a.cli.CompleteJob(ctx, a.workerID(), req)
 		if cerr == nil {
-			return
+			return ack.Draining
 		}
 		if sc := client.StatusCode(cerr); sc >= 400 && sc < 500 || ctx.Err() != nil || a.isKilled() {
 			// Unknown job (cancelled or coordinator restarted), or the
@@ -407,56 +342,21 @@ func (a *Agent) execute(j server.LeasedJob) {
 			if sc == http.StatusUnprocessableEntity {
 				a.logf("complete %s: rejected: %v", server.ShortID(j.JobID), cerr)
 			}
-			return
+			return false
 		}
 		a.logf("complete %s: %v (retrying)", server.ShortID(j.JobID), cerr)
 		if !sleepCtx(ctx, a.killed, backoff.Next(0)) {
-			return
+			return false
 		}
 	}
 }
 
-// applyRevocations drops revoked jobs that have not started; jobs
-// already running are left alone — whoever completes first wins, the
-// loser's completion is a benign duplicate.
-func (a *Agent) applyRevocations(revoked []string) {
-	if len(revoked) == 0 {
-		return
-	}
-	gone := make(map[string]bool, len(revoked))
-	for _, id := range revoked {
-		gone[id] = true
-	}
-	a.mu.Lock()
-	kept := a.queue[:0]
-	for _, j := range a.queue {
-		if !gone[j.JobID] {
-			kept = append(kept, j)
-		}
-	}
-	dropped := len(a.queue) - len(kept)
-	a.queue = kept
-	a.mu.Unlock()
-	if dropped > 0 {
-		a.logf("%d unstarted lease(s) revoked (stolen by an idle worker)", dropped)
-	}
-}
-
-func (a *Agent) capacity() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cfg.Slots + a.cfg.Prefetch - len(a.queue) - len(a.running)
-}
-
-// beat assembles a heartbeat: the started jobs and every progress event
-// buffered since the last beat.
+// beat assembles a heartbeat: every progress event buffered since the
+// last beat.
 func (a *Agent) beat() server.HeartbeatRequest {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	req := server.HeartbeatRequest{Running: make([]string, 0, len(a.running))}
-	for id := range a.running {
-		req.Running = append(req.Running, id)
-	}
+	var req server.HeartbeatRequest
 	for id, events := range a.progress {
 		req.Progress = append(req.Progress, events...)
 		delete(a.progress, id)
@@ -476,20 +376,6 @@ func (a *Agent) isKilled() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-func (a *Agent) signalWake() {
-	select {
-	case a.wake <- struct{}{}:
-	default:
-	}
-}
-
-// broadcastWake wakes every blocked executor (used when draining).
-func (a *Agent) broadcastWake() {
-	for i := 0; i < a.cfg.Slots; i++ {
-		a.signalWake()
 	}
 }
 

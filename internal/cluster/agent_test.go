@@ -92,12 +92,10 @@ func TestClusterCampaignSurvivesWorkerKill(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	victim := New(Config{
-		Coordinator:    ts.URL,
-		Name:           "victim",
-		Slots:          1,
-		Prefetch:       -1, // hold exactly one lease
-		Revision:       rev,
-		HeartbeatEvery: 150 * time.Millisecond,
+		Coordinator: ts.URL,
+		Name:        "victim",
+		Slots:       1,
+		Revision:    rev,
 		Runner: func(config.RunIdentity, server.RunOptions) (*stats.Run, error) {
 			select {
 			case started <- struct{}{}:
@@ -137,23 +135,15 @@ func TestClusterCampaignSurvivesWorkerKill(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("victim never started a job")
 	}
-	// Wait until a heartbeat has reported the job running, so the
-	// coordinator knows it is not a stealable backlog entry: the only
-	// way off the dead victim is lease expiry.
-	waitVictimRunning(t, ts.URL)
+	// The victim holds only the job it is running: the only way off the
+	// dead victim is lease expiry.
 	victim.Kill()
 
 	// Two healthy replacements (real simulator) absorb the queue and
 	// the requeued lease.
 	agentDone := make(chan error, 2)
 	for _, name := range []string{"healthy-1", "healthy-2"} {
-		a := New(Config{
-			Coordinator:    ts.URL,
-			Name:           name,
-			Slots:          1,
-			Revision:       rev,
-			HeartbeatEvery: 150 * time.Millisecond,
-		})
+		a := New(Config{Coordinator: ts.URL, Name: name, Slots: 1, Revision: rev})
 		go func() { agentDone <- a.Run(ctx) }()
 	}
 
@@ -200,27 +190,6 @@ func TestClusterCampaignSurvivesWorkerKill(t *testing.T) {
 			t.Fatal("healthy agent did not drain")
 		}
 	}
-}
-
-// waitVictimRunning polls the coordinator until the victim's lease is
-// marked running (heartbeat delivered).
-func waitVictimRunning(t *testing.T, base string) {
-	t.Helper()
-	cli := client.New(base)
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		workers, _, err := cli.Workers(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range workers {
-			if w.Name == "victim" && w.Running >= 1 {
-				return
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatal("victim's job never reported running")
 }
 
 func scrapeMetrics(t *testing.T, base string) string {
@@ -282,7 +251,7 @@ func TestAgentRegisterRevisionMismatchAborts(t *testing.T) {
 // TestAgentGracefulDrainCompletesInflight: cancelling Run lets the
 // in-flight job finish and complete before deregistering.
 func TestAgentGracefulDrainCompletesInflight(t *testing.T) {
-	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute})
+	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute, HeartbeatEvery: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +261,8 @@ func TestAgentGracefulDrainCompletesInflight(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	a := New(Config{
-		Coordinator:    ts.URL,
-		Name:           "drainer",
-		HeartbeatEvery: 100 * time.Millisecond,
+		Coordinator: ts.URL,
+		Name:        "drainer",
 		Runner: func(id config.RunIdentity, _ server.RunOptions) (*stats.Run, error) {
 			entered <- struct{}{}
 			<-release
@@ -345,13 +313,13 @@ func TestAgentGracefulDrainCompletesInflight(t *testing.T) {
 // the done state event. The heartbeat period outlasts the run, so every
 // line rides the completion.
 func TestAgentForwardsProgress(t *testing.T) {
-	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute})
+	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute, HeartbeatEvery: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	a := New(Config{Coordinator: ts.URL, Name: "reporter", HeartbeatEvery: time.Minute})
+	a := New(Config{Coordinator: ts.URL, Name: "reporter"})
 	ctx, cancel := context.WithCancel(context.Background())
 	agentDone := make(chan error, 1)
 	go func() { agentDone <- a.Run(ctx) }()
@@ -390,7 +358,7 @@ func TestAgentForwardsProgress(t *testing.T) {
 // that was queued behind it when the drain began — and then leaves on
 // its own once the coordinator reports it has drained.
 func TestClusterDrainCompletesQueuedWork(t *testing.T) {
-	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute})
+	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute, HeartbeatEvery: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,10 +368,9 @@ func TestClusterDrainCompletesQueuedWork(t *testing.T) {
 	// The first job holds the agent's only slot until the drain has begun.
 	release := make(chan struct{})
 	a := New(Config{
-		Coordinator:    ts.URL,
-		Name:           "last-worker",
-		Slots:          1,
-		HeartbeatEvery: 100 * time.Millisecond,
+		Coordinator: ts.URL,
+		Name:        "last-worker",
+		Slots:       1,
 		Runner: func(id config.RunIdentity, _ server.RunOptions) (*stats.Run, error) {
 			<-release
 			return &stats.Run{Cycles: 7, Protocol: id.Protocol, Nodes: id.Arch.Nodes}, nil
@@ -469,5 +436,257 @@ func TestClusterDrainCompletesQueuedWork(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("agent did not leave after the coordinator drained")
+	}
+}
+
+// TestClusterQueuedJobWaitsForIdleSlot: a worker leases a job only when
+// one of its slots is idle. A single-slot agent busy with its first job
+// leaves the second queued at the coordinator, not leased to itself, and
+// an agent that registers afterwards runs it.
+func TestClusterQueuedJobWaitsForIdleSlot(t *testing.T) {
+	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fake := func(id config.RunIdentity) *stats.Run {
+		return &stats.Run{Cycles: 3, Protocol: id.Protocol, Nodes: id.Arch.Nodes}
+	}
+
+	release := make(chan struct{})
+	busy := New(Config{
+		Coordinator: ts.URL,
+		Name:        "busy",
+		Slots:       1,
+		Runner: func(id config.RunIdentity, _ server.RunOptions) (*stats.Run, error) {
+			<-release
+			return fake(id), nil
+		},
+	})
+	busyDone := make(chan error, 1)
+	go func() { busyDone <- busy.Run(ctx) }()
+
+	cli := client.New(ts.URL)
+	submit := func(seed uint64) string {
+		t.Helper()
+		st, err := cli.Submit(context.Background(), server.JobSpec{App: "mp3d", Nodes: 2, Protocol: "ecp", Seed: seed}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	state := func(id string) server.JobStatus {
+		t.Helper()
+		st, err := cli.Status(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	first := submit(1)
+	for deadline := time.Now().Add(20 * time.Second); state(first).State != server.StateRunning; {
+		if time.Now().After(deadline) {
+			t.Fatal("first job never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The busy agent's slot is taken: whatever it asks of the
+	// coordinator now, the second job must stay in the queue.
+	second := submit(2)
+	for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if st := state(second); st.State != server.StateQueued {
+			t.Fatalf("second job is %s on %q while the only slot is busy, want queued", st.State, st.Worker)
+		}
+	}
+
+	idle := New(Config{
+		Coordinator: ts.URL,
+		Name:        "idle",
+		Slots:       1,
+		Runner: func(id config.RunIdentity, _ server.RunOptions) (*stats.Run, error) {
+			return fake(id), nil
+		},
+	})
+	idleDone := make(chan error, 1)
+	go func() { idleDone <- idle.Run(ctx) }()
+	for deadline := time.Now().Add(20 * time.Second); state(second).State != server.StateDone; {
+		if time.Now().After(deadline) {
+			t.Fatalf("second job is %s, want done by the idle agent", state(second).State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	workers, _, err := cli.Workers(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workers {
+		if want := map[string]int64{"busy": 0, "idle": 1}[w.Name]; w.Completed != want {
+			t.Errorf("worker %s completed %d jobs, want %d", w.Name, w.Completed, want)
+		}
+	}
+
+	close(release)
+	cancel()
+	for _, done := range []chan error{busyDone, idleDone} {
+		if err := <-done; err != nil {
+			t.Fatalf("agent Run: %v", err)
+		}
+	}
+	if st := state(first); st.State != server.StateDone {
+		t.Fatalf("first job: %s after the busy agent drained, want done", st.State)
+	}
+}
+
+// TestAgentLeavesCoordinatorThatStopsAfterDrain: comad stops listening
+// as soon as its drain finishes, so the agent that completes the last
+// job must learn from that completion's answer that the coordinator has
+// drained; it has no lease request in flight to learn it from.
+func TestAgentLeavesCoordinatorThatStopsAfterDrain(t *testing.T) {
+	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	release := make(chan struct{})
+	a := New(Config{
+		Coordinator: ts.URL,
+		Name:        "last-worker",
+		Runner: func(id config.RunIdentity, _ server.RunOptions) (*stats.Run, error) {
+			<-release
+			return &stats.Run{Cycles: 7, Protocol: id.Protocol, Nodes: id.Arch.Nodes}, nil
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	agentDone := make(chan error, 1)
+	go func() { agentDone <- a.Run(ctx) }()
+
+	cli := client.New(ts.URL)
+	st, err := cli.Submit(context.Background(), server.JobSpec{App: "mp3d", Nodes: 2, Protocol: "ecp", Seed: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; {
+		if st, err := cli.Status(context.Background(), st.ID); err == nil && st.State == server.StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Drain, then stop serving at once, as comad serve does on SIGTERM.
+	drained := make(chan error, 1)
+	go func() {
+		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer dcancel()
+		err := srv.Drain(dctx)
+		ts.Close()
+		drained <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if h, err := cli.Health(context.Background()); err == nil && h.Draining {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator never reported draining")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(release)
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	select {
+	case err := <-agentDone:
+		if err != nil {
+			t.Fatalf("agent Run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("agent kept retrying a coordinator that drained and stopped")
+	}
+}
+
+// TestAgentSlotsReregisterOnce: when the coordinator forgets a
+// multi-slot worker, each slot's lease request gets a 410 at about the
+// same time, and the agent rejoins as exactly one new worker, which
+// then runs submitted work.
+func TestAgentSlotsReregisterOnce(t *testing.T) {
+	srv, err := server.New(server.Options{Cluster: true, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	a := New(Config{
+		Coordinator: ts.URL,
+		Name:        "multi",
+		Slots:       3,
+		Runner: func(id config.RunIdentity, _ server.RunOptions) (*stats.Run, error) {
+			return &stats.Run{Cycles: 5, Protocol: id.Protocol, Nodes: id.Arch.Nodes}, nil
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	agentDone := make(chan error, 1)
+	go func() { agentDone <- a.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-agentDone; err != nil {
+			t.Errorf("agent Run: %v", err)
+		}
+	}()
+
+	cli := client.New(ts.URL)
+	ids := func() []string {
+		t.Helper()
+		workers, _, err := cli.Workers(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, w := range workers {
+			out = append(out, w.ID)
+		}
+		return out
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(ids()) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("agent never registered")
+		}
+	}
+	// Forget the worker while its slots are long-polling.
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/workers/w1", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for deadline := time.Now().Add(10 * time.Second); len(ids()) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("agent never re-registered")
+		}
+	}
+	// Every slot has seen its 410 well within a second (a long-poll
+	// rechecks its worker every 250 ms); one registration must serve
+	// them all.
+	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+		if got := ids(); len(got) != 1 || got[0] != "w2" {
+			t.Fatalf("workers after the 410s = %v, want just [w2]", got)
+		}
+	}
+
+	st, err := cli.Submit(context.Background(), server.JobSpec{App: "mp3d", Nodes: 2, Protocol: "ecp", Seed: 9}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != server.StateDone {
+		t.Fatalf("job after re-registration: %s, want done", st.State)
 	}
 }

@@ -734,8 +734,13 @@ func (co *Coordinator) AppBarrier(p *sim.Process, ops NodeOps) bool {
 		// never completes.
 		if co.pauseRequested && co.lastDone[ops.ID()] != co.round {
 			if !co.Participate(p, ops) {
-				co.abArrived--
-				co.maybeOpenAppBarrier()
+				// Retract the arrival only from the round it was
+				// counted in: if that round opened while this node was
+				// failing, abArrived already belongs to the next one.
+				if co.abRound == round {
+					co.abArrived--
+					co.maybeOpenAppBarrier()
+				}
 				return false
 			}
 			continue

@@ -204,6 +204,34 @@ func TestPermanentFailureRecoversAndReconfigures(t *testing.T) {
 	}
 }
 
+// TestPermanentFailureAtOpenAppBarrier: with these seeds the permanent
+// failure of node 11 lands just after the application barrier opened
+// with node 11 among its arrivals. Unwinding node 11 out of AppBarrier
+// must not retract an arrival from the barrier's next round: that left
+// every later barrier one arrival short, and the live processors parked
+// there until the cycle limit.
+func TestPermanentFailureAtOpenAppBarrier(t *testing.T) {
+	for _, seed := range []uint64{13783220647238773949, 1656655229111999995, 13335445792957863256} {
+		cfg := Config{
+			Arch:         config.KSR1(16),
+			Protocol:     coherence.ECP,
+			App:          workload.Mp3d().Scale(0.015),
+			Seed:         seed,
+			CheckpointHz: 400,
+			Failures: []FailurePlan{
+				{At: 83_000, Node: 5},
+				{At: 145_000, Node: 11, Permanent: true},
+			},
+			Oracle:    true,
+			MaxCycles: 4_000_000,
+		}
+		r := runCfg(t, cfg)
+		if r.Ckpt.Recoveries != 2 {
+			t.Fatalf("seed %d: recoveries = %d, want 2", seed, r.Ckpt.Recoveries)
+		}
+	}
+}
+
 func TestMultipleSequentialTransientFailures(t *testing.T) {
 	cfg := baseCfg(16, coherence.ECP)
 	cfg.App = smallApp(150_000)

@@ -10,12 +10,12 @@ import (
 	"coma/internal/server"
 )
 
-// gateRun runs the identity once with a Gate and a full-mask Recorder
-// on the same event stream, returning the gate's receipt and trace, the
-// recorder's events and the result payload.
-func gateRun(t testing.TB, id config.RunIdentity) (receipt.Receipt, []byte, []obs.Event, []byte) {
+// gateRun runs the identity once with a new gate and a full-mask
+// Recorder on the same event stream, returning the gate's receipt and
+// trace, the recorder's events and the result payload.
+func gateRun(t testing.TB, id config.RunIdentity, newGate func() *receipt.Gate) (receipt.Receipt, []byte, []obs.Event, []byte) {
 	t.Helper()
-	gate := receipt.NewGate()
+	gate := newGate()
 	rec := obs.NewRecorder(obs.MaskAll)
 	run, err := server.SimRunner(id, server.RunOptions{Observer: obs.Tee(gate, rec)})
 	if err != nil {
@@ -37,7 +37,8 @@ func gateRun(t testing.TB, id config.RunIdentity) (receipt.Receipt, []byte, []ob
 // survives losing one), the streaming gate emits exactly the receipt
 // and trace bytes Build produces over a receipt-mask recording. The
 // trace fields are pinned to what the record-then-replay gate produced
-// before the gate streamed.
+// before the gate streamed. A digest gate, which keeps no trace, emits
+// the same receipt.
 func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -57,7 +58,7 @@ func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, trace, all, result := gateRun(t, id)
+			got, trace, all, result := gateRun(t, id, receipt.NewGate)
 
 			var masked []obs.Event
 			for _, ev := range all {
@@ -85,6 +86,11 @@ func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 			if err := got.Attest(receipt.Artifacts{Result: result, Trace: trace}, nil); err != nil {
 				t.Fatalf("gate receipt fails attestation: %v", err)
 			}
+			digestOnly, noTrace, _, _ := gateRun(t, id, receipt.NewDigestGate)
+			if !bytes.Equal(digestOnly.CanonicalJSON(), got.CanonicalJSON()) || noTrace != nil {
+				t.Fatalf("digest gate: receipt %s and %d trace bytes, want the gate's receipt and no trace",
+					digestOnly.CanonicalJSON(), len(noTrace))
+			}
 		})
 	}
 }
@@ -98,7 +104,7 @@ func BenchmarkGate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, _, events, result := gateRun(b, id)
+	_, _, events, result := gateRun(b, id, receipt.NewGate)
 	b.ReportAllocs()
 	for b.Loop() {
 		g := receipt.NewGate()

@@ -165,8 +165,11 @@ func ParseResult(b []byte) (*stats.Run, error) {
 // The trace bytes are the only thing it buffers. They are kept in
 // fixed-size chunks, each fed to SHA-256 once it is full, so a
 // megabyte trace grows without re-copying itself, and Finish copies
-// them once into the exactly sized slice the caller stores.
+// them once into the exactly sized slice the caller stores. A gate
+// from NewDigestGate keeps no trace: it hashes each full chunk and
+// refills the same one.
 type Gate struct {
+	keep   bool     // keep the trace for Finish to return
 	chunks [][]byte // full chunks, already hashed
 	cur    []byte   // the chunk being filled
 	size   int      // bytes in chunks
@@ -186,6 +189,13 @@ const (
 
 // NewGate returns a gate for one run.
 func NewGate() *Gate {
+	return &Gate{keep: true, digest: sha256.New(), fold: txnview.NewFold()}
+}
+
+// NewDigestGate returns a gate for one run whose caller needs the
+// receipt but not the trace: its Finish returns the same receipt as a
+// NewGate gate's, and a nil trace.
+func NewDigestGate() *Gate {
 	return &Gate{digest: sha256.New(), fold: txnview.NewFold()}
 }
 
@@ -201,12 +211,16 @@ func (g *Gate) Emit(ev obs.Event) {
 // add records one event, whatever its kind.
 func (g *Gate) add(ev obs.Event) {
 	if cap(g.cur)-len(g.cur) < lineRoom {
-		if len(g.cur) > 0 {
-			g.digest.Write(g.cur)
-			g.chunks = append(g.chunks, g.cur)
-			g.size += len(g.cur)
+		g.digest.Write(g.cur)
+		if !g.keep && g.cur != nil {
+			g.cur = g.cur[:0] // hashed and not kept: refill it
+		} else {
+			if len(g.cur) > 0 {
+				g.chunks = append(g.chunks, g.cur)
+				g.size += len(g.cur)
+			}
+			g.cur = make([]byte, 0, chunkSize)
 		}
-		g.cur = make([]byte, 0, chunkSize)
 	}
 	g.cur = ev.AppendJSONL(g.cur)
 	g.fold.Step(ev)
@@ -217,8 +231,9 @@ func (g *Gate) add(ev obs.Event) {
 // payload must be canonical (it is round-trip checked). With no event
 // recorded the receipt records no trace and the verdict is unchecked.
 // It returns the receipt unsigned plus the canonical trace JSONL bytes
-// its TraceDigest covers, sized exactly (cap == len) because callers
-// store them; the gate keeps no reference to them. Call it once.
+// its TraceDigest covers (nil from a NewDigestGate gate), sized exactly
+// (cap == len) because callers store them; the gate keeps no reference
+// to them. Call it once.
 func (g *Gate) Finish(id config.RunIdentity, result []byte, producer string) (Receipt, []byte, error) {
 	run, err := ParseResult(result)
 	if err != nil {
@@ -237,11 +252,14 @@ func (g *Gate) Finish(id config.RunIdentity, result []byte, producer string) (Re
 		return r, nil, nil
 	}
 	g.digest.Write(g.cur)
-	trace := make([]byte, 0, g.size+len(g.cur))
-	for _, c := range g.chunks {
-		trace = append(trace, c...)
+	var trace []byte
+	if g.keep {
+		trace = make([]byte, 0, g.size+len(g.cur))
+		for _, c := range g.chunks {
+			trace = append(trace, c...)
+		}
+		trace = append(trace, g.cur...)
 	}
-	trace = append(trace, g.cur...)
 	g.chunks, g.cur = nil, nil
 	r.TraceDigest = hex.EncodeToString(g.digest.Sum(nil))
 	r.TraceEvents = g.events

@@ -22,28 +22,29 @@ func (c *Client) RegisterWorker(ctx context.Context, req server.RegisterRequest)
 	return resp, err
 }
 
-// LeaseJobs asks the coordinator for work. With req.WaitMS set the call
-// long-polls: the coordinator holds it until work arrives or the wait
-// expires. A 410 (IsGone) means the coordinator no longer knows this
-// worker — re-register.
-func (c *Client) LeaseJobs(ctx context.Context, workerID string, req server.LeaseRequest) (server.LeaseResponse, error) {
+// LeaseJob asks the coordinator for one job. With req.WaitMS set the
+// call long-polls: the coordinator holds it until work arrives or the
+// wait expires. A 410 (IsGone) means the coordinator no longer knows
+// this worker — re-register.
+func (c *Client) LeaseJob(ctx context.Context, workerID string, req server.LeaseRequest) (server.LeaseResponse, error) {
 	var resp server.LeaseResponse
 	err := c.postJSON(ctx, "/v1/workers/"+workerID+"/lease", req, &resp)
 	return resp, err
 }
 
-// Heartbeat renews the worker's leases and reports which of them have
-// started executing; the response carries revocations of stolen jobs.
-func (c *Client) Heartbeat(ctx context.Context, workerID string, req server.HeartbeatRequest) (server.HeartbeatResponse, error) {
-	var resp server.HeartbeatResponse
+// Heartbeat renews the worker's leases and forwards buffered progress.
+func (c *Client) Heartbeat(ctx context.Context, workerID string, req server.HeartbeatRequest) (server.WorkerAck, error) {
+	var resp server.WorkerAck
 	err := c.postJSON(ctx, "/v1/workers/"+workerID+"/heartbeat", req, &resp)
 	return resp, err
 }
 
 // CompleteJob delivers one leased job's outcome: canonical result bytes
 // (server.MarshalResult) on success, the simulation error otherwise.
-func (c *Client) CompleteJob(ctx context.Context, workerID string, req server.CompleteRequest) error {
-	return c.postJSON(ctx, "/v1/workers/"+workerID+"/complete", req, nil)
+func (c *Client) CompleteJob(ctx context.Context, workerID string, req server.CompleteRequest) (server.WorkerAck, error) {
+	var resp server.WorkerAck
+	err := c.postJSON(ctx, "/v1/workers/"+workerID+"/complete", req, &resp)
+	return resp, err
 }
 
 // DeregisterWorker announces a graceful departure; the coordinator

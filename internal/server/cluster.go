@@ -18,8 +18,8 @@ import (
 //
 //	POST   /v1/workers                 register  -> worker id + lease terms
 //	GET    /v1/workers                 fleet listing
-//	POST   /v1/workers/{id}/heartbeat  liveness + lease renewal + revocations + progress
-//	POST   /v1/workers/{id}/lease      claim up to n jobs (long-poll)
+//	POST   /v1/workers/{id}/heartbeat  liveness + lease renewal + progress
+//	POST   /v1/workers/{id}/lease      claim one job (long-poll)
 //	POST   /v1/workers/{id}/complete   deliver one job's result payload and last progress
 //	DELETE /v1/workers/{id}            graceful leave; leases requeue
 //
@@ -32,12 +32,10 @@ import (
 // given identity, so the first completion wins and stale completions
 // from zombie workers are accepted or discarded without harm.
 //
-// Work stealing: an idle worker whose lease request finds the queue
-// empty takes unstarted leases from the backlog of the most loaded
-// worker; the victim learns about it through the revocation list on its
-// next heartbeat or lease response. Because execution is idempotent,
-// the revocation race (victim starts a job just as it is stolen) is
-// benign — whichever result arrives first completes the job.
+// One queue: a lease hands out at most one job, and a worker asks for
+// one only when a slot is idle, so every lease is a running job and
+// work not yet started waits nowhere but in the queue. No worker ever
+// holds a backlog that another could have started.
 //
 // There is no sweeper goroutine: expiry is evaluated lazily, inside
 // every worker-facing handler and the metrics scrape, against the wall
@@ -57,8 +55,8 @@ type RegisterRequest struct {
 	// Name labels the worker in listings and logs (not necessarily
 	// unique; the coordinator assigns the id).
 	Name string `json:"name"`
-	// Slots is how many simulations the worker runs concurrently; the
-	// scheduler uses it to size lease batches.
+	// Slots is how many simulations the worker runs concurrently, each
+	// on its own lease; shown in the fleet listing.
 	Slots int `json:"slots"`
 	// Revision is the worker's code revision. A coordinator refuses
 	// workers built from different code: results are cached under the
@@ -81,8 +79,6 @@ type RegisterResponse struct {
 
 // LeaseRequest is the wire format of POST /v1/workers/{id}/lease.
 type LeaseRequest struct {
-	// Max bounds the jobs returned (0: 1).
-	Max int `json:"max"`
 	// WaitMS long-polls: the coordinator holds the request up to this
 	// long for work to arrive before answering empty.
 	WaitMS int64 `json:"wait_ms,omitempty"`
@@ -101,11 +97,9 @@ type LeasedJob struct {
 	Attempt int `json:"attempt,omitempty"`
 }
 
-// LeaseResponse carries newly leased jobs plus any pending revocations
-// (jobs stolen from this worker since it last asked).
+// LeaseResponse carries the newly leased job, if any.
 type LeaseResponse struct {
-	Jobs    []LeasedJob `json:"jobs,omitempty"`
-	Revoked []string    `json:"revoked,omitempty"`
+	Job *LeasedJob `json:"job,omitempty"`
 	// Draining tells the worker the coordinator has drained: it refuses
 	// new jobs and none is left queued or running, so no further work
 	// will come. A coordinator that is still draining keeps leasing its
@@ -113,19 +107,20 @@ type LeaseResponse struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-// HeartbeatRequest reports liveness and which leased jobs have actually
-// started executing (the unstarted remainder is the worker's stealable
-// backlog), and carries the progress events buffered since the last
-// beat for the jobs' SSE streams.
+// HeartbeatRequest reports liveness, renewing every lease the worker
+// holds, and carries the progress events buffered since the last beat
+// for the jobs' SSE streams.
 type HeartbeatRequest struct {
-	Running  []string        `json:"running,omitempty"`
 	Progress []ProgressEvent `json:"progress,omitempty"`
 }
 
-// HeartbeatResponse acknowledges a heartbeat.
-type HeartbeatResponse struct {
-	Revoked  []string `json:"revoked,omitempty"`
-	Draining bool     `json:"draining,omitempty"`
+// WorkerAck answers a heartbeat or an accepted completion.
+type WorkerAck struct {
+	// Draining tells the worker the coordinator has drained (see
+	// LeaseResponse). A completion carries it because a coordinator
+	// that has drained stops listening, and the worker that finished its
+	// last job may have no request in flight to learn it from.
+	Draining bool `json:"draining,omitempty"`
 }
 
 // CompleteRequest delivers one leased job's outcome: the canonical
@@ -170,11 +165,9 @@ type WorkerStatus struct {
 	Name  string `json:"name"`
 	State string `json:"state"` // "active" or "dead"
 	Slots int    `json:"slots"`
-	// Leases is every job currently leased to the worker; Running is the
-	// subset it has reported started (the difference is its stealable
-	// backlog).
+	// Leases is every job currently leased to, and so running on, the
+	// worker.
 	Leases      int     `json:"leases"`
-	Running     int     `json:"running"`
 	Completed   int64   `json:"completed"`
 	SinceBeatMS float64 `json:"since_beat_ms"`
 }
@@ -197,25 +190,8 @@ type worker struct {
 	lastBeat time.Time
 	// leases maps job id -> lease deadline (renewed on every heartbeat
 	// and lease call).
-	leases map[string]time.Time
-	// running is the subset of leases the worker reported started; the
-	// complement is its stealable backlog.
-	running map[string]bool
-	// revoked accumulates stolen job ids until the worker's next
-	// heartbeat or lease response delivers them.
-	revoked   []string
+	leases    map[string]time.Time
 	completed int64
-}
-
-// unstarted counts leased-but-not-started jobs (the stealable backlog).
-func (w *worker) unstarted() int {
-	n := 0
-	for id := range w.leases {
-		if !w.running[id] {
-			n++
-		}
-	}
-	return n
 }
 
 // clusterTable is the coordinator's worker registry and lease counters,
@@ -232,7 +208,6 @@ type clusterTable struct {
 	// Counters exported on /metrics.
 	leaseExpiries int64
 	requeues      int64
-	steals        int64
 	// digestMismatches counts completions rejected because the payload
 	// failed round-trip validation or its receipt's digest/signature.
 	digestMismatches int64
@@ -264,7 +239,6 @@ func (s *Server) sweepLocked(now time.Time) {
 			w.id, w.name, now.Sub(w.lastBeat).Round(time.Millisecond), len(w.leases))
 		for id := range w.leases {
 			delete(w.leases, id)
-			delete(w.running, id)
 			s.clu.leaseExpiries++
 			if j, ok := s.jobs[id]; ok && !j.state.Terminal() {
 				s.requeueLocked(j, fmt.Sprintf("lease expired on worker %s", w.id), true)
@@ -299,87 +273,19 @@ func (s *Server) requeueLocked(j *job, why string, countAttempt bool) {
 	s.logf("job %s: requeued (attempt %d): %s", ShortID(j.id), j.attempts, why)
 }
 
-// assignLocked hands up to max queued jobs to w, stealing from the most
-// backlogged peer when the queue runs dry. Caller holds the server
-// mutex.
-func (s *Server) assignLocked(w *worker, max int, now time.Time) []LeasedJob {
-	var out []LeasedJob
-	for len(out) < max {
-		j := s.popPendingLocked(now)
-		if j == nil {
-			break
-		}
-		out = append(out, s.leaseToLocked(w, j, now, false))
+// leaseLocked pops the next queued job and leases it to w, or returns
+// nil when the queue is empty. Caller holds the server mutex.
+func (s *Server) leaseLocked(w *worker, now time.Time) *LeasedJob {
+	j := s.popPendingLocked(now)
+	if j == nil {
+		return nil
 	}
-	// Queue empty and capacity left: steal unstarted leases from the
-	// slowest (most backlogged) worker, one at a time, as long as the
-	// victim still holds a deeper unstarted backlog than the requester
-	// (freshly assigned jobs above already count against w: the lease
-	// moved to it).
-	for len(out) < max {
-		victim := s.stealVictimLocked(w)
-		if victim == nil || victim.unstarted() <= w.unstarted()+1 {
-			break
-		}
-		var stolen *job
-		for id := range victim.leases {
-			if victim.running[id] {
-				continue
-			}
-			if j, ok := s.jobs[id]; ok && !j.state.Terminal() {
-				stolen = j
-				break
-			}
-		}
-		if stolen == nil {
-			break
-		}
-		delete(victim.leases, stolen.id)
-		delete(victim.running, stolen.id)
-		victim.revoked = append(victim.revoked, stolen.id)
-		s.clu.steals++
-		s.appendEventLocked(stolen, JobEvent{Type: "progress",
-			Message: fmt.Sprintf("stolen from worker %s backlog by %s", victim.id, w.id)})
-		out = append(out, s.leaseToLocked(w, stolen, now, true))
-		s.logf("job %s: stolen from %s backlog by %s", ShortID(stolen.id), victim.id, w.id)
-	}
-	return out
-}
-
-// leaseToLocked records a lease and moves the job into the running
-// state (steals keep it running; the accounting moved with the lease).
-func (s *Server) leaseToLocked(w *worker, j *job, now time.Time, stolen bool) LeasedJob {
 	w.leases[j.id] = now.Add(s.clu.leaseTTL)
 	j.workerID = w.id
-	if !stolen {
-		s.startLocked(j, now)
-	}
+	s.startLocked(j, now)
 	s.appendEventLocked(j, JobEvent{Type: "progress",
 		Message: fmt.Sprintf("leased to worker %s (%s)", w.id, w.name)})
-	return LeasedJob{JobID: j.id, Identity: j.identity, Progress: j.spec.Progress, Attempt: j.attempts}
-}
-
-// stealVictimLocked picks the active worker (other than w) with the
-// deepest unstarted backlog, deterministically tie-broken by id.
-func (s *Server) stealVictimLocked(w *worker) *worker {
-	var best *worker
-	for _, cand := range s.clu.workers {
-		if cand == w || cand.state != workerActive || cand.unstarted() == 0 {
-			continue
-		}
-		if best == nil || cand.unstarted() > best.unstarted() ||
-			(cand.unstarted() == best.unstarted() && cand.id < best.id) {
-			best = cand
-		}
-	}
-	return best
-}
-
-// takeRevokedLocked drains the worker's pending revocation list.
-func takeRevokedLocked(w *worker) []string {
-	out := w.revoked
-	w.revoked = nil
-	return out
+	return &LeasedJob{JobID: j.id, Identity: j.identity, Progress: j.spec.Progress, Attempt: j.attempts}
 }
 
 // touchLocked renews a worker's liveness and every lease it holds.
@@ -397,7 +303,6 @@ type clusterStats struct {
 	active, dead     int
 	leaseExpiries    int64
 	requeues         int64
-	steals           int64
 	digestMismatches int64
 }
 
@@ -407,7 +312,6 @@ func (s *Server) clusterStatsLocked() clusterStats {
 	st := clusterStats{enabled: s.opts.Cluster}
 	st.leaseExpiries = s.clu.leaseExpiries
 	st.requeues = s.clu.requeues
-	st.steals = s.clu.steals
 	st.digestMismatches = s.clu.digestMismatches
 	for _, w := range s.clu.workers {
 		switch w.state {
@@ -477,7 +381,6 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 		state:    workerActive,
 		lastBeat: now,
 		leases:   make(map[string]time.Time),
-		running:  make(map[string]bool),
 	}
 	s.clu.workers[wk.id] = wk
 	s.mu.Unlock()
@@ -504,7 +407,7 @@ func (s *Server) handleWorkerList(w http.ResponseWriter, r *http.Request) {
 		}
 		list = append(list, WorkerStatus{
 			ID: wk.id, Name: wk.name, State: wk.state, Slots: wk.slots,
-			Leases: len(wk.leases), Running: len(wk.running),
+			Leases:      len(wk.leases),
 			Completed:   wk.completed,
 			SinceBeatMS: msBetween(wk.lastBeat, now),
 		})
@@ -532,14 +435,8 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.touchLocked(wk, now)
 	s.fileProgressLocked(req.Progress)
-	wk.running = make(map[string]bool, len(req.Running))
-	for _, id := range req.Running {
-		if _, leased := wk.leases[id]; leased {
-			wk.running[id] = true
-		}
-	}
 	s.sweepLocked(now)
-	resp := HeartbeatResponse{Revoked: takeRevokedLocked(wk), Draining: s.drainedLocked()}
+	resp := WorkerAck{Draining: s.drainedLocked()}
 	s.mu.Unlock()
 	s.respondJSON(w, http.StatusOK, resp)
 }
@@ -563,9 +460,6 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 		s.respondError(w, http.StatusBadRequest, fmt.Errorf("decoding lease request: %w", err))
 		return
 	}
-	if req.Max < 1 {
-		req.Max = 1
-	}
 	deadline := time.Now().Add(time.Duration(req.WaitMS) * time.Millisecond)
 	for {
 		now := time.Now()
@@ -579,12 +473,11 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 		}
 		s.touchLocked(wk, now)
 		s.sweepLocked(now)
-		jobs := s.assignLocked(wk, req.Max, now)
-		resp := LeaseResponse{Jobs: jobs, Revoked: takeRevokedLocked(wk), Draining: s.drainedLocked()}
+		resp := LeaseResponse{Job: s.leaseLocked(wk, now), Draining: s.drainedLocked()}
 		wake := s.wake
 		s.mu.Unlock()
 
-		if len(resp.Jobs) > 0 || len(resp.Revoked) > 0 || resp.Draining || !now.Before(deadline) {
+		if resp.Job != nil || resp.Draining || !now.Before(deadline) {
 			s.respondJSON(w, http.StatusOK, resp)
 			return
 		}
@@ -679,7 +572,6 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	delete(wk.leases, req.JobID)
-	delete(wk.running, req.JobID)
 	if j.state.Terminal() {
 		if vErr != nil {
 			// Corrupt duplicate: the job already completed from elsewhere,
@@ -691,9 +583,9 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 		}
 		// Duplicate completion (requeue raced the original worker):
 		// determinism makes both results identical, first one won.
-		st := j.status(false)
+		ack := WorkerAck{Draining: s.drainedLocked()}
 		s.mu.Unlock()
-		s.respondJSON(w, http.StatusOK, st)
+		s.respondJSON(w, http.StatusOK, ack)
 		return
 	}
 	if vErr != nil {
@@ -714,9 +606,9 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 	wk.completed++
 	s.fileProgressLocked(req.Progress)
 	s.completeLocked(j, out, now, " on worker "+wk.id)
-	st := j.status(false)
+	ack := WorkerAck{Draining: s.drainedLocked()}
 	s.mu.Unlock()
-	s.respondJSON(w, http.StatusOK, st)
+	s.respondJSON(w, http.StatusOK, ack)
 }
 
 // workerProducer is the producer identity recorded in receipts for a
@@ -778,7 +670,6 @@ func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) 
 	returned := 0
 	for id := range wk.leases {
 		delete(wk.leases, id)
-		delete(wk.running, id)
 		if j, ok := s.jobs[id]; ok && !j.state.Terminal() {
 			// Voluntary return: requeue without burning an attempt.
 			s.requeueLocked(j, fmt.Sprintf("worker %s deregistered", wk.id), false)
@@ -786,6 +677,10 @@ func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) 
 		}
 	}
 	delete(s.clu.workers, wk.id)
+	// A lease long-poll still in flight for this worker holds it by
+	// pointer: mark it gone, so the poll answers 410 instead of leasing
+	// a job to a worker nothing tracks any more.
+	wk.state = workerDead
 	s.mu.Unlock()
 	s.logf("cluster: worker %s (%s) deregistered, %d lease(s) returned", wk.id, wk.name, returned)
 	s.respondJSON(w, http.StatusOK, map[string]any{"status": "ok", "returned": returned})

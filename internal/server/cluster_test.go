@@ -50,24 +50,27 @@ func registerWorker(t *testing.T, ts *httptest.Server, name string, slots int) s
 	return reg.WorkerID
 }
 
-func leaseJobs(t *testing.T, ts *httptest.Server, workerID string, max int) LeaseResponse {
+// leaseJob asks for one job without waiting; nil when the queue is
+// empty.
+func leaseJob(t *testing.T, ts *httptest.Server, workerID string) *LeasedJob {
 	t.Helper()
 	var lr LeaseResponse
-	resp := workerPost(t, ts, "/v1/workers/"+workerID+"/lease", LeaseRequest{Max: max}, &lr)
+	resp := workerPost(t, ts, "/v1/workers/"+workerID+"/lease", LeaseRequest{}, &lr)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("lease as %s: status %d", workerID, resp.StatusCode)
 	}
-	return lr
+	return lr.Job
 }
 
-func heartbeat(t *testing.T, ts *httptest.Server, workerID string, running []string) HeartbeatResponse {
+// leaseAll leases jobs one at a time until the queue is empty, as a
+// worker with that many idle slots would.
+func leaseAll(t *testing.T, ts *httptest.Server, workerID string) []LeasedJob {
 	t.Helper()
-	var hr HeartbeatResponse
-	resp := workerPost(t, ts, "/v1/workers/"+workerID+"/heartbeat", HeartbeatRequest{Running: running}, &hr)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("heartbeat as %s: status %d", workerID, resp.StatusCode)
+	var out []LeasedJob
+	for lj := leaseJob(t, ts, workerID); lj != nil; lj = leaseJob(t, ts, workerID) {
+		out = append(out, *lj)
 	}
-	return hr
+	return out
 }
 
 func scrape(t *testing.T, ts *httptest.Server) string {
@@ -139,12 +142,12 @@ func TestClusterLeaseExpiryRequeuesByteIdentical(t *testing.T) {
 		t.Fatalf("submit: status %d, want 202", resp.StatusCode)
 	}
 
-	lr := leaseJobs(t, ts, victim, 1)
-	if len(lr.Jobs) != 1 || lr.Jobs[0].JobID != st.ID {
-		t.Fatalf("victim lease = %+v, want job %s", lr, st.ID)
+	lj := leaseJob(t, ts, victim)
+	if lj == nil || lj.JobID != st.ID {
+		t.Fatalf("victim lease = %+v, want job %s", lj, st.ID)
 	}
-	if lr.Jobs[0].Attempt != 0 {
-		t.Fatalf("first lease Attempt = %d, want 0", lr.Jobs[0].Attempt)
+	if lj.Attempt != 0 {
+		t.Fatalf("first lease Attempt = %d, want 0", lj.Attempt)
 	}
 	if got := jobStatus(t, ts, st.ID); got.State != StateRunning || got.Worker != victim {
 		t.Fatalf("after lease: state=%s worker=%q, want running on %s", got.State, got.Worker, victim)
@@ -167,23 +170,22 @@ func TestClusterLeaseExpiryRequeuesByteIdentical(t *testing.T) {
 
 	// A healthy replacement picks the job up and completes it.
 	savior := registerWorker(t, ts, "savior", 1)
-	lr2 := leaseJobs(t, ts, savior, 1)
-	if len(lr2.Jobs) != 1 || lr2.Jobs[0].JobID != st.ID {
-		t.Fatalf("savior lease = %+v, want requeued job", lr2)
+	lj = leaseJob(t, ts, savior)
+	if lj == nil || lj.JobID != st.ID {
+		t.Fatalf("savior lease = %+v, want requeued job", lj)
 	}
-	if lr2.Jobs[0].Attempt != 1 {
-		t.Fatalf("requeued lease Attempt = %d, want 1", lr2.Jobs[0].Attempt)
+	if lj.Attempt != 1 {
+		t.Fatalf("requeued lease Attempt = %d, want 1", lj.Attempt)
 	}
-	if !lr2.Jobs[0].Progress {
+	if !lj.Progress {
 		t.Fatal("lease lost the spec's progress flag")
 	}
-	payload, err := MarshalResult(fakeRun(lr2.Jobs[0].Identity))
+	payload, err := MarshalResult(fakeRun(lj.Identity))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Progress rides the heartbeat and, for the rest, the completion.
 	if resp := workerPost(t, ts, "/v1/workers/"+savior+"/heartbeat", HeartbeatRequest{
-		Running:  []string{st.ID},
 		Progress: []ProgressEvent{{JobID: st.ID, Message: "checkpoint round 1 begin", SimCycles: 42}},
 	}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("heartbeat: status %d", resp.StatusCode)
@@ -263,8 +265,8 @@ func TestClusterDeadLetter(t *testing.T) {
 
 	w := registerWorker(t, ts, "flaky", 1)
 	_, st := postJob(t, ts, specJSON(11), false)
-	if lr := leaseJobs(t, ts, w, 1); len(lr.Jobs) != 1 {
-		t.Fatalf("lease = %+v, want 1 job", lr)
+	if lj := leaseJob(t, ts, w); lj == nil {
+		t.Fatal("lease: no job")
 	}
 	time.Sleep(250 * time.Millisecond)
 	m := parseExposition(t, scrape(t, ts)) // lazy sweep
@@ -282,61 +284,14 @@ func TestClusterDeadLetter(t *testing.T) {
 
 	// A new worker must not be handed the corpse.
 	w2 := registerWorker(t, ts, "fresh", 1)
-	if lr := leaseJobs(t, ts, w2, 4); len(lr.Jobs) != 0 {
-		t.Fatalf("dead-lettered job leased again: %+v", lr)
+	if lj := leaseJob(t, ts, w2); lj != nil {
+		t.Fatalf("dead-lettered job leased again: %+v", lj)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("Drain hung on dead-lettered job: %v", err)
-	}
-}
-
-// TestClusterWorkStealing: an idle worker facing an empty queue takes
-// unstarted leases from the most backlogged peer, which learns of the
-// loss through the revocation list on its next heartbeat.
-func TestClusterWorkStealing(t *testing.T) {
-	_, ts := newTestServer(t, Options{
-		Cluster:  true,
-		LeaseTTL: time.Minute, // nobody dies in this test
-	})
-
-	hoarder := registerWorker(t, ts, "hoarder", 4)
-	ids := make(map[string]bool)
-	for seed := uint64(1); seed <= 3; seed++ {
-		_, st := postJob(t, ts, specJSON(seed), false)
-		ids[st.ID] = true
-	}
-	lr := leaseJobs(t, ts, hoarder, 3)
-	if len(lr.Jobs) != 3 {
-		t.Fatalf("hoarder leased %d jobs, want 3", len(lr.Jobs))
-	}
-
-	// The hoarder reports none of them started: all three are stealable.
-	heartbeat(t, ts, hoarder, nil)
-	idle := registerWorker(t, ts, "idle", 1)
-	got := leaseJobs(t, ts, idle, 1)
-	if len(got.Jobs) != 1 {
-		t.Fatalf("idle worker stole %d jobs, want 1", len(got.Jobs))
-	}
-	stolen := got.Jobs[0].JobID
-	if !ids[stolen] {
-		t.Fatalf("stole unknown job %s", stolen)
-	}
-
-	hb := heartbeat(t, ts, hoarder, nil)
-	if len(hb.Revoked) != 1 || hb.Revoked[0] != stolen {
-		t.Fatalf("hoarder revocations = %v, want [%s]", hb.Revoked, stolen)
-	}
-	m := parseExposition(t, scrape(t, ts))
-	if m["coma_cluster_steals_total"] != 1 {
-		t.Fatalf("steals_total = %v, want 1", m["coma_cluster_steals_total"])
-	}
-
-	// The job moved with its lease: still running, now on the thief.
-	if st := jobStatus(t, ts, stolen); st.State != StateRunning || st.Worker != idle {
-		t.Fatalf("stolen job: state=%s worker=%q, want running on %s", st.State, st.Worker, idle)
 	}
 }
 
@@ -349,7 +304,6 @@ func TestClusterMetricsFamiliesAlwaysParse(t *testing.T) {
 		`coma_cluster_workers{state="dead"}`,
 		"coma_cluster_lease_expiries_total",
 		"coma_cluster_requeues_total",
-		"coma_cluster_steals_total",
 	}
 	for _, cluster := range []bool{false, true} {
 		_, ts := newTestServer(t, Options{Cluster: cluster})
@@ -387,7 +341,7 @@ func TestClusterDeregisterReturnsBacklog(t *testing.T) {
 	_, ts := newTestServer(t, Options{Cluster: true, LeaseTTL: time.Minute})
 	w := registerWorker(t, ts, "leaver", 2)
 	_, st := postJob(t, ts, specJSON(21), false)
-	if lr := leaseJobs(t, ts, w, 1); len(lr.Jobs) != 1 {
+	if lj := leaseJob(t, ts, w); lj == nil {
 		t.Fatal("lease failed")
 	}
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/workers/"+w, nil)
@@ -512,8 +466,10 @@ func TestHealthzCountsMatchJobStates(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // the deadline lapses while queued
 
 	victim := registerWorker(t, ts, "victim", 2)
-	if lr := leaseJobs(t, ts, victim, 2); len(lr.Jobs) != 2 {
-		t.Fatalf("victim leased %d jobs, want 2", len(lr.Jobs))
+	for i := 0; i < 2; i++ {
+		if lj := leaseJob(t, ts, victim); lj == nil {
+			t.Fatalf("victim lease %d: no job", i)
+		}
 	}
 	check("two leased", 3, 2)
 
@@ -531,8 +487,8 @@ func TestHealthzCountsMatchJobStates(t *testing.T) {
 	check("zombie completed a queued job", 4, 0)
 
 	leaver := registerWorker(t, ts, "leaver", 8)
-	if lr := leaseJobs(t, ts, leaver, 8); len(lr.Jobs) != 3 {
-		t.Fatalf("leaver leased %d jobs, want 3 (the deadline job must fail instead)", len(lr.Jobs))
+	if jobs := leaseAll(t, ts, leaver); len(jobs) != 3 {
+		t.Fatalf("leaver leased %d jobs, want 3 (the deadline job must fail instead)", len(jobs))
 	}
 	if st := jobStatus(t, ts, stale.ID); st.State != StateFailed {
 		t.Fatalf("deadline job is %s, want failed", st.State)
@@ -543,15 +499,52 @@ func TestHealthzCountsMatchJobStates(t *testing.T) {
 	check("deregistered worker's leases returned", 3, 0)
 
 	finisher := registerWorker(t, ts, "finisher", 4)
-	lr := leaseJobs(t, ts, finisher, 4)
-	if len(lr.Jobs) != 3 {
-		t.Fatalf("finisher leased %d jobs, want 3", len(lr.Jobs))
+	jobs := leaseAll(t, ts, finisher)
+	if len(jobs) != 3 {
+		t.Fatalf("finisher leased %d jobs, want 3", len(jobs))
 	}
 	check("all leased again", 0, 3)
-	for _, lj := range lr.Jobs {
+	for _, lj := range jobs {
 		if resp := workerPost(t, ts, "/v1/workers/"+finisher+"/complete", CompleteRequest{JobID: lj.JobID, Result: payload}, nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("complete %.12s: status %d", lj.JobID, resp.StatusCode)
 		}
 	}
 	check("all finished", 0, 0)
+}
+
+// TestClusterDeregisterEndsLongPoll: a lease long-poll in flight when
+// its worker deregisters answers 410; it must not lease a job that
+// arrives afterwards to a worker nothing tracks any more.
+func TestClusterDeregisterEndsLongPoll(t *testing.T) {
+	_, ts := newTestServer(t, Options{Cluster: true, LeaseTTL: time.Minute})
+	w := registerWorker(t, ts, "leaver", 1)
+	polled := make(chan *http.Response, 1)
+	go func() {
+		payload, _ := json.Marshal(LeaseRequest{WaitMS: 5000})
+		resp, err := http.Post(ts.URL+"/v1/workers/"+w+"/lease", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Error(err)
+		}
+		polled <- resp
+	}()
+	time.Sleep(50 * time.Millisecond) // let the poll reach the handler
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/workers/"+w, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	_, st := postJob(t, ts, specJSON(31), false)
+
+	resp = <-polled
+	if resp == nil {
+		t.FailNow()
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("long-poll of a deregistered worker: status %d, want 410", resp.StatusCode)
+	}
+	if got := jobStatus(t, ts, st.ID); got.State != StateQueued {
+		t.Fatalf("job submitted after the deregistration is %s, want queued", got.State)
+	}
 }

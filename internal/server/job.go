@@ -95,6 +95,18 @@ type JobSpec struct {
 	Progress bool `json:"progress,omitempty"`
 }
 
+// Geometry bounds on a spec. machine.New allocates every node's
+// attraction-memory frames and cache lines up front, so without them a
+// request could make a daemon allocate without limit. They sit far
+// above every machine in the repository: at most 56 nodes, 512 AM
+// frames, 65,536 AM items and 4,096 cache lines per node.
+const (
+	maxNodes      = 256
+	maxAMFrames   = 1 << 13
+	maxAMItems    = 1 << 20
+	maxCacheLines = 1 << 15
+)
+
 // Validate checks the spec and returns a descriptive error for the
 // first violated constraint.
 func (sp JobSpec) Validate() error {
@@ -123,13 +135,24 @@ func (sp JobSpec) Validate() error {
 		return fmt.Errorf("negative limit")
 	}
 	nodes := sp.Nodes
-	if sp.Arch != nil {
-		if err := sp.Arch.Validate(); err != nil {
+	if a := sp.Arch; a != nil {
+		if err := a.Validate(); err != nil {
 			return err
 		}
-		nodes = sp.Arch.Nodes
+		nodes = a.Nodes
+		switch {
+		case a.AMFrames() > maxAMFrames:
+			return fmt.Errorf("AM frames = %d per node, at most %d", a.AMFrames(), maxAMFrames)
+		case a.AMSize/a.ItemSize > maxAMItems:
+			return fmt.Errorf("AM items = %d per node, at most %d", a.AMSize/a.ItemSize, maxAMItems)
+		case a.CacheLines() > maxCacheLines:
+			return fmt.Errorf("cache lines = %d per node, at most %d", a.CacheLines(), maxCacheLines)
+		}
 	} else if sp.Nodes < 1 {
 		return fmt.Errorf("nodes = %d, need >= 1", sp.Nodes)
+	}
+	if nodes > maxNodes {
+		return fmt.Errorf("nodes = %d, at most %d", nodes, maxNodes)
 	}
 	if len(sp.Failures) > 0 {
 		plan := make(fault.Plan, len(sp.Failures))

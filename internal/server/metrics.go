@@ -150,8 +150,6 @@ func (m *metrics) write(w io.Writer, queueDepth, inflight, storeLen int, jobs []
 	fmt.Fprintf(w, "# TYPE coma_cluster_lease_expiries_total counter\ncoma_cluster_lease_expiries_total %d\n", clu.leaseExpiries)
 	fmt.Fprintf(w, "# HELP coma_cluster_requeues_total Jobs returned to the dispatch queue (lease expiry or worker deregistration).\n")
 	fmt.Fprintf(w, "# TYPE coma_cluster_requeues_total counter\ncoma_cluster_requeues_total %d\n", clu.requeues)
-	fmt.Fprintf(w, "# HELP coma_cluster_steals_total Unstarted leases reassigned from a backlogged worker to an idle one.\n")
-	fmt.Fprintf(w, "# TYPE coma_cluster_steals_total counter\ncoma_cluster_steals_total %d\n", clu.steals)
 	fmt.Fprintf(w, "# HELP coma_cluster_digest_mismatches_total Worker completions rejected because the payload failed validation or its receipt digest.\n")
 	fmt.Fprintf(w, "# TYPE coma_cluster_digest_mismatches_total counter\ncoma_cluster_digest_mismatches_total %d\n", clu.digestMismatches)
 

@@ -151,9 +151,8 @@ func TestCompleteRejectsGarbagePayload(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	lr := leaseJobs(t, ts, wid, 1)
-	if len(lr.Jobs) != 1 {
-		t.Fatalf("lease = %+v", lr)
+	if lj := leaseJob(t, ts, wid); lj == nil {
+		t.Fatal("lease: no job")
 	}
 
 	for _, garbage := range []string{`"not a run"`, `{"bogus_field":1}`, `{}`} {
@@ -175,11 +174,11 @@ func TestCompleteRejectsGarbagePayload(t *testing.T) {
 	}
 
 	// The same worker re-leases the requeued job and completes properly.
-	lr = leaseJobs(t, ts, wid, 1)
-	if len(lr.Jobs) != 1 || lr.Jobs[0].Attempt != 1 {
-		t.Fatalf("re-lease = %+v, want attempt 1", lr)
+	lj := leaseJob(t, ts, wid)
+	if lj == nil || lj.Attempt != 1 {
+		t.Fatalf("re-lease = %+v, want attempt 1", lj)
 	}
-	payload, err := MarshalResult(fakeRun(lr.Jobs[0].Identity))
+	payload, err := MarshalResult(fakeRun(lj.Identity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +216,11 @@ func TestClusterDigestMismatchRequeuedByteIdentical(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	lr := leaseJobs(t, ts, wid, 1)
-	if len(lr.Jobs) != 1 {
-		t.Fatalf("lease = %+v", lr)
+	lj := leaseJob(t, ts, wid)
+	if lj == nil {
+		t.Fatal("lease: no job")
 	}
-	identity := lr.Jobs[0].Identity
+	identity := lj.Identity
 
 	// The reference payload: what any in-process run of this identity
 	// marshals to (the runner is deterministic in the identity).
@@ -257,9 +256,8 @@ func TestClusterDigestMismatchRequeuedByteIdentical(t *testing.T) {
 	}
 
 	// Healthy retry: genuine payload with its genuine receipt.
-	lr = leaseJobs(t, ts, wid, 1)
-	if len(lr.Jobs) != 1 || lr.Jobs[0].Attempt != 1 {
-		t.Fatalf("re-lease = %+v, want attempt 1", lr)
+	if lj = leaseJob(t, ts, wid); lj == nil || lj.Attempt != 1 {
+		t.Fatalf("re-lease = %+v, want attempt 1", lj)
 	}
 	cresp = workerPost(t, ts, "/v1/workers/"+wid+"/complete",
 		CompleteRequest{JobID: st.ID, Result: local, Receipt: rcpt.CanonicalJSON()}, nil)
@@ -299,11 +297,11 @@ func TestReceiptKeyEnforced(t *testing.T) {
 
 	relese := func() config.RunIdentity {
 		t.Helper()
-		lr := leaseJobs(t, ts, wid, 1)
-		if len(lr.Jobs) != 1 {
-			t.Fatalf("lease = %+v", lr)
+		lj := leaseJob(t, ts, wid)
+		if lj == nil {
+			t.Fatal("lease: no job")
 		}
-		return lr.Jobs[0].Identity
+		return lj.Identity
 	}
 	identity := relese()
 	payload, err := MarshalResult(fakeRun(identity))
@@ -413,11 +411,11 @@ func TestClusterReceiptReadyWhenWaitReturns(t *testing.T) {
 	go func() {
 		for n := 0; ctx.Err() == nil; {
 			var lr LeaseResponse
-			if err := post("/v1/workers/"+wid+"/lease", LeaseRequest{Max: 1, WaitMS: 50}, &lr); err != nil {
+			if err := post("/v1/workers/"+wid+"/lease", LeaseRequest{WaitMS: 50}, &lr); err != nil {
 				workerErr <- err
 				return
 			}
-			for _, lj := range lr.Jobs {
+			if lj := lr.Job; lj != nil {
 				payload, err := MarshalResult(fakeRun(lj.Identity))
 				if err != nil {
 					workerErr <- err

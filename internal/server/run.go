@@ -64,9 +64,12 @@ type Execution struct {
 	// Producer names the executor in the receipt (receipt.ProducerLocal,
 	// or a worker's name). NoReceipts skips the receipt gate (comasim
 	// runs that ask for no receipt; comad always records one); a
-	// non-empty ReceiptKey signs the receipt.
+	// non-empty ReceiptKey signs the receipt. DropTrace records the
+	// receipt but keeps no trace: the gate hashes it as it streams (a
+	// cluster worker, which sends the coordinator no trace).
 	Producer   string
 	NoReceipts bool
+	DropTrace  bool
 	ReceiptKey []byte
 	// Counts tallies every event by kind and Publish receives one line
 	// per lifecycle event (see progressBridge); nil disables either.
@@ -85,8 +88,9 @@ type Outcome struct {
 	Err     error
 	// Receipt is the (signed) execution receipt and Trace its canonical
 	// JSONL trace. Both are nil with NoReceipts or when building the
-	// receipt failed (ReceiptErr); a receipt failure never fails the
-	// job, whose result is already correct.
+	// receipt failed (ReceiptErr), and Trace is nil with DropTrace; a
+	// receipt failure never fails the job, whose result is already
+	// correct.
 	Receipt    *receipt.Receipt
 	Trace      []byte
 	ReceiptErr error
@@ -105,7 +109,11 @@ func Execute(x Execution) Outcome {
 	}
 	var gate *receipt.Gate
 	if !x.NoReceipts {
-		gate = receipt.NewGate()
+		if x.DropTrace {
+			gate = receipt.NewDigestGate()
+		} else {
+			gate = receipt.NewGate()
+		}
 		observer = obs.Tee(observer, gate)
 	}
 	run, err := x.Runner(x.Identity, RunOptions{Observer: observer, Inspect: x.Inspect})

@@ -67,16 +67,20 @@ func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, Runner: func(id config.RunIdentity, _ RunOptions) (*stats.Run, error) {
 		return fakeRun(id), nil
 	}})
-	// zeroArch is a spec with an explicit KSR1 arch whose field is 0.
-	// Each is a divisor in Arch.Validate: the POST must get a 400 naming
-	// it, not a dropped connection from an integer-divide panic.
-	zeroArch := func(field string) string {
+	// archWith is a spec with an explicit KSR1 arch with the given
+	// fields overridden. A zero field is a divisor in Arch.Validate: the POST must get
+	// a 400 naming it, not a dropped connection from an integer-divide
+	// panic. A huge one must get a 400, not an unbounded allocation in
+	// machine.New.
+	archWith := func(set map[string]int) string {
 		arch := map[string]any{}
 		raw, _ := json.Marshal(config.KSR1(4))
 		if err := json.Unmarshal(raw, &arch); err != nil {
 			t.Fatal(err)
 		}
-		arch[field] = 0
+		for field, v := range set {
+			arch[field] = v
+		}
 		body, _ := json.Marshal(map[string]any{"app": "mp3d", "protocol": "ecp", "arch": arch})
 		return string(body)
 	}
@@ -94,9 +98,15 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative hz", `{"app":"mp3d","nodes":2,"protocol":"ecp","hz":-5}`, "negative checkpoint frequency"},
 		{"negative deadline", `{"app":"mp3d","nodes":2,"protocol":"ecp","deadline_ms":-1}`, "negative limit"},
 		{"failure node out of range", `{"app":"mp3d","nodes":2,"protocol":"ecp","failures":[{"at":10,"node":7}]}`, "names node n7"},
-		{"zero arch PageSize", zeroArch("PageSize"), "PageSize = 0"},
-		{"zero arch CacheWays", zeroArch("CacheWays"), "CacheWays = 0"},
-		{"zero arch AMWays", zeroArch("AMWays"), "AMWays = 0"},
+		{"zero arch PageSize", archWith(map[string]int{"PageSize": 0}), "PageSize = 0"},
+		{"zero arch CacheWays", archWith(map[string]int{"CacheWays": 0}), "CacheWays = 0"},
+		{"zero arch AMWays", archWith(map[string]int{"AMWays": 0}), "AMWays = 0"},
+		{"huge nodes", `{"app":"mp3d","nodes":1073741824,"protocol":"ecp"}`, "nodes = 1073741824, at most"},
+		{"huge arch Nodes", archWith(map[string]int{"Nodes": 1 << 30}), "nodes = 1073741824, at most"},
+		{"huge arch AMSize", archWith(map[string]int{"AMSize": 1 << 40}), "AM frames = 67108864 per node"},
+		{"small arch PageSize", archWith(map[string]int{"PageSize": 128}), "AM frames = 65536 per node"},
+		{"huge arch items", archWith(map[string]int{"AMSize": 1 << 30, "PageSize": 1 << 20}), "AM items = 8388608 per node"},
+		{"huge arch CacheSize", archWith(map[string]int{"CacheSize": 1 << 40}), "cache lines = 17179869184 per node"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

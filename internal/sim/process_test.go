@@ -143,7 +143,7 @@ func TestShutdownReapsUnstartedProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if e.Processes() != 1 {
-		t.Fatalf("live = %d, want 1 unstarted", e.Processes())
+		t.Fatalf("live = %d, want 1 not yet started", e.Processes())
 	}
 	e.Shutdown()
 	if e.Processes() != 0 {
