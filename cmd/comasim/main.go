@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"flag"
@@ -183,8 +184,8 @@ func main() {
 
 // finish prints the in-process run's result and writes its artifacts:
 // the recorded event stream, the canonical result payload, the
-// receipt's trace (the bytes its trace_digest covers) and the execution
-// receipt.
+// receipt's trace (expanded from the packed log to the JSONL bytes its
+// trace_digest covers) and the execution receipt.
 func finish(out server.Outcome, rec *obs.Recorder, traceOuts []string, metricsOut, resultOut, rtraceOut, receiptOut string) error {
 	if out.Err != nil {
 		return out.Err
@@ -206,10 +207,16 @@ func finish(out server.Outcome, rec *obs.Recorder, traceOuts []string, metricsOu
 	if out.Receipt != nil {
 		rcpt = append(out.Receipt.CanonicalJSON(), '\n')
 	}
+	var trace bytes.Buffer
+	if rtraceOut != "" {
+		if err := obs.UnpackJSONL(&trace, out.Trace); err != nil {
+			return err
+		}
+	}
 	for _, a := range []struct {
 		path, what string
 		b          []byte
-	}{{resultOut, "result", out.Payload}, {rtraceOut, "receipt trace", out.Trace}, {receiptOut, "receipt", rcpt}} {
+	}{{resultOut, "result", out.Payload}, {rtraceOut, "receipt trace", trace.Bytes()}, {receiptOut, "receipt", rcpt}} {
 		if a.path == "" {
 			continue
 		}

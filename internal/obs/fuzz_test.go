@@ -14,17 +14,9 @@ import (
 // constrains accepted inputs, so the strict per-kind field rules can
 // reject as much as they like without failing the fuzzer.
 func FuzzJSONLRoundTrip(f *testing.F) {
-	// Seed with one line per event kind from the golden sample set.
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, sampleEvents()); err != nil {
-		f.Fatal(err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+	for _, line := range jsonlSeedLines(f) {
 		f.Add(line)
 	}
-	f.Add(`{"t":0,"k":"state","n":0,"i":0,"from":"Invalid","to":"Shared","a":0,"b":0}`)
-	f.Add(`{"t":9,"k":"txn-begin","n":2,"i":4,"txn":77,"par":3,"a":1,"b":0}`)
-	f.Add(`not json`)
 
 	f.Fuzz(func(t *testing.T, line string) {
 		ev, err := parseJSONLLine(strings.TrimSpace(line))
@@ -44,4 +36,17 @@ func FuzzJSONLRoundTrip(f *testing.F) {
 			t.Fatalf("encoding not byte-stable:\nfirst  %q\nsecond %q", enc, enc2)
 		}
 	})
+}
+
+// jsonlSeedLines is FuzzJSONLRoundTrip's seed corpus: one line per
+// event kind from the golden sample set, plus hand-written edge cases.
+func jsonlSeedLines(tb testing.TB) []string {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, sampleEvents()); err != nil {
+		tb.Fatal(err)
+	}
+	return append(strings.Split(strings.TrimSpace(buf.String()), "\n"),
+		`{"t":0,"k":"state","n":0,"i":0,"from":"Invalid","to":"Shared","a":0,"b":0}`,
+		`{"t":9,"k":"txn-begin","n":2,"i":4,"txn":77,"par":3,"a":1,"b":0}`,
+		`not json`)
 }

@@ -112,14 +112,29 @@ func init() {
 	}
 }
 
-// ReadJSONL parses a JSON-lines log written by WriteJSONL. Parsing is
-// strict — unknown fields, fields on the wrong event kind, out-of-range
-// identifiers and trailing garbage are all line-numbered errors — so
-// that any accepted line re-encodes to the same event (the
-// FuzzJSONLRoundTrip property) and the offline checker never runs on a
-// silently mangled trace.
+// ReadJSONL parses a JSON-lines log written by WriteJSONL into a
+// slice, with ScanJSONL's strictness.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
+	err := ScanJSONL(r, func(ev Event) error {
+		out = append(out, ev)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ScanJSONL parses a JSON-lines log written by WriteJSONL, calling fn
+// with each event in order, so a consumer that folds the trace never
+// holds it whole. Parsing is strict — unknown fields, fields on the
+// wrong event kind, out-of-range identifiers and trailing garbage are
+// all line-numbered errors — so that any accepted line re-encodes to
+// the same event (the FuzzJSONLRoundTrip property) and the offline
+// checker never runs on a silently mangled trace. An error from fn
+// stops the scan and is returned as is.
+func ScanJSONL(r io.Reader, fn func(Event) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	line := 0
@@ -131,14 +146,13 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		}
 		ev, err := parseJSONLLine(raw)
 		if err != nil {
-			return nil, fmt.Errorf("obs: jsonl line %d: %w", line, err)
+			return fmt.Errorf("obs: jsonl line %d: %w", line, err)
 		}
-		out = append(out, ev)
+		if err := fn(ev); err != nil {
+			return err
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sc.Err()
 }
 
 func parseJSONLLine(raw string) (Event, error) {

@@ -12,7 +12,7 @@ import (
 
 // gateRun runs the identity once with a new gate and a full-mask
 // Recorder on the same event stream, returning the gate's receipt and
-// trace, the recorder's events and the result payload.
+// packed trace, the recorder's events and the result payload.
 func gateRun(t testing.TB, id config.RunIdentity, newGate func() *receipt.Gate) (receipt.Receipt, []byte, []obs.Event, []byte) {
 	t.Helper()
 	gate := newGate()
@@ -37,8 +37,9 @@ func gateRun(t testing.TB, id config.RunIdentity, newGate func() *receipt.Gate) 
 // survives losing one), the streaming gate emits exactly the receipt
 // and trace bytes Build produces over a receipt-mask recording. The
 // trace fields are pinned to what the record-then-replay gate produced
-// before the gate streamed. A digest gate, which keeps no trace, emits
-// the same receipt.
+// before the gate streamed; the gate's packed log expands to the
+// canonical JSONL of the masked events. A digest gate, which keeps no
+// trace, emits the same receipt.
 func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -58,7 +59,8 @@ func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, trace, all, result := gateRun(t, id, receipt.NewGate)
+			got, packed, all, result := gateRun(t, id, receipt.NewGate)
+			trace := expand(t, packed)
 
 			var masked []obs.Event
 			for _, ev := range all {
@@ -74,10 +76,10 @@ func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 				t.Fatalf("gate receipt differs from Build:\n%s\n%s", got.CanonicalJSON(), want.CanonicalJSON())
 			}
 			if !bytes.Equal(trace, wantTrace) || !bytes.Equal(trace, receipt.TraceJSONL(masked)) {
-				t.Fatal("gate trace bytes differ from Build's / obs.WriteJSONL's")
+				t.Fatal("expanded gate trace differs from Build's / obs.WriteJSONL's")
 			}
-			if cap(trace) != len(trace) {
-				t.Fatalf("gate trace: len %d, cap %d; want exact size", len(trace), cap(trace))
+			if cap(packed) != len(packed) {
+				t.Fatalf("gate packed trace: len %d, cap %d; want exact size", len(packed), cap(packed))
 			}
 			if got.TraceDigest != tc.digest || got.TraceEvents != tc.events ||
 				got.VerdictLabel() != "ok" || got.Invariants.EdgesExercised != tc.edges || got.Invariants.EdgesTotal != 35 {
@@ -95,12 +97,42 @@ func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 	}
 }
 
+// expand returns the canonical JSONL a packed trace expands to.
+func expand(t testing.TB, packed []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.UnpackJSONL(&buf, packed); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// serveColdSpec is the cold job of the serve-local benchmark workload.
+var serveColdSpec = server.JobSpec{App: "mp3d", Protocol: "ecp", Nodes: 4, Instructions: 200_000, CheckpointHz: 400}
+
+// TestPackedTraceIsSmall: the packed log the gate keeps for a served
+// cold job is at most a fifth of the canonical JSONL it expands to,
+// which is what lets a daemon keep one beside every receipt.
+func TestPackedTraceIsSmall(t *testing.T) {
+	id, err := serveColdSpec.Identity("rev-fixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, packed, _, _ := gateRun(t, id, receipt.NewGate)
+	jsonl := expand(t, packed)
+	ratio := float64(len(packed)) / float64(len(jsonl))
+	t.Logf("%d events: packed %d bytes (%.1f B/event), JSONL %d bytes, ratio %.3f",
+		r.TraceEvents, len(packed), float64(len(packed))/float64(r.TraceEvents), len(jsonl), ratio)
+	if ratio > 0.2 {
+		t.Fatalf("packed trace is %.3f of its JSONL, want at most 0.2", ratio)
+	}
+}
+
 // BenchmarkGate streams one served cold job's events (mp3d, ECP, 4
 // nodes, 200k instructions, 400 Hz) through a fresh gate and finishes
 // the receipt: the whole per-job cost of the always-on gate.
 func BenchmarkGate(b *testing.B) {
-	spec := server.JobSpec{App: "mp3d", Protocol: "ecp", Nodes: 4, Instructions: 200_000, CheckpointHz: 400}
-	id, err := spec.Identity("rev-fixed")
+	id, err := serveColdSpec.Identity("rev-fixed")
 	if err != nil {
 		b.Fatal(err)
 	}

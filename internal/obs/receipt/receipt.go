@@ -156,34 +156,37 @@ func ParseResult(b []byte) (*stats.Run, error) {
 }
 
 // Gate is the always-on receipt gate as an obs.Observer. Tee it onto a
-// run's event stream: it keeps the kinds in TraceMask, appends each
-// one's canonical JSONL line to the trace, hashes the trace as it
-// grows and steps the txnview fold, so the verdict is ready when the
+// run's event stream: it keeps the kinds in TraceMask, hashes each
+// one's canonical JSONL line, steps the txnview fold and appends the
+// event to a packed log (obs.Packer), so the verdict is ready when the
 // run ends and no event slice is ever held. Finish then assembles the
 // receipt. A Gate serves one run and is not safe for concurrent use.
 //
-// The trace bytes are the only thing it buffers. They are kept in
-// fixed-size chunks, each fed to SHA-256 once it is full, so a
-// megabyte trace grows without re-copying itself, and Finish copies
-// them once into the exactly sized slice the caller stores. A gate
-// from NewDigestGate keeps no trace: it hashes each full chunk and
-// refills the same one.
+// The JSONL lines go to one fixed-size chunk that is fed to SHA-256
+// and refilled whenever it fills. The packed log is the only thing the
+// gate keeps, about a sixth of the JSONL size; it is kept in fixed-size
+// chunks too, so it grows without re-copying itself, and Finish copies
+// it once into the exactly sized slice the caller stores. A gate from
+// NewDigestGate keeps no packed log.
 type Gate struct {
-	keep   bool     // keep the trace for Finish to return
-	chunks [][]byte // full chunks, already hashed
-	cur    []byte   // the chunk being filled
-	size   int      // bytes in chunks
+	keep   bool   // keep the packed log for Finish to return
+	line   []byte // the JSONL chunk being filled, hashed when full
 	digest hash.Hash
+	packer obs.Packer
+	packs  [][]byte // full packed chunks
+	pack   []byte   // the packed chunk being filled
+	size   int      // bytes in packs
 	fold   *txnview.Fold
 	events int64
 }
 
 const (
-	// chunkSize is the trace chunk capacity.
+	// chunkSize is the capacity of the JSONL chunk and of each packed
+	// chunk.
 	chunkSize = 64 << 10
-	// lineRoom is the free space a chunk must have to take another
-	// line: more than the longest canonical line (≈190 bytes), so a
-	// line never makes a chunk reallocate.
+	// lineRoom is the free space the JSONL chunk must have to take
+	// another line: more than the longest canonical line (≈190 bytes),
+	// so a line never makes the chunk reallocate.
 	lineRoom = 512
 )
 
@@ -200,8 +203,8 @@ func NewDigestGate() *Gate {
 }
 
 // Emit implements obs.Observer: kinds outside TraceMask are dropped.
-// An event allocates nothing, apart from a new chunk every few hundred
-// events.
+// An event allocates nothing, apart from a new packed chunk every few
+// thousand events.
 func (g *Gate) Emit(ev obs.Event) {
 	if TraceMask.Has(ev.Kind) {
 		g.add(ev)
@@ -210,19 +213,24 @@ func (g *Gate) Emit(ev obs.Event) {
 
 // add records one event, whatever its kind.
 func (g *Gate) add(ev obs.Event) {
-	if cap(g.cur)-len(g.cur) < lineRoom {
-		g.digest.Write(g.cur)
-		if !g.keep && g.cur != nil {
-			g.cur = g.cur[:0] // hashed and not kept: refill it
-		} else {
-			if len(g.cur) > 0 {
-				g.chunks = append(g.chunks, g.cur)
-				g.size += len(g.cur)
-			}
-			g.cur = make([]byte, 0, chunkSize)
+	if cap(g.line)-len(g.line) < lineRoom {
+		g.digest.Write(g.line)
+		if g.line == nil {
+			g.line = make([]byte, 0, chunkSize)
 		}
+		g.line = g.line[:0]
 	}
-	g.cur = ev.AppendJSONL(g.cur)
+	g.line = ev.AppendJSONL(g.line)
+	if g.keep {
+		if cap(g.pack)-len(g.pack) < obs.MaxPackedLen {
+			if len(g.pack) > 0 {
+				g.packs = append(g.packs, g.pack)
+				g.size += len(g.pack)
+			}
+			g.pack = make([]byte, 0, chunkSize)
+		}
+		g.pack = g.packer.Append(g.pack, &ev)
+	}
 	g.fold.Step(ev)
 	g.events++
 }
@@ -230,10 +238,11 @@ func (g *Gate) add(ev obs.Event) {
 // Finish assembles the receipt for the completed run: the result
 // payload must be canonical (it is round-trip checked). With no event
 // recorded the receipt records no trace and the verdict is unchecked.
-// It returns the receipt unsigned plus the canonical trace JSONL bytes
-// its TraceDigest covers (nil from a NewDigestGate gate), sized exactly
-// (cap == len) because callers store them; the gate keeps no reference
-// to them. Call it once.
+// It returns the receipt unsigned plus the packed log of the trace its
+// TraceDigest covers (obs.UnpackJSONL expands it to the canonical JSONL
+// bytes; nil from a NewDigestGate gate), sized exactly (cap == len)
+// because callers store it; the gate keeps no reference to it. Call it
+// once.
 func (g *Gate) Finish(id config.RunIdentity, result []byte, producer string) (Receipt, []byte, error) {
 	run, err := ParseResult(result)
 	if err != nil {
@@ -251,32 +260,42 @@ func (g *Gate) Finish(id config.RunIdentity, result []byte, producer string) (Re
 	if g.events == 0 {
 		return r, nil, nil
 	}
-	g.digest.Write(g.cur)
-	var trace []byte
+	g.digest.Write(g.line)
+	var packed []byte
 	if g.keep {
-		trace = make([]byte, 0, g.size+len(g.cur))
-		for _, c := range g.chunks {
-			trace = append(trace, c...)
+		packed = make([]byte, 0, g.size+len(g.pack))
+		for _, c := range g.packs {
+			packed = append(packed, c...)
 		}
-		trace = append(trace, g.cur...)
+		packed = append(packed, g.pack...)
 	}
-	g.chunks, g.cur = nil, nil
+	g.line, g.packs, g.pack = nil, nil, nil
 	r.TraceDigest = hex.EncodeToString(g.digest.Sum(nil))
 	r.TraceEvents = g.events
 	r.Invariants = invariantsOf(g.fold.Summary())
-	return r, trace, nil
+	return r, packed, nil
 }
 
 // Build assembles the receipt for one completed run from its recorded
 // trace, by driving a Gate over every event given (no mask is applied:
-// the caller chose what to record). nil or empty events: the receipt
-// records no trace and the verdict is unchecked.
+// the caller chose what to record), and returns it with the trace's
+// canonical JSONL bytes, expanded from the gate's packed log. nil or
+// empty events: the receipt records no trace and the verdict is
+// unchecked.
 func Build(id config.RunIdentity, result []byte, events []obs.Event, producer string) (Receipt, []byte, error) {
 	g := NewGate()
 	for _, ev := range events {
 		g.add(ev)
 	}
-	return g.Finish(id, result, producer)
+	r, packed, err := g.Finish(id, result, producer)
+	if err != nil || packed == nil {
+		return r, nil, err
+	}
+	var trace bytes.Buffer
+	if err := obs.UnpackJSONL(&trace, packed); err != nil {
+		return Receipt{}, nil, fmt.Errorf("receipt: expanding trace: %w", err)
+	}
+	return r, trace.Bytes(), nil
 }
 
 // invariantsOf condenses the txnview verdict for the receipt.

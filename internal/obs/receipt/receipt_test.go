@@ -262,12 +262,13 @@ func TestAttestTamper(t *testing.T) {
 }
 
 // TestGateEmitZeroAlloc pins the gate's steady state: once its fold has
-// seen an item and a transaction, emitting an event — encoded, replayed,
-// or masked out — allocates nothing. The current chunk is pre-sized so
-// the measurement excludes the one new chunk every few hundred events.
+// seen an item and a transaction, emitting an event — encoded, hashed,
+// packed, replayed, or masked out — allocates nothing. The packed chunk
+// is pre-sized so the measurement excludes the one new chunk every few
+// thousand events.
 func TestGateEmitZeroAlloc(t *testing.T) {
 	g := NewGate()
-	g.cur = make([]byte, 0, 4<<20)
+	g.pack = make([]byte, 0, 4<<20)
 	txn := proto.MakeTxnID(1, 1)
 	g.Emit(obs.Event{Time: 1, Kind: obs.KTxnBegin, Node: 1, Item: 2, Txn: txn, A: obs.TxnRead})
 	cycle := []obs.Event{

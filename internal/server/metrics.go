@@ -107,9 +107,9 @@ func (m *metrics) hitRatio() float64 {
 }
 
 // write emits the Prometheus text exposition. Gauges owned by the
-// scheduler (queue depth, in-flight, store size), the per-running-job
+// scheduler (queue depth, in-flight), the store, the per-running-job
 // inspection gauges, and the cluster scheduler snapshot are passed in.
-func (m *metrics) write(w io.Writer, queueDepth, inflight, storeLen int, jobs []jobGauge, clu clusterStats) {
+func (m *metrics) write(w io.Writer, queueDepth, inflight int, store *Store, jobs []jobGauge, clu clusterStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -118,7 +118,11 @@ func (m *metrics) write(w io.Writer, queueDepth, inflight, storeLen int, jobs []
 	fmt.Fprintf(w, "# HELP comad_inflight_jobs Simulations executing right now.\n")
 	fmt.Fprintf(w, "# TYPE comad_inflight_jobs gauge\ncomad_inflight_jobs %d\n", inflight)
 	fmt.Fprintf(w, "# HELP comad_store_entries Results in the content-addressed store.\n")
-	fmt.Fprintf(w, "# TYPE comad_store_entries gauge\ncomad_store_entries %d\n", storeLen)
+	fmt.Fprintf(w, "# TYPE comad_store_entries gauge\ncomad_store_entries %d\n", store.Len())
+	fmt.Fprintf(w, "# HELP comad_store_aux_bytes Bytes held in memory by the artifacts stored beside results, by kind.\n")
+	fmt.Fprintf(w, "# TYPE comad_store_aux_bytes gauge\n")
+	fmt.Fprintf(w, "comad_store_aux_bytes{kind=\"receipt\"} %d\n", store.AuxBytes(AuxReceipt))
+	fmt.Fprintf(w, "comad_store_aux_bytes{kind=\"trace\"} %d\n", store.AuxBytes(AuxTracePack))
 
 	fmt.Fprintf(w, "# HELP comad_jobs_submitted_total Job submissions accepted.\n")
 	fmt.Fprintf(w, "# TYPE comad_jobs_submitted_total counter\ncomad_jobs_submitted_total %d\n", m.submitted)

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -121,22 +123,148 @@ func TestRealRunReceiptAttestsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStoredTraceIsExactSize: the trace filed beside a receipt holds no
-// spare capacity. A served cold job's trace is megabytes, and the store
-// keeps one per job, so a grown append buffer would pin up to twice its
-// size for as long as the entry lives.
+// TestStoredTraceIsExactSize: the packed trace filed beside a receipt
+// holds no spare capacity. The store keeps one per job, so a grown
+// append buffer would pin up to twice its size for as long as the
+// entry lives.
 func TestStoredTraceIsExactSize(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	resp, st := postJob(t, ts, `{"app":"mp3d","nodes":4,"protocol":"ecp","seed":3,"scale":0.002,"hz":400}`, true)
 	if resp.StatusCode != http.StatusOK || st.State != StateDone {
 		t.Fatalf("submit: status %d state %s err %q", resp.StatusCode, st.State, st.Error)
 	}
-	trace, ok := s.store.GetAux(st.ID, AuxTrace)
+	trace, ok := s.store.GetAux(st.ID, AuxTracePack)
 	if !ok || len(trace) == 0 {
 		t.Fatal("no trace stored beside the receipt")
 	}
 	if cap(trace) != len(trace) {
 		t.Fatalf("stored trace: len %d, cap %d; want cap == len", len(trace), cap(trace))
+	}
+}
+
+// tracedSpec is a real run quick enough to repeat: its receipt records
+// a trace.
+const tracedSpec = `{"app":"uniform","nodes":4,"protocol":"ecp","seed":11,"scale":0.001,"hz":50}`
+
+// runTraced submits tracedSpec (or a seed variant) and returns the
+// job's status, receipt and served JSONL trace, requiring that the
+// trace attests.
+func runTraced(t *testing.T, ts *httptest.Server, spec string) (JobStatus, receipt.Receipt, []byte) {
+	t.Helper()
+	resp, st := postJob(t, ts, spec, true)
+	if resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Fatalf("submit: status %d state %s err %q", resp.StatusCode, st.State, st.Error)
+	}
+	_, body := fetch(t, ts, "/v1/jobs/"+st.ID+"/receipt")
+	rcpt, err := receipt.Parse(body)
+	if err != nil {
+		t.Fatalf("receipt: %v", err)
+	}
+	code, trace := fetch(t, ts, "/v1/jobs/"+st.ID+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("GET trace: status %d (%s)", code, trace)
+	}
+	if err := rcpt.Attest(receipt.Artifacts{Trace: trace}, nil); err != nil {
+		t.Fatalf("served trace fails attestation: %v", err)
+	}
+	return st, rcpt, trace
+}
+
+// requireDamagedTrace500 requires GET /trace to answer a JSON 500
+// error, with no part of a trace in the body.
+func requireDamagedTrace500(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("damaged trace: body is not a JSON error: %v", err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || body.Error == "" ||
+		resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("damaged trace: status %d, type %q, error %q; want a JSON 500",
+			resp.StatusCode, resp.Header.Get("Content-Type"), body.Error)
+	}
+}
+
+// TestDamagedStoredTraceAnswers500: a packed trace that does not decode
+// (here cut short by one byte, which always truncates its last event)
+// gets a 500 JSON error from /trace, never a 200 with a cut body.
+func TestDamagedStoredTraceAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	st, _, _ := runTraced(t, ts, tracedSpec)
+	packed, _ := s.store.GetAux(st.ID, AuxTracePack)
+	if err := s.store.PutAux(st.ID, AuxTracePack, packed[:len(packed)-1]); err != nil {
+		t.Fatal(err)
+	}
+	requireDamagedTrace500(t, ts, st.ID)
+}
+
+// TestCacheDirTraceRestart: with -cache-dir, a restarted daemon reads
+// the <hash>.trace.pack file through and serves byte-identical JSONL;
+// a damaged file answers a 500 JSON error.
+func TestCacheDirTraceRestart(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Workers: 1, CacheDir: dir, Revision: "r1"}
+	_, ts1 := newTestServer(t, opts)
+	st, _, want := runTraced(t, ts1, tracedSpec)
+	ts1.Close()
+
+	_, ts2 := newTestServer(t, opts)
+	st2, _, got := runTraced(t, ts2, tracedSpec)
+	if st2.Cache != "hit" {
+		t.Fatalf("restarted daemon: cache %q, want hit", st2.Cache)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("trace served after restart differs from the one served before")
+	}
+	ts2.Close()
+
+	path := filepath.Join(dir, st.ID+"."+AuxTracePack)
+	packed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed[0] = 0x7f // no event kind
+	if err := os.WriteFile(path, packed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts3 := newTestServer(t, opts)
+	if resp, st3 := postJob(t, ts3, tracedSpec, true); resp.StatusCode != http.StatusOK || st3.Cache != "hit" {
+		t.Fatalf("third start: status %d cache %q, want a hit", resp.StatusCode, st3.Cache)
+	}
+	requireDamagedTrace500(t, ts3, st.ID)
+}
+
+// TestStoreAuxBytesGauge: comad_store_aux_bytes shows the memory the
+// stored receipts and traces hold. A cold job grows the trace gauge by
+// the length of its packed log, well under the JSONL /trace serves; a
+// cache hit stores nothing new.
+func TestStoreAuxBytesGauge(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	gauges := func() (float64, float64) {
+		m := parseExposition(t, scrape(t, ts))
+		return m[`comad_store_aux_bytes{kind="receipt"}`], m[`comad_store_aux_bytes{kind="trace"}`]
+	}
+	var wantReceipt, wantTrace int
+	for _, spec := range []string{tracedSpec, strings.Replace(tracedSpec, `"seed":11`, `"seed":12`, 1), tracedSpec} {
+		st, _, jsonl := runTraced(t, ts, spec)
+		if st.Cache != "hit" {
+			rcpt, _ := s.store.GetAux(st.ID, AuxReceipt)
+			packed, _ := s.store.GetAux(st.ID, AuxTracePack)
+			wantReceipt += len(rcpt)
+			wantTrace += len(packed)
+			if 5*len(packed) > len(jsonl) {
+				t.Fatalf("packed trace %d bytes for %d bytes of JSONL, want at most a fifth", len(packed), len(jsonl))
+			}
+		}
+		if r, tr := gauges(); r != float64(wantReceipt) || tr != float64(wantTrace) {
+			t.Fatalf("after job %.12s (%s): aux bytes receipt %v trace %v, want %d and %d",
+				st.ID, st.Cache, r, tr, wantReceipt, wantTrace)
+		}
 	}
 }
 
@@ -350,7 +478,7 @@ func TestStoreAuxRoundTrip(t *testing.T) {
 	if err := st.PutAux(key, AuxReceipt, []byte(`{"schema":"coma-receipt/v1"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutAux(key, AuxTrace, []byte("{}\n")); err != nil {
+	if err := st.PutAux(key, AuxTracePack, []byte("\x0c\x02")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.PutAux(key, "evil-kind", []byte("x")); err == nil {
@@ -364,7 +492,7 @@ func TestStoreAuxRoundTrip(t *testing.T) {
 	if got, ok := fresh.GetAux(key, AuxReceipt); !ok || string(got) != `{"schema":"coma-receipt/v1"}` {
 		t.Fatalf("receipt read-through = %q/%v", got, ok)
 	}
-	if got, ok := fresh.GetAux(key, AuxTrace); !ok || string(got) != "{}\n" {
+	if got, ok := fresh.GetAux(key, AuxTracePack); !ok || string(got) != "\x0c\x02" {
 		t.Fatalf("trace read-through = %q/%v", got, ok)
 	}
 	if _, ok := fresh.GetAux(key, "evil-kind"); ok {

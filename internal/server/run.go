@@ -86,11 +86,12 @@ type Outcome struct {
 	// set. Runs are deterministic, so an error fails the job for good.
 	Payload []byte
 	Err     error
-	// Receipt is the (signed) execution receipt and Trace its canonical
-	// JSONL trace. Both are nil with NoReceipts or when building the
-	// receipt failed (ReceiptErr), and Trace is nil with DropTrace; a
-	// receipt failure never fails the job, whose result is already
-	// correct.
+	// Receipt is the (signed) execution receipt and Trace its trace as
+	// the gate's packed log (obs.UnpackJSONL expands it to the canonical
+	// JSONL that trace_digest covers). Both are nil with NoReceipts or
+	// when building the receipt failed (ReceiptErr), and Trace is nil
+	// with DropTrace; a receipt failure never fails the job, whose
+	// result is already correct.
 	Receipt    *receipt.Receipt
 	Trace      []byte
 	ReceiptErr error

@@ -42,6 +42,7 @@ import (
 
 	"coma/internal/config"
 	"coma/internal/inspect"
+	"coma/internal/obs"
 	"coma/internal/obs/receipt"
 )
 
@@ -449,14 +450,14 @@ func (s *Server) completeLocked(j *job, out Outcome, now time.Time, by string) {
 	s.logf("job %s: done%s in %.1f ms", ShortID(j.id), by, msBetween(j.startedAt, now))
 }
 
-// storeReceipt files a receipt (and optional trace bytes) beside the
+// storeReceipt files a receipt (and optional packed trace) beside the
 // job's result and counts it by verdict.
 func (s *Server) storeReceipt(id string, rcpt receipt.Receipt, trace []byte) {
 	if err := s.store.PutAux(id, AuxReceipt, append(rcpt.CanonicalJSON(), '\n')); err != nil {
 		s.logf("job %s: persisting receipt: %v", ShortID(id), err)
 	}
 	if trace != nil {
-		if err := s.store.PutAux(id, AuxTrace, trace); err != nil {
+		if err := s.store.PutAux(id, AuxTracePack, trace); err != nil {
 			s.logf("job %s: persisting trace: %v", ShortID(id), err)
 		}
 	}
@@ -635,40 +636,62 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReceipt serves the job's execution receipt: the canonical
-// coma-receipt/v1 bytes stored beside the result.
+// coma-receipt/v1 bytes stored beside the result, verbatim like
+// /result, because attestation is a byte-level contract.
 func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
-	s.serveAux(w, r, AuxReceipt, "application/json")
+	rcpt, ok := s.storedAux(w, r, AuxReceipt)
+	if !ok {
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	s.met.countHTTP(http.StatusOK)
+	w.Write(rcpt)
 }
 
-// handleTrace serves the receipt-grade observability trace (canonical
-// JSONL) recorded for a locally executed job — the artifact `comatrace
-// attest -trace` replays against the receipt's verdict.
+// handleTrace serves the receipt-grade observability trace recorded for
+// a locally executed job as canonical JSONL — the artifact `comatrace
+// attest -trace` replays against the receipt's verdict. The store keeps
+// the gate's packed log; it is expanded here, and only after a decode
+// pass over the whole log succeeded, so a damaged entry answers 500
+// rather than a 200 with a cut body.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.serveAux(w, r, AuxTrace, "application/x-ndjson")
+	packed, ok := s.storedAux(w, r, AuxTracePack)
+	if !ok {
+		return
+	}
+	if err := obs.UnpackJSONL(io.Discard, packed); err != nil {
+		s.logf("job %s: stored trace does not decode: %v", ShortID(r.PathValue("id")), err)
+		s.respondError(w, http.StatusInternalServerError, fmt.Errorf("stored trace is damaged: %v", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	s.met.countHTTP(http.StatusOK)
+	// The decode pass above succeeded, so an error here is a write
+	// error: the client went away.
+	_ = obs.UnpackJSONL(w, packed)
 }
 
-func (s *Server) serveAux(w http.ResponseWriter, r *http.Request, kind, contentType string) {
+// storedAux returns the aux artifact of the requested job, having
+// answered the request itself when the job is unknown, not done, or
+// has no such artifact.
+func (s *Server) storedAux(w http.ResponseWriter, r *http.Request, kind string) ([]byte, bool) {
 	j := s.lookup(w, r)
 	if j == nil {
-		return
+		return nil, false
 	}
 	s.mu.Lock()
 	state := j.state
 	s.mu.Unlock()
 	if state != StateDone {
 		s.respondError(w, http.StatusConflict, fmt.Errorf("job is %s", state))
-		return
+		return nil, false
 	}
 	payload, ok := s.store.GetAux(j.id, kind)
 	if !ok {
 		s.respondError(w, http.StatusNotFound, fmt.Errorf("no %s recorded for this job", kind))
-		return
+		return nil, false
 	}
-	// Raw stored bytes, like /result: attestation is a byte-level
-	// contract, so nothing may re-encode them.
-	w.Header().Set("Content-Type", contentType)
-	s.met.countHTTP(http.StatusOK)
-	w.Write(payload)
+	return payload, true
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -767,7 +790,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.met.countHTTP(http.StatusOK)
-	s.met.write(w, queued, running, s.store.Len(), gauges, clu)
+	s.met.write(w, queued, running, s.store, gauges, clu)
 }
 
 func (s *Server) respondJSON(w http.ResponseWriter, code int, v any) {

@@ -23,16 +23,19 @@ type Store struct {
 	// aux holds auxiliary artifacts stored beside a result (execution
 	// receipts, observability traces), keyed "<hash>.<kind>". They are
 	// content-derived like the results they annotate, so the same
-	// immutability argument applies. Not counted by Len.
-	aux map[string][]byte
-	dir string // "" disables persistence
+	// immutability argument applies. Not counted by Len; auxBytes sums
+	// the in-memory bytes by kind.
+	aux      map[string][]byte
+	auxBytes map[string]int64
+	dir      string // "" disables persistence
 }
 
 // Auxiliary artifact kinds stored beside a result (the file suffix on
-// disk: "<hash>.<kind>").
+// disk: "<hash>.<kind>"): the canonical receipt JSON, and the receipt's
+// trace as the gate's packed log (obs.UnpackJSONL expands it).
 const (
-	AuxReceipt = "receipt.json"
-	AuxTrace   = "trace.jsonl"
+	AuxReceipt   = "receipt.json"
+	AuxTracePack = "trace.pack"
 )
 
 // NewStore returns a store, creating the persistence directory if one
@@ -43,7 +46,8 @@ func NewStore(dir string) (*Store, error) {
 			return nil, fmt.Errorf("server: cache dir: %w", err)
 		}
 	}
-	return &Store{mem: make(map[string][]byte), aux: make(map[string][]byte), dir: dir}, nil
+	return &Store{mem: make(map[string][]byte), aux: make(map[string][]byte),
+		auxBytes: make(map[string]int64), dir: dir}, nil
 }
 
 // Get returns the payload stored under key, consulting the persistence
@@ -114,7 +118,7 @@ func (st *Store) GetAux(key, kind string) ([]byte, bool) {
 		return nil, false
 	}
 	st.mu.Lock()
-	st.aux[name] = payload
+	st.setAuxLocked(name, kind, payload)
 	st.mu.Unlock()
 	return payload, true
 }
@@ -127,7 +131,7 @@ func (st *Store) PutAux(key, kind string, payload []byte) error {
 	}
 	name := key + "." + kind
 	st.mu.Lock()
-	st.aux[name] = payload
+	st.setAuxLocked(name, kind, payload)
 	st.mu.Unlock()
 	if st.dir == "" {
 		return nil
@@ -151,8 +155,22 @@ func (st *Store) PutAux(key, kind string, payload []byte) error {
 	return os.Rename(tmp.Name(), filepath.Join(st.dir, name))
 }
 
+// setAuxLocked files an aux entry in memory, keeping auxBytes in step
+// when it replaces one. Caller holds st.mu.
+func (st *Store) setAuxLocked(name, kind string, payload []byte) {
+	st.auxBytes[kind] += int64(len(payload) - len(st.aux[name]))
+	st.aux[name] = payload
+}
+
+// AuxBytes returns the bytes the in-memory aux entries of one kind hold.
+func (st *Store) AuxBytes(kind string) int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.auxBytes[kind]
+}
+
 func validAuxKind(kind string) bool {
-	return kind == AuxReceipt || kind == AuxTrace
+	return kind == AuxReceipt || kind == AuxTracePack
 }
 
 // Len returns the number of in-memory entries.
