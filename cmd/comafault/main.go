@@ -23,10 +23,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"coma"
+	"coma/internal/config"
 	"coma/internal/fault/edges"
 	"coma/internal/obs"
 	"coma/internal/proto"
@@ -84,12 +83,12 @@ func main() {
 	}
 	var failures []coma.Failure
 	for _, v := range fails {
-		f, err := parseFailure(v)
+		e, err := config.ParseFailure(v)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "comafault: %v\n", err)
 			os.Exit(2)
 		}
-		failures = append(failures, f)
+		failures = append(failures, coma.Failure{At: e.At, Node: e.Node, Permanent: e.Permanent})
 	}
 	if *mtbf > 0 {
 		span := *horizon
@@ -182,20 +181,4 @@ func runEdgeSuite(traceDir string) int {
 	}
 	fmt.Println("edge suite: full specification coverage")
 	return 0
-}
-
-func parseFailure(v string) (coma.Failure, error) {
-	parts := strings.Split(v, ":")
-	if len(parts) < 2 || len(parts) > 3 {
-		return coma.Failure{}, fmt.Errorf("want cycle:node[:perm], got %q", v)
-	}
-	at, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return coma.Failure{}, err
-	}
-	node, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return coma.Failure{}, err
-	}
-	return coma.Failure{At: at, Node: node, Permanent: len(parts) == 3 && parts[2] == "perm"}, nil
 }

@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"coma/internal/config"
@@ -50,20 +49,11 @@ type failureFlags []config.FailureEvent
 func (f *failureFlags) String() string { return fmt.Sprintf("%v", []config.FailureEvent(*f)) }
 
 func (f *failureFlags) Set(v string) error {
-	parts := strings.Split(v, ":")
-	if len(parts) < 2 || len(parts) > 3 {
-		return fmt.Errorf("want cycle:node[:perm], got %q", v)
-	}
-	at, err := strconv.ParseInt(parts[0], 10, 64)
+	e, err := config.ParseFailure(v)
 	if err != nil {
-		return fmt.Errorf("bad cycle in %q: %w", v, err)
+		return err
 	}
-	node, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return fmt.Errorf("bad node in %q: %w", v, err)
-	}
-	perm := len(parts) == 3 && parts[2] == "perm"
-	*f = append(*f, config.FailureEvent{At: at, Node: node, Permanent: perm})
+	*f = append(*f, e)
 	return nil
 }
 

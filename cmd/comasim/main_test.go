@@ -159,3 +159,29 @@ func TestNegativeFailureTimeIsAUsageError(t *testing.T) {
 		t.Fatalf("comasim -fail -5:1: exit %d, want 2 without a panic:\n%s", code, out)
 	}
 }
+
+// TestFailFlagSpellings runs comasim on every -fail spelling class: a
+// transient failure rolls back, ":perm" kills the node for good (too
+// few nodes remain at 4), and a malformed value, including a third
+// field other than "perm", is a usage error before anything runs.
+func TestFailFlagSpellings(t *testing.T) {
+	run := []string{"-app", "mp3d", "-nodes", "4", "-protocol", "ecp", "-hz", "400", "-scale", "0.002"}
+	for _, tc := range []struct {
+		fail string
+		exit int
+		want string
+	}{
+		{"20000:2", 0, "1 rollbacks"},
+		{"20000:2:perm", 1, "too few live nodes remain"},
+		{"20000:2:permanent", 2, `invalid value "20000:2:permanent" for flag -fail: want cycle:node[:perm], got "20000:2:permanent"`},
+		{"20000:2:", 2, `want cycle:node[:perm], got "20000:2:"`},
+		{"20000", 2, `want cycle:node[:perm], got "20000"`},
+		{"x:2", 2, `bad cycle in "x:2": strconv.ParseInt`},
+		{"20000:y", 2, `bad node in "20000:y": strconv.Atoi`},
+	} {
+		code, out := comasimExit(t, append(append([]string(nil), run...), "-fail", tc.fail)...)
+		if code != tc.exit || !strings.Contains(out, tc.want) {
+			t.Errorf("-fail %s: exit %d, want %d with %q in\n%s", tc.fail, code, tc.exit, tc.want, out)
+		}
+	}
+}

@@ -10,37 +10,42 @@
 package am
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"coma/internal/config"
 	"coma/internal/proto"
 )
 
-// Slot is the per-item metadata held in a frame.
+// Slot is the per-item metadata held in a frame. Its fields are ordered
+// widest first so a slot packs into 16 bytes.
 type Slot struct {
-	State proto.State
 	// Value is the simulator's model of the item's 128 bytes: a 64-bit
 	// stamp checked against the machine oracle.
 	Value uint64
 	// Partner is the node holding the other copy of a recovery pair;
 	// meaningful only while State.Recovery() is true.
 	Partner proto.NodeID
+	State   proto.State
 }
 
+// slotBlockFrames is how many frames' slot arrays one allocation
+// provides: 4 frames of the paper's 128 items are an 8 KiB block.
+const slotBlockFrames = 4
+
+// A frame is one way of a set. Its page is the way's entry in AM.tags.
 type frame struct {
-	page          proto.PageID
-	valid         bool
+	slots   []Slot
+	lastUse int64
+	// modified counts slots in Exclusive or MasterShared state; frames
+	// with modified > 0 form the paper's "modified-item tree", letting
+	// the create phase find the next item to replicate in O(frames).
+	modified      int32
 	irreplaceable bool
 	// evicting marks a frame whose pinned items are being injected away
 	// by an in-flight replacement; it must not accept new copies.
 	evicting bool
-	lastUse  int64
-	slots    []Slot
-	// modified counts slots in Exclusive or MasterShared state; frames
-	// with modified > 0 form the paper's "modified-item tree", letting
-	// the create phase find the next item to replicate in O(frames).
-	modified int
 }
 
 // Stats counts attraction-memory events.
@@ -54,11 +59,18 @@ type Stats struct {
 
 // AM is one node's attraction memory.
 type AM struct {
-	arch config.Arch
 	node proto.NodeID
-	sets [][]frame
-	// index maps an allocated page to its frame for O(1) lookup.
-	index map[proto.PageID]*frame
+	// Geometry, computed once from the architecture.
+	itemsPerPage int
+	numSets      int
+	ways         int
+	// tags holds the page of every way, set by set (way w of set s is
+	// tags[s*ways+w]), or NoPage when the way is free. A lookup scans
+	// one set's contiguous tags, as the hardware's tag match does.
+	tags   []proto.PageID
+	frames []frame // parallel to tags
+	// spare is the unused tail of the latest slot block.
+	spare []Slot
 
 	allocated int
 	stats     Stats
@@ -78,15 +90,16 @@ func (a *AM) SetStateHook(fn func(item proto.ItemID, from, to proto.State)) {
 // New builds an empty attraction memory for the node.
 func New(arch config.Arch, node proto.NodeID) *AM {
 	a := &AM{
-		arch:  arch,
-		node:  node,
-		sets:  make([][]frame, arch.AMSets()),
-		index: make(map[proto.PageID]*frame),
+		node:         node,
+		itemsPerPage: arch.ItemsPerPage(),
+		numSets:      arch.AMSets(),
+		ways:         arch.AMWays,
 	}
-	frames := make([]frame, len(a.sets)*arch.AMWays)
-	for i := range a.sets {
-		a.sets[i] = frames[i*arch.AMWays : (i+1)*arch.AMWays : (i+1)*arch.AMWays]
+	a.tags = make([]proto.PageID, a.numSets*a.ways)
+	for i := range a.tags {
+		a.tags[i] = proto.NoPage
 	}
+	a.frames = make([]frame, len(a.tags))
 	return a
 }
 
@@ -99,41 +112,75 @@ func (a *AM) Stats() Stats { return a.stats }
 // AllocatedFrames returns the number of currently allocated page frames.
 func (a *AM) AllocatedFrames() int { return a.allocated }
 
-func (a *AM) setIndex(page proto.PageID) int {
-	return int(page) % len(a.sets)
+// setTags returns the first way index of the page's set and the set's
+// tags.
+func (a *AM) setTags(page proto.PageID) (int, []proto.PageID) {
+	base := int(page) % a.numSets * a.ways
+	return base, a.tags[base : base+a.ways]
 }
 
-func (a *AM) frameFor(item proto.ItemID) *frame {
-	return a.index[a.arch.PageOf(item)]
+// way returns the index into tags and frames of the page's way, or -1
+// when the page is not allocated. NoPage, like any negative page, is
+// never allocated (and has no set).
+func (a *AM) way(page proto.PageID) int {
+	if page < 0 {
+		return -1
+	}
+	base, tags := a.setTags(page)
+	for w, t := range tags {
+		if t == page {
+			return base + w
+		}
+	}
+	return -1
+}
+
+// frameOf returns the page's frame, or nil when it is not allocated.
+func (a *AM) frameOf(page proto.PageID) *frame {
+	if w := a.way(page); w >= 0 {
+		return &a.frames[w]
+	}
+	return nil
+}
+
+// frameFor returns the frame holding the item and the item's index in
+// it; the frame is nil when the item's page is not allocated.
+func (a *AM) frameFor(item proto.ItemID) (*frame, int) {
+	page := int(item) / a.itemsPerPage
+	return a.frameOf(proto.PageID(page)), int(item) - page*a.itemsPerPage
 }
 
 func (a *AM) slotFor(item proto.ItemID) *Slot {
-	f := a.frameFor(item)
+	f, i := a.frameFor(item)
 	if f == nil {
 		return nil
 	}
-	return &f.slots[a.arch.ItemIndexInPage(item)]
+	return &f.slots[i]
+}
+
+func (a *AM) firstItem(page proto.PageID) proto.ItemID {
+	return proto.ItemID(int(page) * a.itemsPerPage)
 }
 
 // HasFrame reports whether the page is allocated.
-func (a *AM) HasFrame(page proto.PageID) bool { return a.index[page] != nil }
+func (a *AM) HasFrame(page proto.PageID) bool { return a.way(page) >= 0 }
 
 // Irreplaceable reports whether the page's frame is an anchor frame.
 func (a *AM) Irreplaceable(page proto.PageID) bool {
-	f := a.index[page]
+	f := a.frameOf(page)
 	return f != nil && f.irreplaceable
 }
 
 // Evicting reports whether the page's frame is mid-replacement.
 func (a *AM) Evicting(page proto.PageID) bool {
-	f := a.index[page]
+	f := a.frameOf(page)
 	return f != nil && f.evicting
 }
 
 // SetEvicting marks or unmarks a frame as mid-replacement. The frame
 // must be allocated.
 func (a *AM) SetEvicting(page proto.PageID, v bool) {
-	f := a.index[page]
+	f := a.frameOf(page)
 	if f == nil {
 		panic(fmt.Sprintf("am: SetEvicting(%d) on node %v without a frame", page, a.node))
 	}
@@ -142,7 +189,7 @@ func (a *AM) SetEvicting(page proto.PageID, v bool) {
 
 // Touch updates the frame's LRU stamp.
 func (a *AM) Touch(page proto.PageID, now int64) {
-	if f := a.index[page]; f != nil {
+	if f := a.frameOf(page); f != nil {
 		f.lastUse = now
 	}
 }
@@ -169,12 +216,11 @@ func (a *AM) Slot(item proto.ItemID) Slot {
 // Set installs state, value and partner for an item. The page frame must
 // be allocated. Modified-item bookkeeping is maintained.
 func (a *AM) Set(item proto.ItemID, slot Slot) {
-	f := a.frameFor(item)
+	f, idx := a.frameFor(item)
 	if f == nil {
 		panic(fmt.Sprintf("am: Set(%d) on node %v without a frame for page %d",
-			item, a.node, a.arch.PageOf(item)))
+			item, a.node, int(item)/a.itemsPerPage))
 	}
-	idx := a.arch.ItemIndexInPage(item)
 	old := &f.slots[idx]
 	if old.State.Modified() {
 		f.modified--
@@ -190,11 +236,11 @@ func (a *AM) Set(item proto.ItemID, slot Slot) {
 
 // SetState changes only the coherence state, preserving value and partner.
 func (a *AM) SetState(item proto.ItemID, st proto.State) {
-	s := a.slotFor(item)
-	if s == nil {
+	f, idx := a.frameFor(item)
+	if f == nil {
 		panic(fmt.Sprintf("am: SetState(%d) on node %v without a frame", item, a.node))
 	}
-	f := a.frameFor(item)
+	s := &f.slots[idx]
 	if s.State.Modified() {
 		f.modified--
 	}
@@ -218,9 +264,9 @@ func (a *AM) SetPartner(item proto.ItemID, partner proto.NodeID) {
 
 // FreeWay reports whether the page's set has an unallocated way.
 func (a *AM) FreeWay(page proto.PageID) bool {
-	set := a.sets[a.setIndex(page)]
-	for w := range set {
-		if !set[w].valid {
+	_, tags := a.setTags(page)
+	for _, t := range tags {
+		if t == proto.NoPage {
 			return true
 		}
 	}
@@ -231,30 +277,34 @@ func (a *AM) FreeWay(page proto.PageID) bool {
 // the page is already allocated or no way is free (callers must first
 // evict via VictimPage/DropFrame).
 func (a *AM) AllocFrame(page proto.PageID, irreplaceable bool, now int64) {
-	if a.index[page] != nil {
+	if a.HasFrame(page) {
 		panic(fmt.Sprintf("am: page %d already allocated on node %v", page, a.node))
 	}
-	set := a.sets[a.setIndex(page)]
-	for w := range set {
-		f := &set[w]
-		if f.valid {
+	base, tags := a.setTags(page)
+	for w, t := range tags {
+		if t != proto.NoPage {
 			continue
 		}
-		f.valid = true
-		f.page = page
+		tags[w] = page
+		f := &a.frames[base+w]
 		f.irreplaceable = irreplaceable
 		f.lastUse = now
 		f.modified = 0
 		if f.slots == nil {
 			// A frame gets its slots on first use: most frames of an AM
 			// are never allocated in a run, and building a machine would
-			// otherwise touch memory for all of them.
-			f.slots = make([]Slot, a.arch.ItemsPerPage())
+			// otherwise touch memory for all of them. Slots are carved
+			// from a block of slotBlockFrames frames' worth, so a run
+			// makes one allocation per block rather than per frame.
+			if len(a.spare) == 0 {
+				a.spare = make([]Slot, slotBlockFrames*a.itemsPerPage)
+			}
+			f.slots = a.spare[:a.itemsPerPage:a.itemsPerPage]
+			a.spare = a.spare[a.itemsPerPage:]
 		}
 		for i := range f.slots {
 			f.slots[i] = Slot{State: proto.Invalid, Partner: proto.None}
 		}
-		a.index[page] = f
 		a.allocated++
 		a.stats.FramesAllocated++
 		if a.allocated > a.stats.PeakFrames {
@@ -268,7 +318,7 @@ func (a *AM) AllocFrame(page proto.PageID, irreplaceable bool, now int64) {
 // MarkIrreplaceable pins an already-allocated frame (a page that becomes
 // an anchor after the fact, e.g. during reconfiguration).
 func (a *AM) MarkIrreplaceable(page proto.PageID) {
-	f := a.index[page]
+	f := a.frameOf(page)
 	if f == nil {
 		panic(fmt.Sprintf("am: MarkIrreplaceable(%d) on node %v without a frame", page, a.node))
 	}
@@ -290,24 +340,22 @@ func (a *AM) VictimPage(page proto.PageID) (victim proto.PageID, ok bool) {
 // first, so callers can skip candidates busy with in-flight
 // transactions.
 func (a *AM) VictimPages(page proto.PageID) []proto.PageID {
-	set := a.sets[a.setIndex(page)]
-	cand := make([]*frame, 0, len(set))
-	for w := range set {
-		f := &set[w]
-		if !f.valid || f.irreplaceable || f.evicting {
-			continue
+	base, tags := a.setTags(page)
+	// Way indices of the candidates; on the stack for the paper's 16
+	// ways.
+	var stack [16]int
+	cand := stack[:0]
+	for w, t := range tags {
+		if f := &a.frames[base+w]; t != proto.NoPage && !f.irreplaceable && !f.evicting {
+			cand = append(cand, base+w)
 		}
-		cand = append(cand, f)
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].lastUse != cand[j].lastUse {
-			return cand[i].lastUse < cand[j].lastUse
-		}
-		return cand[i].page < cand[j].page
+	slices.SortFunc(cand, func(i, j int) int {
+		return cmp.Or(cmp.Compare(a.frames[i].lastUse, a.frames[j].lastUse), cmp.Compare(a.tags[i], a.tags[j]))
 	})
 	out := make([]proto.PageID, len(cand))
-	for i, f := range cand {
-		out[i] = f.page
+	for k, w := range cand {
+		out[k] = a.tags[w]
 	}
 	return out
 }
@@ -316,12 +364,12 @@ func (a *AM) VictimPages(page proto.PageID) []proto.PageID {
 // replacement (masters and recovery copies): the caller must inject them
 // before DropFrame.
 func (a *AM) PinnedItems(page proto.PageID) []proto.ItemID {
-	f := a.index[page]
+	f := a.frameOf(page)
 	if f == nil {
 		return nil
 	}
 	var out []proto.ItemID
-	first := a.arch.FirstItem(page)
+	first := a.firstItem(page)
 	for i := range f.slots {
 		if !f.slots[i].State.Replaceable() {
 			out = append(out, first+proto.ItemID(i))
@@ -333,20 +381,20 @@ func (a *AM) PinnedItems(page proto.PageID) []proto.ItemID {
 // DropFrame deallocates the page's frame. Every item must be in a
 // replaceable state (Invalid or Shared); it panics otherwise.
 func (a *AM) DropFrame(page proto.PageID) {
-	f := a.index[page]
-	if f == nil {
+	w := a.way(page)
+	if w < 0 {
 		panic(fmt.Sprintf("am: DropFrame(%d) on node %v without a frame", page, a.node))
 	}
+	f := &a.frames[w]
 	for i := range f.slots {
 		if !f.slots[i].State.Replaceable() {
 			panic(fmt.Sprintf("am: DropFrame(%d) on node %v would lose item %d in %v",
-				page, a.node, int(a.arch.FirstItem(page))+i, f.slots[i].State))
+				page, a.node, int(a.firstItem(page))+i, f.slots[i].State))
 		}
 	}
-	f.valid = false
+	a.tags[w] = proto.NoPage
 	f.irreplaceable = false
 	f.evicting = false
-	delete(a.index, page)
 	a.allocated--
 	a.stats.FramesDropped++
 }
@@ -357,17 +405,15 @@ func (a *AM) DropFrame(page proto.PageID) {
 // number of frames plus the number of modified items, mirroring the
 // paper's tree of modified-line indicators.
 func (a *AM) ModifiedItems(dst []proto.ItemID) []proto.ItemID {
-	for si := range a.sets {
-		for w := range a.sets[si] {
-			f := &a.sets[si][w]
-			if !f.valid || f.modified == 0 {
-				continue
-			}
-			first := a.arch.FirstItem(f.page)
-			for i := range f.slots {
-				if f.slots[i].State.Modified() {
-					dst = append(dst, first+proto.ItemID(i))
-				}
+	for w, page := range a.tags {
+		f := &a.frames[w]
+		if page == proto.NoPage || f.modified == 0 {
+			continue
+		}
+		first := a.firstItem(page)
+		for i := range f.slots {
+			if f.slots[i].State.Modified() {
+				dst = append(dst, first+proto.ItemID(i))
 			}
 		}
 	}
@@ -378,23 +424,21 @@ func (a *AM) ModifiedItems(dst []proto.ItemID) []proto.ItemID {
 // deterministic order. fn may mutate state via the AM's setters but must
 // not allocate or drop frames.
 func (a *AM) ForEachAllocated(fn func(item proto.ItemID, slot *Slot)) {
-	for si := range a.sets {
-		for w := range a.sets[si] {
-			f := &a.sets[si][w]
-			if !f.valid {
-				continue
-			}
-			first := a.arch.FirstItem(f.page)
-			for i := range f.slots {
-				before := f.slots[i].State.Modified()
-				fn(first+proto.ItemID(i), &f.slots[i])
-				after := f.slots[i].State.Modified()
-				if before != after {
-					if after {
-						f.modified++
-					} else {
-						f.modified--
-					}
+	for w, page := range a.tags {
+		if page == proto.NoPage {
+			continue
+		}
+		f := &a.frames[w]
+		first := a.firstItem(page)
+		for i := range f.slots {
+			before := f.slots[i].State.Modified()
+			fn(first+proto.ItemID(i), &f.slots[i])
+			after := f.slots[i].State.Modified()
+			if before != after {
+				if after {
+					f.modified++
+				} else {
+					f.modified--
 				}
 			}
 		}
@@ -404,11 +448,9 @@ func (a *AM) ForEachAllocated(fn func(item proto.ItemID, slot *Slot)) {
 // AllocatedPages returns the allocated page IDs in deterministic order.
 func (a *AM) AllocatedPages() []proto.PageID {
 	out := make([]proto.PageID, 0, a.allocated)
-	for si := range a.sets {
-		for w := range a.sets[si] {
-			if a.sets[si][w].valid {
-				out = append(out, a.sets[si][w].page)
-			}
+	for _, page := range a.tags {
+		if page != proto.NoPage {
+			out = append(out, page)
 		}
 	}
 	return out
@@ -425,23 +467,18 @@ func (a *AM) StateCounts() map[proto.State]int {
 }
 
 // Clear wipes the whole memory (a transient node failure loses AM
-// contents; the node rejoins empty).
+// contents; the node rejoins empty). Slots need no wipe: AllocFrame
+// resets a frame's slots whenever it hands the frame out again.
 func (a *AM) Clear() {
-	for si := range a.sets {
-		for w := range a.sets[si] {
-			f := &a.sets[si][w]
-			if f.valid {
-				a.stats.FramesDropped++
-			}
-			f.valid = false
-			f.irreplaceable = false
-			f.evicting = false
-			f.modified = 0
-			for i := range f.slots {
-				f.slots[i] = Slot{State: proto.Invalid, Partner: proto.None}
-			}
+	for w, page := range a.tags {
+		if page != proto.NoPage {
+			a.stats.FramesDropped++
 		}
+		a.tags[w] = proto.NoPage
+		f := &a.frames[w]
+		f.irreplaceable = false
+		f.evicting = false
+		f.modified = 0
 	}
-	a.index = make(map[proto.PageID]*frame)
 	a.allocated = 0
 }

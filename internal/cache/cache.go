@@ -51,27 +51,39 @@ func (s Stats) MissRate() float64 {
 	return float64(s.ReadMisses+s.WriteMisses) / float64(a)
 }
 
-type line struct {
-	valid    bool
-	dirty    bool
-	writable bool
-	value    uint64
-}
+// Per-line flag bits.
+const (
+	lineValid uint8 = 1 << iota
+	lineDirty
+	lineWritable
+)
 
+// A sector is one tagged way. Its lines live in the cache's shared
+// value and flag arrays, at [i*linesPerSector, (i+1)*linesPerSector)
+// for sector i.
 type sector struct {
-	valid   bool
 	tag     uint64 // global sector number
 	lastUse int64
-	lines   []line
+	valid   bool
 }
 
 // Cache is one processor's data cache.
 type Cache struct {
-	arch       config.Arch
-	sets       [][]sector // [set][way]
-	numSets    int
-	sectorSize uint64
-	stats      Stats
+	// Geometry, computed once from the architecture.
+	numSets        int
+	ways           int
+	sectorSize     uint64
+	lineSize       uint64
+	linesPerSector int
+	linesPerItem   int
+
+	sectors []sector // way w of set s is sectors[s*ways+w]
+	// values holds one value stamp per line, meaningful only while the
+	// line's flag byte has lineValid. A line's flags are all clear
+	// whenever it is not valid, and every line of an invalid sector is.
+	values []uint64
+	flags  []uint8 // one lineValid|lineDirty|lineWritable byte per line
+	stats  Stats
 }
 
 // New builds an empty cache for the architecture.
@@ -82,41 +94,56 @@ func New(arch config.Arch) *Cache {
 	if numSets < 1 {
 		panic(fmt.Sprintf("cache: geometry yields %d sets", numSets))
 	}
-	c := &Cache{
-		arch:       arch,
-		numSets:    numSets,
-		sectorSize: uint64(sectorSize),
-		sets:       make([][]sector, numSets),
+	lines := numSets * arch.CacheWays * arch.CacheSectors
+	return &Cache{
+		numSets:        numSets,
+		ways:           arch.CacheWays,
+		sectorSize:     uint64(sectorSize),
+		lineSize:       uint64(arch.CacheLineSize),
+		linesPerSector: arch.CacheSectors,
+		linesPerItem:   arch.LinesPerItem(),
+		sectors:        make([]sector, numSets*arch.CacheWays),
+		values:         make([]uint64, lines),
+		flags:          make([]uint8, lines),
 	}
-	// One backing array for all sectors and one for all their lines: a
-	// machine build allocates a few blocks per cache, not one per sector.
-	sectors := make([]sector, numSets*arch.CacheWays)
-	lines := make([]line, len(sectors)*arch.CacheSectors)
-	for i := range sectors {
-		sectors[i].lines = lines[i*arch.CacheSectors : (i+1)*arch.CacheSectors : (i+1)*arch.CacheSectors]
-	}
-	for i := range c.sets {
-		c.sets[i] = sectors[i*arch.CacheWays : (i+1)*arch.CacheWays : (i+1)*arch.CacheWays]
-	}
-	return c
 }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// locate returns the set and global sector number of addr, and the
+// line's index within its sector.
 func (c *Cache) locate(addr uint64) (setIdx int, tag uint64, lineIdx int) {
 	sectorNum := addr / c.sectorSize
-	return int(sectorNum % uint64(c.numSets)), sectorNum, int(addr%c.sectorSize) / c.arch.CacheLineSize
+	return int(sectorNum % uint64(c.numSets)), sectorNum, int((addr - sectorNum*c.sectorSize) / c.lineSize)
 }
 
-func (c *Cache) findSector(setIdx int, tag uint64) *sector {
-	for w := range c.sets[setIdx] {
-		s := &c.sets[setIdx][w]
-		if s.valid && s.tag == tag {
-			return s
+// findSector returns the index of the set's valid sector with the tag,
+// or -1.
+func (c *Cache) findSector(setIdx int, tag uint64) int {
+	base := setIdx * c.ways
+	set := c.sectors[base : base+c.ways]
+	for w := range set {
+		if s := &set[w]; s.valid && s.tag == tag {
+			return base + w
 		}
 	}
-	return nil
+	return -1
+}
+
+// findLine returns the index into values and flags of the valid line
+// covering addr, and the line's sector, or -1 when the line is absent.
+func (c *Cache) findLine(addr uint64) (line, si int) {
+	setIdx, tag, li := c.locate(addr)
+	si = c.findSector(setIdx, tag)
+	if si < 0 {
+		return -1, -1
+	}
+	line = si*c.linesPerSector + li
+	if c.flags[line]&lineValid == 0 {
+		return -1, si
+	}
+	return line, si
 }
 
 // Access performs one processor access. For a read it returns (value,
@@ -124,18 +151,16 @@ func (c *Cache) findSector(setIdx int, tag uint64) *sector {
 // and writable; the write is applied. On any miss the caller runs the
 // below protocol and then calls Fill (and Write again for writes).
 func (c *Cache) Access(addr uint64, write bool, value uint64, now int64) (uint64, bool) {
-	setIdx, tag, li := c.locate(addr)
-	s := c.findSector(setIdx, tag)
-	if s != nil && s.lines[li].valid {
+	if l, si := c.findLine(addr); l >= 0 {
 		if !write {
-			s.lastUse = now
+			c.sectors[si].lastUse = now
 			c.stats.ReadHits++
-			return s.lines[li].value, true
+			return c.values[l], true
 		}
-		if s.lines[li].writable {
-			s.lastUse = now
-			s.lines[li].value = value
-			s.lines[li].dirty = true
+		if c.flags[l]&lineWritable != 0 {
+			c.sectors[si].lastUse = now
+			c.values[l] = value
+			c.flags[l] |= lineDirty
 			c.stats.WriteHits++
 			return value, true
 		}
@@ -152,16 +177,14 @@ func (c *Cache) Access(addr uint64, write bool, value uint64, now int64) (uint64
 // Contains reports whether the line covering addr is valid (without
 // touching LRU state or statistics).
 func (c *Cache) Contains(addr uint64) bool {
-	setIdx, tag, li := c.locate(addr)
-	s := c.findSector(setIdx, tag)
-	return s != nil && s.lines[li].valid
+	l, _ := c.findLine(addr)
+	return l >= 0
 }
 
 // Writable reports whether the line covering addr is valid and writable.
 func (c *Cache) Writable(addr uint64) bool {
-	setIdx, tag, li := c.locate(addr)
-	s := c.findSector(setIdx, tag)
-	return s != nil && s.lines[li].valid && s.lines[li].writable
+	l, _ := c.findLine(addr)
+	return l >= 0 && c.flags[l]&lineWritable != 0
 }
 
 // Fill installs the line covering addr with the given value and write
@@ -180,13 +203,21 @@ func (c *Cache) FillDirty(addr uint64, value uint64, now int64) []Writeback {
 
 func (c *Cache) fill(addr uint64, writable, dirty bool, value uint64, now int64) []Writeback {
 	setIdx, tag, li := c.locate(addr)
-	s := c.findSector(setIdx, tag)
+	si := c.findSector(setIdx, tag)
 	var evicted []Writeback
-	if s == nil {
-		s, evicted = c.allocate(setIdx, tag, now)
+	if si < 0 {
+		si, evicted = c.allocate(setIdx, tag, now)
 	}
-	s.lastUse = now
-	s.lines[li] = line{valid: true, writable: writable, dirty: dirty, value: value}
+	c.sectors[si].lastUse = now
+	l := si*c.linesPerSector + li
+	flags := lineValid
+	if writable {
+		flags |= lineWritable
+	}
+	if dirty {
+		flags |= lineDirty
+	}
+	c.values[l], c.flags[l] = value, flags
 	return evicted
 }
 
@@ -194,70 +225,64 @@ func (c *Cache) fill(addr uint64, writable, dirty bool, value uint64, now int64)
 // item (the simulator models contents per item, so a write through one
 // line must be visible through the other).
 func (c *Cache) SetItemValue(itemAddr uint64, value uint64) {
-	c.forEachLineOfItem(itemAddr, func(s *sector, li int) {
-		s.lines[li].value = value
+	c.forEachLineOfItem(itemAddr, func(l int) {
+		c.values[l] = value
 	})
 }
 
 // DowngradeAll removes write permission from every line (recovery-point
 // quiesce: all Exclusive AM copies are about to become Pre-Commit).
-// Dirty bits are untouched; flush first.
+// Dirty bits are untouched; flush first. Lines of invalid sectors have
+// no flags set, so every flag byte can be cleared alike.
 func (c *Cache) DowngradeAll() {
-	for setIdx := range c.sets {
-		for w := range c.sets[setIdx] {
-			s := &c.sets[setIdx][w]
-			if !s.valid {
-				continue
-			}
-			for li := range s.lines {
-				s.lines[li].writable = false
-			}
-		}
+	for l := range c.flags {
+		c.flags[l] &^= lineWritable
 	}
 }
 
-func (c *Cache) allocate(setIdx int, tag uint64, now int64) (*sector, []Writeback) {
-	set := c.sets[setIdx]
-	victim := &set[0]
+// sectorLines returns the range of line indices of sector si.
+func (c *Cache) sectorLines(si int) (first, end int) {
+	first = si * c.linesPerSector
+	return first, first + c.linesPerSector
+}
+
+func (c *Cache) allocate(setIdx int, tag uint64, now int64) (int, []Writeback) {
+	base := setIdx * c.ways
+	set := c.sectors[base : base+c.ways]
+	victim := 0
 	for w := range set {
-		s := &set[w]
-		if !s.valid {
-			victim = s
+		if !set[w].valid {
+			victim = w
 			break
 		}
-		if s.lastUse < victim.lastUse {
-			victim = s
+		if set[w].lastUse < set[victim].lastUse {
+			victim = w
 		}
 	}
+	si := base + victim
 	var wbs []Writeback
-	if victim.valid {
+	if s := &c.sectors[si]; s.valid {
 		c.stats.Evictions++
-		base := victim.tag * c.sectorSize
-		for i := range victim.lines {
-			if victim.lines[i].valid && victim.lines[i].dirty {
+		addr := s.tag * c.sectorSize
+		first, end := c.sectorLines(si)
+		for l := first; l < end; l, addr = l+1, addr+c.lineSize {
+			if c.flags[l]&(lineValid|lineDirty) == lineValid|lineDirty {
 				c.stats.Writebacks++
-				wbs = append(wbs, Writeback{
-					Addr:  base + uint64(i*c.arch.CacheLineSize),
-					Value: victim.lines[i].value,
-				})
+				wbs = append(wbs, Writeback{Addr: addr, Value: c.values[l]})
 			}
-			victim.lines[i] = line{}
+			c.flags[l] = 0
 		}
 	}
-	victim.valid = true
-	victim.tag = tag
-	victim.lastUse = now
-	return victim, wbs
+	c.sectors[si] = sector{valid: true, tag: tag, lastUse: now}
+	return si, wbs
 }
 
-// forEachLineOfItem visits the cache lines covering the item starting at
-// itemAddr (LinesPerItem consecutive lines).
-func (c *Cache) forEachLineOfItem(itemAddr uint64, fn func(s *sector, li int)) {
-	for l := 0; l < c.arch.LinesPerItem(); l++ {
-		addr := itemAddr + uint64(l*c.arch.CacheLineSize)
-		setIdx, tag, li := c.locate(addr)
-		if s := c.findSector(setIdx, tag); s != nil && s.lines[li].valid {
-			fn(s, li)
+// forEachLineOfItem visits the valid cache lines covering the item
+// starting at itemAddr (LinesPerItem consecutive lines).
+func (c *Cache) forEachLineOfItem(itemAddr uint64, fn func(l int)) {
+	for i := 0; i < c.linesPerItem; i++ {
+		if l, _ := c.findLine(itemAddr + uint64(i)*c.lineSize); l >= 0 {
+			fn(l)
 		}
 	}
 }
@@ -270,8 +295,8 @@ func (c *Cache) forEachLineOfItem(itemAddr uint64, fn func(s *sector, li int)) {
 // transferred.
 func (c *Cache) InvalidateItem(itemAddr uint64) int {
 	n := 0
-	c.forEachLineOfItem(itemAddr, func(s *sector, li int) {
-		s.lines[li] = line{}
+	c.forEachLineOfItem(itemAddr, func(l int) {
+		c.flags[l] = 0
 		n++
 	})
 	c.stats.Invalidations += int64(n)
@@ -283,9 +308,8 @@ func (c *Cache) InvalidateItem(itemAddr uint64) int {
 // leaves Exclusive (remote read, or checkpoint flush): the data stays in
 // the cache and "can still be read by processors" (paper §4.2.3).
 func (c *Cache) DowngradeItem(itemAddr uint64) {
-	c.forEachLineOfItem(itemAddr, func(s *sector, li int) {
-		s.lines[li].writable = false
-		s.lines[li].dirty = false
+	c.forEachLineOfItem(itemAddr, func(l int) {
+		c.flags[l] &^= lineWritable | lineDirty
 	})
 }
 
@@ -295,9 +319,9 @@ func (c *Cache) DowngradeItem(itemAddr uint64) {
 func (c *Cache) ItemDirtyValue(itemAddr uint64) (uint64, bool) {
 	var v uint64
 	found := false
-	c.forEachLineOfItem(itemAddr, func(s *sector, li int) {
-		if s.lines[li].dirty {
-			v = s.lines[li].value
+	c.forEachLineOfItem(itemAddr, func(l int) {
+		if c.flags[l]&lineDirty != 0 {
+			v = c.values[l]
 			found = true
 		}
 	})
@@ -310,20 +334,18 @@ func (c *Cache) ItemDirtyValue(itemAddr uint64) (uint64, bool) {
 // longer Exclusive. It returns the number of lines flushed.
 func (c *Cache) FlushDirty(fn func(addr, value uint64)) int {
 	n := 0
-	for setIdx := range c.sets {
-		for w := range c.sets[setIdx] {
-			s := &c.sets[setIdx][w]
-			if !s.valid {
-				continue
-			}
-			base := s.tag * c.sectorSize
-			for li := range s.lines {
-				if s.lines[li].valid && s.lines[li].dirty {
-					fn(base+uint64(li*c.arch.CacheLineSize), s.lines[li].value)
-					s.lines[li].dirty = false
-					s.lines[li].writable = false
-					n++
-				}
+	for si := range c.sectors {
+		s := &c.sectors[si]
+		if !s.valid {
+			continue
+		}
+		addr := s.tag * c.sectorSize
+		first, end := c.sectorLines(si)
+		for l := first; l < end; l, addr = l+1, addr+c.lineSize {
+			if c.flags[l]&(lineValid|lineDirty) == lineValid|lineDirty {
+				fn(addr, c.values[l])
+				c.flags[l] &^= lineDirty | lineWritable
+				n++
 			}
 		}
 	}
@@ -333,17 +355,9 @@ func (c *Cache) FlushDirty(fn func(addr, value uint64)) int {
 // DirtyLines returns the number of dirty lines currently held.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for setIdx := range c.sets {
-		for w := range c.sets[setIdx] {
-			s := &c.sets[setIdx][w]
-			if !s.valid {
-				continue
-			}
-			for li := range s.lines {
-				if s.lines[li].valid && s.lines[li].dirty {
-					n++
-				}
-			}
+	for _, f := range c.flags {
+		if f&(lineValid|lineDirty) == lineValid|lineDirty {
+			n++
 		}
 	}
 	return n
@@ -352,20 +366,11 @@ func (c *Cache) DirtyLines() int {
 // InvalidateAll empties the cache (recovery rollback: Shared copies
 // cannot be told apart from stale data, so everything goes).
 func (c *Cache) InvalidateAll() {
-	for setIdx := range c.sets {
-		for w := range c.sets[setIdx] {
-			s := &c.sets[setIdx][w]
-			if s.valid {
-				for li := range s.lines {
-					if s.lines[li].valid {
-						c.stats.Invalidations++
-					}
-				}
-			}
-			*s = sector{lines: s.lines}
-			for li := range s.lines {
-				s.lines[li] = line{}
-			}
+	for l, f := range c.flags {
+		if f&lineValid != 0 {
+			c.stats.Invalidations++
 		}
+		c.flags[l] = 0
 	}
+	clear(c.sectors)
 }

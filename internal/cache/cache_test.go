@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -219,13 +220,43 @@ func TestFillThenHitProperty(t *testing.T) {
 	}
 }
 
-// TestNewCarvesSectorsFromTwoBlocks: a cache's sectors and their lines
-// come from one backing array each, so building a machine allocates a
-// few blocks per cache rather than one per sector.
-func TestNewCarvesSectorsFromTwoBlocks(t *testing.T) {
+// TestNewPacksLines guards the cache's layout. Sectors, line values
+// and line flags come from one backing array each, so building a
+// machine allocates a few blocks per cache rather than one per sector,
+// and a modelled line costs at most 9 bytes (an 8-byte value stamp and
+// one flag byte) plus a fixed header per sector.
+func TestNewPacksLines(t *testing.T) {
 	arch := config.KSR1(16)
 	if allocs := testing.AllocsPerRun(10, func() { New(arch) }); allocs > 4 {
 		t.Fatalf("New = %v allocs, want at most 4", allocs)
+	}
+	const (
+		runs          = 20
+		bytesPerLine  = 9
+		sectorHeader  = 24  // tag, LRU stamp, valid bit
+		cacheOverhead = 256 // the Cache struct itself
+	)
+	lines := arch.CacheLines()
+	sectors := lines / arch.CacheSectors
+	limit := uint64(bytesPerLine*lines + sectorHeader*sectors + cacheOverhead)
+	// The smallest of a few rounds, so an allocation elsewhere in the
+	// process during one round does not count against the cache.
+	per := ^uint64(0)
+	keep := make([]*Cache, runs)
+	for round := 0; round < 5; round++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = New(arch)
+		}
+		runtime.ReadMemStats(&after)
+		per = min(per, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	runtime.KeepAlive(keep)
+	if per > limit {
+		t.Fatalf("New allocates %d bytes for %d lines in %d sectors, want at most %d",
+			per, lines, sectors, limit)
 	}
 }
 

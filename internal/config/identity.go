@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // RunIdentitySchema versions the canonical run-identity encoding. Bump it
@@ -79,6 +81,27 @@ type FailureEvent struct {
 	At        int64 `json:"at"`
 	Node      int   `json:"node"`
 	Permanent bool  `json:"permanent,omitempty"`
+}
+
+// ParseFailure parses the command-line spelling of a failure,
+// cycle:node[:perm]: a transient failure of node at cycle, or a
+// permanent one when the third field is exactly "perm". Any other third
+// field is an error, so a misspelt "permanent" is never run as a
+// transient failure. Range checks are left to the run's validation.
+func ParseFailure(v string) (FailureEvent, error) {
+	parts := strings.Split(v, ":")
+	if len(parts) < 2 || len(parts) > 3 || len(parts) == 3 && parts[2] != "perm" {
+		return FailureEvent{}, fmt.Errorf("want cycle:node[:perm], got %q", v)
+	}
+	at, err := strconv.ParseInt(parts[0], 10, 64)
+	if err != nil {
+		return FailureEvent{}, fmt.Errorf("bad cycle in %q: %w", v, err)
+	}
+	node, err := strconv.Atoi(parts[1])
+	if err != nil {
+		return FailureEvent{}, fmt.Errorf("bad node in %q: %w", v, err)
+	}
+	return FailureEvent{At: at, Node: node, Permanent: len(parts) == 3}, nil
 }
 
 // CanonicalJSON returns the canonical encoding of the identity: compact

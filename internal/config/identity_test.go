@@ -108,3 +108,36 @@ func TestRunIdentityHashSensitivity(t *testing.T) {
 		}
 	}
 }
+
+// TestParseFailure pins the cycle:node[:perm] spelling shared by the
+// command-line tools: only a third field of exactly "perm" makes a
+// failure permanent, and every other third field is refused.
+func TestParseFailure(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    FailureEvent
+		wantErr string
+	}{
+		{in: "20000:2", want: FailureEvent{At: 20000, Node: 2}},
+		{in: "20000:2:perm", want: FailureEvent{At: 20000, Node: 2, Permanent: true}},
+		{in: "-5:1", want: FailureEvent{At: -5, Node: 1}},
+		{in: "20000:2:permanent", wantErr: `want cycle:node[:perm], got "20000:2:permanent"`},
+		{in: "20000:2:", wantErr: `want cycle:node[:perm], got "20000:2:"`},
+		{in: "20000:2:PERM", wantErr: `want cycle:node[:perm], got "20000:2:PERM"`},
+		{in: "20000", wantErr: `want cycle:node[:perm], got "20000"`},
+		{in: "1:2:perm:4", wantErr: `want cycle:node[:perm], got "1:2:perm:4"`},
+		{in: "x:2", wantErr: `bad cycle in "x:2": strconv.ParseInt: parsing "x": invalid syntax`},
+		{in: "20000:y", wantErr: `bad node in "20000:y": strconv.Atoi: parsing "y": invalid syntax`},
+	} {
+		got, err := ParseFailure(tc.in)
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("ParseFailure(%q) error = %v, want %q", tc.in, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseFailure(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		}
+	}
+}

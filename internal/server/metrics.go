@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -202,6 +203,27 @@ func (m *metrics) write(w io.Writer, queueDepth, inflight int, store *Store, job
 
 	m.queueWait.write(w, "comad_queue_wait_seconds", "Wall seconds jobs spent queued.")
 	m.runTime.write(w, "comad_job_run_seconds", "Wall seconds jobs spent simulating.")
+	writeGoRuntime(w)
+}
+
+// goRuntimeSeries maps each Go runtime gauge on /metrics to the
+// runtime/metrics sample it reports.
+var goRuntimeSeries = []struct{ name, typ, help, sample string }{
+	{"comad_go_heap_live_bytes", "gauge", "Heap bytes held by objects the last GC cycle marked live (0 before the first cycle).", "/gc/heap/live:bytes"},
+	{"comad_go_goroutines", "gauge", "Live goroutines in the daemon.", "/sched/goroutines:goroutines"},
+	{"comad_go_gc_cycles_total", "counter", "Completed GC cycles since the daemon started.", "/gc/cycles/total:gc-cycles"},
+}
+
+// writeGoRuntime emits the Go runtime gauges, read at scrape time.
+func writeGoRuntime(w io.Writer) {
+	samples := make([]rtmetrics.Sample, len(goRuntimeSeries))
+	for i, s := range goRuntimeSeries {
+		samples[i].Name = s.sample
+	}
+	rtmetrics.Read(samples)
+	for i, s := range goRuntimeSeries {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", s.name, s.help, s.name, s.typ, s.name, samples[i].Value.Uint64())
+	}
 }
 
 // histogram is a fixed-bucket Prometheus-style histogram; the caller

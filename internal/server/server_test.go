@@ -7,7 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -364,6 +367,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 	}})
 	postJob(t, ts, specJSON(1), true)
 	postJob(t, ts, specJSON(1), true) // identical: cache hit
+	runtime.GC()                      // so the GC-derived runtime gauges below are non-zero
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -385,6 +389,17 @@ func TestMetricsAndHealthz(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// The Go runtime gauges are read at scrape time, after the GC above.
+	for _, name := range []string{"comad_go_heap_live_bytes", "comad_go_goroutines", "comad_go_gc_cycles_total"} {
+		m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindStringSubmatch(text)
+		if m == nil {
+			t.Errorf("metrics missing the %s series", name)
+			continue
+		}
+		if v, _ := strconv.ParseUint(m[1], 10, 64); v == 0 {
+			t.Errorf("%s = 0, want a live value", name)
 		}
 	}
 	if runs.Load() != 1 {
