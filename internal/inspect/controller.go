@@ -8,8 +8,8 @@ import (
 // Controller mediates between client goroutines and the simulation.
 // Clients (HTTP handlers, the REPL) post queries and pause/step/resume
 // requests from any goroutine; the simulation executes them at its next
-// safe point by calling AtSafePoint from the engine hook, on whichever
-// goroutine holds the dispatch baton. Because queries run between event
+// safe point by calling AtSafePoint from the engine hook, on the
+// goroutine running the simulation. Because queries run between event
 // dispatches and are read-only, they cannot perturb dispatch order: an
 // inspected run's trace is byte-identical to an uninspected one.
 //

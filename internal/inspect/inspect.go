@@ -9,7 +9,7 @@
 //   - A Source (implemented by machine.Machine) knows how to build the
 //     view structs from simulator state. Its methods are only ever
 //     called while the simulation is quiescent: at a safe point on the
-//     baton-holding goroutine, or after the run has finished.
+//     engine goroutine, or after the run has finished.
 //   - A Controller mediates between client goroutines (HTTP handlers,
 //     the comasim REPL) and the simulation: clients post queries and
 //     pause/step/resume requests; the safe-point hook executes them.

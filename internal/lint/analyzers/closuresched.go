@@ -20,8 +20,8 @@ import (
 //
 // In internal/coherence and internal/mesh, whose work scales with
 // message count, every Engine.Spawn call is flagged, closure or not: a
-// process costs a goroutine and a baton handoff per switch, and neither
-// package needs one. A message handler runs in event context on typed
+// process costs a coroutine of about ten heap objects plus a switch
+// each time it blocks and resumes, and neither package needs one. A message handler runs in event context on typed
 // events, taking its node's controller with Resource.AcquireSink.
 // Start-up spawns of long-lived processes (machine, core, snoop) stay
 // legal.

@@ -13,9 +13,9 @@ import (
 // forks through the Go runtime instead of the internal/sim primitives.
 // A raw channel receive, select, WaitGroup.Wait or `go` statement stalls
 // or forks the real goroutine without advancing the simulated clock and
-// breaks the engine's one-runnable-goroutine handshake; simulated
-// processes must block only via Process.Wait/Park, Future.Await,
-// Resource.Acquire and friends.
+// escapes the engine's single dispatch loop; simulated processes must
+// block only via Process.Wait/Park, Future.Await, Resource.Acquire and
+// friends, which yield to that loop.
 var SimBlocking = &analysis.Analyzer{
 	Name: "simblocking",
 	Doc: "simulated processes must block via internal/sim primitives, " +
@@ -29,7 +29,7 @@ var SimBlocking = &analysis.Analyzer{
 // must not grow ad-hoc blocking; pooled execution lives behind the
 // allowlisted runner, and the allowlisted daemon/client packages carry
 // their own justified concurrency). internal/sim itself is exempt (it
-// implements the primitives on real channels), as are the cmd/ and
+// implements the primitives), as are the cmd/ and
 // examples/ mains, which run outside the engine, and
 // ConcurrencyAllowlist packages.
 func SimBlockingScope(pkgPath string) bool {

@@ -11,8 +11,8 @@ import (
 // is assembled from engine, AM, directory, mesh and coordinator
 // accessors that are read-only by construction. These methods are only
 // called while the simulation is quiescent — at an engine safe point on
-// the baton-holding goroutine, or after Run has returned — which is why
-// none of them take locks.
+// the engine goroutine, or after Run has returned — which is why none of
+// them take locks.
 
 // NewInspector attaches a live-inspection controller to the machine's
 // engine and returns it. With sampleEvery > 0 the controller publishes

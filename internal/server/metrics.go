@@ -212,9 +212,10 @@ var goRuntimeSeries = []struct{ name, typ, help, sample string }{
 	{"comad_go_heap_live_bytes", "gauge", "Heap bytes held by objects the last GC cycle marked live (0 before the first cycle).", "/gc/heap/live:bytes"},
 	{"comad_go_goroutines", "gauge", "Live goroutines in the daemon.", "/sched/goroutines:goroutines"},
 	{"comad_go_gc_cycles_total", "counter", "Completed GC cycles since the daemon started.", "/gc/cycles/total:gc-cycles"},
+	{"comad_go_gc_pause_cpu_seconds_total", "counter", "Estimated CPU seconds the GC's stop-the-world pauses took from the daemon.", "/cpu/classes/gc/pause:cpu-seconds"},
 }
 
-// writeGoRuntime emits the Go runtime gauges, read at scrape time.
+// writeGoRuntime emits the Go runtime series, read at scrape time.
 func writeGoRuntime(w io.Writer) {
 	samples := make([]rtmetrics.Sample, len(goRuntimeSeries))
 	for i, s := range goRuntimeSeries {
@@ -222,7 +223,12 @@ func writeGoRuntime(w io.Writer) {
 	}
 	rtmetrics.Read(samples)
 	for i, s := range goRuntimeSeries {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", s.name, s.help, s.name, s.typ, s.name, samples[i].Value.Uint64())
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", s.name, s.help, s.name, s.typ)
+		if v := samples[i].Value; v.Kind() == rtmetrics.KindFloat64 {
+			fmt.Fprintf(w, "%s %g\n", s.name, v.Float64())
+		} else {
+			fmt.Fprintf(w, "%s %d\n", s.name, v.Uint64())
+		}
 	}
 }
 

@@ -391,15 +391,15 @@ func TestMetricsAndHealthz(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// The Go runtime gauges are read at scrape time, after the GC above.
-	for _, name := range []string{"comad_go_heap_live_bytes", "comad_go_goroutines", "comad_go_gc_cycles_total"} {
-		m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindStringSubmatch(text)
+	// The Go runtime series are read at scrape time, after the GC above.
+	for _, name := range []string{"comad_go_heap_live_bytes", "comad_go_goroutines", "comad_go_gc_cycles_total", "comad_go_gc_pause_cpu_seconds_total"} {
+		m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(text)
 		if m == nil {
 			t.Errorf("metrics missing the %s series", name)
 			continue
 		}
-		if v, _ := strconv.ParseUint(m[1], 10, 64); v == 0 {
-			t.Errorf("%s = 0, want a live value", name)
+		if v, err := strconv.ParseFloat(m[1], 64); err != nil || v <= 0 {
+			t.Errorf("%s = %s, want a live value", name, m[1])
 		}
 	}
 	if runs.Load() != 1 {

@@ -2,22 +2,21 @@
 // style of the CSIM library used by the paper's original simulator: time is
 // a monotonically increasing cycle counter, callbacks fire at scheduled
 // cycles, and long-running activities are written as lightweight processes
-// (one goroutine each) that block on simulated time, futures, resources and
-// barriers.
+// (iter.Pull coroutines) that block on simulated time, futures, resources
+// and barriers.
 //
-// Determinism: at most one goroutine (the engine or exactly one process)
-// runs at any instant, enforced by a strict baton-passing discipline, and
+// Determinism: one loop in RunUntil dispatches every event on the caller's
+// goroutine. A process runs only while that loop has resumed it, and
+// yields back when it blocks, so the simulation is single-threaded, and
 // simultaneous events fire in schedule order. Two runs with the same seed
 // and the same inputs produce identical event sequences.
 //
-// The hot paths are allocation-free: pending events live in a timing
-// wheel (wheel.go) of reusable slots, process wakes and typed payload
-// events (EventSink) are enum-dispatched without closures, and the
-// goroutine holding the baton dispatches subsequent events itself — a
-// process waking another process is one channel handoff, a process
-// waking itself is none. Work that never blocks for long (a controller
-// serving one message) needs no process at all: it queues on a Resource
-// with a typed callback (AcquireSink) and runs in event context.
+// The hot paths are allocation-free: pending events live in one pool
+// linked into the slots of a timing wheel (wheel.go), and process wakes
+// and typed payload events (EventSink) are enum-dispatched without
+// closures. Work that never blocks for long (a controller serving one
+// message) needs no process at all: it queues on a Resource with a typed
+// callback (AcquireSink) and runs in event context.
 package sim
 
 import (
@@ -42,24 +41,18 @@ type Engine struct {
 	nowq     []event
 	nowqHead int
 
-	// yield carries the baton back to the engine goroutine; during a run
-	// it is sent exactly once, when the run is over (queue empty, Stop,
-	// or the RunUntil limit). During Shutdown it signals each kill step.
-	yield chan struct{}
-
 	limit int64 // current run's RunUntil limit (-1: none)
 
 	procs   map[*Process]struct{}
 	nextPID int
 
-	running  bool
-	stopped  bool
-	shutdown bool
+	running bool
+	stopped bool
 
 	events int64 // total events dispatched, for diagnostics
 
-	// safePoint, when set, runs before every event dispatch, on whichever
-	// goroutine holds the baton. The engine is quiescent at that instant —
+	// safePoint, when set, runs before every event dispatch, on the
+	// goroutine running the engine. The engine is quiescent at that instant —
 	// no callback is mid-flight — so the hook may read any simulator state
 	// reachable from the engine, but it must not schedule events, wake
 	// processes, or mutate state: the dispatch sequence of an inspected
@@ -82,20 +75,21 @@ type EventSink interface {
 type eventKind uint8
 
 const (
-	evFn    eventKind = iota // fn: arbitrary callback
-	evWake                   // proc: resume a parked process
-	evStart                  // proc: first dispatch of a process
-	evSink                   // sink, arg: typed allocation-free payload
+	evFn   eventKind = iota // fn: arbitrary callback
+	evWake                  // proc: start or resume a process
+	evSink                  // sink, arg: typed allocation-free payload
 )
 
 // event is one scheduled occurrence. Exactly one payload field is live,
-// selected by kind; wakes, starts and sink events carry typed fields so
-// the hot block/wake and message-delivery paths schedule without
-// allocating a closure.
+// selected by kind; wakes and sink events carry typed fields so the hot
+// block/wake and message-delivery paths schedule without allocating a
+// closure. next links a wheel-resident event to the one after it in its
+// slot (wheel.go).
 type event struct {
 	time int64
 	seq  int64
 	kind eventKind
+	next int32
 	fn   func()
 	proc *Process
 	sink EventSink
@@ -106,7 +100,6 @@ type event struct {
 func New() *Engine {
 	return &Engine{
 		nowq:  make([]event, 0, 64),
-		yield: make(chan struct{}),
 		procs: make(map[*Process]struct{}),
 		limit: -1,
 	}
@@ -135,9 +128,9 @@ func (e *Engine) AtSink(t int64, sink EventSink, arg int64) {
 	e.schedule(event{time: t, kind: evSink, sink: sink, arg: arg})
 }
 
-// atWake schedules the resumption of a parked process at absolute time
-// t. It is the allocation-free twin of At used by every blocking
-// primitive (Wait, future/resource/barrier wakes).
+// atWake schedules the start or resumption of a process at absolute
+// time t. It is the allocation-free twin of At used by Spawn and every
+// blocking primitive (Wait, future/resource/barrier wakes).
 func (e *Engine) atWake(t int64, p *Process) {
 	e.schedule(event{time: t, kind: evWake, proc: p})
 }
@@ -175,7 +168,7 @@ func (e *Engine) AfterSink(d int64, sink EventSink, arg int64) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // SetSafePointHook installs fn to run at every dispatch safe point —
-// between events, on the baton-holding goroutine, with the engine
+// between events, on the goroutine running the engine, with the engine
 // quiescent. The hook must be read-only with respect to simulation
 // state (see the safePoint field); it is how the live-inspection layer
 // (internal/inspect) answers queries without perturbing dispatch order.
@@ -204,10 +197,11 @@ func (e *Engine) Run() (int64, error) { return e.RunUntil(-1) }
 // advance past limit (events at exactly limit still fire). A negative limit
 // means no limit.
 //
-// The engine goroutine dispatches callbacks until control first transfers
-// to a process; from then on whichever goroutine holds the baton keeps
-// dispatching (see advance), and the engine blocks until a holder finds
-// the run over and hands the baton back.
+// Every event is dispatched by the loop below, on the caller's goroutine:
+// a callback or sink runs inline, and a wake resumes its process until
+// that process blocks again or ends. A panic in a process body reaches
+// the caller as "sim: process %q panicked: ..."; the run is then over
+// and the engine is left for Shutdown.
 func (e *Engine) RunUntil(limit int64) (int64, error) {
 	if e.running {
 		return e.now, ErrNested
@@ -217,41 +211,13 @@ func (e *Engine) RunUntil(limit int64) (int64, error) {
 	e.limit = limit
 	defer func() { e.running = false }()
 
-	if e.advance(nil) == advHandoff {
-		<-e.yield
-	}
-	return e.now, nil
-}
-
-// advResult says how an advance call ended.
-type advResult uint8
-
-const (
-	// advOver: the run is over — queue empty, Stop called, or the limit
-	// reached. The engine goroutine returns from RunUntil on it; a
-	// process-side holder must hand the baton back through yield.
-	advOver advResult = iota
-	// advHandoff: the baton moved to another process goroutine.
-	advHandoff
-	// advSelf: the caller's own wake event fired (process holders only);
-	// the caller resumes user code without any channel operation.
-	advSelf
-)
-
-// advance dispatches due events on the calling goroutine — the current
-// baton holder — until the run ends or the baton must transfer.
-// Callbacks and typed sink events run inline regardless of which
-// goroutine holds the baton (exactly one goroutine runs at any instant,
-// so the single-threaded discipline is preserved); a wake of self
-// returns control to the caller's user code directly.
-func (e *Engine) advance(self *Process) advResult {
 	for {
 		if e.safePoint != nil {
 			e.safePoint(e.now)
 		}
 		ev, ok := e.next()
 		if !ok {
-			return advOver
+			return e.now, nil
 		}
 		e.now = ev.time
 		e.events++
@@ -261,15 +227,7 @@ func (e *Engine) advance(self *Process) advResult {
 		case evSink:
 			ev.sink.OnEvent(e, ev.arg)
 		case evWake:
-			if ev.proc == self {
-				return advSelf
-			}
-			ev.proc.wake <- struct{}{}
-			return advHandoff
-		case evStart:
-			ev.proc.started = true
-			go ev.proc.top()
-			return advHandoff
+			ev.proc.next()
 		}
 	}
 }
@@ -315,19 +273,19 @@ func (e *Engine) next() (event, bool) {
 	return ev, true
 }
 
-// Shutdown terminates every live process (they observe a killed signal at
-// their next — or current — blocking point) and drains their goroutines,
-// in ascending process-id order for determinism, so no goroutine of the
-// engine outlives it. The engine must not be running. After Shutdown the
-// engine can still inspect state but should not schedule further work.
+// Shutdown terminates every live process in ascending process-id order,
+// for determinism: each observes a killed signal at its current blocking
+// point (or never starts, if its first wake has not fired) and unwinds
+// through its deferred calls. No coroutine of the engine outlives it. The
+// engine must not be running. After Shutdown the engine can still inspect
+// state but should not schedule further work.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown while running")
 	}
-	e.shutdown = true
 	// Snapshot and sort once per pass instead of an O(n²) lowest-id scan;
-	// the outer loop re-collects in case an unwinding process spawns or
-	// reaps peers.
+	// the outer loop re-collects in case an unwinding process spawns
+	// peers.
 	for len(e.procs) > 0 {
 		order := make([]*Process, 0, len(e.procs))
 		for p := range e.procs {
@@ -335,18 +293,8 @@ func (e *Engine) Shutdown() {
 		}
 		slices.SortFunc(order, func(a, b *Process) int { return a.id - b.id })
 		for _, p := range order {
-			if _, live := e.procs[p]; !live {
-				continue
-			}
-			if !p.started {
-				// Its start never fired (Stop came first): there is no
-				// goroutine to unwind.
-				delete(e.procs, p)
-				continue
-			}
-			p.killed = true
-			p.wake <- struct{}{}
-			<-e.yield
+			p.stop()
+			delete(e.procs, p)
 		}
 	}
 }

@@ -1,25 +1,29 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // killedSignal is the panic value used to unwind a process terminated by
-// Engine.Shutdown. It never escapes the process wrapper.
+// Engine.Shutdown. It never escapes the process body.
 type killedSignal struct{}
 
-// Process is a lightweight simulated process: a goroutine that runs only
-// while it holds the engine's baton, and that blocks on simulated time
-// (Wait), futures (Await), resources (Acquire) and barriers.
+// Process is a lightweight simulated process: a coroutine that runs only
+// while the engine's dispatch loop has resumed it, and that blocks on
+// simulated time (Wait), futures (Await), resources (Acquire) and
+// barriers.
 type Process struct {
-	eng    *Engine
-	id     int
-	name   string
-	fn     func(*Process)
-	wake   chan struct{}
-	killed bool
-	// started is set when the first dispatch gives the process its
-	// goroutine; Shutdown reaps a process that never started without a
-	// handshake.
-	started bool
+	eng  *Engine
+	id   int
+	name string
+	fn   func(*Process)
+	// next resumes the process until it parks or ends; stop kills it.
+	// yield, valid while the body runs, hands control back to next's
+	// caller and reports false once stop was called.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Spawn starts fn as a new process at the current simulated time. The name
@@ -27,63 +31,27 @@ type Process struct {
 // for all blocking operations.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 	e.nextPID++
-	p := &Process{
-		eng:  e,
-		id:   e.nextPID,
-		name: name,
-		fn:   fn,
-		wake: make(chan struct{}),
-	}
+	p := &Process{eng: e, id: e.nextPID, name: name, fn: fn}
+	p.next, p.stop = iter.Pull(p.body)
 	e.procs[p] = struct{}{}
-	e.schedule(event{time: e.now, kind: evStart, proc: p})
+	e.atWake(e.now, p)
 	return p
 }
 
-// top is the outermost frame of the process goroutine, entered holding
-// the baton (the evStart dispatcher transferred it by starting this
-// goroutine). It guarantees the baton moves on when fn returns, is
-// killed, or panics: a finished process keeps dispatching events itself
-// until the baton transfers or the run ends, and a real panic is
-// re-raised after handing the baton back so the program crashes loudly
-// rather than deadlocking.
-func (p *Process) top() {
-	e := p.eng
-	crash := p.runBody()
-	delete(e.procs, p)
-	if crash != nil {
-		// Re-panic on this goroutine: the process misbehaved and the
-		// whole simulation is undefined. Yield first so the engine
-		// goroutine is not left blocked when the runtime unwinds.
-		e.yield <- struct{}{}
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, crash))
-	}
-	if e.shutdown {
-		// Killed unwind: Shutdown's engine loop owns sequencing.
-		e.yield <- struct{}{}
-		return
-	}
-	// Dying holder: keep dispatching on this goroutine until the baton
-	// transfers (advHandoff, nothing more to do here) or the run is over
-	// (advOver: hand the baton back to the engine blocked in RunUntil).
-	// advSelf cannot happen — this process is out of the procs set and
-	// can have no pending wake.
-	if e.advance(nil) == advOver {
-		e.yield <- struct{}{}
-	}
-}
-
-// runBody runs fn and returns the value of a real panic, or nil when fn
-// returned or was killed.
-func (p *Process) runBody() (crash any) {
+// body is the coroutine of the process. It leaves the live set however
+// fn ends; a killed unwind ends quietly, and a real panic is re-raised
+// with the process name, for iter.Pull to carry to the caller of Run.
+func (p *Process) body(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
+		delete(p.eng.procs, p)
 		if r := recover(); r != nil {
-			if _, ok := r.(killedSignal); !ok {
-				crash = r
+			if _, killed := r.(killedSignal); !killed {
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 			}
 		}
 	}()
 	p.fn(p)
-	return nil
 }
 
 // Name returns the process name given at Spawn.
@@ -99,29 +67,10 @@ func (p *Process) Now() int64 { return p.eng.now }
 // Engine.WakeNow. Every blocking primitive funnels through here, and it
 // is the escape hatch for building synchronisation primitives outside
 // this package (for example the coherence engine's per-item transaction
-// locks); prefer Wait/Await/Acquire where they fit. As the current baton
-// holder the process dispatches subsequent events itself: its own wake
-// returns without touching a channel, another process's wake is a
-// single direct handoff, and only the end of the run involves the
-// engine goroutine.
+// locks); prefer Wait/Await/Acquire where they fit. The process yields
+// to the engine's dispatch loop, which resumes it when its wake fires.
 func (p *Process) Park() {
-	e := p.eng
-	if e.running {
-		switch e.advance(p) {
-		case advSelf:
-			return
-		case advOver:
-			// Hand the baton back to the engine blocked in RunUntil,
-			// then stay parked for a later run.
-			e.yield <- struct{}{}
-		}
-	} else {
-		// Outside a run (a killed process unwinding through Shutdown):
-		// hand control back to the engine's kill loop.
-		e.yield <- struct{}{}
-	}
-	<-p.wake
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(killedSignal{})
 	}
 }

@@ -1,12 +1,8 @@
 package sim
 
 import (
-	"flag"
-	"os"
-	"os/exec"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 )
@@ -151,8 +147,8 @@ func TestShutdownReapsUnstartedProcess(t *testing.T) {
 	}
 }
 
-// waitGoroutines polls until the goroutine count is back to want: an
-// ended process goroutine returns just after handing the baton back.
+// waitGoroutines polls until the goroutine count is back to want, or
+// fails the test after five seconds.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -164,46 +160,37 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
-// crashHelperArg selects the crashing half of
-// TestPanickingProcessReraised when the test binary re-runs itself.
-const crashHelperArg = "sim-crash-helper"
-
-// TestPanickingProcessReraised: a panic in a process body is re-raised
-// on its goroutine, crashing the program loudly with the process name,
-// rather than being swallowed. It runs in a child
-// copy of the test binary, since the crash ends the process.
+// TestPanickingProcessReraised: a panic in a process body reaches the
+// caller of Run with the process name, rather than being swallowed; the
+// run goes no further, and a following Shutdown reaps what is left.
 func TestPanickingProcessReraised(t *testing.T) {
-	if slices.Contains(flag.Args(), crashHelperArg) {
-		crashingRun()
-		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestPanickingProcessReraised$", "--", crashHelperArg)
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("crashing run exited cleanly:\n%s", out)
-	}
-	if !strings.Contains(string(out), `sim: process "bad" panicked: boom`) {
-		t.Fatalf("crash output lacks the re-raised panic:\n%s", out)
-	}
-	if strings.Contains(string(out), "survived") {
-		t.Fatalf("the run went on past the crash:\n%s", out)
-	}
-}
-
-// crashingRun finishes one process, then spawns one that panics.
-func crashingRun() {
+	before := runtime.NumGoroutine()
 	e := New()
 	e.Spawn("ok", waitOnce)
 	if _, err := e.Run(); err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
 	e.Spawn("bad", func(p *Process) {
 		p.Wait(1)
 		panic("boom")
 	})
-	_, _ = e.Run()
-	// The crash on the process goroutine ends the program; give it the
-	// time to do so before reporting that it did not.
-	time.Sleep(10 * time.Second)
-	os.Stdout.WriteString("survived\n")
+	e.Spawn("parked", func(p *Process) { p.Park() })
+	later := false
+	e.At(e.Now()+5, func() { later = true })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_, _ = e.Run()
+		return nil
+	}()
+	if want := `sim: process "bad" panicked: boom`; got != want {
+		t.Fatalf("recovered %v, want %q", got, want)
+	}
+	if later {
+		t.Fatal("an event after the panic ran")
+	}
+	e.Shutdown()
+	if e.Processes() != 0 {
+		t.Fatalf("live after shutdown = %d, want 0", e.Processes())
+	}
+	waitGoroutines(t, before)
 }

@@ -29,30 +29,19 @@ type eventQueue struct {
 	base  int64 // window start; all wheel events have base <= time < base+wheelSize
 	count int   // events resident in wheel slots
 
-	// slots[s] holds the pending events for absolute time t where
-	// s == t & wheelMask; heads[s] indexes the next undispatched entry
-	// (the backing array is reused once drained). occupied is a bitmap of
-	// non-empty slots for O(words) next-event scans.
-	slots    [wheelSize][]event
-	heads    [wheelSize]int
-	occupied [wheelSize / 64]uint64
+	// pool holds every wheel-resident event. Slot s, the pending events
+	// for absolute time t where s == t & wheelMask, is a FIFO of pool
+	// entries from head[s] to tail[s], linked through event.next;
+	// occupied is a bitmap of non-empty slots for O(words) next-event
+	// scans. The len(pool)-count entries not in a slot form a free list
+	// from free, so the pool only grows to the peak wheel population.
+	pool       []event
+	free       int32
+	head, tail [wheelSize]int32
+	occupied   [wheelSize / 64]uint64
 
 	overflow eventHeap // events at time >= base+wheelSize
-
-	// chunk is the unused tail of the block that gives each slot its
-	// first backing array (slotCap events, carved on first use), so a
-	// fresh engine does not grow a thousand slot slices from nil.
-	chunk []event
 }
-
-// slotCap is the capacity carved for a slot's first backing array, and
-// chunkSlots the number of slots served by one chunk allocation. Most
-// slots never hold more than two events at once; carving four per slot
-// raised sim-ecp's live heap by about 1%, past its run-to-run spread.
-const (
-	slotCap    = 2
-	chunkSlots = 64
-)
 
 func (q *eventQueue) len() int { return q.count + q.overflow.len() }
 
@@ -70,17 +59,26 @@ func (q *eventQueue) push(ev event) {
 	q.overflow.push(ev)
 }
 
+// pushSlot appends ev to the tail of its slot, in a free pool entry if
+// there is one.
 func (q *eventQueue) pushSlot(ev event) {
-	s := int(ev.time & wheelMask)
-	if q.slots[s] == nil {
-		if len(q.chunk) == 0 {
-			q.chunk = make([]event, slotCap*chunkSlots)
-		}
-		q.slots[s] = q.chunk[:0:slotCap]
-		q.chunk = q.chunk[slotCap:]
+	var i int32
+	if q.count < len(q.pool) {
+		i = q.free
+		q.free = q.pool[i].next
+		q.pool[i] = ev
+	} else {
+		i = int32(len(q.pool))
+		q.pool = append(q.pool, ev)
 	}
-	q.slots[s] = append(q.slots[s], ev)
-	q.occupied[s>>6] |= 1 << uint(s&63)
+	s := int(ev.time & wheelMask)
+	if q.occupied[s>>6]&(1<<uint(s&63)) != 0 {
+		q.pool[q.tail[s]].next = i
+	} else {
+		q.head[s] = i
+		q.occupied[s>>6] |= 1 << uint(s&63)
+	}
+	q.tail[s] = i
 	q.count++
 }
 
@@ -89,8 +87,7 @@ func (q *eventQueue) pushSlot(ev event) {
 // returned as-is; pop performs the window advance.
 func (q *eventQueue) peek() *event {
 	if q.count > 0 {
-		s := q.nextSlot()
-		return &q.slots[s][q.heads[s]]
+		return &q.pool[q.head[q.nextSlot()]]
 	}
 	if q.overflow.len() > 0 {
 		return q.overflow.peek()
@@ -107,17 +104,15 @@ func (q *eventQueue) pop() event {
 		q.advanceTo(q.overflow.peek().time)
 	}
 	s := q.nextSlot()
-	h := q.heads[s]
-	ev := q.slots[s][h]
-	q.slots[s][h] = event{} // release fn/proc/sink for the GC
-	h++
-	if h == len(q.slots[s]) {
-		q.slots[s] = q.slots[s][:0] // drained: reuse the backing array
-		q.heads[s] = 0
+	i := q.head[s]
+	ev := q.pool[i]
+	if i == q.tail[s] {
 		q.occupied[s>>6] &^= 1 << uint(s&63)
 	} else {
-		q.heads[s] = h
+		q.head[s] = ev.next
 	}
+	q.pool[i] = event{next: q.free} // release fn/proc/sink for the GC
+	q.free = i
 	q.count--
 	// Track dispatch: sliding the window over the popped time pulls any
 	// overflow events that just came into range.

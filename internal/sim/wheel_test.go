@@ -129,74 +129,221 @@ func TestWheelEmptyWindowJump(t *testing.T) {
 }
 
 // TestEngineRandomScheduleOrder exercises the full kernel dispatch loop
-// against a shadow model: every At call is mirrored with its (time, seq)
-// into a list, callbacks schedule children mid-dispatch (same cycle,
-// near-future, far-future), runs proceed in random RunUntil chunks with
-// occasional Stop calls, and the observed dispatch order must equal the
-// shadow list sorted by (time, seq).
+// against a shadow model; see checkEngineScheduleOrder.
 func TestEngineRandomScheduleOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
-		r := NewRNG(seed)
-		e := New()
-		type item struct {
-			time int64
-			seq  int64
-			id   int
+		checkEngineScheduleOrder(t, seed)
+	}
+}
+
+// FuzzEngineScheduleOrder searches generator seeds for a dispatch order
+// that departs from the shadow model.
+func FuzzEngineScheduleOrder(f *testing.F) {
+	for seed := uint64(1); seed <= 25; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) { checkEngineScheduleOrder(t, seed) })
+}
+
+// checkEngineScheduleOrder drives the engine with a random workload
+// drawn from seed and mirrors every schedule call — At, Spawn, Wait and
+// WakeNow each consume exactly one engine seq — with its (time, seq)
+// into a shadow list. Callbacks schedule children mid-dispatch (same
+// cycle, near future, far future), spawn processes and wake parked
+// ones; processes Wait over the same spread of delays, Park, schedule
+// callbacks and end. Each callback and each process resume records the
+// shadow entry of the event that caused it; runs proceed in random
+// RunUntil chunks with occasional Stop calls, and the observed order
+// must equal the shadow list sorted by (time, seq). A final Shutdown
+// reaps the processes left parked.
+func checkEngineScheduleOrder(t testing.TB, seed uint64) {
+	r := NewRNG(seed)
+	e := New()
+	type item struct {
+		time int64
+		seq  int64
+		id   int
+	}
+	var want []item
+	var got []int
+	var shadowSeq int64
+	expect := func(at int64) int {
+		shadowSeq++
+		want = append(want, item{time: at, seq: shadowSeq, id: len(want)})
+		return len(want) - 1
+	}
+	full := func() bool { return len(want) >= 3000 }
+	later := func() int64 {
+		switch r.Int63n(4) {
+		case 0:
+			return 0 // same cycle
+		case 1:
+			return 1 + r.Int63n(16)
+		case 2:
+			return 1 + r.Int63n(wheelSize)
+		default:
+			return wheelSize + r.Int63n(1<<20)
 		}
-		var want []item
-		var got []int
-		var shadowSeq int64
-		var add func(at int64)
-		add = func(at int64) {
-			id := len(want)
-			shadowSeq++ // every At consumes exactly one engine seq
-			want = append(want, item{time: at, seq: shadowSeq, id: id})
-			e.At(at, func() {
-				got = append(got, id)
-				if len(want) >= 3000 {
+	}
+	// A proc's wake is the shadow id of its pending start or wake event;
+	// parked holds the processes blocked in Park with none pending.
+	type proc struct {
+		p    *Process
+		wake int
+	}
+	var parked []*proc
+	var add func(at int64)
+	spawn := func() {
+		pr := &proc{wake: expect(e.Now())}
+		pr.p = e.Spawn("p", func(p *Process) {
+			for {
+				got = append(got, pr.wake)
+				if full() {
 					return
 				}
-				for n := r.Int63n(3); n > 0; n-- {
-					switch r.Int63n(4) {
-					case 0:
-						add(e.Now()) // same-cycle insert mid-dispatch
-					case 1:
-						add(e.Now() + 1 + r.Int63n(16))
-					case 2:
-						add(e.Now() + 1 + r.Int63n(wheelSize))
-					default:
-						add(e.Now() + wheelSize + r.Int63n(1<<20))
-					}
+				if r.Int63n(3) == 0 {
+					add(e.Now() + later())
 				}
-				if r.Int63n(40) == 0 {
-					e.Stop()
+				switch r.Int63n(6) {
+				case 0:
+					return
+				case 1:
+					parked = append(parked, pr)
+					p.Park()
+				default:
+					d := later()
+					pr.wake = expect(e.Now() + d)
+					p.Wait(d)
 				}
-			})
-		}
-		for i := 0; i < 40; i++ {
-			add(r.Int63n(1 << 14))
-		}
-		for rounds := 0; len(got) < len(want); rounds++ {
-			if rounds > 10_000 {
-				t.Fatalf("seed %d: engine failed to drain (%d/%d dispatched)", seed, len(got), len(want))
 			}
-			if _, err := e.RunUntil(e.Now() + r.Int63n(1<<16)); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-		}
-		order := slices.Clone(want)
-		slices.SortFunc(order, func(a, b item) int {
-			if a.time != b.time {
-				return int(a.time - b.time)
-			}
-			return int(a.seq - b.seq)
 		})
-		for i, it := range order {
-			if got[i] != it.id {
-				t.Fatalf("seed %d: dispatch %d was event %d, want %d (t=%d seq=%d)",
-					seed, i, got[i], it.id, it.time, it.seq)
+	}
+	add = func(at int64) {
+		id := expect(at)
+		e.At(at, func() {
+			got = append(got, id)
+			if full() {
+				return
 			}
+			for n := r.Int63n(3); n > 0; n-- {
+				add(e.Now() + later())
+			}
+			switch r.Int63n(6) {
+			case 0:
+				spawn() // mid-dispatch
+			case 1:
+				if len(parked) > 0 {
+					k := r.Int63n(int64(len(parked)))
+					pr := parked[k]
+					parked = slices.Delete(parked, int(k), int(k)+1)
+					pr.wake = expect(e.Now())
+					e.WakeNow(pr.p)
+				}
+			}
+			if r.Int63n(40) == 0 {
+				e.Stop()
+			}
+		})
+	}
+	for i := 0; i < 40; i++ {
+		add(r.Int63n(1 << 14))
+	}
+	spawn()
+	for rounds := 0; len(got) < len(want); rounds++ {
+		if rounds > 10_000 {
+			t.Fatalf("seed %d: engine failed to drain (%d/%d dispatched)", seed, len(got), len(want))
 		}
+		if _, err := e.RunUntil(e.Now() + r.Int63n(1<<16)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	if len(got) != len(want) || e.Events() != int64(len(want)) {
+		t.Fatalf("seed %d: %d dispatches observed, %d events, %d scheduled", seed, len(got), e.Events(), len(want))
+	}
+	order := slices.Clone(want)
+	slices.SortFunc(order, func(a, b item) int {
+		if a.time != b.time {
+			return int(a.time - b.time)
+		}
+		return int(a.seq - b.seq)
+	})
+	for i, it := range order {
+		if got[i] != it.id {
+			t.Fatalf("seed %d: dispatch %d was event %d, want %d (t=%d seq=%d)",
+				seed, i, got[i], it.id, it.time, it.seq)
+		}
+	}
+	// Every process still live is parked with no wake pending.
+	if e.Processes() != len(parked) {
+		t.Fatalf("seed %d: %d live processes, %d parked", seed, e.Processes(), len(parked))
+	}
+	e.Shutdown()
+	if e.Processes() != 0 {
+		t.Fatalf("seed %d: %d processes live after Shutdown", seed, e.Processes())
+	}
+}
+
+// nopSink is an EventSink that does nothing.
+type nopSink struct{}
+
+func (nopSink) OnEvent(*Engine, int64) {}
+
+// poolWatch checks, at every safe point of its engine, that the wheel
+// pool holds no more entries than the peak number of pending wheel
+// events seen so far.
+type poolWatch struct {
+	t    *testing.T
+	e    *Engine
+	peak int
+}
+
+func newPoolWatch(t *testing.T) *poolWatch {
+	w := &poolWatch{t: t, e: New()}
+	w.e.SetSafePointHook(w.check)
+	return w
+}
+
+func (w *poolWatch) check(int64) {
+	q := &w.e.queue
+	w.peak = max(w.peak, q.count)
+	if len(q.pool) > w.peak {
+		w.t.Fatalf("pool holds %d events, peak pending %d", len(q.pool), w.peak)
+	}
+}
+
+// burst schedules perSlot sink events into each wheel slot and runs
+// them.
+func (w *poolWatch) burst() {
+	const perSlot = 8
+	e := w.e
+	base := e.Now()
+	for s := int64(0); s < wheelSize; s++ {
+		for k := 0; k < perSlot; k++ {
+			e.AtSink(base+s, nopSink{}, 0)
+		}
+	}
+	w.check(e.Now())
+	if _, err := e.Run(); err != nil {
+		w.t.Fatal(err)
+	}
+	if n := e.Events(); n%(perSlot*wheelSize) != 0 {
+		w.t.Fatalf("dispatched %d events, want whole bursts of %d", n, perSlot*wheelSize)
+	}
+}
+
+// TestWheelPoolAllocs: wheel events live in one pool, so a fresh engine
+// that fills every slot eight deep grows that pool a few times instead
+// of one backing array per slot, a second burst on the same engine
+// allocates nothing, and the pool never holds more entries than the
+// peak number of pending wheel events.
+func TestWheelPoolAllocs(t *testing.T) {
+	if a := testing.AllocsPerRun(1, func() { newPoolWatch(t).burst() }); a > 32 {
+		t.Fatalf("fresh engine burst allocates %.0f times, want at most 32", a)
+	}
+	w := newPoolWatch(t)
+	w.burst()
+	if a := testing.AllocsPerRun(1, w.burst); a != 0 {
+		t.Fatalf("second burst allocates %.0f times, want 0", a)
 	}
 }
 
