@@ -30,13 +30,41 @@ type Slot struct {
 	State   proto.State
 }
 
-// slotBlockFrames is how many frames' slot arrays one allocation
-// provides: 4 frames of the paper's 128 items are an 8 KiB block.
-const slotBlockFrames = 4
+// cleanSlot is the slot of an item that holds no copy.
+var cleanSlot = Slot{State: proto.Invalid, Partner: proto.None}
+
+// chunkItems is how many consecutive items of a page share one chunk of
+// slots. Most frames hold only a few live items (ECP's anchor frames
+// especially), so a frame materialises a chunk only when one of its
+// items is first written.
+const chunkItems = 8
+
+// A chunk holds the slots of chunkItems consecutive items of a page. It
+// holds no pointers, so the collector never scans chunk blocks.
+type chunk [chunkItems]Slot
+
+// cleanChunk is a chunk whose every slot is clean.
+var cleanChunk = chunk{cleanSlot, cleanSlot, cleanSlot, cleanSlot, cleanSlot, cleanSlot, cleanSlot, cleanSlot}
+
+// Chunks and frames' chunk references are carved from per-AM blocks
+// whose size doubles from the first to the last constant: an AM that
+// uses few frames makes small blocks, and a busy one few allocations.
+const (
+	firstChunkBlock = 16  // chunks
+	lastChunkBlock  = 128 // chunks
+	firstRefBlock   = 8   // frames' chunk references
+	lastRefBlock    = 64  // frames' chunk references
+)
 
 // A frame is one way of a set. Its page is the way's entry in AM.tags.
 type frame struct {
-	slots   []Slot
+	// chunks holds one reference per chunkItems items of the page (the
+	// last chunk is partial when ItemsPerPage is not a multiple of
+	// chunkItems): nil until one of the chunk's items is written. The references are
+	// carved when the way is first allocated; a chunk, once
+	// materialised, stays with the way and is wiped on every
+	// AllocFrame.
+	chunks  []*chunk
 	lastUse int64
 	// modified counts slots in Exclusive or MasterShared state; frames
 	// with modified > 0 form the paper's "modified-item tree", letting
@@ -69,8 +97,20 @@ type AM struct {
 	// one set's contiguous tags, as the hardware's tag match does.
 	tags   []proto.PageID
 	frames []frame // parallel to tags
-	// spare is the unused tail of the latest slot block.
-	spare []Slot
+	// chunksPerPage is the length of every frame's chunk references.
+	chunksPerPage int
+	// chunkSpare and refSpare are the unused tails of the latest chunk
+	// and reference blocks; chunkBlock and refBlock size the next ones
+	// (refBlock in frames).
+	chunkSpare []chunk
+	refSpare   []*chunk
+	chunkBlock int
+	refBlock   int
+	// scratch is the copy of the clean slot a scan hands its callback
+	// for an item that was never written. The AM never writes it: a
+	// callback that changes it makes the scan panic, and the AM is
+	// unusable after such a panic.
+	scratch Slot
 
 	allocated int
 	stats     Stats
@@ -89,11 +129,16 @@ func (a *AM) SetStateHook(fn func(item proto.ItemID, from, to proto.State)) {
 
 // New builds an empty attraction memory for the node.
 func New(arch config.Arch, node proto.NodeID) *AM {
+	per := arch.ItemsPerPage()
 	a := &AM{
-		node:         node,
-		itemsPerPage: arch.ItemsPerPage(),
-		numSets:      arch.AMSets(),
-		ways:         arch.AMWays,
+		node:          node,
+		itemsPerPage:  per,
+		numSets:       arch.AMSets(),
+		ways:          arch.AMWays,
+		chunksPerPage: (per + chunkItems - 1) / chunkItems,
+		chunkBlock:    firstChunkBlock,
+		refBlock:      firstRefBlock,
+		scratch:       cleanSlot,
 	}
 	a.tags = make([]proto.PageID, a.numSets*a.ways)
 	for i := range a.tags {
@@ -150,12 +195,48 @@ func (a *AM) frameFor(item proto.ItemID) (*frame, int) {
 	return a.frameOf(proto.PageID(page)), int(item) - page*a.itemsPerPage
 }
 
+// slotFor returns the item's slot, or nil when its page is not
+// allocated or its chunk was never written (the slot is clean).
 func (a *AM) slotFor(item proto.ItemID) *Slot {
 	f, i := a.frameFor(item)
 	if f == nil {
 		return nil
 	}
-	return &f.slots[i]
+	c := f.chunks[i/chunkItems]
+	if c == nil {
+		return nil
+	}
+	return &c[i%chunkItems]
+}
+
+// chunkFor returns the chunk holding item index i of frame f, carving
+// one when none of its items was written yet. fresh reports a carved
+// chunk: its contents are stale, and the caller (one of the audited
+// setters) wipes it to cleanChunk before writing.
+func (a *AM) chunkFor(f *frame, i int) (c *chunk, fresh bool) {
+	k := i / chunkItems
+	if c = f.chunks[k]; c == nil {
+		if len(a.chunkSpare) == 0 {
+			a.chunkSpare = make([]chunk, a.chunkBlock)
+			a.chunkBlock = min(2*a.chunkBlock, lastChunkBlock)
+		}
+		c = &a.chunkSpare[0]
+		a.chunkSpare = a.chunkSpare[1:]
+		f.chunks[k] = c
+		fresh = true
+	}
+	return c, fresh
+}
+
+// slotsOf returns the page's slots held by chunk k of frame f: nil when
+// the chunk was never written, and fewer than chunkItems for a partial
+// last chunk.
+func (a *AM) slotsOf(f *frame, k int) []Slot {
+	c := f.chunks[k]
+	if c == nil {
+		return nil
+	}
+	return c[:min(chunkItems, a.itemsPerPage-k*chunkItems)]
 }
 
 func (a *AM) firstItem(page proto.PageID) proto.ItemID {
@@ -195,7 +276,7 @@ func (a *AM) Touch(page proto.PageID, now int64) {
 }
 
 // State returns the item's coherence state (Invalid when the page is not
-// allocated).
+// allocated or the item was never written).
 func (a *AM) State(item proto.ItemID) proto.State {
 	s := a.slotFor(item)
 	if s == nil {
@@ -204,11 +285,12 @@ func (a *AM) State(item proto.ItemID) proto.State {
 	return s.State
 }
 
-// Slot returns a copy of the item's slot (zero Slot when unallocated).
+// Slot returns a copy of the item's slot (the clean slot, Invalid with
+// no partner, when the page is unallocated or the item never written).
 func (a *AM) Slot(item proto.ItemID) Slot {
 	s := a.slotFor(item)
 	if s == nil {
-		return Slot{State: proto.Invalid, Partner: proto.None}
+		return cleanSlot
 	}
 	return *s
 }
@@ -221,7 +303,11 @@ func (a *AM) Set(item proto.ItemID, slot Slot) {
 		panic(fmt.Sprintf("am: Set(%d) on node %v without a frame for page %d",
 			item, a.node, int(item)/a.itemsPerPage))
 	}
-	old := &f.slots[idx]
+	c, fresh := a.chunkFor(f, idx)
+	if fresh {
+		*c = cleanChunk
+	}
+	old := &c[idx%chunkItems]
 	if old.State.Modified() {
 		f.modified--
 	}
@@ -240,7 +326,11 @@ func (a *AM) SetState(item proto.ItemID, st proto.State) {
 	if f == nil {
 		panic(fmt.Sprintf("am: SetState(%d) on node %v without a frame", item, a.node))
 	}
-	s := &f.slots[idx]
+	c, fresh := a.chunkFor(f, idx)
+	if fresh {
+		*c = cleanChunk
+	}
+	s := &c[idx%chunkItems]
 	if s.State.Modified() {
 		f.modified--
 	}
@@ -255,11 +345,15 @@ func (a *AM) SetState(item proto.ItemID, st proto.State) {
 
 // SetPartner records the recovery-pair partner for an item.
 func (a *AM) SetPartner(item proto.ItemID, partner proto.NodeID) {
-	s := a.slotFor(item)
-	if s == nil {
+	f, idx := a.frameFor(item)
+	if f == nil {
 		panic(fmt.Sprintf("am: SetPartner(%d) on node %v without a frame", item, a.node))
 	}
-	s.Partner = partner
+	c, fresh := a.chunkFor(f, idx)
+	if fresh {
+		*c = cleanChunk
+	}
+	c[idx%chunkItems].Partner = partner
 }
 
 // FreeWay reports whether the page's set has an unallocated way.
@@ -290,20 +384,25 @@ func (a *AM) AllocFrame(page proto.PageID, irreplaceable bool, now int64) {
 		f.irreplaceable = irreplaceable
 		f.lastUse = now
 		f.modified = 0
-		if f.slots == nil {
-			// A frame gets its slots on first use: most frames of an AM
-			// are never allocated in a run, and building a machine would
-			// otherwise touch memory for all of them. Slots are carved
-			// from a block of slotBlockFrames frames' worth, so a run
-			// makes one allocation per block rather than per frame.
-			if len(a.spare) == 0 {
-				a.spare = make([]Slot, slotBlockFrames*a.itemsPerPage)
+		if f.chunks == nil {
+			// A frame gets its chunk references on first use: most
+			// frames of an AM are never allocated in a run, and
+			// building a machine would otherwise touch memory for all
+			// of them. They are carved from a block of refBlock frames'
+			// worth, so a run makes one allocation per block rather
+			// than per frame.
+			n := a.chunksPerPage
+			if len(a.refSpare) < n {
+				a.refSpare = make([]*chunk, a.refBlock*n)
+				a.refBlock = min(2*a.refBlock, lastRefBlock)
 			}
-			f.slots = a.spare[:a.itemsPerPage:a.itemsPerPage]
-			a.spare = a.spare[a.itemsPerPage:]
+			f.chunks = a.refSpare[:n:n]
+			a.refSpare = a.refSpare[n:]
 		}
-		for i := range f.slots {
-			f.slots[i] = Slot{State: proto.Invalid, Partner: proto.None}
+		for _, c := range f.chunks {
+			if c != nil {
+				*c = cleanChunk
+			}
 		}
 		a.allocated++
 		a.stats.FramesAllocated++
@@ -370,9 +469,11 @@ func (a *AM) PinnedItems(page proto.PageID) []proto.ItemID {
 	}
 	var out []proto.ItemID
 	first := a.firstItem(page)
-	for i := range f.slots {
-		if !f.slots[i].State.Replaceable() {
-			out = append(out, first+proto.ItemID(i))
+	for k := range f.chunks {
+		for j, s := range a.slotsOf(f, k) {
+			if !s.State.Replaceable() {
+				out = append(out, first+proto.ItemID(k*chunkItems+j))
+			}
 		}
 	}
 	return out
@@ -386,10 +487,12 @@ func (a *AM) DropFrame(page proto.PageID) {
 		panic(fmt.Sprintf("am: DropFrame(%d) on node %v without a frame", page, a.node))
 	}
 	f := &a.frames[w]
-	for i := range f.slots {
-		if !f.slots[i].State.Replaceable() {
-			panic(fmt.Sprintf("am: DropFrame(%d) on node %v would lose item %d in %v",
-				page, a.node, int(a.firstItem(page))+i, f.slots[i].State))
+	for k := range f.chunks {
+		for j, s := range a.slotsOf(f, k) {
+			if !s.State.Replaceable() {
+				panic(fmt.Sprintf("am: DropFrame(%d) on node %v would lose item %d in %v",
+					page, a.node, int(a.firstItem(page))+k*chunkItems+j, s.State))
+			}
 		}
 	}
 	a.tags[w] = proto.NoPage
@@ -411,9 +514,11 @@ func (a *AM) ModifiedItems(dst []proto.ItemID) []proto.ItemID {
 			continue
 		}
 		first := a.firstItem(page)
-		for i := range f.slots {
-			if f.slots[i].State.Modified() {
-				dst = append(dst, first+proto.ItemID(i))
+		for k := range f.chunks {
+			for j, s := range a.slotsOf(f, k) {
+				if s.State.Modified() {
+					dst = append(dst, first+proto.ItemID(k*chunkItems+j))
+				}
 			}
 		}
 	}
@@ -422,7 +527,9 @@ func (a *AM) ModifiedItems(dst []proto.ItemID) []proto.ItemID {
 
 // ForEachAllocated visits every slot of every allocated frame in
 // deterministic order. fn may mutate state via the AM's setters but must
-// not allocate or drop frames.
+// not allocate or drop frames. An item that was never written is handed
+// over as a copy of the clean slot, which fn must leave unchanged (every
+// scan treats Invalid as a no-op); the scan panics if fn changes it.
 func (a *AM) ForEachAllocated(fn func(item proto.ItemID, slot *Slot)) {
 	for w, page := range a.tags {
 		if page == proto.NoPage {
@@ -430,10 +537,21 @@ func (a *AM) ForEachAllocated(fn func(item proto.ItemID, slot *Slot)) {
 		}
 		f := &a.frames[w]
 		first := a.firstItem(page)
-		for i := range f.slots {
-			before := f.slots[i].State.Modified()
-			fn(first+proto.ItemID(i), &f.slots[i])
-			after := f.slots[i].State.Modified()
+		for i := range a.itemsPerPage {
+			item := first + proto.ItemID(i)
+			c := f.chunks[i/chunkItems]
+			if c == nil {
+				fn(item, &a.scratch)
+				if a.scratch != cleanSlot {
+					panic(fmt.Sprintf("am: ForEachAllocated callback on node %v changed never-written item %d to %+v",
+						a.node, item, a.scratch))
+				}
+				continue
+			}
+			s := &c[i%chunkItems]
+			before := s.State.Modified()
+			fn(item, s)
+			after := s.State.Modified()
 			if before != after {
 				if after {
 					f.modified++
@@ -468,7 +586,7 @@ func (a *AM) StateCounts() map[proto.State]int {
 
 // Clear wipes the whole memory (a transient node failure loses AM
 // contents; the node rejoins empty). Slots need no wipe: AllocFrame
-// resets a frame's slots whenever it hands the frame out again.
+// resets a frame's chunks whenever it hands the frame out again.
 func (a *AM) Clear() {
 	for w, page := range a.tags {
 		if page != proto.NoPage {

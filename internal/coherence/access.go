@@ -289,7 +289,7 @@ func (e *Engine) ensureFrame(p *sim.Process, n proto.NodeID, item proto.ItemID, 
 	// paper's "four pages statically allocated as irreplaceable"; one in
 	// a standard KSR1-like machine).
 	if e.pageAnchors[page] == nil {
-		anchors := e.dir.Anchors(n, e.anchorFrames())
+		anchors := e.newAnchorList(n)
 		e.pageAnchors[page] = anchors
 		for _, a := range anchors {
 			e.allocAnchorFrame(p, a, page, txn)

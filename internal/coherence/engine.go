@@ -108,8 +108,11 @@ type Engine struct {
 	pendingInstalls []map[proto.PageID]int
 
 	// pageAnchors records, per touched page, the nodes holding its
-	// irreplaceable frames.
+	// irreplaceable frames. The lists are carved from blocks of
+	// anchorBlockPages pages' worth; anchorSpare is the unused tail of
+	// the latest block.
 	pageAnchors map[proto.PageID][]proto.NodeID
+	anchorSpare []proto.NodeID
 
 	// checkRead, when set, validates every value delivered to a
 	// processor against the machine oracle.
@@ -493,6 +496,23 @@ func (e *Engine) anchorFrames() int {
 		return 1
 	}
 	return e.arch.AnchorFrames
+}
+
+// anchorBlockPages is how many first-touched pages' anchor lists one
+// allocation provides.
+const anchorBlockPages = 256
+
+// newAnchorList returns the anchor list of a page first touched by n,
+// carved from the current block. Its capacity is its own length, so
+// RemapAnchors rewrites it in place and never spills into a neighbour.
+func (e *Engine) newAnchorList(n proto.NodeID) []proto.NodeID {
+	count := e.anchorFrames()
+	if len(e.anchorSpare) < count {
+		e.anchorSpare = make([]proto.NodeID, anchorBlockPages*count)
+	}
+	list := e.dir.Anchors(e.anchorSpare[:0:count], n, count)
+	e.anchorSpare = e.anchorSpare[count:]
+	return list
 }
 
 // readable reports whether a local copy in state st may satisfy a

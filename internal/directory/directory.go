@@ -119,23 +119,22 @@ func (d *Directory) NextAlive(n proto.NodeID) proto.NodeID {
 	panic("directory: ring walk found no live node")
 }
 
-// Anchors returns the irreplaceable-frame holders for a page: the given
-// first toucher plus the following live ring nodes, count nodes in total
-// (or fewer if the machine is smaller).
-func (d *Directory) Anchors(firstToucher proto.NodeID, count int) []proto.NodeID {
+// Anchors appends to dst the irreplaceable-frame holders for a page: the
+// given first toucher plus the following live ring nodes, count nodes in
+// total (or fewer if the machine is smaller).
+func (d *Directory) Anchors(dst []proto.NodeID, firstToucher proto.NodeID, count int) []proto.NodeID {
 	if count > len(d.ring) {
 		count = len(d.ring)
 	}
-	out := make([]proto.NodeID, 0, count)
 	n := firstToucher
 	if !d.alive[n] {
 		n = d.NextAlive(n)
 	}
-	for len(out) < count {
-		out = append(out, n)
+	for range count {
+		dst = append(dst, n)
 		n = d.NextAlive(n)
 	}
-	return out
+	return dst
 }
 
 // Lookup returns the entry for an item, or nil if it was never created.

@@ -84,7 +84,7 @@ func TestRingVisitsAllAliveNodes(t *testing.T) {
 
 func TestAnchors(t *testing.T) {
 	d := New(16)
-	a := d.Anchors(14, 4)
+	a := d.Anchors(nil, 14, 4)
 	want := []proto.NodeID{14, 15, 0, 1}
 	if len(a) != 4 {
 		t.Fatalf("anchors = %v", a)
@@ -96,7 +96,7 @@ func TestAnchors(t *testing.T) {
 	}
 	// With a dead toucher the anchor set shifts to live nodes.
 	d.SetAlive(14, false)
-	a = d.Anchors(14, 4)
+	a = d.Anchors(nil, 14, 4)
 	for _, n := range a {
 		if !d.Alive(n) {
 			t.Fatalf("dead anchor %v in %v", n, a)
@@ -104,7 +104,7 @@ func TestAnchors(t *testing.T) {
 	}
 	// More anchors than nodes clamps.
 	small := New(3)
-	if got := small.Anchors(0, 4); len(got) != 3 {
+	if got := small.Anchors(nil, 0, 4); len(got) != 3 {
 		t.Fatalf("clamped anchors = %v", got)
 	}
 }

@@ -910,10 +910,12 @@ func AuditAM(moduleDir string) ([]string, error) {
 }
 
 // writesSlot reports whether an assignment target stores into an am.Slot
-// value or one of its fields.
+// value, one of its fields, or an array of slots (such as a whole chunk
+// of a frame's slots).
 func writesSlot(info *types.Info, lhs ast.Expr) bool {
 	lhs = unparen(lhs)
-	if tv, ok := info.Types[lhs]; ok && tv.Type != nil && namedIs(tv.Type, "internal/am", "Slot") {
+	if tv, ok := info.Types[lhs]; ok && tv.Type != nil &&
+		(namedIs(tv.Type, "internal/am", "Slot") || slotArray(tv.Type)) {
 		return true
 	}
 	if sel, ok := lhs.(*ast.SelectorExpr); ok {
@@ -922,4 +924,15 @@ func writesSlot(info *types.Info, lhs ast.Expr) bool {
 		}
 	}
 	return false
+}
+
+// slotArray reports whether t is an array of am.Slot values (not of
+// pointers to them).
+func slotArray(t types.Type) bool {
+	arr, ok := t.Underlying().(*types.Array)
+	if !ok {
+		return false
+	}
+	_, ptr := arr.Elem().(*types.Pointer)
+	return !ptr && namedIs(arr.Elem(), "internal/am", "Slot")
 }

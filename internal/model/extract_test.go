@@ -1,6 +1,10 @@
 package model
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,5 +93,72 @@ func TestAuditAM(t *testing.T) {
 	}
 	for _, v := range bad {
 		t.Errorf("unaudited slot write: %s", v)
+	}
+}
+
+// TestWritesSlotSeesSlotArrays pins which assignment targets the AM audit
+// counts as slot writes: whole slots, slot fields and arrays of slots
+// (a chunk stored through a pointer), but not pointers to them or
+// arrays of such pointers.
+func TestWritesSlotSeesSlotArrays(t *testing.T) {
+	const src = `package am
+
+type Slot struct {
+	Value uint64
+	State uint8
+}
+
+type chunk [8]Slot
+
+func writes(c *chunk, s *Slot, cs []chunk, refs []*chunk, ps *[8]*Slot) {
+	*c = chunk{}          // write
+	c[1] = Slot{}         // write
+	c[1].State = 2        // write
+	cs[0] = chunk{}       // write
+	*s = Slot{}           // write
+	s.Value = 1           // write
+	refs[0] = c           // none
+	*ps = [8]*Slot{}      // none
+	cs = cs[1:]           // none
+	n := 0                // none
+	n = len(refs)         // none
+	_ = n
+}
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "am.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	if _, err := (&types.Config{}).Check("fake/internal/am", fset, []*ast.File{file}, info); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]bool{}
+	for _, cg := range file.Comments {
+		switch text := strings.TrimSpace(cg.Text()); text {
+		case "write", "none":
+			want[fset.Position(cg.Pos()).Line] = text == "write"
+		}
+	}
+	seen := 0
+	ast.Inspect(file, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		line := fset.Position(as.Pos()).Line
+		w, ok := want[line]
+		if !ok {
+			return true
+		}
+		seen++
+		if got := writesSlot(info, as.Lhs[0]); got != w {
+			t.Errorf("line %d (%s): writesSlot = %v, want %v", line, types.ExprString(as.Lhs[0]), got, w)
+		}
+		return true
+	})
+	if seen != len(want) {
+		t.Fatalf("checked %d assignments, want %d", seen, len(want))
 	}
 }
