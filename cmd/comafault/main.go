@@ -59,8 +59,7 @@ func main() {
 
 	app, ok := coma.AppByName(*appName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "comafault: unknown app %q\n", *appName)
-		os.Exit(2)
+		fail("unknown app %q", *appName)
 	}
 	base := coma.Config{
 		Nodes:        *nodes,
@@ -73,22 +72,28 @@ func main() {
 		Invariants:   true,
 	}
 
+	switch {
+	case *mtbf < 0:
+		fail("-mtbf = %d, want a non-negative cycle count", *mtbf)
+	case *horizon < 0:
+		fail("-horizon = %d, want a non-negative cycle count", *horizon)
+	case *permPct < 0 || *permPct > 1:
+		fail("-perm = %g, want a fraction in [0,1]", *permPct)
+	}
 	// A scripted schedule and a drawn one answer different questions
 	// (deterministic reproduction vs a stochastic reliability model);
 	// merging them silently changed the meaning of both, so the
 	// combination is refused.
 	if *mtbf > 0 && len(fails) > 0 {
-		fmt.Fprintln(os.Stderr, "comafault: -mtbf and -fail are mutually exclusive: use a scripted schedule or a drawn one, not both")
-		os.Exit(2)
+		fail("-mtbf and -fail are mutually exclusive: use a scripted schedule or a drawn one, not both")
 	}
-	var failures []coma.Failure
+	var failures coma.FaultPlan
 	for _, v := range fails {
 		e, err := config.ParseFailure(v)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "comafault: %v\n", err)
-			os.Exit(2)
+			fail("%v", err)
 		}
-		failures = append(failures, coma.Failure{At: e.At, Node: e.Node, Permanent: e.Permanent})
+		failures = append(failures, e)
 	}
 	if *mtbf > 0 {
 		span := *horizon
@@ -105,12 +110,14 @@ func main() {
 			span = res.Cycles
 			fmt.Printf("probed failure-free run length: %d cycles\n", span)
 		}
-		plan := coma.ExponentialFailures(*seed, *nodes, *mtbf, span, *permPct)
-		for _, e := range plan {
-			failures = append(failures, coma.Failure{At: e.At, Node: int(e.Node), Permanent: e.Permanent})
-		}
+		failures = coma.ExponentialFailures(*seed, *nodes, *mtbf, span, *permPct)
 		fmt.Printf("drawn %d failures from MTBF %d cycles (%d permanent)\n",
-			len(plan), *mtbf, plan.PermanentCount())
+			len(failures), *mtbf, failures.PermanentCount())
+	}
+	// A schedule passes the machine's own check before it is printed
+	// or run, so a bad one exits 2 like any other invalid input.
+	if err := failures.Validate(*nodes); err != nil {
+		fail("%v", err)
 	}
 	base.Failures = failures
 	for _, f := range failures {
@@ -141,6 +148,12 @@ func main() {
 	fmt.Printf("  reconfiguration injections:  %d\n", total.Injections[proto.InjectReconfigure])
 	fmt.Println("  value oracle:                every read matched the sequentially-consistent value")
 	fmt.Println("  invariants:                  recovery pairs complete at every commit and rollback")
+}
+
+// fail reports invalid input and exits 2, before anything has run.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "comafault: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // runEdgeSuite executes the staged edge scenarios, prints the coverage

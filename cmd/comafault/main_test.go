@@ -18,26 +18,35 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestFailFlagSpellings runs comafault on every -fail spelling class.
-// A valid spelling is scheduled with the kind it names; a malformed
-// one, including a third field other than "perm", exits 2 before
-// anything runs.
+// TestFailFlagSpellings runs comafault on every -fail spelling class
+// and on each invalid schedule. A valid spelling is scheduled with the
+// kind it names; a malformed one, including a third field other than
+// "perm", a node outside the machine, a negative cycle, and an MTBF
+// model with a negative -mtbf or -horizon or a -perm outside [0,1],
+// exits 2 before anything is printed or run.
 func TestFailFlagSpellings(t *testing.T) {
 	run := []string{"-app", "mp3d", "-nodes", "4", "-hz", "400", "-scale", "0.002"}
 	for _, tc := range []struct {
-		fail string
+		args []string
 		exit int
 		want string
 	}{
-		{"20000:2", 0, "scheduled: node 2 fails (transient) at cycle 20000"},
-		{"20000:2:perm", 1, "scheduled: node 2 fails (permanent) at cycle 20000"},
-		{"20000:2:permanent", 2, `comafault: want cycle:node[:perm], got "20000:2:permanent"`},
-		{"20000:2:", 2, `comafault: want cycle:node[:perm], got "20000:2:"`},
-		{"20000", 2, `comafault: want cycle:node[:perm], got "20000"`},
-		{"x:2", 2, `comafault: bad cycle in "x:2": strconv.ParseInt`},
-		{"20000:y", 2, `comafault: bad node in "20000:y": strconv.Atoi`},
+		{[]string{"-fail", "20000:2"}, 0, "scheduled: node 2 fails (transient) at cycle 20000"},
+		{[]string{"-fail", "20000:2:perm"}, 1, "scheduled: node 2 fails (permanent) at cycle 20000"},
+		{[]string{"-fail", "20000:2:permanent"}, 2, `comafault: want cycle:node[:perm], got "20000:2:permanent"`},
+		{[]string{"-fail", "20000:2:"}, 2, `comafault: want cycle:node[:perm], got "20000:2:"`},
+		{[]string{"-fail", "20000"}, 2, `comafault: want cycle:node[:perm], got "20000"`},
+		{[]string{"-fail", "x:2"}, 2, `comafault: bad cycle in "x:2": strconv.ParseInt`},
+		{[]string{"-fail", "20000:y"}, 2, `comafault: bad node in "20000:y": strconv.Atoi`},
+		{[]string{"-fail", "100:99"}, 2, "comafault: fault: event 0 names node n99 of 4"},
+		{[]string{"-fail", "20000:1", "-fail", "100:4"}, 2, "comafault: fault: event 1 names node n4 of 4"},
+		{[]string{"-fail", "-5:1"}, 2, "comafault: fault: event 0 at negative time -5"},
+		{[]string{"-mtbf", "-1"}, 2, "comafault: -mtbf = -1, want a non-negative cycle count"},
+		{[]string{"-mtbf", "50000", "-horizon", "-5"}, 2, "comafault: -horizon = -5, want a non-negative cycle count"},
+		{[]string{"-mtbf", "50000", "-perm", "1.5"}, 2, "comafault: -perm = 1.5, want a fraction in [0,1]"},
+		{[]string{"-mtbf", "50000", "-perm", "-0.1"}, 2, "comafault: -perm = -0.1, want a fraction in [0,1]"},
 	} {
-		cmd := exec.Command(os.Args[0], append(append([]string(nil), run...), "-fail", tc.fail)...)
+		cmd := exec.Command(os.Args[0], append(append([]string(nil), run...), tc.args...)...)
 		cmd.Env = append(os.Environ(), "COMAFAULT_RUN_MAIN=1")
 		out, err := cmd.CombinedOutput()
 		code := 0
@@ -45,10 +54,13 @@ func TestFailFlagSpellings(t *testing.T) {
 		if errors.As(err, &exit) {
 			code = exit.ExitCode()
 		} else if err != nil {
-			t.Fatalf("-fail %s: %v", tc.fail, err)
+			t.Fatalf("%v: %v", tc.args, err)
 		}
 		if code != tc.exit || !strings.Contains(string(out), tc.want) {
-			t.Errorf("-fail %s: exit %d, want %d with %q in\n%s", tc.fail, code, tc.exit, tc.want, out)
+			t.Errorf("%v: exit %d, want %d with %q in\n%s", tc.args, code, tc.exit, tc.want, out)
+		}
+		if code == 2 && strings.Count(string(out), "\n") != 1 {
+			t.Errorf("%v: invalid input printed more than its error:\n%s", tc.args, out)
 		}
 	}
 }

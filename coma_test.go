@@ -1,8 +1,12 @@
 package coma
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"testing"
+
+	"coma/internal/server"
 )
 
 func quickCfg() Config {
@@ -103,8 +107,83 @@ func TestFaultPlanBuilders(t *testing.T) {
 	if err := p.Validate(16); err != nil {
 		t.Fatal(err)
 	}
-	if len(SingleFailure(10, 3, false)) != 1 {
-		t.Fatal("single failure plan")
+}
+
+// TestRunIsTheDaemonRun: coma.Run and a comad job with the same
+// parameters assemble the same machine (both through
+// machine.FromIdentity), so their result payloads are byte-equal. Barnes
+// at scale 0.0055 is the budget a second copy of the config-to-machine
+// translation once computed one instruction short; the ECP case gives
+// coma.Run its failures out of time order, which the daemon sorts. Run
+// also refuses an App that is not a preset.
+func TestRunIsTheDaemonRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		spec server.JobSpec
+	}{
+		{"barnes-standard",
+			Config{Nodes: 9, Protocol: Standard, App: Barnes(), Scale: 0.0055, Seed: 1, Oracle: true},
+			server.JobSpec{App: "barnes", Nodes: 9, Protocol: "standard", Scale: 0.0055, Seed: 1}},
+		{"mp3d-ecp-failures",
+			Config{Nodes: 9, Protocol: ECP, App: Mp3d(), Scale: 0.003, Seed: 1, Oracle: true, CheckpointHz: 400,
+				Failures: []Failure{{At: 60_000, Node: 5, Permanent: true}, {At: 20_000, Node: 3}}},
+			server.JobSpec{App: "mp3d", Nodes: 9, Protocol: "ecp", Scale: 0.003, Seed: 1, CheckpointHz: 400,
+				Failures: []Failure{{At: 20_000, Node: 3}, {At: 60_000, Node: 5, Permanent: true}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lib, err := Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := tc.spec.Identity("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			daemon, err := server.SimRunner(id, server.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tc.cfg.Failures) > 0 && lib.Ckpt.Recoveries != int64(len(tc.cfg.Failures)) {
+				t.Fatalf("rollbacks = %d, want %d", lib.Ckpt.Recoveries, len(tc.cfg.Failures))
+			}
+			a, err := server.MarshalResult(lib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := server.MarshalResult(daemon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				i := 0
+				for i < min(len(a), len(b)) && a[i] == b[i] {
+					i++
+				}
+				lo := max(0, i-60)
+				t.Fatalf("coma.Run and the daemon disagree at byte %d:\n lib    …%s\n daemon …%s",
+					i, a[lo:min(len(a), i+20)], b[lo:min(len(b), i+20)])
+			}
+		})
+	}
+	// A daemon names its workload by preset, so Run builds presets only:
+	// an AppSpec differing from its named preset in anything but
+	// Instructions is refused rather than silently run as the preset.
+	cfg := quickCfg()
+	cfg.App.Instructions /= 2
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("a preset with its own budget: %v", err)
+	}
+	for name, edit := range map[string]func(*AppSpec){
+		"field":   func(a *AppSpec) { a.ReadFrac += 0.01 },
+		"renamed": func(a *AppSpec) { a.Name = "water2" },
+		"zero":    func(a *AppSpec) { *a = AppSpec{} },
+	} {
+		cfg := quickCfg()
+		edit(&cfg.App)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "is not a preset") {
+			t.Errorf("%s: Run error = %v, want a not-a-preset rejection", name, err)
+		}
 	}
 }
 

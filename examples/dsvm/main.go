@@ -37,7 +37,7 @@ func main() {
 		Barriers:    4,
 	}
 
-	run := func(protocol coherence.Protocol, hz float64, failures []machine.FailurePlan) *coma.Result {
+	run := func(protocol coherence.Protocol, hz float64, failures []coma.Failure) *coma.Result {
 		arch := coma.DSVMArch(8)
 		m, err := machine.New(machine.Config{
 			Arch:         arch,
@@ -69,7 +69,7 @@ func main() {
 		100*over.CommitFraction(), 100*over.PollutionFraction())
 
 	// And it recovers: lose a workstation mid-run.
-	fr := run(coherence.ECP, 5, []machine.FailurePlan{{At: std.Cycles / 2, Node: 3}})
+	fr := run(coherence.ECP, 5, []coma.Failure{{At: std.Cycles / 2, Node: 3}})
 	fmt.Printf("\nwith workstation 3 crashing mid-run: %d rollback(s), finished in %d cycles,\n",
 		fr.Ckpt.Recoveries, fr.Cycles)
 	fmt.Println("every page read verified against the oracle through the rollback.")

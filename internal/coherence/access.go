@@ -292,7 +292,7 @@ func (e *Engine) ensureFrame(p *sim.Process, n proto.NodeID, item proto.ItemID, 
 		anchors := e.newAnchorList(n)
 		e.pageAnchors[page] = anchors
 		for _, a := range anchors {
-			e.allocAnchorFrame(p, a, page, txn)
+			e.allocFrame(p, a, page, true, txn)
 			if a != n {
 				// Timing-only notification to the remote anchor.
 				e.net.Send(mesh.Message{Kind: proto.MsgPageAlloc, Src: n, Dst: a, Item: e.arch.FirstItem(page), Txn: txn})
@@ -304,23 +304,26 @@ func (e *Engine) ensureFrame(p *sim.Process, n proto.NodeID, item proto.ItemID, 
 		return
 	}
 	e.useController(p, n, e.arch.AMAccess)
-	if !e.ams[n].FreeWay(page) {
-		e.evictFrame(p, n, page, txn)
-	}
-	e.ams[n].AllocFrame(page, false, p.Now())
+	e.allocFrame(p, n, page, false, txn)
 }
 
-// allocAnchorFrame reserves an irreplaceable frame for page on node a,
-// evicting a replaceable frame if the set is full.
-func (e *Engine) allocAnchorFrame(p *sim.Process, a proto.NodeID, page proto.PageID, txn proto.TxnID) {
-	if e.ams[a].HasFrame(page) {
-		e.ams[a].MarkIrreplaceable(page)
-		return
+// allocFrame gives node n a frame for page, evicting to free a way when
+// the set is full, and marks an anchor frame irreplaceable. An eviction
+// yields, and so may the caller before it (ensureFrame waits for the AM
+// controller): an injection landing meanwhile may allocate the page's
+// frame itself or take the way the eviction freed, so the frame and the
+// free way are checked again after every wait.
+func (e *Engine) allocFrame(p *sim.Process, n proto.NodeID, page proto.PageID, irreplaceable bool, txn proto.TxnID) {
+	for !e.ams[n].HasFrame(page) {
+		if e.ams[n].FreeWay(page) {
+			e.ams[n].AllocFrame(page, irreplaceable, p.Now())
+			return
+		}
+		e.evictFrame(p, n, page, txn)
 	}
-	if !e.ams[a].FreeWay(page) {
-		e.evictFrame(p, a, page, txn)
+	if irreplaceable {
+		e.ams[n].MarkIrreplaceable(page)
 	}
-	e.ams[a].AllocFrame(page, true, p.Now())
 }
 
 // evictFrame frees a way in the page's set on node n: it picks the

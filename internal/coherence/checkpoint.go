@@ -293,7 +293,7 @@ func (e *Engine) RemapAnchors(p *sim.Process, dead func(proto.NodeID) bool) {
 			anchors[i] = cand
 			present[cand] = true
 			changed = true
-			e.allocAnchorFrame(p, cand, page, e.roundTxn)
+			e.allocFrame(p, cand, page, true, e.roundTxn)
 		}
 		if changed {
 			e.pageAnchors[page] = anchors
@@ -316,7 +316,7 @@ func (e *Engine) RestoreAnchors(p *sim.Process, n proto.NodeID) {
 	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	for _, page := range pages {
-		e.allocAnchorFrame(p, n, page, e.roundTxn)
+		e.allocFrame(p, n, page, true, e.roundTxn)
 	}
 }
 

@@ -519,7 +519,7 @@ func createWindowAbort() Scenario {
 				Generators:         gens,
 				Oracle:             true,
 				CheckpointInterval: interval,
-				Failures: []machine.FailurePlan{
+				Failures: []config.FailureEvent{
 					{At: 31_500, Node: 2},
 					{At: 75_000, Node: 1},
 				},
@@ -561,7 +561,7 @@ func reconfigurePromote() Scenario {
 				Generators:         gens,
 				Oracle:             true,
 				CheckpointInterval: ckptInterval,
-				Failures: []machine.FailurePlan{
+				Failures: []config.FailureEvent{
 					{At: 70_000, Node: 0, Permanent: true},
 				},
 				MaxCycles: 5_000_000,

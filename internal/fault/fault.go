@@ -1,53 +1,43 @@
-// Package fault builds failure plans for the simulated machine: single
-// scripted failures, uniform random schedules, and exponential (MTBF)
-// schedules — the failure model under which the paper motivates backward
-// error recovery for large machines. Plans are deterministic given a
-// seed.
+// Package fault builds and checks failure plans for the simulated
+// machine: exponential (MTBF) schedules — the failure model under which
+// the paper motivates backward error recovery for large machines — and
+// the one validation every scripted or drawn schedule passes before a
+// machine runs it. Plans are deterministic given a seed.
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
-	"coma/internal/proto"
+	"coma/internal/config"
 	"coma/internal/sim"
 )
 
-// Event is one planned node failure.
-type Event struct {
-	At        int64 // absolute cycle
-	Node      proto.NodeID
-	Permanent bool
-}
+// Plan is a failure schedule: one config.FailureEvent per node failure.
+type Plan []config.FailureEvent
 
-// Plan is an ordered failure schedule.
-type Plan []Event
-
-// Validate checks that the plan is time-ordered, starts at cycle 0 or
-// later, and names only nodes that exist. Simultaneous failures are
+// Validate checks that every failure names a node of a nodes-node
+// machine and a cycle of 0 or later. It is the one check of a failure
+// schedule: machine.New and the daemon's JobSpec.Validate both call it.
+// Order is not checked: the coordinator arms each failure on the timing
+// wheel by its cycle, so a plan in any order fires in time order
+// (failures at one cycle in the order given). Simultaneous failures are
 // legal: Exponential can draw coincident events, and overlapping
 // failures are exactly how data-loss experiments defeat the two-copy
 // scheme on purpose (the machine reports ErrDataLoss at run time when
 // that happens).
 func (p Plan) Validate(nodes int) error {
 	for i, e := range p {
-		if int(e.Node) < 0 || int(e.Node) >= nodes {
-			return fmt.Errorf("fault: event %d names node %v of %d", i, e.Node, nodes)
+		if e.Node < 0 || e.Node >= nodes {
+			return fmt.Errorf("fault: event %d names node n%d of %d", i, e.Node, nodes)
 		}
 		if e.At < 0 {
 			return fmt.Errorf("fault: event %d at negative time %d", i, e.At)
 		}
-		if i > 0 && e.At < p[i-1].At {
-			return fmt.Errorf("fault: events out of order at %d", i)
-		}
 	}
 	return nil
-}
-
-// Single returns a plan with one failure.
-func Single(at int64, node proto.NodeID, permanent bool) Plan {
-	return Plan{{At: at, Node: node, Permanent: permanent}}
 }
 
 // Exponential draws failures with exponentially distributed
@@ -62,7 +52,7 @@ func Exponential(seed uint64, nodes int, meanCycles, horizon int64, permanentFra
 	}
 	rng := sim.NewRNG(seed)
 	var plan Plan
-	deadPerm := make(map[proto.NodeID]bool)
+	deadPerm := make(map[int]bool)
 	t := int64(0)
 	for {
 		u := rng.Float64()
@@ -73,7 +63,7 @@ func Exponential(seed uint64, nodes int, meanCycles, horizon int64, permanentFra
 		if t >= horizon {
 			break
 		}
-		n := proto.NodeID(rng.Intn(nodes))
+		n := rng.Intn(nodes)
 		if deadPerm[n] {
 			continue
 		}
@@ -81,34 +71,15 @@ func Exponential(seed uint64, nodes int, meanCycles, horizon int64, permanentFra
 		if perm {
 			deadPerm[n] = true
 		}
-		plan = append(plan, Event{At: t, Node: n, Permanent: perm})
-	}
-	return plan
-}
-
-// EverySpaced returns count transient failures of distinct nodes spaced
-// evenly through [start, start+span) — a deterministic stress schedule.
-func EverySpaced(start, span int64, count, nodes int) Plan {
-	if count < 1 || nodes < 1 {
-		return nil
-	}
-	plan := make(Plan, 0, count)
-	for i := 0; i < count; i++ {
-		plan = append(plan, Event{
-			At:   start + span*int64(i)/int64(count),
-			Node: proto.NodeID(i % nodes),
-		})
+		plan = append(plan, config.FailureEvent{At: t, Node: n, Permanent: perm})
 	}
 	return plan
 }
 
 // Sort orders a plan by time (stable on node id for equal times).
 func (p Plan) Sort() {
-	sort.SliceStable(p, func(i, j int) bool {
-		if p[i].At != p[j].At {
-			return p[i].At < p[j].At
-		}
-		return p[i].Node < p[j].Node
+	slices.SortStableFunc(p, func(a, b config.FailureEvent) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Node, b.Node))
 	})
 }
 

@@ -3,22 +3,7 @@ package fault
 import (
 	"strings"
 	"testing"
-
-	"coma/internal/proto"
 )
-
-func TestSingle(t *testing.T) {
-	p := Single(1000, 3, true)
-	if err := p.Validate(8); err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 1 || p[0].At != 1000 || p[0].Node != 3 || !p[0].Permanent {
-		t.Fatalf("plan = %+v", p)
-	}
-	if p.PermanentCount() != 1 {
-		t.Fatal("permanent count")
-	}
-}
 
 func TestValidate(t *testing.T) {
 	cases := []struct {
@@ -36,12 +21,14 @@ func TestValidate(t *testing.T) {
 		// coincident events, and data-loss experiments rely on them.
 		{"simultaneous events", Plan{{At: 10, Node: 1}, {At: 10, Node: 2}}, 8, ""},
 		{"same node twice", Plan{{At: 10, Node: 1}, {At: 20, Node: 1}}, 8, ""},
+		// Order is not checked: the coordinator arms each failure by its
+		// cycle, and comafault passes its -fail flags in the order given.
+		{"out of order", Plan{{At: 10, Node: 1}, {At: 5, Node: 2}}, 8, ""},
 
 		{"node beyond machine", Plan{{At: 10, Node: 9}}, 8, "names node n9 of 8"},
 		{"node equals machine size", Plan{{At: 10, Node: 8}}, 8, "names node n8 of 8"},
-		{"negative node", Plan{{At: 10, Node: proto.NodeID(-1)}}, 8, "of 8"},
+		{"negative node", Plan{{At: 10, Node: -1}}, 8, "names node n-1 of 8"},
 		{"negative time", Plan{{At: -1, Node: 1}}, 8, "negative time -1"},
-		{"out of order", Plan{{At: 10, Node: 1}, {At: 5, Node: 2}}, 8, "out of order at 1"},
 		{"later event bad node", Plan{{At: 10, Node: 1}, {At: 20, Node: 8}}, 8, "event 1 names node n8"},
 	}
 	for _, tc := range cases {
@@ -89,27 +76,17 @@ func TestExponentialDeterministicAndOrdered(t *testing.T) {
 
 func TestExponentialNoFailuresAfterPermanentDeath(t *testing.T) {
 	p := Exponential(7, 4, 50_000, 20_000_000, 1.0) // all permanent
-	seen := map[proto.NodeID]int{}
+	seen := map[int]int{}
 	for _, e := range p {
 		seen[e.Node]++
 	}
 	for n, c := range seen {
 		if c > 1 {
-			t.Fatalf("node %v fails permanently %d times", n, c)
+			t.Fatalf("node %d fails permanently %d times", n, c)
 		}
 	}
-}
-
-func TestEverySpaced(t *testing.T) {
-	p := EverySpaced(1000, 9000, 3, 16)
-	if len(p) != 3 {
-		t.Fatalf("plan = %+v", p)
-	}
-	if p[0].At != 1000 || p[1].At != 4000 || p[2].At != 7000 {
-		t.Fatalf("times = %v %v %v", p[0].At, p[1].At, p[2].At)
-	}
-	if err := p.Validate(16); err != nil {
-		t.Fatal(err)
+	if p.PermanentCount() != len(p) {
+		t.Fatalf("PermanentCount = %d of %d all-permanent failures", p.PermanentCount(), len(p))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"coma/internal/coherence"
+	"coma/internal/config"
 )
 
 // TestRunLeavesNoGoroutines: the processor and coordinator processes
@@ -22,7 +23,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	// stops the machine with ErrTooFewNodes (the firstErr path).
 	tooFew := baseCfg(4, coherence.ECP)
 	tooFew.CheckpointHz = 400
-	tooFew.Failures = []FailurePlan{{At: probeCycles(t, tooFew) / 2, Node: 1, Permanent: true}}
+	tooFew.Failures = []config.FailureEvent{{At: probeCycles(t, tooFew) / 2, Node: 1, Permanent: true}}
 
 	limited := baseCfg(16, coherence.ECP)
 	limited.MaxCycles = 20_000
@@ -47,8 +48,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			if _, err := m.Run(); !tc.wantErr(err) {
 				t.Fatalf("Run error = %v", err)
 			}
-			// An ended process goroutine returns just after handing the
-			// baton back to Shutdown, so allow it a moment to exit.
+			// Each process is an iter.Pull coroutine; the goroutine behind
+			// an ended one may exit just after Run returns, so allow it a
+			// moment.
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > before {
 				if time.Now().After(deadline) {
@@ -70,7 +72,7 @@ func TestProcessesAreProcessorsAndCoordinator(t *testing.T) {
 	cfg.App = smallApp(100_000)
 	span := probeCycles(t, cfg)
 	cfg.CheckpointInterval = span / 8
-	cfg.Failures = []FailurePlan{
+	cfg.Failures = []config.FailureEvent{
 		{At: span / 3, Node: 5},
 		{At: span * 2 / 3, Node: 3, Permanent: true},
 	}

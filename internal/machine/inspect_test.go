@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"coma/internal/coherence"
+	"coma/internal/config"
 	"coma/internal/inspect"
 	"coma/internal/obs"
 	"coma/internal/proto"
@@ -20,7 +21,7 @@ func inspectCfg(t *testing.T) Config {
 	cfg := baseCfg(16, coherence.ECP)
 	span := probeCycles(t, cfg)
 	cfg.CheckpointInterval = span / 6
-	cfg.Failures = []FailurePlan{{At: span / 2, Node: 1}}
+	cfg.Failures = []config.FailureEvent{{At: span / 2, Node: 1}}
 	return cfg
 }
 

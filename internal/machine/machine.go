@@ -16,6 +16,7 @@ import (
 	"coma/internal/config"
 	"coma/internal/core"
 	"coma/internal/directory"
+	"coma/internal/fault"
 	"coma/internal/mesh"
 	"coma/internal/node"
 	"coma/internal/obs"
@@ -24,13 +25,6 @@ import (
 	"coma/internal/stats"
 	"coma/internal/workload"
 )
-
-// FailurePlan schedules one node failure.
-type FailurePlan struct {
-	At        int64 // absolute cycle
-	Node      proto.NodeID
-	Permanent bool
-}
 
 // Config describes one simulation run.
 type Config struct {
@@ -53,7 +47,9 @@ type Config struct {
 	// in cycles when non-zero.
 	CheckpointInterval int64
 
-	Failures []FailurePlan
+	// Failures is the failure schedule, in any order: the coordinator
+	// arms each failure on the timing wheel by its cycle.
+	Failures []config.FailureEvent
 
 	// Oracle enables value tracking and verification of every fill.
 	Oracle bool
@@ -174,13 +170,8 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 	}
-	for _, f := range cfg.Failures {
-		if int(f.Node) < 0 || int(f.Node) >= n {
-			return nil, fmt.Errorf("machine: failure plan names node %v of %d", f.Node, n)
-		}
-		if f.At < 0 {
-			return nil, fmt.Errorf("machine: failure plan at negative cycle %d", f.At)
-		}
+	if err := fault.Plan(cfg.Failures).Validate(n); err != nil {
+		return nil, err
 	}
 
 	m := &Machine{
@@ -269,10 +260,6 @@ func FromIdentity(id config.RunIdentity, o obs.Observer) (*Machine, error) {
 	default:
 		return nil, fmt.Errorf("machine: unknown protocol %q", id.Protocol)
 	}
-	failures := make([]FailurePlan, len(id.Failures))
-	for i, f := range id.Failures {
-		failures[i] = FailurePlan{At: f.At, Node: proto.NodeID(f.Node), Permanent: f.Permanent}
-	}
 	return New(Config{
 		Arch:     id.Arch,
 		Protocol: protocol,
@@ -284,7 +271,7 @@ func FromIdentity(id config.RunIdentity, o obs.Observer) (*Machine, error) {
 		Seed:               id.Seed,
 		CheckpointHz:       id.CheckpointHz,
 		CheckpointInterval: id.CheckpointInterval,
-		Failures:           failures,
+		Failures:           id.Failures,
 		Oracle:             id.Oracle,
 		Strict:             id.Strict,
 		Invariants:         id.Invariants,
@@ -308,7 +295,7 @@ func (m *Machine) Run() (*stats.Run, error) {
 	}
 	m.co.Start()
 	for _, f := range m.cfg.Failures {
-		m.co.ScheduleFailure(f.At, core.Failure{Node: f.Node, Permanent: f.Permanent})
+		m.co.ScheduleFailure(f.At, core.Failure{Node: proto.NodeID(f.Node), Permanent: f.Permanent})
 	}
 
 	if m.cfg.Obs != nil {

@@ -159,7 +159,7 @@ func TestTransientFailureRecovers(t *testing.T) {
 	cfg.CheckpointInterval = span / 8
 	cfg.Invariants = true
 	cfg.Strict = true
-	cfg.Failures = []FailurePlan{{At: span / 2, Node: 5, Permanent: false}}
+	cfg.Failures = []config.FailureEvent{{At: span / 2, Node: 5, Permanent: false}}
 	r := runCfg(t, cfg)
 	if r.Ckpt.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", r.Ckpt.Recoveries)
@@ -175,7 +175,7 @@ func TestPermanentFailureRecoversAndReconfigures(t *testing.T) {
 	span := probeCycles(t, cfg)
 	cfg.CheckpointInterval = span / 8
 	cfg.Invariants = true
-	cfg.Failures = []FailurePlan{{At: span / 2, Node: 3, Permanent: true}}
+	cfg.Failures = []config.FailureEvent{{At: span / 2, Node: 3, Permanent: true}}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestPermanentFailureAtOpenAppBarrier(t *testing.T) {
 			App:          workload.Mp3d().Scale(0.015),
 			Seed:         seed,
 			CheckpointHz: 400,
-			Failures: []FailurePlan{
+			Failures: []config.FailureEvent{
 				{At: 83_000, Node: 5},
 				{At: 145_000, Node: 11, Permanent: true},
 			},
@@ -238,7 +238,7 @@ func TestMultipleSequentialTransientFailures(t *testing.T) {
 	span := probeCycles(t, cfg)
 	cfg.CheckpointInterval = span / 12
 	cfg.Invariants = true
-	cfg.Failures = []FailurePlan{
+	cfg.Failures = []config.FailureEvent{
 		{At: span / 4, Node: 2, Permanent: false},
 		{At: span / 2, Node: 9, Permanent: false},
 		{At: 3 * span / 4, Node: 2, Permanent: false}, // same node again
@@ -255,7 +255,7 @@ func TestFailureBeforeFirstCheckpointRestartsFromScratch(t *testing.T) {
 	span := probeCycles(t, cfg)
 	cfg.CheckpointInterval = 100 * span // first establishment far in the future
 	cfg.Invariants = true
-	cfg.Failures = []FailurePlan{{At: span / 2, Node: 1, Permanent: false}}
+	cfg.Failures = []config.FailureEvent{{At: span / 2, Node: 1, Permanent: false}}
 	r := runCfg(t, cfg)
 	if r.Ckpt.Recoveries != 1 {
 		t.Fatalf("recoveries = %d", r.Ckpt.Recoveries)
@@ -273,9 +273,9 @@ func TestSimultaneousFailuresMayLoseData(t *testing.T) {
 	cfg.CheckpointInterval = span / 10
 	var failed error
 	for pair := 0; pair < 8 && failed == nil; pair++ {
-		cfg.Failures = []FailurePlan{
-			{At: span / 2, Node: proto.NodeID(pair), Permanent: false},
-			{At: span / 2, Node: proto.NodeID(pair + 1), Permanent: false},
+		cfg.Failures = []config.FailureEvent{
+			{At: span / 2, Node: pair, Permanent: false},
+			{At: span / 2, Node: pair + 1, Permanent: false},
 		}
 		m, err := New(cfg)
 		if err != nil {
@@ -305,7 +305,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 	span := probeCycles(t, cfg)
 	cfg.CheckpointInterval = span / 10
 
-	finalImage := func(failures []FailurePlan) map[proto.ItemID]proto.NodeID {
+	finalImage := func(failures []config.FailureEvent) map[proto.ItemID]proto.NodeID {
 		mc := cfg
 		mc.Failures = failures
 		m, err := New(mc)
@@ -323,7 +323,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 	}
 
 	clean := finalImage(nil)
-	failed := finalImage([]FailurePlan{{At: span / 2, Node: 4, Permanent: false}})
+	failed := finalImage([]config.FailureEvent{{At: span / 2, Node: 4, Permanent: false}})
 	if len(clean) != len(failed) {
 		t.Fatalf("written-item sets differ: %d vs %d", len(clean), len(failed))
 	}
@@ -341,7 +341,7 @@ func TestStandardProtocolRejectsCheckpointing(t *testing.T) {
 		t.Fatal("standard protocol accepted a checkpoint frequency")
 	}
 	cfg = baseCfg(4, coherence.Standard)
-	cfg.Failures = []FailurePlan{{At: 10, Node: 1}}
+	cfg.Failures = []config.FailureEvent{{At: 10, Node: 1}}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("standard protocol accepted a failure plan")
 	}
@@ -349,7 +349,7 @@ func TestStandardProtocolRejectsCheckpointing(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	cfg := baseCfg(4, coherence.ECP)
-	cfg.Failures = []FailurePlan{{At: 10, Node: 7}}
+	cfg.Failures = []config.FailureEvent{{At: 10, Node: 7}}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("failure plan with out-of-range node accepted")
 	}
@@ -365,7 +365,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// A failure before cycle 0 once panicked the event engine.
 	cfg = baseCfg(4, coherence.ECP)
-	cfg.Failures = []FailurePlan{{At: -5, Node: 1}}
+	cfg.Failures = []config.FailureEvent{{At: -5, Node: 1}}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("failure plan at a negative cycle accepted")
 	}

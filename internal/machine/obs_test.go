@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"coma/internal/coherence"
+	"coma/internal/config"
 	"coma/internal/obs"
 	"coma/internal/obs/txnview"
 )
@@ -19,7 +20,7 @@ func tracedCfg(t *testing.T) Config {
 	cfg := baseCfg(4, coherence.ECP)
 	span := probeCycles(t, cfg)
 	cfg.CheckpointInterval = span / 6
-	cfg.Failures = []FailurePlan{{At: span / 2, Node: 1}}
+	cfg.Failures = []config.FailureEvent{{At: span / 2, Node: 1}}
 	return cfg
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"coma/internal/coherence"
+	"coma/internal/config"
 )
 
 // TestRunReturnsEveryReplyFuture is the guard on the reply-future
@@ -19,12 +20,12 @@ func TestRunReturnsEveryReplyFuture(t *testing.T) {
 
 	for _, tc := range []struct {
 		name      string
-		failures  []FailurePlan
+		failures  []config.FailureEvent
 		rollbacks int64
 	}{
 		{"fault-free", nil, 0},
-		{"transient", []FailurePlan{{At: span / 2, Node: 5}}, 1},
-		{"permanent", []FailurePlan{{At: span / 2, Node: 3, Permanent: true}}, 1},
+		{"transient", []config.FailureEvent{{At: span / 2, Node: 5}}, 1},
+		{"permanent", []config.FailureEvent{{At: span / 2, Node: 3, Permanent: true}}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := probe

@@ -7,7 +7,6 @@ import (
 	"coma/internal/coherence"
 	"coma/internal/config"
 	"coma/internal/fault"
-	"coma/internal/proto"
 	"coma/internal/sim"
 	"coma/internal/workload"
 )
@@ -77,13 +76,11 @@ func TestRandomisedSoak(t *testing.T) {
 
 		cfg.CheckpointInterval = span/int64(3+rng.Intn(8)) + 1
 		plan := fault.Exponential(seed^0xfa17, nodes, span/2, span, 0.3)
-		for _, e := range plan {
-			cfg.Failures = append(cfg.Failures, FailurePlan{At: e.At, Node: e.Node, Permanent: e.Permanent})
-		}
+		cfg.Failures = plan
 
 		t.Logf("run %d: seed=%#x nodes=%d instr=%d failures=%d perm=%d interval=%d span=%d",
 			i, seed, nodes, app.Instructions, len(cfg.Failures),
-			permCount(cfg.Failures), cfg.CheckpointInterval, span)
+			plan.PermanentCount(), cfg.CheckpointInterval, span)
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
@@ -107,16 +104,5 @@ func TestRandomisedSoak(t *testing.T) {
 			t.Fatalf("run %d (seed %#x, %d nodes, %d failures): %v",
 				i, seed, nodes, len(cfg.Failures), err)
 		}
-		_ = proto.None
 	}
-}
-
-func permCount(fs []FailurePlan) int {
-	c := 0
-	for _, f := range fs {
-		if f.Permanent {
-			c++
-		}
-	}
-	return c
 }

@@ -59,7 +59,7 @@ func recordRun(tb testing.TB, permanent bool) []obs.Event {
 		App:          workload.Mp3d().Scale(0.002),
 		Seed:         1,
 		CheckpointHz: 400,
-		Failures:     []machine.FailurePlan{{At: 40000, Node: 2, Permanent: permanent}},
+		Failures:     []config.FailureEvent{{At: 40000, Node: 2, Permanent: permanent}},
 		Obs:          rec,
 	})
 	if err != nil {

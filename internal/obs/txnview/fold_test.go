@@ -59,7 +59,7 @@ func FuzzSummarizeMatchesReference(f *testing.F) {
 const receiptMask = obs.MaskAll &^ (1<<obs.KQueueDepth | 1<<obs.KInjectProbe)
 
 // recordRun runs mp3d under the ECP and returns its receipt-grade trace.
-func recordRun(t testing.TB, nodes int, scale float64, failures ...machine.FailurePlan) []obs.Event {
+func recordRun(t testing.TB, nodes int, scale float64, failures ...config.FailureEvent) []obs.Event {
 	t.Helper()
 	rec := obs.NewRecorder(receiptMask)
 	m, err := machine.New(machine.Config{
@@ -92,10 +92,10 @@ func TestFoldMatchesReferenceOnRecordedRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		nodes int
-		fail  machine.FailurePlan
+		fail  config.FailureEvent
 	}{
-		{"transient", 4, machine.FailurePlan{At: 40000, Node: 2}},
-		{"permanent", 5, machine.FailurePlan{At: 40000, Node: 2, Permanent: true}},
+		{"transient", 4, config.FailureEvent{At: 40000, Node: 2}},
+		{"permanent", 5, config.FailureEvent{At: 40000, Node: 2, Permanent: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			events := recordRun(t, tc.nodes, 0.002, tc.fail)
@@ -157,7 +157,7 @@ func BenchmarkSummarize(b *testing.B) {
 // per-state tallies against its copy map after a recorded run.
 func TestFoldStatesStayTallied(t *testing.T) {
 	f := NewFold()
-	for _, ev := range recordRun(t, 4, 0.002, machine.FailurePlan{At: 40000, Node: 2}) {
+	for _, ev := range recordRun(t, 4, 0.002, config.FailureEvent{At: 40000, Node: 2}) {
 		f.Step(ev)
 	}
 	var inState [proto.NumStates]int

@@ -4,14 +4,13 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"coma/internal/config"
 	"coma/internal/fault"
 	"coma/internal/inspect"
 	"coma/internal/machine"
-	"coma/internal/proto"
 	"coma/internal/workload"
 )
 
@@ -154,17 +153,17 @@ func (sp JobSpec) Validate() error {
 	if nodes > maxNodes {
 		return fmt.Errorf("nodes = %d, at most %d", nodes, maxNodes)
 	}
-	if len(sp.Failures) > 0 {
-		plan := make(fault.Plan, len(sp.Failures))
-		for i, f := range sp.Failures {
-			plan[i] = fault.Event{At: f.At, Node: proto.NodeID(f.Node), Permanent: f.Permanent}
-		}
-		plan.Sort()
-		if err := plan.Validate(nodes); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sp.schedule().Validate(nodes)
+}
+
+// schedule returns the spec's failures in time order: the schedule the
+// identity carries, so specs that list one schedule in different orders
+// share a content address, and Validate names its events by their
+// position in it.
+func (sp JobSpec) schedule() fault.Plan {
+	p := fault.Plan(slices.Clone(sp.Failures))
+	p.Sort()
+	return p
 }
 
 // Identity canonicalises a validated spec into the repository-wide run
@@ -194,16 +193,6 @@ func (sp JobSpec) Identity(revision string) (config.RunIdentity, error) {
 	default:
 		arch = config.KSR1(sp.Nodes)
 	}
-	var failures []config.FailureEvent
-	if len(sp.Failures) > 0 {
-		failures = append(failures, sp.Failures...)
-		sort.SliceStable(failures, func(i, j int) bool {
-			if failures[i].At != failures[j].At {
-				return failures[i].At < failures[j].At
-			}
-			return failures[i].Node < failures[j].Node
-		})
-	}
 	return config.RunIdentity{
 		Revision:           revision,
 		Arch:               arch,
@@ -215,7 +204,7 @@ func (sp JobSpec) Identity(revision string) (config.RunIdentity, error) {
 		Seed:               sp.Seed,
 		CheckpointHz:       sp.CheckpointHz,
 		CheckpointInterval: sp.CheckpointInterval,
-		Failures:           failures,
+		Failures:           sp.schedule(),
 		Oracle:             !sp.NoOracle,
 		Strict:             sp.Strict,
 		Invariants:         sp.Invariants,
