@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint comalint staticcheck bench bench-check smoke-serve smoke-inspect smoke-cluster attest model check
+.PHONY: all build test race vet lint comalint staticcheck bench bench-check fuzz smoke-serve smoke-inspect smoke-cluster attest model check
 
 all: check
 
@@ -45,6 +45,27 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -short ./...
 
+# fuzz runs each native fuzzer for ten seconds; CI calls it as one
+# step. A failing input is written under the package's testdata/fuzz.
+# The targets: the JSONL codec and the packed trace form re-encode
+# byte-stably; a receipt re-encodes byte-stably; a POST /v1/jobs body
+# never panics, and an accepted one builds and hashes the same after a
+# round trip; worker heartbeat, lease and complete bodies get only the
+# protocol's statuses; the txnview fold matches its two-pass reference;
+# the kernel dispatches in the (time, seq) order of a shadow model; the
+# AM slot store matches a map-keyed reference; a failure plan ends in
+# completion, data loss or too few nodes, never a hang or a panic.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONLRoundTrip$$' -fuzztime=10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzPackedTraceRoundTrip$$' -fuzztime=10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzReceiptRoundTrip$$' -fuzztime=10s ./internal/obs/receipt
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkerBodies$$' -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzSummarizeMatchesReference$$' -fuzztime=10s ./internal/obs/txnview
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineScheduleOrder$$' -fuzztime=10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzAMMatchesReference$$' -fuzztime=10s ./internal/am
+	$(GO) test -run '^$$' -fuzz '^FuzzFailurePlan$$' -fuzztime=10s ./internal/machine
+
 # smoke-serve boots a comad daemon, submits the same tiny job twice,
 # and asserts the serving contract: cache hit, byte-identical result
 # payloads, metrics, graceful drain on SIGTERM (see README §Serving).
@@ -85,4 +106,4 @@ model:
 
 # check is the full tier-1 gate: everything CI enforces that can run
 # offline.
-check: build vet test race comalint bench-check
+check: build vet test race comalint bench-check fuzz

@@ -27,6 +27,7 @@ import (
 	"coma"
 	"coma/internal/config"
 	"coma/internal/fault/edges"
+	"coma/internal/machine"
 	"coma/internal/obs"
 	"coma/internal/proto"
 )
@@ -73,6 +74,12 @@ func main() {
 	}
 
 	switch {
+	case *nodes < 1:
+		fail("-nodes = %d, want at least 1", *nodes)
+	case *scale < 0:
+		fail("-scale = %g, want a non-negative budget scale", *scale)
+	case *hz < 0:
+		fail("-hz = %g, want a non-negative frequency", *hz)
 	case *mtbf < 0:
 		fail("-mtbf = %d, want a non-negative cycle count", *mtbf)
 	case *horizon < 0:
@@ -86,6 +93,9 @@ func main() {
 	// combination is refused.
 	if *mtbf > 0 && len(fails) > 0 {
 		fail("-mtbf and -fail are mutually exclusive: use a scripted schedule or a drawn one, not both")
+	}
+	if err := machine.CheckRecovery(coma.ECP, *nodes, 0, *hz, len(fails) > 0 || *mtbf > 0); err != nil {
+		fail("%v", err)
 	}
 	var failures coma.FaultPlan
 	for _, v := range fails {

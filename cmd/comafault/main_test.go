@@ -21,9 +21,11 @@ func TestMain(m *testing.M) {
 // TestFailFlagSpellings runs comafault on every -fail spelling class
 // and on each invalid schedule. A valid spelling is scheduled with the
 // kind it names; a malformed one, including a third field other than
-// "perm", a node outside the machine, a negative cycle, and an MTBF
-// model with a negative -mtbf or -horizon or a -perm outside [0,1],
-// exits 2 before anything is printed or run.
+// "perm", a node outside the machine, a negative cycle, an MTBF model
+// with a negative -mtbf or -horizon or a -perm outside [0,1], no nodes,
+// a negative -scale or -hz, and recovery points or failures on a
+// machine too small for the ECP, exits 2 before anything is printed or
+// run.
 func TestFailFlagSpellings(t *testing.T) {
 	run := []string{"-app", "mp3d", "-nodes", "4", "-hz", "400", "-scale", "0.002"}
 	for _, tc := range []struct {
@@ -45,6 +47,13 @@ func TestFailFlagSpellings(t *testing.T) {
 		{[]string{"-mtbf", "50000", "-horizon", "-5"}, 2, "comafault: -horizon = -5, want a non-negative cycle count"},
 		{[]string{"-mtbf", "50000", "-perm", "1.5"}, 2, "comafault: -perm = 1.5, want a fraction in [0,1]"},
 		{[]string{"-mtbf", "50000", "-perm", "-0.1"}, 2, "comafault: -perm = -0.1, want a fraction in [0,1]"},
+		{[]string{"-nodes", "0"}, 2, "comafault: -nodes = 0, want at least 1"},
+		{[]string{"-nodes", "3", "-hz", "100"}, 2, "comafault: ECP recovery points and failures need at least 4 nodes, have 3"},
+		{[]string{"-nodes", "3", "-fail", "100:1"}, 2, "comafault: ECP recovery points and failures need at least 4 nodes, have 3"},
+		{[]string{"-nodes", "3", "-hz", "0", "-fail", "100:1"}, 2, "comafault: ECP recovery points and failures need at least 4 nodes, have 3"},
+		{[]string{"-nodes", "3", "-hz", "0", "-mtbf", "50000"}, 2, "comafault: ECP recovery points and failures need at least 4 nodes, have 3"},
+		{[]string{"-scale", "-1"}, 2, "comafault: -scale = -1, want a non-negative budget scale"},
+		{[]string{"-hz", "-5"}, 2, "comafault: -hz = -5, want a non-negative frequency"},
 	} {
 		cmd := exec.Command(os.Args[0], append(append([]string(nil), run...), tc.args...)...)
 		cmd.Env = append(os.Environ(), "COMAFAULT_RUN_MAIN=1")

@@ -10,8 +10,8 @@
 //	determinism      no wall-clock time, no global math/rand, no
 //	                 order-sensitive map iteration in the simulator core
 //	simblocking      simulated processes block only via internal/sim
-//	closuresched     hot-path packages schedule typed events, not
-//	                 per-event Engine.At/After closure literals
+//	closuresched     coherence/mesh handle messages in event context:
+//	                 no Engine.Spawn, no per-request sim.NewFuture
 //	obswallclock     Observer implementations never read the wall clock
 //	statetransition  am.Slot state changes go through the AM setters (or
 //	                 ForEachAllocated scan callbacks) so the state hook fires

@@ -45,6 +45,17 @@ func (p Protocol) String() string {
 	return "ecp"
 }
 
+// ParseProtocol is the inverse of String.
+func ParseProtocol(name string) (Protocol, bool) {
+	switch name {
+	case "standard":
+		return Standard, true
+	case "ecp":
+		return ECP, true
+	}
+	return 0, false
+}
+
 // CacheOps lets the protocol engine manipulate the per-node processor
 // caches (implemented by the node layer).
 type CacheOps interface {
@@ -276,7 +287,7 @@ func (e *Engine) handle(m mesh.Message, service int64) {
 	} else {
 		e.msgs = append(e.msgs, h)
 	}
-	e.eng.AfterSink(0, e, int64(slot))
+	e.eng.After(0, e, int64(slot))
 }
 
 // OnEvent implements sim.EventSink: it moves the handler of the request
@@ -291,7 +302,7 @@ func (e *Engine) OnEvent(_ *sim.Engine, arg int64) {
 	case stepStart:
 		if h.m.Kind == proto.MsgInjectData {
 			h.step = stepAckSent
-			e.eng.AfterSink(e.arch.InjectAckDelay, e, arg)
+			e.eng.After(e.arch.InjectAckDelay, e, arg)
 			return
 		}
 	case stepAckSent:
@@ -310,7 +321,7 @@ func (e *Engine) OnEvent(_ *sim.Engine, arg int64) {
 		return
 	}
 	h.step = stepServed
-	e.eng.AfterSink(h.service, e, arg)
+	e.eng.After(h.service, e, arg)
 }
 
 // serve runs the body of the handler of m at its destination node, once

@@ -234,7 +234,7 @@ func (co *Coordinator) Start() {
 // boundary; see DESIGN.md).
 func (co *Coordinator) ScheduleFailure(t int64, f Failure) {
 	co.armed = append(co.armed, f)
-	co.eng.AtSink(t, co, int64(len(co.armed)-1))
+	co.eng.At(t, co, int64(len(co.armed)-1))
 }
 
 // OnEvent implements sim.EventSink for the coordinator's two timer
@@ -437,7 +437,7 @@ func (co *Coordinator) sleepUntil(p *sim.Process, due int64) {
 	co.wake = fut
 	if due >= 0 {
 		co.sleepGen++
-		co.eng.AtSink(due, co, -co.sleepGen)
+		co.eng.At(due, co, -co.sleepGen)
 	}
 	fut.Await(p)
 	co.wake = nil

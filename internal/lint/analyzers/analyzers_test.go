@@ -19,14 +19,6 @@ func TestSimBlocking(t *testing.T) {
 	analysistest.Run(t, analyzers.SimBlocking, "testdata/src/simblocking")
 }
 
-// TestClosureSched proves the typed-event rule bites where it matters:
-// the fixture reproduces internal/mesh's delivery scheduling, and the
-// closure-literal form is diagnosed while the AtSink/AfterSink typed
-// form and a one-time named ticker closure stay silent.
-func TestClosureSched(t *testing.T) {
-	analysistest.Run(t, analyzers.ClosureSched, "testdata/src/closuresched")
-}
-
 // TestClosureSchedSpawn proves the Spawn half of the rule: in a package
 // named like the protocol engine every Engine.Spawn is diagnosed, a
 // closure literal or a body passed by name, and the typed-event handler
@@ -145,17 +137,15 @@ func TestSimBlockingScope(t *testing.T) {
 
 func TestClosureSchedScope(t *testing.T) {
 	for path, want := range map[string]bool{
-		"coma/internal/mesh":               true,
-		"coma/internal/coherence":          true,
-		"coma/internal/core":               true,
-		"coma/internal/machine":            true,
-		"coma/internal/node":               true,
-		"coma/internal/snoop":              true,
-		"coma/internal/sim":                false, // implements both scheduling paths
-		"coma/internal/experiments":        false, // no engine scheduling
-		"coma/internal/experiments/runner": false,
-		"coma/internal/obs":                false,
-		"coma/cmd/comasim":                 false,
+		"coma/internal/mesh":        true,
+		"coma/internal/coherence":   true,
+		"coma/internal/core":        false, // start-up spawns of long-lived processes
+		"coma/internal/machine":     false,
+		"coma/internal/node":        false,
+		"coma/internal/snoop":       false,
+		"coma/internal/sim":         false, // implements Spawn and NewFuture
+		"coma/internal/experiments": false,
+		"coma/cmd/comasim":          false,
 	} {
 		if got := analyzers.ClosureSchedScope(path); got != want {
 			t.Errorf("ClosureSchedScope(%q) = %v, want %v", path, got, want)

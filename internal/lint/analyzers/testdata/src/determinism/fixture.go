@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"coma/internal/sim"
 )
 
 func wallClock() int64 {
-	t := time.Now()              // want `time.Now in simulator code: use the sim.Engine clock`
-	d := time.Since(t)           // want `time.Since in simulator code`
+	t := time.Now()                        // want `time.Now in simulator code: use the sim.Engine clock`
+	d := time.Since(t)                     // want `time.Since in simulator code`
 	return int64(d) + int64(time.Until(t)) // want `time.Until in simulator code`
 }
 
@@ -70,6 +72,14 @@ func (engine) At(int)       {}
 func mapSchedule(m map[int]int, e engine) {
 	for k := range m {
 		e.Schedule(k) // want `Schedule call inside range over map`
+	}
+}
+
+// mapScheduleSim is the kernel's own scheduling call: events scheduled
+// in map order would fire in map order at equal times.
+func mapScheduleSim(m map[int64]int64, e *sim.Engine, sink sim.EventSink) {
+	for t, arg := range m {
+		e.At(t, sink, arg) // want `At call inside range over map`
 	}
 }
 

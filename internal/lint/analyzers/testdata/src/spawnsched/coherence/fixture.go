@@ -26,7 +26,7 @@ func (e *engine) OnEvent(_ *sim.Engine, slot int64) { _ = e.msgs[slot] }
 
 func (e *engine) dispatchTyped(m msg) {
 	e.msgs = append(e.msgs, m)
-	e.eng.AfterSink(0, e, int64(len(e.msgs)-1))
+	e.eng.After(0, e, int64(len(e.msgs)-1))
 }
 
 // coordinator is a long-lived process body passed by name.

@@ -109,7 +109,7 @@ func (m *Machine) OnEvent(e *sim.Engine, _ int64) {
 	m.cfg.Obs.Emit(obs.Event{Time: e.Now(), Kind: obs.KQueueDepth,
 		Node: proto.None, Item: proto.NoItem,
 		A: m.net.Inflight(mesh.RequestNet), B: m.net.Inflight(mesh.ReplyNet)})
-	e.AfterSink(obsSampleEvery, m, 0)
+	e.After(obsSampleEvery, m, 0)
 }
 
 // cacheOps adapts the node set to the coherence engine's cache hook.
@@ -139,6 +139,27 @@ var ErrTooFewNodes = errors.New("machine: too few live nodes remain for the ECP"
 // far past any run the campaigns make, so it only stops a hung one.
 const DefaultMaxCycles = 1 << 40
 
+// CheckRecovery is the one statement of what each protocol can do at a
+// machine size: New, server.JobSpec.Validate and comafault all apply
+// it. Recovery points are asked for by a non-zero interval or a
+// positive frequency. The standard protocol establishes none and
+// survives no failure. The ECP needs at least four nodes for either:
+// the create phase keeps up to four copies of a modified item (old pair
+// + new pair), and injections must find a node holding none of them —
+// the paper's four irreplaceable pages per page.
+func CheckRecovery(p coherence.Protocol, nodes int, interval int64, hz float64, failures bool) error {
+	recovery := interval != 0 || hz > 0
+	switch {
+	case p == coherence.Standard && recovery:
+		return errors.New("checkpointing requires the ecp protocol")
+	case p == coherence.Standard && failures:
+		return errors.New("failure injection requires the ecp protocol")
+	case p == coherence.ECP && (recovery || failures) && nodes < 4:
+		return fmt.Errorf("ECP recovery points and failures need at least 4 nodes, have %d", nodes)
+	}
+	return nil
+}
+
 // New assembles a machine from the configuration.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Arch.Validate(); err != nil {
@@ -148,18 +169,9 @@ func New(cfg Config) (*Machine, error) {
 	if interval == 0 && cfg.CheckpointHz > 0 {
 		interval = cfg.Arch.CheckpointIntervalCycles(cfg.CheckpointHz)
 	}
-	if cfg.Protocol == coherence.Standard {
-		if interval != 0 {
-			return nil, fmt.Errorf("machine: the standard protocol cannot establish recovery points")
-		}
-		if len(cfg.Failures) != 0 {
-			return nil, fmt.Errorf("machine: the standard protocol cannot recover from failures")
-		}
-	} else if (interval != 0 || len(cfg.Failures) != 0) && cfg.Arch.Nodes < 4 {
-		// The create phase keeps up to four copies of a modified item
-		// (old pair + new pair), and injections must find a node holding
-		// none of them — the paper's four irreplaceable pages per page.
-		return nil, fmt.Errorf("machine: ECP recovery points need at least 4 nodes, have %d", cfg.Arch.Nodes)
+	err := CheckRecovery(cfg.Protocol, cfg.Arch.Nodes, cfg.CheckpointInterval, cfg.CheckpointHz, len(cfg.Failures) > 0)
+	if err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
 	}
 	n := cfg.Arch.Nodes
 	if cfg.Generators != nil && len(cfg.Generators) != n {
@@ -251,13 +263,8 @@ func FromIdentity(id config.RunIdentity, o obs.Observer) (*Machine, error) {
 	if id.Instructions > 0 {
 		app.Instructions = id.Instructions
 	}
-	var protocol coherence.Protocol
-	switch id.Protocol {
-	case "standard":
-		protocol = coherence.Standard
-	case "ecp":
-		protocol = coherence.ECP
-	default:
+	protocol, ok := coherence.ParseProtocol(id.Protocol)
+	if !ok {
 		return nil, fmt.Errorf("machine: unknown protocol %q", id.Protocol)
 	}
 	return New(Config{
@@ -302,7 +309,7 @@ func (m *Machine) Run() (*stats.Run, error) {
 		// Sim-time ticker sampling mesh occupancy. It reschedules itself
 		// for as long as the engine runs; its dispatches are counted so
 		// the reported Events total is unchanged by observation.
-		m.eng.AfterSink(obsSampleEvery, m, 0)
+		m.eng.After(obsSampleEvery, m, 0)
 	}
 
 	limit := int64(-1)

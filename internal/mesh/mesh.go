@@ -251,7 +251,7 @@ func (n *Network) Send(m Message) {
 		// Loopback: no network traversal; the controller hand-off is
 		// free (its work is charged by the handler itself).
 		n.inflight[SubnetOf(m.Kind)]++
-		n.eng.AfterSink(0, n, n.park(m))
+		n.eng.After(0, n, n.park(m))
 		return
 	}
 	if n.down[m.Src] {
@@ -283,7 +283,7 @@ func (n *Network) Send(m Message) {
 	n.stats.Messages[sub]++
 	n.stats.Flits[sub] += flits
 
-	n.eng.AtSink(deliverAt, n, n.park(m))
+	n.eng.At(deliverAt, n, n.park(m))
 }
 
 // park stores an accepted message in the pending slab and returns its

@@ -11,14 +11,16 @@ import (
 	"time"
 
 	"coma/internal/config"
+	"coma/internal/machine"
 )
 
 // FuzzJobSpec drives arbitrary POST /v1/jobs bodies through the
 // handler's decode and canonicalisation path. Nothing on it may panic:
 // a malformed or nonsensical spec is a 400, never a dropped connection.
-// Any spec it accepts must have bounded geometry, and must name the
-// same run after a marshal/unmarshal round trip, since the run hash is
-// the daemon's cache key.
+// Any spec it accepts must have bounded geometry, must build a machine
+// (so no accepted job fails at run time on a rule validation could have
+// applied), and must name the same run after a marshal/unmarshal round
+// trip, since the run hash is the daemon's cache key.
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(specJSON(1)))
 	f.Add([]byte(`{"app":"mp3d","nodes":4,"protocol":"ecp","hz":400,"scale":0.05,"seed":101}`))
@@ -56,6 +58,9 @@ func FuzzJobSpec(f *testing.F) {
 		if a := id.Arch; a.Nodes > maxNodes || a.AMFrames() > maxAMFrames ||
 			a.AMSize/a.ItemSize > maxAMItems || a.CacheLines() > maxCacheLines {
 			t.Fatalf("accepted an unbounded machine: %s", id.CanonicalJSON())
+		}
+		if _, err := machine.FromIdentity(id, nil); err != nil {
+			t.Fatalf("accepted a spec that does not build: %v\n%s", err, id.CanonicalJSON())
 		}
 		raw, err := json.Marshal(spec)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"coma/internal/coherence"
 	"coma/internal/config"
 	"coma/internal/fault"
 	"coma/internal/inspect"
@@ -112,16 +113,8 @@ func (sp JobSpec) Validate() error {
 	if _, ok := workload.ByName(sp.App); !ok {
 		return fmt.Errorf("unknown app %q", sp.App)
 	}
-	switch sp.Protocol {
-	case "standard":
-		if sp.CheckpointHz != 0 || sp.CheckpointInterval != 0 {
-			return fmt.Errorf("checkpointing requires the ecp protocol")
-		}
-		if len(sp.Failures) > 0 {
-			return fmt.Errorf("failure injection requires the ecp protocol")
-		}
-	case "ecp":
-	default:
+	protocol, ok := coherence.ParseProtocol(sp.Protocol)
+	if !ok {
 		return fmt.Errorf("unknown protocol %q (want standard or ecp)", sp.Protocol)
 	}
 	if sp.Scale < 0 || sp.Instructions < 0 {
@@ -153,7 +146,10 @@ func (sp JobSpec) Validate() error {
 	if nodes > maxNodes {
 		return fmt.Errorf("nodes = %d, at most %d", nodes, maxNodes)
 	}
-	return sp.schedule().Validate(nodes)
+	if err := sp.schedule().Validate(nodes); err != nil {
+		return err
+	}
+	return machine.CheckRecovery(protocol, nodes, sp.CheckpointInterval, sp.CheckpointHz, len(sp.Failures) > 0)
 }
 
 // schedule returns the spec's failures in time order: the schedule the

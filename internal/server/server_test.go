@@ -97,6 +97,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"zero nodes", `{"app":"mp3d","nodes":0,"protocol":"ecp"}`, "nodes = 0"},
 		{"standard with hz", `{"app":"mp3d","nodes":2,"protocol":"standard","hz":100}`, "requires the ecp protocol"},
 		{"standard with failures", `{"app":"mp3d","nodes":2,"protocol":"standard","failures":[{"at":10,"node":0}]}`, "requires the ecp protocol"},
+		{"ecp hz on 3 nodes", `{"app":"mp3d","protocol":"ecp","nodes":3,"hz":100}`, "need at least 4 nodes, have 3"},
+		{"ecp failures on 3 nodes", `{"app":"mp3d","protocol":"ecp","nodes":3,"failures":[{"at":10,"node":1}]}`, "need at least 4 nodes, have 3"},
 		{"negative scale", `{"app":"mp3d","nodes":2,"protocol":"ecp","scale":-1}`, "negative instruction budget"},
 		{"negative hz", `{"app":"mp3d","nodes":2,"protocol":"ecp","hz":-5}`, "negative checkpoint frequency"},
 		{"negative deadline", `{"app":"mp3d","nodes":2,"protocol":"ecp","deadline_ms":-1}`, "negative limit"},
@@ -202,7 +204,7 @@ func TestSSEEventOrder(t *testing.T) {
 		},
 	})
 
-	_, st := postJob(t, ts, `{"app":"mp3d","nodes":2,"protocol":"ecp","hz":100,"progress":true}`, true)
+	_, st := postJob(t, ts, `{"app":"mp3d","nodes":4,"protocol":"ecp","hz":100,"progress":true}`, true)
 	if st.State != StateDone {
 		t.Fatalf("job state %s, want done", st.State)
 	}

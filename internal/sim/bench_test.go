@@ -6,7 +6,7 @@ func BenchmarkEventDispatch(b *testing.B) {
 	b.ReportAllocs()
 	e := New()
 	for i := 0; i < b.N; i++ {
-		e.After(1, func() {})
+		afterFn(e, 1, func() {})
 		if _, err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func BenchmarkPingPong(b *testing.B) {
 			for r := 0; r < rounds; r++ {
 				ball := c.ball
 				back := c.back
-				ball.Complete(p.Engine(), r)
+				ball.Complete(e, r)
 				back.Await(p)
 				if r+1 < rounds {
 					c.ball = NewFuture[int]()
@@ -175,7 +175,7 @@ func BenchmarkPingPong(b *testing.B) {
 				ball := c.ball
 				ball.Await(p)
 				p.Wait(1)
-				c.back.Complete(p.Engine(), r)
+				c.back.Complete(e, r)
 				p.Wait(1)
 			}
 		})

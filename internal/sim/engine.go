@@ -1,9 +1,9 @@
 // Package sim is a deterministic discrete-event simulation kernel in the
 // style of the CSIM library used by the paper's original simulator: time is
-// a monotonically increasing cycle counter, callbacks fire at scheduled
-// cycles, and long-running activities are written as lightweight processes
-// (iter.Pull coroutines) that block on simulated time, futures, resources
-// and barriers.
+// a monotonically increasing cycle counter, typed events (an EventSink and
+// an int64 argument) fire at scheduled cycles, and long-running activities
+// are written as lightweight processes (iter.Pull coroutines) that block on
+// simulated time, futures, resources and barriers.
 //
 // Determinism: one loop in RunUntil dispatches every event on the caller's
 // goroutine. A process runs only while that loop has resumed it, and
@@ -12,11 +12,12 @@
 // and the same inputs produce identical event sequences.
 //
 // The hot paths are allocation-free: pending events live in one pool
-// linked into the slots of a timing wheel (wheel.go), and process wakes
-// and typed payload events (EventSink) are enum-dispatched without
-// closures. Work that never blocks for long (a controller serving one
-// message) needs no process at all: it queues on a Resource with a typed
-// callback (AcquireSink) and runs in event context.
+// linked into the slots of a timing wheel (wheel.go), and every event is
+// one kind, a sink and its argument, with no closure. A process is its
+// own sink: its start or wake is an event whose OnEvent resumes it. Work
+// that never blocks for long (a controller serving one message) needs no
+// process at all: it queues on a Resource with a sink (AcquireSink) and
+// runs in event context.
 package sim
 
 import (
@@ -53,7 +54,7 @@ type Engine struct {
 
 	// safePoint, when set, runs before every event dispatch, on the
 	// goroutine running the engine. The engine is quiescent at that instant —
-	// no callback is mid-flight — so the hook may read any simulator state
+	// no event is mid-flight — so the hook may read any simulator state
 	// reachable from the engine, but it must not schedule events, wake
 	// processes, or mutate state: the dispatch sequence of an inspected
 	// run must be identical to an uninspected one. Nil (the default) costs
@@ -61,37 +62,23 @@ type Engine struct {
 	safePoint func(now int64)
 }
 
-// EventSink receives typed events scheduled with AtSink/AfterSink. The
-// arg is an opaque payload chosen by the scheduler of the event (an
-// index into a pending-work slab, a timer generation, ...); together
-// they make recurring timers and message deliveries allocation-free
-// where an At closure would allocate per event. OnEvent runs in event
-// context and must not block.
+// EventSink receives the events scheduled with At/After. The arg is an
+// opaque payload chosen by the scheduler of the event (an index into a
+// pending-work slab, a timer generation, ...); together they make
+// recurring timers and message deliveries allocation-free. A *Process
+// is a sink too: its event resumes it. OnEvent runs in event context
+// and must not block.
 type EventSink interface {
 	OnEvent(e *Engine, arg int64)
 }
 
-// eventKind discriminates the event payload; see event.
-type eventKind uint8
-
-const (
-	evFn   eventKind = iota // fn: arbitrary callback
-	evWake                  // proc: start or resume a process
-	evSink                  // sink, arg: typed allocation-free payload
-)
-
-// event is one scheduled occurrence. Exactly one payload field is live,
-// selected by kind; wakes and sink events carry typed fields so the hot
-// block/wake and message-delivery paths schedule without allocating a
-// closure. next links a wheel-resident event to the one after it in its
-// slot (wheel.go).
+// event is one scheduled occurrence: at time, sink.OnEvent(arg). next
+// links a wheel-resident event to the one after it in its slot
+// (wheel.go).
 type event struct {
 	time int64
 	seq  int64
-	kind eventKind
 	next int32
-	fn   func()
-	proc *Process
 	sink EventSink
 	arg  int64
 }
@@ -115,53 +102,27 @@ func (e *Engine) Events() int64 { return e.events }
 // processes.
 func (e *Engine) Processes() int { return len(e.procs) }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error and panics.
-func (e *Engine) At(t int64, fn func()) {
-	e.schedule(event{time: t, kind: evFn, fn: fn})
-}
-
-// AtSink schedules a typed event: at absolute time t, sink.OnEvent runs
-// with the given arg. The allocation-free alternative to At for hot
-// paths (see EventSink).
-func (e *Engine) AtSink(t int64, sink EventSink, arg int64) {
-	e.schedule(event{time: t, kind: evSink, sink: sink, arg: arg})
-}
-
-// atWake schedules the start or resumption of a process at absolute
-// time t. It is the allocation-free twin of At used by Spawn and every
-// blocking primitive (Wait, future/resource/barrier wakes).
-func (e *Engine) atWake(t int64, p *Process) {
-	e.schedule(event{time: t, kind: evWake, proc: p})
-}
-
-func (e *Engine) schedule(ev event) {
-	if ev.time < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", ev.time, e.now))
+// At schedules an event: at absolute time t, sink.OnEvent runs with the
+// given arg. Scheduling in the past is a programming error and panics.
+func (e *Engine) At(t int64, sink EventSink, arg int64) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	ev.seq = e.seq
-	if e.running && ev.time == e.now {
+	ev := event{time: t, seq: e.seq, sink: sink, arg: arg}
+	if e.running && t == e.now {
 		e.nowq = append(e.nowq, ev)
 		return
 	}
 	e.queue.push(ev)
 }
 
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d int64, fn func()) {
+// After schedules an event d cycles from now; see At.
+func (e *Engine) After(d int64, sink EventSink, arg int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	e.At(e.now+d, fn)
-}
-
-// AfterSink schedules a typed event d cycles from now; see AtSink.
-func (e *Engine) AfterSink(d int64, sink EventSink, arg int64) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	e.AtSink(e.now+d, sink, arg)
+	e.At(e.now+d, sink, arg)
 }
 
 // Stop makes Run return after the currently dispatching event completes.
@@ -198,8 +159,8 @@ func (e *Engine) Run() (int64, error) { return e.RunUntil(-1) }
 // means no limit.
 //
 // Every event is dispatched by the loop below, on the caller's goroutine:
-// a callback or sink runs inline, and a wake resumes its process until
-// that process blocks again or ends. A panic in a process body reaches
+// a sink runs inline, and a process, as its own sink, runs until it
+// blocks again or ends. A panic in a process body reaches
 // the caller as "sim: process %q panicked: ..."; the run is then over
 // and the engine is left for Shutdown.
 func (e *Engine) RunUntil(limit int64) (int64, error) {
@@ -221,14 +182,7 @@ func (e *Engine) RunUntil(limit int64) (int64, error) {
 		}
 		e.now = ev.time
 		e.events++
-		switch ev.kind {
-		case evFn:
-			ev.fn()
-		case evSink:
-			ev.sink.OnEvent(e, ev.arg)
-		case evWake:
-			ev.proc.next()
-		}
+		ev.sink.OnEvent(e, ev.arg)
 	}
 }
 
@@ -249,7 +203,7 @@ func (e *Engine) next() (event, bool) {
 			(top.time < nq.time || (top.time == nq.time && top.seq < nq.seq)) {
 			return e.queue.pop(), true
 		}
-		e.nowq[e.nowqHead] = event{} // release fn/proc/sink for the GC
+		e.nowq[e.nowqHead] = event{} // release the sink for the GC
 		e.nowqHead++
 		if e.nowqHead == len(e.nowq) {
 			e.nowq = e.nowq[:0] // drained: reuse the backing array
@@ -301,7 +255,7 @@ func (e *Engine) Shutdown() {
 
 // WakeNow resumes a process blocked in Park at the current simulated
 // time. Every primitive that wakes a process goes through here.
-func (e *Engine) WakeNow(p *Process) { e.atWake(e.now, p) }
+func (e *Engine) WakeNow(p *Process) { e.At(e.now, p, 0) }
 
 // eventHeap is a binary min-heap ordered by (time, seq); it backs the
 // timing wheel's far-future overflow (wheel.go).
@@ -334,7 +288,7 @@ func (h *eventHeap) pop() event {
 	top := h.a[0]
 	last := len(h.a) - 1
 	h.a[0] = h.a[last]
-	h.a[last] = event{} // release the closure
+	h.a[last] = event{} // release the sink for the GC
 	h.a = h.a[:last]
 	i := 0
 	for {

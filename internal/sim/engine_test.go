@@ -2,15 +2,36 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 )
+
+// fnSink runs a closure as an event, so tests can schedule ad-hoc work
+// without a sink type of their own.
+type fnSink func()
+
+func (f fnSink) OnEvent(*Engine, int64) { f() }
+
+// atFn schedules fn at absolute time t.
+func atFn(e *Engine, t int64, fn func()) { e.At(t, fnSink(fn), 0) }
+
+// afterFn schedules fn d cycles from now.
+func afterFn(e *Engine, d int64, fn func()) { e.After(d, fnSink(fn), 0) }
+
+// TestEventSize pins the event at 48 bytes: every wheel-pool, overflow
+// and nowq slot is one.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 48 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 48", n)
+	}
+}
 
 func TestEventOrdering(t *testing.T) {
 	e := New()
 	var got []int
-	e.At(10, func() { got = append(got, 1) })
-	e.At(5, func() { got = append(got, 0) })
-	e.At(10, func() { got = append(got, 2) }) // same time: schedule order
-	e.At(20, func() { got = append(got, 3) })
+	atFn(e, 10, func() { got = append(got, 1) })
+	atFn(e, 5, func() { got = append(got, 0) })
+	atFn(e, 10, func() { got = append(got, 2) }) // same time: schedule order
+	atFn(e, 20, func() { got = append(got, 3) })
 	end, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +53,7 @@ func TestEventOrdering(t *testing.T) {
 func TestAfterAndNow(t *testing.T) {
 	e := New()
 	var at int64 = -1
-	e.After(7, func() { at = e.Now() })
+	afterFn(e, 7, func() { at = e.Now() })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +64,13 @@ func TestAfterAndNow(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
-	e.At(10, func() {
+	atFn(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		atFn(e, 5, func() {})
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -59,9 +80,9 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	e := New()
 	fired := 0
-	e.At(10, func() { fired++ })
-	e.At(20, func() { fired++ })
-	e.At(30, func() { fired++ })
+	atFn(e, 10, func() { fired++ })
+	atFn(e, 20, func() { fired++ })
+	atFn(e, 30, func() { fired++ })
 	end, err := e.RunUntil(20)
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +104,8 @@ func TestRunUntil(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := New()
 	fired := 0
-	e.At(1, func() { fired++; e.Stop() })
-	e.At(2, func() { fired++ })
+	atFn(e, 1, func() { fired++; e.Stop() })
+	atFn(e, 2, func() { fired++ })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +126,7 @@ func TestHeapManyEvents(t *testing.T) {
 	count := 0
 	for _, ti := range times {
 		ti := ti
-		e.At(ti, func() {
+		atFn(e, ti, func() {
 			if ti < prev {
 				t.Fatalf("event at %d fired after %d", ti, prev)
 			}
@@ -131,18 +152,18 @@ func TestHeapManyEvents(t *testing.T) {
 func TestSameCycleScheduleOrder(t *testing.T) {
 	e := New()
 	var got []string
-	e.At(10, func() {
+	atFn(e, 10, func() {
 		got = append(got, "a")
-		e.At(10, func() { // same cycle, scheduled during dispatch
+		atFn(e, 10, func() { // same cycle, scheduled during dispatch
 			got = append(got, "c")
-			e.At(10, func() { got = append(got, "e") })
+			atFn(e, 10, func() { got = append(got, "e") })
 		})
 	})
-	e.At(10, func() { // pre-queued at the same cycle: fires before "c"
+	atFn(e, 10, func() { // pre-queued at the same cycle: fires before "c"
 		got = append(got, "b")
-		e.At(10, func() { got = append(got, "d") })
+		atFn(e, 10, func() { got = append(got, "d") })
 	})
-	e.At(11, func() { got = append(got, "f") }) // later cycle: last
+	atFn(e, 11, func() { got = append(got, "f") }) // later cycle: last
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,17 +183,17 @@ func joinStrings(ss []string) string {
 
 // TestSameCycleWakeInterleavesWithEvents checks that a Wait(0) wake (the
 // allocation-free proc event on the fast path) keeps schedule order
-// against plain callbacks at the same cycle.
+// against sink events at the same cycle.
 func TestSameCycleWakeInterleavesWithEvents(t *testing.T) {
 	e := New()
 	var got []string
 	e.Spawn("p", func(p *Process) {
 		p.Wait(5)
 		got = append(got, "wake1")
-		p.Wait(0) // yields; the callback scheduled below at 5 runs first
+		p.Wait(0) // yields; the event scheduled below at 5 runs first
 		got = append(got, "wake2")
 	})
-	e.At(5, func() { got = append(got, "cb") })
+	atFn(e, 5, func() { got = append(got, "cb") })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +226,11 @@ func joinComma(ss []string) string {
 func TestRunUntilWithSameCycleEvents(t *testing.T) {
 	e := New()
 	fired := 0
-	e.At(20, func() {
+	atFn(e, 20, func() {
 		fired++
-		e.At(20, func() { fired++ }) // same-cycle, at the limit
+		atFn(e, 20, func() { fired++ }) // same-cycle, at the limit
 	})
-	e.At(30, func() { fired++ })
+	atFn(e, 30, func() { fired++ })
 	end, err := e.RunUntil(20)
 	if err != nil {
 		t.Fatal(err)
@@ -231,10 +252,10 @@ func TestRunUntilWithSameCycleEvents(t *testing.T) {
 func TestStopLeavesSameCycleEventsResumable(t *testing.T) {
 	e := New()
 	var got []int
-	e.At(5, func() {
+	atFn(e, 5, func() {
 		got = append(got, 1)
-		e.At(5, func() { got = append(got, 2) })
-		e.At(5, func() { got = append(got, 3) })
+		atFn(e, 5, func() { got = append(got, 2) })
+		atFn(e, 5, func() { got = append(got, 3) })
 		e.Stop()
 	})
 	if _, err := e.Run(); err != nil {
@@ -312,22 +333,6 @@ func TestProcessesInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestWaitUntil(t *testing.T) {
-	e := New()
-	var at int64
-	e.Spawn("p", func(p *Process) {
-		p.WaitUntil(15)
-		p.WaitUntil(10) // already past: no-op
-		at = p.Now()
-	})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 15 {
-		t.Fatalf("at = %d, want 15", at)
-	}
-}
-
 func TestShutdownKillsParkedProcesses(t *testing.T) {
 	e := New()
 	f := NewFuture[int]()
@@ -370,7 +375,7 @@ func TestShutdownManyProcesses(t *testing.T) {
 func TestNestedRunRejected(t *testing.T) {
 	e := New()
 	var nested error
-	e.At(1, func() { _, nested = e.Run() })
+	atFn(e, 1, func() { _, nested = e.Run() })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

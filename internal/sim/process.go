@@ -34,9 +34,13 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 	p := &Process{eng: e, id: e.nextPID, name: name, fn: fn}
 	p.next, p.stop = iter.Pull(p.body)
 	e.procs[p] = struct{}{}
-	e.atWake(e.now, p)
+	e.At(e.now, p, 0)
 	return p
 }
+
+// OnEvent makes a process its own EventSink: its start or wake event
+// resumes it until it blocks again or ends.
+func (p *Process) OnEvent(*Engine, int64) { p.next() }
 
 // body is the coroutine of the process. It leaves the live set however
 // fn ends; a killed unwind ends quietly, and a real panic is re-raised
@@ -53,12 +57,6 @@ func (p *Process) body(yield func(struct{}) bool) {
 	}()
 	p.fn(p)
 }
-
-// Name returns the process name given at Spawn.
-func (p *Process) Name() string { return p.name }
-
-// Engine returns the engine this process runs on.
-func (p *Process) Engine() *Engine { return p.eng }
 
 // Now returns the current simulated time.
 func (p *Process) Now() int64 { return p.eng.now }
@@ -81,16 +79,6 @@ func (p *Process) Wait(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: process %q waiting negative %d", p.name, d))
 	}
-	e := p.eng
-	e.atWake(e.now+d, p)
+	p.eng.At(p.eng.now+d, p, 0)
 	p.Park()
-}
-
-// WaitUntil blocks the process until absolute time t (a no-op if t is not
-// in the future).
-func (p *Process) WaitUntil(t int64) {
-	if t <= p.eng.now {
-		return
-	}
-	p.Wait(t - p.eng.now)
 }

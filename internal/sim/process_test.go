@@ -33,7 +33,7 @@ func TestFutureSingleWaiterZeroAlloc(t *testing.T) {
 	h := &futureHost{}
 	e.Spawn("await", h.await)
 	cycle := func() {
-		e.AfterSink(1, h, 0)
+		e.After(1, h, 0)
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestFutureWakeOrderFIFO(t *testing.T) {
 			order = append(order, i)
 		})
 	}
-	e.At(10, func() { f.Complete(e, 1) })
+	atFn(e, 10, func() { f.Complete(e, 1) })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestShutdownKillsInPIDOrder(t *testing.T) {
 // handshake instead of blocking on it.
 func TestShutdownReapsUnstartedProcess(t *testing.T) {
 	e := New()
-	e.At(1, func() {
+	atFn(e, 1, func() {
 		e.Spawn("late", waitOnce)
 		e.Stop()
 	})
@@ -176,7 +176,7 @@ func TestPanickingProcessReraised(t *testing.T) {
 	})
 	e.Spawn("parked", func(p *Process) { p.Park() })
 	later := false
-	e.At(e.Now()+5, func() { later = true })
+	atFn(e, e.Now()+5, func() { later = true })
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		_, _ = e.Run()

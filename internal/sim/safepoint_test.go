@@ -11,9 +11,9 @@ func TestSafePointDeterministic(t *testing.T) {
 		var order []int
 		for i := 0; i < 8; i++ {
 			i := i
-			e.At(int64(10*i), func() { order = append(order, i) })
+			atFn(e, int64(10*i), func() { order = append(order, i) })
 		}
-		e.At(25, func() { order = append(order, 100) })
+		atFn(e, 25, func() { order = append(order, 100) })
 		e.Spawn("p", func(p *Process) {
 			p.Wait(37)
 			order = append(order, 200)
@@ -80,17 +80,17 @@ func TestSafePointDeterministic(t *testing.T) {
 // the wheel, and a same-cycle event scheduled mid-dispatch in the nowq.
 func TestQueueStats(t *testing.T) {
 	e := New()
-	e.At(1, func() {})
-	e.At(2, func() {})
-	e.At(wheelSize*4, func() {}) // beyond the window: overflow
+	atFn(e, 1, func() {})
+	atFn(e, 2, func() {})
+	atFn(e, wheelSize*4, func() {}) // beyond the window: overflow
 	if w, o, n := e.QueueStats(); w != 2 || o != 1 || n != 0 {
 		t.Errorf("QueueStats before run = (%d, %d, %d), want (2, 1, 0)", w, o, n)
 	}
 
 	sawNowq := false
 	e2 := New()
-	e2.At(5, func() {
-		e2.At(5, func() {}) // same cycle while running: nowq
+	atFn(e2, 5, func() {
+		atFn(e2, 5, func() {}) // same cycle while running: nowq
 		if _, _, n := e2.QueueStats(); n == 1 {
 			sawNowq = true
 		}

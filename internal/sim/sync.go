@@ -21,14 +21,6 @@ func NewFuture[T any]() *Future[T] { return &Future[T]{} }
 // Done reports whether the future has been completed.
 func (f *Future[T]) Done() bool { return f.done }
 
-// Value returns the completed value; it panics if the future is not done.
-func (f *Future[T]) Value() T {
-	if !f.done {
-		panic("sim: Value on incomplete future")
-	}
-	return f.val
-}
-
 // Complete resolves the future with v and wakes all waiters.
 func (f *Future[T]) Complete(e *Engine, v T) {
 	if f.done {
@@ -115,10 +107,10 @@ func (fp *FuturePool[T]) Outstanding() int { return fp.out }
 
 // Resource is a multi-server FIFO resource (for example the four
 // independent AM controllers of a node, or a network interface). Acquire
-// blocks a process when all servers are busy; AcquireSink queues a typed
-// callback instead, for work that runs in event context. Both kinds of
-// waiter share one FIFO, and Release hands the server to the longest
-// waiting one.
+// blocks a process when all servers are busy; AcquireSink queues a sink
+// instead, for work that runs in event context. A blocked process is
+// queued as its own sink, so every waiter is a sink in one FIFO, and
+// Release hands the server to the longest waiting one.
 type Resource struct {
 	name     string
 	capacity int
@@ -130,10 +122,9 @@ type Resource struct {
 	lastChange int64
 }
 
-// waiter is one queued acquirer: a blocked process, or (proc nil) the
-// sink and arg of an AcquireSink.
+// waiter is one queued acquirer: the sink and arg of an AcquireSink, or
+// a process blocked in Acquire.
 type waiter struct {
-	proc *Process
 	sink EventSink
 	arg  int64
 }
@@ -147,21 +138,19 @@ func NewResource(name string, capacity int) *Resource {
 }
 
 // Acquire blocks p until a server is free, then claims it.
+// The releasing side transfers the server to it (inUse unchanged).
 func (r *Resource) Acquire(p *Process) {
-	if r.TryAcquire(p.eng) {
-		return
+	if !r.AcquireSink(p.eng, p, 0) {
+		p.Park()
 	}
-	r.waiters = append(r.waiters, waiter{proc: p})
-	p.Park()
-	// The releasing side transferred the server to us (inUse unchanged).
 }
 
 // AcquireSink is the event-context form of Acquire. It claims a free
 // server and returns true, as Acquire would without blocking. Otherwise
 // it queues (sink, arg) behind the current waiters and returns false;
 // the Release that hands the server over then schedules
-// sink.OnEvent(arg) at its own time, where it would schedule a blocked
-// process's wake, and the server is held from that event on.
+// sink.OnEvent(arg) at its own time, and the server is held from that
+// event on.
 func (r *Resource) AcquireSink(e *Engine, sink EventSink, arg int64) bool {
 	if r.TryAcquire(e) {
 		return true
@@ -192,11 +181,7 @@ func (r *Resource) Release(e *Engine) {
 		copy(r.waiters, r.waiters[1:])
 		r.waiters[len(r.waiters)-1] = waiter{} // release the sink for the GC
 		r.waiters = r.waiters[:len(r.waiters)-1]
-		if next.proc != nil {
-			e.WakeNow(next.proc)
-		} else {
-			e.AtSink(e.now, next.sink, next.arg)
-		}
+		e.At(e.now, next.sink, next.arg)
 		return
 	}
 	r.account(e)
@@ -214,7 +199,7 @@ func (r *Resource) Use(p *Process, d int64) {
 // InUse returns the number of busy servers.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of queued acquirers, processes and sinks.
+// QueueLen returns the number of queued acquirers.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // BusyCycles returns the integral of busy servers over time, in
@@ -235,7 +220,6 @@ type Barrier struct {
 	n       int
 	arrived int
 	waiters []*Process
-	rounds  int64
 }
 
 // NewBarrier returns a barrier for n participants.
@@ -245,23 +229,6 @@ func NewBarrier(n int) *Barrier {
 	}
 	return &Barrier{n: n}
 }
-
-// Resize changes the participant count (used when a node fails
-// permanently). It panics if more processes are already waiting than the
-// new size allows.
-func (b *Barrier) Resize(e *Engine, n int) {
-	if n < 1 {
-		panic("sim: barrier size must be >= 1")
-	}
-	b.n = n
-	b.maybeOpen(e)
-}
-
-// Rounds returns the number of completed barrier episodes.
-func (b *Barrier) Rounds() int64 { return b.rounds }
-
-// Waiting returns the number of currently blocked participants.
-func (b *Barrier) Waiting() int { return b.arrived }
 
 // Arrive blocks p until all participants have arrived. It returns true for
 // the participant that completed the round (the last arriver).
@@ -276,19 +243,12 @@ func (b *Barrier) Arrive(p *Process) bool {
 	return false
 }
 
-func (b *Barrier) maybeOpen(e *Engine) {
-	if b.arrived >= b.n && b.arrived > 0 {
-		b.open(e)
-	}
-}
-
 func (b *Barrier) open(e *Engine) {
 	for _, w := range b.waiters {
 		e.WakeNow(w)
 	}
 	b.waiters = nil
 	b.arrived = 0
-	b.rounds++
 }
 
 // Gate is a broadcast condition: processes Wait on it; Open wakes them all.
@@ -300,9 +260,6 @@ type Gate struct {
 
 // NewGate returns a closed gate.
 func NewGate() *Gate { return &Gate{} }
-
-// IsOpen reports whether the gate is currently open.
-func (g *Gate) IsOpen() bool { return g.open }
 
 // Open releases all waiting processes and lets subsequent Wait calls pass
 // through immediately.

@@ -9,7 +9,7 @@ func TestFutureCompleteThenAwait(t *testing.T) {
 	e := New()
 	f := NewFuture[string]()
 	var got string
-	e.At(5, func() { f.Complete(e, "hello") })
+	atFn(e, 5, func() { f.Complete(e, "hello") })
 	e.Spawn("late", func(p *Process) {
 		p.Wait(10)
 		got = f.Await(p) // already done: immediate
@@ -41,7 +41,7 @@ func TestFutureWakesAllWaiters(t *testing.T) {
 			woken++
 		})
 	}
-	e.At(7, func() { f.Complete(e, 99) })
+	atFn(e, 7, func() { f.Complete(e, 99) })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestReusedFutureKeepsFIFOWakeOrder(t *testing.T) {
 				order = append(order, round*10+i)
 			})
 		}
-		e.After(10, func() { f.Complete(e, round) })
+		afterFn(e, 10, func() { f.Complete(e, round) })
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func (h *holdSink) grant(e *Engine, arg int64) {
 	if h.onGrant != nil {
 		h.onGrant(arg)
 	}
-	e.AfterSink(1, h, arg)
+	e.After(1, h, arg)
 }
 
 func (h *holdSink) OnEvent(e *Engine, arg int64) {
@@ -282,11 +282,11 @@ func TestResourceFIFOAcrossProcessesAndSinks(t *testing.T) {
 			for i, kind := range tc.arrivals {
 				arrive := int64(i + 1)
 				if kind == 's' {
-					e.At(arrive, func() { h.acquire(e, int64(i)) })
+					atFn(e, arrive, func() { h.acquire(e, int64(i)) })
 					continue
 				}
 				e.Spawn("waiter", func(p *Process) {
-					p.WaitUntil(arrive)
+					p.Wait(arrive)
 					r.Acquire(p)
 					granted(i)
 					p.Wait(1)
@@ -363,16 +363,14 @@ func TestBarrierRounds(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Rounds() != 2 {
-		t.Fatalf("rounds = %d, want 2", b.Rounds())
-	}
 	if len(releases) != 6 {
 		t.Fatalf("releases = %v", releases)
 	}
-	// First round completes when the slowest (i=2) arrives at t=3.
-	for _, r := range releases[:3] {
-		if r != 3 {
-			t.Fatalf("first-round release at %d, want 3 (%v)", r, releases)
+	// Each round completes when the slowest (i=2) arrives: the first at
+	// t=3, the second at 3+1+2+100 = 106.
+	for k, r := range releases {
+		if want := []int64{3, 106}[k/3]; r != want {
+			t.Fatalf("round %d release at %d, want %d (%v)", k/3+1, r, want, releases)
 		}
 	}
 }
@@ -396,26 +394,6 @@ func TestBarrierLastArriverNotBlocked(t *testing.T) {
 	}
 }
 
-func TestBarrierResizeOpensRound(t *testing.T) {
-	e := New()
-	b := NewBarrier(3)
-	done := 0
-	for i := 0; i < 2; i++ {
-		e.Spawn("b", func(p *Process) {
-			b.Arrive(p)
-			done++
-		})
-	}
-	// A third participant "dies": shrink the barrier at t=10.
-	e.At(10, func() { b.Resize(e, 2) })
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done != 2 {
-		t.Fatalf("done = %d, want 2 after resize released the round", done)
-	}
-}
-
 func TestGateBroadcastAndReuse(t *testing.T) {
 	e := New()
 	g := NewGate()
@@ -426,25 +404,29 @@ func TestGateBroadcastAndReuse(t *testing.T) {
 			passed++
 		})
 	}
-	e.At(4, func() { g.Open(e) })
+	atFn(e, 4, func() { g.Open(e) })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if passed != 3 {
 		t.Fatalf("passed = %d, want 3", passed)
 	}
-	// Re-arm and check an open gate passes immediately.
+	// A re-armed gate blocks again, and an open one passes at once.
 	g.Close()
-	if g.IsOpen() {
-		t.Fatal("gate still open after Close")
+	e.Spawn("blocked", func(p *Process) { g.Wait(p); passed++ })
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if passed != 3 {
+		t.Fatalf("passed = %d through a closed gate, want 3", passed)
 	}
 	g.Open(e)
 	e.Spawn("fast", func(p *Process) { g.Wait(p); passed++ })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if passed != 4 {
-		t.Fatalf("passed = %d, want 4", passed)
+	if passed != 5 {
+		t.Fatalf("passed = %d, want 5", passed)
 	}
 }
 

@@ -111,7 +111,7 @@ func (q *eventQueue) pop() event {
 	} else {
 		q.head[s] = ev.next
 	}
-	q.pool[i] = event{next: q.free} // release fn/proc/sink for the GC
+	q.pool[i] = event{next: q.free} // release the sink for the GC
 	q.free = i
 	q.count--
 	// Track dispatch: sliding the window over the popped time pulls any

@@ -148,10 +148,10 @@ func FuzzEngineScheduleOrder(f *testing.F) {
 // checkEngineScheduleOrder drives the engine with a random workload
 // drawn from seed and mirrors every schedule call — At, Spawn, Wait and
 // WakeNow each consume exactly one engine seq — with its (time, seq)
-// into a shadow list. Callbacks schedule children mid-dispatch (same
+// into a shadow list. Sink events schedule children mid-dispatch (same
 // cycle, near future, far future), spawn processes and wake parked
 // ones; processes Wait over the same spread of delays, Park, schedule
-// callbacks and end. Each callback and each process resume records the
+// sink events and end. Each sink event and each process resume records the
 // shadow entry of the event that caused it; runs proceed in random
 // RunUntil chunks with occasional Stop calls, and the observed order
 // must equal the shadow list sorted by (time, seq). A final Shutdown
@@ -220,7 +220,7 @@ func checkEngineScheduleOrder(t testing.TB, seed uint64) {
 	}
 	add = func(at int64) {
 		id := expect(at)
-		e.At(at, func() {
+		atFn(e, at, func() {
 			got = append(got, id)
 			if full() {
 				return
@@ -319,7 +319,7 @@ func (w *poolWatch) burst() {
 	base := e.Now()
 	for s := int64(0); s < wheelSize; s++ {
 		for k := 0; k < perSlot; k++ {
-			e.AtSink(base+s, nopSink{}, 0)
+			e.At(base+s, nopSink{}, 0)
 		}
 	}
 	w.check(e.Now())

@@ -135,7 +135,7 @@ func (m *Machine) commitNode(n proto.NodeID) {
 // recovery point, re-pairs the recovery copies that lost their partner,
 // and every generator rewinds. Call before Run.
 func (m *Machine) FailTransient(t int64, f proto.NodeID) {
-	m.eng.AtSink(t, m, int64(f))
+	m.eng.At(t, m, int64(f))
 }
 
 // OnEvent implements sim.EventSink: a scheduled failure fires, spawning
