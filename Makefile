@@ -99,11 +99,13 @@ attest:
 # engines, exhaustive model checking, the staged runtime edge suite, and
 # the four-way diff (spec vs code vs model vs runtime coverage). Exit is
 # non-zero on any drift or on incomplete edge coverage (see README
-# §Model checking).
+# §Model checking). The trace directory starts empty, so a trace left by
+# an earlier run cannot stand in for a scenario's coverage.
 model:
+	rm -rf /tmp/coma-edges
 	$(GO) run ./cmd/comafault -edges -trace-dir /tmp/coma-edges
 	$(GO) run ./cmd/comamodel diff -C . -require-full-coverage /tmp/coma-edges/*.jsonl
 
 # check is the full tier-1 gate: everything CI enforces that can run
 # offline.
-check: build vet test race comalint bench-check fuzz
+check: build vet test race comalint bench-check fuzz model

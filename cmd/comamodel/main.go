@@ -222,13 +222,13 @@ func runtimeTable(paths []string, stdout, stderr io.Writer) (*model.Table, bool)
 		}
 		rep := txnview.Coverage(events)
 		for _, e := range rep.Exercised {
-			t.Add(e.From, e.To, path)
+			t.Add(e.Edge, path)
 		}
 		for _, e := range rep.Unexpected {
 			ok = false
 			fmt.Fprintf(stdout, "  %s: UNEXPECTED runtime edge %v -> %v (%d times)\n",
 				path, e.From, e.To, e.Count)
-			t.Add(e.From, e.To, path)
+			t.Add(e.Edge, path)
 		}
 	}
 	return t, ok

@@ -422,32 +422,15 @@ func info(paths []string) {
 			fmt.Fprintf(os.Stderr, "comatrace: %s: %v\n", path, err)
 			os.Exit(1)
 		}
-		var instr, reads, writes, sreads, swrites, barriers int64
+		var mix workload.Tally
 		for _, r := range refs {
-			switch r.Kind {
-			case workload.Instr:
-				instr += r.N
-			case workload.Read:
-				instr++
-				reads++
-				if r.Shared {
-					sreads++
-				}
-			case workload.Write:
-				instr++
-				writes++
-				if r.Shared {
-					swrites++
-				}
-			case workload.Barrier:
-				barriers++
-			}
+			mix.Add(r)
 		}
 		fmt.Printf("%s:\n", path)
 		fmt.Printf("  records   %d\n", len(refs))
-		fmt.Printf("  instr     %d\n", instr)
-		fmt.Printf("  reads     %d (%d shared)\n", reads, sreads)
-		fmt.Printf("  writes    %d (%d shared)\n", writes, swrites)
-		fmt.Printf("  barriers  %d\n", barriers)
+		fmt.Printf("  instr     %d\n", mix.Instructions)
+		fmt.Printf("  reads     %d (%d shared)\n", mix.Reads, mix.SharedReads)
+		fmt.Printf("  writes    %d (%d shared)\n", mix.Writes, mix.SharedWrites)
+		fmt.Printf("  barriers  %d\n", mix.Barriers)
 	}
 }

@@ -31,16 +31,31 @@ func TestRunECP(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadConfig: Run refuses what the daemon's validator
+// refuses. The negative-frequency, negative-scale and negative-interval
+// rows once ran to completion with no recovery point.
 func TestRunRejectsBadConfig(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Nodes = 0
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("zero nodes accepted")
+	small := func(edit func(*Config)) Config {
+		app := Mp3d()
+		app.Instructions = 200_000
+		c := Config{Nodes: 4, Protocol: ECP, App: app}
+		edit(&c)
+		return c
 	}
-	cfg = quickCfg()
-	cfg.Protocol = Standard
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("standard protocol with checkpointing accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero nodes", func() Config { c := quickCfg(); c.Nodes = 0; return c }()},
+		{"standard protocol with checkpointing", func() Config { c := quickCfg(); c.Protocol = Standard; return c }()},
+		{"negative CheckpointHz", small(func(c *Config) { c.CheckpointHz = -5 })},
+		{"negative Scale", small(func(c *Config) { c.Scale = -1 })},
+		{"negative CheckpointInterval", small(func(c *Config) { c.CheckpointInterval = -7 })},
+		{"more nodes than comad takes", small(func(c *Config) { c.Nodes = 257 })},
+	} {
+		if _, err := Run(tc.cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

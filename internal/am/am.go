@@ -7,6 +7,10 @@
 // Frames can be marked irreplaceable ("anchor" frames): the paper
 // statically allocates four irreplaceable pages per data page so that
 // injected copies and recovery replication always find room.
+//
+// The package also holds two rules the mesh and the bus machines share:
+// the cost of one AM's commit scan (CommitScanCost) and the audit of the
+// recovery-pair rule across a machine's AMs (CheckPairs).
 package am
 
 import (
@@ -92,6 +96,9 @@ type AM struct {
 	itemsPerPage int
 	numSets      int
 	ways         int
+	// scanFrame is the cycles a commit or recovery scan spends on one
+	// allocated frame; controllers is how many AM controllers share it.
+	scanFrame, controllers int64
 	// tags holds the page of every way, set by set (way w of set s is
 	// tags[s*ways+w]), or NoPage when the way is free. A lookup scans
 	// one set's contiguous tags, as the hardware's tag match does.
@@ -135,6 +142,8 @@ func New(arch config.Arch, node proto.NodeID) *AM {
 		itemsPerPage:  per,
 		numSets:       arch.AMSets(),
 		ways:          arch.AMWays,
+		scanFrame:     arch.CommitPageTest + int64(per)*arch.CommitItemTest,
+		controllers:   int64(arch.AMControllers),
 		chunksPerPage: (per + chunkItems - 1) / chunkItems,
 		chunkBlock:    firstChunkBlock,
 		refBlock:      firstRefBlock,
@@ -156,6 +165,14 @@ func (a *AM) Stats() Stats { return a.stats }
 
 // AllocatedFrames returns the number of currently allocated page frames.
 func (a *AM) AllocatedFrames() int { return a.allocated }
+
+// CommitScanCost returns the cycles one commit-phase scan of this AM
+// takes (a recovery scan has the same structure): a page test for each
+// allocated frame plus an item test for each item in it, divided across
+// the node's independent AM controllers (§4.2.2).
+func (a *AM) CommitScanCost() int64 {
+	return int64(a.allocated) * a.scanFrame / a.controllers
+}
 
 // setTags returns the first way index of the page's set and the set's
 // tags.

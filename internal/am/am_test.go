@@ -277,3 +277,20 @@ func TestNewCarvesFramesFromOneBlock(t *testing.T) {
 		t.Fatalf("New = %v allocs, want at most 4", allocs)
 	}
 }
+
+// TestCommitScanCostFormula: a scan tests each allocated frame once and
+// each of its 128 items once, split across the KSR1's four controllers,
+// multiplying before it divides (4 frames cost 4*129/4 = 129, not
+// 4*(129/4) = 128).
+func TestCommitScanCostFormula(t *testing.T) {
+	a, _ := newAM()
+	if got := a.CommitScanCost(); got != 0 {
+		t.Fatalf("empty AM scan = %d, want 0", got)
+	}
+	for p := range proto.PageID(4) {
+		a.AllocFrame(p, false, 0)
+	}
+	if got, want := a.CommitScanCost(), int64(4*(1+128)/4); got != want {
+		t.Fatalf("commit cost = %d, want %d", got, want)
+	}
+}

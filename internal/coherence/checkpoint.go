@@ -81,15 +81,6 @@ func (e *Engine) CreatePhase(p *sim.Process, n proto.NodeID) {
 	}
 }
 
-// CommitScanCost returns the cycles one node's commit-phase scan takes:
-// one cycle to test each allocated frame plus one cycle per item in it,
-// divided across the node's independent AM controllers (§4.2.2).
-func (e *Engine) CommitScanCost(n proto.NodeID) int64 {
-	frames := int64(e.ams[n].AllocatedFrames())
-	perFrame := e.arch.CommitPageTest + int64(e.arch.ItemsPerPage())*e.arch.CommitItemTest
-	return frames * perFrame / int64(e.arch.AMControllers)
-}
-
 // CommitScan runs one node's (purely local) commit phase: PreCommit
 // copies become the new Shared-CK recovery point, Inv-CK copies of the
 // previous recovery point are discarded.
@@ -99,7 +90,7 @@ func (e *Engine) CommitScan(p *sim.Process, n proto.NodeID) {
 		e.obs.Emit(obs.Event{Time: start, Kind: obs.KPhaseBegin, Node: n,
 			Item: proto.NoItem, A: int64(obs.PhaseCommit)})
 	}
-	p.Wait(e.CommitScanCost(n))
+	p.Wait(e.ams[n].CommitScanCost())
 	e.ams[n].ForEachAllocated(func(item proto.ItemID, s *slotRef) {
 		switch s.State {
 		case proto.PreCommit1:
@@ -133,7 +124,7 @@ func (e *Engine) RecoveryScan(p *sim.Process, n proto.NodeID) {
 		e.obs.Emit(obs.Event{Time: start, Kind: obs.KPhaseBegin, Node: n,
 			Item: proto.NoItem, A: int64(obs.PhaseRecoveryScan)})
 	}
-	p.Wait(e.CommitScanCost(n)) // same scan structure as the commit phase
+	p.Wait(e.ams[n].CommitScanCost()) // same scan structure as the commit phase
 	e.ams[n].ForEachAllocated(func(item proto.ItemID, s *slotRef) {
 		switch s.State {
 		case proto.Shared, proto.Exclusive, proto.MasterShared,
@@ -318,18 +309,4 @@ func (e *Engine) RestoreAnchors(p *sim.Process, n proto.NodeID) {
 	for _, page := range pages {
 		e.allocFrame(p, n, page, true, e.roundTxn)
 	}
-}
-
-// CheckpointedItems counts items whose last committed recovery point is
-// present (pairs of Shared-CK or Inv-CK copies), for invariant checks.
-func (e *Engine) CheckpointedItems() map[proto.ItemID][]proto.NodeID {
-	out := make(map[proto.ItemID][]proto.NodeID)
-	for _, n := range e.dir.AliveNodes() {
-		e.ams[n].ForEachAllocated(func(item proto.ItemID, s *slotRef) {
-			if s.State.CheckpointCommitted() {
-				out[item] = append(out[item], n)
-			}
-		})
-	}
-	return out
 }

@@ -674,13 +674,3 @@ func TestConcurrentTransactionsSerialisePerItem(t *testing.T) {
 		t.Fatal("locks leaked")
 	}
 }
-
-func TestCommitScanCostFormula(t *testing.T) {
-	r := newRig(t, 16, ECP, Options{})
-	r.run(func(p *sim.Process) { r.e.WriteItem(p, 0, 100, 1) })
-	frames := int64(r.ams[0].AllocatedFrames())
-	want := frames * (1 + 128) / 4
-	if got := r.e.CommitScanCost(0); got != want {
-		t.Fatalf("commit cost = %d, want %d", got, want)
-	}
-}

@@ -15,7 +15,6 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
 
 	"coma/internal/am"
 	"coma/internal/config"
@@ -545,19 +544,3 @@ func (e *Engine) PendingAcks() int { return len(e.acks) }
 // PendingReplies reports reply futures handed out and not yet returned
 // to the pool (test hook: must be zero at quiesce, like LockedItems).
 func (e *Engine) PendingReplies() int { return e.replies.Outstanding() }
-
-// LockQueueDump describes held item locks for deadlock diagnostics, in
-// item order so repeated dumps of the same state compare equal.
-func (e *Engine) LockQueueDump() string {
-	items := make([]proto.ItemID, 0, len(e.locks))
-	for item := range e.locks {
-		items = append(items, item)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	s := ""
-	for _, item := range items {
-		l := e.locks[item]
-		s += fmt.Sprintf("item %d held=%v waiters=%d; ", item, l.held, len(l.q))
-	}
-	return s
-}

@@ -265,13 +265,6 @@ func (a Arch) ItemIndexInPage(item proto.ItemID) int {
 	return int(item) % a.ItemsPerPage()
 }
 
-// LineOf returns the cache-line index of the byte address.
-func (a Arch) LineOf(addr uint64) uint64 { return addr / uint64(a.CacheLineSize) }
-
-// CyclesPerSecond returns the clock rate as cycles (identity, for
-// readability at call sites that convert frequencies).
-func (a Arch) CyclesPerSecond() int64 { return a.ClockHz }
-
 // CheckpointIntervalCycles converts a recovery-point frequency in
 // establishments per second to a period in cycles. Zero frequency means
 // "never" and returns 0.

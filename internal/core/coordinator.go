@@ -782,21 +782,3 @@ func (co *Coordinator) String() string {
 	return fmt.Sprintf("coordinator{round=%d established=%d recoveries=%d}",
 		co.round, co.ck.Established, co.ck.Recoveries)
 }
-
-// DebugState summarises round progress for deadlock diagnostics.
-func (co *Coordinator) DebugState() string {
-	q, p1, p2 := -1, -1, -1
-	qn, p1n, p2n := -1, -1, -1
-	if co.quiesce != nil {
-		q, qn = co.quiesce.got, co.quiesce.need
-	}
-	if co.phase1 != nil {
-		p1, p1n = co.phase1.got, co.phase1.need
-	}
-	if co.phase2 != nil {
-		p2, p2n = co.phase2.got, co.phase2.need
-	}
-	return fmt.Sprintf("round=%d mode=%d pause=%v quiesce=%d/%d p1=%d/%d p2=%d/%d ab=%d/%d idle=%d lastDone=%v",
-		co.round, co.mode, co.pauseRequested, q, qn, p1, p1n, p2, p2n,
-		co.abArrived, co.computing(), len(co.idleWaiters), co.lastDone)
-}

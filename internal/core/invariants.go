@@ -2,17 +2,18 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"coma/internal/am"
 	"coma/internal/coherence"
 	"coma/internal/proto"
 )
 
-// copySet describes every copy of one item across the machine.
+// copySet describes the current copies of one item across the machine.
 type copySet struct {
 	owners  []proto.NodeID // Exclusive / MasterShared / SharedCK1 / PreCommit1
 	shared  []proto.NodeID
-	ck      map[proto.State][]proto.NodeID
 	current int // Shared + MasterShared + Exclusive
 	excl    int
 }
@@ -20,33 +21,35 @@ type copySet struct {
 // CheckInvariants validates the recovery-data and coherence invariants at
 // a quiesced point (no transaction in flight):
 //
+//   - recovery pairs are sound on the live nodes (am.CheckPairs);
 //   - at most one owner-state copy per item, matching the directory;
 //   - Exclusive implies no other current copy;
 //   - every sharer recorded in the directory holds a Shared copy and
-//     vice versa;
-//   - recovery pairs are complete: CK1 and CK2 (of the same flavour) on
-//     two distinct live nodes with mutual partner pointers;
-//   - no transient Pre-Commit copies outside an establishment.
+//     vice versa.
 //
-// It returns the first violation found, or nil.
+// It returns the first violation found, items in ascending order, or
+// nil.
 func CheckInvariants(coh *coherence.Engine) error {
 	dir := coh.Directory()
-	items := make(map[proto.ItemID]*copySet)
-	get := func(it proto.ItemID) *copySet {
-		cs := items[it]
-		if cs == nil {
-			cs = &copySet{ck: make(map[proto.State][]proto.NodeID)}
-			items[it] = cs
-		}
-		return cs
+	alive := dir.AliveNodes()
+	ams := make([]*am.AM, len(alive))
+	for i, n := range alive {
+		ams[i] = coh.AM(n)
+	}
+	if err := am.CheckPairs(ams); err != nil {
+		return err
 	}
 
-	for _, n := range dir.AliveNodes() {
-		a := coh.AM(n)
+	items := make(map[proto.ItemID]*copySet)
+	for _, a := range ams {
+		n := a.Node()
 		a.ForEachAllocated(func(it proto.ItemID, s *slotView) {
-			cs := get(it)
+			cs := items[it]
+			if cs == nil {
+				cs = &copySet{}
+				items[it] = cs
+			}
 			switch s.State {
-			case proto.Invalid:
 			case proto.Shared:
 				cs.shared = append(cs.shared, n)
 				cs.current++
@@ -57,51 +60,20 @@ func CheckInvariants(coh *coherence.Engine) error {
 				cs.owners = append(cs.owners, n)
 				cs.current++
 				cs.excl++
-			case proto.SharedCK1, proto.InvCK1, proto.PreCommit1:
-				cs.owners = appendIfOwner(cs.owners, n, s.State)
-				cs.ck[s.State] = append(cs.ck[s.State], n)
-			case proto.SharedCK2, proto.InvCK2, proto.PreCommit2:
-				cs.ck[s.State] = append(cs.ck[s.State], n)
+			case proto.SharedCK1, proto.PreCommit1:
+				cs.owners = append(cs.owners, n)
+			case proto.Invalid, proto.SharedCK2, proto.InvCK1, proto.InvCK2, proto.PreCommit2:
 			}
 		})
 	}
 
-	for it, cs := range items {
+	for _, it := range slices.Sorted(maps.Keys(items)) {
+		cs := items[it]
 		if len(cs.owners) > 1 {
 			return fmt.Errorf("item %d has %d owner copies on %v", it, len(cs.owners), cs.owners)
 		}
 		if cs.excl > 0 && cs.current > 1 {
 			return fmt.Errorf("item %d is Exclusive but has %d current copies", it, cs.current)
-		}
-		for _, pairState := range []proto.State{proto.SharedCK1, proto.InvCK1, proto.PreCommit1} {
-			ones := cs.ck[pairState]
-			twos := cs.ck[pairState.Partner()]
-			if len(ones) > 1 || len(twos) > 1 {
-				return fmt.Errorf("item %d has duplicated recovery copies: %d x %v, %d x %v",
-					it, len(ones), pairState, len(twos), pairState.Partner())
-			}
-			if len(ones) != len(twos) {
-				return fmt.Errorf("item %d has a broken recovery pair: %v on %v, %v on %v",
-					it, pairState, ones, pairState.Partner(), twos)
-			}
-			if len(ones) == 1 {
-				n1, n2 := ones[0], twos[0]
-				if n1 == n2 {
-					return fmt.Errorf("item %d has both recovery copies on node %v", it, n1)
-				}
-				if p := coh.AM(n1).Slot(it).Partner; p != n2 {
-					return fmt.Errorf("item %d: %v partner pointer %v, want %v", it, pairState, p, n2)
-				}
-				if p := coh.AM(n2).Slot(it).Partner; p != n1 {
-					return fmt.Errorf("item %d: %v partner pointer %v, want %v",
-						it, pairState.Partner(), p, n1)
-				}
-			}
-		}
-		// A committed pair must not coexist with another committed pair
-		// of a different flavour (an item is either modified or not).
-		if len(cs.ck[proto.SharedCK1]) > 0 && len(cs.ck[proto.InvCK1]) > 0 {
-			return fmt.Errorf("item %d has both Shared-CK and Inv-CK pairs", it)
 		}
 
 		entry := dir.Lookup(it)
@@ -155,13 +127,6 @@ func CheckQuiescent(coh *coherence.Engine) error {
 		}
 	}
 	return nil
-}
-
-func appendIfOwner(owners []proto.NodeID, n proto.NodeID, st proto.State) []proto.NodeID {
-	if st.Owner() {
-		return append(owners, n)
-	}
-	return owners
 }
 
 // slotView aliases the AM slot type for scan callbacks.

@@ -154,41 +154,22 @@ func (s *Suite) Table3() (*report.Table, error) {
 	}
 	for _, spec := range s.P.Apps {
 		app := s.P.scaled(spec)
-		var instr, reads, writes, sreads, swrites int64
+		var mix workload.Tally
 		for proc := 0; proc < s.P.Nodes; proc++ {
 			g := app.NewApp(proc, s.P.Nodes, s.P.Seed)
-			for {
-				r := g.Next()
-				if r.Kind == workload.End {
-					break
-				}
-				switch r.Kind {
-				case workload.Instr:
-					instr += r.N
-				case workload.Read:
-					instr++
-					reads++
-					if r.Shared {
-						sreads++
-					}
-				case workload.Write:
-					instr++
-					writes++
-					if r.Shared {
-						swrites++
-					}
-				}
+			for r := g.Next(); r.Kind != workload.End; r = g.Next() {
+				mix.Add(r)
 			}
 		}
 		pct := func(n int64, paper float64) string {
-			return fmt.Sprintf("%.1f%% (%.1f%%)", 100*float64(n)/float64(instr), 100*paper)
+			return fmt.Sprintf("%.1f%% (%.1f%%)", 100*float64(n)/float64(mix.Instructions), 100*paper)
 		}
 		t.AddRow(app.Name,
-			fmt.Sprintf("%.1fM", float64(instr)/1e6),
-			pct(reads, spec.ReadFrac),
-			pct(writes, spec.WriteFrac),
-			pct(sreads, spec.SharedReadFrac),
-			pct(swrites, spec.SharedWriteFrac))
+			fmt.Sprintf("%.1fM", float64(mix.Instructions)/1e6),
+			pct(mix.Reads, spec.ReadFrac),
+			pct(mix.Writes, spec.WriteFrac),
+			pct(mix.SharedReads, spec.SharedReadFrac),
+			pct(mix.SharedWrites, spec.SharedWriteFrac))
 	}
 	return t, nil
 }

@@ -8,7 +8,8 @@ package edges
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"coma/internal/coherence"
 	"coma/internal/config"
@@ -22,20 +23,13 @@ import (
 
 // This file stages deterministic micro-runs that drive the simulator
 // through every (From, To) edge of the ECP specification table
-// (proto.ECPTransitions). Broad workloads exercise most edges by
+// (proto.ECPEdges). Broad workloads exercise most edges by
 // accident; the rest need precise choreography — a failure landing
 // inside a create window, recovery copies moved onto Shared victims, a
 // master evicted onto a node that already holds the item — and those
 // are exactly the transitions a conformance argument most wants to see
 // executed. comafault -edges runs the suite and cmd/comamodel diffs the
 // union against the spec, the static extraction and the model checker.
-
-// Transition is one (From, To) edge of the specification table.
-type Transition struct {
-	From, To proto.State
-}
-
-func (t Transition) String() string { return fmt.Sprintf("%v -> %v", t.From, t.To) }
 
 // Scenario is one deterministic run staged to exercise specific
 // protocol edges.
@@ -47,7 +41,7 @@ type Scenario struct {
 	// suite fails if a scenario misses one of its own targets, so a
 	// timing change that silently un-stages a scenario is caught even
 	// when another scenario still covers the edge.
-	Targets []Transition
+	Targets []proto.Edge
 	// WantAborted requires at least one establishment abort (the
 	// create-window failure scenario).
 	WantAborted bool
@@ -62,11 +56,11 @@ type ScenarioResult struct {
 	Run      *stats.Run
 	Events   []obs.Event
 	// Exercised is the set of protocol edges the run's trace replays.
-	Exercised map[Transition]int
+	Exercised map[proto.Edge]int
 	// MissedTargets are the scenario's own targets it failed to reach.
-	MissedTargets []Transition
+	MissedTargets []proto.Edge
 	// Unexpected are replayed edges outside the specification table.
-	Unexpected []Transition
+	Unexpected []proto.Edge
 }
 
 // RunScenario executes one scenario with a full-mask recorder
@@ -87,14 +81,14 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 		Scenario:  sc,
 		Run:       run,
 		Events:    rec.Events(),
-		Exercised: make(map[Transition]int),
+		Exercised: make(map[proto.Edge]int),
 	}
 	rep := txnview.Coverage(res.Events)
 	for _, e := range rep.Exercised {
-		res.Exercised[Transition{e.From, e.To}] += int(e.Count)
+		res.Exercised[e.Edge] += int(e.Count)
 	}
 	for _, e := range rep.Unexpected {
-		res.Unexpected = append(res.Unexpected, Transition{e.From, e.To})
+		res.Unexpected = append(res.Unexpected, e.Edge)
 	}
 	for _, t := range sc.Targets {
 		if res.Exercised[t] == 0 {
@@ -107,49 +101,22 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 	return res, nil
 }
 
-// SpecTransitions returns the unique (From, To) pairs of the
-// specification table, sorted.
-func SpecTransitions() []Transition {
-	seen := make(map[Transition]bool)
-	for _, tr := range proto.ECPTransitions() {
-		if tr.From == tr.To {
-			continue
-		}
-		seen[Transition{tr.From, tr.To}] = true
-	}
-	out := make([]Transition, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sortTransitions(out)
-	return out
-}
-
-func sortTransitions(ts []Transition) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].From != ts[j].From {
-			return ts[i].From < ts[j].From
-		}
-		return ts[i].To < ts[j].To
-	})
-}
-
 // SuiteReport is the union coverage of a full suite run.
 type SuiteReport struct {
 	Results   []*ScenarioResult
-	Exercised map[Transition]int
+	Exercised map[proto.Edge]int
 	// Missing are spec edges no scenario exercised.
-	Missing []Transition
+	Missing []proto.Edge
 	// Unexpected are replayed edges outside the spec, with the scenario
 	// that produced them.
-	Unexpected map[Transition][]string
+	Unexpected map[proto.Edge][]string
 }
 
 // RunSuite executes every scenario and unions the coverage.
 func RunSuite() (*SuiteReport, error) {
 	rep := &SuiteReport{
-		Exercised:  make(map[Transition]int),
-		Unexpected: make(map[Transition][]string),
+		Exercised:  make(map[proto.Edge]int),
+		Unexpected: make(map[proto.Edge][]string),
 	}
 	for _, sc := range Scenarios() {
 		res, err := RunScenario(sc)
@@ -164,7 +131,7 @@ func RunSuite() (*SuiteReport, error) {
 			rep.Unexpected[t] = append(rep.Unexpected[t], sc.Name)
 		}
 	}
-	for _, t := range SpecTransitions() {
+	for _, t := range proto.ECPEdges() {
 		if rep.Exercised[t] == 0 {
 			rep.Missing = append(rep.Missing, t)
 		}
@@ -189,7 +156,7 @@ func (r *SuiteReport) Full() bool {
 
 // Write renders the per-scenario and union coverage.
 func (r *SuiteReport) Write(w io.Writer) {
-	spec := SpecTransitions()
+	spec := proto.ECPEdges()
 	for _, res := range r.Results {
 		fmt.Fprintf(w, "%-22s %3d/%d edges", res.Scenario.Name, len(res.Exercised), len(spec))
 		if res.Run.Ckpt.Aborted > 0 {
@@ -204,12 +171,7 @@ func (r *SuiteReport) Write(w io.Writer) {
 	for _, t := range r.Missing {
 		fmt.Fprintf(w, "  unexercised: %s\n", t)
 	}
-	keys := make([]Transition, 0, len(r.Unexpected))
-	for t := range r.Unexpected {
-		keys = append(keys, t)
-	}
-	sortTransitions(keys)
-	for _, t := range keys {
+	for _, t := range slices.SortedFunc(maps.Keys(r.Unexpected), proto.Edge.Compare) {
 		fmt.Fprintf(w, "  UNEXPECTED: %s (%v)\n", t, r.Unexpected[t])
 	}
 }
@@ -284,15 +246,15 @@ func upgradePaths() Scenario {
 		Name: "upgrade-paths",
 		Doc: "one item bounced between four nodes: cold write, read " +
 			"downgrades, sharer and master upgrades, ownership transfer",
-		Targets: []Transition{
-			{proto.Invalid, proto.Exclusive},
-			{proto.Invalid, proto.Shared},
-			{proto.Exclusive, proto.MasterShared},
-			{proto.Exclusive, proto.Invalid},
-			{proto.MasterShared, proto.Exclusive},
-			{proto.MasterShared, proto.Invalid},
-			{proto.Shared, proto.Exclusive},
-			{proto.Shared, proto.Invalid},
+		Targets: []proto.Edge{
+			{From: proto.Invalid, To: proto.Exclusive},
+			{From: proto.Invalid, To: proto.Shared},
+			{From: proto.Exclusive, To: proto.MasterShared},
+			{From: proto.Exclusive, To: proto.Invalid},
+			{From: proto.MasterShared, To: proto.Exclusive},
+			{From: proto.MasterShared, To: proto.Invalid},
+			{From: proto.Shared, To: proto.Exclusive},
+			{From: proto.Shared, To: proto.Invalid},
 		},
 		Config: func() machine.Config {
 			gens := phased("upgrade-paths", 4, [][][]workload.Ref{
@@ -327,20 +289,20 @@ func recoveryPairWrite() Scenario {
 		Doc: "Shared-CK holders write the protected item while ring " +
 			"successors hold Shared or Invalid slots, so the recovery copy " +
 			"is injected over every victim kind",
-		Targets: []Transition{
-			{proto.Exclusive, proto.PreCommit1},
-			{proto.Invalid, proto.PreCommit2},
-			{proto.PreCommit1, proto.SharedCK1},
-			{proto.PreCommit2, proto.SharedCK2},
-			{proto.Shared, proto.SharedCK1},
-			{proto.Shared, proto.SharedCK2},
-			{proto.Invalid, proto.SharedCK1},
-			{proto.SharedCK1, proto.InvCK1},
-			{proto.SharedCK2, proto.InvCK2},
-			{proto.SharedCK1, proto.Invalid},
-			{proto.SharedCK2, proto.Invalid},
-			{proto.InvCK1, proto.Invalid},
-			{proto.InvCK2, proto.Invalid},
+		Targets: []proto.Edge{
+			{From: proto.Exclusive, To: proto.PreCommit1},
+			{From: proto.Invalid, To: proto.PreCommit2},
+			{From: proto.PreCommit1, To: proto.SharedCK1},
+			{From: proto.PreCommit2, To: proto.SharedCK2},
+			{From: proto.Shared, To: proto.SharedCK1},
+			{From: proto.Shared, To: proto.SharedCK2},
+			{From: proto.Invalid, To: proto.SharedCK1},
+			{From: proto.SharedCK1, To: proto.InvCK1},
+			{From: proto.SharedCK2, To: proto.InvCK2},
+			{From: proto.SharedCK1, To: proto.Invalid},
+			{From: proto.SharedCK2, To: proto.Invalid},
+			{From: proto.InvCK1, To: proto.Invalid},
+			{From: proto.InvCK2, To: proto.Invalid},
 		},
 		Config: func() machine.Config {
 			gens := phased("recovery-pair-write", 4, [][][]workload.Ref{
@@ -390,13 +352,13 @@ func invCKMoves() Scenario {
 		Doc: "accesses to local Inv-CK copies inject them over Shared and " +
 			"Invalid victims; a MasterShared owner then establishes via " +
 			"replication reuse of a Shared copy",
-		Targets: []Transition{
-			{proto.Shared, proto.InvCK1},
-			{proto.Shared, proto.InvCK2},
-			{proto.Invalid, proto.InvCK1},
-			{proto.Invalid, proto.InvCK2},
-			{proto.MasterShared, proto.PreCommit1},
-			{proto.Shared, proto.PreCommit2},
+		Targets: []proto.Edge{
+			{From: proto.Shared, To: proto.InvCK1},
+			{From: proto.Shared, To: proto.InvCK2},
+			{From: proto.Invalid, To: proto.InvCK1},
+			{From: proto.Invalid, To: proto.InvCK2},
+			{From: proto.MasterShared, To: proto.PreCommit1},
+			{From: proto.Shared, To: proto.PreCommit2},
 		},
 		Config: func() machine.Config {
 			gens := phased("inv-ck-moves", 4, [][][]workload.Ref{
@@ -442,10 +404,10 @@ func masterEviction() Scenario {
 		Doc: "a four-frame AM with a single anchor: filling the set with " +
 			"irreplaceable pages evicts the MasterShared frame, injecting " +
 			"the master over a Shared victim and an Invalid anchor slot",
-		Targets: []Transition{
-			{proto.Shared, proto.MasterShared},
-			{proto.Invalid, proto.MasterShared},
-			{proto.MasterShared, proto.Invalid},
+		Targets: []proto.Edge{
+			{From: proto.Shared, To: proto.MasterShared},
+			{From: proto.Invalid, To: proto.MasterShared},
+			{From: proto.MasterShared, To: proto.Invalid},
 		},
 		Config: func() machine.Config {
 			gens := phased("master-eviction", 4, [][][]workload.Ref{
@@ -497,11 +459,11 @@ func createWindowAbort() Scenario {
 		Doc: "a transient failure inside the first create window aborts " +
 			"the establishment at the commit boundary; a later failure " +
 			"between commits rolls demoted Inv-CK copies back to Shared-CK",
-		Targets: []Transition{
-			{proto.PreCommit1, proto.Invalid},
-			{proto.PreCommit2, proto.Invalid},
-			{proto.InvCK1, proto.SharedCK1},
-			{proto.InvCK2, proto.SharedCK2},
+		Targets: []proto.Edge{
+			{From: proto.PreCommit1, To: proto.Invalid},
+			{From: proto.PreCommit2, To: proto.Invalid},
+			{From: proto.InvCK1, To: proto.SharedCK1},
+			{From: proto.InvCK2, To: proto.SharedCK2},
 		},
 		WantAborted: true,
 		Config: func() machine.Config {
@@ -539,9 +501,9 @@ func reconfigurePromote() Scenario {
 		Name: "reconfigure-promote",
 		Doc: "a permanent failure of the SharedCK1 holder: reconfiguration " +
 			"promotes the surviving secondary and re-replicates it",
-		Targets: []Transition{
-			{proto.SharedCK2, proto.SharedCK1},
-			{proto.Invalid, proto.SharedCK2},
+		Targets: []proto.Edge{
+			{From: proto.SharedCK2, To: proto.SharedCK1},
+			{From: proto.Invalid, To: proto.SharedCK2},
 		},
 		Config: func() machine.Config {
 			gens := make([]workload.Generator, 5)

@@ -9,14 +9,6 @@ import (
 	"coma/internal/proto"
 )
 
-// TestSpecTransitionsCount pins the size of the specification table the
-// suite measures itself against.
-func TestSpecTransitionsCount(t *testing.T) {
-	if n := len(SpecTransitions()); n != 35 {
-		t.Fatalf("spec has %d unique edges, want 35", n)
-	}
-}
-
 // TestEdgeSuiteFullCoverage is the runtime leg of the conformance
 // argument: the staged scenarios together must execute every edge of
 // the specification table — including the create-window aborts and the
@@ -38,7 +30,7 @@ func TestEdgeSuiteFullCoverage(t *testing.T) {
 // someone's explicit target, so a future edit cannot silently orphan
 // one behind "another scenario probably covers it".
 func TestEdgeScenarioTargetsClaimHardEdges(t *testing.T) {
-	claimed := make(map[Transition]bool)
+	claimed := make(map[proto.Edge]bool)
 	for _, sc := range Scenarios() {
 		for _, tr := range sc.Targets {
 			claimed[tr] = true
@@ -117,7 +109,7 @@ func TestCreateWindowAbortIsRealAbort(t *testing.T) {
 		if res.Run.Ckpt.Established == 0 {
 			t.Fatal("no establishment ever committed; the scenario no longer recovers")
 		}
-		for _, tr := range []Transition{
+		for _, tr := range []proto.Edge{
 			{From: proto.PreCommit1, To: proto.Invalid},
 			{From: proto.PreCommit2, To: proto.Invalid},
 		} {

@@ -103,7 +103,7 @@ func TestObsTxnTracing(t *testing.T) {
 	}
 	recovery := false
 	for _, e := range cov.Exercised {
-		if e.RecoveryEdge() {
+		if e.Recovery() {
 			recovery = true
 		}
 	}

@@ -184,9 +184,6 @@ func New(eng *sim.Engine, arch config.Arch) *Network {
 	return n
 }
 
-// Dims returns the mesh width and height.
-func (n *Network) Dims() (w, h int) { return n.w, n.h }
-
 // Stats returns a copy of the accumulated network statistics.
 func (n *Network) Stats() Stats { return n.stats }
 

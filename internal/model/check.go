@@ -202,10 +202,10 @@ func (c *checker) visit(next mstate, prev mstate, action string) {
 }
 
 // step applies one action: records its protocol edges and the successor.
-func (c *checker) step(prev mstate, action string, next []byte, edges []Edge) {
+func (c *checker) step(prev mstate, action string, next []byte, edges []proto.Edge) {
 	c.transitions++
 	for _, e := range edges {
-		c.edges.Add(e.From, e.To, action)
+		c.edges.Add(e, action)
 	}
 	c.visit(mstate(next), prev, action)
 }
@@ -265,7 +265,7 @@ func (c *checker) moveCopy(s mstate, i, j int, why string) {
 		victim := c.at(nb, i, t)
 		c.set(nb, i, t, st)
 		c.set(nb, i, j, proto.Invalid)
-		edges := []Edge{{victim, st}, {st, proto.Invalid}}
+		edges := []proto.Edge{{From: victim, To: st}, {From: st, To: proto.Invalid}}
 		c.step(s, fmt.Sprintf("%s n%d->n%d item%d (%v over %v)", why, j, t, i, st, victim), nb, edges)
 	}
 }
@@ -279,17 +279,17 @@ func (c *checker) read(s mstate, i, j int) {
 		c.moveCopy(s, i, j, "read-inject")
 	case proto.Invalid:
 		nb := c.copyOf(s)
-		var edges []Edge
+		var edges []proto.Edge
 		action := fmt.Sprintf("read n%d item%d", j, i)
 		for t := 0; t < c.n; t++ {
 			if c.at(b, i, t) == proto.Exclusive {
 				c.set(nb, i, t, proto.MasterShared)
-				edges = append(edges, Edge{proto.Exclusive, proto.MasterShared})
+				edges = append(edges, proto.Edge{From: proto.Exclusive, To: proto.MasterShared})
 				break
 			}
 		}
 		c.set(nb, i, j, proto.Shared)
-		edges = append(edges, Edge{proto.Invalid, proto.Shared})
+		edges = append(edges, proto.Edge{From: proto.Invalid, To: proto.Shared})
 		c.step(s, action, nb, edges)
 	case proto.Shared, proto.MasterShared, proto.Exclusive,
 		proto.SharedCK1, proto.SharedCK2, proto.PreCommit1, proto.PreCommit2:
@@ -310,7 +310,7 @@ func (c *checker) write(s mstate, i, j int) {
 		return // write hit, no state change
 	case proto.Invalid, proto.Shared, proto.MasterShared:
 		nb := c.copyOf(s)
-		var edges []Edge
+		var edges []proto.Edge
 		for t := 0; t < c.n; t++ {
 			if t == j {
 				continue
@@ -318,20 +318,20 @@ func (c *checker) write(s mstate, i, j int) {
 			switch tst := c.at(b, i, t); tst {
 			case proto.Shared, proto.Exclusive, proto.MasterShared:
 				c.set(nb, i, t, proto.Invalid)
-				edges = append(edges, Edge{tst, proto.Invalid})
+				edges = append(edges, proto.Edge{From: tst, To: proto.Invalid})
 			case proto.SharedCK1:
 				c.set(nb, i, t, proto.InvCK1)
-				edges = append(edges, Edge{proto.SharedCK1, proto.InvCK1})
+				edges = append(edges, proto.Edge{From: proto.SharedCK1, To: proto.InvCK1})
 			case proto.SharedCK2:
 				c.set(nb, i, t, proto.InvCK2)
-				edges = append(edges, Edge{proto.SharedCK2, proto.InvCK2})
+				edges = append(edges, proto.Edge{From: proto.SharedCK2, To: proto.InvCK2})
 			case proto.Invalid, proto.InvCK1, proto.InvCK2,
 				proto.PreCommit1, proto.PreCommit2:
 				// Nothing to invalidate (transients unreachable here).
 			}
 		}
 		c.set(nb, i, j, proto.Exclusive)
-		edges = append(edges, Edge{st, proto.Exclusive})
+		edges = append(edges, proto.Edge{From: st, To: proto.Exclusive})
 		c.step(s, fmt.Sprintf("write n%d item%d", j, i), nb, edges)
 	case proto.PreCommit1, proto.PreCommit2:
 		// Unreachable: writes are quiesced during establishment.
@@ -347,7 +347,7 @@ func (c *checker) evict(s mstate, i, j int) {
 		nb := c.copyOf(s)
 		c.set(nb, i, j, proto.Invalid)
 		c.step(s, fmt.Sprintf("evict-drop n%d item%d", j, i), nb,
-			[]Edge{{proto.Shared, proto.Invalid}})
+			[]proto.Edge{{From: proto.Shared, To: proto.Invalid}})
 	case proto.Exclusive, proto.MasterShared,
 		proto.SharedCK1, proto.SharedCK2, proto.InvCK1, proto.InvCK2:
 		c.moveCopy(s, i, j, "evict-inject")
@@ -401,7 +401,7 @@ func (c *checker) createSteps(s mstate) {
 						c.set(nb, i, j, proto.PreCommit1)
 						c.set(nb, i, t, proto.PreCommit2)
 						c.step(s, fmt.Sprintf("create-reuse n%d/n%d item%d", j, t, i), nb,
-							[]Edge{{proto.MasterShared, proto.PreCommit1}, {proto.Shared, proto.PreCommit2}})
+							[]proto.Edge{{From: proto.MasterShared, To: proto.PreCommit1}, {From: proto.Shared, To: proto.PreCommit2}})
 						any = true
 					}
 				}
@@ -412,7 +412,7 @@ func (c *checker) createSteps(s mstate) {
 				c.set(nb, i, j, proto.PreCommit1)
 				c.set(nb, i, t, proto.PreCommit2)
 				c.step(s, fmt.Sprintf("create-inject n%d->n%d item%d (over %v)", j, t, i, victim), nb,
-					[]Edge{{st, proto.PreCommit1}, {victim, proto.PreCommit2}})
+					[]proto.Edge{{From: st, To: proto.PreCommit1}, {From: victim, To: proto.PreCommit2}})
 				any = true
 			}
 			if any {
@@ -446,22 +446,22 @@ func (c *checker) commit(s mstate) {
 		}
 	}
 	nb := c.copyOf(s)
-	var edges []Edge
+	var edges []proto.Edge
 	for i := 0; i < c.k; i++ {
 		for j := 0; j < c.n; j++ {
 			switch c.at(b, i, j) {
 			case proto.PreCommit1:
 				c.set(nb, i, j, proto.SharedCK1)
-				edges = append(edges, Edge{proto.PreCommit1, proto.SharedCK1})
+				edges = append(edges, proto.Edge{From: proto.PreCommit1, To: proto.SharedCK1})
 			case proto.PreCommit2:
 				c.set(nb, i, j, proto.SharedCK2)
-				edges = append(edges, Edge{proto.PreCommit2, proto.SharedCK2})
+				edges = append(edges, proto.Edge{From: proto.PreCommit2, To: proto.SharedCK2})
 			case proto.InvCK1:
 				c.set(nb, i, j, proto.Invalid)
-				edges = append(edges, Edge{proto.InvCK1, proto.Invalid})
+				edges = append(edges, proto.Edge{From: proto.InvCK1, To: proto.Invalid})
 			case proto.InvCK2:
 				c.set(nb, i, j, proto.Invalid)
-				edges = append(edges, Edge{proto.InvCK2, proto.Invalid})
+				edges = append(edges, proto.Edge{From: proto.InvCK2, To: proto.Invalid})
 			case proto.Invalid, proto.Shared, proto.MasterShared, proto.Exclusive,
 				proto.SharedCK1, proto.SharedCK2:
 			}
@@ -486,7 +486,7 @@ func (c *checker) fail(s mstate, f int) {
 	}
 
 	nb := c.copyOf(s)
-	var edges []Edge
+	var edges []proto.Edge
 	// Fail-silent wipe: no protocol transitions are recorded, exactly
 	// like the replayer's handling of KFault.
 	for i := 0; i < c.k; i++ {
@@ -502,13 +502,13 @@ func (c *checker) fail(s mstate, f int) {
 			case proto.Shared, proto.Exclusive, proto.MasterShared,
 				proto.PreCommit1, proto.PreCommit2:
 				c.set(nb, i, j, proto.Invalid)
-				edges = append(edges, Edge{st, proto.Invalid})
+				edges = append(edges, proto.Edge{From: st, To: proto.Invalid})
 			case proto.InvCK1:
 				c.set(nb, i, j, proto.SharedCK1)
-				edges = append(edges, Edge{proto.InvCK1, proto.SharedCK1})
+				edges = append(edges, proto.Edge{From: proto.InvCK1, To: proto.SharedCK1})
 			case proto.InvCK2:
 				c.set(nb, i, j, proto.SharedCK2)
-				edges = append(edges, Edge{proto.InvCK2, proto.SharedCK2})
+				edges = append(edges, proto.Edge{From: proto.InvCK2, To: proto.SharedCK2})
 			case proto.Invalid, proto.SharedCK1, proto.SharedCK2:
 			}
 		}
@@ -538,7 +538,7 @@ func (c *checker) fail(s mstate, f int) {
 			}
 		case c2 >= 0 && c1 < 0:
 			c.set(nb, i, c2, proto.SharedCK1)
-			edges = append(edges, Edge{proto.SharedCK2, proto.SharedCK1})
+			edges = append(edges, proto.Edge{From: proto.SharedCK2, To: proto.SharedCK1})
 			if !c.installFresh(nb, i, c2, &edges) {
 				c.step(s, action, nb, edges)
 				c.violate(mstate(nb), fmt.Sprintf("reconfiguration found no slot for item %d's fresh secondary", i))
@@ -559,13 +559,13 @@ func (c *checker) fail(s mstate, f int) {
 
 // installFresh writes a fresh SharedCK2 copy into the first viable slot
 // in ring order after the primary holder, recording the install edge.
-func (c *checker) installFresh(nb []byte, i, from int, edges *[]Edge) bool {
+func (c *checker) installFresh(nb []byte, i, from int, edges *[]proto.Edge) bool {
 	for d := 1; d < c.n; d++ {
 		t := (from + d) % c.n
 		st := c.at(nb, i, t)
 		if st == proto.Invalid || st == proto.Shared {
 			c.set(nb, i, t, proto.SharedCK2)
-			*edges = append(*edges, Edge{st, proto.SharedCK2})
+			*edges = append(*edges, proto.Edge{From: st, To: proto.SharedCK2})
 			return true
 		}
 	}

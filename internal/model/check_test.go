@@ -68,14 +68,14 @@ func TestCheckSpecMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupted := NewTable("spec")
-	dropped := Edge{proto.PreCommit1, proto.Invalid}
+	dropped := proto.Edge{From: proto.PreCommit1, To: proto.Invalid}
 	found := false
 	for _, e := range SpecTable().Edges() {
 		if e == dropped {
 			found = true
 			continue
 		}
-		corrupted.Add(e.From, e.To, "kept")
+		corrupted.Add(e, "kept")
 	}
 	if !found {
 		t.Fatalf("spec no longer lists %v; pick another mutation target", dropped)

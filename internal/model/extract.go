@@ -807,7 +807,7 @@ func (x *extractor) site(pos token.Pos, key string, to StateSet, ev *env) {
 	x.sites = append(x.sites, Site{Pos: where, From: from, To: to, Annotated: annotated})
 	for _, f := range from.List() {
 		for _, t := range to.List() {
-			x.table.Add(f, t, where)
+			x.table.Add(proto.Edge{From: f, To: t}, where)
 		}
 	}
 	// Effect: the cell now holds one of the written states.

@@ -19,6 +19,8 @@ package model
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -115,40 +117,24 @@ func ClassSet(pred func(proto.State) bool) StateSet {
 	return s
 }
 
-// Edge is one (From, To) protocol transition.
-type Edge struct {
-	From, To proto.State
-}
-
-func (e Edge) String() string { return fmt.Sprintf("%v -> %v", e.From, e.To) }
-
-// less orders edges by (From, To) for deterministic output.
-func (e Edge) less(o Edge) bool {
-	if e.From != o.From {
-		return e.From < o.From
-	}
-	return e.To < o.To
-}
-
 // Table is a set of transitions with provenance strings (the spec's Via
 // descriptions, or the extractor's source positions).
 type Table struct {
 	Name string
-	m    map[Edge][]string
+	m    map[proto.Edge][]string
 }
 
 // NewTable returns an empty named table.
 func NewTable(name string) *Table {
-	return &Table{Name: name, m: make(map[Edge][]string)}
+	return &Table{Name: name, m: make(map[proto.Edge][]string)}
 }
 
 // Add records an edge with one provenance string. Self-loops are not
 // transitions and are dropped. Duplicate provenance is kept once.
-func (t *Table) Add(from, to proto.State, via string) {
-	if from == to {
+func (t *Table) Add(e proto.Edge, via string) {
+	if e.From == e.To {
 		return
 	}
-	e := Edge{from, to}
 	for _, v := range t.m[e] {
 		if v == via {
 			return
@@ -158,23 +144,18 @@ func (t *Table) Add(from, to proto.State, via string) {
 }
 
 // Has reports whether the table contains the edge.
-func (t *Table) Has(e Edge) bool { _, ok := t.m[e]; return ok }
+func (t *Table) Has(e proto.Edge) bool { _, ok := t.m[e]; return ok }
 
 // Len counts distinct edges.
 func (t *Table) Len() int { return len(t.m) }
 
 // Edges returns the distinct edges sorted by (From, To).
-func (t *Table) Edges() []Edge {
-	out := make([]Edge, 0, len(t.m))
-	for e := range t.m {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
+func (t *Table) Edges() []proto.Edge {
+	return slices.SortedFunc(maps.Keys(t.m), proto.Edge.Compare)
 }
 
 // Provenance returns the sorted provenance strings of an edge.
-func (t *Table) Provenance(e Edge) []string {
+func (t *Table) Provenance(e proto.Edge) []string {
 	out := append([]string(nil), t.m[e]...)
 	sort.Strings(out)
 	return out
@@ -193,7 +174,7 @@ func (t *Table) Write(w io.Writer) {
 func SpecTable() *Table {
 	t := NewTable("spec")
 	for _, tr := range proto.ECPTransitions() {
-		t.Add(tr.From, tr.To, tr.Via)
+		t.Add(proto.Edge{From: tr.From, To: tr.To}, tr.Via)
 	}
 	return t
 }
@@ -201,7 +182,7 @@ func SpecTable() *Table {
 // DiffResult lists the edges present in only one of two tables.
 type DiffResult struct {
 	AName, BName string
-	OnlyA, OnlyB []Edge
+	OnlyA, OnlyB []proto.Edge
 }
 
 // Clean reports whether the tables agree.

@@ -119,19 +119,6 @@ const (
 	FillCold
 )
 
-// FillSourceName names a fill source.
-func FillSourceName(src int64) string {
-	switch src {
-	case FillLocal:
-		return "local"
-	case FillRemote:
-		return "remote"
-	case FillCold:
-		return "cold"
-	}
-	return fmt.Sprintf("fill(%d)", src)
-}
-
 // Transaction operations (the A field of KTxnBegin), classifying what
 // the transaction is.
 const (

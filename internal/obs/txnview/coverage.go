@@ -3,7 +3,7 @@ package txnview
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"coma/internal/obs"
@@ -13,14 +13,9 @@ import (
 // Edge is one state transition with how often the trace exercised it
 // and the protocol table's description of when it happens.
 type Edge struct {
-	From, To proto.State
-	Count    int64
-	Via      string // from the protocol table; empty for unexpected edges
-}
-
-// RecoveryEdge reports whether the edge touches an ECP recovery state.
-func (e Edge) RecoveryEdge() bool {
-	return e.From.Recovery() || e.To.Recovery()
+	proto.Edge
+	Count int64
+	Via   string // from the protocol table; empty for unexpected edges
 }
 
 // CoverageReport diffs the transitions a trace exercised against the
@@ -45,36 +40,30 @@ func Coverage(events []obs.Event) *CoverageReport {
 	return f.coverageReport()
 }
 
-// specEdges is proto.ECPTransitions with one entry per (from, to) pair,
-// ordered by (from, to), so coverage reports list edges
-// deterministically by construction; inSpec marks the same pairs. The
-// table can describe one pair several ways (e.g. an Inv-CK copy
-// vanishing at commit vs. moving by injection); the descriptions are
-// merged per pair.
+// specEdges is proto.ECPEdges, each edge carrying its descriptions;
+// inSpec marks the same pairs. The table can describe one pair several
+// ways (e.g. an Inv-CK copy vanishing at commit vs. moving by
+// injection); the descriptions are merged per pair.
 var specEdges, inSpec = specTable()
 
 func specTable() ([]Edge, [proto.NumStates][proto.NumStates]bool) {
 	var in [proto.NumStates][proto.NumStates]bool
 	var edges []Edge
-	for _, tr := range proto.ECPTransitions() {
-		if in[tr.From][tr.To] {
-			for i := range edges {
-				e := &edges[i]
-				if e.From == tr.From && e.To == tr.To && !strings.Contains(e.Via, tr.Via) {
-					e.Via += "; " + tr.Via
-				}
-			}
-			continue
-		}
-		in[tr.From][tr.To] = true
-		edges = append(edges, Edge{From: tr.From, To: tr.To, Via: tr.Via})
+	for _, e := range proto.ECPEdges() {
+		in[e.From][e.To] = true
+		edges = append(edges, Edge{Edge: e})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
+	for _, tr := range proto.ECPTransitions() {
+		i, ok := slices.BinarySearchFunc(edges, proto.Edge{From: tr.From, To: tr.To},
+			func(e Edge, t proto.Edge) int { return e.Compare(t) })
+		switch {
+		case !ok: // a self-loop, which is no edge
+		case edges[i].Via == "":
+			edges[i].Via = tr.Via
+		case !strings.Contains(edges[i].Via, tr.Via):
+			edges[i].Via += "; " + tr.Via
 		}
-		return edges[i].To < edges[j].To
-	})
+	}
 	return edges, in
 }
 
@@ -82,7 +71,7 @@ func specTable() ([]Edge, [proto.NumStates][proto.NumStates]bool) {
 // fault-tolerance coverage stands out.
 func (r *CoverageReport) Write(w io.Writer) error {
 	tag := func(e Edge) string {
-		if e.RecoveryEdge() {
+		if e.Recovery() {
 			return " [recovery]"
 		}
 		return ""
@@ -112,7 +101,7 @@ func (r *CoverageReport) Write(w io.Writer) error {
 func (r *CoverageReport) UnexercisedRecovery() []Edge {
 	var out []Edge
 	for _, e := range r.Unexercised {
-		if e.RecoveryEdge() {
+		if e.Recovery() {
 			out = append(out, e)
 		}
 	}

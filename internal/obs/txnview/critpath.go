@@ -3,7 +3,6 @@ package txnview
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"coma/internal/obs"
 )
@@ -145,38 +144,4 @@ func (r *CritPathReport) Write(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// MsgMix counts in-span hop deliveries per message kind across the set,
-// sorted by count descending (ties by kind) — which protocol messages
-// dominate the network share of the critical path.
-func (s *Set) MsgMix() []struct {
-	Msg   string
-	Count int64
-} {
-	counts := make(map[string]int64)
-	for _, t := range s.Txns {
-		for _, h := range t.Hops {
-			if h.Time <= t.End {
-				counts[h.Msg.String()]++
-			}
-		}
-	}
-	out := make([]struct {
-		Msg   string
-		Count int64
-	}, 0, len(counts))
-	for m, c := range counts {
-		out = append(out, struct {
-			Msg   string
-			Count int64
-		}{m, c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Msg < out[j].Msg
-	})
-	return out
 }

@@ -469,7 +469,7 @@ func (f *Fold) coverageReport() *CoverageReport {
 		for to, n := range f.observed[from] {
 			if n > 0 && !inSpec[from][to] {
 				rep.Unexpected = append(rep.Unexpected,
-					Edge{From: proto.State(from), To: proto.State(to), Count: n})
+					Edge{Edge: proto.Edge{From: proto.State(from), To: proto.State(to)}, Count: n})
 			}
 		}
 	}

@@ -8,6 +8,8 @@ package txnview
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,7 +39,7 @@ type refReplay struct {
 	// pending[txn] snapshots fill-legality predicates at access begin.
 	pending map[proto.TxnID]refFillSnap
 	// observed counts every state transition seen or synthesised.
-	observed map[refTransKey]int64
+	observed map[proto.Edge]int64
 
 	round int64 // current round number (0 outside rounds)
 	mode  int64 // current round mode (KRoundBegin.A)
@@ -50,13 +52,11 @@ type refFillSnap struct {
 	anyOwner bool // some owner-state copy existed at begin
 }
 
-type refTransKey struct{ from, to proto.State }
-
 func newRefReplay() *refReplay {
 	return &refReplay{
 		copies:   make(map[proto.ItemID]map[proto.NodeID]proto.State),
 		pending:  make(map[proto.TxnID]refFillSnap),
-		observed: make(map[refTransKey]int64),
+		observed: make(map[proto.Edge]int64),
 	}
 }
 
@@ -101,7 +101,7 @@ func (r *refReplay) step(i int, ev obs.Event) {
 			r.errorf("event %d (cycle %d, round %d): node %v item %d records %v -> %v but replay holds the copy in %v",
 				i, ev.Time, r.round, ev.Node, ev.Item, ev.From, ev.To, cur)
 		}
-		r.observed[refTransKey{ev.From, ev.To}]++
+		r.observed[proto.Edge{From: ev.From, To: ev.To}]++
 		r.set(ev.Item, ev.Node, ev.To)
 
 	case obs.KTxnBegin:
@@ -195,7 +195,7 @@ func (r *refReplay) scan(n proto.NodeID, transform func(proto.State) (proto.Stat
 		if !changed {
 			continue
 		}
-		r.observed[refTransKey{st, to}]++
+		r.observed[proto.Edge{From: st, To: to}]++
 		r.set(item, n, to)
 	}
 }
@@ -337,9 +337,9 @@ func refCoverage(events []obs.Event) *CoverageReport {
 	// The table can describe one (from,to) pair several ways (e.g. an
 	// Inv-CK copy vanishing at commit vs. moving by injection); merge
 	// the descriptions per pair.
-	via := make(map[refTransKey]string)
+	via := make(map[proto.Edge]string)
 	for _, tr := range proto.ECPTransitions() {
-		k := refTransKey{tr.From, tr.To}
+		k := proto.Edge{From: tr.From, To: tr.To}
 		if cur, ok := via[k]; ok {
 			if !strings.Contains(cur, tr.Via) {
 				via[k] = cur + "; " + tr.Via
@@ -353,7 +353,7 @@ func refCoverage(events []obs.Event) *CoverageReport {
 	// diagnostics derived from them) are deterministic by construction.
 	rep := &CoverageReport{}
 	for _, k := range refSortedKeys(via) {
-		e := Edge{From: k.from, To: k.to, Count: r.observed[k], Via: via[k]}
+		e := Edge{Edge: k, Count: r.observed[k], Via: via[k]}
 		if e.Count > 0 {
 			rep.Exercised = append(rep.Exercised, e)
 		} else {
@@ -362,25 +362,15 @@ func refCoverage(events []obs.Event) *CoverageReport {
 	}
 	for _, k := range refSortedKeys(r.observed) {
 		if _, ok := via[k]; !ok {
-			rep.Unexpected = append(rep.Unexpected, Edge{From: k.from, To: k.to, Count: r.observed[k]})
+			rep.Unexpected = append(rep.Unexpected, Edge{Edge: k, Count: r.observed[k]})
 		}
 	}
 	return rep
 }
 
-// refSortedKeys returns a transition-keyed map's keys ordered by (from, to).
-func refSortedKeys[V any](m map[refTransKey]V) []refTransKey {
-	keys := make([]refTransKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
-		}
-		return keys[i].to < keys[j].to
-	})
-	return keys
+// refSortedKeys returns an edge-keyed map's keys ordered by (from, to).
+func refSortedKeys[V any](m map[proto.Edge]V) []proto.Edge {
+	return slices.SortedFunc(maps.Keys(m), proto.Edge.Compare)
 }
 
 // refSummarize is the reference Summarize: refCheck plus refCoverage.

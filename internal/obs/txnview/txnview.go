@@ -1,8 +1,9 @@
 // Package txnview reconstructs protocol transactions from an
 // observability event stream (obs JSONL logs written by comasim
 // -trace-out) and analyses them offline: critical-path latency
-// decomposition, protocol-coverage diffing against the full extended
-// coherence protocol transition table, and an invariant checker that
+// decomposition, protocol-coverage diffing against the extended
+// coherence protocol's edge set (proto.ECPEdges; a coverage Edge is a
+// proto.Edge with its count and descriptions), and an invariant checker that
 // replays the trace and verifies the recovery guarantees the paper
 // argues for.
 //

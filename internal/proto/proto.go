@@ -1,14 +1,20 @@
 // Package proto defines the vocabulary shared by every layer of the
 // simulator: node/item/page identifiers, coherence states (standard COMA-F
 // states plus the recovery states added by the Extended Coherence
-// Protocol), message kinds, and injection causes.
+// Protocol), message kinds, injection causes, and the protocol's
+// specification: its transition table (ECPTransitions) and the one edge
+// type (Edge) and edge set (ECPEdges) every conformance check counts in.
 //
 // It is a leaf package: it imports nothing from the rest of the module so
 // that the attraction memory, the directory and the protocol engine can all
 // speak the same types without cycles.
 package proto
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // NodeID identifies a processing node. The zero value is a valid node;
 // None marks the absence of a node (for example "no owner yet").
@@ -400,18 +406,12 @@ type Transition struct {
 	Via      string
 }
 
-// RecoveryEdge reports whether the edge touches a recovery state on
-// either end — the edges the paper adds over standard COMA-F, and the
-// ones a coverage report most wants exercised.
-func (tr Transition) RecoveryEdge() bool {
-	return tr.From.Recovery() || tr.To.Recovery()
-}
-
 // ECPTransitions returns the full per-copy transition table of the
 // Extended Coherence Protocol (standard COMA-F edges plus the recovery
-// edges of paper §4), deduplicated on (From, To). This is the reference
-// matrix `comatrace coverage` diffs an observed trace against; keep it in
-// sync with the coherence and snoop engines.
+// edges of paper §4). A pair reached by several actions may be listed
+// once per action; ECPEdges reduces the table to its edge set, the
+// reference that `comatrace coverage` and cmd/comamodel diff against.
+// Keep it in sync with the coherence and snoop engines.
 func ECPTransitions() []Transition {
 	t := []Transition{
 		// Standard COMA-F access edges.
@@ -455,4 +455,38 @@ func ECPTransitions() []Transition {
 		)
 	}
 	return t
+}
+
+// Edge is one (From, To) pair of the protocol's state machine: the unit
+// the conformance gate, the runtime edge suite and trace coverage count
+// in, whatever action realises it.
+type Edge struct {
+	From, To State
+}
+
+func (e Edge) String() string { return fmt.Sprintf("%v -> %v", e.From, e.To) }
+
+// Recovery reports whether the edge touches a recovery state on either
+// end — the edges the paper adds over standard COMA-F, and the ones a
+// coverage report most wants exercised.
+func (e Edge) Recovery() bool { return e.From.Recovery() || e.To.Recovery() }
+
+// Compare orders edges by From, then To; use it with slices.SortFunc.
+func (e Edge) Compare(o Edge) int {
+	return cmp.Or(cmp.Compare(e.From, o.From), cmp.Compare(e.To, o.To))
+}
+
+// ECPEdges returns the protocol's edge set: the distinct (From, To)
+// pairs of ECPTransitions, self-loops dropped, sorted by Compare. It is
+// the one derivation of that set; everything that measures coverage
+// against the specification counts against it.
+func ECPEdges() []Edge {
+	var es []Edge
+	for _, tr := range ECPTransitions() {
+		if tr.From != tr.To {
+			es = append(es, Edge{tr.From, tr.To})
+		}
+	}
+	slices.SortFunc(es, Edge.Compare)
+	return slices.Compact(es)
 }

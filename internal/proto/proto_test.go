@@ -142,3 +142,34 @@ func TestNodeIDBasics(t *testing.T) {
 		t.Errorf("strings: %q %q", None.String(), NodeID(3).String())
 	}
 }
+
+// TestECPEdges pins the specification's edge set: 35 distinct pairs in
+// strictly ascending (From, To) order, none of them a self-loop, each
+// one a pair ECPTransitions lists.
+func TestECPEdges(t *testing.T) {
+	es := ECPEdges()
+	if len(es) != 35 {
+		t.Fatalf("spec has %d unique edges, want 35", len(es))
+	}
+	listed := make(map[Edge]bool)
+	for _, tr := range ECPTransitions() {
+		listed[Edge{tr.From, tr.To}] = true
+	}
+	for i, e := range es {
+		if e.From == e.To {
+			t.Errorf("self-loop %v", e)
+		}
+		if !listed[e] {
+			t.Errorf("%v is not in ECPTransitions", e)
+		}
+		if i > 0 && es[i-1].Compare(e) >= 0 {
+			t.Errorf("%v does not sort after %v", e, es[i-1])
+		}
+	}
+	if got := (Edge{SharedCK2, SharedCK1}).String(); got != "SharedCK2 -> SharedCK1" {
+		t.Errorf("String = %q", got)
+	}
+	if (Edge{Invalid, Shared}).Recovery() || !(Edge{Exclusive, PreCommit1}).Recovery() {
+		t.Error("Recovery misclassifies an edge")
+	}
+}

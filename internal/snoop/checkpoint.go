@@ -36,7 +36,7 @@ func (m *Machine) coordinator(p *sim.Process) {
 		// Commit scans run locally in parallel: charge the slowest.
 		var worst int64
 		for i := range m.ams {
-			if c := m.commitCost(proto.NodeID(i)); c > worst {
+			if c := m.ams[i].CommitScanCost(); c > worst {
 				worst = c
 			}
 			m.commitNode(proto.NodeID(i))
@@ -106,12 +106,6 @@ func (m *Machine) createNode(p *sim.Process, n proto.NodeID) {
 	c.CkptCreateCycles += p.Now() - start
 }
 
-func (m *Machine) commitCost(n proto.NodeID) int64 {
-	frames := int64(m.ams[n].AllocatedFrames())
-	perFrame := m.arch.CommitPageTest + int64(m.arch.ItemsPerPage())*m.arch.CommitItemTest
-	return frames * perFrame / int64(m.arch.AMControllers)
-}
-
 func (m *Machine) commitNode(n proto.NodeID) {
 	m.ams[n].ForEachAllocated(func(item proto.ItemID, s *am.Slot) {
 		switch s.State {
@@ -154,7 +148,7 @@ func (m *Machine) recover(p *sim.Process, f proto.NodeID) {
 	m.ams[f].Clear()
 	var worst int64
 	for i := range m.ams {
-		if c := m.commitCost(proto.NodeID(i)); c > worst {
+		if c := m.ams[i].CommitScanCost(); c > worst {
 			worst = c
 		}
 		m.ams[i].ForEachAllocated(func(item proto.ItemID, s *am.Slot) {
@@ -228,46 +222,7 @@ func (m *Machine) recover(p *sim.Process, f proto.NodeID) {
 	m.roundLock.Release(m.eng)
 }
 
-// CheckRecoveryPairs validates that every recovery copy is part of a
-// complete pair on distinct nodes with mutual partner pointers.
-func (m *Machine) CheckRecoveryPairs() error {
-	type pair struct{ ck1, ck2 proto.NodeID }
-	pairs := make(map[proto.ItemID]*pair)
-	get := func(it proto.ItemID) *pair {
-		pr := pairs[it]
-		if pr == nil {
-			pr = &pair{ck1: proto.None, ck2: proto.None}
-			pairs[it] = pr
-		}
-		return pr
-	}
-	for i := range m.ams {
-		n := proto.NodeID(i)
-		m.ams[i].ForEachAllocated(func(it proto.ItemID, s *am.Slot) {
-			switch s.State {
-			case proto.SharedCK1, proto.InvCK1:
-				get(it).ck1 = n
-			case proto.SharedCK2, proto.InvCK2:
-				get(it).ck2 = n
-			case proto.Invalid, proto.Shared, proto.MasterShared, proto.Exclusive,
-				proto.PreCommit1, proto.PreCommit2:
-				// Only committed recovery pairs are audited here.
-			}
-		})
-	}
-	for it, pr := range pairs {
-		if pr.ck1 == proto.None || pr.ck2 == proto.None {
-			return fmt.Errorf("item %d has a broken recovery pair (%v,%v)", it, pr.ck1, pr.ck2)
-		}
-		if pr.ck1 == pr.ck2 {
-			return fmt.Errorf("item %d has both recovery copies on %v", it, pr.ck1)
-		}
-		if p1 := m.ams[pr.ck1].Slot(it).Partner; p1 != pr.ck2 {
-			return fmt.Errorf("item %d: CK1 partner %v, want %v", it, p1, pr.ck2)
-		}
-		if p2 := m.ams[pr.ck2].Slot(it).Partner; p2 != pr.ck1 {
-			return fmt.Errorf("item %d: CK2 partner %v, want %v", it, p2, pr.ck1)
-		}
-	}
-	return nil
-}
+// CheckRecoveryPairs audits the recovery pairs across every node's
+// attraction memory (am.CheckPairs, the rule the mesh machine's
+// invariant checker applies too).
+func (m *Machine) CheckRecoveryPairs() error { return am.CheckPairs(m.ams) }

@@ -64,6 +64,36 @@ type Ref struct {
 	Shared bool
 }
 
+// Tally counts a reference stream's mix, the quantities of the paper's
+// Table 3: instructions (each Read and Write is one), reads and writes
+// with their shared subsets, and barriers.
+type Tally struct {
+	Instructions, Reads, Writes, SharedReads, SharedWrites, Barriers int64
+}
+
+// Add counts one stream element.
+func (t *Tally) Add(r Ref) {
+	switch r.Kind {
+	case Instr:
+		t.Instructions += r.N
+	case Read:
+		t.Instructions++
+		t.Reads++
+		if r.Shared {
+			t.SharedReads++
+		}
+	case Write:
+		t.Instructions++
+		t.Writes++
+		if r.Shared {
+			t.SharedWrites++
+		}
+	case Barrier:
+		t.Barriers++
+	case End:
+	}
+}
+
 // Generator produces one processor's reference stream.
 type Generator interface {
 	// Next returns the next stream element. After End it keeps

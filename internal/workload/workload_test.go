@@ -5,39 +5,19 @@ import (
 	"testing"
 )
 
-// drain runs a generator to completion, tallying reference classes.
-type tally struct {
-	instr, reads, writes, sharedReads, sharedWrites, barriers int64
-}
-
-func drain(t *testing.T, g Generator, limit int64) tally {
+// drain runs a generator to completion, tallying its reference mix.
+func drain(t *testing.T, g Generator, limit int64) Tally {
 	t.Helper()
-	var c tally
+	var c Tally
 	for i := int64(0); ; i++ {
 		if i > limit {
 			t.Fatalf("generator %s did not terminate within %d elements", g.Name(), limit)
 		}
 		r := g.Next()
-		switch r.Kind {
-		case Instr:
-			c.instr += r.N
-		case Read:
-			c.instr++
-			c.reads++
-			if r.Shared {
-				c.sharedReads++
-			}
-		case Write:
-			c.instr++
-			c.writes++
-			if r.Shared {
-				c.sharedWrites++
-			}
-		case Barrier:
-			c.barriers++
-		case End:
+		if r.Kind == End {
 			return c
 		}
+		c.Add(r)
 	}
 }
 
@@ -68,7 +48,7 @@ func TestTable3Fractions(t *testing.T) {
 		spec := spec.Scale(0.005) // keep the test fast
 		g := spec.NewApp(0, 16, 42)
 		c := drain(t, g, 1<<22)
-		if c.instr == 0 {
+		if c.Instructions == 0 {
 			t.Fatalf("%s: no instructions", spec.Name)
 		}
 		check := func(what string, got, want float64) {
@@ -76,11 +56,11 @@ func TestTable3Fractions(t *testing.T) {
 				t.Errorf("%s %s fraction = %.3f, want %.3f (Table 3)", spec.Name, what, got, want)
 			}
 		}
-		n := float64(c.instr)
-		check("read", float64(c.reads)/n, spec.ReadFrac)
-		check("write", float64(c.writes)/n, spec.WriteFrac)
-		check("shared-read", float64(c.sharedReads)/n, spec.SharedReadFrac)
-		check("shared-write", float64(c.sharedWrites)/n, spec.SharedWriteFrac)
+		n := float64(c.Instructions)
+		check("read", float64(c.Reads)/n, spec.ReadFrac)
+		check("write", float64(c.Writes)/n, spec.WriteFrac)
+		check("shared-read", float64(c.SharedReads)/n, spec.SharedReadFrac)
+		check("shared-write", float64(c.SharedWrites)/n, spec.SharedWriteFrac)
 	}
 }
 
@@ -89,11 +69,11 @@ func TestInstructionBudgetSplitAcrossProcs(t *testing.T) {
 	g := spec.NewApp(3, 16, 1)
 	c := drain(t, g, 1<<22)
 	want := spec.Instructions / 16
-	if c.instr < want-2 || c.instr > want+2 {
-		t.Fatalf("proc executed %d instructions, want ~%d", c.instr, want)
+	if c.Instructions < want-2 || c.Instructions > want+2 {
+		t.Fatalf("proc executed %d instructions, want ~%d", c.Instructions, want)
 	}
-	if c.barriers != int64(spec.Barriers) {
-		t.Fatalf("barriers = %d, want %d", c.barriers, spec.Barriers)
+	if c.Barriers != int64(spec.Barriers) {
+		t.Fatalf("barriers = %d, want %d", c.Barriers, spec.Barriers)
 	}
 }
 
