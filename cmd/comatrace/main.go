@@ -89,6 +89,24 @@ func usage() {
 // loadEvents reads one JSONL event log ("-" means standard input),
 // exiting with the offending line number on malformed input.
 func loadEvents(path string) []obs.Event {
+	var events []obs.Event
+	scanEvents(path, func(ev obs.Event) { events = append(events, ev) })
+	return events
+}
+
+// foldEvents replays one JSONL event log through a txnview.Fold line by
+// line, so checking a trace holds no event slice; it exits like
+// loadEvents on unreadable or malformed input.
+func foldEvents(path string) *txnview.Fold {
+	f := txnview.NewFold()
+	scanEvents(path, f.Step)
+	return f
+}
+
+// scanEvents calls fn with each event of one JSONL event log ("-"
+// means standard input), exiting with the offending line number on
+// malformed input.
+func scanEvents(path string, fn func(obs.Event)) {
 	var r io.Reader
 	if path == "-" {
 		r = os.Stdin
@@ -101,12 +119,14 @@ func loadEvents(path string) []obs.Event {
 		defer f.Close()
 		r = f
 	}
-	events, err := obs.ReadJSONL(r)
+	err := obs.ScanJSONL(r, func(ev obs.Event) error {
+		fn(ev)
+		return nil
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "comatrace: %s: %v\n", displayName(path), err)
 		os.Exit(1)
 	}
-	return events
 }
 
 func displayName(path string) string {
@@ -173,8 +193,7 @@ func coverage(paths []string) {
 	}
 	exit := 0
 	for _, path := range paths {
-		events := loadEvents(path)
-		r := txnview.Coverage(events)
+		r := foldEvents(path).CoverageReport()
 		fmt.Printf("%s:\n", displayName(path))
 		if err := r.Write(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "comatrace: %v\n", err)
@@ -195,8 +214,7 @@ func check(paths []string) {
 	}
 	exit := 0
 	for _, path := range paths {
-		events := loadEvents(path)
-		r := txnview.Check(events)
+		r := foldEvents(path).CheckReport()
 		fmt.Printf("%s:\n", displayName(path))
 		if err := r.Write(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "comatrace: %v\n", err)

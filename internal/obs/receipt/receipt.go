@@ -164,7 +164,7 @@ func ParseResult(b []byte) (*stats.Run, error) {
 //
 // The JSONL lines go to one fixed-size chunk that is fed to SHA-256
 // and refilled whenever it fills. The packed log is the only thing the
-// gate keeps, about a sixth of the JSONL size; it is kept in fixed-size
+// gate keeps, about a tenth of the JSONL size; it is kept in fixed-size
 // chunks too, so it grows without re-copying itself, and Finish copies
 // it once into the exactly sized slice the caller stores. A gate from
 // NewDigestGate keeps no packed log.

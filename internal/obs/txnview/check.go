@@ -60,5 +60,5 @@ func Check(events []obs.Event) *CheckReport {
 	for _, ev := range events {
 		f.Step(ev)
 	}
-	return f.checkReport()
+	return f.CheckReport()
 }

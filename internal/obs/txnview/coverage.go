@@ -37,7 +37,7 @@ func Coverage(events []obs.Event) *CoverageReport {
 	for _, ev := range events {
 		f.Step(ev)
 	}
-	return f.coverageReport()
+	return f.CoverageReport()
 }
 
 // specEdges is proto.ECPEdges, each edge carrying its descriptions;

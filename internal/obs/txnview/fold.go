@@ -438,9 +438,9 @@ func (f *Fold) finish() {
 	}
 }
 
-// checkReport returns Check's report. It completes the replay: Step
-// must not be called afterwards.
-func (f *Fold) checkReport() *CheckReport {
+// CheckReport returns Check's report on the events stepped so far. It
+// completes the replay: Step must not be called afterwards.
+func (f *Fold) CheckReport() *CheckReport {
 	f.finish()
 	rep := &CheckReport{Events: f.n, Rounds: f.rounds}
 	if f.malformed != "" {
@@ -453,9 +453,10 @@ func (f *Fold) checkReport() *CheckReport {
 	return rep
 }
 
-// coverageReport returns Coverage's report. Coverage never depends on
-// the trace-end check, so it may be read at any point of the replay.
-func (f *Fold) coverageReport() *CoverageReport {
+// CoverageReport returns Coverage's report on the events stepped so
+// far. Coverage never depends on the trace-end check, so it may be
+// read at any point of the replay.
+func (f *Fold) CoverageReport() *CoverageReport {
 	rep := &CoverageReport{}
 	for _, e := range specEdges {
 		e.Count = f.observed[e.From][e.To]

@@ -369,8 +369,8 @@ type TxnID int64
 // transaction.
 const NoTxn TxnID = 0
 
-// txnSeqBits is the width of the per-origin sequence field.
-const txnSeqBits = 40
+// TxnSeqBits is the width of the per-origin sequence field.
+const TxnSeqBits = 40
 
 // MakeTxnID mints the transaction ID for the seq-th transaction
 // originated by node origin (None for the checkpoint coordinator).
@@ -379,17 +379,17 @@ func MakeTxnID(origin NodeID, seq int64) TxnID {
 	if seq <= 0 {
 		panic(fmt.Sprintf("proto: MakeTxnID seq %d (must be >= 1)", seq))
 	}
-	return TxnID((int64(origin)+1)<<txnSeqBits | seq)
+	return TxnID((int64(origin)+1)<<TxnSeqBits | seq)
 }
 
 // Valid reports whether t names an actual transaction.
 func (t TxnID) Valid() bool { return t != NoTxn }
 
 // Origin returns the node that minted t (None for coordinator rounds).
-func (t TxnID) Origin() NodeID { return NodeID(int64(t)>>txnSeqBits) - 1 }
+func (t TxnID) Origin() NodeID { return NodeID(int64(t)>>TxnSeqBits) - 1 }
 
 // Seq returns t's per-origin sequence number.
-func (t TxnID) Seq() int64 { return int64(t) & (1<<txnSeqBits - 1) }
+func (t TxnID) Seq() int64 { return int64(t) & (1<<TxnSeqBits - 1) }
 
 func (t TxnID) String() string {
 	if t == NoTxn {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +16,9 @@ import (
 	"time"
 
 	"coma/internal/config"
+	"coma/internal/obs"
 	"coma/internal/obs/receipt"
+	"coma/internal/proto"
 	"coma/internal/stats"
 )
 
@@ -204,7 +207,7 @@ func TestDamagedStoredTraceAnswers500(t *testing.T) {
 }
 
 // TestCacheDirTraceRestart: with -cache-dir, a restarted daemon reads
-// the <hash>.trace.pack file through and serves byte-identical JSONL;
+// the <hash>.trace.v2.pack file through and serves byte-identical JSONL;
 // a damaged file answers a 500 JSON error.
 func TestCacheDirTraceRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -237,6 +240,83 @@ func TestCacheDirTraceRestart(t *testing.T) {
 		t.Fatalf("third start: status %d cache %q, want a hit", resp.StatusCode, st3.Cache)
 	}
 	requireDamagedTrace500(t, ts3, st.ID)
+}
+
+// TestCacheDirIgnoresOldCodecTrace: a -cache-dir left by a daemon
+// that packed traces with the earlier codec, under the earlier
+// <hash>.trace.pack name, never makes /trace answer 200 with a trace
+// that fails to attest against the stored receipt. The old log is not
+// read at all: the job has no trace (404), rather than a damaged one.
+func TestCacheDirIgnoresOldCodecTrace(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Workers: 1, CacheDir: dir, Revision: "r1"}
+	_, ts1 := newTestServer(t, opts)
+	st, rcpt, trace := runTraced(t, ts1, tracedSpec)
+	ts1.Close()
+	events, err := obs.ReadJSONL(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, st.ID+"."+AuxTracePack)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, st.ID+".trace.pack"), packV1(events), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newTestServer(t, opts)
+	if resp, st2 := postJob(t, ts2, tracedSpec, true); resp.StatusCode != http.StatusOK || st2.Cache != "hit" {
+		t.Fatalf("restart: status %d cache %q, want a hit", resp.StatusCode, st2.Cache)
+	}
+	code, body := fetch(t, ts2, "/v1/jobs/"+st.ID+"/trace")
+	if code == http.StatusOK {
+		if err := rcpt.Attest(receipt.Artifacts{Trace: body}, nil); err != nil {
+			t.Fatalf("/trace answered 200 with a trace that fails attestation: %v", err)
+		}
+	}
+	if code != http.StatusNotFound {
+		t.Fatalf("/trace: status %d (%s), want 404: the old-codec log must not be read", code, body)
+	}
+}
+
+// packV1 packs events in the earlier codec's format: a kind byte (0x80
+// flags an optional txn or parent), then zig-zag varints for time and
+// txn as deltas from the previous event, node, item, and always a and b.
+func packV1(events []obs.Event) []byte {
+	var buf []byte
+	var time int64
+	var txn proto.TxnID
+	for _, ev := range events {
+		inject := ev.Kind == obs.KInjectProbe || ev.Kind == obs.KInjectAccept
+		k := byte(ev.Kind)
+		if inject && ev.Txn != proto.NoTxn || ev.Kind == obs.KTxnBegin && ev.Par != proto.NoTxn {
+			k |= 0x80
+		}
+		buf = append(buf, k)
+		buf = binary.AppendVarint(buf, ev.Time-time)
+		time = ev.Time
+		buf = binary.AppendVarint(buf, int64(ev.Node))
+		buf = binary.AppendVarint(buf, int64(ev.Item))
+		switch {
+		case ev.Kind == obs.KState:
+			buf = append(buf, byte(ev.From), byte(ev.To))
+		case inject:
+			buf = append(buf, byte(ev.Cause))
+			if k&0x80 != 0 {
+				buf = binary.AppendVarint(buf, int64(ev.Txn-txn))
+				txn = ev.Txn
+			}
+		case ev.Kind == obs.KTxnBegin || ev.Kind == obs.KTxnHop || ev.Kind == obs.KTxnEnd:
+			buf = binary.AppendVarint(buf, int64(ev.Txn-txn))
+			txn = ev.Txn
+			if k&0x80 != 0 {
+				buf = binary.AppendVarint(buf, int64(ev.Par-ev.Txn))
+			}
+		}
+		buf = binary.AppendVarint(buf, ev.A)
+		buf = binary.AppendVarint(buf, ev.B)
+	}
+	return buf
 }
 
 // TestStoreAuxBytesGauge: comad_store_aux_bytes shows the memory the

@@ -32,10 +32,14 @@ type Store struct {
 
 // Auxiliary artifact kinds stored beside a result (the file suffix on
 // disk: "<hash>.<kind>"): the canonical receipt JSON, and the receipt's
-// trace as the gate's packed log (obs.UnpackJSONL expands it).
+// trace as the gate's packed log (obs.UnpackJSONL expands it). The
+// trace suffix names the packed codec's version: builds that share a
+// revision, and so a cache key, may pack differently, and a log is
+// only ever read by the codec that wrote it ("trace.pack" files hold
+// the earlier codec's logs and are never read).
 const (
 	AuxReceipt   = "receipt.json"
-	AuxTracePack = "trace.pack"
+	AuxTracePack = "trace.v2.pack"
 )
 
 // NewStore returns a store, creating the persistence directory if one

@@ -262,6 +262,10 @@ type App struct {
 	total   int64 // this processor's instruction budget
 	barrGap int64
 	st      appState
+	// logNonRef is math.Log(1 - (ReadFrac + WriteFrac)), the log of an
+	// instruction's chance of not being a reference, which scales
+	// Next's geometric gap draw.
+	logNonRef float64
 
 	// Cached address-space geometry.
 	roItems  int64
@@ -321,6 +325,8 @@ func (s Spec) NewApp(proc, procs int, seed uint64) *App {
 		sharedLo: SharedBase,
 		privBase: PrivateBase + uint64(proc)*PrivateStride,
 		privLen:  uint64(s.PrivateBytes),
+
+		logNonRef: math.Log(1 - (s.ReadFrac + s.WriteFrac)),
 	}
 	// Window sizes are nominal for the paper's 16-processor machine and
 	// shrink (sublinearly) as a fixed-size problem is divided among more
@@ -413,12 +419,11 @@ func (a *App) Next() Ref {
 
 	// Geometric gap of non-memory instructions before the next
 	// reference.
-	refFrac := a.spec.ReadFrac + a.spec.WriteFrac
 	u := st.rng.Float64()
 	if u < 1e-12 {
 		u = 1e-12
 	}
-	gap := int64(math.Log(u) / math.Log(1-refFrac))
+	gap := int64(math.Log(u) / a.logNonRef)
 	if gap < 0 {
 		gap = 0
 	}
