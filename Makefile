@@ -107,5 +107,5 @@ model:
 	$(GO) run ./cmd/comamodel diff -C . -require-full-coverage /tmp/coma-edges/*.jsonl
 
 # check is the full tier-1 gate: everything CI enforces that can run
-# offline.
-check: build vet test race comalint bench-check fuzz model
+# offline. The smoke targets and attest boot daemons on localhost only.
+check: build vet test race comalint bench-check fuzz model smoke-serve smoke-inspect smoke-cluster attest

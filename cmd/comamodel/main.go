@@ -204,7 +204,9 @@ func check(args []string, stdout, stderr io.Writer) int {
 }
 
 // runtimeTable unions the exercised protocol edges of comasim JSONL
-// event logs into a Table, via the same replay the trace checker uses.
+// event logs into a Table, via the same replay the trace checker uses:
+// each log streams line by line through a txnview.Fold, so no event
+// slice is held.
 func runtimeTable(paths []string, stdout, stderr io.Writer) (*model.Table, bool) {
 	t := model.NewTable("runtime")
 	ok := true
@@ -214,13 +216,17 @@ func runtimeTable(paths []string, stdout, stderr io.Writer) (*model.Table, bool)
 			fmt.Fprintf(stderr, "comamodel: %v\n", err)
 			return nil, false
 		}
-		events, err := obs.ReadJSONL(f)
+		fold := txnview.NewFold()
+		err = obs.ScanJSONL(f, func(ev obs.Event) error {
+			fold.Step(ev)
+			return nil
+		})
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(stderr, "comamodel: %s: %v\n", path, err)
 			return nil, false
 		}
-		rep := txnview.Coverage(events)
+		rep := fold.CoverageReport()
 		for _, e := range rep.Exercised {
 			t.Add(e.Edge, path)
 		}

@@ -37,20 +37,6 @@ type Stats struct {
 	Invalidations int64
 }
 
-// Accesses returns the total number of processor accesses.
-func (s Stats) Accesses() int64 {
-	return s.ReadHits + s.ReadMisses + s.WriteHits + s.WriteMisses
-}
-
-// MissRate returns the overall miss rate in [0,1].
-func (s Stats) MissRate() float64 {
-	a := s.Accesses()
-	if a == 0 {
-		return 0
-	}
-	return float64(s.ReadMisses+s.WriteMisses) / float64(a)
-}
-
 // Per-line flag bits.
 const (
 	lineValid uint8 = 1 << iota
@@ -311,21 +297,6 @@ func (c *Cache) DowngradeItem(itemAddr uint64) {
 	c.forEachLineOfItem(itemAddr, func(l int) {
 		c.flags[l] &^= lineWritable | lineDirty
 	})
-}
-
-// ItemDirtyValue returns the most recent dirty value cached for the item,
-// if any line covering it is dirty. The AM consults this before serving a
-// remote request so the reply carries current data.
-func (c *Cache) ItemDirtyValue(itemAddr uint64) (uint64, bool) {
-	var v uint64
-	found := false
-	c.forEachLineOfItem(itemAddr, func(l int) {
-		if c.flags[l]&lineDirty != 0 {
-			v = c.values[l]
-			found = true
-		}
-	})
-	return v, found
 }
 
 // FlushDirty writes every dirty line back through fn (addr, value),

@@ -132,19 +132,6 @@ func TestDowngradeKeepsDataReadable(t *testing.T) {
 	}
 }
 
-func TestItemDirtyValue(t *testing.T) {
-	c := newCache()
-	if _, ok := c.ItemDirtyValue(0x4000); ok {
-		t.Fatal("empty cache reported dirty value")
-	}
-	c.Fill(0x4040, true, 3, 1) // second line of item at 0x4000
-	c.Access(0x4040, true, 77, 2)
-	v, ok := c.ItemDirtyValue(0x4000)
-	if !ok || v != 77 {
-		t.Fatalf("dirty value = (%d,%v), want (77,true)", v, ok)
-	}
-}
-
 func TestFlushDirty(t *testing.T) {
 	c := newCache()
 	c.Fill(0x1000, true, 0, 1)
@@ -182,19 +169,6 @@ func TestInvalidateAll(t *testing.T) {
 		if c.Contains(uint64(i) * 0x1000) {
 			t.Fatalf("line %d survived InvalidateAll", i)
 		}
-	}
-}
-
-func TestMissRate(t *testing.T) {
-	c := newCache()
-	c.Access(0, false, 0, 1) // miss
-	c.Fill(0, false, 0, 1)
-	c.Access(0, false, 0, 2) // hit
-	c.Access(0, false, 0, 3) // hit
-	c.Access(64, false, 0, 4)
-	got := c.Stats().MissRate()
-	if got != 0.5 {
-		t.Fatalf("miss rate = %v, want 0.5", got)
 	}
 }
 

@@ -3,8 +3,8 @@
 // -cluster), heartbeats, leases jobs, executes them on the in-process
 // simulator and streams results and progress back.
 //
-// Fault model. The agent holds leases — job id plus deadline — renewed
-// by every heartbeat and lease request. If the agent goes silent
+// Fault model. The agent holds leases — job ids the coordinator files
+// under the agent — kept alive by every heartbeat and lease request. If the agent goes silent
 // (crash, partition, SIGKILL) the coordinator declares it dead after
 // one lease TTL and requeues its jobs on another node; because jobs are
 // content-addressed run identities and every node computes

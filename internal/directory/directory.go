@@ -261,20 +261,6 @@ func (b *Bitset) ForEach(fn func(proto.NodeID)) {
 	}
 }
 
-// ForEachUntil visits members in increasing id order until fn returns
-// false. It reports whether the walk ran to completion, so callers can
-// short-circuit searches without smuggling state through the callback.
-func (b *Bitset) ForEachUntil(fn func(proto.NodeID) bool) bool {
-	for wi, w := range b.words {
-		for ; w != 0; w &= w - 1 {
-			if !fn(proto.NodeID(wi*64 + bits.TrailingZeros64(w))) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Members returns the members in increasing id order.
 func (b *Bitset) Members() []proto.NodeID {
 	out := make([]proto.NodeID, 0, b.Len())

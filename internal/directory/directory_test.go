@@ -163,13 +163,10 @@ func TestBitsetBasics(t *testing.T) {
 	}
 }
 
-func TestBitsetMembersAndForEachUntil(t *testing.T) {
+func TestBitsetMembers(t *testing.T) {
 	b := NewBitset(70)
 	if got := b.Members(); len(got) != 0 {
 		t.Fatalf("empty Members = %v", got)
-	}
-	if !b.ForEachUntil(func(proto.NodeID) bool { t.Fatal("visited empty set"); return false }) {
-		t.Fatal("empty walk did not complete")
 	}
 	for _, n := range []proto.NodeID{5, 0, 69, 64} {
 		b.Add(n)
@@ -183,21 +180,6 @@ func TestBitsetMembersAndForEachUntil(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Members = %v, want %v", got, want)
 		}
-	}
-	var visited []proto.NodeID
-	done := b.ForEachUntil(func(n proto.NodeID) bool {
-		visited = append(visited, n)
-		return n < 5 // stop after visiting 5
-	})
-	if done || len(visited) != 2 || visited[0] != 0 || visited[1] != 5 {
-		t.Fatalf("short-circuit walk: done=%v visited=%v", done, visited)
-	}
-	visited = nil
-	if !b.ForEachUntil(func(n proto.NodeID) bool { visited = append(visited, n); return true }) {
-		t.Fatal("full walk did not report completion")
-	}
-	if len(visited) != 4 {
-		t.Fatalf("full walk visited %v", visited)
 	}
 }
 

@@ -95,15 +95,3 @@ func (r *CoverageReport) Write(w io.Writer) error {
 	}
 	return nil
 }
-
-// UnexercisedRecovery returns the recovery-state edges the trace never
-// entered — the paper's fault-tolerance paths a campaign left untested.
-func (r *CoverageReport) UnexercisedRecovery() []Edge {
-	var out []Edge
-	for _, e := range r.Unexercised {
-		if e.Recovery() {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -114,17 +114,6 @@ func (s *Set) Incomplete() []*Txn {
 	return out
 }
 
-// Children returns the child transactions of a parent, in begin order.
-func (s *Set) Children(id proto.TxnID) []*Txn {
-	var out []*Txn
-	for _, t := range s.Txns {
-		if t.Par == id {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // TopK returns the k slowest complete transactions, slowest first (ties
 // broken by begin time, then ID, for determinism).
 func (s *Set) TopK(k int) []*Txn {

@@ -35,9 +35,6 @@ func TestAssemble(t *testing.T) {
 	if got.Hops[0].Msg != proto.MsgReadReq || got.Hops[0].Latency != 8 {
 		t.Fatalf("t1 hop = %+v", got.Hops[0])
 	}
-	if kids := s.Children(t1); len(kids) != 1 || kids[0].ID != t2 {
-		t.Fatalf("children of t1 = %v", kids)
-	}
 	if inc := s.Incomplete(); len(inc) != 1 || inc[0].ID != t3 {
 		t.Fatalf("incomplete = %v", inc)
 	}
@@ -267,9 +264,6 @@ func TestCoverage(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Fatalf("edges not reported exercised: %v (got %v)", want, r.Exercised)
-	}
-	if len(r.UnexercisedRecovery()) == 0 {
-		t.Fatal("no unexercised recovery edges reported on a near-empty trace")
 	}
 	var buf bytes.Buffer
 	if err := r.Write(&buf); err != nil {

@@ -142,19 +142,6 @@ func FormatPct(frac float64) string {
 	return fmt.Sprintf("%.1f%%", frac*100)
 }
 
-// FormatBytes renders a byte count with a binary-unit suffix.
-func FormatBytes(b float64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.2f GB", b/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.2f MB", b/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1f KB", b/(1<<10))
-	}
-	return fmt.Sprintf("%.0f B", b)
-}
-
 // FormatRate renders a bytes-per-second rate in decimal units (the paper
 // reports MB/s).
 func FormatRate(bps float64) string {

@@ -83,20 +83,6 @@ func TestFormatPct(t *testing.T) {
 	}
 }
 
-func TestFormatBytes(t *testing.T) {
-	cases := map[float64]string{
-		512:             "512 B",
-		2048:            "2.0 KB",
-		3 << 20:         "3.00 MB",
-		1.5 * (1 << 30): "1.50 GB",
-	}
-	for in, want := range cases {
-		if got := FormatBytes(in); got != want {
-			t.Errorf("FormatBytes(%v) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestFormatRate(t *testing.T) {
 	cases := map[float64]string{
 		500:    "500 B/s",

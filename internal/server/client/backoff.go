@@ -5,10 +5,17 @@ import (
 	"time"
 )
 
+// Retry schedule bounds: the pre-jitter delay of the first attempt, and
+// the cap the doubling stops at.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffCap  = 5 * time.Second
+)
+
 // Backoff computes capped exponential retry delays with deterministic
-// jitter. Each call to Next doubles the base delay up to Cap and then
-// jitters it into [d/2, d) using a splitmix64 stream seeded at
-// construction — deterministic, so tests can assert exact delay
+// jitter. Each call to Next doubles the delay from backoffBase up to
+// backoffCap and then jitters it into [d/2, d) using a splitmix64
+// stream seeded at construction — deterministic, so tests can assert exact delay
 // sequences, yet de-synchronised across clients (each seed yields a
 // different stream, so a fleet of workers hammered by the same 429 does
 // not retry in lockstep).
@@ -17,18 +24,12 @@ import (
 // the jittered delay: the server's explicit hint is authoritative about
 // "not sooner than", the jitter only spreads callers out beyond it.
 type Backoff struct {
-	// Base is the pre-jitter delay of the first attempt (0: 100ms).
-	Base time.Duration
-	// Cap bounds the pre-jitter delay (0: 5s).
-	Cap time.Duration
-
 	mu      sync.Mutex
 	attempt int
 	rng     uint64
 }
 
-// NewBackoff returns a Backoff with default Base/Cap whose jitter
-// stream is seeded with seed.
+// NewBackoff returns a Backoff whose jitter stream is seeded with seed.
 func NewBackoff(seed uint64) *Backoff {
 	return &Backoff{rng: seed}
 }
@@ -49,16 +50,9 @@ func (b *Backoff) next64() uint64 {
 func (b *Backoff) Next(floor time.Duration) time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	base, cap := b.Base, b.Cap
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
-	d := base << b.attempt
-	if d > cap || d <= 0 { // <= 0: shift overflow
-		d = cap
+	d := backoffBase << b.attempt
+	if d > backoffCap || d <= 0 { // <= 0: shift overflow
+		d = backoffCap
 	} else {
 		b.attempt++
 	}

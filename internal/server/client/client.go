@@ -5,7 +5,9 @@
 //
 // All methods are synchronous — the client spawns no goroutines; the
 // only blocking it does is HTTP I/O and the backoff sleep on a 429,
-// both bounded by the caller's context.
+// both bounded by the caller's context. Every request goes through one
+// exchange, Client.do: it sends the request and hands back a 2xx
+// response, or the daemon's decoded error for any other answer.
 package client
 
 import (
@@ -73,6 +75,9 @@ func IsGone(err error) bool { return StatusCode(err) == http.StatusGone }
 type apiError struct {
 	Status int
 	Msg    string
+	// RetryAfter is the daemon's Retry-After hint (0 if absent): the
+	// backoff floor of a 429, not the delay itself.
+	RetryAfter time.Duration
 }
 
 func (e *apiError) Error() string {
@@ -87,7 +92,55 @@ func decodeError(resp *http.Response) error {
 	if json.Unmarshal(raw, &body) != nil || body.Error == "" {
 		body.Error = strings.TrimSpace(string(raw))
 	}
-	return &apiError{Status: resp.StatusCode, Msg: body.Error}
+	ae := &apiError{Status: resp.StatusCode, Msg: body.Error}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		ae.RetryAfter = time.Duration(secs) * time.Second
+	}
+	return ae
+}
+
+// do is the client's one HTTP exchange: it sends method path with body
+// JSON-encoded (none when nil) and returns the response of a 2xx answer,
+// whose body the caller closes. Any other answer is returned as the
+// decoded *apiError.
+func (c *Client) do(ctx context.Context, method, path string, body any) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		payload, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		return nil, decodeError(resp)
+	}
+	return resp, nil
+}
+
+// call is do plus decoding the JSON answer into out (skipped when nil).
+func (c *Client) call(ctx context.Context, method, path string, body, out any) error {
+	resp, err := c.do(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Submit posts a job. With wait, the call blocks until the job is
@@ -95,29 +148,14 @@ func decodeError(resp *http.Response) error {
 // retried with capped exponential backoff (deterministic jitter,
 // Retry-After as a floor) until ctx expires.
 func (c *Client) Submit(ctx context.Context, spec server.JobSpec, wait bool) (server.JobStatus, error) {
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return server.JobStatus{}, err
-	}
-	url := c.base + "/v1/jobs"
+	path := "/v1/jobs"
 	if wait {
-		url += "?wait=1"
+		path += "?wait=1"
 	}
 	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-		if err != nil {
-			return server.JobStatus{}, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return server.JobStatus{}, err
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			delay := c.backoff.Next(retryAfter(resp))
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			timer := time.NewTimer(delay)
+		resp, err := c.do(ctx, http.MethodPost, path, spec)
+		if ae, ok := err.(*apiError); ok && ae.Status == http.StatusTooManyRequests {
+			timer := time.NewTimer(c.backoff.Next(ae.RetryAfter))
 			select {
 			case <-timer.C:
 			case <-ctx.Done():
@@ -126,10 +164,10 @@ func (c *Client) Submit(ctx context.Context, spec server.JobSpec, wait bool) (se
 			}
 			continue
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			return server.JobStatus{}, decodeError(resp)
+		if err != nil {
+			return server.JobStatus{}, err
 		}
+		defer resp.Body.Close()
 		var st server.JobStatus
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			return server.JobStatus{}, fmt.Errorf("comad: decoding job status: %w", err)
@@ -137,15 +175,6 @@ func (c *Client) Submit(ctx context.Context, spec server.JobSpec, wait bool) (se
 		c.backoff.Reset()
 		return st, nil
 	}
-}
-
-// retryAfter extracts the daemon's Retry-After hint (0 if absent) — the
-// backoff floor, not the delay itself.
-func retryAfter(resp *http.Response) time.Duration {
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-		return time.Duration(secs) * time.Second
-	}
-	return 0
 }
 
 // Run submits, waits, and decodes the result: the blocking "give me the
@@ -190,7 +219,7 @@ func decodeResult(st server.JobStatus) (*stats.Run, error) {
 		if msg == "" {
 			msg = "no result"
 		}
-		return nil, fmt.Errorf("comad: job %s is %s: %s", shortID(st.ID), st.State, msg)
+		return nil, fmt.Errorf("comad: job %s is %s: %s", server.ShortID(st.ID), st.State, msg)
 	}
 	var run stats.Run
 	if err := json.Unmarshal(st.Result, &run); err != nil {
@@ -202,7 +231,7 @@ func decodeResult(st server.JobStatus) (*stats.Run, error) {
 // Status fetches a job; terminal done jobs include the result payload.
 func (c *Client) Status(ctx context.Context, id string) (server.JobStatus, error) {
 	var st server.JobStatus
-	err := c.getJSON(ctx, "/v1/jobs/"+id, &st)
+	err := c.call(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
@@ -226,56 +255,23 @@ func (c *Client) Trace(ctx context.Context, id string) ([]byte, error) {
 
 // getRaw fetches a sub-resource as uninterpreted bytes.
 func (c *Client) getRaw(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
 	return io.ReadAll(resp.Body)
-}
-
-// Cancel cancels a queued job.
-func (c *Client) Cancel(ctx context.Context, id string) (server.JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return server.JobStatus{}, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return server.JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return server.JobStatus{}, decodeError(resp)
-	}
-	var st server.JobStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st, err
 }
 
 // Follow subscribes to a job's SSE stream and forwards each event to fn,
 // returning when the job reaches a terminal state (the daemon closes the
 // stream after the final state event) or ctx expires.
 func (c *Client) Follow(ctx context.Context, id string, fn func(server.JobEvent)) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
 	scanner := bufio.NewScanner(resp.Body)
 	scanner.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for scanner.Scan() {
@@ -297,47 +293,12 @@ func (c *Client) Follow(ctx context.Context, id string, fn func(server.JobEvent)
 // Health fetches /healthz.
 func (c *Client) Health(ctx context.Context) (server.Health, error) {
 	var h server.Health
-	err := c.getJSON(ctx, "/healthz", &h)
+	err := c.call(ctx, http.MethodGet, "/healthz", nil, &h)
 	return h, err
 }
 
 // Metrics fetches the raw Prometheus exposition from /metrics.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", decodeError(resp)
-	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := c.getRaw(ctx, "/metrics")
 	return string(body), err
-}
-
-func (c *Client) getJSON(ctx context.Context, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-func shortID(id string) string {
-	if len(id) > 12 {
-		return id[:12]
-	}
-	return id
 }

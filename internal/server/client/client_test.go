@@ -2,12 +2,15 @@ package client
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"coma/internal/config"
+	"coma/internal/inspect"
 	"coma/internal/obs"
 	"coma/internal/server"
 	"coma/internal/stats"
@@ -112,9 +115,13 @@ func TestSubmitRetriesAfter429(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The third submission bounces off the full queue; release the gate
-	// shortly after so the client's Retry-After loop succeeds.
+	// The third submission bounces off the full queue with Retry-After: 2
+	// (one queued job per worker); release the gate shortly after so the
+	// client's retry loop succeeds. The hint is a floor: the first retry
+	// must not come before it, although the queue drains within
+	// milliseconds of the release.
 	done := make(chan error, 1)
+	start := time.Now()
 	go func() {
 		_, _, err := c.Run(ctx, spec(3))
 		done <- err
@@ -123,6 +130,9 @@ func TestSubmitRetriesAfter429(t *testing.T) {
 	close(gate)
 	if err := <-done; err != nil {
 		t.Fatalf("Run after 429: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < 2*time.Second {
+		t.Fatalf("Run retried within %v, under the 2s Retry-After floor", elapsed)
 	}
 	if got := runs.Load(); got != 3 {
 		t.Fatalf("runner executed %d times, want 3", got)
@@ -181,5 +191,70 @@ func waitState(t *testing.T, c *Client, id string, want server.State) {
 			t.Fatalf("job %s stuck in %s, want %s", id, st.State, want)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestEveryMethodSurfacesAPIErrors: every request goes through the one
+// exchange, so against a daemon that answers everything with 410 and a
+// JSON error body, each exported method that makes a request returns an
+// error for which IsGone holds and whose text carries the body's message.
+func TestEveryMethodSurfacesAPIErrors(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusGone)
+		w.Write([]byte(`{"error":"worker w9 is unknown"}`))
+	}))
+	t.Cleanup(ts.Close)
+	c := New(ts.URL)
+	ctx := context.Background()
+	calls := map[string]func() error{
+		"Submit": func() error { _, err := c.Submit(ctx, spec(1), false); return err },
+		"Run":    func() error { _, _, err := c.Run(ctx, spec(1)); return err },
+		"RunStreaming": func() error {
+			_, _, err := c.RunStreaming(ctx, spec(1), nil)
+			return err
+		},
+		"Status":  func() error { _, err := c.Status(ctx, "j"); return err },
+		"Result":  func() error { _, err := c.Result(ctx, "j"); return err },
+		"Receipt": func() error { _, err := c.Receipt(ctx, "j"); return err },
+		"Trace":   func() error { _, err := c.Trace(ctx, "j"); return err },
+		"Follow":  func() error { return c.Follow(ctx, "j", nil) },
+		"Health":  func() error { _, err := c.Health(ctx); return err },
+		"Metrics": func() error { _, err := c.Metrics(ctx); return err },
+		"RegisterWorker": func() error {
+			_, err := c.RegisterWorker(ctx, server.RegisterRequest{Name: "n"})
+			return err
+		},
+		"LeaseJob": func() error {
+			_, err := c.LeaseJob(ctx, "w9", server.LeaseRequest{})
+			return err
+		},
+		"Heartbeat": func() error {
+			_, err := c.Heartbeat(ctx, "w9", server.HeartbeatRequest{})
+			return err
+		},
+		"CompleteJob": func() error {
+			_, err := c.CompleteJob(ctx, "w9", server.CompleteRequest{JobID: "j"})
+			return err
+		},
+		"DeregisterWorker": func() error { return c.DeregisterWorker(ctx, "w9") },
+		"Workers":          func() error { _, _, err := c.Workers(ctx); return err },
+		"Jobs":             func() error { _, err := c.Jobs(ctx); return err },
+		"Inspect":          func() error { _, err := c.Inspect(ctx, "j", "summary", nil); return err },
+		"InspectSummary":   func() error { _, err := c.InspectSummary(ctx, "j"); return err },
+		"InspectStream": func() error {
+			return c.InspectStream(ctx, "j", func(inspect.Sample) bool { return true })
+		},
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			err := call()
+			if !IsGone(err) {
+				t.Fatalf("err = %v, want a 410 API error", err)
+			}
+			if !strings.Contains(err.Error(), "worker w9 is unknown") {
+				t.Fatalf("err = %q, want the body's message", err)
+			}
+		})
 	}
 }

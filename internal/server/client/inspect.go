@@ -24,7 +24,7 @@ type JobList struct {
 // comad top uses it to discover a running job to attach to.
 func (c *Client) Jobs(ctx context.Context) (JobList, error) {
 	var list JobList
-	err := c.getJSON(ctx, "/v1/jobs", &list)
+	err := c.call(ctx, http.MethodGet, "/v1/jobs", nil, &list)
 	return list, err
 }
 
@@ -45,14 +45,14 @@ func (c *Client) Inspect(ctx context.Context, id, view string, params url.Values
 		path += "?" + q.Encode()
 	}
 	var raw json.RawMessage
-	err := c.getJSON(ctx, path, &raw)
+	err := c.call(ctx, http.MethodGet, path, nil, &raw)
 	return raw, err
 }
 
 // InspectSummary queries the typed summary view.
 func (c *Client) InspectSummary(ctx context.Context, id string) (inspect.SummaryView, error) {
 	var sv inspect.SummaryView
-	err := c.getJSON(ctx, "/v1/jobs/"+id+"/inspect?view=summary", &sv)
+	err := c.call(ctx, http.MethodGet, "/v1/jobs/"+id+"/inspect?view=summary", nil, &sv)
 	return sv, err
 }
 
@@ -64,18 +64,11 @@ func (c *Client) InspectSummary(ctx context.Context, id string) (inspect.Summary
 func (c *Client) InspectStream(ctx context.Context, id string, fn func(inspect.Sample) bool) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/inspect/stream", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/inspect/stream", nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
 	scanner := bufio.NewScanner(resp.Body)
 	scanner.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	seen := false

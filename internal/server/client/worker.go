@@ -1,9 +1,7 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"coma/internal/server"
@@ -18,7 +16,7 @@ import (
 // returns the assigned identity plus lease terms.
 func (c *Client) RegisterWorker(ctx context.Context, req server.RegisterRequest) (server.RegisterResponse, error) {
 	var resp server.RegisterResponse
-	err := c.postJSON(ctx, "/v1/workers", req, &resp)
+	err := c.call(ctx, http.MethodPost, "/v1/workers", req, &resp)
 	return resp, err
 }
 
@@ -28,14 +26,14 @@ func (c *Client) RegisterWorker(ctx context.Context, req server.RegisterRequest)
 // this worker — re-register.
 func (c *Client) LeaseJob(ctx context.Context, workerID string, req server.LeaseRequest) (server.LeaseResponse, error) {
 	var resp server.LeaseResponse
-	err := c.postJSON(ctx, "/v1/workers/"+workerID+"/lease", req, &resp)
+	err := c.call(ctx, http.MethodPost, "/v1/workers/"+workerID+"/lease", req, &resp)
 	return resp, err
 }
 
 // Heartbeat renews the worker's leases and forwards buffered progress.
 func (c *Client) Heartbeat(ctx context.Context, workerID string, req server.HeartbeatRequest) (server.WorkerAck, error) {
 	var resp server.WorkerAck
-	err := c.postJSON(ctx, "/v1/workers/"+workerID+"/heartbeat", req, &resp)
+	err := c.call(ctx, http.MethodPost, "/v1/workers/"+workerID+"/heartbeat", req, &resp)
 	return resp, err
 }
 
@@ -43,26 +41,14 @@ func (c *Client) Heartbeat(ctx context.Context, workerID string, req server.Hear
 // (server.MarshalResult) on success, the simulation error otherwise.
 func (c *Client) CompleteJob(ctx context.Context, workerID string, req server.CompleteRequest) (server.WorkerAck, error) {
 	var resp server.WorkerAck
-	err := c.postJSON(ctx, "/v1/workers/"+workerID+"/complete", req, &resp)
+	err := c.call(ctx, http.MethodPost, "/v1/workers/"+workerID+"/complete", req, &resp)
 	return resp, err
 }
 
 // DeregisterWorker announces a graceful departure; the coordinator
 // requeues the worker's leases without counting an attempt.
 func (c *Client) DeregisterWorker(ctx context.Context, workerID string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/workers/"+workerID, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	return nil
+	return c.call(ctx, http.MethodDelete, "/v1/workers/"+workerID, nil, nil)
 }
 
 // Workers lists the coordinator's registered worker nodes and the
@@ -72,30 +58,6 @@ func (c *Client) Workers(ctx context.Context) ([]server.WorkerStatus, int, error
 		Workers []server.WorkerStatus `json:"workers"`
 		Queued  int                   `json:"queued"`
 	}
-	err := c.getJSON(ctx, "/v1/workers", &resp)
+	err := c.call(ctx, http.MethodGet, "/v1/workers", nil, &resp)
 	return resp.Workers, resp.Queued, err
-}
-
-func (c *Client) postJSON(ctx context.Context, path string, body, out any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return decodeError(resp)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -23,9 +23,10 @@ import (
 //	POST   /v1/workers/{id}/complete   deliver one job's result payload and last progress
 //	DELETE /v1/workers/{id}            graceful leave; leases requeue
 //
-// Fault tolerance eats the paper's dogfood: a lease is job id +
-// deadline, renewed by heartbeats; a worker that misses its liveness
-// window is declared dead and every lease it held expires back onto the
+// Fault tolerance eats the paper's dogfood: a lease is a job id in its
+// worker's lease set, and one timestamp per worker, renewed by every
+// contact, judges liveness; a worker that misses its liveness window is
+// declared dead and every lease it held expires back onto the
 // queue (requeue counter per job, dead-letter past Options.MaxRequeues).
 // Re-execution is always safe because jobs are content-addressed by
 // config.RunIdentity: any worker computes byte-identical payloads for a
@@ -187,10 +188,11 @@ type worker struct {
 	slots int
 	state string
 
+	// lastBeat is the worker's last contact (register, heartbeat, lease
+	// or complete call): the only liveness input sweepLocked reads.
 	lastBeat time.Time
-	// leases maps job id -> lease deadline (renewed on every heartbeat
-	// and lease call).
-	leases    map[string]time.Time
+	// leases is the set of job ids leased to, and running on, the worker.
+	leases    map[string]struct{}
 	completed int64
 }
 
@@ -280,21 +282,12 @@ func (s *Server) leaseLocked(w *worker, now time.Time) *LeasedJob {
 	if j == nil {
 		return nil
 	}
-	w.leases[j.id] = now.Add(s.clu.leaseTTL)
+	w.leases[j.id] = struct{}{}
 	j.workerID = w.id
 	s.startLocked(j, now)
 	s.appendEventLocked(j, JobEvent{Type: "progress",
 		Message: fmt.Sprintf("leased to worker %s (%s)", w.id, w.name)})
 	return &LeasedJob{JobID: j.id, Identity: j.identity, Progress: j.spec.Progress, Attempt: j.attempts}
-}
-
-// touchLocked renews a worker's liveness and every lease it holds.
-func (s *Server) touchLocked(w *worker, now time.Time) {
-	w.lastBeat = now
-	deadline := now.Add(s.clu.leaseTTL)
-	for id := range w.leases {
-		w.leases[id] = deadline
-	}
 }
 
 // clusterStats is the /metrics snapshot of the scheduler.
@@ -380,7 +373,7 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 		slots:    req.Slots,
 		state:    workerActive,
 		lastBeat: now,
-		leases:   make(map[string]time.Time),
+		leases:   make(map[string]struct{}),
 	}
 	s.clu.workers[wk.id] = wk
 	s.mu.Unlock()
@@ -433,7 +426,7 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	s.mu.Lock()
-	s.touchLocked(wk, now)
+	wk.lastBeat = now
 	s.fileProgressLocked(req.Progress)
 	s.sweepLocked(now)
 	resp := WorkerAck{Draining: s.drainedLocked()}
@@ -471,7 +464,7 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 			s.respondError(w, http.StatusGone, errors.New("unknown worker (re-register)"))
 			return
 		}
-		s.touchLocked(wk, now)
+		wk.lastBeat = now
 		s.sweepLocked(now)
 		resp := LeaseResponse{Job: s.leaseLocked(wk, now), Draining: s.drainedLocked()}
 		wake := s.wake
@@ -564,7 +557,7 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	s.mu.Lock()
 	if wk.state == workerActive {
-		s.touchLocked(wk, now)
+		wk.lastBeat = now
 	}
 	if !ok {
 		s.mu.Unlock()

@@ -136,7 +136,7 @@ func TestStoredTraceIsExactSize(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || st.State != StateDone {
 		t.Fatalf("submit: status %d state %s err %q", resp.StatusCode, st.State, st.Error)
 	}
-	trace, ok := s.store.GetAux(st.ID, AuxTracePack)
+	trace, ok := s.store.Get(st.ID, KindTracePack)
 	if !ok || len(trace) == 0 {
 		t.Fatal("no trace stored beside the receipt")
 	}
@@ -199,8 +199,8 @@ func requireDamagedTrace500(t *testing.T, ts *httptest.Server, id string) {
 func TestDamagedStoredTraceAnswers500(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	st, _, _ := runTraced(t, ts, tracedSpec)
-	packed, _ := s.store.GetAux(st.ID, AuxTracePack)
-	if err := s.store.PutAux(st.ID, AuxTracePack, packed[:len(packed)-1]); err != nil {
+	packed, _ := s.store.Get(st.ID, KindTracePack)
+	if err := s.store.Put(st.ID, KindTracePack, packed[:len(packed)-1]); err != nil {
 		t.Fatal(err)
 	}
 	requireDamagedTrace500(t, ts, st.ID)
@@ -226,7 +226,7 @@ func TestCacheDirTraceRestart(t *testing.T) {
 	}
 	ts2.Close()
 
-	path := filepath.Join(dir, st.ID+"."+AuxTracePack)
+	path := filepath.Join(dir, st.ID+"."+KindTracePack)
 	packed, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestCacheDirIgnoresOldCodecTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, st.ID+"."+AuxTracePack)); err != nil {
+	if err := os.Remove(filepath.Join(dir, st.ID+"."+KindTracePack)); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, st.ID+".trace.pack"), packV1(events), 0o644); err != nil {
@@ -333,8 +333,8 @@ func TestStoreAuxBytesGauge(t *testing.T) {
 	for _, spec := range []string{tracedSpec, strings.Replace(tracedSpec, `"seed":11`, `"seed":12`, 1), tracedSpec} {
 		st, _, jsonl := runTraced(t, ts, spec)
 		if st.Cache != "hit" {
-			rcpt, _ := s.store.GetAux(st.ID, AuxReceipt)
-			packed, _ := s.store.GetAux(st.ID, AuxTracePack)
+			rcpt, _ := s.store.Get(st.ID, KindReceipt)
+			packed, _ := s.store.Get(st.ID, KindTracePack)
 			wantReceipt += len(rcpt)
 			wantTrace += len(packed)
 			if 5*len(packed) > len(jsonl) {
@@ -543,8 +543,10 @@ func TestReceiptKeyEnforced(t *testing.T) {
 	}
 }
 
-// TestStoreAuxRoundTrip covers the persistence path: aux artifacts
-// written beside a result survive a store restart (read-through).
+// TestStoreAuxRoundTrip covers the one entry path for every kind:
+// results, receipts and traces written through survive a store restart
+// (read-through), an unknown kind or invalid key is refused, Len counts
+// results only, and Bytes stays exact when an entry is replaced.
 func TestStoreAuxRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewStore(dir)
@@ -552,34 +554,59 @@ func TestStoreAuxRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := config.RunIdentity{App: "uniform", Protocol: "ecp"}.Hash()
-	if err := st.Put(key, []byte(`{"x":1}`)); err != nil {
+	entries := map[string]string{
+		KindResult:    `{"x":1}`,
+		KindReceipt:   `{"schema":"coma-receipt/v1"}`,
+		KindTracePack: "\x0c\x02",
+	}
+	for kind, payload := range entries {
+		if err := st.Put(key, kind, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Put(key, "evil-kind", []byte("x")); err == nil {
+		t.Fatal("Put accepted an unknown kind")
+	}
+	if _, ok := st.Get(key, "evil-kind"); ok {
+		t.Fatal("Put stored an unknown kind in memory")
+	}
+	if n := st.Len(); n != 1 {
+		t.Fatalf("Len = %d with one result and two other entries, want 1", n)
+	}
+	if err := st.Put(key, KindReceipt, []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutAux(key, AuxReceipt, []byte(`{"schema":"coma-receipt/v1"}`)); err != nil {
-		t.Fatal(err)
+	if got := st.Bytes(KindReceipt); got != 2 {
+		t.Fatalf("Bytes(receipt) = %d after replacing the receipt with 2 bytes, want 2", got)
 	}
-	if err := st.PutAux(key, AuxTracePack, []byte("\x0c\x02")); err != nil {
-		t.Fatal(err)
+	if n := st.Len(); n != 1 {
+		t.Fatalf("Len = %d after replacing a receipt, want 1", n)
 	}
-	if err := st.PutAux(key, "evil-kind", []byte("x")); err == nil {
-		t.Fatal("PutAux accepted an unknown kind")
-	}
+	entries[KindReceipt] = `{}`
 
 	fresh, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := fresh.GetAux(key, AuxReceipt); !ok || string(got) != `{"schema":"coma-receipt/v1"}` {
-		t.Fatalf("receipt read-through = %q/%v", got, ok)
+	if n := fresh.Len(); n != 0 {
+		t.Fatalf("fresh store Len = %d before any read, want 0", n)
 	}
-	if got, ok := fresh.GetAux(key, AuxTracePack); !ok || string(got) != "\x0c\x02" {
-		t.Fatalf("trace read-through = %q/%v", got, ok)
+	for kind, want := range entries {
+		if got, ok := fresh.Get(key, kind); !ok || string(got) != want {
+			t.Fatalf("%s read-through = %q/%v, want %q", kind, got, ok, want)
+		}
+		if got := fresh.Bytes(kind); got != int64(len(want)) {
+			t.Fatalf("Bytes(%s) = %d after read-through, want %d", kind, got, len(want))
+		}
 	}
-	if _, ok := fresh.GetAux(key, "evil-kind"); ok {
-		t.Fatal("GetAux served an unknown kind")
+	if n := fresh.Len(); n != 1 {
+		t.Fatalf("Len = %d after reading every kind back, want 1", n)
 	}
-	if _, ok := fresh.GetAux("nope", AuxReceipt); ok {
-		t.Fatal("GetAux served an invalid key")
+	if _, ok := fresh.Get(key, "evil-kind"); ok {
+		t.Fatal("Get served an unknown kind")
+	}
+	if _, ok := fresh.Get("nope", KindReceipt); ok {
+		t.Fatal("Get served an invalid key")
 	}
 }
 

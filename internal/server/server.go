@@ -164,8 +164,8 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/receipt", s.handleReceipt)
+	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.serveStored(KindResult))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/receipt", s.serveStored(KindReceipt))
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/inspect", s.handleInspect)
@@ -240,7 +240,7 @@ func (s *Server) admit(spec JobSpec, identity config.RunIdentity, wait bool) (j 
 		s.registerInterestLocked(j, wait)
 		return j, cache, 0, 0
 	}
-	if payload, ok := s.store.Get(key); ok {
+	if payload, ok := s.store.Get(key, KindResult); ok {
 		j := newJob(key, spec, identity, now)
 		j.result = payload
 		s.setStateLocked(j, StateDone)
@@ -437,7 +437,7 @@ func (s *Server) completeLocked(j *job, out Outcome, now time.Time, by string) {
 		return
 	}
 	j.result = out.Payload
-	if err := s.store.Put(j.id, out.Payload); err != nil {
+	if err := s.store.Put(j.id, KindResult, out.Payload); err != nil {
 		s.logf("job %s: persisting result: %v", ShortID(j.id), err)
 	}
 	if out.Receipt != nil {
@@ -453,11 +453,11 @@ func (s *Server) completeLocked(j *job, out Outcome, now time.Time, by string) {
 // storeReceipt files a receipt (and optional packed trace) beside the
 // job's result and counts it by verdict.
 func (s *Server) storeReceipt(id string, rcpt receipt.Receipt, trace []byte) {
-	if err := s.store.PutAux(id, AuxReceipt, append(rcpt.CanonicalJSON(), '\n')); err != nil {
+	if err := s.store.Put(id, KindReceipt, append(rcpt.CanonicalJSON(), '\n')); err != nil {
 		s.logf("job %s: persisting receipt: %v", ShortID(id), err)
 	}
 	if trace != nil {
-		if err := s.store.PutAux(id, AuxTracePack, trace); err != nil {
+		if err := s.store.Put(id, KindTracePack, trace); err != nil {
 			s.logf("job %s: persisting trace: %v", ShortID(id), err)
 		}
 	}
@@ -617,35 +617,20 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.respondJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
+// serveStored returns the handler of /result and /receipt: a done job's
+// stored entry of one kind (the canonical result payload, the canonical
+// coma-receipt/v1 bytes), served verbatim, because both are byte-level
+// contracts.
+func (s *Server) serveStored(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		payload, ok := s.storedEntry(w, r, kind)
+		if !ok {
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		s.met.countHTTP(http.StatusOK)
+		w.Write(payload)
 	}
-	s.mu.Lock()
-	state, payload := j.state, j.result
-	s.mu.Unlock()
-	if state != StateDone {
-		s.respondError(w, http.StatusConflict, fmt.Errorf("job is %s", state))
-		return
-	}
-	// Raw stored bytes: the byte-identical payload contract, verbatim.
-	w.Header().Set("Content-Type", "application/json")
-	s.met.countHTTP(http.StatusOK)
-	w.Write(payload)
-}
-
-// handleReceipt serves the job's execution receipt: the canonical
-// coma-receipt/v1 bytes stored beside the result, verbatim like
-// /result, because attestation is a byte-level contract.
-func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
-	rcpt, ok := s.storedAux(w, r, AuxReceipt)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	s.met.countHTTP(http.StatusOK)
-	w.Write(rcpt)
 }
 
 // handleTrace serves the receipt-grade observability trace recorded for
@@ -655,7 +640,7 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 // pass over the whole log succeeded, so a damaged entry answers 500
 // rather than a 200 with a cut body.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	packed, ok := s.storedAux(w, r, AuxTracePack)
+	packed, ok := s.storedEntry(w, r, KindTracePack)
 	if !ok {
 		return
 	}
@@ -671,10 +656,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	_ = obs.UnpackJSONL(w, packed)
 }
 
-// storedAux returns the aux artifact of the requested job, having
-// answered the request itself when the job is unknown, not done, or
-// has no such artifact.
-func (s *Server) storedAux(w http.ResponseWriter, r *http.Request, kind string) ([]byte, bool) {
+// storedEntry returns the stored entry of one kind of the requested
+// job, having answered the request itself when the job is unknown, not
+// done, or has no such entry.
+func (s *Server) storedEntry(w http.ResponseWriter, r *http.Request, kind string) ([]byte, bool) {
 	j := s.lookup(w, r)
 	if j == nil {
 		return nil, false
@@ -686,7 +671,7 @@ func (s *Server) storedAux(w http.ResponseWriter, r *http.Request, kind string) 
 		s.respondError(w, http.StatusConflict, fmt.Errorf("job is %s", state))
 		return nil, false
 	}
-	payload, ok := s.store.GetAux(j.id, kind)
+	payload, ok := s.store.Get(j.id, kind)
 	if !ok {
 		s.respondError(w, http.StatusNotFound, fmt.Errorf("no %s recorded for this job", kind))
 		return nil, false

@@ -8,38 +8,47 @@ import (
 	"sync"
 )
 
-// Store is the content-addressed result store: canonical result payload
-// bytes keyed by config.RunIdentity hash. Lookups are O(1) in memory;
-// with a directory configured, payloads are written through to one file
-// per key (<hash>.json, atomic temp+rename) and read back on a memory
-// miss, so a restarted daemon serves its old results as cache hits.
+// Store is the content-addressed artifact store: the bytes of each
+// entry kind (the canonical result payload, its execution receipt, the
+// receipt's trace) keyed by config.RunIdentity hash. Every kind is
+// filed and read the same way: O(1) lookups in memory and, with a
+// directory configured, one file per entry (<hash>.<kind>, atomic
+// temp+rename) written through on Put and read back on a memory miss,
+// so a restarted daemon serves its old results, receipts and traces as
+// cache hits.
 //
 // Entries are immutable: a key is the hash of everything that determines
 // the payload (including the code revision), so a Put never changes an
 // existing entry's meaning and the store needs no invalidation.
 type Store struct {
-	mu  sync.Mutex
-	mem map[string][]byte
-	// aux holds auxiliary artifacts stored beside a result (execution
-	// receipts, observability traces), keyed "<hash>.<kind>". They are
-	// content-derived like the results they annotate, so the same
-	// immutability argument applies. Not counted by Len; auxBytes sums
-	// the in-memory bytes by kind.
-	aux      map[string][]byte
-	auxBytes map[string]int64
-	dir      string // "" disables persistence
+	mu      sync.Mutex
+	mem     map[entryID][]byte
+	tallies map[string]tally // by kind
+	dir     string           // "" disables persistence
 }
 
-// Auxiliary artifact kinds stored beside a result (the file suffix on
-// disk: "<hash>.<kind>"): the canonical receipt JSON, and the receipt's
-// trace as the gate's packed log (obs.UnpackJSONL expands it). The
-// trace suffix names the packed codec's version: builds that share a
-// revision, and so a cache key, may pack differently, and a log is
-// only ever read by the codec that wrote it ("trace.pack" files hold
-// the earlier codec's logs and are never read).
+// entryID names one entry. A struct, not "<key>.<kind>", so a lookup
+// builds no string.
+type entryID struct{ key, kind string }
+
+// tally counts the in-memory entries of one kind and the bytes they hold.
+type tally struct {
+	n     int
+	bytes int64
+}
+
+// Entry kinds, each the file suffix of its entries on disk
+// ("<hash>.<kind>"): the canonical result payload, the canonical
+// receipt JSON, and the receipt's trace as the gate's packed log
+// (obs.UnpackJSONL expands it). The trace suffix names the packed
+// codec's version: builds that share a revision, and so a cache key,
+// may pack differently, and a log is only ever read by the codec that
+// wrote it ("trace.pack" files hold the earlier codec's logs and are
+// never read).
 const (
-	AuxReceipt   = "receipt.json"
-	AuxTracePack = "trace.v2.pack"
+	KindResult    = "json"
+	KindReceipt   = "receipt.json"
+	KindTracePack = "trace.v2.pack"
 )
 
 // NewStore returns a store, creating the persistence directory if one
@@ -50,37 +59,41 @@ func NewStore(dir string) (*Store, error) {
 			return nil, fmt.Errorf("server: cache dir: %w", err)
 		}
 	}
-	return &Store{mem: make(map[string][]byte), aux: make(map[string][]byte),
-		auxBytes: make(map[string]int64), dir: dir}, nil
+	return &Store{mem: make(map[entryID][]byte), tallies: make(map[string]tally), dir: dir}, nil
 }
 
-// Get returns the payload stored under key, consulting the persistence
-// directory on a memory miss.
-func (st *Store) Get(key string) ([]byte, bool) {
+// Get returns the entry of one kind stored under key, consulting the
+// persistence directory on a memory miss.
+func (st *Store) Get(key, kind string) ([]byte, bool) {
+	id := entryID{key, kind}
 	st.mu.Lock()
-	payload, ok := st.mem[key]
+	payload, ok := st.mem[id]
 	st.mu.Unlock()
 	if ok {
 		return payload, true
 	}
-	if st.dir == "" || !validKey(key) {
+	if st.dir == "" || !validKey(key) || !validKind(kind) {
 		return nil, false
 	}
-	payload, err := os.ReadFile(filepath.Join(st.dir, key+".json"))
+	payload, err := os.ReadFile(filepath.Join(st.dir, key+"."+kind))
 	if err != nil {
 		return nil, false
 	}
 	st.mu.Lock()
-	st.mem[key] = payload
+	st.setLocked(id, payload)
 	st.mu.Unlock()
 	return payload, true
 }
 
-// Put stores a payload. The memory copy always succeeds; a persistence
-// error is returned for logging but does not un-store the entry.
-func (st *Store) Put(key string, payload []byte) error {
+// Put stores an entry of one kind under key. The memory copy always
+// succeeds for a known kind; a persistence error is returned for
+// logging but does not un-store the entry.
+func (st *Store) Put(key, kind string, payload []byte) error {
+	if !validKind(kind) {
+		return fmt.Errorf("server: unknown store entry kind %q", kind)
+	}
 	st.mu.Lock()
-	st.mem[key] = payload
+	st.setLocked(entryID{key, kind}, payload)
 	st.mu.Unlock()
 	if st.dir == "" {
 		return nil
@@ -88,61 +101,7 @@ func (st *Store) Put(key string, payload []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("server: refusing to persist invalid key %q", key)
 	}
-	tmp, err := os.CreateTemp(st.dir, "."+key+".tmp-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(payload)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	return os.Rename(tmp.Name(), filepath.Join(st.dir, key+".json"))
-}
-
-// GetAux returns an auxiliary artifact stored beside key, consulting
-// the persistence directory on a memory miss.
-func (st *Store) GetAux(key, kind string) ([]byte, bool) {
 	name := key + "." + kind
-	st.mu.Lock()
-	payload, ok := st.aux[name]
-	st.mu.Unlock()
-	if ok {
-		return payload, true
-	}
-	if st.dir == "" || !validKey(key) || !validAuxKind(kind) {
-		return nil, false
-	}
-	payload, err := os.ReadFile(filepath.Join(st.dir, name))
-	if err != nil {
-		return nil, false
-	}
-	st.mu.Lock()
-	st.setAuxLocked(name, kind, payload)
-	st.mu.Unlock()
-	return payload, true
-}
-
-// PutAux stores an auxiliary artifact beside key, with the same
-// semantics as Put (memory always, write-through when persistent).
-func (st *Store) PutAux(key, kind string, payload []byte) error {
-	if !validAuxKind(kind) {
-		return fmt.Errorf("server: unknown aux kind %q", kind)
-	}
-	name := key + "." + kind
-	st.mu.Lock()
-	st.setAuxLocked(name, kind, payload)
-	st.mu.Unlock()
-	if st.dir == "" {
-		return nil
-	}
-	if !validKey(key) {
-		return fmt.Errorf("server: refusing to persist invalid key %q", key)
-	}
 	tmp, err := os.CreateTemp(st.dir, "."+name+".tmp-*")
 	if err != nil {
 		return err
@@ -159,29 +118,35 @@ func (st *Store) PutAux(key, kind string, payload []byte) error {
 	return os.Rename(tmp.Name(), filepath.Join(st.dir, name))
 }
 
-// setAuxLocked files an aux entry in memory, keeping auxBytes in step
+// setLocked files an entry in memory, keeping its kind's tally in step
 // when it replaces one. Caller holds st.mu.
-func (st *Store) setAuxLocked(name, kind string, payload []byte) {
-	st.auxBytes[kind] += int64(len(payload) - len(st.aux[name]))
-	st.aux[name] = payload
+func (st *Store) setLocked(id entryID, payload []byte) {
+	old, replaced := st.mem[id]
+	t := st.tallies[id.kind]
+	if !replaced {
+		t.n++
+	}
+	t.bytes += int64(len(payload) - len(old))
+	st.tallies[id.kind] = t
+	st.mem[id] = payload
 }
 
-// AuxBytes returns the bytes the in-memory aux entries of one kind hold.
-func (st *Store) AuxBytes(kind string) int64 {
+// Bytes returns the bytes the in-memory entries of one kind hold.
+func (st *Store) Bytes(kind string) int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.auxBytes[kind]
+	return st.tallies[kind].bytes
 }
 
-func validAuxKind(kind string) bool {
-	return kind == AuxReceipt || kind == AuxTracePack
-}
-
-// Len returns the number of in-memory entries.
+// Len returns the number of in-memory results (entries of KindResult).
 func (st *Store) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.mem)
+	return st.tallies[KindResult].n
+}
+
+func validKind(kind string) bool {
+	return kind == KindResult || kind == KindReceipt || kind == KindTracePack
 }
 
 // validKey accepts exactly the lowercase-hex shape RunIdentity.Hash

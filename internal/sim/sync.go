@@ -152,20 +152,12 @@ func (r *Resource) Acquire(p *Process) {
 // sink.OnEvent(arg) at its own time, and the server is held from that
 // event on.
 func (r *Resource) AcquireSink(e *Engine, sink EventSink, arg int64) bool {
-	if r.TryAcquire(e) {
-		return true
-	}
-	r.waiters = append(r.waiters, waiter{sink: sink, arg: arg})
-	return false
-}
-
-// TryAcquire claims a server if one is immediately free, without blocking.
-func (r *Resource) TryAcquire(e *Engine) bool {
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
 		r.account(e)
 		r.inUse++
 		return true
 	}
+	r.waiters = append(r.waiters, waiter{sink: sink, arg: arg})
 	return false
 }
 

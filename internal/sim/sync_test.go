@@ -197,22 +197,6 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := New()
-	r := NewResource("t", 1)
-	if !r.TryAcquire(e) {
-		t.Fatal("TryAcquire on idle resource failed")
-	}
-	if r.TryAcquire(e) {
-		t.Fatal("TryAcquire on busy resource succeeded")
-	}
-	r.Release(e)
-	if !r.TryAcquire(e) {
-		t.Fatal("TryAcquire after release failed")
-	}
-	r.Release(e)
-}
-
 // holdSink is an event-context Resource user: each arg is one waiter,
 // which takes a server with AcquireSink, holds it for one cycle and
 // releases it. Its events alternate between a grant and the end of a
