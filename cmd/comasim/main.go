@@ -142,6 +142,7 @@ func main() {
 		Identity:   id,
 		Producer:   receipt.ProducerLocal,
 		NoReceipts: *receiptOut == "" && *rtraceOut == "",
+		KeepTrace:  *rtraceOut != "",
 		ReceiptKey: key,
 	}
 	var rec *obs.Recorder

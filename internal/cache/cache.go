@@ -15,12 +15,6 @@ import (
 	"coma/internal/config"
 )
 
-// Writeback describes a dirty line evicted or flushed to the local AM.
-type Writeback struct {
-	Addr  uint64
-	Value uint64
-}
-
 // Stats counts cache activity, split by read/write as in the paper's
 // Fig. 5 discussion.
 type Stats struct {
@@ -175,22 +169,22 @@ func (c *Cache) Writable(addr uint64) bool {
 
 // Fill installs the line covering addr with the given value and write
 // permission, allocating (and possibly evicting) a sector. It returns the
-// dirty lines of an evicted sector, which the caller must write back to
-// the local AM.
-func (c *Cache) Fill(addr uint64, writable bool, value uint64, now int64) []Writeback {
+// number of dirty lines of an evicted sector, which the caller must
+// write back to the local AM (their values are already there: the
+// simulator models contents per item, written through).
+func (c *Cache) Fill(addr uint64, writable bool, value uint64, now int64) (dirty int) {
 	return c.fill(addr, writable, false, value, now)
 }
 
 // FillDirty installs the line as written data (valid, writable, dirty) —
-// the write-miss completion path.
-func (c *Cache) FillDirty(addr uint64, value uint64, now int64) []Writeback {
+// the write-miss completion path. It returns what Fill does.
+func (c *Cache) FillDirty(addr uint64, value uint64, now int64) (dirty int) {
 	return c.fill(addr, true, true, value, now)
 }
 
-func (c *Cache) fill(addr uint64, writable, dirty bool, value uint64, now int64) []Writeback {
+func (c *Cache) fill(addr uint64, writable, dirty bool, value uint64, now int64) (evicted int) {
 	setIdx, tag, li := c.locate(addr)
 	si := c.findSector(setIdx, tag)
-	var evicted []Writeback
 	if si < 0 {
 		si, evicted = c.allocate(setIdx, tag, now)
 	}
@@ -232,7 +226,10 @@ func (c *Cache) sectorLines(si int) (first, end int) {
 	return first, first + c.linesPerSector
 }
 
-func (c *Cache) allocate(setIdx int, tag uint64, now int64) (int, []Writeback) {
+// allocate claims a sector of the set for tag, evicting the least
+// recently used one if the set is full, and returns it with the number
+// of dirty lines evicted.
+func (c *Cache) allocate(setIdx int, tag uint64, now int64) (si, dirty int) {
 	base := setIdx * c.ways
 	set := c.sectors[base : base+c.ways]
 	victim := 0
@@ -245,22 +242,20 @@ func (c *Cache) allocate(setIdx int, tag uint64, now int64) (int, []Writeback) {
 			victim = w
 		}
 	}
-	si := base + victim
-	var wbs []Writeback
-	if s := &c.sectors[si]; s.valid {
+	si = base + victim
+	if c.sectors[si].valid {
 		c.stats.Evictions++
-		addr := s.tag * c.sectorSize
 		first, end := c.sectorLines(si)
-		for l := first; l < end; l, addr = l+1, addr+c.lineSize {
+		for l := first; l < end; l++ {
 			if c.flags[l]&(lineValid|lineDirty) == lineValid|lineDirty {
-				c.stats.Writebacks++
-				wbs = append(wbs, Writeback{Addr: addr, Value: c.values[l]})
+				dirty++
 			}
 			c.flags[l] = 0
 		}
+		c.stats.Writebacks += int64(dirty)
 	}
 	c.sectors[si] = sector{valid: true, tag: tag, lastUse: now}
-	return si, wbs
+	return si, dirty
 }
 
 // forEachLineOfItem visits the valid cache lines covering the item

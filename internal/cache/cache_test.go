@@ -90,15 +90,36 @@ func TestEvictionWritesBackDirtyLines(t *testing.T) {
 	if _, ok := c.Access(0, true, 42, 2); !ok {
 		t.Fatal("write missed")
 	}
-	var wbs []Writeback
+	dirty := 0
 	for i := 1; i <= arch.CacheWays; i++ {
-		wbs = append(wbs, c.Fill(uint64(i)*stride, false, 0, int64(i+10))...)
+		dirty += c.Fill(uint64(i)*stride, false, 0, int64(i+10))
 	}
-	if len(wbs) != 1 {
-		t.Fatalf("writebacks = %v, want exactly the dirty line", wbs)
+	if dirty != 1 {
+		t.Fatalf("dirty lines evicted = %d, want exactly the written one", dirty)
 	}
-	if wbs[0].Addr != 0 || wbs[0].Value != 42 {
-		t.Fatalf("writeback = %+v", wbs[0])
+	if wb := c.Stats().Writebacks; wb != 1 {
+		t.Fatalf("Stats().Writebacks = %d, want 1", wb)
+	}
+}
+
+// TestDirtyEvictionAllocatesNothing: a fill that evicts a sector
+// holding dirty lines only counts them.
+func TestDirtyEvictionAllocatesNothing(t *testing.T) {
+	arch := config.KSR1(16)
+	c := New(arch)
+	stride := uint64(arch.CacheLineSize*arch.CacheSectors) *
+		(uint64(arch.CacheSize/(arch.CacheLineSize*arch.CacheSectors)) / uint64(arch.CacheWays))
+	i := uint64(0)
+	dirty := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		dirty += c.FillDirty(i*stride, i, int64(i))
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("FillDirty allocated %v times per call, want 0", allocs)
+	}
+	if dirty == 0 {
+		t.Fatal("no fill evicted a dirty sector")
 	}
 }
 

@@ -291,7 +291,6 @@ func (a *Agent) execute(j server.LeasedJob) (drained bool) {
 		Runner:     a.cfg.Runner,
 		Identity:   j.Identity,
 		Producer:   a.cfg.Name,
-		DropTrace:  true,
 		ReceiptKey: a.cfg.ReceiptKey,
 	}
 	if j.Progress {

@@ -9,6 +9,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"coma/internal/am"
 	"coma/internal/cache"
@@ -89,7 +90,6 @@ type Machine struct {
 
 	oracle    map[proto.ItemID]uint64
 	committed map[proto.ItemID]uint64
-	genSnaps  []workload.Snapshot
 	ended     []bool
 	remaining int
 	endTime   int64
@@ -236,7 +236,6 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Oracle && cfg.Strict {
 		nodeHooks.CheckRead = m.checkRead
 	}
-	m.genSnaps = make([]workload.Snapshot, n)
 	for i := 0; i < n; i++ {
 		gen := workload.Generator(nil)
 		if cfg.Generators != nil {
@@ -246,7 +245,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 		m.nodes[i] = node.New(proto.NodeID(i), cfg.Arch, m.caches[i], m.coh, m.co,
 			gen, m.counters[i], cfg.Strict, nodeHooks)
-		m.genSnaps[i] = gen.Snapshot()
+		gen.Commit()
 	}
 	return m, nil
 }
@@ -423,16 +422,14 @@ func (m *Machine) nodeDied(n proto.NodeID) {
 	}
 }
 
-// onCommit snapshots the rollback state at a committed recovery point.
+// onCommit saves the rollback state at a committed recovery point.
 func (m *Machine) onCommit() {
-	for i, nd := range m.nodes {
-		m.genSnaps[i] = nd.Generator().Snapshot()
+	for _, nd := range m.nodes {
+		nd.Generator().Commit()
 	}
 	if m.oracle != nil {
-		m.committed = make(map[proto.ItemID]uint64, len(m.oracle))
-		for k, v := range m.oracle {
-			m.committed[k] = v
-		}
+		clear(m.committed)
+		maps.Copy(m.committed, m.oracle)
 	}
 	if m.cfg.Invariants {
 		if err := core.CheckQuiescent(m.coh); err != nil {
@@ -450,16 +447,14 @@ func (m *Machine) onRollback(dropped []proto.ItemID, failures []core.Failure) {
 				return
 			}
 		}
-		m.oracle = make(map[proto.ItemID]uint64, len(m.committed))
-		for k, v := range m.committed {
-			m.oracle[k] = v
-		}
+		clear(m.oracle)
+		maps.Copy(m.oracle, m.committed)
 	}
 	for i, nd := range m.nodes {
 		if !m.co.Alive(proto.NodeID(i)) {
 			continue
 		}
-		nd.Generator().Restore(m.genSnaps[i])
+		nd.Generator().Rollback()
 	}
 	for _, f := range failures {
 		if f.Permanent {

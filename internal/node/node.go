@@ -254,11 +254,11 @@ func (n *Node) write(p *sim.Process, r workload.Ref, batch *int64, flush func())
 	n.cache.SetItemValue(n.itemAddr(item), value)
 }
 
-func (n *Node) writebackEvicted(p *sim.Process, wbs []cache.Writeback) {
-	if len(wbs) == 0 {
+func (n *Node) writebackEvicted(p *sim.Process, dirty int) {
+	if dirty == 0 {
 		return
 	}
 	// Values are already coherent (write-through value model); charge
 	// the physical write-back of the evicted dirty lines.
-	p.Wait(int64(len(wbs)) * n.arch.CacheFlushPerLine)
+	p.Wait(int64(dirty) * n.arch.CacheFlushPerLine)
 }

@@ -157,17 +157,18 @@ func ParseResult(b []byte) (*stats.Run, error) {
 
 // Gate is the always-on receipt gate as an obs.Observer. Tee it onto a
 // run's event stream: it keeps the kinds in TraceMask, hashes each
-// one's canonical JSONL line, steps the txnview fold and appends the
-// event to a packed log (obs.Packer), so the verdict is ready when the
-// run ends and no event slice is ever held. Finish then assembles the
-// receipt. A Gate serves one run and is not safe for concurrent use.
+// one's canonical JSONL line, steps the txnview fold and, from NewGate,
+// appends the event to a packed log (obs.Packer), so the verdict is
+// ready when the run ends and no event slice is ever held. Finish then
+// assembles the receipt. A Gate serves one run and is not safe for
+// concurrent use.
 //
 // The JSONL lines go to one fixed-size chunk that is fed to SHA-256
-// and refilled whenever it fills. The packed log is the only thing the
-// gate keeps, about a tenth of the JSONL size; it is kept in fixed-size
-// chunks too, so it grows without re-copying itself, and Finish copies
-// it once into the exactly sized slice the caller stores. A gate from
-// NewDigestGate keeps no packed log.
+// and refilled whenever it fills. The packed log is the only trace a
+// NewGate gate keeps, about a tenth of the JSONL size; it is kept in
+// fixed-size chunks too, so it grows without re-copying itself, and
+// Finish copies it once into an exactly sized slice for the caller. A
+// gate from NewDigestGate keeps no packed log.
 type Gate struct {
 	keep   bool   // keep the packed log for Finish to return
 	line   []byte // the JSONL chunk being filled, hashed when full
@@ -241,7 +242,7 @@ func (g *Gate) add(ev obs.Event) {
 // It returns the receipt unsigned plus the packed log of the trace its
 // TraceDigest covers (obs.UnpackJSONL expands it to the canonical JSONL
 // bytes; nil from a NewDigestGate gate), sized exactly (cap == len)
-// because callers store it; the gate keeps no reference to it. Call it
+// because callers may hold it; the gate keeps no reference to it. Call it
 // once.
 func (g *Gate) Finish(id config.RunIdentity, result []byte, producer string) (Receipt, []byte, error) {
 	run, err := ParseResult(result)

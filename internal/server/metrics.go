@@ -123,7 +123,6 @@ func (m *metrics) write(w io.Writer, queueDepth, inflight int, store *Store, job
 	fmt.Fprintf(w, "# HELP comad_store_aux_bytes Bytes held in memory by the artifacts stored beside results, by kind.\n")
 	fmt.Fprintf(w, "# TYPE comad_store_aux_bytes gauge\n")
 	fmt.Fprintf(w, "comad_store_aux_bytes{kind=\"receipt\"} %d\n", store.Bytes(KindReceipt))
-	fmt.Fprintf(w, "comad_store_aux_bytes{kind=\"trace\"} %d\n", store.Bytes(KindTracePack))
 
 	fmt.Fprintf(w, "# HELP comad_jobs_submitted_total Job submissions accepted.\n")
 	fmt.Fprintf(w, "# TYPE comad_jobs_submitted_total counter\ncomad_jobs_submitted_total %d\n", m.submitted)

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,14 +10,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"coma/internal/config"
 	"coma/internal/obs"
 	"coma/internal/obs/receipt"
-	"coma/internal/proto"
 	"coma/internal/stats"
 )
 
@@ -126,22 +126,33 @@ func TestRealRunReceiptAttestsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStoredTraceIsExactSize: the packed trace filed beside a receipt
-// holds no spare capacity. The store keeps one per job, so a grown
-// append buffer would pin up to twice its size for as long as the
-// entry lives.
-func TestStoredTraceIsExactSize(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1})
-	resp, st := postJob(t, ts, `{"app":"mp3d","nodes":4,"protocol":"ecp","seed":3,"scale":0.002,"hz":400}`, true)
-	if resp.StatusCode != http.StatusOK || st.State != StateDone {
-		t.Fatalf("submit: status %d state %s err %q", resp.StatusCode, st.State, st.Error)
+// TestLocalJobStoresNoTrace: a local job files its result and receipt
+// and nothing else, in memory and under -cache-dir; /trace derives the
+// trace again and it attests.
+func TestLocalJobStoresNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+	st, _, _ := runTraced(t, ts, `{"app":"mp3d","nodes":4,"protocol":"ecp","seed":3,"scale":0.002,"hz":400}`)
+	var kinds []string
+	s.store.mu.Lock()
+	for id := range s.store.mem {
+		kinds = append(kinds, id.kind)
 	}
-	trace, ok := s.store.Get(st.ID, KindTracePack)
-	if !ok || len(trace) == 0 {
-		t.Fatal("no trace stored beside the receipt")
+	s.store.mu.Unlock()
+	slices.Sort(kinds)
+	if want := []string{KindResult, KindReceipt}; !slices.Equal(kinds, want) {
+		t.Fatalf("in-memory entries %q, want %q", kinds, want)
 	}
-	if cap(trace) != len(trace) {
-		t.Fatalf("stored trace: len %d, cap %d; want cap == len", len(trace), cap(trace))
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		names = append(names, f.Name())
+	}
+	if want := []string{st.ID + "." + KindResult, st.ID + "." + KindReceipt}; !slices.Equal(names, want) {
+		t.Fatalf("cache dir holds %q, want %q", names, want)
 	}
 }
 
@@ -173,9 +184,9 @@ func runTraced(t *testing.T, ts *httptest.Server, spec string) (JobStatus, recei
 	return st, rcpt, trace
 }
 
-// requireDamagedTrace500 requires GET /trace to answer a JSON 500
-// error, with no part of a trace in the body.
-func requireDamagedTrace500(t *testing.T, ts *httptest.Server, id string) {
+// requireTrace500 requires GET /trace to answer a JSON 500 error, with
+// no part of a trace in the body.
+func requireTrace500(t *testing.T, ts *httptest.Server, id string) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace")
 	if err != nil {
@@ -184,31 +195,60 @@ func requireDamagedTrace500(t *testing.T, ts *httptest.Server, id string) {
 	defer resp.Body.Close()
 	var body struct{ Error string }
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("damaged trace: body is not a JSON error: %v", err)
+		t.Fatalf("/trace: body is not a JSON error: %v", err)
 	}
 	if resp.StatusCode != http.StatusInternalServerError || body.Error == "" ||
 		resp.Header.Get("Content-Type") != "application/json" {
-		t.Fatalf("damaged trace: status %d, type %q, error %q; want a JSON 500",
+		t.Fatalf("/trace: status %d, type %q, error %q; want a JSON 500",
 			resp.StatusCode, resp.Header.Get("Content-Type"), body.Error)
 	}
 }
 
-// TestDamagedStoredTraceAnswers500: a packed trace that does not decode
-// (here cut short by one byte, which always truncates its last event)
-// gets a 500 JSON error from /trace, never a 200 with a cut body.
-func TestDamagedStoredTraceAnswers500(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1})
-	st, _, _ := runTraced(t, ts, tracedSpec)
-	packed, _ := s.store.Get(st.ID, KindTracePack)
-	if err := s.store.Put(st.ID, KindTracePack, packed[:len(packed)-1]); err != nil {
+// withTraceDigest re-canonicalises a stored receipt with another
+// trace_digest: a receipt no replay of its run can match.
+func withTraceDigest(t *testing.T, stored []byte) []byte {
+	t.Helper()
+	rcpt, err := receipt.Parse(stored)
+	if err != nil {
 		t.Fatal(err)
 	}
-	requireDamagedTrace500(t, ts, st.ID)
+	rcpt.TraceDigest = receipt.Digest([]byte("another trace"))
+	return append(rcpt.CanonicalJSON(), '\n')
 }
 
-// TestCacheDirTraceRestart: with -cache-dir, a restarted daemon reads
-// the <hash>.trace.v2.pack file through and serves byte-identical JSONL;
-// a damaged file answers a 500 JSON error.
+// TestTraceReplayMismatchAnswers500: /trace serves a replay's trace only
+// when the replay's receipt equals the stored one. A runner whose second
+// run differs from its first, and a stored receipt naming another
+// trace_digest, both get a JSON 500 with no trace bytes.
+func TestTraceReplayMismatchAnswers500(t *testing.T) {
+	t.Run("runner differs on replay", func(t *testing.T) {
+		var runs atomic.Int64
+		_, ts := newTestServer(t, Options{Workers: 1,
+			Runner: func(id config.RunIdentity, o RunOptions) (*stats.Run, error) {
+				o.Observer.Emit(obs.Event{Kind: obs.KReadFill, Time: runs.Add(1)})
+				return fakeRun(id), nil
+			}})
+		resp, st := postJob(t, ts, specJSON(1), true)
+		if resp.StatusCode != http.StatusOK || st.State != StateDone {
+			t.Fatalf("submit: status %d state %s", resp.StatusCode, st.State)
+		}
+		requireTrace500(t, ts, st.ID)
+	})
+	t.Run("stored receipt names another trace", func(t *testing.T) {
+		s, ts := newTestServer(t, Options{Workers: 1})
+		st, _, _ := runTraced(t, ts, tracedSpec)
+		stored, _ := s.store.Get(st.ID, KindReceipt)
+		if err := s.store.Put(st.ID, KindReceipt, withTraceDigest(t, stored)); err != nil {
+			t.Fatal(err)
+		}
+		requireTrace500(t, ts, st.ID)
+	})
+}
+
+// TestCacheDirTraceRestart: with -cache-dir, a restarted daemon serves
+// byte-identical JSONL for a cache hit by replaying it against the
+// receipt file; a receipt file naming another trace answers a 500 JSON
+// error.
 func TestCacheDirTraceRestart(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Workers: 1, CacheDir: dir, Revision: "r1"}
@@ -226,124 +266,61 @@ func TestCacheDirTraceRestart(t *testing.T) {
 	}
 	ts2.Close()
 
-	path := filepath.Join(dir, st.ID+"."+KindTracePack)
-	packed, err := os.ReadFile(path)
+	path := filepath.Join(dir, st.ID+"."+KindReceipt)
+	stored, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed[0] = 0x7f // no event kind
-	if err := os.WriteFile(path, packed, 0o644); err != nil {
+	if err := os.WriteFile(path, withTraceDigest(t, stored), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, ts3 := newTestServer(t, opts)
 	if resp, st3 := postJob(t, ts3, tracedSpec, true); resp.StatusCode != http.StatusOK || st3.Cache != "hit" {
 		t.Fatalf("third start: status %d cache %q, want a hit", resp.StatusCode, st3.Cache)
 	}
-	requireDamagedTrace500(t, ts3, st.ID)
+	requireTrace500(t, ts3, st.ID)
 }
 
-// TestCacheDirIgnoresOldCodecTrace: a -cache-dir left by a daemon
-// that packed traces with the earlier codec, under the earlier
-// <hash>.trace.pack name, never makes /trace answer 200 with a trace
-// that fails to attest against the stored receipt. The old log is not
-// read at all: the job has no trace (404), rather than a damaged one.
+// TestCacheDirIgnoresOldCodecTrace: trace logs that earlier daemons
+// left in a -cache-dir (<hash>.trace.pack, <hash>.trace.v2.pack) are
+// never read: a restarted daemon answers /trace for the cache hit with
+// a replayed trace that attests against the stored receipt.
 func TestCacheDirIgnoresOldCodecTrace(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Workers: 1, CacheDir: dir, Revision: "r1"}
 	_, ts1 := newTestServer(t, opts)
-	st, rcpt, trace := runTraced(t, ts1, tracedSpec)
+	st, _, want := runTraced(t, ts1, tracedSpec)
 	ts1.Close()
-	events, err := obs.ReadJSONL(bytes.NewReader(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, st.ID+"."+KindTracePack)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, st.ID+".trace.pack"), packV1(events), 0o644); err != nil {
-		t.Fatal(err)
+	for _, suffix := range []string{".trace.pack", ".trace.v2.pack"} {
+		if err := os.WriteFile(filepath.Join(dir, st.ID+suffix), []byte{0x7f}, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	_, ts2 := newTestServer(t, opts)
-	if resp, st2 := postJob(t, ts2, tracedSpec, true); resp.StatusCode != http.StatusOK || st2.Cache != "hit" {
-		t.Fatalf("restart: status %d cache %q, want a hit", resp.StatusCode, st2.Cache)
+	st2, _, got := runTraced(t, ts2, tracedSpec)
+	if st2.Cache != "hit" {
+		t.Fatalf("restart: cache %q, want a hit", st2.Cache)
 	}
-	code, body := fetch(t, ts2, "/v1/jobs/"+st.ID+"/trace")
-	if code == http.StatusOK {
-		if err := rcpt.Attest(receipt.Artifacts{Trace: body}, nil); err != nil {
-			t.Fatalf("/trace answered 200 with a trace that fails attestation: %v", err)
-		}
+	if !bytes.Equal(got, want) {
+		t.Fatal("trace served after restart differs from the one served before")
 	}
-	if code != http.StatusNotFound {
-		t.Fatalf("/trace: status %d (%s), want 404: the old-codec log must not be read", code, body)
-	}
-}
-
-// packV1 packs events in the earlier codec's format: a kind byte (0x80
-// flags an optional txn or parent), then zig-zag varints for time and
-// txn as deltas from the previous event, node, item, and always a and b.
-func packV1(events []obs.Event) []byte {
-	var buf []byte
-	var time int64
-	var txn proto.TxnID
-	for _, ev := range events {
-		inject := ev.Kind == obs.KInjectProbe || ev.Kind == obs.KInjectAccept
-		k := byte(ev.Kind)
-		if inject && ev.Txn != proto.NoTxn || ev.Kind == obs.KTxnBegin && ev.Par != proto.NoTxn {
-			k |= 0x80
-		}
-		buf = append(buf, k)
-		buf = binary.AppendVarint(buf, ev.Time-time)
-		time = ev.Time
-		buf = binary.AppendVarint(buf, int64(ev.Node))
-		buf = binary.AppendVarint(buf, int64(ev.Item))
-		switch {
-		case ev.Kind == obs.KState:
-			buf = append(buf, byte(ev.From), byte(ev.To))
-		case inject:
-			buf = append(buf, byte(ev.Cause))
-			if k&0x80 != 0 {
-				buf = binary.AppendVarint(buf, int64(ev.Txn-txn))
-				txn = ev.Txn
-			}
-		case ev.Kind == obs.KTxnBegin || ev.Kind == obs.KTxnHop || ev.Kind == obs.KTxnEnd:
-			buf = binary.AppendVarint(buf, int64(ev.Txn-txn))
-			txn = ev.Txn
-			if k&0x80 != 0 {
-				buf = binary.AppendVarint(buf, int64(ev.Par-ev.Txn))
-			}
-		}
-		buf = binary.AppendVarint(buf, ev.A)
-		buf = binary.AppendVarint(buf, ev.B)
-	}
-	return buf
 }
 
 // TestStoreAuxBytesGauge: comad_store_aux_bytes shows the memory the
-// stored receipts and traces hold. A cold job grows the trace gauge by
-// the length of its packed log, well under the JSONL /trace serves; a
-// cache hit stores nothing new.
+// stored receipts hold; a cache hit stores nothing new.
 func TestStoreAuxBytesGauge(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
-	gauges := func() (float64, float64) {
-		m := parseExposition(t, scrape(t, ts))
-		return m[`comad_store_aux_bytes{kind="receipt"}`], m[`comad_store_aux_bytes{kind="trace"}`]
-	}
-	var wantReceipt, wantTrace int
+	var want int
 	for _, spec := range []string{tracedSpec, strings.Replace(tracedSpec, `"seed":11`, `"seed":12`, 1), tracedSpec} {
-		st, _, jsonl := runTraced(t, ts, spec)
+		st, _, _ := runTraced(t, ts, spec)
 		if st.Cache != "hit" {
 			rcpt, _ := s.store.Get(st.ID, KindReceipt)
-			packed, _ := s.store.Get(st.ID, KindTracePack)
-			wantReceipt += len(rcpt)
-			wantTrace += len(packed)
-			if 5*len(packed) > len(jsonl) {
-				t.Fatalf("packed trace %d bytes for %d bytes of JSONL, want at most a fifth", len(packed), len(jsonl))
-			}
+			want += len(rcpt)
 		}
-		if r, tr := gauges(); r != float64(wantReceipt) || tr != float64(wantTrace) {
-			t.Fatalf("after job %.12s (%s): aux bytes receipt %v trace %v, want %d and %d",
-				st.ID, st.Cache, r, tr, wantReceipt, wantTrace)
+		m := parseExposition(t, scrape(t, ts))
+		if got := m[`comad_store_aux_bytes{kind="receipt"}`]; got != float64(want) {
+			t.Fatalf("after job %.12s (%s): aux bytes receipt %v, want %d", st.ID, st.Cache, got, want)
 		}
 	}
 }
@@ -544,9 +521,10 @@ func TestReceiptKeyEnforced(t *testing.T) {
 }
 
 // TestStoreAuxRoundTrip covers the one entry path for every kind:
-// results, receipts and traces written through survive a store restart
-// (read-through), an unknown kind or invalid key is refused, Len counts
-// results only, and Bytes stays exact when an entry is replaced.
+// results and receipts written through survive a store restart
+// (read-through), an unknown kind (a trace log among them) or invalid
+// key is refused, Len counts results only, and Bytes stays exact when
+// an entry is replaced.
 func TestStoreAuxRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewStore(dir)
@@ -555,23 +533,24 @@ func TestStoreAuxRoundTrip(t *testing.T) {
 	}
 	key := config.RunIdentity{App: "uniform", Protocol: "ecp"}.Hash()
 	entries := map[string]string{
-		KindResult:    `{"x":1}`,
-		KindReceipt:   `{"schema":"coma-receipt/v1"}`,
-		KindTracePack: "\x0c\x02",
+		KindResult:  `{"x":1}`,
+		KindReceipt: `{"schema":"coma-receipt/v1"}`,
 	}
 	for kind, payload := range entries {
 		if err := st.Put(key, kind, []byte(payload)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Put(key, "evil-kind", []byte("x")); err == nil {
-		t.Fatal("Put accepted an unknown kind")
-	}
-	if _, ok := st.Get(key, "evil-kind"); ok {
-		t.Fatal("Put stored an unknown kind in memory")
+	for _, kind := range []string{"evil-kind", "trace.v2.pack"} {
+		if err := st.Put(key, kind, []byte("x")); err == nil {
+			t.Fatalf("Put accepted unknown kind %q", kind)
+		}
+		if _, ok := st.Get(key, kind); ok {
+			t.Fatalf("Put stored unknown kind %q in memory", kind)
+		}
 	}
 	if n := st.Len(); n != 1 {
-		t.Fatalf("Len = %d with one result and two other entries, want 1", n)
+		t.Fatalf("Len = %d with one result and one other entry, want 1", n)
 	}
 	if err := st.Put(key, KindReceipt, []byte(`{}`)); err != nil {
 		t.Fatal(err)
@@ -730,4 +709,170 @@ func waitThenReceipt(base, spec string) error {
 		return fmt.Errorf("job %.12s: GET /receipt right after ?wait=1 = %d: %s", st.ID, resp.StatusCode, body)
 	}
 	return nil
+}
+
+// TestTraceReplayTakesAnExecutorSlot: a replay runs in one of the
+// Options.Workers executor slots. While a job holds the only slot,
+// /trace answers 429 with Retry-After; while a replay holds it, a new
+// job waits queued and runs once the replay hands the slot back.
+func TestTraceReplayTakesAnExecutorSlot(t *testing.T) {
+	var hold atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	_, ts := newTestServer(t, Options{Workers: 1,
+		Runner: func(id config.RunIdentity, o RunOptions) (*stats.Run, error) {
+			if hold.Load() {
+				entered <- struct{}{}
+				<-release
+			}
+			o.Observer.Emit(obs.Event{Kind: obs.KReadFill, Time: int64(id.Seed)})
+			return fakeRun(id), nil
+		}})
+	resp, done := postJob(t, ts, specJSON(1), true)
+	if resp.StatusCode != http.StatusOK || done.State != StateDone {
+		t.Fatalf("submit: status %d state %s", resp.StatusCode, done.State)
+	}
+	_, body := fetch(t, ts, "/v1/jobs/"+done.ID+"/receipt")
+	rcpt, err := receipt.Parse(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A running job holds the slot.
+	hold.Store(true)
+	_, running := postJob(t, ts, specJSON(2), false)
+	<-entered
+	hold.Store(false)
+	r, err := http.Get(ts.URL + "/v1/jobs/" + done.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusTooManyRequests || r.Header.Get("Retry-After") == "" {
+		t.Fatalf("/trace with every slot busy: status %d, Retry-After %q; want 429 with a hint",
+			r.StatusCode, r.Header.Get("Retry-After"))
+	}
+	release <- struct{}{}
+	if resp, st := postJob(t, ts, specJSON(2), true); resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Fatalf("job %.12s: status %d state %s", running.ID, resp.StatusCode, st.State)
+	}
+
+	// A replay holds the slot.
+	hold.Store(true)
+	type answer struct {
+		code int
+		body []byte
+	}
+	traced := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + done.ID + "/trace")
+		if err != nil {
+			traced <- answer{}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		traced <- answer{resp.StatusCode, body}
+	}()
+	<-entered
+	hold.Store(false)
+	_, queued := postJob(t, ts, specJSON(3), false)
+	if st := jobStatus(t, ts, queued.ID); st.State != StateQueued {
+		t.Fatalf("job submitted during a replay: state %s, want queued", st.State)
+	}
+	release <- struct{}{}
+	a := <-traced
+	if a.code != http.StatusOK {
+		t.Fatalf("/trace: status %d (%s)", a.code, a.body)
+	}
+	if err := rcpt.Attest(receipt.Artifacts{Trace: a.body}, nil); err != nil {
+		t.Fatalf("replayed trace fails attestation: %v", err)
+	}
+	if resp, st := postJob(t, ts, specJSON(3), true); resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Fatalf("job %.12s after the replay: status %d state %s", queued.ID, resp.StatusCode, st.State)
+	}
+}
+
+// TestClusterJobTraceIs404: a coordinator runs no simulation, so a
+// cluster job's /trace answers 404 and replays nothing, whatever
+// producer its worker's receipt names.
+func TestClusterJobTraceIs404(t *testing.T) {
+	var runs atomic.Int64
+	_, ts := newTestServer(t, Options{Cluster: true, Revision: "test-rev",
+		Runner: func(id config.RunIdentity, _ RunOptions) (*stats.Run, error) {
+			runs.Add(1)
+			return fakeRun(id), nil
+		}})
+	wid := registerWorker(t, ts, "w", 1)
+	for seed, producer := range map[uint64]string{31: "w", 32: receipt.ProducerLocal} {
+		_, st := postJob(t, ts, specJSON(seed), false)
+		lj := leaseJob(t, ts, wid)
+		if lj == nil {
+			t.Fatal("lease: no job")
+		}
+		payload, err := MarshalResult(fakeRun(lj.Identity))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcpt, _, err := receipt.Build(lj.Identity, payload, []obs.Event{{Kind: obs.KReadFill}}, producer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cresp := workerPost(t, ts, "/v1/workers/"+wid+"/complete",
+			CompleteRequest{JobID: st.ID, Result: payload, Receipt: rcpt.CanonicalJSON()}, nil)
+		if cresp.StatusCode != http.StatusOK {
+			t.Fatalf("complete: status %d", cresp.StatusCode)
+		}
+		if code, body := fetch(t, ts, "/v1/jobs/"+st.ID+"/trace"); code != http.StatusNotFound {
+			t.Fatalf("producer %q: /trace status %d (%s), want 404", producer, code, body)
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("the coordinator ran %d simulations, want 0", n)
+	}
+}
+
+// TestTraceReplaysStayWithinWorkers: replays and jobs requested at once
+// never run more than Options.Workers simulations together; every
+// /trace answers a trace or a 429, and every job finishes.
+func TestTraceReplaysStayWithinWorkers(t *testing.T) {
+	const workers = 2
+	var running, most atomic.Int64
+	_, ts := newTestServer(t, Options{Workers: workers,
+		Runner: func(id config.RunIdentity, o RunOptions) (*stats.Run, error) {
+			n := running.Add(1)
+			for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			o.Observer.Emit(obs.Event{Kind: obs.KReadFill, Time: int64(id.Seed)})
+			running.Add(-1)
+			return fakeRun(id), nil
+		}})
+	_, done := postJob(t, ts, specJSON(1), true)
+	errs := make(chan error)
+	for i := 0; i < 12; i++ {
+		go func() {
+			if i%3 == 0 {
+				errs <- waitThenReceipt(ts.URL, specJSON(uint64(100+i)))
+				return
+			}
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + done.ID + "/trace")
+			if err != nil {
+				errs <- err
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
+				err = fmt.Errorf("/trace: status %d", resp.StatusCode)
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < 12; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if m := most.Load(); m > workers {
+		t.Fatalf("%d simulations ran at once, want at most %d", m, workers)
+	}
 }

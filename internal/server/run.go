@@ -64,12 +64,13 @@ type Execution struct {
 	// Producer names the executor in the receipt (receipt.ProducerLocal,
 	// or a worker's name). NoReceipts skips the receipt gate (comasim
 	// runs that ask for no receipt; comad always records one); a
-	// non-empty ReceiptKey signs the receipt. DropTrace records the
-	// receipt but keeps no trace: the gate hashes it as it streams (a
-	// cluster worker, which sends the coordinator no trace).
+	// non-empty ReceiptKey signs the receipt. The gate hashes the trace
+	// as it streams and keeps it only with KeepTrace (comad's /trace
+	// replay, comasim's -receipt-trace-out): a run is a pure function of
+	// its identity, so anyone else can derive its trace again.
 	Producer   string
 	NoReceipts bool
-	DropTrace  bool
+	KeepTrace  bool
 	ReceiptKey []byte
 	// Counts tallies every event by kind and Publish receives one line
 	// per lifecycle event (see progressBridge); nil disables either.
@@ -90,7 +91,7 @@ type Outcome struct {
 	// the gate's packed log (obs.UnpackJSONL expands it to the canonical
 	// JSONL that trace_digest covers). Both are nil with NoReceipts or
 	// when building the receipt failed (ReceiptErr), and Trace is nil
-	// with DropTrace; a receipt failure never fails the job, whose
+	// without KeepTrace; a receipt failure never fails the job, whose
 	// result is already correct.
 	Receipt    *receipt.Receipt
 	Trace      []byte
@@ -110,10 +111,10 @@ func Execute(x Execution) Outcome {
 	}
 	var gate *receipt.Gate
 	if !x.NoReceipts {
-		if x.DropTrace {
-			gate = receipt.NewDigestGate()
-		} else {
+		if x.KeepTrace {
 			gate = receipt.NewGate()
+		} else {
+			gate = receipt.NewDigestGate()
 		}
 		observer = obs.Tee(observer, gate)
 	}

@@ -29,6 +29,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,7 +50,7 @@ import (
 // Options configures a Server.
 type Options struct {
 	// Workers bounds the in-process executors, and so concurrently
-	// executing simulations (0: GOMAXPROCS).
+	// executing simulations, /trace replays included (0: GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds jobs accepted but not yet picked up by a worker
 	// (0: 64). Beyond it, submissions get 429 with Retry-After.
@@ -112,8 +113,9 @@ type Server struct {
 	// work finishes first. Entries whose job left the queued state are
 	// skipped lazily by popPendingLocked.
 	pending []*job
-	// executors counts running in-process executor goroutines (at most
-	// Options.Workers; always 0 in coordinator mode).
+	// executors counts the taken in-process executor slots: running
+	// executor goroutines plus /trace replays (at most Options.Workers;
+	// always 0 in coordinator mode).
 	executors int
 	// wake is closed and replaced whenever pending grows (or a drain
 	// finishes), releasing long-polling lease handlers.
@@ -294,7 +296,15 @@ func (s *Server) enqueueLocked(j *job, front bool) {
 	}
 	if s.opts.Cluster {
 		s.wakeLocked()
-	} else if s.executors < s.opts.Workers {
+	} else {
+		s.startExecutorLocked()
+	}
+}
+
+// startExecutorLocked starts an in-process executor if one of the
+// Options.Workers slots is free.
+func (s *Server) startExecutorLocked() {
+	if s.executors < s.opts.Workers {
 		s.executors++
 		go s.executeLoop()
 	}
@@ -418,8 +428,8 @@ func (s *Server) setStateLocked(j *job, st State) {
 }
 
 // completeLocked files a finished run — from an in-process executor or
-// a worker's completion — and ends its job. The result, receipt and
-// trace reach the store before the job turns done, so a ?wait=1 caller
+// a worker's completion — and ends its job. The result and receipt
+// reach the store before the job turns done, so a ?wait=1 caller
 // released by finishLocked can fetch them at once. by names the worker
 // in log lines ("" for local runs). Caller holds s.mu; j must not be
 // terminal.
@@ -441,7 +451,7 @@ func (s *Server) completeLocked(j *job, out Outcome, now time.Time, by string) {
 		s.logf("job %s: persisting result: %v", ShortID(j.id), err)
 	}
 	if out.Receipt != nil {
-		s.storeReceipt(j.id, *out.Receipt, out.Trace)
+		s.storeReceipt(j.id, *out.Receipt)
 	}
 	s.finishLocked(j, StateDone)
 	if !j.startedAt.IsZero() {
@@ -450,16 +460,11 @@ func (s *Server) completeLocked(j *job, out Outcome, now time.Time, by string) {
 	s.logf("job %s: done%s in %.1f ms", ShortID(j.id), by, msBetween(j.startedAt, now))
 }
 
-// storeReceipt files a receipt (and optional packed trace) beside the
-// job's result and counts it by verdict.
-func (s *Server) storeReceipt(id string, rcpt receipt.Receipt, trace []byte) {
+// storeReceipt files a receipt beside the job's result and counts it by
+// verdict.
+func (s *Server) storeReceipt(id string, rcpt receipt.Receipt) {
 	if err := s.store.Put(id, KindReceipt, append(rcpt.CanonicalJSON(), '\n')); err != nil {
 		s.logf("job %s: persisting receipt: %v", ShortID(id), err)
-	}
-	if trace != nil {
-		if err := s.store.Put(id, KindTracePack, trace); err != nil {
-			s.logf("job %s: persisting trace: %v", ShortID(id), err)
-		}
 	}
 	s.met.countReceipt(rcpt.VerdictLabel())
 	s.logf("job %s: receipt %s (%s)", ShortID(id), rcpt.VerdictLabel(), ShortID(rcpt.ResultDigest))
@@ -623,7 +628,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // contracts.
 func (s *Server) serveStored(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		payload, ok := s.storedEntry(w, r, kind)
+		_, payload, ok := s.storedEntry(w, r, kind)
 		if !ok {
 			return
 		}
@@ -633,50 +638,100 @@ func (s *Server) serveStored(kind string) http.HandlerFunc {
 	}
 }
 
-// handleTrace serves the receipt-grade observability trace recorded for
-// a locally executed job as canonical JSONL — the artifact `comatrace
-// attest -trace` replays against the receipt's verdict. The store keeps
-// the gate's packed log; it is expanded here, and only after a decode
-// pass over the whole log succeeded, so a damaged entry answers 500
-// rather than a 200 with a cut body.
+// handleTrace serves the receipt-grade observability trace of a
+// locally executed job as canonical JSONL — the artifact `comatrace
+// attest -trace` replays against the receipt's verdict. No trace is
+// kept: a run is a pure function of its identity, so the handler runs
+// the job again under a gate that keeps its log, in one of the
+// Options.Workers executor slots (429 when none is free). The replay's
+// trace is served only when its receipt equals the stored one in every
+// field but the signature; a mismatch or a run error answers 500
+// before any byte of trace. A coordinator runs no simulation, and a
+// worker's receipt names no local run, so cluster jobs have no trace.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	packed, ok := s.storedEntry(w, r, KindTracePack)
+	j, stored, ok := s.storedEntry(w, r, KindReceipt)
 	if !ok {
 		return
 	}
-	if err := obs.UnpackJSONL(io.Discard, packed); err != nil {
-		s.logf("job %s: stored trace does not decode: %v", ShortID(r.PathValue("id")), err)
-		s.respondError(w, http.StatusInternalServerError, fmt.Errorf("stored trace is damaged: %v", err))
+	want, err := receipt.Parse(stored)
+	if err != nil {
+		s.respondError(w, http.StatusInternalServerError, fmt.Errorf("stored receipt: %v", err))
+		return
+	}
+	if s.opts.Cluster || want.Producer != receipt.ProducerLocal || want.TraceDigest == "" {
+		s.respondError(w, http.StatusNotFound, errors.New("no trace recorded for this job"))
+		return
+	}
+	if retryAfter, ok := s.takeSlot(); !ok {
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfter))
+		s.respondError(w, http.StatusTooManyRequests, errors.New("every executor is busy, retry later"))
+		return
+	}
+	out := Execute(Execution{Runner: s.runner, Identity: j.identity,
+		Producer: receipt.ProducerLocal, KeepTrace: true})
+	s.releaseSlot()
+	if err = errors.Join(out.Err, out.ReceiptErr); err == nil {
+		want.Signature = ""
+		if !bytes.Equal(out.Receipt.CanonicalJSON(), want.CanonicalJSON()) {
+			err = errors.New("the replayed receipt differs from the stored one")
+		}
+	}
+	if err != nil {
+		s.logf("job %s: trace replay: %v", ShortID(j.id), err)
+		s.respondError(w, http.StatusInternalServerError, fmt.Errorf("trace replay: %v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	s.met.countHTTP(http.StatusOK)
-	// The decode pass above succeeded, so an error here is a write
-	// error: the client went away.
-	_ = obs.UnpackJSONL(w, packed)
+	// The log was packed by this process a moment ago, so an error here
+	// is a write error: the client went away.
+	_ = obs.UnpackJSONL(w, out.Trace)
 }
 
-// storedEntry returns the stored entry of one kind of the requested
-// job, having answered the request itself when the job is unknown, not
+// takeSlot takes one executor slot for a trace replay, or reports the
+// Retry-After hint a full queue gives when none is free.
+func (s *Server) takeSlot() (retryAfter int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.executors >= s.opts.Workers {
+		return 1 + s.queued/s.opts.Workers, false
+	}
+	s.executors++
+	return 0, true
+}
+
+// releaseSlot returns a replay's executor slot, handing it to a new
+// executor when queued jobs were waiting for one.
+func (s *Server) releaseSlot() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.executors--
+	if s.queued > 0 {
+		s.startExecutorLocked()
+	}
+}
+
+// storedEntry returns the requested job and its stored entry of one
+// kind, having answered the request itself when the job is unknown, not
 // done, or has no such entry.
-func (s *Server) storedEntry(w http.ResponseWriter, r *http.Request, kind string) ([]byte, bool) {
+func (s *Server) storedEntry(w http.ResponseWriter, r *http.Request, kind string) (*job, []byte, bool) {
 	j := s.lookup(w, r)
 	if j == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	s.mu.Lock()
 	state := j.state
 	s.mu.Unlock()
 	if state != StateDone {
 		s.respondError(w, http.StatusConflict, fmt.Errorf("job is %s", state))
-		return nil, false
+		return nil, nil, false
 	}
 	payload, ok := s.store.Get(j.id, kind)
 	if !ok {
 		s.respondError(w, http.StatusNotFound, fmt.Errorf("no %s recorded for this job", kind))
-		return nil, false
+		return nil, nil, false
 	}
-	return payload, true
+	return j, payload, true
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

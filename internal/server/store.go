@@ -9,13 +9,13 @@ import (
 )
 
 // Store is the content-addressed artifact store: the bytes of each
-// entry kind (the canonical result payload, its execution receipt, the
-// receipt's trace) keyed by config.RunIdentity hash. Every kind is
-// filed and read the same way: O(1) lookups in memory and, with a
-// directory configured, one file per entry (<hash>.<kind>, atomic
-// temp+rename) written through on Put and read back on a memory miss,
-// so a restarted daemon serves its old results, receipts and traces as
-// cache hits.
+// entry kind (the canonical result payload, its execution receipt)
+// keyed by config.RunIdentity hash. Every kind is filed and read the
+// same way: O(1) lookups in memory and, with a directory configured,
+// one file per entry (<hash>.<kind>, atomic temp+rename) written
+// through on Put and read back on a memory miss, so a restarted daemon
+// serves its old results and receipts as cache hits. No trace is
+// stored: /trace derives it again from the run identity.
 //
 // Entries are immutable: a key is the hash of everything that determines
 // the payload (including the code revision), so a Put never changes an
@@ -38,17 +38,12 @@ type tally struct {
 }
 
 // Entry kinds, each the file suffix of its entries on disk
-// ("<hash>.<kind>"): the canonical result payload, the canonical
-// receipt JSON, and the receipt's trace as the gate's packed log
-// (obs.UnpackJSONL expands it). The trace suffix names the packed
-// codec's version: builds that share a revision, and so a cache key,
-// may pack differently, and a log is only ever read by the codec that
-// wrote it ("trace.pack" files hold the earlier codec's logs and are
-// never read).
+// ("<hash>.<kind>"): the canonical result payload and the canonical
+// receipt JSON. Trace logs that earlier daemons filed beside them
+// ("trace.pack", "trace.v2.pack") are never read.
 const (
-	KindResult    = "json"
-	KindReceipt   = "receipt.json"
-	KindTracePack = "trace.v2.pack"
+	KindResult  = "json"
+	KindReceipt = "receipt.json"
 )
 
 // NewStore returns a store, creating the persistence directory if one
@@ -146,7 +141,7 @@ func (st *Store) Len() int {
 }
 
 func validKind(kind string) bool {
-	return kind == KindResult || kind == KindReceipt || kind == KindTracePack
+	return kind == KindResult || kind == KindReceipt
 }
 
 // validKey accepts exactly the lowercase-hex shape RunIdentity.Hash

@@ -2,6 +2,7 @@ package snoop
 
 import (
 	"fmt"
+	"maps"
 
 	"coma/internal/am"
 	"coma/internal/proto"
@@ -45,14 +46,12 @@ func (m *Machine) coordinator(p *sim.Process) {
 		m.ckpt.CommitCycles += p.Now() - tCommit
 		m.ckpt.Established++
 
-		for i, g := range m.gens {
-			m.genSnaps[i] = g.Snapshot()
+		for _, g := range m.gens {
+			g.Commit()
 		}
 		if m.oracle != nil {
-			m.committed = make(map[proto.ItemID]uint64, len(m.oracle))
-			for k, v := range m.oracle {
-				m.committed[k] = v
-			}
+			clear(m.committed)
+			maps.Copy(m.committed, m.oracle)
 		}
 		if err := m.CheckRecoveryPairs(); err != nil {
 			m.fail(fmt.Errorf("snoop: at commit: %w", err))
@@ -203,13 +202,11 @@ func (m *Machine) recover(p *sim.Process, f proto.NodeID) {
 
 	// Rollback: oracle and generators rewind to the last recovery point.
 	if m.oracle != nil {
-		m.oracle = make(map[proto.ItemID]uint64, len(m.committed))
-		for k, v := range m.committed {
-			m.oracle[k] = v
-		}
+		clear(m.oracle)
+		maps.Copy(m.oracle, m.committed)
 	}
-	for i, g := range m.gens {
-		g.Restore(m.genSnaps[i])
+	for _, g := range m.gens {
+		g.Rollback()
 	}
 	m.ckpt.Recoveries++
 	if err := m.CheckRecoveryPairs(); err != nil {

@@ -67,7 +67,6 @@ type Machine struct {
 
 	oracle    map[proto.ItemID]uint64
 	committed map[proto.ItemID]uint64
-	genSnaps  []workload.Snapshot
 
 	pause     bool
 	quiesce   *sim.Barrier
@@ -156,9 +155,8 @@ func New(cfg Config) (*Machine, error) {
 			})
 		}
 	}
-	m.genSnaps = make([]workload.Snapshot, n)
-	for i := range m.gens {
-		m.genSnaps[i] = m.gens[i].Snapshot()
+	for _, g := range m.gens {
+		g.Commit()
 	}
 	return m, nil
 }

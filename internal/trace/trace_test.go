@@ -126,9 +126,9 @@ func TestReplaySupportsRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Next()
-	snap := g.Snapshot()
+	g.Commit()
 	second := g.Next()
-	g.Restore(snap)
+	g.Rollback()
 	if got := g.Next(); got != second {
 		t.Fatalf("rollback replay = %+v, want %+v", got, second)
 	}

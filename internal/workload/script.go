@@ -1,12 +1,13 @@
 package workload
 
 // Script is a deterministic generator over a fixed reference slice, used
-// by unit tests, micro-experiments and trace replay. Its Snapshot is the
-// stream position.
+// by unit tests, micro-experiments and trace replay. Its rollback point
+// is a stream position.
 type Script struct {
-	name string
-	refs []Ref
-	pos  int
+	name  string
+	refs  []Ref
+	pos   int
+	saved int // the rollback point
 }
 
 // NewScript wraps a fixed reference stream.
@@ -27,11 +28,11 @@ func (s *Script) Next() Ref {
 	return r
 }
 
-// Snapshot implements Generator; the concrete type is int.
-func (s *Script) Snapshot() Snapshot { return s.pos }
+// Commit implements Generator.
+func (s *Script) Commit() { s.saved = s.pos }
 
-// Restore implements Generator.
-func (s *Script) Restore(sn Snapshot) { s.pos = sn.(int) }
+// Rollback implements Generator.
+func (s *Script) Rollback() { s.pos = s.saved }
 
 // R is a shorthand read reference for building scripts.
 func R(addr uint64) Ref { return Ref{Kind: Read, Addr: addr, Shared: true} }

@@ -99,17 +99,14 @@ type Generator interface {
 	// Next returns the next stream element. After End it keeps
 	// returning End.
 	Next() Ref
-	// Snapshot captures the generator state for rollback.
-	Snapshot() Snapshot
-	// Restore rewinds to a previously captured state.
-	Restore(Snapshot)
+	// Commit makes the current state the rollback point (a new
+	// generator's rollback point is its start).
+	Commit()
+	// Rollback rewinds to the rollback point.
+	Rollback()
 	// Name identifies the workload.
 	Name() string
 }
-
-// Snapshot is an opaque generator state. Each generator type documents
-// its own concrete snapshot type.
-type Snapshot interface{}
 
 // SharedBase is the byte address where the shared region starts.
 const SharedBase uint64 = 0
@@ -262,6 +259,7 @@ type App struct {
 	total   int64 // this processor's instruction budget
 	barrGap int64
 	st      appState
+	saved   appState // the rollback point
 	// logNonRef is math.Log(1 - (ReadFrac + WriteFrac)), the log of an
 	// instruction's chance of not being a reference, which scales
 	// Next's geometric gap draw.
@@ -386,17 +384,18 @@ func (s Spec) NewApp(proc, procs int, seed uint64) *App {
 		lastPrivateR: a.privBase,
 		lastPrivateW: a.privBase,
 	}
+	a.saved = a.st
 	return a
 }
 
 // Name implements Generator.
 func (a *App) Name() string { return a.spec.Name }
 
-// Snapshot implements Generator; the concrete type is appState.
-func (a *App) Snapshot() Snapshot { return a.st }
+// Commit implements Generator.
+func (a *App) Commit() { a.saved = a.st }
 
-// Restore implements Generator.
-func (a *App) Restore(s Snapshot) { a.st = s.(appState) }
+// Rollback implements Generator.
+func (a *App) Rollback() { a.st = a.saved }
 
 // Total returns this processor's instruction budget.
 func (a *App) Total() int64 { return a.total }

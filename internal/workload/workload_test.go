@@ -120,17 +120,17 @@ func TestProcsGetDistinctStreams(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreReplaysExactly(t *testing.T) {
+func TestCommitRollbackReplaysExactly(t *testing.T) {
 	g := Cholesky().Scale(0.001).NewApp(1, 4, 99)
 	for i := 0; i < 1000; i++ {
 		g.Next()
 	}
-	snap := g.Snapshot()
+	g.Commit()
 	var first []Ref
 	for i := 0; i < 500; i++ {
 		first = append(first, g.Next())
 	}
-	g.Restore(snap)
+	g.Rollback()
 	for i, want := range first {
 		if got := g.Next(); got != want {
 			t.Fatalf("replay diverged at %d: %+v vs %+v", i, got, want)
@@ -208,11 +208,11 @@ func TestScriptGenerator(t *testing.T) {
 	if got := s.Next(); got != R(0) {
 		t.Fatalf("first = %+v", got)
 	}
-	snap := s.Snapshot()
+	s.Commit()
 	if got := s.Next(); got != W(8) {
 		t.Fatalf("second = %+v", got)
 	}
-	s.Restore(snap)
+	s.Rollback()
 	if got := s.Next(); got != W(8) {
 		t.Fatalf("after restore = %+v", got)
 	}

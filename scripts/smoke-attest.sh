@@ -12,7 +12,10 @@
 #   4. a comad daemon with a receipt key signs every emitted receipt;
 #      the fetched receipt + result + trace attest offline under the
 #      same key, and /metrics counts the verdict;
-#   5. SIGTERM drains and the daemon exits 0.
+#   5. SIGTERM drains and the daemon exits 0;
+#   6. a daemon restarted on the same cache dir and key serves the same
+#      receipt, result and trace for the cache hit (the trace is a
+#      replay: the cache dir holds no trace file).
 set -euo pipefail
 
 PORT="${SMOKE_PORT:-7743}"
@@ -72,17 +75,35 @@ fi
 grep -q 'trace_digest' "$WORK/err.txt"
 echo "ok: receipt, result, and trace tampering each named the divergent field"
 
+# boot starts comad with the receipt key on the shared cache dir.
+boot() {
+    "$WORK/comad" serve -addr "127.0.0.1:${PORT}" -workers 2 \
+        -cache-dir "$WORK/cache" -revision smoke -receipt-key "$KEY" \
+        >>"$WORK/comad.log" 2>&1 &
+    DAEMON=$!
+    trap 'kill "$DAEMON" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+    for i in $(seq 1 50); do
+        if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return; fi
+        if [ "$i" = 50 ]; then echo "daemon never came up"; cat "$WORK/comad.log"; exit 1; fi
+        sleep 0.1
+    done
+}
+
+# shutdown sends SIGTERM and requires the daemon to drain and exit 0.
+shutdown() {
+    kill -TERM "$DAEMON"
+    for i in $(seq 1 100); do
+        if ! kill -0 "$DAEMON" 2>/dev/null; then break; fi
+        if [ "$i" = 100 ]; then echo "daemon ignored SIGTERM"; exit 1; fi
+        sleep 0.1
+    done
+    local status=0
+    wait "$DAEMON" || status=$?
+    [ "$status" = 0 ] || { echo "daemon exited $status"; cat "$WORK/comad.log"; exit 1; }
+}
+
 echo "== boot comad with a receipt key"
-"$WORK/comad" serve -addr "127.0.0.1:${PORT}" -workers 2 \
-    -cache-dir "$WORK/cache" -revision smoke -receipt-key "$KEY" \
-    >"$WORK/comad.log" 2>&1 &
-DAEMON=$!
-trap 'kill "$DAEMON" 2>/dev/null || true; rm -rf "$WORK"' EXIT
-for i in $(seq 1 50); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    if [ "$i" = 50 ]; then echo "daemon never came up"; cat "$WORK/comad.log"; exit 1; fi
-    sleep 0.1
-done
+boot
 
 echo "== run a job and fetch its attestation artifacts"
 curl -fsS -X POST "$BASE/v1/jobs?wait=1" -d "$SPEC" >"$WORK/job.json"
@@ -109,14 +130,25 @@ grep -q '^coma_receipts_total{verdict="violated"} 0$' "$WORK/metrics.txt"
 echo "ok: coma_receipts_total{verdict=\"ok\"} = 1"
 
 echo "== graceful shutdown"
-kill -TERM "$DAEMON"
-for i in $(seq 1 100); do
-    if ! kill -0 "$DAEMON" 2>/dev/null; then break; fi
-    if [ "$i" = 100 ]; then echo "daemon ignored SIGTERM"; exit 1; fi
-    sleep 0.1
-done
-wait "$DAEMON"; STATUS=$?
-[ "$STATUS" = 0 ] || { echo "daemon exited $STATUS"; cat "$WORK/comad.log"; exit 1; }
+shutdown
+
+echo "== a restarted daemon replays the trace of its cache hit"
+boot
+curl -fsS -X POST "$BASE/v1/jobs?wait=1" -d "$SPEC" >"$WORK/job2.json"
+python3 -c 'import json,sys; assert json.load(open(sys.argv[1]))["cache"] == "hit"' "$WORK/job2.json"
+curl -fsS "$BASE/v1/jobs/$JOB_ID/receipt" >"$WORK/e.receipt.json"
+curl -fsS "$BASE/v1/jobs/$JOB_ID/result"  >"$WORK/e.result.json"
+curl -fsS "$BASE/v1/jobs/$JOB_ID/trace"   >"$WORK/e.jsonl"
+cmp "$WORK/d.receipt.json" "$WORK/e.receipt.json"
+cmp "$WORK/d.result.json" "$WORK/e.result.json"
+cmp "$WORK/d.jsonl" "$WORK/e.jsonl"
+"$WORK/comatrace" attest "$WORK/e.receipt.json" -key "$KEY" \
+    -result "$WORK/e.result.json" -trace "$WORK/e.jsonl"
+if ls "$WORK/cache" | grep -q '\.trace'; then
+    echo "the cache dir holds a trace file:"; ls "$WORK/cache"; exit 1
+fi
+echo "ok: byte-identical artifacts after a restart, no trace file kept"
+shutdown
 
 # Keep the artifacts for CI upload when a destination is provided.
 if [ -n "${ATTEST_ARTIFACTS:-}" ]; then
