@@ -58,6 +58,7 @@ bench-check:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLRoundTrip$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedTraceRoundTrip$$' -fuzztime=10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONLMatchesReference$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzReceiptRoundTrip$$' -fuzztime=10s ./internal/obs/receipt
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkerBodies$$' -fuzztime=10s ./internal/server

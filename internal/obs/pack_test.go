@@ -231,3 +231,44 @@ func FuzzPackedTraceRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// servedColdTrace records the receipt-grade trace (every kind but
+// queue-depth samples and injection probes) of the serve-local cold
+// job's shape: mp3d, ECP, 4 nodes, 200k instructions, 400 Hz.
+func servedColdTrace(tb testing.TB) []obs.Event {
+	tb.Helper()
+	rec := obs.NewRecorder(obs.MaskAll &^ (1<<obs.KQueueDepth | 1<<obs.KInjectProbe))
+	m, err := machine.New(machine.Config{
+		Arch:         config.KSR1(4),
+		Protocol:     coherence.ECP,
+		App:          workload.Mp3d().Scale(200_000 / float64(workload.Mp3d().Instructions)),
+		Seed:         1,
+		CheckpointHz: 400,
+		Obs:          rec,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return rec.Events()
+}
+
+// BenchmarkAppendJSONL encodes a served cold job's trace as canonical
+// JSONL into one reused buffer: the encoding share of the receipt
+// gate's cost.
+func BenchmarkAppendJSONL(b *testing.B) {
+	events := servedColdTrace(b)
+	buf := make([]byte, 0, 64<<10)
+	b.ReportAllocs()
+	for b.Loop() {
+		for i := range events {
+			if cap(buf)-len(buf) < 512 {
+				buf = buf[:0]
+			}
+			buf = events[i].AppendJSONL(buf)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+}

@@ -132,22 +132,31 @@ func TestPackedTraceIsSmall(t *testing.T) {
 
 // BenchmarkGate streams one served cold job's events (mp3d, ECP, 4
 // nodes, 200k instructions, 400 Hz) through a fresh gate and finishes
-// the receipt: the whole per-job cost of the always-on gate.
+// the receipt: the whole per-job cost of the always-on gate. The digest
+// gate is the one comad and cluster workers run; the packing gate,
+// which also keeps the trace, serves /trace replays and comasim.
 func BenchmarkGate(b *testing.B) {
 	id, err := serveColdSpec.Identity("rev-fixed")
 	if err != nil {
 		b.Fatal(err)
 	}
 	_, _, events, result := gateRun(b, id, receipt.NewGate)
-	b.ReportAllocs()
-	for b.Loop() {
-		g := receipt.NewGate()
-		for _, ev := range events {
-			g.Emit(ev)
-		}
-		if _, _, err := g.Finish(id, result, receipt.ProducerLocal); err != nil {
-			b.Fatal(err)
-		}
+	for _, g := range []struct {
+		name    string
+		newGate func() *receipt.Gate
+	}{{"digest", receipt.NewDigestGate}, {"packing", receipt.NewGate}} {
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				gate := g.newGate()
+				for _, ev := range events {
+					gate.Emit(ev)
+				}
+				if _, _, err := gate.Finish(id, result, receipt.ProducerLocal); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(events)), "events/op")
+		})
 	}
-	b.ReportMetric(float64(len(events)), "events/op")
 }

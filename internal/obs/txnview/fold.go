@@ -29,34 +29,42 @@ import (
 //     rollback).
 //   - KFault destroys a node's AM contents wholesale.
 //
-// A state change allocates nothing once the maps have grown to the
-// trace's working set: copies live in one flat map, and per-item and
-// per-state tallies let the quiescent checks find violations without
-// sorting. Only a check that does find one builds the sorted view its
-// diagnostics are rendered from.
+// Each item has one record, found through one hash lookup, that
+// tallies its copies and heads the chain of them; every copy is also
+// chained on its node, so a scan or a fault visits only that node's
+// copies. Transactions live in a txnTable, indexed by origin and
+// sequence number rather than hashed. A state change allocates nothing
+// once the records have grown to the trace's working set, and per-item
+// and per-state tallies let the quiescent checks find violations
+// without sorting. Only a check that does find one builds the sorted
+// view its diagnostics are rendered from.
 type Fold struct {
 	n    int   // events stepped; the next event's index
 	last int64 // time of the last event stepped
 
-	// copies holds every non-Invalid copy's state; items tallies each
-	// item's copies (items with none are absent); inState counts copies
-	// per state.
-	copies  map[copyKey]proto.State
-	items   map[proto.ItemID]itemTally
+	// index maps an item to its record in items; copies holds every
+	// non-Invalid copy, chained on its item's record and on its node
+	// (byNode heads the node chains, by chainOf). Copy 0 is unused,
+	// so index 0 ends a chain; free chains the copies dropped, for
+	// reuse. inState counts copies per state.
+	index   map[proto.ItemID]int32
+	items   chunked[itemRec]
+	copies  chunked[copyRec]
+	free    int32
+	byNode  []int32
 	inState [proto.NumStates]int
 
-	// pending snapshots fill-legality predicates at access begin.
-	pending map[proto.TxnID]fillSnap
 	// observed counts every state transition seen or synthesised.
 	observed [proto.NumStates][proto.NumStates]int64
 
 	round  int64 // current round number (0 outside rounds)
 	rounds int64 // KRoundEnd events seen
 
-	// Transaction well-formedness under Assemble's rules: txns holds
-	// every transaction begun so far until the first rule is broken,
-	// which malformed then records (nil txns, stop tracking).
-	txns          map[proto.TxnID]txnStatus
+	// txns records every transaction begun, with the fill-legality
+	// snapshot of an access awaiting its end. Well-formedness follows
+	// Assemble's rules until the first is broken, which malformed then
+	// records; the begun and closed counts stop mattering from there.
+	txns          txnTable
 	begun, closed int
 	malformed     string
 
@@ -64,31 +72,30 @@ type Fold struct {
 	ended bool // the trace-end check has run
 }
 
-type copyKey struct {
+// itemRec is one item's record: its tallies and the head of its copy
+// chain (0 when it has no copy).
+type itemRec struct {
 	item proto.ItemID
-	node proto.NodeID
+	itemTally
+	head int32
 }
 
 type itemTally struct{ copies, owners int32 }
 
-type fillSnap struct {
-	anyCopy  bool // some non-Invalid copy existed at begin
-	anyOwner bool // some owner-state copy existed at begin
-}
-
-type txnStatus struct {
-	begin int64 // KTxnBegin time, for the duplicate-begin diagnostic
-	ended bool
+// copyRec is one non-Invalid copy of the item whose record is rec.
+// next chains the item's copies; prev and succ chain the node's.
+type copyRec struct {
+	rec              int32
+	next, prev, succ int32
+	node             proto.NodeID
+	st               proto.State
 }
 
 // NewFold returns an empty fold.
 func NewFold() *Fold {
-	return &Fold{
-		copies:  make(map[copyKey]proto.State),
-		items:   make(map[proto.ItemID]itemTally),
-		pending: make(map[proto.TxnID]fillSnap),
-		txns:    make(map[proto.TxnID]txnStatus),
-	}
+	f := &Fold{index: make(map[proto.ItemID]int32)}
+	f.copies.push()
+	return f
 }
 
 const maxErrors = 20
@@ -105,36 +112,116 @@ func (f *Fold) errorf(format string, args ...any) {
 // check need not even look.
 func (f *Fold) saturated() bool { return len(f.errs) > maxErrors }
 
-// set moves one copy to state s (Invalid drops it), keeping the item
-// and state tallies in step.
-func (f *Fold) set(k copyKey, s proto.State) {
-	old, had := f.copies[k]
-	if !had && s == proto.Invalid {
-		return
+// maxChains bounds byNode. The nodes from None up have a chain each,
+// and the NodeIDs past them share the last one, so a hostile node
+// number costs no table; a walk of that chain skips other nodes'
+// copies.
+const maxChains = 1 << 10
+
+// chainOf returns the byNode index of node n's chain.
+func chainOf(n proto.NodeID) int {
+	if n >= proto.None && int(n) < maxChains-2 {
+		return int(n) + 1
 	}
-	t := f.items[k.item]
-	if had {
+	return maxChains - 1
+}
+
+// copyOn returns item record r's copy on node n, or 0.
+func (f *Fold) copyOn(r int32, n proto.NodeID) int32 {
+	c := f.items.at(int(r)).head
+	for c != 0 && f.copies.at(int(c)).node != n {
+		c = f.copies.at(int(c)).next
+	}
+	return c
+}
+
+// tally moves a copy's contribution to the tallies from state old to
+// state s; Invalid contributes nothing.
+func (f *Fold) tally(t *itemTally, old, s proto.State) {
+	if old != proto.Invalid {
 		f.inState[old]--
 		t.copies--
 		if old.Owner() {
 			t.owners--
 		}
 	}
-	if s == proto.Invalid {
-		delete(f.copies, k)
-	} else {
-		f.copies[k] = s
+	if s != proto.Invalid {
 		f.inState[s]++
 		t.copies++
 		if s.Owner() {
 			t.owners++
 		}
 	}
-	if t.copies == 0 {
-		delete(f.items, k.item)
-	} else {
-		f.items[k.item] = t
+}
+
+// set moves copy c (0: none yet) of item record r on node n from its
+// state to s, adding, restating or dropping it. r < 0 means the item
+// has no record yet, and then c must be 0.
+func (f *Fold) set(r, c int32, item proto.ItemID, n proto.NodeID, s proto.State) {
+	switch {
+	case c != 0 && s == proto.Invalid:
+		f.drop(c)
+	case c != 0:
+		cp := f.copies.at(int(c))
+		f.tally(&f.items.at(int(cp.rec)).itemTally, cp.st, s)
+		cp.st = s
+	case s != proto.Invalid:
+		if r < 0 {
+			r = int32(f.items.push())
+			f.items.at(int(r)).item = item
+			f.index[item] = r
+		}
+		f.add(r, n, s)
 	}
+}
+
+// add chains a new copy of item record r on node n, in state s.
+func (f *Fold) add(r int32, n proto.NodeID, s proto.State) {
+	c := f.free
+	if c != 0 {
+		f.free = f.copies.at(int(c)).next
+	} else {
+		c = int32(f.copies.push())
+	}
+	it := f.items.at(int(r))
+	ni := chainOf(n)
+	if ni >= len(f.byNode) {
+		f.byNode = append(f.byNode, make([]int32, ni+1-len(f.byNode))...)
+	}
+	succ := f.byNode[ni]
+	*f.copies.at(int(c)) = copyRec{rec: r, next: it.head, succ: succ, node: n, st: s}
+	if succ != 0 {
+		f.copies.at(int(succ)).prev = c
+	}
+	f.byNode[ni] = c
+	it.head = c
+	f.tally(&it.itemTally, proto.Invalid, s)
+}
+
+// drop unchains copy c from its item and its node and frees it.
+func (f *Fold) drop(c int32) {
+	cp := f.copies.at(int(c))
+	it := f.items.at(int(cp.rec))
+	f.tally(&it.itemTally, cp.st, proto.Invalid)
+	if it.head == c {
+		it.head = cp.next
+	} else {
+		p := it.head
+		for f.copies.at(int(p)).next != c {
+			p = f.copies.at(int(p)).next
+		}
+		f.copies.at(int(p)).next = cp.next
+	}
+	if cp.prev != 0 {
+		f.copies.at(int(cp.prev)).succ = cp.succ
+	} else {
+		f.byNode[chainOf(cp.node)] = cp.succ
+	}
+	if cp.succ != 0 {
+		f.copies.at(int(cp.succ)).prev = cp.prev
+	}
+	*cp = copyRec{next: f.free}
+	f.free = c
 }
 
 // Step folds the next event of the trace into the replay.
@@ -144,44 +231,69 @@ func (f *Fold) Step(ev obs.Event) {
 	f.last = ev.Time
 	switch ev.Kind {
 	case obs.KState:
-		k := copyKey{ev.Item, ev.Node}
-		if cur := f.copies[k]; cur != ev.From { // absent is Invalid
+		r, c := int32(-1), int32(0)
+		if rr, ok := f.index[ev.Item]; ok {
+			r, c = rr, f.copyOn(rr, ev.Node)
+		}
+		if cur := f.copies.at(int(c)).st; cur != ev.From { // copy 0 is Invalid
 			f.errorf("event %d (cycle %d, round %d): node %v item %d records %v -> %v but replay holds the copy in %v",
 				i, ev.Time, f.round, ev.Node, ev.Item, ev.From, ev.To, cur)
 		}
 		f.observed[ev.From][ev.To]++
-		f.set(k, ev.To)
+		f.set(r, c, ev.Item, ev.Node, ev.To)
 
 	case obs.KTxnBegin:
-		f.track(i, ev)
+		rec, first := f.txns.begin(ev.Txn, ev.Time)
+		if first {
+			f.begun++
+		} else {
+			f.malform("txnview: event %d: duplicate begin for %v (first began at cycle %d)",
+				i, ev.Txn, f.txns.beganAt(ev.Txn))
+		}
 		if ev.Txn != proto.NoTxn && ev.Item != proto.NoItem &&
 			(ev.A == obs.TxnRead || ev.A == obs.TxnWrite) {
-			t := f.items[ev.Item]
-			f.pending[ev.Txn] = fillSnap{anyCopy: t.copies > 0, anyOwner: t.owners > 0}
+			var t itemTally
+			if r, ok := f.index[ev.Item]; ok {
+				t = f.items.at(int(r)).itemTally
+			}
+			*rec = rec.snapped(t.copies > 0, t.owners > 0)
 		}
 
 	case obs.KTxnHop:
-		f.track(i, ev)
+		if f.txns.get(ev.Txn) == nil {
+			f.malform("txnview: event %d: hop for unknown transaction %v (%v at cycle %d)",
+				i, ev.Txn, proto.MsgKind(ev.A), ev.Time)
+		}
 
 	case obs.KTxnEnd:
-		f.track(i, ev)
-		// For read/write transactions (the only ones in pending) the
-		// end event's A is the fill source, so legality is judged here:
-		// the fill events themselves do not carry the transaction id on
-		// the wire.
-		snap, ok := f.pending[ev.Txn]
-		if !ok {
+		rec := f.txns.get(ev.Txn)
+		switch {
+		case rec == nil:
+			f.malform("txnview: event %d: end for unknown transaction %v at cycle %d",
+				i, ev.Txn, ev.Time)
+		case *rec&txnEnded != 0:
+			f.malform("txnview: event %d: duplicate end for %v", i, ev.Txn)
+		default:
+			*rec |= txnEnded
+			f.closed++
+		}
+		// For read/write transactions (the only ones with a pending
+		// snapshot) the end event's A is the fill source, so legality
+		// is judged here: the fill events themselves do not carry the
+		// transaction id on the wire.
+		if rec == nil || *rec&txnPending == 0 {
 			break // not an access txn, or its begin was filtered out
 		}
-		delete(f.pending, ev.Txn)
+		snap := *rec
+		*rec &^= txnPending
 		switch ev.A {
 		case obs.FillRemote:
-			if !snap.anyCopy {
+			if snap&txnAnyCopy == 0 {
 				f.errorf("event %d (cycle %d, round %d): node %v filled item %d remotely but no copy existed anywhere when %v began — fill from an invalid copy",
 					i, ev.Time, f.round, ev.Node, ev.Item, ev.Txn)
 			}
 		case obs.FillCold:
-			if snap.anyOwner {
+			if snap&txnAnyOwner != 0 {
 				f.errorf("event %d (cycle %d, round %d): node %v cold-filled item %d but an owner copy existed when %v began — the master was bypassed",
 					i, ev.Time, f.round, ev.Node, ev.Item, ev.Txn)
 			}
@@ -201,9 +313,14 @@ func (f *Fold) Step(ev obs.Event) {
 	case obs.KFault:
 		// Fail-silent: the node's AM contents are gone. Not a protocol
 		// transition, so nothing is recorded as coverage.
-		for k := range f.copies {
-			if k.node == ev.Node {
-				f.set(k, proto.Invalid)
+		if ni := chainOf(ev.Node); ni < len(f.byNode) {
+			for c := f.byNode[ni]; c != 0; {
+				cp := f.copies.at(int(c))
+				next := cp.succ
+				if cp.node == ev.Node {
+					f.drop(c)
+				}
+				c = next
 			}
 		}
 
@@ -231,54 +348,29 @@ func (f *Fold) Step(ev obs.Event) {
 	}
 }
 
-// track applies Assemble's well-formedness rules to one transaction
-// event: a duplicate begin, a hop or end for a transaction that never
-// began, or a second end is an error, and only the first is kept.
-func (f *Fold) track(i int, ev obs.Event) {
-	if f.malformed != "" {
-		return
+// malform records a broken well-formedness rule, unless an earlier
+// one already was: only the first is kept, as Assemble reports it.
+func (f *Fold) malform(format string, args ...any) {
+	if f.malformed == "" {
+		f.malformed = fmt.Sprintf(format, args...)
 	}
-	st, known := f.txns[ev.Txn]
-	switch {
-	case ev.Kind == obs.KTxnBegin && known:
-		f.malform(fmt.Sprintf("txnview: event %d: duplicate begin for %v (first began at cycle %d)",
-			i, ev.Txn, st.begin))
-	case ev.Kind == obs.KTxnBegin:
-		f.txns[ev.Txn] = txnStatus{begin: ev.Time}
-		f.begun++
-	case ev.Kind == obs.KTxnHop && !known:
-		f.malform(fmt.Sprintf("txnview: event %d: hop for unknown transaction %v (%v at cycle %d)",
-			i, ev.Txn, proto.MsgKind(ev.A), ev.Time))
-	case ev.Kind == obs.KTxnEnd && !known:
-		f.malform(fmt.Sprintf("txnview: event %d: end for unknown transaction %v at cycle %d",
-			i, ev.Txn, ev.Time))
-	case ev.Kind == obs.KTxnEnd && st.ended:
-		f.malform(fmt.Sprintf("txnview: event %d: duplicate end for %v", i, ev.Txn))
-	case ev.Kind == obs.KTxnEnd:
-		st.ended = true
-		f.txns[ev.Txn] = st
-		f.closed++
-	}
-}
-
-func (f *Fold) malform(msg string) {
-	f.malformed = msg
-	f.txns = nil
 }
 
 // scan applies a bulk AM-scan transform to every copy on one node,
 // recording the synthesised transitions.
 func (f *Fold) scan(n proto.NodeID, transform func(proto.State) (proto.State, bool)) {
-	for k, st := range f.copies {
-		if k.node != n {
-			continue
+	ni := chainOf(n)
+	if ni >= len(f.byNode) {
+		return
+	}
+	for c := f.byNode[ni]; c != 0; {
+		cp := f.copies.at(int(c))
+		next, st := cp.succ, cp.st
+		if to, changed := transform(st); changed && cp.node == n { // a shared chain holds other nodes' copies too
+			f.observed[st][to]++
+			f.set(cp.rec, c, 0, n, to) // a restate or a drop: never adds
 		}
-		to, changed := transform(st)
-		if !changed {
-			continue
-		}
-		f.observed[st][to]++
-		f.set(k, to) // an update or a delete: never inserts mid-range
+		c = next
 	}
 }
 
@@ -325,7 +417,7 @@ func (f *Fold) checkOwnerUnique(i int, t int64, where string) {
 		return
 	}
 	for _, g := range f.itemGroups() {
-		if owners := f.items[g.item].owners; owners > 1 {
+		if owners := g.owners; owners > 1 {
 			f.errorf("event %d (cycle %d, round %d): item %d has %d owner copies at %s: %s",
 				i, t, f.round, g.item, owners, where, g.list())
 		}
@@ -365,7 +457,7 @@ func (f *Fold) checkRecoveryPersistence(i int, t int64) {
 		return
 	}
 	for _, g := range f.itemGroups() {
-		if owners := f.items[g.item].owners; owners != 1 {
+		if owners := g.owners; owners != 1 {
 			f.errorf("event %d (cycle %d, round %d): rollback left item %d with %d owner copies (want 1): %s",
 				i, t, f.round, g.item, owners, g.list())
 		}
@@ -375,8 +467,8 @@ func (f *Fold) checkRecoveryPersistence(i int, t int64) {
 // anyItem reports whether some item with copies satisfies bad: the
 // sort-free, allocation-free pass every quiescent check starts with.
 func (f *Fold) anyItem(bad func(itemTally) bool) bool {
-	for _, t := range f.items {
-		if bad(t) {
+	for i := range f.items.n {
+		if t := f.items.at(i).itemTally; t.copies > 0 && bad(t) {
 			return true
 		}
 	}
@@ -392,6 +484,7 @@ type itemCopy struct {
 // itemGroup is one item's copies, in node order.
 type itemGroup struct {
 	item   proto.ItemID
+	owners int32
 	copies []itemCopy
 }
 
@@ -399,24 +492,21 @@ type itemGroup struct {
 // its copies in node order, so invariant diagnostics come out in a
 // deterministic order. Only a check that found a violation calls it.
 func (f *Fold) itemGroups() []itemGroup {
-	keys := make([]copyKey, 0, len(f.copies))
-	for k := range f.copies {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].item != keys[j].item {
-			return keys[i].item < keys[j].item
-		}
-		return keys[i].node < keys[j].node
-	})
 	var groups []itemGroup
-	for _, k := range keys {
-		if len(groups) == 0 || groups[len(groups)-1].item != k.item {
-			groups = append(groups, itemGroup{item: k.item})
+	for i := range f.items.n {
+		it := f.items.at(i)
+		if it.copies == 0 {
+			continue
 		}
-		g := &groups[len(groups)-1]
-		g.copies = append(g.copies, itemCopy{k.node, f.copies[k]})
+		g := itemGroup{item: it.item, owners: it.owners}
+		for c := it.head; c != 0; c = f.copies.at(int(c)).next {
+			cp := f.copies.at(int(c))
+			g.copies = append(g.copies, itemCopy{cp.node, cp.st})
+		}
+		sort.Slice(g.copies, func(i, j int) bool { return g.copies[i].node < g.copies[j].node })
+		groups = append(groups, g)
 	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].item < groups[j].item })
 	return groups
 }
 
