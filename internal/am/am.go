@@ -16,6 +16,7 @@ package am
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"coma/internal/config"
@@ -23,7 +24,7 @@ import (
 )
 
 // Slot is the per-item metadata held in a frame. Its fields are ordered
-// widest first so a slot packs into 16 bytes.
+// widest first so a slot packs into 16 bytes, its table key included.
 type Slot struct {
 	// Value is the simulator's model of the item's 128 bytes: a 64-bit
 	// stamp checked against the machine oracle.
@@ -32,43 +33,25 @@ type Slot struct {
 	// meaningful only while State.Recovery() is true.
 	Partner proto.NodeID
 	State   proto.State
+	// key is the item plus one while the slot is a record of the AM's
+	// slot table, and 0 in a free record. A slot handed out by value
+	// has key 0, so it compares equal to a literal of the same fields.
+	key proto.ItemID
 }
 
 // cleanSlot is the slot of an item that holds no copy.
 var cleanSlot = Slot{State: proto.Invalid, Partner: proto.None}
 
-// chunkItems is how many consecutive items of a page share one chunk of
-// slots. Most frames hold only a few live items (ECP's anchor frames
-// especially), so a frame materialises a chunk only when one of its
-// items is first written.
-const chunkItems = 8
-
-// A chunk holds the slots of chunkItems consecutive items of a page. It
-// holds no pointers, so the collector never scans chunk blocks.
-type chunk [chunkItems]Slot
-
-// cleanChunk is a chunk whose every slot is clean.
-var cleanChunk = chunk{cleanSlot, cleanSlot, cleanSlot, cleanSlot, cleanSlot, cleanSlot, cleanSlot, cleanSlot}
-
-// Chunks and frames' chunk references are carved from per-AM blocks
-// whose size doubles from the first to the last constant: an AM that
-// uses few frames makes small blocks, and a busy one few allocations.
+// The slot table starts at firstTable records on an AM's first write
+// and doubles whenever it would pass maxLoadNum/maxLoadDen full.
 const (
-	firstChunkBlock = 16  // chunks
-	lastChunkBlock  = 128 // chunks
-	firstRefBlock   = 8   // frames' chunk references
-	lastRefBlock    = 64  // frames' chunk references
+	firstTable = 1024
+	maxLoadNum = 3
+	maxLoadDen = 4
 )
 
 // A frame is one way of a set. Its page is the way's entry in AM.tags.
 type frame struct {
-	// chunks holds one reference per chunkItems items of the page (the
-	// last chunk is partial when ItemsPerPage is not a multiple of
-	// chunkItems): nil until one of the chunk's items is written. The references are
-	// carved when the way is first allocated; a chunk, once
-	// materialised, stays with the way and is wiped on every
-	// AllocFrame.
-	chunks  []*chunk
 	lastUse int64
 	// modified counts slots in Exclusive or MasterShared state; frames
 	// with modified > 0 form the paper's "modified-item tree", letting
@@ -104,20 +87,18 @@ type AM struct {
 	// one set's contiguous tags, as the hardware's tag match does.
 	tags   []proto.PageID
 	frames []frame // parallel to tags
-	// chunksPerPage is the length of every frame's chunk references.
-	chunksPerPage int
-	// chunkSpare and refSpare are the unused tails of the latest chunk
-	// and reference blocks; chunkBlock and refBlock size the next ones
-	// (refBlock in frames).
-	chunkSpare []chunk
-	refSpare   []*chunk
-	chunkBlock int
-	refBlock   int
-	// scratch is the copy of the clean slot a scan hands its callback
-	// for an item that was never written. The AM never writes it: a
-	// callback that changes it makes the scan panic, and the AM is
-	// unusable after such a panic.
-	scratch Slot
+	// written holds one bit per item of every way, words words a way:
+	// the items written since the way's page was allocated. Exactly
+	// those items have a record in table.
+	written []uint64
+	words   int
+	// table is an open-addressed, linearly probed table of the written
+	// items' slots, keyed by item: nil until the AM's first write, then
+	// a power of two long and at most maxLoadNum/maxLoadDen full. used
+	// counts its records, and shift turns a hash into a home index.
+	table []Slot
+	used  int
+	shift uint
 
 	allocated int
 	stats     Stats
@@ -138,22 +119,20 @@ func (a *AM) SetStateHook(fn func(item proto.ItemID, from, to proto.State)) {
 func New(arch config.Arch, node proto.NodeID) *AM {
 	per := arch.ItemsPerPage()
 	a := &AM{
-		node:          node,
-		itemsPerPage:  per,
-		numSets:       arch.AMSets(),
-		ways:          arch.AMWays,
-		scanFrame:     arch.CommitPageTest + int64(per)*arch.CommitItemTest,
-		controllers:   int64(arch.AMControllers),
-		chunksPerPage: (per + chunkItems - 1) / chunkItems,
-		chunkBlock:    firstChunkBlock,
-		refBlock:      firstRefBlock,
-		scratch:       cleanSlot,
+		node:         node,
+		itemsPerPage: per,
+		numSets:      arch.AMSets(),
+		ways:         arch.AMWays,
+		scanFrame:    arch.CommitPageTest + int64(per)*arch.CommitItemTest,
+		controllers:  int64(arch.AMControllers),
+		words:        (per + 63) / 64,
 	}
 	a.tags = make([]proto.PageID, a.numSets*a.ways)
 	for i := range a.tags {
 		a.tags[i] = proto.NoPage
 	}
 	a.frames = make([]frame, len(a.tags))
+	a.written = make([]uint64, len(a.tags)*a.words)
 	return a
 }
 
@@ -205,59 +184,103 @@ func (a *AM) frameOf(page proto.PageID) *frame {
 	return nil
 }
 
-// frameFor returns the frame holding the item and the item's index in
-// it; the frame is nil when the item's page is not allocated.
-func (a *AM) frameFor(item proto.ItemID) (*frame, int) {
-	page := int(item) / a.itemsPerPage
-	return a.frameOf(proto.PageID(page)), int(item) - page*a.itemsPerPage
+// bitsOf returns the written-bitmap of way w.
+func (a *AM) bitsOf(w int) []uint64 {
+	return a.written[w*a.words : (w+1)*a.words]
 }
 
-// slotFor returns the item's slot, or nil when its page is not
-// allocated or its chunk was never written (the slot is clean).
-func (a *AM) slotFor(item proto.ItemID) *Slot {
-	f, i := a.frameFor(item)
-	if f == nil {
-		return nil
-	}
-	c := f.chunks[i/chunkItems]
-	if c == nil {
-		return nil
-	}
-	return &c[i%chunkItems]
+// home returns the table index where the probe for key starts
+// (Fibonacci hashing: consecutive items land far apart).
+func (a *AM) home(key proto.ItemID) int {
+	return int(uint32(key) * 0x9E3779B9 >> a.shift)
 }
 
-// chunkFor returns the chunk holding item index i of frame f, carving
-// one when none of its items was written yet. fresh reports a carved
-// chunk: its contents are stale, and the caller (one of the audited
-// setters) wipes it to cleanChunk before writing.
-func (a *AM) chunkFor(f *frame, i int) (c *chunk, fresh bool) {
-	k := i / chunkItems
-	if c = f.chunks[k]; c == nil {
-		if len(a.chunkSpare) == 0 {
-			a.chunkSpare = make([]chunk, a.chunkBlock)
-			a.chunkBlock = min(2*a.chunkBlock, lastChunkBlock)
+// find returns the table index of the item's record, or -1 when the
+// item has none (it was never written, or its page is not allocated).
+func (a *AM) find(item proto.ItemID) int {
+	if a.table == nil {
+		return -1
+	}
+	key, mask := item+1, len(a.table)-1
+	for i := a.home(key); ; i = (i + 1) & mask {
+		switch a.table[i].key {
+		case key:
+			return i
+		case 0:
+			return -1
 		}
-		c = &a.chunkSpare[0]
-		a.chunkSpare = a.chunkSpare[1:]
-		f.chunks[k] = c
-		fresh = true
 	}
-	return c, fresh
 }
 
-// slotsOf returns the page's slots held by chunk k of frame f: nil when
-// the chunk was never written, and fewer than chunkItems for a partial
-// last chunk.
-func (a *AM) slotsOf(f *frame, k int) []Slot {
-	c := f.chunks[k]
-	if c == nil {
-		return nil
+// slotFor returns the record of an item of way w's page for a write,
+// taking a free record when the item was not written since the page was
+// allocated. fresh reports a taken record: its contents are stale, and
+// the caller (one of the audited setters) wipes it before writing.
+func (a *AM) slotFor(w int, item proto.ItemID) (s *Slot, fresh bool) {
+	i := int(item) % a.itemsPerPage
+	written := a.bitsOf(w)
+	if written[i/64]&(1<<(i%64)) != 0 {
+		return &a.table[a.find(item)], false
 	}
-	return c[:min(chunkItems, a.itemsPerPage-k*chunkItems)]
+	written[i/64] |= 1 << (i % 64)
+	if (a.used+1)*maxLoadDen > len(a.table)*maxLoadNum {
+		a.grow()
+	}
+	a.used++
+	j := a.vacant(item + 1)
+	a.table[j].key = item + 1
+	return &a.table[j], true
 }
 
-func (a *AM) firstItem(page proto.PageID) proto.ItemID {
-	return proto.ItemID(int(page) * a.itemsPerPage)
+// vacant returns the first free record on key's probe sequence; the
+// table is never full.
+func (a *AM) vacant(key proto.ItemID) int {
+	j, mask := a.home(key), len(a.table)-1
+	for a.table[j].key != 0 {
+		j = (j + 1) & mask
+	}
+	return j
+}
+
+// grow doubles the slot table (or makes the first one) and moves every
+// record to its place in the new table, in one allocation.
+func (a *AM) grow() {
+	old := a.table
+	n := max(2*len(old), firstTable)
+	a.table = make([]Slot, n)
+	a.shift = uint(32 - bits.TrailingZeros(uint(n)))
+	for i := range old {
+		if old[i].key != 0 {
+			a.table[a.vacant(old[i].key)] = old[i]
+		}
+	}
+}
+
+// remove frees the item's record. Linear probing cannot leave a hole in
+// a probe sequence, so each later record of the run that may fill the
+// hole moves back into it (backward-shift deletion).
+func (a *AM) remove(item proto.ItemID) {
+	i, mask := a.find(item), len(a.table)-1
+	for j := (i + 1) & mask; a.table[j].key != 0; j = (j + 1) & mask {
+		if (j-a.home(a.table[j].key))&mask >= (j-i)&mask {
+			a.table[i] = a.table[j]
+			i = j
+		}
+	}
+	a.table[i].key = 0
+	a.used--
+}
+
+// forWritten calls fn with every item of way w's page written since the
+// page was allocated, in item order.
+func (a *AM) forWritten(w int, fn func(item proto.ItemID)) {
+	first := proto.ItemID(int(a.tags[w]) * a.itemsPerPage)
+	for k, word := range a.bitsOf(w) {
+		for word != 0 {
+			fn(first + proto.ItemID(k*64+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
 }
 
 // HasFrame reports whether the page is allocated.
@@ -295,64 +318,68 @@ func (a *AM) Touch(page proto.PageID, now int64) {
 // State returns the item's coherence state (Invalid when the page is not
 // allocated or the item was never written).
 func (a *AM) State(item proto.ItemID) proto.State {
-	s := a.slotFor(item)
-	if s == nil {
-		return proto.Invalid
+	if i := a.find(item); i >= 0 {
+		return a.table[i].State
 	}
-	return s.State
+	return proto.Invalid
 }
 
 // Slot returns a copy of the item's slot (the clean slot, Invalid with
 // no partner, when the page is unallocated or the item never written).
 func (a *AM) Slot(item proto.ItemID) Slot {
-	s := a.slotFor(item)
-	if s == nil {
+	i := a.find(item)
+	if i < 0 {
 		return cleanSlot
 	}
-	return *s
+	s := a.table[i]
+	s.key = 0
+	return s
+}
+
+// writable returns the way of the item's page for one of the setters,
+// and panics naming the setter when the page is not allocated.
+func (a *AM) writable(op string, item proto.ItemID) int {
+	w := a.way(proto.PageID(int(item) / a.itemsPerPage))
+	if w < 0 {
+		panic(fmt.Sprintf("am: %s(%d) on node %v without a frame for page %d",
+			op, item, a.node, int(item)/a.itemsPerPage))
+	}
+	return w
 }
 
 // Set installs state, value and partner for an item. The page frame must
 // be allocated. Modified-item bookkeeping is maintained.
 func (a *AM) Set(item proto.ItemID, slot Slot) {
-	f, idx := a.frameFor(item)
-	if f == nil {
-		panic(fmt.Sprintf("am: Set(%d) on node %v without a frame for page %d",
-			item, a.node, int(item)/a.itemsPerPage))
-	}
-	c, fresh := a.chunkFor(f, idx)
+	w := a.writable("Set", item)
+	old, fresh := a.slotFor(w, item)
 	if fresh {
-		*c = cleanChunk
+		*old = Slot{State: proto.Invalid, Partner: proto.None, key: item + 1}
 	}
-	old := &c[idx%chunkItems]
 	if old.State.Modified() {
-		f.modified--
+		a.frames[w].modified--
 	}
 	if slot.State.Modified() {
-		f.modified++
+		a.frames[w].modified++
 	}
 	if a.stateHook != nil && old.State != slot.State {
 		a.stateHook(item, old.State, slot.State)
 	}
+	slot.key = item + 1
 	*old = slot
 }
 
 // SetState changes only the coherence state, preserving value and partner.
 func (a *AM) SetState(item proto.ItemID, st proto.State) {
-	f, idx := a.frameFor(item)
-	if f == nil {
-		panic(fmt.Sprintf("am: SetState(%d) on node %v without a frame", item, a.node))
-	}
-	c, fresh := a.chunkFor(f, idx)
+	w := a.writable("SetState", item)
+	s, fresh := a.slotFor(w, item)
 	if fresh {
-		*c = cleanChunk
+		*s = Slot{State: proto.Invalid, Partner: proto.None, key: item + 1}
 	}
-	s := &c[idx%chunkItems]
 	if s.State.Modified() {
-		f.modified--
+		a.frames[w].modified--
 	}
 	if st.Modified() {
-		f.modified++
+		a.frames[w].modified++
 	}
 	if a.stateHook != nil && s.State != st {
 		a.stateHook(item, s.State, st)
@@ -362,15 +389,11 @@ func (a *AM) SetState(item proto.ItemID, st proto.State) {
 
 // SetPartner records the recovery-pair partner for an item.
 func (a *AM) SetPartner(item proto.ItemID, partner proto.NodeID) {
-	f, idx := a.frameFor(item)
-	if f == nil {
-		panic(fmt.Sprintf("am: SetPartner(%d) on node %v without a frame", item, a.node))
-	}
-	c, fresh := a.chunkFor(f, idx)
+	s, fresh := a.slotFor(a.writable("SetPartner", item), item)
 	if fresh {
-		*c = cleanChunk
+		*s = Slot{State: proto.Invalid, key: item + 1}
 	}
-	c[idx%chunkItems].Partner = partner
+	s.Partner = partner
 }
 
 // FreeWay reports whether the page's set has an unallocated way.
@@ -386,7 +409,8 @@ func (a *AM) FreeWay(page proto.PageID) bool {
 
 // AllocFrame allocates a frame for the page in a free way. It panics if
 // the page is already allocated or no way is free (callers must first
-// evict via VictimPage/DropFrame).
+// evict via VictimPage/DropFrame). The way's written-bitmap is already
+// empty: DropFrame and Clear empty it.
 func (a *AM) AllocFrame(page proto.PageID, irreplaceable bool, now int64) {
 	if a.HasFrame(page) {
 		panic(fmt.Sprintf("am: page %d already allocated on node %v", page, a.node))
@@ -401,26 +425,6 @@ func (a *AM) AllocFrame(page proto.PageID, irreplaceable bool, now int64) {
 		f.irreplaceable = irreplaceable
 		f.lastUse = now
 		f.modified = 0
-		if f.chunks == nil {
-			// A frame gets its chunk references on first use: most
-			// frames of an AM are never allocated in a run, and
-			// building a machine would otherwise touch memory for all
-			// of them. They are carved from a block of refBlock frames'
-			// worth, so a run makes one allocation per block rather
-			// than per frame.
-			n := a.chunksPerPage
-			if len(a.refSpare) < n {
-				a.refSpare = make([]*chunk, a.refBlock*n)
-				a.refBlock = min(2*a.refBlock, lastRefBlock)
-			}
-			f.chunks = a.refSpare[:n:n]
-			a.refSpare = a.refSpare[n:]
-		}
-		for _, c := range f.chunks {
-			if c != nil {
-				*c = cleanChunk
-			}
-		}
 		a.allocated++
 		a.stats.FramesAllocated++
 		if a.allocated > a.stats.PeakFrames {
@@ -480,19 +484,16 @@ func (a *AM) VictimPages(page proto.PageID) []proto.PageID {
 // replacement (masters and recovery copies): the caller must inject them
 // before DropFrame.
 func (a *AM) PinnedItems(page proto.PageID) []proto.ItemID {
-	f := a.frameOf(page)
-	if f == nil {
+	w := a.way(page)
+	if w < 0 {
 		return nil
 	}
 	var out []proto.ItemID
-	first := a.firstItem(page)
-	for k := range f.chunks {
-		for j, s := range a.slotsOf(f, k) {
-			if !s.State.Replaceable() {
-				out = append(out, first+proto.ItemID(k*chunkItems+j))
-			}
+	a.forWritten(w, func(item proto.ItemID) {
+		if !a.State(item).Replaceable() {
+			out = append(out, item)
 		}
-	}
+	})
 	return out
 }
 
@@ -503,16 +504,14 @@ func (a *AM) DropFrame(page proto.PageID) {
 	if w < 0 {
 		panic(fmt.Sprintf("am: DropFrame(%d) on node %v without a frame", page, a.node))
 	}
-	f := &a.frames[w]
-	for k := range f.chunks {
-		for j, s := range a.slotsOf(f, k) {
-			if !s.State.Replaceable() {
-				panic(fmt.Sprintf("am: DropFrame(%d) on node %v would lose item %d in %v",
-					page, a.node, int(a.firstItem(page))+k*chunkItems+j, s.State))
-			}
-		}
+	if pinned := a.PinnedItems(page); len(pinned) > 0 {
+		panic(fmt.Sprintf("am: DropFrame(%d) on node %v would lose item %d in %v",
+			page, a.node, pinned[0], a.State(pinned[0])))
 	}
+	a.forWritten(w, a.remove)
+	clear(a.bitsOf(w))
 	a.tags[w] = proto.NoPage
+	f := &a.frames[w]
 	f.irreplaceable = false
 	f.evicting = false
 	a.allocated--
@@ -526,48 +525,35 @@ func (a *AM) DropFrame(page proto.PageID) {
 // paper's tree of modified-line indicators.
 func (a *AM) ModifiedItems(dst []proto.ItemID) []proto.ItemID {
 	for w, page := range a.tags {
-		f := &a.frames[w]
-		if page == proto.NoPage || f.modified == 0 {
+		if page == proto.NoPage || a.frames[w].modified == 0 {
 			continue
 		}
-		first := a.firstItem(page)
-		for k := range f.chunks {
-			for j, s := range a.slotsOf(f, k) {
-				if s.State.Modified() {
-					dst = append(dst, first+proto.ItemID(k*chunkItems+j))
-				}
+		a.forWritten(w, func(item proto.ItemID) {
+			if a.State(item).Modified() {
+				dst = append(dst, item)
 			}
-		}
+		})
 	}
 	return dst
 }
 
-// ForEachAllocated visits every slot of every allocated frame in
-// deterministic order. fn may mutate state via the AM's setters but must
-// not allocate or drop frames. An item that was never written is handed
-// over as a copy of the clean slot, which fn must leave unchanged (every
-// scan treats Invalid as a no-op); the scan panics if fn changes it.
+// ForEachAllocated visits the slot of every item written since its
+// frame was allocated, frame by frame in tag order and item by item in
+// each frame; every other item of an allocated frame holds the clean
+// slot. fn may change the slot it is handed, but must not call the AM's
+// setters, nor allocate or drop frames.
 func (a *AM) ForEachAllocated(fn func(item proto.ItemID, slot *Slot)) {
 	for w, page := range a.tags {
 		if page == proto.NoPage {
 			continue
 		}
 		f := &a.frames[w]
-		first := a.firstItem(page)
-		for i := range a.itemsPerPage {
-			item := first + proto.ItemID(i)
-			c := f.chunks[i/chunkItems]
-			if c == nil {
-				fn(item, &a.scratch)
-				if a.scratch != cleanSlot {
-					panic(fmt.Sprintf("am: ForEachAllocated callback on node %v changed never-written item %d to %+v",
-						a.node, item, a.scratch))
-				}
-				continue
-			}
-			s := &c[i%chunkItems]
+		a.forWritten(w, func(item proto.ItemID) {
+			s := &a.table[a.find(item)]
 			before := s.State.Modified()
 			fn(item, s)
+			// fn may have replaced the whole slot, key and all.
+			s.key = item + 1
 			after := s.State.Modified()
 			if before != after {
 				if after {
@@ -576,7 +562,7 @@ func (a *AM) ForEachAllocated(fn func(item proto.ItemID, slot *Slot)) {
 					f.modified--
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -592,18 +578,23 @@ func (a *AM) AllocatedPages() []proto.PageID {
 }
 
 // StateCounts tallies slots by state across all allocated frames (used by
-// the invariant checker and memory-overhead reporting).
+// the invariant checker and memory-overhead reporting). Items never
+// written since their frame's allocation count as Invalid.
 func (a *AM) StateCounts() map[proto.State]int {
 	counts := make(map[proto.State]int)
+	visited := 0
 	a.ForEachAllocated(func(_ proto.ItemID, s *Slot) {
 		counts[s.State]++
+		visited++
 	})
+	if clean := a.allocated*a.itemsPerPage - visited; clean > 0 {
+		counts[proto.Invalid] += clean
+	}
 	return counts
 }
 
 // Clear wipes the whole memory (a transient node failure loses AM
-// contents; the node rejoins empty). Slots need no wipe: AllocFrame
-// resets a frame's chunks whenever it hands the frame out again.
+// contents; the node rejoins empty). The slot table keeps its size.
 func (a *AM) Clear() {
 	for w, page := range a.tags {
 		if page != proto.NoPage {
@@ -615,5 +606,8 @@ func (a *AM) Clear() {
 		f.evicting = false
 		f.modified = 0
 	}
+	clear(a.written)
+	clear(a.table)
+	a.used = 0
 	a.allocated = 0
 }

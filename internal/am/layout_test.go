@@ -3,6 +3,7 @@ package am
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -14,21 +15,21 @@ import (
 )
 
 // TestSlotIs16Bytes guards the slot layout: ordering the fields widest
-// first packs the 11 bytes of a slot into 16 instead of 24, so a chunk
-// of chunkItems slots is 128 bytes.
+// first packs the 15 bytes of a slot and its table key into 16, where
+// State first would pad them to 24.
 func TestSlotIs16Bytes(t *testing.T) {
 	if size := unsafe.Sizeof(Slot{}); size != 16 {
 		t.Fatalf("Slot is %d bytes, want 16", size)
 	}
 }
 
-// TestSparseFrameCost bounds what a frame with one written item costs:
-// its chunk references and one chunk, plus the slack of the doubling
-// blocks they are carved from. A full array of the paper's 128 slots
-// would cost 2 KiB per frame.
+// TestSparseFrameCost bounds what a frame with one written item costs
+// when every frame of an AM has one: its share of the slot table, which
+// is half full. Its written-bitmap is part of the AM New builds. A full
+// array of the paper's 128 slots would cost 2 KiB per frame.
 func TestSparseFrameCost(t *testing.T) {
-	const frames = 64
 	arch := config.KSR1(16)
+	frames := arch.AMFrames()
 	a := New(arch, 0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -38,8 +39,8 @@ func TestSparseFrameCost(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(a)
-	if per := (after.TotalAlloc - before.TotalAlloc) / frames; per > 768 {
-		t.Fatalf("a sparse frame costs %d bytes, want at most 768", per)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(frames); per > 48 {
+		t.Fatalf("a sparse frame costs %d bytes, want at most 48", per)
 	}
 }
 
@@ -53,8 +54,8 @@ func smallPageArch(items int) config.Arch {
 }
 
 // refArches are the geometries the reference model drives: the paper's
-// 128-item pages, and pages whose last chunk is partial (20 items) or
-// the only, partial one (3 items).
+// 128-item pages, whose bitmap is two full words, and pages whose one
+// bitmap word is partly used (20 and 3 items).
 func refArches() []config.Arch {
 	return []config.Arch{config.KSR1(16), smallPageArch(20), smallPageArch(3)}
 }
@@ -66,6 +67,9 @@ type refFrame struct {
 	evicting      bool
 	lastUse       int64
 	slots         []Slot
+	// written marks the items written since the page was allocated:
+	// exactly those a scan visits.
+	written []bool
 }
 
 // refAM mirrors an AM with a plain map-keyed model over pages that
@@ -141,9 +145,7 @@ func (r *refAM) release(p proto.PageID, how string) {
 	key := r.setOf(p)*r.ways + f.way
 	h := r.held[key]
 	h.released = how
-	for _, s := range f.slots {
-		h.written = h.written || s != cleanSlot
-	}
+	h.written = slices.Contains(f.written, true)
 	r.held[key] = h
 	delete(r.frames, p)
 }
@@ -179,7 +181,8 @@ func (r *refAM) step(intN func(int) int) string {
 		r.held[key] = wayHistory{page: p}
 		irr := intN(4) == 0
 		a.AllocFrame(p, irr, now)
-		r.frames[p] = &refFrame{way: w, irreplaceable: irr, lastUse: now, slots: slices.Repeat([]Slot{cleanSlot}, r.per)}
+		r.frames[p] = &refFrame{way: w, irreplaceable: irr, lastUse: now,
+			slots: slices.Repeat([]Slot{cleanSlot}, r.per), written: make([]bool, r.per)}
 		return "AllocFrame"
 	case op < 37:
 		if f == nil {
@@ -191,6 +194,7 @@ func (r *refAM) step(intN func(int) int) string {
 				// injections do.
 				a.SetState(arch.FirstItem(p)+proto.ItemID(i), proto.Invalid)
 				f.slots[i].State = proto.Invalid
+				f.written[i] = true
 			}
 		}
 		a.DropFrame(p)
@@ -234,6 +238,7 @@ func (r *refAM) step(intN func(int) int) string {
 		st := proto.State(intN(int(proto.NumStates)))
 		a.SetState(it, st)
 		f.slots[i].State = st
+		f.written[i] = true
 		return "SetState"
 	case op < 76:
 		if f == nil {
@@ -243,6 +248,7 @@ func (r *refAM) step(intN func(int) int) string {
 		partner := proto.NodeID(intN(17) - 1)
 		a.SetPartner(it, partner)
 		f.slots[i].Partner = partner
+		f.written[i] = true
 		return "SetPartner"
 	default:
 		if f == nil {
@@ -256,19 +262,51 @@ func (r *refAM) step(intN func(int) int) string {
 		}
 		a.Set(it, s)
 		f.slots[i] = s
+		f.written[i] = true
 		return "Set"
 	}
 }
 
-// scan runs a ForEachAllocated pass that must visit every item of every
-// allocated frame in tag and item order, and rewrites the state and
-// value of every slot that is not clean (so certainly materialised), as
-// the commit and recovery scans do.
-func (r *refAM) scan(salt uint64) {
-	rewrite := func(s *Slot) {
+// Scan rewrites: the commit and recovery scans' state maps, and a
+// rewrite that moves every visited slot to the next state and a salted
+// value. scan picks one by the salt.
+var scanRewrites = [...]struct {
+	name    string
+	rewrite func(s *Slot, salt uint64)
+}{
+	{"scan write", func(s *Slot, salt uint64) {
 		s.State = (s.State + 1) % proto.NumStates
 		s.Value ^= salt
-	}
+	}},
+	{"commit scan", func(s *Slot, _ uint64) {
+		switch s.State {
+		case proto.PreCommit1:
+			s.State = proto.SharedCK1
+		case proto.PreCommit2:
+			s.State = proto.SharedCK2
+		case proto.InvCK1, proto.InvCK2:
+			s.State, s.Partner = proto.Invalid, proto.None
+		}
+	}},
+	{"recovery scan", func(s *Slot, _ uint64) {
+		switch s.State {
+		case proto.Shared, proto.Exclusive, proto.MasterShared, proto.PreCommit1, proto.PreCommit2:
+			s.State, s.Partner = proto.Invalid, proto.None
+		case proto.InvCK1:
+			s.State = proto.SharedCK1
+		case proto.InvCK2:
+			s.State = proto.SharedCK2
+		}
+	}},
+}
+
+// scan runs a ForEachAllocated pass that must visit exactly the model's
+// written items, in tag and item order, applying one of scanRewrites to
+// each. The model applies it to every item of every allocated frame, as
+// a full walk would; a never-written item holds the clean slot, which
+// no rewrite but the salted one changes, and that one counts as a write.
+func (r *refAM) scan(salt uint64) {
+	sr := scanRewrites[salt%uint64(len(scanRewrites))]
 	type visit struct {
 		item proto.ItemID
 		slot Slot
@@ -277,28 +315,36 @@ func (r *refAM) scan(salt uint64) {
 	for _, p := range r.allocated() {
 		f := r.frames[p]
 		for i := range f.slots {
-			want = append(want, visit{r.arch.FirstItem(p) + proto.ItemID(i), f.slots[i]})
-			if f.slots[i] != cleanSlot {
-				rewrite(&f.slots[i])
-				r.cover["scan write"]++
+			if f.written[i] {
+				want = append(want, visit{r.arch.FirstItem(p) + proto.ItemID(i), f.slots[i]})
+			} else if sr.name == "scan write" {
+				continue
+			}
+			before := f.slots[i]
+			sr.rewrite(&f.slots[i], salt)
+			if f.slots[i] != before {
+				if !f.written[i] {
+					r.tb.Fatalf("%s changed never-written item %d", sr.name, r.arch.FirstItem(p)+proto.ItemID(i))
+				}
+				r.cover[sr.name]++
 			}
 		}
 	}
 	var got []visit
 	r.a.ForEachAllocated(func(item proto.ItemID, s *Slot) {
-		got = append(got, visit{item, *s})
-		if *s != cleanSlot {
-			rewrite(s)
-		}
+		v := *s
+		v.key = 0
+		got = append(got, visit{item, v})
+		sr.rewrite(s, salt)
 	})
 	if !slices.Equal(got, want) {
-		r.tb.Fatalf("ForEachAllocated visited %d slots differing from the model's %d", len(got), len(want))
+		r.tb.Fatalf("%s visited %d slots differing from the model's %d written ones", sr.name, len(got), len(want))
 	}
 }
 
 // check compares every observable of the AM with the model: HasFrame,
 // Irreplaceable, Evicting, every slot, AllocatedPages, ModifiedItems,
-// PinnedItems and the VictimPages order of every set.
+// PinnedItems, StateCounts and the VictimPages order of every set.
 func (r *refAM) check() {
 	a, arch := r.a, r.arch
 	for _, p := range r.pages {
@@ -351,6 +397,18 @@ func (r *refAM) check() {
 	if got := a.ModifiedItems(nil); !slices.Equal(got, modified) {
 		r.tb.Fatalf("ModifiedItems = %v, want %v", got, modified)
 	}
+	counts := map[proto.State]int{}
+	for _, f := range r.frames {
+		for _, s := range f.slots {
+			counts[s.State]++
+		}
+	}
+	if got := a.StateCounts(); !maps.Equal(got, counts) {
+		r.tb.Fatalf("StateCounts = %v, want %v", got, counts)
+	}
+	if err := a.checkTable(); err != nil {
+		r.tb.Fatal(err)
+	}
 	for s := 0; s < 3; s++ {
 		var victims []proto.PageID
 		for _, p := range alloc {
@@ -369,12 +427,12 @@ func (r *refAM) check() {
 
 // TestTagLookupMatchesReference drives an AM and the reference model
 // through the same random sequence of allocations, drops, pins,
-// evicting marks, wipes, slot writes and writing scans, for pages of
-// 128 items and for pages whose last chunk is partial. After every step
-// the two must agree on every observable. The run must have read
-// never-written items of allocated frames, written materialised slots
-// from a scan, and handed a way that held written items to another page
-// after both a DropFrame and a Clear.
+// evicting marks, wipes, slot writes and writing, commit and recovery
+// scans, for pages of 128, 20 and 3 items. After every step the two
+// must agree on every observable. The run must have read never-written
+// items of allocated frames, changed slots in each kind of scan, and
+// handed a way that held written items to another page after both a
+// DropFrame and a Clear.
 func TestTagLookupMatchesReference(t *testing.T) {
 	for _, arch := range refArches() {
 		t.Run(fmt.Sprintf("items=%d", arch.ItemsPerPage()), func(t *testing.T) {
@@ -386,7 +444,7 @@ func TestTagLookupMatchesReference(t *testing.T) {
 				}
 			}
 			for _, c := range []string{"clean read on an allocated frame", "scan write",
-				"way reused after DropFrame", "way reused after Clear"} {
+				"commit scan", "recovery scan", "way reused after DropFrame", "way reused after Clear"} {
 				if r.cover[c] == 0 {
 					t.Errorf("the run never covered %q", c)
 				}
@@ -395,32 +453,130 @@ func TestTagLookupMatchesReference(t *testing.T) {
 	}
 }
 
-// TestScanPanicsOnNeverWrittenSlot: a scan hands a never-written item
-// over as a copy of the clean slot, so a callback that changes it would
-// lose the write; the scan panics instead. Clean slots of a chunk that
-// another item materialised are real and take writes.
-func TestScanPanicsOnNeverWrittenSlot(t *testing.T) {
+// checkTable audits the slot table against the written-bitmaps: every
+// record belongs to a written item of an allocated frame and is found
+// from its home, every written item has a record, and used counts the
+// records.
+func (a *AM) checkTable() error {
+	records := 0
+	for i, s := range a.table {
+		if s.key == 0 {
+			continue
+		}
+		records++
+		item := s.key - 1
+		w := a.way(proto.PageID(int(item) / a.itemsPerPage))
+		if w < 0 {
+			return fmt.Errorf("record %d holds item %d of an unallocated page", i, item)
+		}
+		k := int(item) % a.itemsPerPage
+		if a.bitsOf(w)[k/64]&(1<<(k%64)) == 0 {
+			return fmt.Errorf("record %d holds item %d, which is not marked written", i, item)
+		}
+		if j := a.find(item); j != i {
+			return fmt.Errorf("item %d is at record %d but found at %d", item, i, j)
+		}
+	}
+	marked := 0
+	for w, page := range a.tags {
+		if page == proto.NoPage {
+			if slices.ContainsFunc(a.bitsOf(w), func(word uint64) bool { return word != 0 }) {
+				return fmt.Errorf("free way %d has written items", w)
+			}
+			continue
+		}
+		a.forWritten(w, func(proto.ItemID) { marked++ })
+	}
+	if records != a.used || marked != a.used {
+		return fmt.Errorf("table holds %d records and the bitmaps mark %d, used = %d", records, marked, a.used)
+	}
+	return nil
+}
+
+// TestTableGrowsAndShrinks writes 20 items in every frame of an AM, so
+// the table doubles four times past its first size, then drops every
+// other frame and wipes the AM, checking every item's slot and the
+// table after each stage.
+func TestTableGrowsAndShrinks(t *testing.T) {
+	a, arch := newAM()
+	frames := proto.PageID(arch.AMFrames())
+	slot := func(p proto.PageID, i int) Slot {
+		return Slot{State: proto.SharedCK1, Value: uint64(p)<<8 | uint64(i), Partner: proto.NodeID(i % 16)}
+	}
+	verify := func(stage string, live func(p proto.PageID) bool) {
+		t.Helper()
+		if err := a.checkTable(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		for p := range frames {
+			for i := range 128 {
+				want := cleanSlot
+				if live(p) && i%6 == 0 && i < 120 {
+					want = slot(p, i)
+				}
+				if got := a.Slot(arch.FirstItem(p) + proto.ItemID(i)); got != want {
+					t.Fatalf("%s: Slot(page %d item %d) = %+v, want %+v", stage, p, i, got, want)
+				}
+			}
+		}
+	}
+	for p := range frames {
+		a.AllocFrame(p, false, 0)
+		for i := 0; i < 120; i += 6 {
+			a.Set(arch.FirstItem(p)+proto.ItemID(i), slot(p, i))
+		}
+	}
+	if want := firstTable << 4; len(a.table) != want {
+		t.Fatalf("table has %d records for %d items, want %d", len(a.table), a.used, want)
+	}
+	verify("filled", func(proto.PageID) bool { return true })
+	for p := proto.PageID(0); p < frames; p += 2 {
+		for i := 0; i < 120; i += 6 {
+			a.SetState(arch.FirstItem(p)+proto.ItemID(i), proto.Shared)
+			a.SetPartner(arch.FirstItem(p)+proto.ItemID(i), proto.None)
+		}
+		a.DropFrame(p)
+	}
+	verify("half dropped", func(p proto.PageID) bool { return p%2 == 1 })
+	size := len(a.table)
+	a.Clear()
+	if len(a.table) != size {
+		t.Fatalf("Clear resized the table from %d to %d records", size, len(a.table))
+	}
+	verify("cleared", func(proto.PageID) bool { return false })
+}
+
+// TestScanMayReplaceWholeSlot: a scan visits only written items, and a
+// callback that replaces the whole slot it is handed, as a literal
+// without the table key, leaves every record findable.
+func TestScanMayReplaceWholeSlot(t *testing.T) {
 	a, arch := newAM()
 	a.AllocFrame(0, false, 1)
-	a.Set(0, Slot{State: proto.Exclusive, Value: 1, Partner: proto.None})
-	a.ForEachAllocated(func(item proto.ItemID, s *Slot) {
-		if item == 1 {
-			s.Value = 7
-		}
-	})
-	if got := a.Slot(1).Value; got != 7 {
-		t.Fatalf("materialised clean slot took value %d, want 7", got)
+	first := arch.FirstItem(0)
+	for i := range proto.ItemID(100) {
+		a.Set(first+i, Slot{State: proto.Exclusive, Value: uint64(i), Partner: proto.None})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("changing a never-written slot in a scan did not panic")
-		}
-	}()
+	visits := 0
 	a.ForEachAllocated(func(item proto.ItemID, s *Slot) {
-		if item == arch.FirstItem(0)+chunkItems {
-			s.State = proto.Shared
-		}
+		visits++
+		*s = Slot{State: proto.Shared, Value: s.Value + 1, Partner: proto.None}
 	})
+	if visits != 100 {
+		t.Fatalf("scan visited %d items, want the 100 written", visits)
+	}
+	for i := range proto.ItemID(100) {
+		want := Slot{State: proto.Shared, Value: uint64(i) + 1, Partner: proto.None}
+		if got := a.Slot(first + i); got != want {
+			t.Fatalf("Slot(%d) = %+v, want %+v", first+i, got, want)
+		}
+	}
+	if got := a.ModifiedItems(nil); len(got) != 0 {
+		t.Fatalf("modified = %v after the scan demoted every item", got)
+	}
+	a.DropFrame(0)
+	if a.used != 0 {
+		t.Fatalf("%d records left after dropping the only frame", a.used)
+	}
 }
 
 // FuzzAMMatchesReference decodes its input into reference-model

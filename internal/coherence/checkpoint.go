@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"slices"
 	"sort"
 
 	"coma/internal/am"
@@ -157,8 +158,13 @@ type slotRef = am.Slot
 // returns the dropped items so the machine can distinguish legitimate
 // rollback of young items from data loss.
 func (e *Engine) RebuildDirectory() []proto.ItemID {
-	ck1 := make(map[proto.ItemID]proto.NodeID)
-	ck2 := make(map[proto.ItemID]proto.NodeID)
+	if e.ck1 == nil {
+		e.ck1 = make(map[proto.ItemID]proto.NodeID)
+		e.ck2 = make(map[proto.ItemID]proto.NodeID)
+	}
+	ck1, ck2 := e.ck1, e.ck2
+	clear(ck1)
+	clear(ck2)
 	for _, n := range e.dir.AliveNodes() {
 		e.ams[n].ForEachAllocated(func(item proto.ItemID, s *slotRef) {
 			switch s.State {
@@ -186,7 +192,7 @@ func (e *Engine) RebuildDirectory() []proto.ItemID {
 		}
 		dropped = append(dropped, item)
 	})
-	sort.Slice(dropped, func(i, j int) bool { return dropped[i] < dropped[j] })
+	slices.Sort(dropped)
 	for _, item := range dropped {
 		e.dir.Drop(item)
 	}

@@ -124,6 +124,11 @@ type Engine struct {
 	pageAnchors map[proto.PageID][]proto.NodeID
 	anchorSpare []proto.NodeID
 
+	// ck1 and ck2 locate the committed Shared-CK copies during
+	// RebuildDirectory; they are kept across rollbacks and cleared by
+	// each one.
+	ck1, ck2 map[proto.ItemID]proto.NodeID
+
 	// checkRead, when set, validates every value delivered to a
 	// processor against the machine oracle.
 	checkRead func(n proto.NodeID, item proto.ItemID, value uint64)

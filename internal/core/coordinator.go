@@ -104,12 +104,14 @@ type Coordinator struct {
 	round          int64
 	mode           roundMode
 
-	quiesce, phase1, phase2    *counter
-	gateStart, gateMid, gateUp *sim.Gate
+	quiesce, phase1, phase2 *counter
+	// The round's gates live as long as the coordinator: beginRound
+	// re-arms them, so their waiter lists are grown once.
+	gateStart, gateMid, gateUp sim.Gate
 	// gateMid2 is the mid-phase gate of a recovery that replaced an
 	// establishment at the commit boundary: gateMid has already been
 	// consumed releasing the participants into the abort path.
-	gateMid2 *sim.Gate
+	gateMid2 sim.Gate
 
 	pendingFailures []Failure
 	failedThisRound []bool
@@ -336,7 +338,7 @@ func (co *Coordinator) Participate(p *sim.Process, ops NodeOps) bool {
 func (co *Coordinator) participateRound(p *sim.Process, ops NodeOps) {
 	n := ops.ID()
 	round := co.round
-	gateStart, gateMid, gateUp := co.gateStart, co.gateMid, co.gateUp
+	gateStart, gateMid, gateUp := &co.gateStart, &co.gateMid, &co.gateUp
 
 	ops.FlushCache(p)
 	co.quiesce.arrive(co.eng)
@@ -463,9 +465,10 @@ func (co *Coordinator) beginRound(mode roundMode) {
 			Node: proto.None, Item: proto.NoItem, Txn: co.roundTxn, A: int64(mode), B: co.round})
 	}
 	co.quiesce = newCounter(co.eng, co.participants())
-	co.gateStart = sim.NewGate()
-	co.gateMid = sim.NewGate()
-	co.gateUp = sim.NewGate()
+	co.gateStart.Close()
+	co.gateMid.Close()
+	co.gateUp.Close()
+	co.gateMid2.Close()
 	co.kickAppBarrier()
 	co.kickIdle()
 	// Broadcast the control message (timing traffic only; the gates and
@@ -641,7 +644,7 @@ func (co *Coordinator) finishRecovery(p *sim.Process) {
 	co.phase2 = newCounter(co.eng, survivors)
 
 	co.gateStart.Open(co.eng)
-	co.recoveryTail(p, failures, co.gateMid)
+	co.recoveryTail(p, failures, &co.gateMid)
 }
 
 // abortAtCommitBoundary converts an establishment whose create phase has
@@ -659,10 +662,9 @@ func (co *Coordinator) abortAtCommitBoundary(p *sim.Process) {
 	survivors := co.participants()
 	co.phase1 = newCounter(co.eng, survivors)
 	co.phase2 = newCounter(co.eng, survivors)
-	co.gateMid2 = sim.NewGate()
 
 	co.gateMid.Open(co.eng)
-	co.recoveryTail(p, failures, co.gateMid2)
+	co.recoveryTail(p, failures, &co.gateMid2)
 }
 
 // recoveryTail drives a recovery round from the instant the participants

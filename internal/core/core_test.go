@@ -301,6 +301,31 @@ func TestInvariantCheckerNamesPhantomSharer(t *testing.T) {
 	}
 }
 
+// TestInvariantCheckerWalksTheDirectory: the AM scans visit written
+// items only, so an owner or sharer the directory names for an item that
+// no node holds must be caught from the directory side.
+func TestInvariantCheckerWalksTheDirectory(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(e *directory.Entry)
+		want  string
+	}{
+		{"owner", func(e *directory.Entry) { e.Owner = 7 }, "directory owner n7 holds no owner copy"},
+		{"sharer", func(e *directory.Entry) { e.Sharers.Add(9) }, "node n9 is in the sharing set but holds no Shared copy"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 16)
+			r.run(func(p *sim.Process) { r.coh.WriteItem(p, 0, 100, 1) })
+			// Item 5000 lies on a page no node has allocated.
+			tc.forge(r.dir.Ensure(5000))
+			err := CheckInvariants(r.coh)
+			if err == nil || !strings.Contains(err.Error(), "item 5000") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q for item 5000", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestReconfigureCountsRepairs(t *testing.T) {
 	r := newRig(t, 16)
 	var repaired int

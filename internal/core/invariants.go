@@ -7,6 +7,7 @@ import (
 
 	"coma/internal/am"
 	"coma/internal/coherence"
+	"coma/internal/directory"
 	"coma/internal/proto"
 )
 
@@ -25,10 +26,13 @@ type copySet struct {
 //   - at most one owner-state copy per item, matching the directory;
 //   - Exclusive implies no other current copy;
 //   - every sharer recorded in the directory holds a Shared copy and
-//     vice versa.
+//     vice versa;
+//   - a directory owner holds the item's owner-state copy.
 //
-// It returns the first violation found, items in ascending order, or
-// nil.
+// The AM scans visit written items only, so the items come from the
+// directory as well as from the scans: an owner or sharer the directory
+// names for an item no live AM holds is still checked. It returns the
+// first violation found, items in ascending order, or nil.
 func CheckInvariants(coh *coherence.Engine) error {
 	dir := coh.Directory()
 	alive := dir.AliveNodes()
@@ -41,14 +45,23 @@ func CheckInvariants(coh *coherence.Engine) error {
 	}
 
 	items := make(map[proto.ItemID]*copySet)
+	copiesOf := func(it proto.ItemID) *copySet {
+		cs := items[it]
+		if cs == nil {
+			cs = &copySet{}
+			items[it] = cs
+		}
+		return cs
+	}
+	dir.ForEach(func(it proto.ItemID, e *directory.Entry) {
+		if e.Owner != proto.None || e.Sharers.Len() > 0 {
+			copiesOf(it)
+		}
+	})
 	for _, a := range ams {
 		n := a.Node()
 		a.ForEachAllocated(func(it proto.ItemID, s *slotView) {
-			cs := items[it]
-			if cs == nil {
-				cs = &copySet{}
-				items[it] = cs
-			}
+			cs := copiesOf(it)
 			switch s.State {
 			case proto.Shared:
 				cs.shared = append(cs.shared, n)
@@ -77,6 +90,9 @@ func CheckInvariants(coh *coherence.Engine) error {
 		}
 
 		entry := dir.Lookup(it)
+		if len(cs.owners) == 0 && entry != nil && entry.Owner != proto.None {
+			return fmt.Errorf("item %d: directory owner %v holds no owner copy", it, entry.Owner)
+		}
 		if len(cs.owners) == 1 {
 			if entry == nil {
 				return fmt.Errorf("item %d has owner %v but no directory entry", it, cs.owners[0])

@@ -78,7 +78,8 @@ func (m *Machine) InspectLine(item proto.ItemID) inspect.LineView {
 }
 
 // InspectNodes implements inspect.Source: per-node liveness, frame
-// usage, and the ECP state histogram over all allocated copies.
+// usage, and the ECP state histogram over every item of every allocated
+// frame, never-written items counted as Invalid.
 func (m *Machine) InspectNodes() []inspect.NodeView {
 	out := make([]inspect.NodeView, len(m.ams))
 	for n, a := range m.ams {
@@ -90,6 +91,9 @@ func (m *Machine) InspectNodes() []inspect.NodeView {
 		a.ForEachAllocated(func(_ proto.ItemID, slot *am.Slot) {
 			nv.States.Add(slot.State)
 		})
+		// The scan visits written items only; every other item of an
+		// allocated frame holds no copy.
+		nv.States[proto.Invalid] += int64(nv.Frames*m.cfg.Arch.ItemsPerPage()) - nv.States.Total()
 		out[n] = nv
 	}
 	return out

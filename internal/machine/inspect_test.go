@@ -217,3 +217,58 @@ func TestInspectViewsReportProtocolState(t *testing.T) {
 		t.Error("no recovery pairs observed after two checkpoint intervals")
 	}
 }
+
+// TestInspectHistogramCoversEveryItem: at every sample of an inspected
+// ECP run with a transient and a permanent failure, each node's state
+// histogram tallies every item of its allocated frames, never-written
+// items as Invalid, and agrees with the AM's own StateCounts.
+func TestInspectHistogramCoversEveryItem(t *testing.T) {
+	cfg := inspectCfg(t)
+	span := probeCycles(t, cfg)
+	cfg.Failures = append(cfg.Failures, config.FailureEvent{At: span * 3 / 4, Node: 9, Permanent: true})
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := int64(cfg.Arch.ItemsPerPage())
+	ctl := m.NewInspector(span / 40)
+	var last int64
+	samples, written := 0, 0
+	check := func(s *inspect.Sample) {
+		samples++
+		for _, nv := range s.Nodes {
+			if got, want := nv.States.Total(), int64(nv.Frames)*per; got != want {
+				t.Fatalf("sample %d node %d: histogram tallies %d items, want %d (%d frames)",
+					s.Seq, nv.Node, got, want, nv.Frames)
+			}
+			if nv.States[proto.Invalid] < nv.States.Total() {
+				written++
+			}
+			counts := m.ams[nv.Node].StateCounts()
+			for st := range proto.NumStates {
+				if int64(counts[st]) != nv.States[st] {
+					t.Fatalf("sample %d node %d: %v tallied %d, StateCounts says %d",
+						s.Seq, nv.Node, st, nv.States[st], counts[st])
+				}
+			}
+		}
+	}
+	m.eng.SetSafePointHook(func(now int64) {
+		ctl.AtSafePoint(now)
+		if s := ctl.Latest(); s != nil && s.Seq != last {
+			last = s.Seq
+			check(s)
+		}
+	})
+	r, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Finish()
+	if r.Ckpt.Recoveries != 2 {
+		t.Fatalf("recoveries = %d, want 2", r.Ckpt.Recoveries)
+	}
+	if samples < 30 || written == 0 {
+		t.Fatalf("%d samples, %d node views with written items: the run was not observed", samples, written)
+	}
+}

@@ -864,8 +864,10 @@ var amWhitelist = map[string]bool{
 // AuditAM verifies that inside coma/internal/am every write to slot
 // contents happens in one of the whitelisted helpers, so the extractor's
 // choke-point assumption (state changes only via Set/SetState or scan
-// callbacks) holds. It returns the violations (empty means the audit
-// passed).
+// callbacks) holds. Moving a whole record from one table entry to
+// another, as the slot table's growth and removal do, changes no item's
+// slot and is not a write. It returns the violations (empty means the
+// audit passed).
 func AuditAM(moduleDir string) ([]string, error) {
 	l := loader.New(moduleDir)
 	pkgs, err := l.Load("coma/internal/am")
@@ -889,8 +891,12 @@ func AuditAM(moduleDir string) ([]string, error) {
 				if !ok {
 					return true
 				}
-				for _, lhs := range as.Lhs {
-					if !writesSlot(pkg.Info, lhs) {
+				for k, lhs := range as.Lhs {
+					var rhs ast.Expr
+					if len(as.Rhs) == len(as.Lhs) {
+						rhs = as.Rhs[k]
+					}
+					if !writesSlot(pkg.Info, lhs, rhs) {
 						continue
 					}
 					if amWhitelist[name] {
@@ -909,21 +915,42 @@ func AuditAM(moduleDir string) ([]string, error) {
 	return violations, nil
 }
 
-// writesSlot reports whether an assignment target stores into an am.Slot
-// value, one of its fields, or an array of slots (such as a whole chunk
-// of a frame's slots).
-func writesSlot(info *types.Info, lhs ast.Expr) bool {
+// writesSlot reports whether assigning rhs (nil when unknown) to lhs
+// stores into an am.Slot value, one of its exported fields, or an array
+// of slots. Two stores are not slot writes: a whole-record move, where
+// both sides are elements of slot tables (growth and removal in the
+// slot table), and a store to an unexported field, which is the table's
+// bookkeeping rather than the item's contents.
+func writesSlot(info *types.Info, lhs, rhs ast.Expr) bool {
 	lhs = unparen(lhs)
 	if tv, ok := info.Types[lhs]; ok && tv.Type != nil &&
 		(namedIs(tv.Type, "internal/am", "Slot") || slotArray(tv.Type)) {
-		return true
+		return !slotMove(info, lhs, rhs)
 	}
-	if sel, ok := lhs.(*ast.SelectorExpr); ok {
+	if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.IsExported() {
 		if tv, ok := info.Types[sel.X]; ok && tv.Type != nil && namedIs(tv.Type, "internal/am", "Slot") {
 			return true
 		}
 	}
 	return false
+}
+
+// slotMove reports whether lhs = rhs copies one table element of slots
+// into another: both sides index a slice or array and have the same
+// slot type.
+func slotMove(info *types.Info, lhs, rhs ast.Expr) bool {
+	if rhs == nil {
+		return false
+	}
+	rhs = unparen(rhs)
+	_, li := lhs.(*ast.IndexExpr)
+	_, ri := rhs.(*ast.IndexExpr)
+	if !li || !ri {
+		return false
+	}
+	lt, rt := info.Types[lhs], info.Types[rhs]
+	return lt.Type != nil && rt.Type != nil && types.Identical(lt.Type, rt.Type) &&
+		namedIs(lt.Type, "internal/am", "Slot")
 }
 
 // slotArray reports whether t is an array of am.Slot values (not of

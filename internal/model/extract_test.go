@@ -96,27 +96,38 @@ func TestAuditAM(t *testing.T) {
 	}
 }
 
-// TestWritesSlotSeesSlotArrays pins which assignment targets the AM audit
-// counts as slot writes: whole slots, slot fields and arrays of slots
-// (a chunk stored through a pointer), but not pointers to them or
-// arrays of such pointers.
+// TestWritesSlotSeesSlotArrays pins which assignments the AM audit
+// counts as slot writes: whole slots, exported slot fields and arrays of
+// slots (a chunk stored through a pointer), but not pointers to them,
+// arrays of such pointers, the unexported table key, or a whole record
+// moved from one table element to another.
 func TestWritesSlotSeesSlotArrays(t *testing.T) {
 	const src = `package am
 
 type Slot struct {
 	Value uint64
 	State uint8
+	key   int32
 }
 
 type chunk [8]Slot
 
-func writes(c *chunk, s *Slot, cs []chunk, refs []*chunk, ps *[8]*Slot) {
+func writes(c *chunk, s *Slot, cs []chunk, refs []*chunk, ps *[8]*Slot, ts []Slot) {
 	*c = chunk{}          // write
 	c[1] = Slot{}         // write
 	c[1].State = 2        // write
 	cs[0] = chunk{}       // write
 	*s = Slot{}           // write
 	s.Value = 1           // write
+	ts[0] = *s            // write
+	ts[0] = Slot{key: 1}  // write
+	*s = ts[1]            // write
+	cs[0] = cs[1]         // write
+	ts[0].State = 3       // write
+	ts[0] = ts[1]         // none
+	c[2] = ts[3]          // none
+	ts[0].key = 0         // none
+	s.key = 1             // none
 	refs[0] = c           // none
 	*ps = [8]*Slot{}      // none
 	cs = cs[1:]           // none
@@ -153,7 +164,7 @@ func writes(c *chunk, s *Slot, cs []chunk, refs []*chunk, ps *[8]*Slot) {
 			return true
 		}
 		seen++
-		if got := writesSlot(info, as.Lhs[0]); got != w {
+		if got := writesSlot(info, as.Lhs[0], as.Rhs[0]); got != w {
 			t.Errorf("line %d (%s): writesSlot = %v, want %v", line, types.ExprString(as.Lhs[0]), got, w)
 		}
 		return true

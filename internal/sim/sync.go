@@ -254,13 +254,16 @@ type Gate struct {
 func NewGate() *Gate { return &Gate{} }
 
 // Open releases all waiting processes and lets subsequent Wait calls pass
-// through immediately.
+// through immediately. The waiter list keeps its array for the next
+// round: WakeNow only schedules a waiter, so none re-enters Wait while
+// the list is walked.
 func (g *Gate) Open(e *Engine) {
 	g.open = true
 	for _, w := range g.waiters {
 		e.WakeNow(w)
 	}
-	g.waiters = nil
+	clear(g.waiters)
+	g.waiters = g.waiters[:0]
 }
 
 // Close re-arms the gate.

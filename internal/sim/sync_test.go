@@ -414,6 +414,52 @@ func TestGateBroadcastAndReuse(t *testing.T) {
 	}
 }
 
+// gateHost keeps processes cycling through its gate: each passes the
+// open gate and waits on it again, and an event opens and re-arms it.
+type gateHost struct {
+	g      Gate
+	passes int
+}
+
+func (h *gateHost) wait(p *Process) {
+	for {
+		h.g.Wait(p)
+		h.passes++
+	}
+}
+
+func (h *gateHost) OnEvent(e *Engine, _ int64) {
+	h.g.Open(e)
+	h.g.Close()
+}
+
+// TestGateCycleZeroAlloc: a re-armed gate keeps its waiter list, so a
+// warmed open/close cycle through sixteen waiters allocates nothing.
+func TestGateCycleZeroAlloc(t *testing.T) {
+	e := New()
+	defer e.Shutdown()
+	h := &gateHost{}
+	for range 16 {
+		e.Spawn("gate", h.wait)
+	}
+	cycle := func() {
+		e.After(1, h, 0)
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < wheelSize; i++ {
+		cycle()
+	}
+	passes := h.passes
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("gate open/close cycle allocates %.1f per op, want 0", allocs)
+	}
+	if got := h.passes - passes; got != 16*101 {
+		t.Fatalf("%d passes in 101 cycles of 16 waiters, want %d", got, 16*101)
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(123), NewRNG(123)
 	for i := 0; i < 1000; i++ {
