@@ -47,17 +47,16 @@ bench-check:
 
 # fuzz runs each native fuzzer for ten seconds; CI calls it as one
 # step. A failing input is written under the package's testdata/fuzz.
-# The targets: the JSONL codec and the packed trace form re-encode
-# byte-stably; a receipt re-encodes byte-stably; a POST /v1/jobs body
-# never panics, and an accepted one builds and hashes the same after a
-# round trip; worker heartbeat, lease and complete bodies get only the
+# The targets: the JSONL codec re-encodes byte-stably and its encoder
+# matches the reference one; a receipt re-encodes byte-stably; a POST
+# /v1/jobs body never panics, and an accepted one builds and hashes the
+# same after a round trip; worker heartbeat, lease and complete bodies get only the
 # protocol's statuses; the txnview fold matches its two-pass reference;
 # the kernel dispatches in the (time, seq) order of a shadow model; the
 # AM slot store matches a map-keyed reference; a failure plan ends in
 # completion, data loss or too few nodes, never a hang or a panic.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONLRoundTrip$$' -fuzztime=10s ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzPackedTraceRoundTrip$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONLMatchesReference$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzReceiptRoundTrip$$' -fuzztime=10s ./internal/obs/receipt
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime=10s ./internal/server

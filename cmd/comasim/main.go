@@ -26,12 +26,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"coma/internal/config"
@@ -78,7 +78,7 @@ func main() {
 		receiptOut = flag.String("receipt-out", "", "write the execution receipt (coma-receipt/v1 JSON) to this file (\"-\" for stdout); with -remote, fetched from the daemon")
 		resultOut  = flag.String("result-out", "", "write the canonical result payload the receipt attests to this file; with -remote, fetched from the daemon")
 		receiptKey = flag.String("receipt-key", "", "hex HMAC-SHA256 key signing the receipt (in-process runs; a remote daemon signs with its own key)")
-		rtraceOut  = flag.String("receipt-trace-out", "", "write the receipt's trace (JSONL under the receipt mask: the bytes trace_digest covers) to this file (in-process runs)")
+		rtraceOut  = flag.String("receipt-trace-out", "", "write the receipt's trace (JSONL under the receipt mask: the bytes trace_digest covers) to this file as the run streams, kept only if the run and receipt succeed (in-process runs; \"-\" for stdout, where it precedes the run summary)")
 	)
 	var failures failureFlags
 	flag.Var(&failures, "fail", "inject a failure, cycle:node[:perm]; repeatable")
@@ -142,7 +142,6 @@ func main() {
 		Identity:   id,
 		Producer:   receipt.ProducerLocal,
 		NoReceipts: *receiptOut == "" && *rtraceOut == "",
-		KeepTrace:  *rtraceOut != "",
 		ReceiptKey: key,
 	}
 	var rec *obs.Recorder
@@ -161,13 +160,22 @@ func main() {
 			return server.SimRunner(id, o)
 		}
 	}
+	var rtrace *streamedFile
+	if *rtraceOut != "" {
+		if rtrace, err = createStreamed(*rtraceOut); err != nil {
+			fmt.Fprintf(os.Stderr, "comasim: -receipt-trace-out: %v\n", err)
+			os.Exit(1)
+		}
+		x.Trace = rtrace.f
+	}
 	var out server.Outcome
 	if *repl {
 		out = runREPL(x, os.Stdin, os.Stdout)
 	} else {
 		out = server.Execute(x)
 	}
-	if err := finish(out, rec, traceOuts, *metricsOut, *resultOut, *rtraceOut, *receiptOut); err != nil {
+	if err := finish(out, rec, traceOuts, *metricsOut, *resultOut, rtrace, *receiptOut); err != nil {
+		rtrace.discard()
 		fmt.Fprintf(os.Stderr, "comasim: %v\n", err)
 		os.Exit(1)
 	}
@@ -175,9 +183,9 @@ func main() {
 
 // finish prints the in-process run's result and writes its artifacts:
 // the recorded event stream, the canonical result payload, the
-// receipt's trace (expanded from the packed log to the JSONL bytes its
-// trace_digest covers) and the execution receipt.
-func finish(out server.Outcome, rec *obs.Recorder, traceOuts []string, metricsOut, resultOut, rtraceOut, receiptOut string) error {
+// receipt's trace (streamed into rtrace during the run; nil when not
+// asked for) and the execution receipt.
+func finish(out server.Outcome, rec *obs.Recorder, traceOuts []string, metricsOut, resultOut string, rtrace *streamedFile, receiptOut string) error {
 	if out.Err != nil {
 		return out.Err
 	}
@@ -194,28 +202,70 @@ func finish(out server.Outcome, rec *obs.Recorder, traceOuts []string, metricsOu
 	if out.ReceiptErr != nil {
 		return out.ReceiptErr
 	}
-	var rcpt []byte
-	if out.Receipt != nil {
-		rcpt = append(out.Receipt.CanonicalJSON(), '\n')
-	}
-	var trace bytes.Buffer
-	if rtraceOut != "" {
-		if err := obs.UnpackJSONL(&trace, out.Trace); err != nil {
+	if resultOut != "" {
+		if err := writeArtifact(resultOut, "result", out.Payload); err != nil {
 			return err
 		}
 	}
-	for _, a := range []struct {
-		path, what string
-		b          []byte
-	}{{resultOut, "result", out.Payload}, {rtraceOut, "receipt trace", trace.Bytes()}, {receiptOut, "receipt", rcpt}} {
-		if a.path == "" {
-			continue
-		}
-		if err := writeArtifact(a.path, a.what, a.b); err != nil {
+	if rtrace != nil {
+		if err := rtrace.keep(); err != nil {
 			return err
 		}
+	}
+	if receiptOut != "" {
+		return writeArtifact(receiptOut, "receipt", append(out.Receipt.CanonicalJSON(), '\n'))
 	}
 	return nil
+}
+
+// streamedFile is an artifact written while the run goes on: a
+// temporary file beside its path, renamed onto the path by keep, so a
+// failed run or receipt leaves no partial file; or standard output for
+// "-".
+type streamedFile struct {
+	f    *os.File
+	path string
+}
+
+func createStreamed(path string) (*streamedFile, error) {
+	if path == "-" {
+		return &streamedFile{os.Stdout, path}, nil
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*")
+	if err != nil {
+		return nil, err
+	}
+	return &streamedFile{f, path}, nil
+}
+
+// keep closes the file and renames it onto its path.
+func (s *streamedFile) keep() error {
+	if s.path == "-" {
+		return nil
+	}
+	st, err := s.f.Stat()
+	if err == nil {
+		err = s.f.Chmod(0o644)
+	}
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(s.f.Name(), s.path)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  %-19s %s (%d bytes)\n", "receipt trace", s.path, st.Size())
+	return nil
+}
+
+// discard removes the file unless keep renamed it; nil does nothing.
+func (s *streamedFile) discard() {
+	if s != nil && s.path != "-" {
+		s.f.Close()
+		os.Remove(s.f.Name())
+	}
 }
 
 // runRemote submits the job to a comad daemon, streams its progress to

@@ -185,3 +185,40 @@ func TestFailFlagSpellings(t *testing.T) {
 		}
 	}
 }
+
+// TestReceiptTraceOutIsAllOrNothing: -receipt-trace-out streams into a
+// temporary file beside its path and renames it only when the run and
+// its receipt succeed. An unwritable path exits 1; a failed run exits
+// 1 and leaves the directory empty; a good run leaves just the trace.
+func TestReceiptTraceOutIsAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.jsonl")
+	run := []string{"-app", "mp3d", "-nodes", "4", "-protocol", "ecp", "-hz", "400", "-scale", "0.002"}
+	with := func(extra ...string) []string { return append(append([]string(nil), run...), extra...) }
+	entries := func() []string {
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		return names
+	}
+
+	unwritable := filepath.Join(dir, "missing", "t.jsonl")
+	if code, out := comasimExit(t, with("-receipt-trace-out", unwritable)...); code != 1 || !strings.Contains(out, "-receipt-trace-out") {
+		t.Fatalf("-receipt-trace-out %s: exit %d, want 1 naming the flag:\n%s", unwritable, code, out)
+	}
+	if code, out := comasimExit(t, with("-fail", "20000:2:perm", "-receipt-trace-out", path)...); code != 1 {
+		t.Fatalf("failed run: exit %d, want 1:\n%s", code, out)
+	}
+	if names := entries(); len(names) != 0 {
+		t.Fatalf("failed run left %v behind", names)
+	}
+	comasim(t, with("-receipt-trace-out", path)...)
+	if names := entries(); len(names) != 1 || names[0] != "t.jsonl" {
+		t.Fatalf("good run left %v, want just t.jsonl", names)
+	}
+}

@@ -199,6 +199,13 @@ func (e *Engine) RebuildDirectory() []proto.ItemID {
 	return dropped
 }
 
+// reconfWork is one Shared-CK copy ReconfigureNode must re-pair, and
+// whether it first promotes itself from CK2 to CK1.
+type reconfWork struct {
+	item    proto.ItemID
+	promote bool
+}
+
 // dirEntry aliases the directory entry type for the rebuild callback.
 type dirEntry = directory.Entry
 
@@ -214,20 +221,16 @@ func (e *Engine) ReconfigureNode(p *sim.Process, n proto.NodeID, dead func(proto
 		e.obs.Emit(obs.Event{Time: start, Kind: obs.KPhaseBegin, Node: n,
 			Item: proto.NoItem, A: int64(obs.PhaseReconfigure)})
 	}
-	type work struct {
-		item    proto.ItemID
-		promote bool
-	}
-	var todo []work
+	todo := e.reconf[n][:0]
 	e.ams[n].ForEachAllocated(func(item proto.ItemID, s *slotRef) {
 		switch s.State {
 		case proto.SharedCK1:
 			if dead(s.Partner) {
-				todo = append(todo, work{item, false})
+				todo = append(todo, reconfWork{item, false})
 			}
 		case proto.SharedCK2:
 			if dead(s.Partner) {
-				todo = append(todo, work{item, true})
+				todo = append(todo, reconfWork{item, true})
 			}
 		case proto.Invalid, proto.Shared, proto.MasterShared, proto.Exclusive,
 			proto.InvCK1, proto.InvCK2, proto.PreCommit1, proto.PreCommit2:
@@ -250,6 +253,7 @@ func (e *Engine) ReconfigureNode(p *sim.Process, n proto.NodeID, dead func(proto
 		e.ams[n].SetPartner(w.item, target)
 		e.unlockItem(w.item)
 	}
+	e.reconf[n] = todo
 	if e.obs != nil {
 		e.obs.Emit(obs.Event{Time: p.Now(), Kind: obs.KReconfig, Node: n,
 			Item: proto.NoItem, A: int64(len(todo))})

@@ -128,6 +128,10 @@ type Engine struct {
 	// RebuildDirectory; they are kept across rollbacks and cleared by
 	// each one.
 	ck1, ck2 map[proto.ItemID]proto.NodeID
+	// reconf[n] is node n's ReconfigureNode work list, kept across
+	// rollbacks. Each node has its own: the nodes reconfigure at once,
+	// and each parks while it injects.
+	reconf [][]reconfWork
 
 	// checkRead, when set, validates every value delivered to a
 	// processor against the machine oracle.
@@ -171,6 +175,7 @@ func New(eng *sim.Engine, arch config.Arch, protocol Protocol, opts Options,
 	e.ctl = make([]*sim.Resource, arch.Nodes)
 	e.pendingInstalls = make([]map[proto.PageID]int, arch.Nodes)
 	e.txnSeq = make([]int64, arch.Nodes)
+	e.reconf = make([][]reconfWork, arch.Nodes)
 	for i := range e.ctl {
 		e.ctl[i] = sim.NewResource(fmt.Sprintf("amctl%d", i), arch.AMControllers)
 		e.pendingInstalls[i] = make(map[proto.PageID]int)

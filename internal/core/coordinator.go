@@ -66,15 +66,20 @@ const (
 type counter struct {
 	need int
 	got  int
-	fut  *sim.Future[int]
+	fut  sim.Future[int]
 }
 
-func newCounter(eng *sim.Engine, need int) *counter {
-	c := &counter{need: need, fut: sim.NewFuture[int]()}
+// arm starts a new gather of need arrivals. The future may still be
+// pending only when nobody awaits it: a commit-boundary abort re-arms
+// the phase-2 gather before any participant has reached it.
+func (c *counter) arm(eng *sim.Engine, need int) {
+	if c.fut.Done() {
+		c.fut.Reset()
+	}
+	c.need, c.got = need, 0
 	if need == 0 {
 		c.fut.Complete(eng, 0)
 	}
-	return c
 }
 
 func (c *counter) arrive(eng *sim.Engine) {
@@ -104,9 +109,9 @@ type Coordinator struct {
 	round          int64
 	mode           roundMode
 
-	quiesce, phase1, phase2 *counter
-	// The round's gates live as long as the coordinator: beginRound
-	// re-arms them, so their waiter lists are grown once.
+	// The round's counters and gates live as long as the coordinator
+	// and are re-armed each round, so their waiter lists are grown once.
+	quiesce, phase1, phase2    counter
 	gateStart, gateMid, gateUp sim.Gate
 	// gateMid2 is the mid-phase gate of a recovery that replaced an
 	// establishment at the commit boundary: gateMid has already been
@@ -202,15 +207,9 @@ func (co *Coordinator) Snapshot() PhaseSnapshot {
 		PauseRequested:  co.pauseRequested,
 		PendingFailures: len(co.pendingFailures),
 	}
-	if co.quiesce != nil {
-		s.QuiesceGot, s.QuiesceNeed = co.quiesce.got, co.quiesce.need
-	}
-	if co.phase1 != nil {
-		s.Phase1Got, s.Phase1Need = co.phase1.got, co.phase1.need
-	}
-	if co.phase2 != nil {
-		s.Phase2Got, s.Phase2Need = co.phase2.got, co.phase2.need
-	}
+	s.QuiesceGot, s.QuiesceNeed = co.quiesce.got, co.quiesce.need
+	s.Phase1Got, s.Phase1Need = co.phase1.got, co.phase1.need
+	s.Phase2Got, s.Phase2Need = co.phase2.got, co.phase2.need
 	for _, alive := range co.alive {
 		if alive {
 			s.LiveNodes++
@@ -342,13 +341,10 @@ func (co *Coordinator) participateRound(p *sim.Process, ops NodeOps) {
 
 	ops.FlushCache(p)
 	co.quiesce.arrive(co.eng)
+	// The coordinator re-arms the phase counters between the quiesce
+	// barrier and gateStart opening, and can convert a checkpoint round
+	// into a recovery round in that window (failure during quiesce).
 	gateStart.Wait(p)
-
-	// The phase counters are created by the coordinator between the
-	// quiesce barrier and gateStart opening, so they must be read only
-	// now. A checkpoint round can also have been converted into a
-	// recovery round in that window (failure during quiesce).
-	phase1, phase2 := co.phase1, co.phase2
 
 	if co.deadPerm[n] {
 		co.lastDone[n] = round
@@ -358,35 +354,34 @@ func (co *Coordinator) participateRound(p *sim.Process, ops NodeOps) {
 	switch co.mode {
 	case roundCheckpoint:
 		co.coh.CreatePhase(p, n)
-		phase1.arrive(co.eng)
+		co.phase1.arrive(co.eng)
 		gateMid.Wait(p)
 		if co.mode == roundRecovery {
 			// A failure during the create phase aborted the establishment
 			// at the commit boundary: the round continues as a recovery.
-			// The coordinator recreated the phase counters (survivors may
-			// have shrunk) before opening gateMid, so re-read them.
+			// The coordinator re-armed the phase counters (survivors may
+			// have shrunk) before opening gateMid.
 			if co.deadPerm[n] {
 				co.lastDone[n] = round
 				return
 			}
-			phase1, phase2 = co.phase1, co.phase2
 			co.coh.RecoveryScan(p, n)
 			ops.ClearCache()
-			phase1.arrive(co.eng)
+			co.phase1.arrive(co.eng)
 			co.gateMid2.Wait(p)
 			co.coh.ReconfigureNode(p, n, co.lostMemory)
-			phase2.arrive(co.eng)
+			co.phase2.arrive(co.eng)
 			break
 		}
 		co.coh.CommitScan(p, n)
-		phase2.arrive(co.eng)
+		co.phase2.arrive(co.eng)
 	case roundRecovery:
 		co.coh.RecoveryScan(p, n)
 		ops.ClearCache()
-		phase1.arrive(co.eng)
+		co.phase1.arrive(co.eng)
 		gateMid.Wait(p)
 		co.coh.ReconfigureNode(p, n, co.lostMemory)
-		phase2.arrive(co.eng)
+		co.phase2.arrive(co.eng)
 	}
 	gateUp.Wait(p)
 	co.lastDone[n] = round
@@ -464,7 +459,7 @@ func (co *Coordinator) beginRound(mode roundMode) {
 		co.obsv.Emit(obs.Event{Time: co.eng.Now(), Kind: obs.KRoundBegin,
 			Node: proto.None, Item: proto.NoItem, Txn: co.roundTxn, A: int64(mode), B: co.round})
 	}
-	co.quiesce = newCounter(co.eng, co.participants())
+	co.quiesce.arm(co.eng, co.participants())
 	co.gateStart.Close()
 	co.gateMid.Close()
 	co.gateUp.Close()
@@ -490,7 +485,8 @@ func (co *Coordinator) kickIdle() {
 	for _, w := range co.idleWaiters {
 		co.eng.WakeNow(w)
 	}
-	co.idleWaiters = nil
+	clear(co.idleWaiters)
+	co.idleWaiters = co.idleWaiters[:0]
 }
 
 // runCheckpoint establishes one recovery point (§3.3).
@@ -523,8 +519,8 @@ func (co *Coordinator) runCheckpoint(p *sim.Process) {
 	}
 
 	survivors := co.participants()
-	co.phase1 = newCounter(co.eng, survivors)
-	co.phase2 = newCounter(co.eng, survivors)
+	co.phase1.arm(co.eng, survivors)
+	co.phase2.arm(co.eng, survivors)
 
 	tCreate := p.Now()
 	co.gateStart.Open(co.eng)
@@ -640,8 +636,8 @@ func (co *Coordinator) finishRecovery(p *sim.Process) {
 	failures := co.applyPendingFailures(p)
 
 	survivors := co.participants()
-	co.phase1 = newCounter(co.eng, survivors)
-	co.phase2 = newCounter(co.eng, survivors)
+	co.phase1.arm(co.eng, survivors)
+	co.phase2.arm(co.eng, survivors)
 
 	co.gateStart.Open(co.eng)
 	co.recoveryTail(p, failures, &co.gateMid)
@@ -660,8 +656,8 @@ func (co *Coordinator) abortAtCommitBoundary(p *sim.Process) {
 	failures := co.applyPendingFailures(p)
 
 	survivors := co.participants()
-	co.phase1 = newCounter(co.eng, survivors)
-	co.phase2 = newCounter(co.eng, survivors)
+	co.phase1.arm(co.eng, survivors)
+	co.phase2.arm(co.eng, survivors)
 
 	co.gateMid.Open(co.eng)
 	co.recoveryTail(p, failures, &co.gateMid2)
@@ -763,20 +759,20 @@ func (co *Coordinator) maybeOpenAppBarrier() {
 	if co.abArrived >= co.computing() {
 		co.abRound++
 		co.abArrived = 0
-		for _, w := range co.abWaiters {
-			co.eng.WakeNow(w)
-		}
-		co.abWaiters = nil
+		co.kickAppBarrier()
 	}
 }
 
-// kickAppBarrier wakes processors parked at the application barrier so
-// they participate in the starting round.
+// kickAppBarrier wakes processors parked at the application barrier, to
+// pass it or to take part in the starting round. The waiter list keeps
+// its array: WakeNow only schedules a waiter, so none parks again while
+// the list is walked.
 func (co *Coordinator) kickAppBarrier() {
 	for _, w := range co.abWaiters {
 		co.eng.WakeNow(w)
 	}
-	co.abWaiters = nil
+	clear(co.abWaiters)
+	co.abWaiters = co.abWaiters[:0]
 }
 
 // String summarises coordinator state for diagnostics.

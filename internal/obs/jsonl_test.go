@@ -1,4 +1,4 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
@@ -6,13 +6,18 @@ import (
 	"strconv"
 	"testing"
 
+	"coma/internal/coherence"
+	"coma/internal/config"
+	"coma/internal/machine"
+	"coma/internal/obs"
 	"coma/internal/proto"
+	"coma/internal/workload"
 )
 
 // refAppendJSONL is the canonical JSONL encoder as first written, on
 // strconv.AppendInt and one append per field: the reference
 // AppendJSONL must match byte for byte.
-func refAppendJSONL(buf []byte, ev *Event) []byte {
+func refAppendJSONL(buf []byte, ev *obs.Event) []byte {
 	buf = append(buf, `{"t":`...)
 	buf = strconv.AppendInt(buf, ev.Time, 10)
 	buf = append(buf, `,"k":"`...)
@@ -21,14 +26,14 @@ func refAppendJSONL(buf []byte, ev *Event) []byte {
 	buf = strconv.AppendInt(buf, int64(ev.Node), 10)
 	buf = append(buf, `,"i":`...)
 	buf = strconv.AppendInt(buf, int64(ev.Item), 10)
-	if ev.Kind == KState {
+	if ev.Kind == obs.KState {
 		buf = append(buf, `,"from":"`...)
 		buf = append(buf, ev.From.String()...)
 		buf = append(buf, `","to":"`...)
 		buf = append(buf, ev.To.String()...)
 		buf = append(buf, '"')
 	}
-	if ev.Kind == KInjectProbe || ev.Kind == KInjectAccept {
+	if ev.Kind == obs.KInjectProbe || ev.Kind == obs.KInjectAccept {
 		buf = append(buf, `,"cause":"`...)
 		buf = append(buf, ev.Cause.String()...)
 		buf = append(buf, '"')
@@ -37,10 +42,10 @@ func refAppendJSONL(buf []byte, ev *Event) []byte {
 			buf = strconv.AppendInt(buf, int64(ev.Txn), 10)
 		}
 	}
-	if ev.Kind == KTxnBegin || ev.Kind == KTxnHop || ev.Kind == KTxnEnd {
+	if ev.Kind == obs.KTxnBegin || ev.Kind == obs.KTxnHop || ev.Kind == obs.KTxnEnd {
 		buf = append(buf, `,"txn":`...)
 		buf = strconv.AppendInt(buf, int64(ev.Txn), 10)
-		if ev.Kind == KTxnBegin && ev.Par != proto.NoTxn {
+		if ev.Kind == obs.KTxnBegin && ev.Par != proto.NoTxn {
 			buf = append(buf, `,"par":`...)
 			buf = strconv.AppendInt(buf, int64(ev.Par), 10)
 		}
@@ -57,7 +62,7 @@ func refAppendJSONL(buf []byte, ev *Event) []byte {
 // reference line for ev, onto an empty buffer and after existing
 // bytes. A store past the capacity it reserves panics, so the widest
 // events check that bound too.
-func requireMatchesRefJSONL(t *testing.T, ev Event) {
+func requireMatchesRefJSONL(t *testing.T, ev obs.Event) {
 	t.Helper()
 	want := refAppendJSONL(nil, &ev)
 	if got := ev.AppendJSONL(nil); !bytes.Equal(got, want) {
@@ -92,18 +97,18 @@ func jsonlInts() []int64 {
 // its type's conversion), and the enum fields take their first, last
 // and an out-of-range value.
 func TestAppendJSONLMatchesReference(t *testing.T) {
-	base := Event{Time: 123456, Node: 2, Item: 4095, From: proto.Shared, To: proto.PreCommit1,
+	base := obs.Event{Time: 123456, Node: 2, Item: 4095, From: proto.Shared, To: proto.PreCommit1,
 		Cause: proto.InjectCheckpoint, Txn: proto.MakeTxnID(1, 77), Par: proto.MakeTxnID(proto.None, 3), A: 1, B: 144}
-	fields := []func(*Event, int64){
-		func(ev *Event, v int64) { ev.Time = v },
-		func(ev *Event, v int64) { ev.Node = proto.NodeID(v) },
-		func(ev *Event, v int64) { ev.Item = proto.ItemID(v) },
-		func(ev *Event, v int64) { ev.Txn = proto.TxnID(v) },
-		func(ev *Event, v int64) { ev.Par = proto.TxnID(v) },
-		func(ev *Event, v int64) { ev.A = v },
-		func(ev *Event, v int64) { ev.B = v },
+	fields := []func(*obs.Event, int64){
+		func(ev *obs.Event, v int64) { ev.Time = v },
+		func(ev *obs.Event, v int64) { ev.Node = proto.NodeID(v) },
+		func(ev *obs.Event, v int64) { ev.Item = proto.ItemID(v) },
+		func(ev *obs.Event, v int64) { ev.Txn = proto.TxnID(v) },
+		func(ev *obs.Event, v int64) { ev.Par = proto.TxnID(v) },
+		func(ev *obs.Event, v int64) { ev.A = v },
+		func(ev *obs.Event, v int64) { ev.B = v },
 	}
-	for k := Kind(0); k <= numKinds; k++ {
+	for k := obs.Kind(0); int(k) <= obs.NumKinds; k++ {
 		for _, set := range fields {
 			for _, v := range jsonlInts() {
 				ev := base
@@ -120,9 +125,9 @@ func TestAppendJSONLMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	widest := Event{Time: math.MinInt64, Kind: 255, Node: math.MinInt16, Item: math.MinInt32,
+	widest := obs.Event{Time: math.MinInt64, Kind: 255, Node: math.MinInt16, Item: math.MinInt32,
 		From: 255, To: 255, Cause: 255, Txn: math.MinInt64, Par: math.MinInt64, A: math.MinInt64, B: math.MinInt64}
-	for _, k := range []Kind{KState, KInjectAccept, KTxnBegin, KRoundQuiesced, 255} {
+	for _, k := range []obs.Kind{obs.KState, obs.KInjectAccept, obs.KTxnBegin, obs.KRoundQuiesced, 255} {
 		widest.Kind = k
 		requireMatchesRefJSONL(t, widest)
 	}
@@ -133,13 +138,54 @@ func TestAppendJSONLMatchesReference(t *testing.T) {
 // onto the kinds and the two values past them, so most inputs exercise
 // a kind's own fields.
 func FuzzAppendJSONLMatchesReference(f *testing.F) {
-	for _, ev := range sampleEvents() {
+	for _, ev := range obs.SampleEvents() {
 		f.Add(ev.Time, uint8(ev.Kind), int16(ev.Node), int32(ev.Item), uint8(ev.From), uint8(ev.To),
 			uint8(ev.Cause), int64(ev.Txn), int64(ev.Par), ev.A, ev.B)
 	}
 	f.Fuzz(func(t *testing.T, tm int64, kind uint8, node int16, item int32, from, to, cause uint8, txn, par, a, b int64) {
-		requireMatchesRefJSONL(t, Event{Time: tm, Kind: Kind(kind % (uint8(numKinds) + 2)), Node: proto.NodeID(node),
+		requireMatchesRefJSONL(t, obs.Event{Time: tm, Kind: obs.Kind(kind % (uint8(obs.NumKinds) + 2)), Node: proto.NodeID(node),
 			Item: proto.ItemID(item), From: proto.State(from), To: proto.State(to), Cause: proto.InjectCause(cause),
 			Txn: proto.TxnID(txn), Par: proto.TxnID(par), A: a, B: b})
 	})
+}
+
+// servedColdTrace records the receipt-grade trace (every kind but
+// queue-depth samples and injection probes) of the serve-local cold
+// job's shape: mp3d, ECP, 4 nodes, 200k instructions, 400 Hz.
+func servedColdTrace(tb testing.TB) []obs.Event {
+	tb.Helper()
+	rec := obs.NewRecorder(obs.MaskAll &^ (1<<obs.KQueueDepth | 1<<obs.KInjectProbe))
+	m, err := machine.New(machine.Config{
+		Arch:         config.KSR1(4),
+		Protocol:     coherence.ECP,
+		App:          workload.Mp3d().Scale(200_000 / float64(workload.Mp3d().Instructions)),
+		Seed:         1,
+		CheckpointHz: 400,
+		Obs:          rec,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return rec.Events()
+}
+
+// BenchmarkAppendJSONL encodes a served cold job's trace as canonical
+// JSONL into one reused buffer: the encoding share of the receipt
+// gate's cost.
+func BenchmarkAppendJSONL(b *testing.B) {
+	events := servedColdTrace(b)
+	buf := make([]byte, 0, 64<<10)
+	b.ReportAllocs()
+	for b.Loop() {
+		for i := range events {
+			if cap(buf)-len(buf) < 512 {
+				buf = buf[:0]
+			}
+			buf = events[i].AppendJSONL(buf)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
 }

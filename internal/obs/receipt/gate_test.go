@@ -2,6 +2,9 @@ package receipt_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"coma/internal/config"
@@ -10,12 +13,14 @@ import (
 	"coma/internal/server"
 )
 
-// gateRun runs the identity once with a new gate and a full-mask
-// Recorder on the same event stream, returning the gate's receipt and
-// packed trace, the recorder's events and the result payload.
-func gateRun(t testing.TB, id config.RunIdentity, newGate func() *receipt.Gate) (receipt.Receipt, []byte, []obs.Event, []byte) {
+// gateRun runs the identity once with a gate streaming its trace into
+// a buffer and a full-mask Recorder on the same event stream, returning
+// the gate's receipt and trace, the recorder's events and the result
+// payload.
+func gateRun(t testing.TB, id config.RunIdentity) (receipt.Receipt, []byte, []obs.Event, []byte) {
 	t.Helper()
-	gate := newGate()
+	var trace bytes.Buffer
+	gate := receipt.NewGate(&trace)
 	rec := obs.NewRecorder(obs.MaskAll)
 	run, err := server.SimRunner(id, server.RunOptions{Observer: obs.Tee(gate, rec)})
 	if err != nil {
@@ -25,21 +30,20 @@ func gateRun(t testing.TB, id config.RunIdentity, newGate func() *receipt.Gate) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, trace, err := gate.Finish(id, result, receipt.ProducerLocal)
+	r, err := gate.Finish(id, result, receipt.ProducerLocal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, trace, rec.Events(), result
+	return r, trace.Bytes(), rec.Events(), result
 }
 
 // TestGateMatchesBuildOnRecordedRuns: on real ECP runs with a transient
 // and with a permanent failure (5 nodes: the smallest ECP machine that
 // survives losing one), the streaming gate emits exactly the receipt
-// and trace bytes Build produces over a receipt-mask recording. The
-// trace fields are pinned to what the record-then-replay gate produced
-// before the gate streamed; the gate's packed log expands to the
-// canonical JSONL of the masked events. A digest gate, which keeps no
-// trace, emits the same receipt.
+// and trace bytes Build produces over a receipt-mask recording, and the
+// trace is the canonical JSONL of the masked events. The trace fields
+// are pinned to what the record-then-replay gate produced before the
+// gate streamed.
 func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -59,8 +63,7 @@ func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, packed, all, result := gateRun(t, id, receipt.NewGate)
-			trace := expand(t, packed)
+			got, trace, all, result := gateRun(t, id)
 
 			var masked []obs.Event
 			for _, ev := range all {
@@ -76,10 +79,7 @@ func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 				t.Fatalf("gate receipt differs from Build:\n%s\n%s", got.CanonicalJSON(), want.CanonicalJSON())
 			}
 			if !bytes.Equal(trace, wantTrace) || !bytes.Equal(trace, receipt.TraceJSONL(masked)) {
-				t.Fatal("expanded gate trace differs from Build's / obs.WriteJSONL's")
-			}
-			if cap(packed) != len(packed) {
-				t.Fatalf("gate packed trace: len %d, cap %d; want exact size", len(packed), cap(packed))
+				t.Fatal("streamed gate trace differs from Build's / obs.WriteJSONL's")
 			}
 			if got.TraceDigest != tc.digest || got.TraceEvents != tc.events ||
 				got.VerdictLabel() != "ok" || got.Invariants.EdgesExercised != tc.edges || got.Invariants.EdgesTotal != 35 {
@@ -88,71 +88,83 @@ func TestGateMatchesBuildOnRecordedRuns(t *testing.T) {
 			if err := got.Attest(receipt.Artifacts{Result: result, Trace: trace}, nil); err != nil {
 				t.Fatalf("gate receipt fails attestation: %v", err)
 			}
-			digestOnly, noTrace, _, _ := gateRun(t, id, receipt.NewDigestGate)
-			if !bytes.Equal(digestOnly.CanonicalJSON(), got.CanonicalJSON()) || noTrace != nil {
-				t.Fatalf("digest gate: receipt %s and %d trace bytes, want the gate's receipt and no trace",
-					digestOnly.CanonicalJSON(), len(noTrace))
-			}
 		})
 	}
 }
 
-// expand returns the canonical JSONL a packed trace expands to.
-func expand(t testing.TB, packed []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := obs.UnpackJSONL(&buf, packed); err != nil {
+// failAfter is a trace sink whose writes fail once n bytes are in.
+type failAfter struct {
+	n, got, fails int
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.got+len(p) > w.n {
+		w.fails++
+		return 0, errors.New("sink full")
+	}
+	w.got += len(p)
+	return len(p), nil
+}
+
+// TestGateSinkErrorKeepsHashing: a gate whose sink fails part way gets
+// no write after the first error, and its Finish reports that error
+// beside the receipt a gate with no sink emits.
+func TestGateSinkErrorKeepsHashing(t *testing.T) {
+	id, err := serveColdSpec.Identity("rev-fixed")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	want, _, events, result := gateRun(t, id)
+	finish := func(sink io.Writer) (receipt.Receipt, error) {
+		g := receipt.NewGate(sink)
+		for _, ev := range events {
+			g.Emit(ev)
+		}
+		return g.Finish(id, result, receipt.ProducerLocal)
+	}
+	if got, err := finish(nil); err != nil || !bytes.Equal(got.CanonicalJSON(), want.CanonicalJSON()) {
+		t.Fatalf("gate without a sink: %v, receipt %s; want %s", err, got.CanonicalJSON(), want.CanonicalJSON())
+	}
+	sink := &failAfter{n: 200 << 10}
+	got, err := finish(sink)
+	if err == nil || !strings.Contains(err.Error(), "sink full") {
+		t.Fatalf("Finish with a failed sink: err %v, want the sink's error", err)
+	}
+	if !bytes.Equal(got.CanonicalJSON(), want.CanonicalJSON()) {
+		t.Fatalf("receipt beside the sink error: %s, want %s", got.CanonicalJSON(), want.CanonicalJSON())
+	}
+	if sink.got == 0 || sink.fails != 1 {
+		t.Fatalf("failing sink: %d bytes in, %d failed writes; want some bytes and one failed write", sink.got, sink.fails)
+	}
 }
 
 // serveColdSpec is the cold job of the serve-local benchmark workload.
 var serveColdSpec = server.JobSpec{App: "mp3d", Protocol: "ecp", Nodes: 4, Instructions: 200_000, CheckpointHz: 400}
 
-// TestPackedTraceIsSmall: the packed log the gate keeps for a served
-// cold job is at most 9 bytes an event and 0.12 of the canonical JSONL
-// it expands to, which is what lets a daemon keep one beside every
-// receipt. The codec packs this job at 8.0 B/event, 0.106, so a
-// regression in any of its fields shows.
-func TestPackedTraceIsSmall(t *testing.T) {
-	id, err := serveColdSpec.Identity("rev-fixed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, packed, _, _ := gateRun(t, id, receipt.NewGate)
-	jsonl := expand(t, packed)
-	ratio := float64(len(packed)) / float64(len(jsonl))
-	t.Logf("%d events: packed %d bytes (%.1f B/event), JSONL %d bytes, ratio %.3f",
-		r.TraceEvents, len(packed), float64(len(packed))/float64(r.TraceEvents), len(jsonl), ratio)
-	if perEvent := float64(len(packed)) / float64(r.TraceEvents); perEvent > 9 || ratio > 0.12 {
-		t.Fatalf("packed trace is %.2f B/event, %.3f of its JSONL; want at most 9 B/event and 0.12", perEvent, ratio)
-	}
-}
-
 // BenchmarkGate streams one served cold job's events (mp3d, ECP, 4
 // nodes, 200k instructions, 400 Hz) through a fresh gate and finishes
-// the receipt: the whole per-job cost of the always-on gate. The digest
-// gate is the one comad and cluster workers run; the packing gate,
-// which also keeps the trace, serves /trace replays and comasim.
+// the receipt: the whole per-job cost of the always-on gate. The
+// digest gate, with no trace sink, is the one comad and cluster workers
+// run; the streaming gate, which also writes the trace, serves /trace
+// replays and comasim.
 func BenchmarkGate(b *testing.B) {
 	id, err := serveColdSpec.Identity("rev-fixed")
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, _, events, result := gateRun(b, id, receipt.NewGate)
+	_, _, events, result := gateRun(b, id)
 	for _, g := range []struct {
-		name    string
-		newGate func() *receipt.Gate
-	}{{"digest", receipt.NewDigestGate}, {"packing", receipt.NewGate}} {
+		name  string
+		trace io.Writer
+	}{{"digest", nil}, {"streaming", io.Discard}} {
 		b.Run(g.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				gate := g.newGate()
+				gate := receipt.NewGate(g.trace)
 				for _, ev := range events {
 					gate.Emit(ev)
 				}
-				if _, _, err := gate.Finish(id, result, receipt.ProducerLocal); err != nil {
+				if _, err := gate.Finish(id, result, receipt.ProducerLocal); err != nil {
 					b.Fatal(err)
 				}
 			}

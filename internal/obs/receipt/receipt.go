@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"io"
 
 	"coma/internal/config"
 	"coma/internal/obs"
@@ -157,33 +158,26 @@ func ParseResult(b []byte) (*stats.Run, error) {
 
 // Gate is the always-on receipt gate as an obs.Observer. Tee it onto a
 // run's event stream: it keeps the kinds in TraceMask, hashes each
-// one's canonical JSONL line, steps the txnview fold and, from NewGate,
-// appends the event to a packed log (obs.Packer), so the verdict is
-// ready when the run ends and no event slice is ever held. Finish then
-// assembles the receipt. A Gate serves one run and is not safe for
+// one's canonical JSONL line and steps the txnview fold, so the verdict
+// is ready when the run ends and no event slice is ever held. Finish
+// then assembles the receipt. A Gate serves one run and is not safe for
 // concurrent use.
 //
-// The JSONL lines go to one fixed-size chunk that is fed to SHA-256
-// and refilled whenever it fills. The packed log is the only trace a
-// NewGate gate keeps, about a tenth of the JSONL size; it is kept in
-// fixed-size chunks too, so it grows without re-copying itself, and
-// Finish copies it once into an exactly sized slice for the caller. A
-// gate from NewDigestGate keeps no packed log.
+// The JSONL lines go to one fixed-size chunk that is fed to SHA-256,
+// and to the gate's trace sink when it has one, and refilled whenever
+// it fills: the sink receives the bytes trace_digest covers as the run
+// produces them, and the gate keeps none of them.
 type Gate struct {
-	keep   bool   // keep the packed log for Finish to return
-	line   []byte // the JSONL chunk being filled, hashed when full
+	line   []byte // the JSONL chunk being filled, written out when full
 	digest hash.Hash
-	packer obs.Packer
-	packs  [][]byte // full packed chunks
-	pack   []byte   // the packed chunk being filled
-	size   int      // bytes in packs
+	trace  io.Writer // the trace sink, or nil
+	werr   error     // the sink's first write error; it gets no more chunks
 	fold   *txnview.Fold
 	events int64
 }
 
 const (
-	// chunkSize is the capacity of the JSONL chunk and of each packed
-	// chunk.
+	// chunkSize is the capacity of the JSONL chunk.
 	chunkSize = 64 << 10
 	// lineRoom is the free space the JSONL chunk must have to take
 	// another line: more than the longest canonical line (≈190 bytes),
@@ -191,21 +185,17 @@ const (
 	lineRoom = 512
 )
 
-// NewGate returns a gate for one run.
-func NewGate() *Gate {
-	return &Gate{keep: true, digest: sha256.New(), fold: txnview.NewFold()}
-}
-
-// NewDigestGate returns a gate for one run whose caller needs the
-// receipt but not the trace: its Finish returns the same receipt as a
-// NewGate gate's, and a nil trace.
-func NewDigestGate() *Gate {
-	return &Gate{digest: sha256.New(), fold: txnview.NewFold()}
+// NewGate returns a gate for one run. A non-nil trace receives the
+// run's receipt trace as canonical JSONL, one chunk at a time, while
+// the run streams. After the first failed write the gate writes to it
+// no more but keeps hashing, so the receipt stays right, and Finish
+// reports the error.
+func NewGate(trace io.Writer) *Gate {
+	return &Gate{digest: sha256.New(), trace: trace, fold: txnview.NewFold()}
 }
 
 // Emit implements obs.Observer: kinds outside TraceMask are dropped.
-// An event allocates nothing, apart from a new packed chunk every few
-// thousand events.
+// An event allocates nothing.
 func (g *Gate) Emit(ev obs.Event) {
 	if TraceMask.Has(ev.Kind) {
 		g.add(ev)
@@ -215,39 +205,39 @@ func (g *Gate) Emit(ev obs.Event) {
 // add records one event, whatever its kind.
 func (g *Gate) add(ev obs.Event) {
 	if cap(g.line)-len(g.line) < lineRoom {
-		g.digest.Write(g.line)
+		g.flush()
 		if g.line == nil {
 			g.line = make([]byte, 0, chunkSize)
 		}
 		g.line = g.line[:0]
 	}
 	g.line = ev.AppendJSONL(g.line)
-	if g.keep {
-		if cap(g.pack)-len(g.pack) < obs.MaxPackedLen {
-			if len(g.pack) > 0 {
-				g.packs = append(g.packs, g.pack)
-				g.size += len(g.pack)
-			}
-			g.pack = make([]byte, 0, chunkSize)
-		}
-		g.pack = g.packer.Append(g.pack, &ev)
-	}
 	g.fold.Step(ev)
 	g.events++
+}
+
+// flush writes the JSONL chunk to the digest and the trace sink.
+func (g *Gate) flush() {
+	if len(g.line) == 0 {
+		return
+	}
+	g.digest.Write(g.line)
+	if g.trace != nil && g.werr == nil {
+		_, g.werr = g.trace.Write(g.line)
+	}
 }
 
 // Finish assembles the receipt for the completed run: the result
 // payload must be canonical (it is round-trip checked). With no event
 // recorded the receipt records no trace and the verdict is unchecked.
-// It returns the receipt unsigned plus the packed log of the trace its
-// TraceDigest covers (obs.UnpackJSONL expands it to the canonical JSONL
-// bytes; nil from a NewDigestGate gate), sized exactly (cap == len)
-// because callers may hold it; the gate keeps no reference to it. Call it
-// once.
-func (g *Gate) Finish(id config.RunIdentity, result []byte, producer string) (Receipt, []byte, error) {
+// It writes the last chunk of the trace to the sink and returns the
+// receipt unsigned. A failed sink write is returned as the error beside
+// a receipt that is still whole, since the gate hashed every chunk.
+// Call it once.
+func (g *Gate) Finish(id config.RunIdentity, result []byte, producer string) (Receipt, error) {
 	run, err := ParseResult(result)
 	if err != nil {
-		return Receipt{}, nil, err
+		return Receipt{}, err
 	}
 	r := Receipt{
 		Schema:       Schema,
@@ -259,42 +249,33 @@ func (g *Gate) Finish(id config.RunIdentity, result []byte, producer string) (Re
 		SimEvents:    run.Events,
 	}
 	if g.events == 0 {
-		return r, nil, nil
+		return r, nil
 	}
-	g.digest.Write(g.line)
-	var packed []byte
-	if g.keep {
-		packed = make([]byte, 0, g.size+len(g.pack))
-		for _, c := range g.packs {
-			packed = append(packed, c...)
-		}
-		packed = append(packed, g.pack...)
-	}
-	g.line, g.packs, g.pack = nil, nil, nil
+	g.flush()
+	g.line = nil
 	r.TraceDigest = hex.EncodeToString(g.digest.Sum(nil))
 	r.TraceEvents = g.events
 	r.Invariants = invariantsOf(g.fold.Summary())
-	return r, packed, nil
+	if g.werr != nil {
+		return r, fmt.Errorf("receipt: writing trace: %w", g.werr)
+	}
+	return r, nil
 }
 
 // Build assembles the receipt for one completed run from its recorded
 // trace, by driving a Gate over every event given (no mask is applied:
 // the caller chose what to record), and returns it with the trace's
-// canonical JSONL bytes, expanded from the gate's packed log. nil or
-// empty events: the receipt records no trace and the verdict is
-// unchecked.
+// canonical JSONL bytes. nil or empty events: the receipt records no
+// trace and the verdict is unchecked.
 func Build(id config.RunIdentity, result []byte, events []obs.Event, producer string) (Receipt, []byte, error) {
-	g := NewGate()
+	var trace bytes.Buffer
+	g := NewGate(&trace)
 	for _, ev := range events {
 		g.add(ev)
 	}
-	r, packed, err := g.Finish(id, result, producer)
-	if err != nil || packed == nil {
-		return r, nil, err
-	}
-	var trace bytes.Buffer
-	if err := obs.UnpackJSONL(&trace, packed); err != nil {
-		return Receipt{}, nil, fmt.Errorf("receipt: expanding trace: %w", err)
+	r, err := g.Finish(id, result, producer)
+	if err != nil {
+		return Receipt{}, nil, err
 	}
 	return r, trace.Bytes(), nil
 }

@@ -2,6 +2,7 @@ package receipt
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -263,12 +264,10 @@ func TestAttestTamper(t *testing.T) {
 
 // TestGateEmitZeroAlloc pins the gate's steady state: once its fold has
 // seen an item and a transaction, emitting an event — encoded, hashed,
-// packed, replayed, or masked out — allocates nothing. The packed chunk
-// is pre-sized so the measurement excludes the one new chunk every few
-// thousand events.
+// written to the trace sink, replayed, or masked out — allocates
+// nothing.
 func TestGateEmitZeroAlloc(t *testing.T) {
-	g := NewGate()
-	g.pack = make([]byte, 0, 4<<20)
+	g := NewGate(io.Discard)
 	txn := proto.MakeTxnID(1, 1)
 	g.Emit(obs.Event{Time: 1, Kind: obs.KTxnBegin, Node: 1, Item: 2, Txn: txn, A: obs.TxnRead})
 	cycle := []obs.Event{

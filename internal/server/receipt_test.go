@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -874,5 +876,116 @@ func TestTraceReplaysStayWithinWorkers(t *testing.T) {
 	}
 	if m := most.Load(); m > workers {
 		t.Fatalf("%d simulations ran at once, want at most %d", m, workers)
+	}
+}
+
+// chattyRunner emits n read-fill events a run, so a trace spans many
+// gate chunks. The last event of run differ (counting the job's own
+// run as 1) has another time, so that run's receipt differs; differ 0
+// never differs.
+func chattyRunner(n int, differ int64) Runner {
+	var runs atomic.Int64
+	return func(id config.RunIdentity, o RunOptions) (*stats.Run, error) {
+		run := runs.Add(1)
+		for i := range n {
+			ev := obs.Event{Kind: obs.KReadFill, Time: int64(i)}
+			if i == n-1 && run == differ {
+				ev.Time = -1
+			}
+			o.Observer.Emit(ev)
+		}
+		return fakeRun(id), nil
+	}
+}
+
+// TestTraceSecondPassMismatchCutsBody: when the checking pass matches
+// but the streaming pass's receipt differs, the response is aborted
+// after the trace bytes already sent, so the client reads an error,
+// never a whole trace; the executor slot is handed back.
+func TestTraceSecondPassMismatchCutsBody(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, Runner: chattyRunner(20_000, 3)})
+	_, done := postJob(t, ts, specJSON(1), true)
+	conn, resp := rawTrace(t, ts, done.ID)
+	defer conn.Close()
+	body, err := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || err == nil {
+		t.Fatalf("/trace with a differing second pass: status %d, %d body bytes, read error %v; want 200 and a cut body",
+			resp.StatusCode, len(body), err)
+	}
+	if resp, st := postJob(t, ts, specJSON(2), true); resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Fatalf("job after the aborted replay: status %d state %s", resp.StatusCode, st.State)
+	}
+}
+
+// rawTrace sends GET /trace for a job on a connection of its own and
+// returns the connection and the response, headers read.
+func rawTrace(t *testing.T, ts *httptest.Server, id string) (net.Conn, *http.Response) {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "GET /v1/jobs/%s/trace HTTP/1.1\r\nHost: coma\r\n\r\n", id)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, resp
+}
+
+// smallSendBuffers shrinks the send buffer of every accepted
+// connection, so a client that stops reading stalls the server's
+// writes after a few kilobytes.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(16 << 10)
+	}
+	return c, err
+}
+
+// TestStalledTraceReaderFreesTheSlot: a /trace client that reads the
+// response headers and then stops reading, or hangs up, holds the
+// executor slot no longer than one chunk write's deadline: the replay
+// finishes, and a job queued behind it runs.
+func TestStalledTraceReaderFreesTheSlot(t *testing.T) {
+	defer func(d time.Duration) { traceWriteTimeout = d }(traceWriteTimeout)
+	traceWriteTimeout = 100 * time.Millisecond
+	for i, hangUp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hang up %v", hangUp), func(t *testing.T) {
+			s, err := New(Options{Workers: 1, Runner: chattyRunner(100_000, 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewUnstartedServer(s.Handler())
+			ts.Listener = smallSendBuffers{ts.Listener}
+			ts.Start()
+			defer ts.Close()
+			_, done := postJob(t, ts, specJSON(1), true)
+
+			conn, resp := rawTrace(t, ts, done.ID)
+			defer conn.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/trace: status %d", resp.StatusCode)
+			}
+			if hangUp {
+				conn.Close()
+			}
+
+			_, queued := postJob(t, ts, specJSON(uint64(2+i)), false)
+			hc := http.Client{Timeout: 30 * time.Second}
+			resp, err = hc.Get(ts.URL + "/v1/jobs/" + queued.ID + "?wait=1")
+			if err != nil {
+				t.Fatalf("a job queued behind a stalled /trace reader: %v", err)
+			}
+			var st JobStatus
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil || st.State != StateDone {
+				t.Fatalf("a job queued behind a stalled /trace reader: state %s (%v), want done", st.State, err)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 
 	"coma/internal/config"
 	"coma/internal/inspect"
@@ -65,12 +66,13 @@ type Execution struct {
 	// or a worker's name). NoReceipts skips the receipt gate (comasim
 	// runs that ask for no receipt; comad always records one); a
 	// non-empty ReceiptKey signs the receipt. The gate hashes the trace
-	// as it streams and keeps it only with KeepTrace (comad's /trace
-	// replay, comasim's -receipt-trace-out): a run is a pure function of
-	// its identity, so anyone else can derive its trace again.
+	// as it streams and keeps none of it; a non-nil Trace receives it as
+	// canonical JSONL while the run goes on (comad's /trace replay,
+	// comasim's -receipt-trace-out). A run is a pure function of its
+	// identity, so anyone else can derive its trace again.
 	Producer   string
 	NoReceipts bool
-	KeepTrace  bool
+	Trace      io.Writer
 	ReceiptKey []byte
 	// Counts tallies every event by kind and Publish receives one line
 	// per lifecycle event (see progressBridge); nil disables either.
@@ -87,14 +89,11 @@ type Outcome struct {
 	// set. Runs are deterministic, so an error fails the job for good.
 	Payload []byte
 	Err     error
-	// Receipt is the (signed) execution receipt and Trace its trace as
-	// the gate's packed log (obs.UnpackJSONL expands it to the canonical
-	// JSONL that trace_digest covers). Both are nil with NoReceipts or
-	// when building the receipt failed (ReceiptErr), and Trace is nil
-	// without KeepTrace; a receipt failure never fails the job, whose
-	// result is already correct.
+	// Receipt is the (signed) execution receipt: nil with NoReceipts or
+	// when building the receipt or writing its trace failed
+	// (ReceiptErr). A receipt failure never fails the job, whose result
+	// is already correct.
 	Receipt    *receipt.Receipt
-	Trace      []byte
 	ReceiptErr error
 }
 
@@ -111,11 +110,7 @@ func Execute(x Execution) Outcome {
 	}
 	var gate *receipt.Gate
 	if !x.NoReceipts {
-		if x.KeepTrace {
-			gate = receipt.NewGate()
-		} else {
-			gate = receipt.NewDigestGate()
-		}
+		gate = receipt.NewGate(x.Trace)
 		observer = obs.Tee(observer, gate)
 	}
 	run, err := x.Runner(x.Identity, RunOptions{Observer: observer, Inspect: x.Inspect})
@@ -129,7 +124,7 @@ func Execute(x Execution) Outcome {
 	if gate == nil {
 		return out
 	}
-	rcpt, trace, err := gate.Finish(x.Identity, out.Payload, x.Producer)
+	rcpt, err := gate.Finish(x.Identity, out.Payload, x.Producer)
 	if err != nil {
 		out.ReceiptErr = err
 		return out
@@ -137,7 +132,7 @@ func Execute(x Execution) Outcome {
 	if len(x.ReceiptKey) > 0 {
 		rcpt = rcpt.Sign(x.ReceiptKey)
 	}
-	out.Receipt, out.Trace = &rcpt, trace
+	out.Receipt = &rcpt
 	return out
 }
 

@@ -43,7 +43,6 @@ import (
 
 	"coma/internal/config"
 	"coma/internal/inspect"
-	"coma/internal/obs"
 	"coma/internal/obs/receipt"
 )
 
@@ -347,7 +346,9 @@ func (s *Server) startLocked(j *job, now time.Time) {
 
 // executeLoop is one in-process executor: it runs queued jobs in FIFO
 // order and exits when the queue is empty (enqueueLocked starts a new
-// one when work arrives).
+// one when work arrives). A job is completed under the same lock hold
+// that hands the executor slot back when no job is left, so a client
+// that sees the job done never finds its slot still taken.
 func (s *Server) executeLoop() {
 	s.mu.Lock()
 	for {
@@ -358,15 +359,16 @@ func (s *Server) executeLoop() {
 		}
 		s.startLocked(j, now)
 		s.mu.Unlock()
-		s.runLocal(j)
+		out := s.runLocal(j)
 		s.mu.Lock()
+		s.completeLocked(j, out, time.Now(), "")
 	}
 	s.executors--
 	s.mu.Unlock()
 }
 
-// runLocal executes one started job in-process and completes it.
-func (s *Server) runLocal(j *job) {
+// runLocal executes one started job in-process.
+func (s *Server) runLocal(j *job) Outcome {
 	s.logf("job %s: running (%s/%s on %d nodes)", ShortID(j.id), j.spec.App, j.identity.Protocol, j.identity.Arch.Nodes)
 	x := Execution{
 		Runner:     s.runner,
@@ -396,9 +398,7 @@ func (s *Server) runLocal(j *job) {
 	if out.ReceiptErr != nil {
 		s.logf("job %s: building receipt: %v", ShortID(j.id), out.ReceiptErr)
 	}
-	s.mu.Lock()
-	s.completeLocked(j, out, time.Now(), "")
-	s.mu.Unlock()
+	return out
 }
 
 // ---- state transitions ----
@@ -642,12 +642,16 @@ func (s *Server) serveStored(kind string) http.HandlerFunc {
 // locally executed job as canonical JSONL — the artifact `comatrace
 // attest -trace` replays against the receipt's verdict. No trace is
 // kept: a run is a pure function of its identity, so the handler runs
-// the job again under a gate that keeps its log, in one of the
-// Options.Workers executor slots (429 when none is free). The replay's
-// trace is served only when its receipt equals the stored one in every
-// field but the signature; a mismatch or a run error answers 500
-// before any byte of trace. A coordinator runs no simulation, and a
-// worker's receipt names no local run, so cluster jobs have no trace.
+// the job again, twice, in one of the Options.Workers executor slots
+// (429 when none is free). The first pass only checks that the
+// replay's receipt equals the stored one in every field but the
+// signature; a mismatch or a run error answers 500 before any byte of
+// trace. The second pass streams its trace into the response as the
+// gate hashes it, each chunk under traceWriteTimeout, and aborts the
+// response should its receipt differ, so a client never reads a whole
+// trace the receipt does not cover. A coordinator runs no simulation,
+// and a worker's receipt names no local run, so cluster jobs have no
+// trace.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, stored, ok := s.storedEntry(w, r, KindReceipt)
 	if !ok {
@@ -667,25 +671,53 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.respondError(w, http.StatusTooManyRequests, errors.New("every executor is busy, retry later"))
 		return
 	}
-	out := Execute(Execution{Runner: s.runner, Identity: j.identity,
-		Producer: receipt.ProducerLocal, KeepTrace: true})
-	s.releaseSlot()
-	if err = errors.Join(out.Err, out.ReceiptErr); err == nil {
-		want.Signature = ""
-		if !bytes.Equal(out.Receipt.CanonicalJSON(), want.CanonicalJSON()) {
-			err = errors.New("the replayed receipt differs from the stored one")
-		}
-	}
-	if err != nil {
+	defer s.releaseSlot()
+	want.Signature = ""
+	if err := s.replay(j, want, nil); err != nil {
 		s.logf("job %s: trace replay: %v", ShortID(j.id), err)
 		s.respondError(w, http.StatusInternalServerError, fmt.Errorf("trace replay: %v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	s.met.countHTTP(http.StatusOK)
-	// The log was packed by this process a moment ago, so an error here
-	// is a write error: the client went away.
-	_ = obs.UnpackJSONL(w, out.Trace)
+	if err := s.replay(j, want, deadlineWriter{w, http.NewResponseController(w)}); err != nil {
+		s.logf("job %s: trace replay: %v", ShortID(j.id), err)
+		panic(http.ErrAbortHandler)
+	}
+}
+
+// replay runs a local job again, its receipt trace going to trace when
+// that is non-nil, and checks the replay's unsigned receipt against
+// want.
+func (s *Server) replay(j *job, want receipt.Receipt, trace io.Writer) error {
+	out := Execute(Execution{Runner: s.runner, Identity: j.identity,
+		Producer: receipt.ProducerLocal, Trace: trace})
+	if err := errors.Join(out.Err, out.ReceiptErr); err != nil {
+		return err
+	}
+	if !bytes.Equal(out.Receipt.CanonicalJSON(), want.CanonicalJSON()) {
+		return errors.New("the replayed receipt differs from the stored one")
+	}
+	return nil
+}
+
+// traceWriteTimeout bounds each chunk write of a /trace body, so a
+// client that stops reading fails the write and the replay hands its
+// executor slot back. A var only so a test can shorten it.
+var traceWriteTimeout = 10 * time.Second
+
+// deadlineWriter writes to a response, first giving each write
+// traceWriteTimeout.
+type deadlineWriter struct {
+	w  http.ResponseWriter
+	rc *http.ResponseController
+}
+
+func (d deadlineWriter) Write(p []byte) (int, error) {
+	if err := d.rc.SetWriteDeadline(time.Now().Add(traceWriteTimeout)); err != nil {
+		return 0, err
+	}
+	return d.w.Write(p)
 }
 
 // takeSlot takes one executor slot for a trace replay, or reports the
