@@ -101,8 +101,8 @@ func render(out *os.File, jobID string, s inspect.Sample, rate float64) {
 		fmt.Fprintf(out, "  (%.0f events/s)", rate)
 	}
 	fmt.Fprintln(out)
-	fmt.Fprintf(out, "pending %d wheel / %d overflow / %d now-queue\n",
-		s.Summary.WheelEvents, s.Summary.OverflowEvents, s.Summary.NowQueueEvents)
+	fmt.Fprintf(out, "pending %d wheel / %d overflow\n",
+		s.Summary.WheelEvents, s.Summary.OverflowEvents)
 	ph := s.Summary.Phase
 	kind := "checkpoint"
 	if ph.Recovery {

@@ -129,8 +129,8 @@ func replNow(ctl *inspect.Controller) int64 {
 func printSummary(out io.Writer, sv inspect.SummaryView, finished bool) {
 	fmt.Fprintf(out, "cycle %d, %d events dispatched, %d processes\n",
 		sv.SimCycles, sv.Events, sv.Processes)
-	fmt.Fprintf(out, "  pending events    %d wheel, %d overflow, %d now-queue\n",
-		sv.WheelEvents, sv.OverflowEvents, sv.NowQueueEvents)
+	fmt.Fprintf(out, "  pending events    %d wheel, %d overflow\n",
+		sv.WheelEvents, sv.OverflowEvents)
 	fmt.Fprintf(out, "  nodes             %d/%d live, %d directory items (%d locked)\n",
 		sv.LiveNodes, sv.Nodes, sv.DirectoryItems, sv.LockedItems)
 	ph := sv.Phase

@@ -156,7 +156,8 @@ type slotRef = am.Slot
 // repair; items with no recovery copy (created after the last recovery
 // point, or lost to an unrecoverable multiple failure) are dropped. It
 // returns the dropped items so the machine can distinguish legitimate
-// rollback of young items from data loss.
+// rollback of young items from data loss; the slice is the engine's and
+// is reused by the next rollback.
 func (e *Engine) RebuildDirectory() []proto.ItemID {
 	if e.ck1 == nil {
 		e.ck1 = make(map[proto.ItemID]proto.NodeID)
@@ -179,7 +180,7 @@ func (e *Engine) RebuildDirectory() []proto.ItemID {
 			}
 		})
 	}
-	var dropped []proto.ItemID
+	dropped := e.dropped[:0]
 	e.dir.ForEach(func(item proto.ItemID, entry *dirEntry) {
 		entry.Sharers.Clear()
 		if o, ok := ck1[item]; ok {
@@ -196,6 +197,7 @@ func (e *Engine) RebuildDirectory() []proto.ItemID {
 	for _, item := range dropped {
 		e.dir.Drop(item)
 	}
+	e.dropped = dropped
 	return dropped
 }
 

@@ -128,6 +128,9 @@ type Engine struct {
 	// RebuildDirectory; they are kept across rollbacks and cleared by
 	// each one.
 	ck1, ck2 map[proto.ItemID]proto.NodeID
+	// dropped holds the items RebuildDirectory discards, kept across
+	// rollbacks.
+	dropped []proto.ItemID
 	// reconf[n] is node n's ReconfigureNode work list, kept across
 	// rollbacks. Each node has its own: the nodes reconfigure at once,
 	// and each parks while it injects.

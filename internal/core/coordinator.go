@@ -51,7 +51,8 @@ type Hooks struct {
 	// completes. dropped lists the items discarded because no recovery
 	// copy survived — legitimately for items created after the last
 	// recovery point, fatally for committed items (multiple overlapping
-	// failures); the machine distinguishes the two.
+	// failures); the machine distinguishes the two. dropped is valid only
+	// during the call: the next rollback reuses its array.
 	OnRollback func(dropped []proto.ItemID, failures []Failure)
 }
 

@@ -135,7 +135,6 @@ type SummaryView struct {
 	// Pending-event population by residence (sim.Engine.QueueStats).
 	WheelEvents    int `json:"wheel_events"`
 	OverflowEvents int `json:"overflow_events"`
-	NowQueueEvents int `json:"nowq_events"`
 	Nodes          int `json:"nodes"`
 	LiveNodes      int `json:"live_nodes"`
 	DirectoryItems int `json:"directory_items"`

@@ -125,7 +125,7 @@ func (m *Machine) subnetView(s mesh.Subnet, now int64) inspect.SubnetView {
 // InspectSummary implements inspect.Source: scheduler occupancy plus
 // the coordinator's checkpoint/recovery phase.
 func (m *Machine) InspectSummary() inspect.SummaryView {
-	wheel, overflow, nowq := m.eng.QueueStats()
+	wheel, overflow := m.eng.QueueStats()
 	ps := m.co.Snapshot()
 	ck := m.co.Stats()
 	return inspect.SummaryView{
@@ -134,7 +134,6 @@ func (m *Machine) InspectSummary() inspect.SummaryView {
 		Processes:      m.eng.Processes(),
 		WheelEvents:    wheel,
 		OverflowEvents: overflow,
-		NowQueueEvents: nowq,
 		Nodes:          len(m.ams),
 		LiveNodes:      ps.LiveNodes,
 		DirectoryItems: m.dir.Items(),

@@ -33,15 +33,6 @@ type Engine struct {
 	seq   int64
 	queue eventQueue
 
-	// nowq is the same-cycle fast path: events scheduled while running
-	// for the current cycle are appended here (a FIFO, already in seq
-	// order) instead of paying a queue insert. Dispatch merges nowq and
-	// the queue by (time, seq), so ordering is identical to a queue-only
-	// schedule. nowqHead indexes the next pending entry; the backing
-	// array is reused once drained.
-	nowq     []event
-	nowqHead int
-
 	limit int64 // current run's RunUntil limit (-1: none)
 
 	procs   map[*Process]struct{}
@@ -86,7 +77,6 @@ type event struct {
 // New returns a fresh engine with the clock at cycle zero.
 func New() *Engine {
 	return &Engine{
-		nowq:  make([]event, 0, 64),
 		procs: make(map[*Process]struct{}),
 		limit: -1,
 	}
@@ -109,12 +99,7 @@ func (e *Engine) At(t int64, sink EventSink, arg int64) {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	ev := event{time: t, seq: e.seq, sink: sink, arg: arg}
-	if e.running && t == e.now {
-		e.nowq = append(e.nowq, ev)
-		return
-	}
-	e.queue.push(ev)
+	e.queue.push(event{time: t, seq: e.seq, sink: sink, arg: arg})
 }
 
 // After schedules an event d cycles from now; see At.
@@ -139,11 +124,10 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) SetSafePointHook(fn func(now int64)) { e.safePoint = fn }
 
 // QueueStats reports the pending-event population by residence: wheel
-// (near-future slots), overflow (far-future heap), and nowq (the
-// same-cycle FIFO). Read-only; safe to call from a safe-point hook.
-func (e *Engine) QueueStats() (wheel, overflow, nowq int) {
-	wheel, overflow = e.queue.stats()
-	return wheel, overflow, len(e.nowq) - e.nowqHead
+// (near-future slots, the current cycle's included) and overflow
+// (far-future heap). Read-only; safe to call from a safe-point hook.
+func (e *Engine) QueueStats() (wheel, overflow int) {
+	return e.queue.count, e.queue.overflow.len()
 }
 
 // ErrNested is returned by Run when called re-entrantly.
@@ -186,39 +170,16 @@ func (e *Engine) RunUntil(limit int64) (int64, error) {
 	}
 }
 
-// next pops the next due event, merging the same-cycle FIFO with the
-// timing wheel in (time, seq) order. ok is false when the run is over:
-// the queue is drained, Stop was called, or the next event lies beyond
-// the RunUntil limit (in which case the clock advances to the limit).
+// next pops the next due event. ok is false when the run is over: the
+// queue is drained, Stop was called, or the next event lies beyond the
+// RunUntil limit (in which case the clock advances to the limit).
 func (e *Engine) next() (event, bool) {
-	if e.stopped {
+	if e.stopped || e.queue.len() == 0 {
 		return event{}, false
 	}
-	if e.nowqHead < len(e.nowq) {
-		nq := e.nowq[e.nowqHead]
-		// A queue event at the current cycle with a smaller seq was
-		// scheduled earlier and fires first. nowq entries are always due
-		// at e.now, so time never advances while any are pending.
-		if top := e.queue.peek(); top != nil &&
-			(top.time < nq.time || (top.time == nq.time && top.seq < nq.seq)) {
-			return e.queue.pop(), true
-		}
-		e.nowq[e.nowqHead] = event{} // release the sink for the GC
-		e.nowqHead++
-		if e.nowqHead == len(e.nowq) {
-			e.nowq = e.nowq[:0] // drained: reuse the backing array
-			e.nowqHead = 0
-		}
-		return nq, true
-	}
-	if e.queue.len() == 0 {
+	if e.limit >= 0 && e.queue.peek().time > e.limit {
+		e.now = e.limit
 		return event{}, false
-	}
-	if e.limit >= 0 {
-		if top := e.queue.peek(); top.time > e.limit {
-			e.now = e.limit
-			return event{}, false
-		}
 	}
 	ev := e.queue.pop()
 	if ev.time < e.now {

@@ -17,8 +17,8 @@ func atFn(e *Engine, t int64, fn func()) { e.At(t, fnSink(fn), 0) }
 // afterFn schedules fn d cycles from now.
 func afterFn(e *Engine, d int64, fn func()) { e.After(d, fnSink(fn), 0) }
 
-// TestEventSize pins the event at 48 bytes: every wheel-pool, overflow
-// and nowq slot is one.
+// TestEventSize pins the event at 48 bytes: every wheel-pool and
+// overflow slot is one.
 func TestEventSize(t *testing.T) {
 	if n := unsafe.Sizeof(event{}); n != 48 {
 		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 48", n)
@@ -145,10 +145,10 @@ func TestHeapManyEvents(t *testing.T) {
 	}
 }
 
-// TestSameCycleScheduleOrder pins the fast-path contract: events
-// scheduled for the current cycle while the engine is running (they take
-// the nowq FIFO, not the heap) still interleave with already-queued
-// events at that cycle in strict schedule order.
+// TestSameCycleScheduleOrder pins the same-cycle contract: events
+// scheduled for the current cycle while the engine is running (they go
+// to the tail of the current cycle's wheel slot) still interleave with
+// already-queued events at that cycle in strict schedule order.
 func TestSameCycleScheduleOrder(t *testing.T) {
 	e := New()
 	var got []string
@@ -181,9 +181,9 @@ func joinStrings(ss []string) string {
 	return out
 }
 
-// TestSameCycleWakeInterleavesWithEvents checks that a Wait(0) wake (the
-// allocation-free proc event on the fast path) keeps schedule order
-// against sink events at the same cycle.
+// TestSameCycleWakeInterleavesWithEvents checks that a Wait(0) wake (an
+// allocation-free proc event in the current cycle's slot) keeps schedule
+// order against sink events at the same cycle.
 func TestSameCycleWakeInterleavesWithEvents(t *testing.T) {
 	e := New()
 	var got []string

@@ -75,30 +75,28 @@ func TestSafePointDeterministic(t *testing.T) {
 	plain.Shutdown()
 }
 
-// TestQueueStats pins the wheel/overflow/nowq split reported at a safe
+// TestQueueStats pins the wheel/overflow split reported at a safe
 // point: a far-future event sits in the overflow heap, near events in
-// the wheel, and a same-cycle event scheduled mid-dispatch in the nowq.
+// the wheel, and so does a same-cycle event scheduled mid-dispatch.
 func TestQueueStats(t *testing.T) {
 	e := New()
 	atFn(e, 1, func() {})
 	atFn(e, 2, func() {})
 	atFn(e, wheelSize*4, func() {}) // beyond the window: overflow
-	if w, o, n := e.QueueStats(); w != 2 || o != 1 || n != 0 {
-		t.Errorf("QueueStats before run = (%d, %d, %d), want (2, 1, 0)", w, o, n)
+	if w, o := e.QueueStats(); w != 2 || o != 1 {
+		t.Errorf("QueueStats before run = (%d, %d), want (2, 1)", w, o)
 	}
 
-	sawNowq := false
+	var w, o int
 	e2 := New()
 	atFn(e2, 5, func() {
-		atFn(e2, 5, func() {}) // same cycle while running: nowq
-		if _, _, n := e2.QueueStats(); n == 1 {
-			sawNowq = true
-		}
+		atFn(e2, 5, func() {}) // same cycle while running: the wheel
+		w, o = e2.QueueStats()
 	})
 	if _, err := e2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !sawNowq {
-		t.Error("same-cycle event not visible in nowq stats")
+	if w != 1 || o != 0 {
+		t.Errorf("QueueStats after a same-cycle schedule = (%d, %d), want (1, 0)", w, o)
 	}
 }

@@ -16,7 +16,9 @@ import "math/bits"
 // absolute time, sequence numbers are globally monotonic, and overflow
 // events migrate into the wheel in heap order whenever base advances —
 // before any younger event can be scheduled into the freed slots — so
-// every slot is a FIFO already sorted by seq.
+// every slot is a FIFO already sorted by seq (seq is only the heap's
+// tiebreak). While the engine runs, base is now, so an event scheduled
+// for now joins the tail of slot now, behind every same-time event.
 const (
 	wheelBits = 10
 	wheelSize = 1 << wheelBits // cycles covered by the wheel window
@@ -44,10 +46,6 @@ type eventQueue struct {
 }
 
 func (q *eventQueue) len() int { return q.count + q.overflow.len() }
-
-// stats reports the event population by residence: wheel slots vs the
-// far-future overflow heap. Read-only.
-func (q *eventQueue) stats() (wheel, overflow int) { return q.count, q.overflow.len() }
 
 // push files one event. The caller guarantees ev.time >= base (the
 // engine never schedules into the past).

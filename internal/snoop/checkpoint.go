@@ -71,8 +71,8 @@ func (m *Machine) createNode(p *sim.Process, n proto.NodeID) {
 	start := p.Now()
 	for _, item := range m.ams[n].ModifiedItems(nil) {
 		m.bus.Acquire(p)
-		p.Wait(m.cfg.AddrPhase)
-		m.busCycles += m.cfg.AddrPhase
+		p.Wait(addrPhase)
+		m.busCycles += addrPhase
 		st := m.ams[n].State(item)
 		reused := false
 		if st == proto.MasterShared && m.cfg.FaultTolerant {
@@ -187,7 +187,7 @@ func (m *Machine) recover(p *sim.Process, f proto.NodeID) {
 		})
 		for _, w := range todo {
 			m.bus.Acquire(p)
-			p.Wait(m.cfg.AddrPhase)
+			p.Wait(addrPhase)
 			if w.promote {
 				//coma:transition SharedCK2 -> SharedCK1
 				m.ams[n].SetState(w.item, proto.SharedCK1)

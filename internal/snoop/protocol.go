@@ -36,8 +36,8 @@ func (m *Machine) read(p *sim.Process, n proto.NodeID, item proto.ItemID) {
 		m.obs.Emit(obs.Event{Time: p.Now(), Kind: obs.KTxnBegin, Node: n, Item: item,
 			Txn: txn, A: obs.TxnRead, B: p.Now() - busStart})
 	}
-	p.Wait(m.cfg.AddrPhase)
-	m.busCycles += m.cfg.AddrPhase
+	p.Wait(addrPhase)
+	m.busCycles += addrPhase
 
 	// Table 1: only a local Inv-CK copy is injected away by a read miss.
 	// (Shared-CK copies are readable and never miss; pre-commit copies
@@ -61,8 +61,8 @@ func (m *Machine) read(p *sim.Process, n proto.NodeID, item proto.ItemID) {
 		m.ams[n].Set(item, am.Slot{State: proto.Shared, Value: slot.Value, Partner: proto.None})
 		c.FillsRemote++
 		m.verify(n, item, slot.Value)
-		p.Wait(m.cfg.DataPhase)
-		m.busCycles += m.cfg.DataPhase
+		p.Wait(dataPhase)
+		m.busCycles += dataPhase
 		m.bus.Release(m.eng)
 		p.Wait(m.arch.AMAccess)
 		if m.obs != nil {
@@ -107,8 +107,8 @@ func (m *Machine) write(p *sim.Process, n proto.NodeID, item proto.ItemID, value
 		m.obs.Emit(obs.Event{Time: p.Now(), Kind: obs.KTxnBegin, Node: n, Item: item,
 			Txn: txn, A: obs.TxnWrite, B: p.Now() - busStart})
 	}
-	p.Wait(m.cfg.AddrPhase)
-	m.busCycles += m.cfg.AddrPhase
+	p.Wait(addrPhase)
+	m.busCycles += addrPhase
 
 	switch st := m.ams[n].State(item); {
 	case st == proto.InvCK1 || st == proto.InvCK2:
@@ -158,8 +158,8 @@ func (m *Machine) write(p *sim.Process, n proto.NodeID, item proto.ItemID, value
 	m.ams[n].Set(item, am.Slot{State: proto.Exclusive, Value: value, Partner: proto.None})
 	m.record(item, value)
 	if supplied {
-		p.Wait(m.cfg.DataPhase)
-		m.busCycles += m.cfg.DataPhase
+		p.Wait(dataPhase)
+		m.busCycles += dataPhase
 	}
 	m.bus.Release(m.eng)
 	p.Wait(m.arch.AMAccess)
@@ -321,8 +321,8 @@ func (m *Machine) placeCopy(p *sim.Process, n proto.NodeID, item proto.ItemID,
 		// the incoming state is whatever a mover or creator hands us.
 		//coma:transition Invalid|Shared -> Exclusive|MasterShared|SharedCK1|SharedCK2|InvCK1|InvCK2|PreCommit2
 		amt.Set(item, am.Slot{State: st, Value: value, Partner: partner})
-		p.Wait(m.cfg.DataPhase)
-		m.busCycles += m.cfg.DataPhase
+		p.Wait(dataPhase)
+		m.busCycles += dataPhase
 		return t
 	}
 	panic(fmt.Sprintf("snoop: no room for a copy of item %d from %v", item, n))

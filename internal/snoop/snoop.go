@@ -24,6 +24,14 @@ import (
 	"coma/internal/workload"
 )
 
+// Bus timing: an address/snoop phase and a data phase per transaction,
+// in cycles. The data phase has the same serialisation cost as one item
+// on a mesh link.
+const (
+	addrPhase = 8
+	dataPhase = 34
+)
+
 // Config describes one bus-COMA simulation.
 type Config struct {
 	Arch config.Arch
@@ -39,12 +47,6 @@ type Config struct {
 	// Oracle verifies every value delivered to a processor.
 	Oracle    bool
 	MaxCycles int64
-
-	// Bus timing: an address/snoop phase and a data phase per
-	// transaction. Defaults (8 and 34 cycles) give the data phase the
-	// same serialisation cost as one item on a mesh link.
-	AddrPhase int64
-	DataPhase int64
 
 	// Obs, when non-nil, receives state-change and transaction events
 	// (the bus machine has no network, so transactions have no hops: a
@@ -95,12 +97,6 @@ func (m *Machine) mintTxn(n proto.NodeID) proto.TxnID {
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Arch.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.AddrPhase == 0 {
-		cfg.AddrPhase = 8
-	}
-	if cfg.DataPhase == 0 {
-		cfg.DataPhase = 34
 	}
 	if !cfg.FaultTolerant && cfg.CheckpointInterval != 0 {
 		return nil, fmt.Errorf("snoop: the standard protocol cannot establish recovery points")
