@@ -242,8 +242,8 @@ func (e *Engine) fetch(p *sim.Process, n proto.NodeID, item proto.ItemID, kind p
 // invalidateSharers sends invalidations to every sharer of an item owned
 // locally and waits for all acknowledgements.
 func (e *Engine) invalidateSharers(p *sim.Process, n proto.NodeID, item proto.ItemID, txn proto.TxnID) {
-	entry := e.dir.Lookup(item)
-	if entry == nil {
+	entry, ok := e.dir.Lookup(item)
+	if !ok {
 		panic(fmt.Sprintf("coherence: owner %v of item %d has no directory entry", n, item))
 	}
 	ackFut := e.registerAcks(item)
@@ -385,7 +385,7 @@ func (e *Engine) evictFrame(p *sim.Process, n proto.NodeID, page proto.PageID, t
 	for i := 0; i < e.arch.ItemsPerPage(); i++ {
 		it := first + proto.ItemID(i)
 		if e.ams[n].State(it) == proto.Shared {
-			if entry := e.dir.Lookup(it); entry != nil {
+			if entry, ok := e.dir.Lookup(it); ok {
 				entry.Sharers.Remove(n)
 			}
 			e.ams[n].SetState(it, proto.Invalid)

@@ -45,9 +45,9 @@ func (e *Engine) CreatePhase(p *sim.Process, n proto.NodeID) {
 		case proto.MasterShared:
 			e.ams[n].SetState(item, proto.PreCommit1)
 			e.cacheOps.DowngradeItem(n, item)
-			entry := e.dir.Lookup(item)
+			entry, ok := e.dir.Lookup(item)
 			sharer := proto.None
-			if !e.opts.NoReplicationReuse && entry != nil {
+			if !e.opts.NoReplicationReuse && ok {
 				sharer = entry.Sharers.First()
 			}
 			if sharer != proto.None {
@@ -181,14 +181,14 @@ func (e *Engine) RebuildDirectory() []proto.ItemID {
 		})
 	}
 	dropped := e.dropped[:0]
-	e.dir.ForEach(func(item proto.ItemID, entry *dirEntry) {
+	e.dir.ForEach(func(item proto.ItemID, entry directory.Entry) {
 		entry.Sharers.Clear()
 		if o, ok := ck1[item]; ok {
-			entry.Owner = o
+			entry.SetOwner(o)
 			return
 		}
 		if _, ok := ck2[item]; ok {
-			entry.Owner = proto.None // Reconfigure promotes the CK2 copy
+			entry.SetOwner(proto.None) // Reconfigure promotes the CK2 copy
 			return
 		}
 		dropped = append(dropped, item)
@@ -207,9 +207,6 @@ type reconfWork struct {
 	item    proto.ItemID
 	promote bool
 }
-
-// dirEntry aliases the directory entry type for the rebuild callback.
-type dirEntry = directory.Entry
 
 // ReconfigureNode restores recovery-data persistence on one surviving
 // node after failures (§3.4): every local Shared-CK copy whose partner
@@ -245,8 +242,7 @@ func (e *Engine) ReconfigureNode(p *sim.Process, n proto.NodeID, dead func(proto
 		if w.promote {
 			//coma:transition SharedCK2 -> SharedCK1
 			e.ams[n].SetState(w.item, proto.SharedCK1)
-			entry := e.dir.Ensure(w.item)
-			entry.Owner = n
+			e.dir.Ensure(w.item).SetOwner(n)
 			if h := e.dir.Home(w.item); h != n {
 				e.net.Send(mesh.Message{Kind: proto.MsgHomeUpdate, Src: n, Dst: h, Item: w.item, Txn: e.roundTxn})
 			}

@@ -88,6 +88,17 @@ func (r *rig) establish(p *sim.Process) {
 	}
 }
 
+// look returns the item's directory entry, failing the test when the
+// item has none.
+func (r *rig) look(item proto.ItemID) directory.Entry {
+	r.t.Helper()
+	e, ok := r.dir.Lookup(item)
+	if !ok {
+		r.t.Fatalf("item %d has no directory entry", item)
+	}
+	return e
+}
+
 // ckPair returns the nodes holding SharedCK1 and SharedCK2 for an item.
 func (r *rig) ckPair(item proto.ItemID) (ck1, ck2 proto.NodeID) {
 	ck1, ck2 = proto.None, proto.None
@@ -114,10 +125,10 @@ func TestColdReadGetsBackgroundSharedCopy(t *testing.T) {
 	if st := r.ams[3].State(100); st != proto.Shared {
 		t.Fatalf("state = %v, want Shared", st)
 	}
-	if owner := r.dir.Lookup(100).Owner; owner != proto.None {
+	if owner := r.look(100).Owner(); owner != proto.None {
 		t.Fatalf("owner = %v, want none before the first write", owner)
 	}
-	if !r.dir.Lookup(100).Sharers.Contains(3) {
+	if !r.look(100).Sharers.Contains(3) {
 		t.Fatal("background reader not tracked as sharer")
 	}
 	if r.counters[3].FillsCold != 1 {
@@ -135,7 +146,7 @@ func TestFirstWriteInvalidatesBackgroundReaders(t *testing.T) {
 			t.Errorf("read after first write = %d, want 9", got)
 		}
 	})
-	if owner := r.dir.Lookup(100).Owner; owner != 1 {
+	if owner := r.look(100).Owner(); owner != 1 {
 		t.Fatalf("owner = %v, want the first writer", owner)
 	}
 	if st := r.ams[7].State(100); st != proto.Invalid {
@@ -158,7 +169,7 @@ func TestRemoteReadSharesAndDowngrades(t *testing.T) {
 	if st := r.ams[5].State(100); st != proto.Shared {
 		t.Fatalf("reader state = %v, want Shared", st)
 	}
-	if !r.dir.Lookup(100).Sharers.Contains(5) {
+	if !r.look(100).Sharers.Contains(5) {
 		t.Fatal("reader not in sharing set")
 	}
 	if r.cache.downgrades[0] != 1 {
@@ -188,10 +199,10 @@ func TestWriteInvalidatesAllCopies(t *testing.T) {
 	if st := r.ams[3].State(100); st != proto.Exclusive {
 		t.Fatalf("writer state = %v", st)
 	}
-	if r.dir.Lookup(100).Owner != 3 {
-		t.Fatalf("owner = %v", r.dir.Lookup(100).Owner)
+	if r.look(100).Owner() != 3 {
+		t.Fatalf("owner = %v", r.look(100).Owner())
 	}
-	if got := r.dir.Lookup(100).Sharers.Len(); got != 0 {
+	if got := r.look(100).Sharers.Len(); got != 0 {
 		t.Fatalf("sharers = %d", got)
 	}
 	// Nodes 1 and 2 were invalidated; node 0's master copy was destroyed.
@@ -282,8 +293,8 @@ func TestCheckpointCreatesCKPairs(t *testing.T) {
 		if v := r.ams[ck1].Slot(it).Value; v != uint64(10+i) {
 			t.Fatalf("item %d: CK1 value = %d", it, v)
 		}
-		if r.dir.Lookup(it).Owner != ck1 {
-			t.Fatalf("item %d: owner %v != CK1 %v", it, r.dir.Lookup(it).Owner, ck1)
+		if r.look(it).Owner() != ck1 {
+			t.Fatalf("item %d: owner %v != CK1 %v", it, r.look(it).Owner(), ck1)
 		}
 	}
 }
@@ -305,7 +316,7 @@ func TestCheckpointReusesSharedReplica(t *testing.T) {
 	if r.counters[0].CkptItemsReplicated != 0 {
 		t.Fatalf("replicated = %d, want 0 (no data transfer)", r.counters[0].CkptItemsReplicated)
 	}
-	if r.dir.Lookup(100).Sharers.Contains(7) {
+	if r.look(100).Sharers.Contains(7) {
 		t.Fatal("upgraded sharer still in sharing set")
 	}
 }
@@ -491,14 +502,14 @@ func TestRecoveryRestoresCommittedState(t *testing.T) {
 		if v := r.ams[ck1].Slot(c.item).Value; v != c.want {
 			t.Fatalf("item %d: restored value = %d, want %d", c.item, v, c.want)
 		}
-		if r.dir.Lookup(c.item).Owner != ck1 {
+		if r.look(c.item).Owner() != ck1 {
 			t.Fatalf("item %d: owner not rebuilt to CK1", c.item)
 		}
-		if r.dir.Lookup(c.item).Sharers.Len() != 0 {
+		if r.look(c.item).Sharers.Len() != 0 {
 			t.Fatalf("item %d: sharers not cleared", c.item)
 		}
 	}
-	if r.dir.Lookup(200) != nil {
+	if _, ok := r.dir.Lookup(200); ok {
 		t.Fatal("never-checkpointed item survived recovery")
 	}
 	// No current copies anywhere.

@@ -136,8 +136,7 @@ func (e *Engine) inject(p *sim.Process, n proto.NodeID, item proto.ItemID,
 
 	// Ownership follows owner-state copies.
 	if injState.Owner() && replace {
-		entry := e.dir.Ensure(item)
-		entry.Owner = target
+		e.dir.Ensure(item).SetOwner(target)
 		if h := e.dir.Home(item); h != n && h != target {
 			e.net.Send(mesh.Message{Kind: proto.MsgHomeUpdate, Src: n, Dst: h, Item: item, Txn: txn})
 		}
@@ -211,7 +210,7 @@ func (e *Engine) tryAcceptInjection(n proto.NodeID, m mesh.Message) bool {
 	// If we held a Shared copy it is being overwritten: leave the
 	// sharing set.
 	if amn.State(item) == proto.Shared {
-		if entry := e.dir.Lookup(item); entry != nil {
+		if entry, ok := e.dir.Lookup(item); ok {
 			entry.Sharers.Remove(n)
 		}
 		e.cacheOps.InvalidateItem(n, item)
@@ -239,7 +238,7 @@ func (e *Engine) dropCleanFrame(n proto.NodeID, page proto.PageID) {
 	for i := 0; i < e.arch.ItemsPerPage(); i++ {
 		it := first + proto.ItemID(i)
 		if e.ams[n].State(it) == proto.Shared {
-			if entry := e.dir.Lookup(it); entry != nil {
+			if entry, ok := e.dir.Lookup(it); ok {
 				entry.Sharers.Remove(n)
 			}
 			e.ams[n].SetState(it, proto.Invalid)

@@ -11,8 +11,8 @@ import (
 // node: it consults the localisation pointer and either grants a cold
 // first touch or forwards the request to the current owner.
 func (e *Engine) homeRequest(h proto.NodeID, m mesh.Message) {
-	entry := e.dir.Lookup(m.Item)
-	if entry == nil || entry.Owner == proto.None {
+	entry, ok := e.dir.Lookup(m.Item)
+	if !ok || entry.Owner() == proto.None {
 		// The item has never been written: it is initialised-background
 		// memory (the paper measures the parallel phase of applications
 		// whose data was initialised earlier). Reads receive Shared
@@ -37,7 +37,7 @@ func (e *Engine) homeRequest(h proto.NodeID, m mesh.Message) {
 				})
 			})
 			entry.Sharers.Clear()
-			entry.Owner = m.Requester
+			entry.SetOwner(m.Requester)
 		} else {
 			entry.Sharers.Add(m.Requester)
 		}
@@ -59,7 +59,7 @@ func (e *Engine) homeRequest(h proto.NodeID, m mesh.Message) {
 	e.net.Send(mesh.Message{
 		Kind:      fwd,
 		Src:       h,
-		Dst:       entry.Owner,
+		Dst:       entry.Owner(),
 		Item:      m.Item,
 		Requester: m.Requester,
 		Token:     m.Token,
@@ -83,7 +83,7 @@ func (e *Engine) ownerRead(o proto.NodeID, m mesh.Message) {
 		panic(fmt.Sprintf("coherence: node %v asked to serve read of item %d in %v",
 			o, m.Item, slot.State))
 	}
-	entry := e.dir.Lookup(m.Item)
+	entry, _ := e.dir.Lookup(m.Item)
 	entry.Sharers.Add(m.Requester)
 	e.net.Send(mesh.Message{
 		Kind:  proto.MsgDataReply,
@@ -104,7 +104,7 @@ func (e *Engine) ownerRead(o proto.NodeID, m mesh.Message) {
 // Shared-CK pair to Inv-CK instead of destroying it.
 func (e *Engine) ownerWrite(o proto.NodeID, m mesh.Message) {
 	slot := e.ams[o].Slot(m.Item)
-	entry := e.dir.Lookup(m.Item)
+	entry, _ := e.dir.Lookup(m.Item)
 	acks := 0
 	entry.Sharers.ForEach(func(s proto.NodeID) {
 		if s == m.Requester {
@@ -154,7 +154,7 @@ func (e *Engine) ownerWrite(o proto.NodeID, m mesh.Message) {
 			o, m.Item, slot.State))
 	}
 
-	entry.Owner = m.Requester
+	entry.SetOwner(m.Requester)
 	// Localisation-pointer update: state is already consistent (the
 	// simulator mutates under the item lock); the message carries timing.
 	if h := e.dir.Home(m.Item); h != o && h != m.Requester {

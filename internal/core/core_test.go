@@ -274,13 +274,24 @@ func TestInvariantCheckerCatchesStrayPreCommit(t *testing.T) {
 	}
 }
 
+// look returns the item's directory entry, failing the test when the
+// item has none.
+func (r *rig) look(item proto.ItemID) directory.Entry {
+	r.t.Helper()
+	e, ok := r.dir.Lookup(item)
+	if !ok {
+		r.t.Fatalf("item %d has no directory entry", item)
+	}
+	return e
+}
+
 func TestInvariantCheckerCatchesSharerMismatch(t *testing.T) {
 	r := newRig(t, 16)
 	r.run(func(p *sim.Process) {
 		r.coh.WriteItem(p, 0, 100, 1)
 		r.coh.ReadItem(p, 3, 100)
 	})
-	r.dir.Lookup(100).Sharers.Remove(3) // forge: node 3 still holds Shared
+	r.look(100).Sharers.Remove(3) // forge: node 3 still holds Shared
 	err := CheckInvariants(r.coh)
 	if err == nil || !strings.Contains(err.Error(), "sharing set") {
 		t.Fatalf("err = %v, want sharing-set violation", err)
@@ -293,7 +304,7 @@ func TestInvariantCheckerNamesPhantomSharer(t *testing.T) {
 		r.coh.WriteItem(p, 0, 100, 1)
 		r.coh.ReadItem(p, 3, 100)
 	})
-	r.dir.Lookup(100).Sharers.Add(9) // forge: node 9 holds no copy at all
+	r.look(100).Sharers.Add(9) // forge: node 9 holds no copy at all
 	err := CheckInvariants(r.coh)
 	if err == nil || !strings.Contains(err.Error(), "holds no Shared copy") ||
 		!strings.Contains(err.Error(), "9") {
@@ -307,11 +318,11 @@ func TestInvariantCheckerNamesPhantomSharer(t *testing.T) {
 func TestInvariantCheckerWalksTheDirectory(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		forge func(e *directory.Entry)
+		forge func(e directory.Entry)
 		want  string
 	}{
-		{"owner", func(e *directory.Entry) { e.Owner = 7 }, "directory owner n7 holds no owner copy"},
-		{"sharer", func(e *directory.Entry) { e.Sharers.Add(9) }, "node n9 is in the sharing set but holds no Shared copy"},
+		{"owner", func(e directory.Entry) { e.SetOwner(7) }, "directory owner n7 holds no owner copy"},
+		{"sharer", func(e directory.Entry) { e.Sharers.Add(9) }, "node n9 is in the sharing set but holds no Shared copy"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, 16)

@@ -53,8 +53,8 @@ func CheckInvariants(coh *coherence.Engine) error {
 		}
 		return cs
 	}
-	dir.ForEach(func(it proto.ItemID, e *directory.Entry) {
-		if e.Owner != proto.None || e.Sharers.Len() > 0 {
+	dir.ForEach(func(it proto.ItemID, e directory.Entry) {
+		if e.Owner() != proto.None || e.Sharers.Len() > 0 {
 			copiesOf(it)
 		}
 	})
@@ -89,19 +89,19 @@ func CheckInvariants(coh *coherence.Engine) error {
 			return fmt.Errorf("item %d is Exclusive but has %d current copies", it, cs.current)
 		}
 
-		entry := dir.Lookup(it)
-		if len(cs.owners) == 0 && entry != nil && entry.Owner != proto.None {
-			return fmt.Errorf("item %d: directory owner %v holds no owner copy", it, entry.Owner)
+		entry, ok := dir.Lookup(it)
+		if len(cs.owners) == 0 && ok && entry.Owner() != proto.None {
+			return fmt.Errorf("item %d: directory owner %v holds no owner copy", it, entry.Owner())
 		}
 		if len(cs.owners) == 1 {
-			if entry == nil {
+			if !ok {
 				return fmt.Errorf("item %d has owner %v but no directory entry", it, cs.owners[0])
 			}
-			if entry.Owner != cs.owners[0] {
-				return fmt.Errorf("item %d: directory owner %v, actual %v", it, entry.Owner, cs.owners[0])
+			if entry.Owner() != cs.owners[0] {
+				return fmt.Errorf("item %d: directory owner %v, actual %v", it, entry.Owner(), cs.owners[0])
 			}
 		}
-		if entry != nil {
+		if ok {
 			for _, s := range cs.shared {
 				if !entry.Sharers.Contains(s) {
 					return fmt.Errorf("item %d: node %v holds Shared but is not in the sharing set", it, s)

@@ -19,35 +19,67 @@ import (
 	"coma/internal/proto"
 )
 
-// Entry is the directory state of one item.
+// Entry is a handle on the directory state of one item. It stays valid
+// until the item is dropped: records never move, only their index slots
+// do. The zero Entry is no item's.
 type Entry struct {
-	// Owner is the node whose copy answers requests: the holder of the
-	// Exclusive, MasterShared, SharedCK1 or PreCommit1 copy. None until
-	// the item is first touched (and again after a rollback that
-	// discards a never-checkpointed item).
-	Owner proto.NodeID
+	owner *proto.NodeID
 	// Sharers is the set of nodes holding Shared copies (the owner is
 	// not a member).
 	Sharers Bitset
 }
 
-// Directory is the global localisation state for one machine.
-type Directory struct {
-	nodes   int
-	alive   []bool
-	ring    []proto.NodeID // alive nodes in id order
-	entries map[proto.ItemID]*Entry
+// Owner returns the node whose copy answers requests: the holder of the
+// Exclusive, MasterShared, SharedCK1 or PreCommit1 copy. None until the
+// item is first touched (and again after a rollback that discards a
+// never-checkpointed item).
+func (e Entry) Owner() proto.NodeID { return *e.owner }
 
-	// slab is the unused tail of the current entry block: entries are
-	// carved from blocks of entryBlock, each block backed by one Entry
-	// array and one shared array of sharer words, so creating an entry
-	// allocates nothing per item. free holds dropped entries for reuse.
-	slab []Entry
-	free []*Entry
+// SetOwner records the item's new owner.
+func (e Entry) SetOwner(n proto.NodeID) { *e.owner = n }
+
+// The item index starts at firstIndex slots on the first Ensure and
+// doubles whenever it would pass maxLoadNum/maxLoadDen full. Records are
+// carved recBlock at a time.
+const (
+	firstIndex = 1024
+	maxLoadNum = 3
+	maxLoadDen = 4
+	recBlock   = 256
+)
+
+// slot is one cell of the item index: key is the item plus one (0 in a
+// free slot) and rec the number of the item's record.
+type slot struct {
+	key proto.ItemID
+	rec int32
 }
 
-// entryBlock is the number of entries carved from one slab block.
-const entryBlock = 256
+// Directory is the global localisation state for one machine.
+type Directory struct {
+	nodes int
+	alive []bool
+	ring  []proto.NodeID // alive nodes in id order
+
+	// index is an open-addressed, linearly probed table from item to
+	// record number: nil until the first Ensure, then a power of two
+	// long and at most maxLoadNum/maxLoadDen full. used counts its
+	// items, and shift turns a hash into a home index.
+	index []slot
+	used  int
+	shift uint
+
+	// Record r is owners[r/recBlock][r%recBlock] and the words sharer
+	// words of sharers[r/recBlock] from (r%recBlock)*words on. Blocks
+	// are allocated whole and never move, so an Entry may point into
+	// them. recs counts the records carved so far; free holds the
+	// numbers of dropped ones for reuse.
+	owners  [][]proto.NodeID
+	sharers [][]uint64
+	words   int
+	recs    int32
+	free    []int32
+}
 
 // New builds a directory for n nodes, all alive.
 func New(n int) *Directory {
@@ -55,9 +87,9 @@ func New(n int) *Directory {
 		panic("directory: need at least one node")
 	}
 	d := &Directory{
-		nodes:   n,
-		alive:   make([]bool, n),
-		entries: make(map[proto.ItemID]*Entry),
+		nodes: n,
+		alive: make([]bool, n),
+		words: (n + 63) / 64,
 	}
 	for i := range d.alive {
 		d.alive[i] = true
@@ -137,67 +169,142 @@ func (d *Directory) Anchors(dst []proto.NodeID, firstToucher proto.NodeID, count
 	return dst
 }
 
-// Lookup returns the entry for an item, or nil if it was never created.
-func (d *Directory) Lookup(item proto.ItemID) *Entry {
-	return d.entries[item]
+// Lookup returns the entry for an item, and false if it was never
+// created (or was dropped).
+func (d *Directory) Lookup(item proto.ItemID) (Entry, bool) {
+	i := d.find(item)
+	if i < 0 {
+		return Entry{}, false
+	}
+	return d.entry(d.index[i].rec), true
 }
 
 // Ensure returns the entry for an item, creating an ownerless one on
 // first touch.
-func (d *Directory) Ensure(item proto.ItemID) *Entry {
-	e := d.entries[item]
-	if e == nil {
-		e = d.newEntry()
-		d.entries[item] = e
+func (d *Directory) Ensure(item proto.ItemID) Entry {
+	if i := d.find(item); i >= 0 {
+		return d.entry(d.index[i].rec)
 	}
-	return e
+	if (d.used+1)*maxLoadDen > len(d.index)*maxLoadNum {
+		d.grow()
+	}
+	d.used++
+	r := d.newRecord()
+	d.index[d.vacant(item+1)] = slot{key: item + 1, rec: r}
+	return d.entry(r)
 }
 
-// newEntry returns an ownerless entry with an empty sharer set: a
-// dropped one if any, else the next one of the current slab block.
-func (d *Directory) newEntry() *Entry {
-	if n := len(d.free); n > 0 {
-		e := d.free[n-1]
-		d.free = d.free[:n-1]
-		e.Owner = proto.None
-		e.Sharers.Clear()
-		return e
+// entry returns the handle on record r.
+func (d *Directory) entry(r int32) Entry {
+	b, o := r/recBlock, int(r%recBlock)*d.words
+	return Entry{
+		owner:   &d.owners[b][r%recBlock],
+		Sharers: Bitset{words: d.sharers[b][o : o+d.words : o+d.words], n: d.nodes},
 	}
-	if len(d.slab) == 0 {
-		w := (d.nodes + 63) / 64
-		words := make([]uint64, entryBlock*w)
-		d.slab = make([]Entry, entryBlock)
-		for i := range d.slab {
-			d.slab[i] = Entry{
-				Owner:   proto.None,
-				Sharers: Bitset{words: words[i*w : (i+1)*w : (i+1)*w], n: d.nodes},
-			}
+}
+
+// newRecord returns the number of an ownerless record with an empty
+// sharer set: a dropped one if any, else the next one of the current
+// block, allocating a block when the last one is used up.
+func (d *Directory) newRecord() int32 {
+	var r int32
+	if n := len(d.free); n > 0 {
+		r = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		if d.recs%recBlock == 0 {
+			d.owners = append(d.owners, make([]proto.NodeID, recBlock))
+			d.sharers = append(d.sharers, make([]uint64, recBlock*d.words))
+		}
+		r = d.recs
+		d.recs++
+	}
+	e := d.entry(r)
+	e.SetOwner(proto.None)
+	e.Sharers.Clear()
+	return r
+}
+
+// home returns the index slot where the probe for key starts (Fibonacci
+// hashing: consecutive items land far apart).
+func (d *Directory) home(key proto.ItemID) int {
+	return int(uint32(key) * 0x9E3779B9 >> d.shift)
+}
+
+// find returns the index slot of the item, or -1 when it has none.
+func (d *Directory) find(item proto.ItemID) int {
+	if d.index == nil {
+		return -1
+	}
+	key, mask := item+1, len(d.index)-1
+	for i := d.home(key); ; i = (i + 1) & mask {
+		switch d.index[i].key {
+		case key:
+			return i
+		case 0:
+			return -1
 		}
 	}
-	e := &d.slab[0]
-	d.slab = d.slab[1:]
-	return e
+}
+
+// vacant returns the first free slot on key's probe sequence; the index
+// is never full.
+func (d *Directory) vacant(key proto.ItemID) int {
+	j, mask := d.home(key), len(d.index)-1
+	for d.index[j].key != 0 {
+		j = (j + 1) & mask
+	}
+	return j
+}
+
+// grow doubles the index (or makes the first one) and moves every slot
+// to its place in the new index. Records stay where they are.
+func (d *Directory) grow() {
+	old := d.index
+	n := max(2*len(old), firstIndex)
+	d.index = make([]slot, n)
+	d.shift = uint(32 - bits.TrailingZeros(uint(n)))
+	for _, s := range old {
+		if s.key != 0 {
+			d.index[d.vacant(s.key)] = s
+		}
+	}
 }
 
 // Drop removes an item's entry entirely (rollback of an item created
-// after the last recovery point). The entry is reused by a later
-// Ensure, so callers must not keep it past the Drop.
+// after the last recovery point). Its record is reused by a later
+// Ensure, so callers must not keep the entry past the Drop. Linear
+// probing cannot leave a hole in a probe sequence, so each later slot
+// of the run that may fill the hole moves back into it (backward-shift
+// deletion).
 func (d *Directory) Drop(item proto.ItemID) {
-	if e := d.entries[item]; e != nil {
-		delete(d.entries, item)
-		d.free = append(d.free, e)
+	i := d.find(item)
+	if i < 0 {
+		return
 	}
+	d.free = append(d.free, d.index[i].rec)
+	mask := len(d.index) - 1
+	for j := (i + 1) & mask; d.index[j].key != 0; j = (j + 1) & mask {
+		if (j-d.home(d.index[j].key))&mask >= (j-i)&mask {
+			d.index[i] = d.index[j]
+			i = j
+		}
+	}
+	d.index[i].key = 0
+	d.used--
 }
 
 // Items returns the number of entries (items ever touched and still
 // tracked).
-func (d *Directory) Items() int { return len(d.entries) }
+func (d *Directory) Items() int { return d.used }
 
-// ForEach visits every entry. Iteration order is unspecified; callers
-// needing determinism must sort.
-func (d *Directory) ForEach(fn func(item proto.ItemID, e *Entry)) {
-	for item, e := range d.entries {
-		fn(item, e)
+// ForEach visits every entry. fn must not Ensure or Drop an item.
+// Iteration order is unspecified; callers needing determinism must sort.
+func (d *Directory) ForEach(fn func(item proto.ItemID, e Entry)) {
+	for _, s := range d.index {
+		if s.key != 0 {
+			fn(s.key-1, d.entry(s.rec))
+		}
 	}
 }
 
@@ -212,32 +319,32 @@ func NewBitset(n int) Bitset {
 	return Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
-func (b *Bitset) check(i proto.NodeID) {
+func (b Bitset) check(i proto.NodeID) {
 	if int(i) < 0 || int(i) >= b.n {
 		panic(fmt.Sprintf("directory: node %v out of bitset range %d", i, b.n))
 	}
 }
 
 // Add inserts a node.
-func (b *Bitset) Add(i proto.NodeID) {
+func (b Bitset) Add(i proto.NodeID) {
 	b.check(i)
 	b.words[i/64] |= 1 << (uint(i) % 64)
 }
 
 // Remove deletes a node.
-func (b *Bitset) Remove(i proto.NodeID) {
+func (b Bitset) Remove(i proto.NodeID) {
 	b.check(i)
 	b.words[i/64] &^= 1 << (uint(i) % 64)
 }
 
 // Contains reports membership.
-func (b *Bitset) Contains(i proto.NodeID) bool {
+func (b Bitset) Contains(i proto.NodeID) bool {
 	b.check(i)
 	return b.words[i/64]&(1<<(uint(i)%64)) != 0
 }
 
 // Len returns the number of members.
-func (b *Bitset) Len() int {
+func (b Bitset) Len() int {
 	total := 0
 	for _, w := range b.words {
 		total += bits.OnesCount64(w)
@@ -246,14 +353,14 @@ func (b *Bitset) Len() int {
 }
 
 // Clear empties the set.
-func (b *Bitset) Clear() {
+func (b Bitset) Clear() {
 	for i := range b.words {
 		b.words[i] = 0
 	}
 }
 
 // ForEach visits members in increasing id order.
-func (b *Bitset) ForEach(fn func(proto.NodeID)) {
+func (b Bitset) ForEach(fn func(proto.NodeID)) {
 	for wi, w := range b.words {
 		for ; w != 0; w &= w - 1 {
 			fn(proto.NodeID(wi*64 + bits.TrailingZeros64(w)))
@@ -262,14 +369,14 @@ func (b *Bitset) ForEach(fn func(proto.NodeID)) {
 }
 
 // Members returns the members in increasing id order.
-func (b *Bitset) Members() []proto.NodeID {
+func (b Bitset) Members() []proto.NodeID {
 	out := make([]proto.NodeID, 0, b.Len())
 	b.ForEach(func(n proto.NodeID) { out = append(out, n) })
 	return out
 }
 
 // First returns the lowest member, or None if empty.
-func (b *Bitset) First() proto.NodeID {
+func (b Bitset) First() proto.NodeID {
 	for wi, w := range b.words {
 		if w != 0 {
 			return proto.NodeID(wi*64 + bits.TrailingZeros64(w))

@@ -1,6 +1,8 @@
 package directory
 
 import (
+	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -111,22 +113,22 @@ func TestAnchors(t *testing.T) {
 
 func TestEnsureAndDrop(t *testing.T) {
 	d := New(8)
-	if d.Lookup(5) != nil {
+	if _, ok := d.Lookup(5); ok {
 		t.Fatal("entry exists before Ensure")
 	}
 	e := d.Ensure(5)
-	if e.Owner != proto.None {
-		t.Fatalf("fresh owner = %v", e.Owner)
+	if e.Owner() != proto.None {
+		t.Fatalf("fresh owner = %v", e.Owner())
 	}
-	e.Owner = 3
-	if d.Ensure(5).Owner != 3 {
+	e.SetOwner(3)
+	if d.Ensure(5).Owner() != 3 {
 		t.Fatal("Ensure did not return the existing entry")
 	}
 	if d.Items() != 1 {
 		t.Fatalf("items = %d", d.Items())
 	}
 	d.Drop(5)
-	if d.Lookup(5) != nil || d.Items() != 0 {
+	if _, ok := d.Lookup(5); ok || d.Items() != 0 {
 		t.Fatal("Drop left the entry")
 	}
 }
@@ -224,98 +226,191 @@ func TestBitsetProperty(t *testing.T) {
 }
 
 // TestEntrySlabMatchesMapModel drives Ensure/Drop/Lookup/ForEach/Items
-// against a map-based model. Entries come from slab blocks and dropped
-// ones are reused, so a reused entry must start ownerless with an empty
-// sharer set, and no two live items may share an entry. The 70-node
-// case gives every entry a two-word sharer set carved from one shared
-// word array, so a write spilling into a neighbour's words shows up.
+// against a map-based model, over enough items that the index grows far
+// past its first 1024 slots while Drops land inside probe runs (so
+// backward-shift deletion moves slots). Dropped records are reused, so a
+// reused entry must start ownerless with an empty sharer set, and no two
+// live items may share a record. The 70-node case gives every record a
+// two-word sharer set carved from one shared word array, so a write
+// spilling into a neighbour's words shows up.
 func TestEntrySlabMatchesMapModel(t *testing.T) {
 	type model struct {
 		owner   proto.NodeID
 		sharers map[proto.NodeID]bool
 	}
+	same := func(e Entry, m *model) bool {
+		if e.Owner() != m.owner || e.Sharers.Len() != len(m.sharers) {
+			return false
+		}
+		for _, n := range e.Sharers.Members() {
+			if !m.sharers[n] {
+				return false
+			}
+		}
+		return true
+	}
 	for _, nodes := range []int{16, 70} {
-		f := func(ops []uint16) bool {
+		for seed := uint64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewPCG(seed, uint64(nodes)))
 			d := New(nodes)
 			ref := map[proto.ItemID]*model{}
-			for i, op := range ops {
-				item := proto.ItemID(op % 97) // small range: items recur
-				node := proto.NodeID(int(op>>7) % nodes)
-				switch i % 4 {
+			midRun, peak := 0, 0
+			verify := func(when int) {
+				t.Helper()
+				if d.Items() != len(ref) {
+					t.Fatalf("%d nodes, seed %d, op %d: Items = %d, model %d",
+						nodes, seed, when, d.Items(), len(ref))
+				}
+				seen := map[*proto.NodeID]bool{}
+				d.ForEach(func(item proto.ItemID, e Entry) {
+					m := ref[item]
+					if l, ok := d.Lookup(item); m == nil || seen[e.owner] || !ok ||
+						l.owner != e.owner || !same(e, m) {
+						t.Fatalf("%d nodes, seed %d, op %d: item %d disagrees with the model",
+							nodes, seed, when, item)
+					}
+					seen[e.owner] = true
+				})
+				if len(seen) != len(ref) {
+					t.Fatalf("ForEach visited %d items, model has %d", len(seen), len(ref))
+				}
+			}
+			for i := range 40000 {
+				item := proto.ItemID(2 * rng.IntN(6000)) // strided: items recur
+				node := proto.NodeID(rng.IntN(nodes))
+				switch rng.IntN(4) {
 				case 0, 1: // Ensure, then mutate owner and sharers
 					e := d.Ensure(item)
 					m := ref[item]
 					if m == nil {
-						if e.Owner != proto.None || e.Sharers.Len() != 0 {
-							t.Logf("fresh or reused entry for %d: owner %v, sharers %v",
-								item, e.Owner, e.Sharers.Members())
-							return false
+						if e.Owner() != proto.None || e.Sharers.Len() != 0 {
+							t.Fatalf("fresh or reused entry for %d: owner %v, sharers %v",
+								item, e.Owner(), e.Sharers.Members())
 						}
 						m = &model{owner: proto.None, sharers: map[proto.NodeID]bool{}}
 						ref[item] = m
 					}
-					if op%3 == 0 {
-						e.Owner, m.owner = node, node
+					if rng.IntN(3) == 0 {
+						e.SetOwner(node)
+						m.owner = node
 					}
 					e.Sharers.Add(node)
 					m.sharers[node] = true
 				case 2:
+					if j := d.find(item); j >= 0 && d.index[(j+1)&(len(d.index)-1)].key != 0 {
+						midRun++
+					}
 					d.Drop(item)
 					delete(ref, item)
 				case 3:
-					if e := d.Lookup(item); (e == nil) != (ref[item] == nil) {
-						t.Logf("Lookup(%d) = %v, model has %v", item, e, ref[item])
-						return false
+					e, ok := d.Lookup(item)
+					if m := ref[item]; ok != (m != nil) || ok && !same(e, m) {
+						t.Fatalf("Lookup(%d) = %v, model has %v", item, ok, m)
 					}
 				}
-			}
-			if d.Items() != len(ref) {
-				t.Logf("Items = %d, model %d", d.Items(), len(ref))
-				return false
-			}
-			seen := map[*Entry]bool{}
-			ok := true
-			d.ForEach(func(item proto.ItemID, e *Entry) {
-				m := ref[item]
-				if m == nil || seen[e] || e != d.Lookup(item) || e.Owner != m.owner ||
-					e.Sharers.Len() != len(m.sharers) {
-					ok = false
-					return
+				peak = max(peak, len(ref))
+				if i%5000 == 4999 {
+					verify(i)
 				}
-				seen[e] = true
-				e.Sharers.ForEach(func(n proto.NodeID) {
-					if !m.sharers[n] {
-						ok = false
-					}
-				})
-			})
-			return ok && len(seen) == len(ref)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-			t.Fatalf("%d nodes: %v", nodes, err)
+			}
+			verify(-1)
+			if peak < 3000 || len(d.index) <= 1024 || midRun < 100 {
+				t.Fatalf("%d nodes, seed %d: peak %d live items, index %d slots, %d mid-run drops: the stream no longer exercises growth and backward shift",
+					nodes, seed, peak, len(d.index), midRun)
+			}
 		}
 	}
 }
 
 // TestDroppedEntryIsReusedClean pins the free-list contract directly:
-// the next Ensure after a Drop gets the dropped entry back, ownerless
+// the next Ensure after a Drop gets the dropped record back, ownerless
 // and with no sharers, whichever item it is for.
 func TestDroppedEntryIsReusedClean(t *testing.T) {
 	d := New(70)
 	e := d.Ensure(1)
-	e.Owner = 4
+	e.SetOwner(4)
 	e.Sharers.Add(2)
 	e.Sharers.Add(69)
 	d.Drop(1)
 	r := d.Ensure(2)
-	if r != e {
-		t.Fatal("Ensure after Drop did not reuse the dropped entry")
+	if r.owner != e.owner {
+		t.Fatal("Ensure after Drop did not reuse the dropped record")
 	}
-	if r.Owner != proto.None || r.Sharers.Len() != 0 {
-		t.Fatalf("reused entry: owner %v, sharers %v", r.Owner, r.Sharers.Members())
+	if r.Owner() != proto.None || r.Sharers.Len() != 0 {
+		t.Fatalf("reused entry: owner %v, sharers %v", r.Owner(), r.Sharers.Members())
 	}
 	d.Drop(3) // dropping an absent item is a no-op
-	if got := d.Ensure(3); got == e {
-		t.Fatal("a no-op Drop put an entry on the free list")
+	if got := d.Ensure(3); got.owner == e.owner {
+		t.Fatal("a no-op Drop put a record on the free list")
+	}
+}
+
+// TestEntryHandleSurvivesGrowth: index growth moves slots, never
+// records, so a handle taken before thousands of Ensures still names
+// the item's state afterwards.
+func TestEntryHandleSurvivesGrowth(t *testing.T) {
+	d := New(70)
+	e := d.Ensure(7)
+	e.SetOwner(2)
+	for i := range 5000 {
+		d.Ensure(proto.ItemID(100 + 3*i))
+	}
+	if len(d.index) <= firstIndex {
+		t.Fatalf("index has %d slots: it never grew", len(d.index))
+	}
+	e.SetOwner(5)
+	e.Sharers.Add(66)
+	got, ok := d.Lookup(7)
+	if !ok || got.Owner() != 5 || !got.Sharers.Contains(66) || got.Sharers.Len() != 1 {
+		t.Fatalf("Lookup(7) = %v owner %v sharers %v, want owner n5 and sharer n66",
+			ok, got.Owner(), got.Sharers.Members())
+	}
+}
+
+// TestDirectoryBytesPerEntry bounds the host heap one directory entry
+// costs, measured over a finished-run-sized directory (13,565 items on
+// 16 nodes, every other item touched, as a sim-ecp job leaves it).
+func TestDirectoryBytesPerEntry(t *testing.T) {
+	const entries, maxBytes = 13565, 40
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := New(16)
+	for i := range entries {
+		d.Ensure(proto.ItemID(2 * i)).SetOwner(proto.NodeID(i % 16))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / entries
+	runtime.KeepAlive(d)
+	if per > maxBytes {
+		t.Fatalf("directory costs %.1f B per entry, want at most %d", per, maxBytes)
+	}
+	t.Logf("%.1f B per entry", per)
+}
+
+// BenchmarkDirectory runs one job's worth of directory traffic over a
+// sparse, strided item stream shaped like sim-ecp's: first touches of
+// every other item, lookups of each, and a rollback that drops the
+// items created since the last recovery point and re-creates them.
+func BenchmarkDirectory(b *testing.B) {
+	const entries = 13565
+	b.ReportAllocs()
+	for b.Loop() {
+		d := New(16)
+		for i := range entries {
+			d.Ensure(proto.ItemID(2 * i)).Sharers.Add(proto.NodeID(i % 16))
+		}
+		for i := range entries {
+			if e, ok := d.Lookup(proto.ItemID(2 * i)); !ok || e.Sharers.Len() != 1 {
+				b.Fatalf("item %d lost its entry", 2*i)
+			}
+		}
+		for i := entries / 2; i < entries; i++ {
+			d.Drop(proto.ItemID(2 * i))
+		}
+		for i := entries / 2; i < entries; i++ {
+			d.Ensure(proto.ItemID(2 * i))
+		}
 	}
 }

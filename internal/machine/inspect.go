@@ -37,10 +37,10 @@ func (m *Machine) InspectLine(item proto.ItemID) inspect.LineView {
 		Copies:        []inspect.CopyView{},
 		RecoveryPairs: [][2]int{},
 	}
-	if e := m.dir.Lookup(item); e != nil {
+	if e, ok := m.dir.Lookup(item); ok {
 		v.Present = true
-		if e.Owner != proto.None {
-			v.Owner = int(e.Owner)
+		if o := e.Owner(); o != proto.None {
+			v.Owner = int(o)
 		}
 		e.Sharers.ForEach(func(n proto.NodeID) {
 			v.Sharers = append(v.Sharers, int(n))

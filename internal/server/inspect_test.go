@@ -122,15 +122,26 @@ func TestInspectViewsOverHTTP(t *testing.T) {
 	ctl := <-p.ctl
 
 	// Park the run at a safe point so every query below is answered
-	// immediately and deterministically (sim time frozen at 100).
-	go func() { p.step <- 100 }()
-	ctl.Pause()
+	// immediately and deterministically. A step may pass its safe point
+	// before Pause raises attention, so steps of 100 go in until Pause
+	// returns; the run is then parked after exactly k of them.
+	paused := make(chan struct{})
+	go func() { ctl.Pause(); close(paused) }()
+	var k int64
+	for parked := false; !parked; {
+		select {
+		case p.step <- 100:
+			k++
+		case <-paused:
+			parked = true
+		}
+	}
 	base := ts.URL + "/v1/jobs/" + st.ID + "/inspect"
 
 	var sum inspect.SummaryView
 	getJSON(t, base, http.StatusOK, &sum) // default view=summary
-	if sum.SimCycles != 100 || sum.Events != 1 || sum.Nodes != 4 || sum.Finished {
-		t.Errorf("summary = %+v, want sim_cycles=100 events=1 nodes=4 finished=false", sum)
+	if sum.SimCycles != 100*k || sum.Events != k || sum.Nodes != 4 || sum.Finished {
+		t.Errorf("summary = %+v, want sim_cycles=%d events=%d nodes=4 finished=false", sum, 100*k, k)
 	}
 
 	var nodes []inspect.NodeView
