@@ -4,9 +4,11 @@
 // cache with 2 KB sectors and 64-byte lines; a sector holds one tag and a
 // valid/dirty/writable bit per line.
 //
-// The cache stores a 64-bit value stamp per line (the simulator's model of
-// data contents) so end-to-end value correctness can be checked against
-// the machine's oracle.
+// A cache built with stamps also stores a 64-bit value stamp per line
+// (the simulator's model of data contents), so a strict run can check
+// the value of every read hit against the machine's oracle. Without
+// stamps a read hit returns 0; hits, misses, evictions and statistics
+// do not depend on the stamps.
 package cache
 
 import (
@@ -59,15 +61,18 @@ type Cache struct {
 
 	sectors []sector // way w of set s is sectors[s*ways+w]
 	// values holds one value stamp per line, meaningful only while the
-	// line's flag byte has lineValid. A line's flags are all clear
-	// whenever it is not valid, and every line of an invalid sector is.
+	// line's flag byte has lineValid, or is nil for a cache without
+	// stamps. A line's flags are all clear whenever it is not valid, and
+	// every line of an invalid sector is.
 	values []uint64
 	flags  []uint8 // one lineValid|lineDirty|lineWritable byte per line
 	stats  Stats
 }
 
-// New builds an empty cache for the architecture.
-func New(arch config.Arch) *Cache {
+// New builds an empty cache for the architecture. With stamps it keeps
+// a value stamp per line and a read hit returns the line's value;
+// without, it keeps only the line flags.
+func New(arch config.Arch, stamps bool) *Cache {
 	sectorSize := arch.CacheLineSize * arch.CacheSectors
 	numSectors := arch.CacheSize / sectorSize
 	numSets := numSectors / arch.CacheWays
@@ -75,6 +80,10 @@ func New(arch config.Arch) *Cache {
 		panic(fmt.Sprintf("cache: geometry yields %d sets", numSets))
 	}
 	lines := numSets * arch.CacheWays * arch.CacheSectors
+	var values []uint64
+	if stamps {
+		values = make([]uint64, lines)
+	}
 	return &Cache{
 		numSets:        numSets,
 		ways:           arch.CacheWays,
@@ -83,7 +92,7 @@ func New(arch config.Arch) *Cache {
 		linesPerSector: arch.CacheSectors,
 		linesPerItem:   arch.LinesPerItem(),
 		sectors:        make([]sector, numSets*arch.CacheWays),
-		values:         make([]uint64, lines),
+		values:         values,
 		flags:          make([]uint8, lines),
 	}
 }
@@ -127,19 +136,25 @@ func (c *Cache) findLine(addr uint64) (line, si int) {
 }
 
 // Access performs one processor access. For a read it returns (value,
-// true) on a hit. For a write it returns true only if the line is present
-// and writable; the write is applied. On any miss the caller runs the
-// below protocol and then calls Fill (and Write again for writes).
+// true) on a hit, the value being 0 without stamps. For a write it
+// returns true only if the line is present and writable; the write is
+// applied. On any miss the caller runs the below protocol and then
+// calls Fill (and Write again for writes).
 func (c *Cache) Access(addr uint64, write bool, value uint64, now int64) (uint64, bool) {
 	if l, si := c.findLine(addr); l >= 0 {
 		if !write {
 			c.sectors[si].lastUse = now
 			c.stats.ReadHits++
+			if c.values == nil {
+				return 0, true
+			}
 			return c.values[l], true
 		}
 		if c.flags[l]&lineWritable != 0 {
 			c.sectors[si].lastUse = now
-			c.values[l] = value
+			if c.values != nil {
+				c.values[l] = value
+			}
 			c.flags[l] |= lineDirty
 			c.stats.WriteHits++
 			return value, true
@@ -197,14 +212,21 @@ func (c *Cache) fill(addr uint64, writable, dirty bool, value uint64, now int64)
 	if dirty {
 		flags |= lineDirty
 	}
-	c.values[l], c.flags[l] = value, flags
+	c.flags[l] = flags
+	if c.values != nil {
+		c.values[l] = value
+	}
 	return evicted
 }
 
 // SetItemValue refreshes the value of every valid cache line covering the
 // item (the simulator models contents per item, so a write through one
-// line must be visible through the other).
+// line must be visible through the other). Without stamps it does
+// nothing.
 func (c *Cache) SetItemValue(itemAddr uint64, value uint64) {
+	if c.values == nil {
+		return
+	}
 	c.forEachLineOfItem(itemAddr, func(l int) {
 		c.values[l] = value
 	})
@@ -218,12 +240,6 @@ func (c *Cache) DowngradeAll() {
 	for l := range c.flags {
 		c.flags[l] &^= lineWritable
 	}
-}
-
-// sectorLines returns the range of line indices of sector si.
-func (c *Cache) sectorLines(si int) (first, end int) {
-	first = si * c.linesPerSector
-	return first, first + c.linesPerSector
 }
 
 // allocate claims a sector of the set for tag, evicting the least
@@ -245,8 +261,8 @@ func (c *Cache) allocate(setIdx int, tag uint64, now int64) (si, dirty int) {
 	si = base + victim
 	if c.sectors[si].valid {
 		c.stats.Evictions++
-		first, end := c.sectorLines(si)
-		for l := first; l < end; l++ {
+		first := si * c.linesPerSector
+		for l := first; l < first+c.linesPerSector; l++ {
 			if c.flags[l]&(lineValid|lineDirty) == lineValid|lineDirty {
 				dirty++
 			}
@@ -294,25 +310,18 @@ func (c *Cache) DowngradeItem(itemAddr uint64) {
 	})
 }
 
-// FlushDirty writes every dirty line back through fn (addr, value),
-// clearing dirty bits but keeping lines valid and readable. Write
-// permission is also dropped: after a recovery point the AM copy is no
-// longer Exclusive. It returns the number of lines flushed.
-func (c *Cache) FlushDirty(fn func(addr, value uint64)) int {
+// FlushDirty cleans every dirty line, keeping lines valid and readable
+// (their values are already in the local AM: the simulator models
+// contents per item, written through). Write permission is also
+// dropped: after a recovery point the AM copy is no longer Exclusive.
+// It returns the number of lines flushed. Lines of invalid sectors have
+// no flags set, so every flag byte can be examined alike.
+func (c *Cache) FlushDirty() int {
 	n := 0
-	for si := range c.sectors {
-		s := &c.sectors[si]
-		if !s.valid {
-			continue
-		}
-		addr := s.tag * c.sectorSize
-		first, end := c.sectorLines(si)
-		for l := first; l < end; l, addr = l+1, addr+c.lineSize {
-			if c.flags[l]&(lineValid|lineDirty) == lineValid|lineDirty {
-				fn(addr, c.values[l])
-				c.flags[l] &^= lineDirty | lineWritable
-				n++
-			}
+	for l, f := range c.flags {
+		if f&(lineValid|lineDirty) == lineValid|lineDirty {
+			c.flags[l] = f &^ (lineDirty | lineWritable)
+			n++
 		}
 	}
 	return n

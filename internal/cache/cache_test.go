@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -8,7 +9,7 @@ import (
 	"coma/internal/config"
 )
 
-func newCache() *Cache { return New(config.KSR1(16)) }
+func newCache() *Cache { return New(config.KSR1(16), true) }
 
 func TestMissThenHit(t *testing.T) {
 	c := newCache()
@@ -61,7 +62,7 @@ func TestWriteRequiresWritable(t *testing.T) {
 
 func TestLRUEvictionWithinSet(t *testing.T) {
 	arch := config.KSR1(16)
-	c := New(arch)
+	c := New(arch, true)
 	sectorSize := uint64(arch.CacheLineSize * arch.CacheSectors)
 	numSets := uint64(arch.CacheSize/(arch.CacheLineSize*arch.CacheSectors)) / uint64(arch.CacheWays)
 	// Fill ways+1 sectors mapping to set 0; the LRU one must be evicted.
@@ -82,7 +83,7 @@ func TestLRUEvictionWithinSet(t *testing.T) {
 
 func TestEvictionWritesBackDirtyLines(t *testing.T) {
 	arch := config.KSR1(16)
-	c := New(arch)
+	c := New(arch, true)
 	sectorSize := uint64(arch.CacheLineSize * arch.CacheSectors)
 	numSets := uint64(arch.CacheSize/(arch.CacheLineSize*arch.CacheSectors)) / uint64(arch.CacheWays)
 	stride := sectorSize * numSets
@@ -106,7 +107,7 @@ func TestEvictionWritesBackDirtyLines(t *testing.T) {
 // holding dirty lines only counts them.
 func TestDirtyEvictionAllocatesNothing(t *testing.T) {
 	arch := config.KSR1(16)
-	c := New(arch)
+	c := New(arch, true)
 	stride := uint64(arch.CacheLineSize*arch.CacheSectors) *
 		(uint64(arch.CacheSize/(arch.CacheLineSize*arch.CacheSectors)) / uint64(arch.CacheWays))
 	i := uint64(0)
@@ -159,20 +160,20 @@ func TestFlushDirty(t *testing.T) {
 	c.Fill(0x2000, true, 0, 1)
 	c.Access(0x1000, true, 11, 2)
 	c.Access(0x2000, true, 22, 2)
-	flushed := map[uint64]uint64{}
-	n := c.FlushDirty(func(addr, v uint64) { flushed[addr] = v })
-	if n != 2 {
+	if n := c.FlushDirty(); n != 2 {
 		t.Fatalf("flushed %d lines, want 2", n)
-	}
-	if flushed[0x1000] != 11 || flushed[0x2000] != 22 {
-		t.Fatalf("flushed = %v", flushed)
 	}
 	if c.DirtyLines() != 0 {
 		t.Fatal("dirty lines remain after flush")
 	}
+	if n := c.FlushDirty(); n != 0 {
+		t.Fatalf("second flush cleaned %d lines, want 0", n)
+	}
 	// Paper §4.2.3: flushed data stays readable in the cache.
-	if v, hit := c.Access(0x1000, false, 0, 3); !hit || v != 11 {
-		t.Fatalf("flushed line read = (%d,%v)", v, hit)
+	for addr, want := range map[uint64]uint64{0x1000: 11, 0x2000: 22} {
+		if v, hit := c.Access(addr, false, 0, 3); !hit || v != want {
+			t.Fatalf("flushed line %#x read = (%d,%v), want (%d,true)", addr, v, hit, want)
+		}
 	}
 	// But a new write needs a coherence transaction.
 	if _, ok := c.Access(0x1000, true, 33, 4); ok {
@@ -198,7 +199,7 @@ func TestInvalidateAll(t *testing.T) {
 func TestFillThenHitProperty(t *testing.T) {
 	arch := config.KSR1(16)
 	f := func(addrs []uint32, final uint32) bool {
-		c := New(arch)
+		c := New(arch, true)
 		now := int64(0)
 		for _, a := range addrs {
 			now++
@@ -217,41 +218,54 @@ func TestFillThenHitProperty(t *testing.T) {
 
 // TestNewPacksLines guards the cache's layout. Sectors, line values
 // and line flags come from one backing array each, so building a
-// machine allocates a few blocks per cache rather than one per sector,
-// and a modelled line costs at most 9 bytes (an 8-byte value stamp and
-// one flag byte) plus a fixed header per sector.
+// machine allocates a few blocks per cache rather than one per sector.
+// A modelled line costs at most 9 bytes with stamps (an 8-byte value
+// stamp and one flag byte) and 1 byte without, plus a fixed header per
+// sector.
 func TestNewPacksLines(t *testing.T) {
 	arch := config.KSR1(16)
-	if allocs := testing.AllocsPerRun(10, func() { New(arch) }); allocs > 4 {
-		t.Fatalf("New = %v allocs, want at most 4", allocs)
-	}
 	const (
 		runs          = 20
-		bytesPerLine  = 9
 		sectorHeader  = 24  // tag, LRU stamp, valid bit
 		cacheOverhead = 256 // the Cache struct itself
 	)
 	lines := arch.CacheLines()
 	sectors := lines / arch.CacheSectors
-	limit := uint64(bytesPerLine*lines + sectorHeader*sectors + cacheOverhead)
-	// The smallest of a few rounds, so an allocation elsewhere in the
-	// process during one round does not count against the cache.
-	per := ^uint64(0)
-	keep := make([]*Cache, runs)
-	for round := 0; round < 5; round++ {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := range keep {
-			keep[i] = New(arch)
-		}
-		runtime.ReadMemStats(&after)
-		per = min(per, (after.TotalAlloc-before.TotalAlloc)/runs)
-	}
-	runtime.KeepAlive(keep)
-	if per > limit {
-		t.Fatalf("New allocates %d bytes for %d lines in %d sectors, want at most %d",
-			per, lines, sectors, limit)
+	for _, tc := range []struct {
+		name         string
+		stamps       bool
+		allocs       float64
+		bytesPerLine int
+	}{
+		{"stamps", true, 4, 9},
+		{"no-stamps", false, 3, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(10, func() { New(arch, tc.stamps) }); allocs > tc.allocs {
+				t.Fatalf("New = %v allocs, want at most %v", allocs, tc.allocs)
+			}
+			limit := uint64(tc.bytesPerLine*lines + sectorHeader*sectors + cacheOverhead)
+			// The smallest of a few rounds, so an allocation elsewhere in
+			// the process during one round does not count against the
+			// cache.
+			per := ^uint64(0)
+			keep := make([]*Cache, runs)
+			for round := 0; round < 5; round++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for i := range keep {
+					keep[i] = New(arch, tc.stamps)
+				}
+				runtime.ReadMemStats(&after)
+				per = min(per, (after.TotalAlloc-before.TotalAlloc)/runs)
+			}
+			runtime.KeepAlive(keep)
+			if per > limit {
+				t.Fatalf("New allocates %d bytes for %d lines in %d sectors, want at most %d",
+					per, lines, sectors, limit)
+			}
+		})
 	}
 }
 
@@ -261,7 +275,7 @@ func TestNewPacksLines(t *testing.T) {
 // would return the neighbour's value.
 func TestSectorsDoNotShareLines(t *testing.T) {
 	arch := config.KSR1(16)
-	c := New(arch)
+	c := New(arch, true)
 	sector := uint64(arch.CacheLineSize * arch.CacheSectors)
 	last := uint64(arch.CacheLineSize * (arch.CacheSectors - 1))
 	n := uint64(arch.CacheSize) / sector // every way of every set
@@ -278,5 +292,129 @@ func TestSectorsDoNotShareLines(t *testing.T) {
 	}
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Fatalf("%d evictions filling exactly the cache's capacity", st.Evictions)
+	}
+}
+
+// TestStampFreeCacheMatchesStamped runs one seeded random sequence of
+// every cache operation on a stamped and a stamp-free cache. After each
+// step the two must agree on hit or miss, Contains, Writable,
+// DirtyLines and Stats, and the stamped cache's read hits must return
+// the value a reference map of line contents holds. The addresses map
+// 12 sectors onto each 8-way set, so fills keep evicting.
+func TestStampFreeCacheMatchesStamped(t *testing.T) {
+	arch := config.KSR1(16)
+	line := uint64(arch.CacheLineSize)
+	item := uint64(arch.ItemSize)
+	sector := line * uint64(arch.CacheSectors)
+	numSectors := uint64(arch.CacheSize) / sector
+	const linesUsed = 8 // of each sector, so lines are reused often
+	for seed := uint64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 37))
+		stamped, free := New(arch, true), New(arch, false)
+		ref := map[uint64]uint64{} // line address -> value last stored
+		var flushed, hits int
+		addrAt := func() uint64 {
+			return rng.Uint64N(numSectors*12/8)*sector + rng.Uint64N(linesUsed)*line
+		}
+		agree := func(step int, addr uint64) {
+			t.Helper()
+			if a, b := stamped.Contains(addr), free.Contains(addr); a != b {
+				t.Fatalf("seed %d step %d: Contains(%#x) = %v stamped, %v stamp-free", seed, step, addr, a, b)
+			}
+			if a, b := stamped.Writable(addr), free.Writable(addr); a != b {
+				t.Fatalf("seed %d step %d: Writable(%#x) = %v stamped, %v stamp-free", seed, step, addr, a, b)
+			}
+		}
+		for step := 0; step < 20_000; step++ {
+			now := int64(step)
+			addr := addrAt()
+			itemAddr := addr &^ (item - 1)
+			v := rng.Uint64()
+			switch op := rng.IntN(1000); {
+			case op < 300:
+				got, hit := stamped.Access(addr, false, 0, now)
+				if _, h := free.Access(addr, false, 0, now); h != hit {
+					t.Fatalf("seed %d step %d: read %#x hit %v stamped, %v stamp-free", seed, step, addr, hit, h)
+				}
+				if hit {
+					hits++
+					if got != ref[addr] {
+						t.Fatalf("seed %d step %d: read %#x = %d, want %d", seed, step, addr, got, ref[addr])
+					}
+				}
+			case op < 500:
+				_, ok := stamped.Access(addr, true, v, now)
+				if _, o := free.Access(addr, true, v, now); o != ok {
+					t.Fatalf("seed %d step %d: write %#x hit %v stamped, %v stamp-free", seed, step, addr, ok, o)
+				}
+				if ok {
+					ref[addr] = v
+				}
+			case op < 650:
+				writable := rng.IntN(2) == 0
+				a, b := stamped.Fill(addr, writable, v, now), free.Fill(addr, writable, v, now)
+				if a != b {
+					t.Fatalf("seed %d step %d: Fill evicted %d dirty stamped, %d stamp-free", seed, step, a, b)
+				}
+				ref[addr] = v
+			case op < 780:
+				a, b := stamped.FillDirty(addr, v, now), free.FillDirty(addr, v, now)
+				if a != b {
+					t.Fatalf("seed %d step %d: FillDirty evicted %d dirty stamped, %d stamp-free", seed, step, a, b)
+				}
+				ref[addr] = v
+			case op < 860:
+				for l := itemAddr; l < itemAddr+item; l += line {
+					if stamped.Contains(l) {
+						ref[l] = v
+					}
+				}
+				stamped.SetItemValue(itemAddr, v)
+				free.SetItemValue(itemAddr, v)
+			case op < 920:
+				if a, b := stamped.InvalidateItem(itemAddr), free.InvalidateItem(itemAddr); a != b {
+					t.Fatalf("seed %d step %d: InvalidateItem dropped %d stamped, %d stamp-free", seed, step, a, b)
+				}
+			case op < 995:
+				stamped.DowngradeItem(itemAddr)
+				free.DowngradeItem(itemAddr)
+			// The whole-cache operations are rare, so that dirty lines
+			// live long enough to be evicted.
+			case op < 997:
+				a, b := stamped.FlushDirty(), free.FlushDirty()
+				if a != b {
+					t.Fatalf("seed %d step %d: FlushDirty cleaned %d stamped, %d stamp-free", seed, step, a, b)
+				}
+				flushed += a
+			case op < 999:
+				stamped.DowngradeAll()
+				free.DowngradeAll()
+			default:
+				stamped.InvalidateAll()
+				free.InvalidateAll()
+			}
+			for l := itemAddr; l < itemAddr+item; l += line {
+				agree(step, l)
+			}
+			if a, b := stamped.DirtyLines(), free.DirtyLines(); a != b {
+				t.Fatalf("seed %d step %d: DirtyLines = %d stamped, %d stamp-free", seed, step, a, b)
+			}
+			if a, b := stamped.Stats(), free.Stats(); a != b {
+				t.Fatalf("seed %d step %d: Stats = %+v stamped, %+v stamp-free", seed, step, a, b)
+			}
+			if step%1000 == 999 {
+				for s := uint64(0); s < numSectors*12/8; s++ {
+					for l := uint64(0); l < linesUsed; l++ {
+						agree(step, s*sector+l*line)
+					}
+				}
+			}
+		}
+		// The sequence must have reached every path it is meant to test.
+		st := stamped.Stats()
+		if hits == 0 || st.WriteHits == 0 || st.UpgradeMisses == 0 || st.Evictions == 0 ||
+			st.Writebacks == 0 || st.Invalidations == 0 || flushed == 0 {
+			t.Fatalf("seed %d: sequence missed a path: %+v, %d read hits, %d lines flushed", seed, st, hits, flushed)
+		}
 	}
 }

@@ -197,9 +197,12 @@ func New(cfg Config) (*Machine, error) {
 	m.caches = make([]*cache.Cache, n)
 	m.counters = make([]*stats.Node, n)
 	m.nodes = make([]*node.Node, n)
+	// Only a strict oracle run reads cache-hit values, so only its
+	// caches keep value stamps.
+	checkHits := cfg.Oracle && cfg.Strict
 	for i := 0; i < n; i++ {
 		m.ams[i] = am.New(cfg.Arch, proto.NodeID(i))
-		m.caches[i] = cache.New(cfg.Arch)
+		m.caches[i] = cache.New(cfg.Arch, checkHits)
 		m.counters[i] = &stats.Node{}
 	}
 	m.coh = coherence.New(m.eng, cfg.Arch, cfg.Protocol, cfg.Opts, m.net, m.dir,
@@ -233,7 +236,7 @@ func New(cfg Config) (*Machine, error) {
 		WorkloadEnded:   m.workloadEnded,
 		WorkloadResumed: m.workloadResumed,
 	}
-	if cfg.Oracle && cfg.Strict {
+	if checkHits {
 		nodeHooks.CheckRead = m.checkRead
 	}
 	for i := 0; i < n; i++ {

@@ -89,7 +89,7 @@ func (n *Node) FlushCache(p *sim.Process) {
 	if dirty > 0 {
 		p.Wait(dirty * n.arch.CacheFlushPerLine)
 	}
-	n.cache.FlushDirty(func(addr, value uint64) {})
+	n.cache.FlushDirty()
 	n.cache.DowngradeAll()
 	n.c.FlushedLines += dirty
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"testing"
 
 	"coma/internal/am"
@@ -27,7 +28,15 @@ type rig struct {
 	caches   []*cache.Cache
 	counters []*stats.Node
 	writes   map[proto.ItemID]uint64
+	checked  []checkedRead // strict rigs: every CheckRead call
 	ended    int
+}
+
+// checkedRead is one cache-hit read passed to the CheckRead hook.
+type checkedRead struct {
+	node  proto.NodeID
+	item  proto.ItemID
+	value uint64
 }
 
 type rigCacheOps struct{ r *rig }
@@ -56,7 +65,7 @@ func newRig(t *testing.T, gens []workload.Generator, interval int64, strict bool
 	for i := 0; i < n; i++ {
 		ams[i] = am.New(r.arch, proto.NodeID(i))
 		r.counters[i] = &stats.Node{}
-		r.caches[i] = cache.New(r.arch)
+		r.caches[i] = cache.New(r.arch, strict)
 	}
 	r.coh = coherence.New(r.eng, r.arch, coherence.ECP, coherence.Options{},
 		net, dir, ams, r.counters, rigCacheOps{r})
@@ -64,6 +73,11 @@ func newRig(t *testing.T, gens []workload.Generator, interval int64, strict bool
 	hooks := Hooks{
 		OnWrite:       func(_ proto.NodeID, item proto.ItemID, v uint64) { r.writes[item] = v },
 		WorkloadEnded: func(proto.NodeID) { r.ended++ },
+	}
+	if strict {
+		hooks.CheckRead = func(n proto.NodeID, item proto.ItemID, v uint64) {
+			r.checked = append(r.checked, checkedRead{n, item, v})
+		}
 	}
 	for i := 0; i < n; i++ {
 		r.nodes[i] = New(proto.NodeID(i), r.arch, r.caches[i], r.coh, r.co,
@@ -149,6 +163,21 @@ func TestCacheAbsorbsRepeatedAccesses(t *testing.T) {
 	}
 	if r.counters[0].AMReads != 1 {
 		t.Fatalf("AM reads = %d, want 1", r.counters[0].AMReads)
+	}
+}
+
+// TestStrictCheckSeesPlantedStamp: a strict node's cache keeps value
+// stamps, and a read hit hands the line's stamp to CheckRead, so a
+// wrong value in the cache reaches the oracle's check.
+func TestStrictCheckSeesPlantedStamp(t *testing.T) {
+	const bad = 0xbad
+	r := newRig(t, scriptGens(1, workload.W(128), workload.R(0), workload.I(10),
+		workload.R(0), workload.R(128)), 0, true)
+	r.caches[0].Fill(0, false, bad, 0) // item 0's first line, never fetched
+	r.runAll(t)
+	want := []checkedRead{{0, 0, bad}, {0, 0, bad}, {0, 1, r.writes[1]}}
+	if !slices.Equal(r.checked, want) {
+		t.Fatalf("checked reads = %+v, want %+v", r.checked, want)
 	}
 }
 

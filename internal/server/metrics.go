@@ -212,6 +212,7 @@ var goRuntimeSeries = []struct{ name, typ, help, sample string }{
 	{"comad_go_goroutines", "gauge", "Live goroutines in the daemon.", "/sched/goroutines:goroutines"},
 	{"comad_go_gc_cycles_total", "counter", "Completed GC cycles since the daemon started.", "/gc/cycles/total:gc-cycles"},
 	{"comad_go_gc_pause_cpu_seconds_total", "counter", "Estimated CPU seconds the GC's stop-the-world pauses took from the daemon.", "/cpu/classes/gc/pause:cpu-seconds"},
+	{"comad_go_gc_cpu_seconds_total", "counter", "Estimated CPU seconds the GC took from the daemon, pauses and background marking together.", "/cpu/classes/gc/total:cpu-seconds"},
 }
 
 // writeGoRuntime emits the Go runtime series, read at scrape time.

@@ -394,7 +394,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 		}
 	}
 	// The Go runtime series are read at scrape time, after the GC above.
-	for _, name := range []string{"comad_go_heap_live_bytes", "comad_go_goroutines", "comad_go_gc_cycles_total", "comad_go_gc_pause_cpu_seconds_total"} {
+	for _, name := range []string{"comad_go_heap_live_bytes", "comad_go_goroutines", "comad_go_gc_cycles_total", "comad_go_gc_pause_cpu_seconds_total", "comad_go_gc_cpu_seconds_total"} {
 		m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(text)
 		if m == nil {
 			t.Errorf("metrics missing the %s series", name)
