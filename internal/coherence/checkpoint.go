@@ -180,7 +180,17 @@ func (e *Engine) RebuildDirectory() []proto.ItemID {
 			}
 		})
 	}
-	dropped := e.dropped[:0]
+	// Count the items to drop first, so the list grows at most once
+	// instead of leaving a trail of outgrown arrays.
+	n := 0
+	e.dir.ForEach(func(item proto.ItemID, _ directory.Entry) {
+		if _, ok := ck1[item]; !ok {
+			if _, ok := ck2[item]; !ok {
+				n++
+			}
+		}
+	})
+	dropped := slices.Grow(e.dropped[:0], n)
 	e.dir.ForEach(func(item proto.ItemID, entry directory.Entry) {
 		entry.Sharers.Clear()
 		if o, ok := ck1[item]; ok {

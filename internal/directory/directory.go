@@ -72,13 +72,15 @@ type Directory struct {
 	// Record r is owners[r/recBlock][r%recBlock] and the words sharer
 	// words of sharers[r/recBlock] from (r%recBlock)*words on. Blocks
 	// are allocated whole and never move, so an Entry may point into
-	// them. recs counts the records carved so far; free holds the
-	// numbers of dropped ones for reuse.
+	// them. recs counts the records carved so far. Dropped records are
+	// kept for reuse on a free list threaded through their first sharer
+	// word, which holds the next free record plus one (0 ends the list);
+	// free is the most recently dropped record plus one, or 0.
 	owners  [][]proto.NodeID
 	sharers [][]uint64
 	words   int
 	recs    int32
-	free    []int32
+	free    int32
 }
 
 // New builds a directory for n nodes, all alive.
@@ -208,9 +210,9 @@ func (d *Directory) entry(r int32) Entry {
 // block, allocating a block when the last one is used up.
 func (d *Directory) newRecord() int32 {
 	var r int32
-	if n := len(d.free); n > 0 {
-		r = d.free[n-1]
-		d.free = d.free[:n-1]
+	if d.free != 0 {
+		r = d.free - 1
+		d.free = int32(*d.link(r))
 	} else {
 		if d.recs%recBlock == 0 {
 			d.owners = append(d.owners, make([]proto.NodeID, recBlock))
@@ -223,6 +225,12 @@ func (d *Directory) newRecord() int32 {
 	e.SetOwner(proto.None)
 	e.Sharers.Clear()
 	return r
+}
+
+// link returns the free-list word of record r: its first sharer word,
+// meaningful only while the record is dropped.
+func (d *Directory) link(r int32) *uint64 {
+	return &d.sharers[r/recBlock][int(r%recBlock)*d.words]
 }
 
 // home returns the index slot where the probe for key starts (Fibonacci
@@ -282,7 +290,9 @@ func (d *Directory) Drop(item proto.ItemID) {
 	if i < 0 {
 		return
 	}
-	d.free = append(d.free, d.index[i].rec)
+	r := d.index[i].rec
+	*d.link(r) = uint64(d.free)
+	d.free = r + 1
 	mask := len(d.index) - 1
 	for j := (i + 1) & mask; d.index[j].key != 0; j = (j + 1) & mask {
 		if (j-d.home(d.index[j].key))&mask >= (j-i)&mask {
